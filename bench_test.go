@@ -249,7 +249,7 @@ func runDerechoSlow(b *testing.B) {
 		// Member 2 is never the leader-mode sender (member 0 is).
 		// Pauses stay well below the 4ms failure timeout, so no view
 		// change happens: the group simply waits, per virtual synchrony.
-		inst.DerechoCluster.Group.Node(2).Proc.SetDesched(&simnet.DeschedConfig{
+		inst.Group.Proc(2).SetDesched(&simnet.DeschedConfig{
 			Interval: simnet.Constant{D: time.Millisecond},
 			Pause:    simnet.Constant{D: 200 * time.Microsecond},
 		})

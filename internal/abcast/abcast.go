@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"time"
 
+	"acuerdo/internal/disk"
 	"acuerdo/internal/metrics"
+	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/trace"
 )
@@ -29,6 +31,68 @@ type System interface {
 	// Ready reports whether the system currently accepts client traffic
 	// (e.g., a leader is elected).
 	Ready() bool
+}
+
+// Group is the full replica-group contract: a System plus everything a
+// harness needs to wire, fault, and observe it. The Cluster type of every
+// protocol package implements it natively, so the bench, chaos, and
+// placement harnesses drive all seven systems through this interface alone.
+// Replica indices run 0..Size()-1 and never name the client host.
+//
+// Wiring order: SetObserver, (DurableGroup.SetDisks), Start. SetDeliver may
+// be called at any time.
+type Group interface {
+	System
+	// Size returns the replica count.
+	Size() int
+	// LeaderIdx returns the current leader's replica index, or -1 when the
+	// group has none (mid-election, or the leader crashed).
+	LeaderIdx() int
+	// Crash fail-stops replica i through the system's own crash path.
+	Crash(i int)
+	// Restart brings a crashed replica i back through the system's recovery
+	// path; a no-op where the system has no rejoin protocol.
+	Restart(i int)
+	// Proc returns the simulated CPU replica i runs on.
+	Proc(i int) *simnet.Proc
+	// NodeID returns replica i's node id on its interconnect (the address
+	// space link faults are expressed in).
+	NodeID(i int) int
+	// SetObserver attaches the runtime invariant observer (nil detaches).
+	// Call before Start.
+	SetObserver(o *observe.Observer)
+	// SetDeliver installs fn as the group's delivery hook, replacing any
+	// previous one: it runs for every delivery at every replica.
+	SetDeliver(fn func(replica int, payload []byte))
+	// Start boots the group (replicas elect a first leader).
+	Start()
+}
+
+// DurableGroup is implemented by groups with a durable storage mode
+// (acuerdo, etcd, libpaxos, zookeeper). Derecho and APUS keep their
+// paper-faithful volatile model: they are comparison baselines whose
+// recovery story the paper does not extend.
+type DurableGroup interface {
+	Group
+	// SetDisks attaches one simulated disk per replica and switches the
+	// group to durable mode. Call before Start with exactly Size() devices.
+	SetDisks(devs []*disk.Device)
+	// DiskRecoveredBytes sums bytes read back from local disks during
+	// crash recovery across the group.
+	DiskRecoveredBytes() int64
+	// FabricRecoveryBytes sums payload bytes re-shipped over the
+	// interconnect to refill crash-lost state across the group.
+	FabricRecoveryBytes() int64
+}
+
+// AwaitReady is the one leader-election warm-up every harness shares: it
+// runs sim in 5 ms steps until ready holds, for at most two simulated
+// seconds, and reports whether it did.
+func AwaitReady(sim *simnet.Sim, ready func() bool) bool {
+	for i := 0; i < 400 && !ready(); i++ {
+		sim.RunFor(5 * time.Millisecond)
+	}
+	return ready()
 }
 
 // MsgID extracts the 8-byte message identifier that the driver embeds at the

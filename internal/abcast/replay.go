@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/trace"
@@ -73,10 +72,6 @@ type ReplayRun struct {
 	DurableFP uint64
 }
 
-// replayReadyPolls bounds the pre-load warmup that waits for leader election,
-// mirroring the bench harness's instance warmup.
-const replayReadyPolls = 400
-
 // ReplayOnce builds a system from seed via build, waits for it to become
 // ready, drives it with the closed-loop load cfg, and returns the run's
 // observations. Safety (integrity, no duplication, total order) is checked as
@@ -95,10 +90,7 @@ func ReplayOnce(build SystemBuilder, replicas int, seed int64, cfg LoadConfig) (
 			deliverErr = err
 		}
 	})
-	for i := 0; i < replayReadyPolls && !sys.Ready(); i++ {
-		sim.RunFor(5 * time.Millisecond)
-	}
-	if !sys.Ready() {
+	if !AwaitReady(sim, sys.Ready) {
 		return nil, fmt.Errorf("replay: %s never became ready", sys.Name())
 	}
 	cfg.OnSubmit = checker.OnBroadcast

@@ -38,7 +38,7 @@ func DefaultClusterConfig(n int) ClusterConfig {
 }
 
 // Cluster is an Acuerdo group plus one external client machine, all on one
-// simulated RDMA fabric. It implements abcast.System: client requests
+// simulated RDMA fabric. It implements abcast.DurableGroup: client requests
 // travel to the leader over an RDMA ring buffer and commit acknowledgments
 // travel back the same way, so measured latencies include both client hops
 // (as in the paper's experiments).
@@ -254,6 +254,26 @@ func (c *Cluster) Name() string { return "acuerdo" }
 // is elected.
 func (c *Cluster) Ready() bool { return c.LeaderIdx() >= 0 }
 
+// Size implements abcast.Group.
+func (c *Cluster) Size() int { return len(c.Replicas) }
+
+// Crash implements abcast.Group (see Replica.Crash).
+func (c *Cluster) Crash(i int) { c.Replicas[i].Crash() }
+
+// Restart implements abcast.Group (see Replica.Restart).
+func (c *Cluster) Restart(i int) { c.Replicas[i].Restart() }
+
+// Proc implements abcast.Group.
+func (c *Cluster) Proc(i int) *simnet.Proc { return c.Replicas[i].Node.Proc }
+
+// NodeID implements abcast.Group.
+func (c *Cluster) NodeID(i int) int { return c.Replicas[i].Node.ID }
+
+// SetDeliver implements abcast.Group over the typed OnDeliver hook.
+func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
+	c.OnDeliver = func(replica int, _ MsgHdr, payload []byte) { fn(replica, payload) }
+}
+
 // LeaderIdx returns the current leader's replica index, or -1 mid-election.
 func (c *Cluster) LeaderIdx() int {
 	for i, r := range c.Replicas {
@@ -305,4 +325,4 @@ func (c *Cluster) resend(id uint64, payload []byte) {
 	c.send(id, payload)
 }
 
-var _ abcast.System = (*Cluster)(nil)
+var _ abcast.DurableGroup = (*Cluster)(nil)

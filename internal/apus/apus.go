@@ -58,7 +58,7 @@ func DefaultConfig(n int) Config {
 const slotHdr = 12 // index u64 + len u32
 
 // Cluster is an APUS deployment (leader = server 0) plus a client host on
-// the RDMA fabric. It implements abcast.System.
+// the RDMA fabric. It implements abcast.Group.
 type Cluster struct {
 	Sim    *simnet.Sim
 	Fabric *rdma.Fabric
@@ -316,8 +316,19 @@ func (c *Cluster) clientPoll() {
 
 // --- fault injection (chaos engine surface) ---
 
-// Node returns replica i's fabric endpoint.
-func (c *Cluster) Node(i int) *rdma.Node { return c.nodes[i] }
+// Size implements abcast.Group.
+func (c *Cluster) Size() int { return c.cfg.N }
+
+// Proc implements abcast.Group.
+func (c *Cluster) Proc(i int) *simnet.Proc { return c.nodes[i].Proc }
+
+// NodeID implements abcast.Group.
+func (c *Cluster) NodeID(i int) int { return c.nodes[i].ID }
+
+// SetDeliver implements abcast.Group over the typed OnDeliver hook.
+func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
+	c.OnDeliver = func(replica int, _ uint64, payload []byte) { fn(replica, payload) }
+}
 
 // Crash fail-stops replica i. Crashing the leader (replica 0) permanently
 // halts the system: APUS as modelled here has a fixed leader with
@@ -363,4 +374,4 @@ func (c *Cluster) Submit(payload []byte, done func()) {
 	}
 }
 
-var _ abcast.System = (*Cluster)(nil)
+var _ abcast.Group = (*Cluster)(nil)

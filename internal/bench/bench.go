@@ -13,6 +13,7 @@ import (
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/acuerdo"
 	"acuerdo/internal/apus"
+	"acuerdo/internal/chaos"
 	"acuerdo/internal/derecho"
 	"acuerdo/internal/disk"
 	"acuerdo/internal/observe"
@@ -57,80 +58,55 @@ const (
 	Amnesia  Durability = "amnesia"
 )
 
-// DurabilitySupported reports whether kind has a durable storage mode.
-// Derecho and APUS keep their paper-faithful volatile model: they are
-// comparison baselines whose recovery story the paper does not extend.
-func DurabilitySupported(kind Kind) bool {
-	switch kind {
-	case Acuerdo, Etcd, Libpaxos, Zookeeper:
-		return true
-	}
-	return false
-}
-
 // Instance is one booted system ready for load.
 type Instance struct {
 	Sim *simnet.Sim
-	Sys abcast.System
-	N   int
+	// Sys is the client-facing submit surface load drivers use; harnesses
+	// may wrap it (an ack tap). Group is the same cluster under the full
+	// contract and is never wrapped.
+	Sys   abcast.System
+	Group abcast.Group
+	N     int
 
-	// setApply installs a per-replica delivery hook (payload only), used
-	// by the YCSB experiment to feed the replicated hash table.
-	setApply func(func(replica int, payload []byte))
-
-	// AcuerdoCluster is set when Kind == Acuerdo (election experiment).
+	// AcuerdoCluster is Group's concrete type when Kind == Acuerdo (the
+	// election experiment and ablations read replica internals).
 	AcuerdoCluster *acuerdo.Cluster
-	// DerechoCluster is set for the Derecho kinds (fault-injection
-	// ablations).
-	DerechoCluster *derecho.Cluster
 
-	// Fabric/Net is whichever interconnect the system runs on; exactly one
-	// is non-nil. The chaos adapter drives its cut/loss/spike surface.
-	Fabric *rdma.Fabric
-	Net    *tcpnet.Net
+	// ownFabric is the private RDMA fabric whose pooled regions Close
+	// returns: nil for the TCP-based systems, and for instances on
+	// Options.SharedFabric, whose owner releases it once after every
+	// instance on it is done.
+	ownFabric *rdma.Fabric
 
 	// Disks holds one simulated device per replica when the instance was
-	// built with Options.Durability != Volatile on a system that supports
-	// it (DurabilitySupported); nil otherwise. The chaos adapter drives its
-	// stall/torn/corrupt/full surface.
+	// built with Options.Durability != Volatile on a system that implements
+	// abcast.DurableGroup; nil otherwise.
 	Disks []*disk.Device
 
-	// Per-system control closures behind the chaos.Target adapter: replica
-	// index -> interconnect node id / scheduler process, current leader,
-	// and the system's crash and recovery paths.
-	nodeID    func(i int) int
-	proc      func(i int) *simnet.Proc
-	leaderIdx func() int
-	crash     func(i int)
-	restart   func(i int)
-
-	// Recovery accounting behind the durable mode; nil on volatile
-	// instances and on systems with no durable mode.
-	diskRecovered  func() int64
-	fabricRecovery func() int64
-
-	// sharedInterconnect marks instances built on Options.SharedFabric or
-	// Options.SharedNet: Close must not release an interconnect other
-	// instances still run on (the owner releases it once).
-	sharedInterconnect bool
+	// target is the instance's one chaos.Target; harnesses hook its
+	// BeforeRestart/AfterCrash rather than wrapping it.
+	target *chaos.GroupTarget
 }
+
+// ChaosTarget exposes the instance's fault-control surface.
+func (inst *Instance) ChaosTarget() chaos.Target { return inst.target }
 
 // DiskRecoveredBytes sums bytes read back from local disks during crash
 // recovery across the group; zero on volatile instances.
 func (inst *Instance) DiskRecoveredBytes() int64 {
-	if inst.diskRecovered == nil {
-		return 0
+	if dg, ok := inst.Group.(abcast.DurableGroup); ok && inst.Disks != nil {
+		return dg.DiskRecoveredBytes()
 	}
-	return inst.diskRecovered()
+	return 0
 }
 
 // FabricRecoveryBytes sums payload bytes re-shipped over the interconnect to
 // refill crash-lost state across the group; zero on volatile instances.
 func (inst *Instance) FabricRecoveryBytes() int64 {
-	if inst.fabricRecovery == nil {
-		return 0
+	if dg, ok := inst.Group.(abcast.DurableGroup); ok && inst.Disks != nil {
+		return dg.FabricRecoveryBytes()
 	}
-	return inst.fabricRecovery()
+	return 0
 }
 
 // DurableDigest folds every device's durable-content digest into one value:
@@ -148,12 +124,10 @@ func (inst *Instance) DurableDigest() uint64 {
 // to their process-wide free lists. The instance must not be stepped,
 // polled, or measured afterwards. Harnesses that build one instance per
 // point call this between points; leaving an instance unclosed is safe,
-// it just forgoes the reuse. Instances on a shared interconnect
-// (Options.SharedFabric) skip the release — the interconnect's owner
-// releases it once, after every instance on it is done.
+// it just forgoes the reuse.
 func (inst *Instance) Close() {
-	if inst.Fabric != nil && !inst.sharedInterconnect {
-		inst.Fabric.Release()
+	if inst.ownFabric != nil {
+		inst.ownFabric.Release()
 	}
 }
 
@@ -169,17 +143,13 @@ type Options struct {
 	// elections) are captured too.
 	Tracer *trace.Tracer
 	// Observer, when non-nil, is attached to the system before it starts,
-	// so runtime invariant checking covers the first election onward. The
-	// instance then also satisfies abcast.Observed, which folds the
-	// observer digest into seed-replay fingerprints.
+	// so runtime invariant checking covers the first election onward.
 	Observer *observe.Observer
 	// Durability selects the storage model (Volatile, Durable, Amnesia).
 	// Non-volatile modes give every replica a simulated disk on systems
-	// that support one (DurabilitySupported); unsupported systems silently
-	// stay volatile so cross-system sweeps can share one Options value.
+	// that implement abcast.DurableGroup; the others silently stay volatile
+	// so cross-system sweeps can share one Options value.
 	Durability Durability
-	// DiskParams overrides the device model (nil = disk.DefaultParams).
-	DiskParams *disk.Params
 	// SharedFabric, when non-nil, hosts the instance on an existing RDMA
 	// fabric instead of a private one, so many instances — one broadcast
 	// ring per placement group — contend on one interconnect. Ignored by
@@ -197,213 +167,102 @@ type Options struct {
 	ReplicaProcs []*simnet.Proc
 }
 
+// warmUp runs the instance's simulation until a leader serves
+// (abcast.AwaitReady), for harnesses that cannot proceed without one.
+func (inst *Instance) warmUp() {
+	if !abcast.AwaitReady(inst.Sim, inst.Sys.Ready) {
+		panic(fmt.Sprintf("bench: %s/%d never became ready", inst.Sys.Name(), inst.N))
+	}
+}
+
 // NewInstance builds, starts, and warms up (leader elected) one system.
 func NewInstance(kind Kind, n int, seed int64, opt Options) *Instance {
 	inst := NewInstanceOn(simnet.New(seed), kind, n, opt)
-	sim := inst.Sim
-	// Warm up until a leader serves.
-	for i := 0; i < 400 && !inst.Sys.Ready(); i++ {
-		sim.RunFor(5 * time.Millisecond)
-	}
-	if !inst.Sys.Ready() {
-		panic(fmt.Sprintf("bench: %s/%d never became ready", kind, n))
-	}
+	inst.warmUp()
 	return inst
 }
 
-// fabricFor returns the RDMA interconnect an instance should build on —
-// the shared one when the placement layer provides it, a private one
-// otherwise — with any queued replica CPUs installed for the cluster's
-// upcoming AddNode calls.
-func fabricFor(sim *simnet.Sim, opt Options) *rdma.Fabric {
-	f := opt.SharedFabric
-	if f == nil {
-		f = rdma.NewFabric(sim, rdma.DefaultParams())
-	}
-	if opt.ReplicaProcs != nil {
-		f.ProvideProcs(opt.ReplicaProcs)
-	}
-	return f
-}
-
-// netFor is fabricFor's counterpart for the TCP-based systems.
-func netFor(sim *simnet.Sim, opt Options) *tcpnet.Net {
-	nt := opt.SharedNet
-	if nt == nil {
-		nt = tcpnet.New(sim, tcpnet.DefaultParams())
-	}
-	if opt.ReplicaProcs != nil {
-		nt.ProvideProcs(opt.ReplicaProcs)
-	}
-	return nt
+// systems is the constructor table: per kind, which interconnect class the
+// system runs on (exactly one of onFabric/onNet is set) and how to build
+// its group there. Everything after construction goes through abcast.Group,
+// so adding a system is its package plus one entry here.
+var systems = map[Kind]struct {
+	onFabric func(sim *simnet.Sim, f *rdma.Fabric, n int, opt Options) abcast.Group
+	onNet    func(sim *simnet.Sim, nt *tcpnet.Net, n int, opt Options) abcast.Group
+}{
+	Acuerdo: {onFabric: func(sim *simnet.Sim, f *rdma.Fabric, n int, opt Options) abcast.Group {
+		cfg := acuerdo.DefaultClusterConfig(n)
+		if opt.AcuerdoConfig != nil {
+			cfg.Replica = *opt.AcuerdoConfig
+		}
+		cfg.Desched = opt.Desched
+		return acuerdo.NewCluster(sim, f, cfg)
+	}},
+	DerechoAll: {onFabric: func(sim *simnet.Sim, f *rdma.Fabric, n int, _ Options) abcast.Group {
+		return derecho.NewCluster(sim, f, derecho.DefaultConfig(n, derecho.AllMode))
+	}},
+	DerechoLeader: {onFabric: func(sim *simnet.Sim, f *rdma.Fabric, n int, _ Options) abcast.Group {
+		return derecho.NewCluster(sim, f, derecho.DefaultConfig(n, derecho.LeaderMode))
+	}},
+	Apus: {onFabric: func(sim *simnet.Sim, f *rdma.Fabric, n int, _ Options) abcast.Group {
+		return apus.NewCluster(sim, f, apus.DefaultConfig(n))
+	}},
+	Etcd: {onNet: func(sim *simnet.Sim, nt *tcpnet.Net, n int, _ Options) abcast.Group {
+		return raft.NewCluster(sim, nt, raft.DefaultConfig(n))
+	}},
+	Libpaxos: {onNet: func(sim *simnet.Sim, nt *tcpnet.Net, n int, _ Options) abcast.Group {
+		return paxos.NewCluster(sim, nt, paxos.DefaultConfig(n))
+	}},
+	Zookeeper: {onNet: func(sim *simnet.Sim, nt *tcpnet.Net, n int, _ Options) abcast.Group {
+		return zab.NewCluster(sim, nt, zab.DefaultConfig(n))
+	}},
 }
 
 // NewInstanceOn builds and starts one system on an existing simulator without
 // warming it up. The seed-replay harness uses this to construct the same
 // system twice on two identically seeded simulators.
 func NewInstanceOn(sim *simnet.Sim, kind Kind, n int, opt Options) *Instance {
+	sys, ok := systems[kind]
+	if !ok {
+		panic("bench: unknown system " + string(kind))
+	}
 	if opt.Tracer != nil {
 		sim.SetTracer(opt.Tracer)
 	}
 	inst := &Instance{Sim: sim, N: n}
-	inst.sharedInterconnect = opt.SharedFabric != nil || opt.SharedNet != nil
-	// newDisks builds the per-replica devices for non-volatile modes; the
-	// caller attaches them only on systems with a durable path.
-	newDisks := func() []*disk.Device {
-		if opt.Durability == Volatile {
-			return nil
+	// Build on the shared interconnect when the placement layer provides
+	// one, a private one otherwise; either way any queued replica CPUs are
+	// installed first, for the cluster's upcoming AddNode calls.
+	var g abcast.Group
+	var links chaos.LinkFaults
+	if sys.onFabric != nil {
+		f := opt.SharedFabric
+		if f == nil {
+			f = rdma.NewFabric(sim, rdma.DefaultParams())
+			inst.ownFabric = f
 		}
-		p := disk.DefaultParams()
-		if opt.DiskParams != nil {
-			p = *opt.DiskParams
+		f.ProvideProcs(opt.ReplicaProcs)
+		g, links = sys.onFabric(sim, f, n, opt), f
+	} else {
+		nt := opt.SharedNet
+		if nt == nil {
+			nt = tcpnet.New(sim, tcpnet.DefaultParams())
 		}
-		devs := make([]*disk.Device, n)
-		for i := range devs {
-			devs[i] = disk.NewDevice(sim, i, p)
-		}
-		return devs
+		nt.ProvideProcs(opt.ReplicaProcs)
+		g, links = sys.onNet(sim, nt, n, opt), nt
 	}
-	switch kind {
-	case Acuerdo:
-		fabric := fabricFor(sim, opt)
-		cfg := acuerdo.DefaultClusterConfig(n)
-		if opt.AcuerdoConfig != nil {
-			cfg.Replica = *opt.AcuerdoConfig
+	g.SetObserver(opt.Observer)
+	if dg, ok := g.(abcast.DurableGroup); ok && opt.Durability != Volatile {
+		inst.Disks = make([]*disk.Device, n)
+		for i := range inst.Disks {
+			inst.Disks[i] = disk.NewDevice(sim, i, disk.DefaultParams())
 		}
-		cfg.Desched = opt.Desched
-		c := acuerdo.NewCluster(sim, fabric, cfg)
-		c.SetObserver(opt.Observer)
-		if devs := newDisks(); devs != nil {
-			c.SetDisks(devs)
-			inst.Disks = devs
-			inst.diskRecovered = c.DiskRecoveredBytes
-			inst.fabricRecovery = c.FabricRecoveryBytes
-		}
-		c.Start()
-		inst.Sys = c
-		inst.AcuerdoCluster = c
-		inst.Fabric = fabric
-		inst.nodeID = func(i int) int { return c.Replicas[i].Node.ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Replicas[i].Node.Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = func(i int) { c.Replicas[i].Crash() }
-		inst.restart = func(i int) { c.Replicas[i].Restart() }
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica int, hdr acuerdo.MsgHdr, payload []byte) {
-				apply(replica, payload)
-			}
-		}
-	case DerechoLeader, DerechoAll:
-		fabric := fabricFor(sim, opt)
-		mode := derecho.LeaderMode
-		if kind == DerechoAll {
-			mode = derecho.AllMode
-		}
-		c := derecho.NewCluster(sim, fabric, derecho.DefaultConfig(n, mode))
-		c.SetObserver(opt.Observer)
-		c.Start()
-		inst.Sys = c
-		inst.DerechoCluster = c
-		inst.Fabric = fabric
-		inst.nodeID = func(i int) int { return c.Group.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Group.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica, sender int, idx uint64, payload []byte) {
-				apply(replica, payload)
-			}
-		}
-	case Apus:
-		fabric := fabricFor(sim, opt)
-		c := apus.NewCluster(sim, fabric, apus.DefaultConfig(n))
-		c.SetObserver(opt.Observer)
-		c.Start()
-		inst.Sys = c
-		inst.Fabric = fabric
-		inst.nodeID = func(i int) int { return c.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica int, idx uint64, payload []byte) {
-				apply(replica, payload)
-			}
-		}
-	case Libpaxos:
-		net := netFor(sim, opt)
-		c := paxos.NewCluster(sim, net, paxos.DefaultConfig(n))
-		c.SetObserver(opt.Observer)
-		if devs := newDisks(); devs != nil {
-			c.SetDisks(devs)
-			inst.Disks = devs
-			inst.diskRecovered = func() int64 { return c.DiskRecoveredBytes }
-			inst.fabricRecovery = func() int64 { return c.FabricRecoveryBytes }
-		}
-		c.Start()
-		inst.Sys = c
-		inst.Net = net
-		inst.nodeID = func(i int) int { return c.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica int, inst uint64, payload []byte) {
-				apply(replica, payload)
-			}
-		}
-	case Zookeeper:
-		net := netFor(sim, opt)
-		c := zab.NewCluster(sim, net, zab.DefaultConfig(n))
-		c.SetObserver(opt.Observer)
-		if devs := newDisks(); devs != nil {
-			c.SetDisks(devs)
-			inst.Disks = devs
-			inst.diskRecovered = func() int64 { return c.DiskRecoveredBytes }
-			inst.fabricRecovery = func() int64 { return c.FabricRecoveryBytes }
-		}
-		c.Start()
-		inst.Sys = c
-		inst.Net = net
-		inst.nodeID = func(i int) int { return c.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica int, zxid uint64, payload []byte) {
-				apply(replica, payload)
-			}
-		}
-	case Etcd:
-		net := netFor(sim, opt)
-		c := raft.NewCluster(sim, net, raft.DefaultConfig(n))
-		c.SetObserver(opt.Observer)
-		if devs := newDisks(); devs != nil {
-			c.SetDisks(devs)
-			inst.Disks = devs
-			inst.diskRecovered = func() int64 { return c.DiskRecoveredBytes }
-			inst.fabricRecovery = func() int64 { return c.FabricRecoveryBytes }
-		}
-		c.Start()
-		inst.Sys = c
-		inst.Net = net
-		inst.nodeID = func(i int) int { return c.Node(i).ID }
-		inst.proc = func(i int) *simnet.Proc { return c.Node(i).Proc }
-		inst.leaderIdx = c.LeaderIdx
-		inst.crash = c.Crash
-		inst.restart = c.Restart
-		inst.setApply = func(apply func(int, []byte)) {
-			c.OnDeliver = func(replica, idx int, payload []byte) {
-				apply(replica, payload)
-			}
-		}
-	default:
-		panic("bench: unknown system " + string(kind))
+		dg.SetDisks(inst.Disks)
 	}
+	g.Start()
+	inst.Sys, inst.Group = g, g
+	inst.AcuerdoCluster, _ = g.(*acuerdo.Cluster)
+	inst.target = &chaos.GroupTarget{Group: g, Links: links, Disks: inst.Disks, Rand: sim.Rand()}
 	return inst
 }
 
@@ -481,12 +340,7 @@ func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 		opt.Observer = obs
 	}
 	inst := NewInstanceOn(sim, kind, cfg.Nodes, opt)
-	for w := 0; w < 400 && !inst.Sys.Ready(); w++ {
-		sim.RunFor(5 * time.Millisecond)
-	}
-	if !inst.Sys.Ready() {
-		panic(fmt.Sprintf("bench: %s/%d never became ready", kind, cfg.Nodes))
-	}
+	inst.warmUp()
 	res := abcast.RunClosedLoop(inst.Sim, inst.Sys, abcast.LoadConfig{
 		Window:       cfg.Windows[i],
 		MsgSize:      cfg.MsgSize,

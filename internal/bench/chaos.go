@@ -19,105 +19,6 @@ import (
 	"acuerdo/internal/trace"
 )
 
-// chaosTarget adapts an Instance to the chaos engine's control surface.
-// Link actions are given in replica-index space and translated to
-// interconnect node ids here, so plans are portable across systems whose
-// node-id layouts differ.
-type chaosTarget struct{ inst *Instance }
-
-// ChaosTarget exposes the instance's fault-control surface.
-func (inst *Instance) ChaosTarget() chaos.Target { return chaosTarget{inst} }
-
-// Replicas reports the cluster size.
-func (t chaosTarget) Replicas() int { return t.inst.N }
-
-// Leader reports the current leader's replica index.
-func (t chaosTarget) Leader() int { return t.inst.leaderIdx() }
-
-// Crash kills replica i through the system's own crash path.
-func (t chaosTarget) Crash(i int) { t.inst.crash(i) }
-
-// Restart brings a crashed replica i back through the system's recovery path.
-func (t chaosTarget) Restart(i int) { t.inst.restart(i) }
-
-// Pause deschedules replica i's process for d of simulated time.
-func (t chaosTarget) Pause(i int, d time.Duration) { t.inst.proc(i).Pause(d) }
-
-// CutOneWay drops all traffic from replica i to replica j.
-func (t chaosTarget) CutOneWay(i, j int) {
-	a, b := t.inst.nodeID(i), t.inst.nodeID(j)
-	if t.inst.Fabric != nil {
-		t.inst.Fabric.PartitionOneWay(a, b)
-	} else {
-		t.inst.Net.PartitionOneWay(a, b)
-	}
-}
-
-// HealOneWay restores the i→j direction cut by CutOneWay.
-func (t chaosTarget) HealOneWay(i, j int) {
-	a, b := t.inst.nodeID(i), t.inst.nodeID(j)
-	if t.inst.Fabric != nil {
-		t.inst.Fabric.HealOneWay(a, b)
-	} else {
-		t.inst.Net.HealOneWay(a, b)
-	}
-}
-
-// SetLoss sets the loss probability on the i↔j link (0 clears it).
-func (t chaosTarget) SetLoss(i, j int, p float64) {
-	a, b := t.inst.nodeID(i), t.inst.nodeID(j)
-	if t.inst.Fabric != nil {
-		t.inst.Fabric.SetLoss(a, b, p)
-	} else {
-		t.inst.Net.SetLoss(a, b, p)
-	}
-}
-
-// SetLatencySpike adds d of extra one-way latency on the i↔j link
-// (0 clears it).
-func (t chaosTarget) SetLatencySpike(i, j int, d time.Duration) {
-	a, b := t.inst.nodeID(i), t.inst.nodeID(j)
-	if t.inst.Fabric != nil {
-		t.inst.Fabric.SetLatencySpike(a, b, d)
-	} else {
-		t.inst.Net.SetLatencySpike(a, b, d)
-	}
-}
-
-// DiskStall opens an fsync-stall window of d on replica i's disk; a no-op
-// on volatile instances.
-func (t chaosTarget) DiskStall(i int, d time.Duration) {
-	if t.inst.Disks != nil {
-		t.inst.Disks[i].StallFsync(d)
-	}
-}
-
-// DiskTorn arms a torn write on replica i's disk (bites at its next crash);
-// a no-op on volatile instances.
-func (t chaosTarget) DiskTorn(i int) {
-	if t.inst.Disks != nil {
-		t.inst.Disks[i].ArmTornWrite()
-	}
-}
-
-// DiskCorrupt flips one random durable bit on replica i's disk; a no-op on
-// volatile instances.
-func (t chaosTarget) DiskCorrupt(i int) {
-	if t.inst.Disks != nil {
-		t.inst.Disks[i].CorruptDurable(t.inst.Sim.Rand())
-	}
-}
-
-// DiskFull sets or clears the disk-full condition on replica i's disk; a
-// no-op on volatile instances.
-func (t chaosTarget) DiskFull(i int, on bool) {
-	if t.inst.Disks != nil {
-		t.inst.Disks[i].SetFull(on)
-	}
-}
-
-var _ chaos.Target = chaosTarget{}
-
 // ChaosConfig parameterizes one chaos run.
 type ChaosConfig struct {
 	Nodes   int
@@ -254,12 +155,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 		opt.Observer = obs
 	}
 	inst := NewInstanceOn(sim, kind, cfg.Nodes, opt)
-	for i := 0; i < 400 && !inst.Sys.Ready(); i++ {
-		sim.RunFor(5 * time.Millisecond)
-	}
-	if !inst.Sys.Ready() {
-		panic(fmt.Sprintf("chaos: %s/%d never became ready", kind, cfg.Nodes))
-	}
+	inst.warmUp()
 	res := ChaosResult{Kind: kind, Plan: sc.Name, Durability: cfg.Durability}
 
 	// Safety: every delivery at every replica feeds the shared checker.
@@ -270,24 +166,15 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 		// victim's disk at crash time — the node rejoins with nothing, the
 		// worst-case fabric-bytes baseline — and the observer is told the
 		// durable floor is gone so the lost frontier is not a violation.
-		baseRestart := inst.restart
-		inst.restart = func(i int) {
-			checker.NodeRestart(i)
-			baseRestart(i)
-		}
+		inst.target.BeforeRestart = checker.NodeRestart
 		if cfg.Durability == Amnesia {
-			baseCrash := inst.crash
-			disks := inst.Disks
-			inst.crash = func(i int) {
-				baseCrash(i)
-				disks[i].Wipe()
-				if obs != nil {
-					obs.DiskFault(i, int64(sim.Now()))
-				}
+			inst.target.AfterCrash = func(i int) {
+				inst.Disks[i].Wipe()
+				obs.DiskFault(i, int64(sim.Now()))
 			}
 		}
 	}
-	inst.setApply(func(replica int, payload []byte) {
+	inst.Group.SetDeliver(func(replica int, payload []byte) {
 		if len(payload) < 8 {
 			return
 		}
@@ -328,7 +215,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 		panic("chaos: " + err.Error())
 	}
 	faultStart := sim.Now().Add(cfg.Settle)
-	engine := chaos.NewEngine(sim, inst.ChaosTarget())
+	engine := chaos.NewEngine(sim, inst.target)
 	engine.Schedule(faultStart, plan)
 
 	// Watchdog on the ack stream: a wedged run (quorum gone, fixed leader

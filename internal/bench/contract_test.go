@@ -1,0 +1,83 @@
+package bench
+
+import (
+	"testing"
+	"time"
+
+	"acuerdo/internal/abcast"
+)
+
+// TestGroupContract holds every system to abcast.Group through the bench
+// wiring alone: no per-system knowledge beyond which kinds are durable.
+func TestGroupContract(t *testing.T) {
+	const n = 3
+	durable := make(map[Kind]bool)
+	for _, k := range durableKinds {
+		durable[k] = true
+	}
+	for _, kind := range AllKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			inst := NewInstance(kind, n, 5, Options{Durability: Durable})
+			defer inst.Close()
+			g, tgt := inst.Group, inst.ChaosTarget()
+			if g.Size() != n || tgt.Replicas() != n {
+				t.Fatalf("Size() = %d, target Replicas() = %d, want %d", g.Size(), tgt.Replicas(), n)
+			}
+			ids := make(map[int]bool)
+			for i := 0; i < n; i++ {
+				if g.Proc(i) == nil {
+					t.Fatalf("Proc(%d) is nil", i)
+				}
+				if ids[g.NodeID(i)] {
+					t.Fatalf("NodeID(%d) = %d repeats an earlier replica's", i, g.NodeID(i))
+				}
+				ids[g.NodeID(i)] = true
+			}
+			ldr := g.LeaderIdx()
+			if ldr < 0 || ldr >= n || tgt.Leader() != ldr {
+				t.Fatalf("after warm-up LeaderIdx() = %d, target Leader() = %d", ldr, tgt.Leader())
+			}
+			if _, ok := g.(abcast.DurableGroup); ok != durable[kind] || (inst.Disks != nil) != durable[kind] {
+				t.Fatalf("DurableGroup = %v, disks attached = %v, want both %v", ok, inst.Disks != nil, durable[kind])
+			}
+
+			seen := make([]int, n)
+			g.SetDeliver(func(replica int, payload []byte) { seen[replica]++ })
+			res := abcast.RunClosedLoop(inst.Sim, inst.Sys, abcast.LoadConfig{
+				Window: 4, MsgSize: 16, Warmup: time.Millisecond, Measure: 4 * time.Millisecond,
+			})
+			if res.Committed == 0 {
+				t.Fatal("committed nothing")
+			}
+			for i, c := range seen {
+				if c == 0 {
+					t.Fatalf("SetDeliver hook never saw replica %d (deliveries %v)", i, seen)
+				}
+			}
+
+			restarted := -1
+			inst.target.BeforeRestart = func(i int) { restarted = i }
+			tgt.Crash(ldr)
+			if g.Proc(ldr).Alive() || g.LeaderIdx() == ldr {
+				t.Fatalf("Crash(%d): proc alive = %v, LeaderIdx() = %d", ldr, g.Proc(ldr).Alive(), g.LeaderIdx())
+			}
+			inst.Sim.RunFor(30 * time.Millisecond)
+			tgt.Restart(ldr)
+			if restarted != ldr {
+				t.Fatalf("BeforeRestart hook saw %d, want %d", restarted, ldr)
+			}
+			// Restart is a documented no-op where a system has no rejoin
+			// path (derecho members, the APUS leader); where the replica did
+			// come back, the group must serve again.
+			inst.Sim.RunFor(50 * time.Millisecond)
+			if g.Proc(ldr).Alive() {
+				for i := 0; i < 100 && !g.Ready(); i++ {
+					inst.Sim.RunFor(5 * time.Millisecond)
+				}
+				if l := g.LeaderIdx(); !g.Ready() || l < 0 || l >= n {
+					t.Fatalf("replica %d rejoined but the group is not serving (Ready %v, LeaderIdx %d)", ldr, g.Ready(), l)
+				}
+			}
+		})
+	}
+}

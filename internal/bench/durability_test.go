@@ -156,15 +156,10 @@ func TestVolatileChaosResultUnchanged(t *testing.T) {
 }
 
 // TestDurabilityUnsupportedKindsStayVolatile: Derecho and APUS have no
-// durable mode; asking for one must leave them volatile rather than panic,
-// so cross-system sweeps can share a configuration.
+// durable mode (TestGroupContract pins which kinds do); asking for one must
+// leave them volatile rather than panic, so cross-system sweeps can share a
+// configuration.
 func TestDurabilityUnsupportedKindsStayVolatile(t *testing.T) {
-	for _, kind := range AllKinds {
-		want := kind == Acuerdo || kind == Etcd || kind == Libpaxos || kind == Zookeeper
-		if got := DurabilitySupported(kind); got != want {
-			t.Fatalf("DurabilitySupported(%s) = %v, want %v", kind, got, want)
-		}
-	}
 	inst := NewInstance(Apus, 3, 1, Options{Durability: Durable})
 	if inst.Disks != nil {
 		t.Fatal("apus grew disks despite having no durable mode")

@@ -45,7 +45,7 @@ func ReplayBuilder(kind Kind, nodes int, withObservers bool) abcast.SystemBuilde
 			opt.Observer = o
 		}
 		inst := NewInstanceOn(sim, kind, nodes, opt)
-		inst.setApply(deliver)
+		inst.Group.SetDeliver(deliver)
 		if o != nil {
 			return observedSystem{System: inst.Sys, obs: o}
 		}

@@ -87,10 +87,9 @@ type PlacementWorld struct {
 	// FleetProcs are the shared CPUs, one per fleet node; group replicas
 	// run on the proc of the fleet node the map placed them on.
 	FleetProcs []*simnet.Proc
-	// Fabric/Net is the shared interconnect; exactly one is non-nil,
-	// matching the system class (RDMA vs TCP).
+	// Fabric is the shared RDMA interconnect Close releases; nil when the
+	// groups run on a shared tcpnet.Net instead.
 	Fabric *rdma.Fabric
-	Net    *tcpnet.Net
 }
 
 // NewPlacementWorld builds and starts every group of m as a kind ring on
@@ -107,13 +106,11 @@ func NewPlacementWorld(kind Kind, m *placement.Map, seed int64, withObservers bo
 		w.FleetProcs[k] = simnet.NewProc(sim, fleetProcBase+k, fmt.Sprintf("fleet%d", k))
 	}
 	var opt Options
-	switch kind {
-	case Acuerdo, DerechoLeader, DerechoAll, Apus:
+	if systems[kind].onFabric != nil {
 		w.Fabric = rdma.NewFabric(sim, rdma.DefaultParams())
 		opt.SharedFabric = w.Fabric
-	default:
-		w.Net = tcpnet.New(sim, tcpnet.DefaultParams())
-		opt.SharedNet = w.Net
+	} else {
+		opt.SharedNet = tcpnet.New(sim, tcpnet.DefaultParams())
 	}
 	for _, g := range m.Groups {
 		procs := make([]*simnet.Proc, len(g.Members))
@@ -143,18 +140,13 @@ func (w *PlacementWorld) Ready() bool {
 	return true
 }
 
-// WarmUp runs the simulation until every group is ready, panicking if any
-// group never elects (mirroring NewInstance's single-ring warmup).
+// WarmUp runs the simulation until every group is ready, panicking with the
+// first group that never elects.
 func (w *PlacementWorld) WarmUp() {
-	for i := 0; i < 400 && !w.Ready(); i++ {
-		w.Sim.RunFor(5 * time.Millisecond)
-	}
-	if !w.Ready() {
-		for pg, inst := range w.Insts {
-			if !inst.Sys.Ready() {
-				panic(fmt.Sprintf("placement: pg %d (%s on fleet %v) never became ready",
-					pg, inst.Sys.Name(), w.Map.Groups[pg].Members))
-			}
+	for pg, inst := range w.Insts {
+		if !abcast.AwaitReady(w.Sim, inst.Sys.Ready) {
+			panic(fmt.Sprintf("placement: pg %d (%s on fleet %v) never became ready",
+				pg, inst.Sys.Name(), w.Map.Groups[pg].Members))
 		}
 	}
 }
@@ -167,11 +159,12 @@ func (w *PlacementWorld) Close() {
 	}
 }
 
-// fleetTarget adapts a multi-group world to the chaos engine: node indices
-// are fleet nodes, and every action fans out to the co-located replicas —
-// crashing fleet node k takes down every group replica it hosts, through
-// each ring's own crash path (a shared CPU's crash kills every poll loop
-// on it, so partial crashes would leave sibling replicas as zombies).
+// fleetTarget is the chaos.Target over a multi-group world: node indices
+// are fleet nodes, and every action fans out through Map.HostedOn to the
+// single-group targets of the co-located replicas — crashing fleet node k
+// takes down every group replica it hosts, through each ring's own crash
+// path (a shared CPU's crash kills every poll loop on it, so partial
+// crashes would leave sibling replicas as zombies).
 type fleetTarget struct{ w *PlacementWorld }
 
 // ChaosTarget exposes the world's fleet-level fault surface.
@@ -183,110 +176,77 @@ func (t fleetTarget) Replicas() int { return t.w.Map.Config.Fleet }
 // Leader resolves the Leader sentinel to the fleet node currently leading
 // group 0 — the storm's designated victim group.
 func (t fleetTarget) Leader() int {
-	li := t.w.Insts[0].leaderIdx()
+	li := t.w.Insts[0].target.Leader()
 	if li < 0 {
 		return -1
 	}
 	return t.w.Map.Groups[0].Members[li]
 }
 
-// Crash kills fleet node k: every hosted group replica crashes through its
-// own ring's crash path.
-func (t fleetTarget) Crash(k int) {
+// eachHosted applies f to the (group target, replica) pair of every replica
+// fleet node k hosts, in PG order.
+func (t fleetTarget) eachHosted(k int, f func(g chaos.Target, replica int)) {
 	for _, pr := range t.w.Map.HostedOn(k) {
-		t.w.Insts[pr[0]].crash(pr[1])
+		f(t.w.Insts[pr[0]].target, pr[1])
 	}
 }
 
-// Restart recovers fleet node k: every hosted group replica rejoins
-// through its own ring's recovery path.
-func (t fleetTarget) Restart(k int) {
-	for _, pr := range t.w.Map.HostedOn(k) {
-		t.w.Insts[pr[0]].restart(pr[1])
+// eachLink applies f to every intra-group link between a replica hosted on
+// fleet node i and one hosted on fleet node j. Groups never talk across
+// rings, so these are the only links a fleet-level link fault can touch.
+func (t fleetTarget) eachLink(i, j int, f func(g chaos.Target, ri, rj int)) {
+	onJ := t.w.Map.HostedOn(j)
+	for _, pi := range t.w.Map.HostedOn(i) {
+		for _, pj := range onJ {
+			if pi[0] == pj[0] && pi[1] != pj[1] {
+				f(t.w.Insts[pi[0]].target, pi[1], pj[1])
+			}
+		}
 	}
 }
+
+// Crash kills fleet node k: every hosted replica crashes.
+func (t fleetTarget) Crash(k int) { t.eachHosted(k, chaos.Target.Crash) }
+
+// Restart recovers fleet node k: every hosted replica rejoins.
+func (t fleetTarget) Restart(k int) { t.eachHosted(k, chaos.Target.Restart) }
 
 // Pause deschedules fleet node k's CPU, stalling every co-located replica
 // at once (they share the core).
 func (t fleetTarget) Pause(k int, d time.Duration) { t.w.FleetProcs[k].Pause(d) }
 
-// eachLink applies f to every intra-group interconnect link between a
-// replica hosted on fleet node i and one hosted on fleet node j. Groups
-// never talk across rings, so these are the only links a fleet-level
-// link fault can touch.
-func (t fleetTarget) eachLink(i, j int, f func(inst *Instance, a, b int)) {
-	for pg, inst := range t.w.Insts {
-		g := t.w.Map.Groups[pg]
-		for ri, ni := range g.Members {
-			if ni != i {
-				continue
-			}
-			for rj, nj := range g.Members {
-				if nj != j || rj == ri {
-					continue
-				}
-				f(inst, inst.nodeID(ri), inst.nodeID(rj))
-			}
-		}
-	}
-}
-
 // CutOneWay drops the i→j direction of every co-hosted intra-group link.
-func (t fleetTarget) CutOneWay(i, j int) {
-	t.eachLink(i, j, func(inst *Instance, a, b int) {
-		if inst.Fabric != nil {
-			inst.Fabric.PartitionOneWay(a, b)
-		} else {
-			inst.Net.PartitionOneWay(a, b)
-		}
-	})
-}
+func (t fleetTarget) CutOneWay(i, j int) { t.eachLink(i, j, chaos.Target.CutOneWay) }
 
 // HealOneWay restores the i→j direction cut by CutOneWay.
-func (t fleetTarget) HealOneWay(i, j int) {
-	t.eachLink(i, j, func(inst *Instance, a, b int) {
-		if inst.Fabric != nil {
-			inst.Fabric.HealOneWay(a, b)
-		} else {
-			inst.Net.HealOneWay(a, b)
-		}
-	})
-}
+func (t fleetTarget) HealOneWay(i, j int) { t.eachLink(i, j, chaos.Target.HealOneWay) }
 
 // SetLoss installs/clears loss on every co-hosted intra-group link.
 func (t fleetTarget) SetLoss(i, j int, p float64) {
-	t.eachLink(i, j, func(inst *Instance, a, b int) {
-		if inst.Fabric != nil {
-			inst.Fabric.SetLoss(a, b, p)
-		} else {
-			inst.Net.SetLoss(a, b, p)
-		}
-	})
+	t.eachLink(i, j, func(g chaos.Target, ri, rj int) { g.SetLoss(ri, rj, p) })
 }
 
 // SetLatencySpike installs/clears extra latency on every co-hosted
 // intra-group link.
 func (t fleetTarget) SetLatencySpike(i, j int, d time.Duration) {
-	t.eachLink(i, j, func(inst *Instance, a, b int) {
-		if inst.Fabric != nil {
-			inst.Fabric.SetLatencySpike(a, b, d)
-		} else {
-			inst.Net.SetLatencySpike(a, b, d)
-		}
-	})
+	t.eachLink(i, j, func(g chaos.Target, ri, rj int) { g.SetLatencySpike(ri, rj, d) })
 }
 
-// DiskStall is a no-op: placement worlds run the volatile storage model.
-func (t fleetTarget) DiskStall(i int, d time.Duration) {}
+// DiskStall stalls the disk of every replica fleet node k hosts.
+func (t fleetTarget) DiskStall(k int, d time.Duration) {
+	t.eachHosted(k, func(g chaos.Target, r int) { g.DiskStall(r, d) })
+}
 
-// DiskTorn is a no-op: placement worlds run the volatile storage model.
-func (t fleetTarget) DiskTorn(i int) {}
+// DiskTorn arms a torn write on the disk of every replica node k hosts.
+func (t fleetTarget) DiskTorn(k int) { t.eachHosted(k, chaos.Target.DiskTorn) }
 
-// DiskCorrupt is a no-op: placement worlds run the volatile storage model.
-func (t fleetTarget) DiskCorrupt(i int) {}
+// DiskCorrupt flips a durable bit on the disk of every replica node k hosts.
+func (t fleetTarget) DiskCorrupt(k int) { t.eachHosted(k, chaos.Target.DiskCorrupt) }
 
-// DiskFull is a no-op: placement worlds run the volatile storage model.
-func (t fleetTarget) DiskFull(i int, on bool) {}
+// DiskFull sets or clears disk-full on every replica node k hosts.
+func (t fleetTarget) DiskFull(k int, on bool) {
+	t.eachHosted(k, func(g chaos.Target, r int) { g.DiskFull(r, on) })
+}
 
 var _ chaos.Target = fleetTarget{}
 
@@ -420,7 +380,7 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 		rm := kvstore.NewReplicated(inst.Sys, m.Config.PGSize)
 		checker := abcast.NewChecker(m.Config.PGSize)
 		checkers[pg] = checker
-		inst.setApply(func(replica int, payload []byte) {
+		inst.Group.SetDeliver(func(replica int, payload []byte) {
 			if err := rm.ApplyAt(replica, payload); err != nil {
 				panic(fmt.Sprintf("placement: pg %d delivered a bad op: %v", pg, err))
 			}
@@ -431,11 +391,7 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 		// Crashed replicas re-deliver their recovered prefix on restart;
 		// tell the checker so the retrace is absorbed, exactly as the
 		// single-ring chaos harness does.
-		baseRestart := inst.restart
-		inst.restart = func(i int) {
-			checker.NodeRestart(i)
-			baseRestart(i)
-		}
+		inst.target.BeforeRestart = checker.NodeRestart
 
 		load := loads[pg]
 		// nextID shadows kvstore.Replicated's op-ID counter (both advance

@@ -5,19 +5,7 @@ import (
 	"time"
 
 	"acuerdo/internal/abcast"
-	"acuerdo/internal/simnet"
 )
-
-// replayBuilder adapts one benched system kind to the seed-replay harness:
-// the instance is constructed on the harness's simulator and its per-replica
-// delivery hook is routed into the harness's checker.
-func replayBuilder(kind Kind) abcast.SystemBuilder {
-	return func(sim *simnet.Sim, deliver func(replica int, payload []byte)) abcast.System {
-		inst := NewInstanceOn(sim, kind, 3, Options{})
-		inst.setApply(deliver)
-		return inst.Sys
-	}
-}
 
 // TestDeterministicReplay enforces the simulation's core invariant over every
 // system in the Figure 8 comparison: two runs from the same seed must produce
@@ -37,7 +25,7 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 	for _, kind := range AllKinds {
 		t.Run(string(kind), func(t *testing.T) {
-			if err := abcast.VerifyReplay(replayBuilder(kind), 3, 42, cfg, 2); err != nil {
+			if err := abcast.VerifyReplay(ReplayBuilder(kind, 3, false), 3, 42, cfg, 2); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -54,11 +42,11 @@ func TestReplayDistinctSeeds(t *testing.T) {
 		Warmup:  1 * time.Millisecond,
 		Measure: 4 * time.Millisecond,
 	}
-	a, err := abcast.ReplayOnce(replayBuilder(Acuerdo), 3, 1, cfg)
+	a, err := abcast.ReplayOnce(ReplayBuilder(Acuerdo, 3, false), 3, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := abcast.ReplayOnce(replayBuilder(Acuerdo), 3, 2, cfg)
+	b, err := abcast.ReplayOnce(ReplayBuilder(Acuerdo, 3, false), 3, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

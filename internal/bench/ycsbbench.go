@@ -54,7 +54,7 @@ var YCSBSystems = []Kind{Acuerdo, Etcd, Zookeeper}
 func RunYCSB(kind Kind, cfg YCSBConfig) YCSBResult {
 	inst := NewInstance(kind, cfg.Nodes, cfg.Seed, Options{})
 	rm := kvstore.NewReplicated(inst.Sys, cfg.Nodes)
-	inst.setApply(func(replica int, payload []byte) {
+	inst.Group.SetDeliver(func(replica int, payload []byte) {
 		// Engine payloads are always ops here.
 		if err := rm.ApplyAt(replica, payload); err != nil {
 			panic(fmt.Sprintf("bench: bad op delivered: %v", err))

@@ -161,9 +161,9 @@ type Plan struct {
 	Actions []Action
 }
 
-// Target is the control surface the engine drives. The bench harness
-// adapts each of the seven systems to this interface; node indices are
-// replica indices (0..Replicas-1), never client nodes.
+// Target is the control surface the engine drives. GroupTarget implements
+// it over any abcast.Group (a multi-group world fans out to one per group);
+// node indices are replica indices (0..Replicas-1), never client nodes.
 type Target interface {
 	// Replicas returns the replica count.
 	Replicas() int

@@ -11,7 +11,7 @@ import (
 )
 
 // Cluster wraps a Group with an external client machine and implements
-// abcast.System. In leader mode all requests go to the view leader; in
+// abcast.Group. In leader mode all requests go to the view leader; in
 // all-to-all mode the client spreads requests round-robin across members
 // (each member multicasts its own share, as in the paper's derecho-all
 // runs). A member acknowledges a request to the client when it delivers
@@ -108,10 +108,7 @@ func (c *Cluster) Start() {
 func (c *Cluster) Name() string { return c.Group.Cfg.Mode.String() }
 
 // Ready implements abcast.System.
-func (c *Cluster) Ready() bool {
-	s := c.Group.Sender(c.liveProbe())
-	return s >= 0 && !c.Group.Node(s).Crashed()
-}
+func (c *Cluster) Ready() bool { return c.LeaderIdx() >= 0 }
 
 // liveProbe returns a live member whose view state we can consult.
 func (c *Cluster) liveProbe() int {
@@ -194,6 +191,20 @@ func (c *Cluster) LeaderIdx() int {
 	return -1
 }
 
+// Size implements abcast.Group.
+func (c *Cluster) Size() int { return c.Group.Cfg.N }
+
+// Proc implements abcast.Group.
+func (c *Cluster) Proc(i int) *simnet.Proc { return c.Group.Node(i).Proc }
+
+// NodeID implements abcast.Group.
+func (c *Cluster) NodeID(i int) int { return c.Group.Node(i).ID }
+
+// SetDeliver implements abcast.Group over the typed OnDeliver hook.
+func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
+	c.OnDeliver = func(replica, _ int, _ uint64, payload []byte) { fn(replica, payload) }
+}
+
 // SetObserver attaches the runtime invariant observer to the group (see
 // Group.SetObserver). Call before Start.
 func (c *Cluster) SetObserver(o *observe.Observer) { c.Group.SetObserver(o) }
@@ -209,4 +220,4 @@ func (c *Cluster) Crash(i int) { c.Group.Node(i).Crash() }
 // this reproduction does not model.
 func (c *Cluster) Restart(i int) {}
 
-var _ abcast.System = (*Cluster)(nil)
+var _ abcast.Group = (*Cluster)(nil)

@@ -9,26 +9,28 @@ import (
 // functions, methods, types, constants, and variables. It is scoped to the
 // packages whose exported surface is the repository's harness API
 // (internal/sweep, internal/bench, internal/chaos, internal/trace,
-// internal/observe, internal/disk, internal/placement): those packages are
-// what ARCHITECTURE.md points readers at, so an undocumented export there is
-// a documentation regression, not a style nit. internal/observe qualifies
+// internal/observe, internal/disk, internal/placement, internal/abcast):
+// those packages are what ARCHITECTURE.md points readers at, so an
+// undocumented export there is a documentation regression, not a style nit. internal/observe qualifies
 // because every protocol package calls its hooks — an undocumented hook is
 // an instrumentation API nobody can place correctly. internal/disk qualifies
 // because every protocol's durable mode builds on its Device/LogStore
 // surface, and the chaos fault injectors call straight into it.
 // internal/placement qualifies because its Config/Map surface is how every
-// multi-group experiment is specified and reproduced.
+// multi-group experiment is specified and reproduced. internal/abcast
+// qualifies because its Group contract is the one interface every protocol
+// package implements and every harness drives.
 var ExportDoc = &Analyzer{
 	Name: "exportdoc",
 	Doc: "require doc comments on exported identifiers in the harness API " +
-		"packages (sweep, bench, chaos, trace, observe, disk, placement)",
+		"packages (sweep, bench, chaos, trace, observe, disk, placement, abcast)",
 	Run: runExportDoc,
 	InScope: func(pkgPath string) bool {
 		switch pkgPath {
 		case "acuerdo/internal/sweep", "acuerdo/internal/bench",
 			"acuerdo/internal/chaos", "acuerdo/internal/trace",
 			"acuerdo/internal/observe", "acuerdo/internal/disk",
-			"acuerdo/internal/placement":
+			"acuerdo/internal/placement", "acuerdo/internal/abcast":
 			return true
 		}
 		return false

@@ -151,6 +151,7 @@ func TestAnalyzerScopes(t *testing.T) {
 		{"exportdoc", "acuerdo/internal/observe", true},
 		{"exportdoc", "acuerdo/internal/disk", true},
 		{"exportdoc", "acuerdo/internal/placement", true},
+		{"exportdoc", "acuerdo/internal/abcast", true},
 		{"exportdoc", "acuerdo/internal/zab", false},
 		// The placement map is pure computation on the simulation side of
 		// the wall, so the determinism analyzers cover it too.

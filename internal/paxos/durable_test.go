@@ -88,7 +88,7 @@ func TestDurableRestartRecoversFromDisk(t *testing.T) {
 	if s.delivered > preDelivered {
 		t.Fatalf("recovered frontier %d beyond pre-crash %d", s.delivered, preDelivered)
 	}
-	if c.DiskRecoveredBytes == 0 {
+	if c.DiskRecoveredBytes() == 0 {
 		t.Fatal("disk recovery bytes not counted")
 	}
 

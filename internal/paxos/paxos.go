@@ -102,7 +102,8 @@ type Server struct {
 	preCrashDelivered uint64
 }
 
-// Cluster is a libpaxos deployment plus a client host.
+// Cluster is a libpaxos deployment plus a client host; implements
+// abcast.DurableGroup.
 type Cluster struct {
 	Sim     *simnet.Sim
 	Net     *tcpnet.Net
@@ -115,12 +116,12 @@ type Cluster struct {
 	pending  map[uint64]func()
 	obs      *observe.Observer
 
-	// FabricRecoveryBytes counts payload bytes re-shipped over the network
+	// fabricRecovery counts payload bytes re-shipped over the network
 	// to refill a restarted learner's pre-crash instances;
-	// DiskRecoveredBytes counts bytes read back from local logs during
+	// diskRecovered counts bytes read back from local logs during
 	// crash recovery (durable mode only).
-	FabricRecoveryBytes int64
-	DiskRecoveredBytes  int64
+	fabricRecovery int64
+	diskRecovered  int64
 
 	// OnDeliver observes deliveries at every learner.
 	OnDeliver func(replica int, instance uint64, payload []byte)
@@ -659,7 +660,7 @@ func (s *Server) onLearn(payload []byte) {
 				s.lstore.AppendEntry(inst, 0, s.chosen[inst], nil)
 			}
 			if inst < s.preCrashDelivered {
-				s.c.FabricRecoveryBytes += int64(len(pl))
+				s.c.fabricRecovery += int64(len(pl))
 			}
 		}
 		off += 12 + ln
@@ -667,8 +668,25 @@ func (s *Server) onLearn(payload []byte) {
 	s.deliver()
 }
 
-// Node returns replica i's transport endpoint.
-func (c *Cluster) Node(i int) *tcpnet.Node { return c.Servers[i].node }
+// Size implements abcast.Group.
+func (c *Cluster) Size() int { return c.cfg.N }
+
+// Proc implements abcast.Group.
+func (c *Cluster) Proc(i int) *simnet.Proc { return c.Servers[i].node.Proc }
+
+// NodeID implements abcast.Group.
+func (c *Cluster) NodeID(i int) int { return c.Servers[i].node.ID }
+
+// SetDeliver implements abcast.Group over the typed OnDeliver hook.
+func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
+	c.OnDeliver = func(replica int, _ uint64, payload []byte) { fn(replica, payload) }
+}
+
+// DiskRecoveredBytes implements abcast.DurableGroup.
+func (c *Cluster) DiskRecoveredBytes() int64 { return c.diskRecovered }
+
+// FabricRecoveryBytes implements abcast.DurableGroup.
+func (c *Cluster) FabricRecoveryBytes() int64 { return c.fabricRecovery }
 
 // Crash fail-stops replica i. In durable mode the device's volatile write
 // cache is dropped too (only fsynced bytes survive, modulo an armed torn
@@ -744,7 +762,7 @@ func (s *Server) restartDurable() {
 	s.lstore = disk.NewLogStore(s.dev, paxosLearnWAL)
 	arec := disk.RecoverLog(s.dev, paxosAcceptWAL)
 	lrec := disk.RecoverLog(s.dev, paxosLearnWAL)
-	s.c.DiskRecoveredBytes += int64(arec.Bytes) + int64(lrec.Bytes)
+	s.c.diskRecovered += int64(arec.Bytes) + int64(lrec.Bytes)
 	s.node.Proc.Pause(s.dev.ReadCost(arec.Bytes + lrec.Bytes))
 	if v, ok := arec.Meta[metaPromised]; ok {
 		s.promised = v
@@ -850,4 +868,4 @@ func (c *Cluster) clientAck(m []byte) {
 	}
 }
 
-var _ abcast.System = (*Cluster)(nil)
+var _ abcast.DurableGroup = (*Cluster)(nil)

@@ -91,7 +91,7 @@ func TestDurableRestartRecoversFromDisk(t *testing.T) {
 	if s.term == 0 {
 		t.Fatal("term metadata not recovered")
 	}
-	if c.DiskRecoveredBytes == 0 {
+	if c.DiskRecoveredBytes() == 0 {
 		t.Fatal("disk recovery bytes not counted")
 	}
 
@@ -107,7 +107,7 @@ func TestDurableRestartRecoversFromDisk(t *testing.T) {
 	if n := obs.ViolationCount(); n != 0 {
 		t.Fatalf("%d invariant violations:\n%s", n, obs.Report())
 	}
-	if c.FabricRecoveryBytes == 0 && c.Servers[old].preCrashLen > len(s.log) {
+	if c.FabricRecoveryBytes() == 0 && c.Servers[old].preCrashLen > len(s.log) {
 		t.Fatal("lost tail re-replicated but fabric recovery bytes not counted")
 	}
 }

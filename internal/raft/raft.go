@@ -114,7 +114,7 @@ type Server struct {
 	lastHeard simnet.Time
 }
 
-// Cluster is a Raft group plus a client host; implements abcast.System.
+// Cluster is a Raft group plus a client host; implements abcast.DurableGroup.
 type Cluster struct {
 	Sim     *simnet.Sim
 	Net     *tcpnet.Net
@@ -129,12 +129,12 @@ type Cluster struct {
 	// OnDeliver observes every applied entry at every replica.
 	OnDeliver func(replica int, index int, payload []byte)
 
-	// FabricRecoveryBytes counts payload bytes re-replicated over the
+	// fabricRecovery counts payload bytes re-replicated over the
 	// network to refill restarted servers' pre-crash log positions;
-	// DiskRecoveredBytes counts bytes read back from local disks during
+	// diskRecovered counts bytes read back from local disks during
 	// crash recovery (durable mode only).
-	FabricRecoveryBytes int64
-	DiskRecoveredBytes  int64
+	fabricRecovery int64
+	diskRecovered  int64
 
 	obs *observe.Observer
 }
@@ -508,7 +508,7 @@ func (s *Server) onAppend(m []byte) {
 		}
 		if appended {
 			if idx < s.preCrashLen {
-				s.c.FabricRecoveryBytes += int64(len(e.payload))
+				s.c.fabricRecovery += int64(len(e.payload))
 			}
 			s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(idx), e.term, trace.ID(e.payload))
 			if len(e.payload) >= 8 {
@@ -737,8 +737,25 @@ func (s *Server) propose(payload []byte) {
 
 // --- fault injection ---
 
-// Node returns replica i's transport host (for fault injection).
-func (c *Cluster) Node(i int) *tcpnet.Node { return c.Servers[i].node }
+// Size implements abcast.Group.
+func (c *Cluster) Size() int { return c.cfg.N }
+
+// Proc implements abcast.Group.
+func (c *Cluster) Proc(i int) *simnet.Proc { return c.Servers[i].node.Proc }
+
+// NodeID implements abcast.Group.
+func (c *Cluster) NodeID(i int) int { return c.Servers[i].node.ID }
+
+// SetDeliver implements abcast.Group over the typed OnDeliver hook.
+func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
+	c.OnDeliver = func(replica, _ int, payload []byte) { fn(replica, payload) }
+}
+
+// DiskRecoveredBytes implements abcast.DurableGroup.
+func (c *Cluster) DiskRecoveredBytes() int64 { return c.diskRecovered }
+
+// FabricRecoveryBytes implements abcast.DurableGroup.
+func (c *Cluster) FabricRecoveryBytes() int64 { return c.fabricRecovery }
 
 // Crash kills replica i: its process stops, in-flight messages to it are
 // dropped, and (durable mode) its disk loses the un-fsynced volatile tail.
@@ -816,7 +833,7 @@ func (c *Cluster) restartDurable(s *Server) {
 	s.store = disk.NewLogStore(s.dev, raftWALName)
 
 	rec := disk.RecoverLog(s.dev, raftWALName)
-	c.DiskRecoveredBytes += int64(rec.Bytes)
+	c.diskRecovered += int64(rec.Bytes)
 	s.node.Proc.Pause(s.dev.ReadCost(rec.Bytes))
 	for _, e := range rec.Entries {
 		idx := int(e.Seq)
@@ -904,4 +921,4 @@ func (c *Cluster) clientAck(m []byte) {
 	}
 }
 
-var _ abcast.System = (*Cluster)(nil)
+var _ abcast.DurableGroup = (*Cluster)(nil)

@@ -88,7 +88,7 @@ func TestDurableRestartRecoversFromDisk(t *testing.T) {
 	if len(s.log) > preCrashLog {
 		t.Fatalf("recovered %d entries, had only %d before the crash", len(s.log), preCrashLog)
 	}
-	if c.DiskRecoveredBytes == 0 {
+	if c.DiskRecoveredBytes() == 0 {
 		t.Fatal("disk recovery bytes not counted")
 	}
 

@@ -156,7 +156,7 @@ func dec(m []byte) (kind byte, epoch uint32, zxid uint64, payload []byte) {
 }
 
 // Cluster is a ZooKeeper ensemble plus a client host. It implements
-// abcast.System.
+// abcast.DurableGroup.
 type Cluster struct {
 	Sim     *simnet.Sim
 	Net     *tcpnet.Net
@@ -169,12 +169,12 @@ type Cluster struct {
 	pending  map[uint64]func()
 	obs      *observe.Observer
 
-	// FabricRecoveryBytes counts payload bytes re-shipped over the network
+	// fabricRecovery counts payload bytes re-shipped over the network
 	// to refill restarted servers' pre-crash log positions;
-	// DiskRecoveredBytes counts bytes read back from local transaction logs
+	// diskRecovered counts bytes read back from local transaction logs
 	// during crash recovery (durable mode only).
-	FabricRecoveryBytes int64
-	DiskRecoveredBytes  int64
+	fabricRecovery int64
+	diskRecovered  int64
 
 	// OnDeliver observes every delivery (tests, KV store).
 	OnDeliver func(replica int, zxid uint64, payload []byte)
@@ -407,7 +407,7 @@ func (s *Server) handle(m []byte) {
 		s.lastZxid = zxid
 		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(e.payload))
 		if len(s.log)-1 < s.preCrashLen {
-			s.c.FabricRecoveryBytes += int64(len(e.payload))
+			s.c.fabricRecovery += int64(len(e.payload))
 		}
 		if len(payload) >= 8 {
 			s.seenIDs[abcast.MsgID(payload)] = true
@@ -699,7 +699,7 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 			s.log = append(s.log, entry{zxid, pl})
 			s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(pl))
 			if len(s.log)-1 < s.preCrashLen {
-				s.c.FabricRecoveryBytes += int64(len(pl))
+				s.c.fabricRecovery += int64(len(pl))
 			}
 			s.lastZxid = zxid
 			if len(pl) >= 8 {
@@ -761,8 +761,25 @@ func (s *Server) armElectTimer() {
 
 // --- fault injection (chaos engine surface) ---
 
-// Node returns replica i's transport endpoint.
-func (c *Cluster) Node(i int) *tcpnet.Node { return c.Servers[i].node }
+// Size implements abcast.Group.
+func (c *Cluster) Size() int { return c.cfg.N }
+
+// Proc implements abcast.Group.
+func (c *Cluster) Proc(i int) *simnet.Proc { return c.Servers[i].node.Proc }
+
+// NodeID implements abcast.Group.
+func (c *Cluster) NodeID(i int) int { return c.Servers[i].node.ID }
+
+// SetDeliver implements abcast.Group over the typed OnDeliver hook.
+func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
+	c.OnDeliver = func(replica int, _ uint64, payload []byte) { fn(replica, payload) }
+}
+
+// DiskRecoveredBytes implements abcast.DurableGroup.
+func (c *Cluster) DiskRecoveredBytes() int64 { return c.diskRecovered }
+
+// FabricRecoveryBytes implements abcast.DurableGroup.
+func (c *Cluster) FabricRecoveryBytes() int64 { return c.fabricRecovery }
 
 // Crash fail-stops replica i: its queued work and timers die, in-flight
 // messages to it are dropped, and peers see silence. In durable mode the
@@ -837,7 +854,7 @@ func (s *Server) restartDurable() {
 	// device epoch bump), so a fresh store is required.
 	s.store = disk.NewLogStore(s.dev, zabWALName)
 	rec := disk.RecoverLog(s.dev, zabWALName)
-	s.c.DiskRecoveredBytes += int64(rec.Bytes)
+	s.c.diskRecovered += int64(rec.Bytes)
 	s.node.Proc.Pause(s.dev.ReadCost(rec.Bytes))
 	// Entries were appended with seq = log index; truncation records drop
 	// suffixes, so rebuilding positionally yields the surviving prefix.
@@ -939,4 +956,4 @@ func (c *Cluster) clientAck(m []byte) {
 	}
 }
 
-var _ abcast.System = (*Cluster)(nil)
+var _ abcast.DurableGroup = (*Cluster)(nil)
