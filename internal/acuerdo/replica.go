@@ -299,11 +299,8 @@ func (r *Replica) restartDurable() {
 	r.voteSST.Set(Vote{})
 	r.lastMaxVote = Vote{}
 	r.voteChangedAt = r.Sim.Now()
-	// Reopen the WAL on the recovered device: the old handle's in-flight
-	// sync died with the crash (its completion callback was dropped by the
-	// device epoch bump), so a fresh store is required.
-	r.store = disk.NewLogStore(r.dev, acuerdoWALName)
-	rec := disk.RecoverLog(r.dev, acuerdoWALName)
+	store, rec := disk.Reopen(r.dev, acuerdoWALName)
+	r.store = store
 	r.Stats.DiskRecoveredBytes += uint64(rec.Bytes)
 	r.Node.Proc.Pause(r.dev.ReadCost(rec.Bytes))
 	// WAL records are committed entries in delivery order; replay them to

@@ -24,34 +24,50 @@ func tornStorm() chaos.Scenario {
 // TestDurableTornWriteRestart is the acceptance scenario: a torn write at
 // the leader's crash instant must recover from the checksummed WAL prefix
 // with zero invariant violations, no safety violation, and bytes accounted
-// as read back from disk.
+// as read back from disk. The long case runs five strikes over three
+// replicas, so some replica is power-cut twice having led — and appended —
+// in between: what it wrote after its first restart must not sit behind
+// the first cut's torn garbage, or the second replay stops there and the
+// durable prefix is lost (the durable-prefix observer invariant fires).
 func TestDurableTornWriteRestart(t *testing.T) {
-	kinds := durableKinds
-	if testing.Short() {
-		kinds = []Kind{Acuerdo, Etcd}
-	}
-	for _, kind := range kinds {
-		t.Run(string(kind), func(t *testing.T) {
-			r := RunScenario(kind, tornStorm(), durableChaos(7))
-			if r.SafetyErr != nil {
-				t.Fatalf("safety violation: %v", r.SafetyErr)
-			}
-			if r.Violations != 0 {
-				t.Fatalf("%d invariant violations:\n%v", r.Violations, r.ViolationReports)
-			}
-			if r.ObserveChecks == 0 {
-				t.Fatal("observer ran no checks")
-			}
-			if r.Watchdog != nil {
-				t.Fatalf("run wedged at %v", r.Watchdog.FiredAt)
-			}
-			if r.DiskRecoveredBytes == 0 {
-				t.Fatal("torn restart recovered no bytes from disk")
-			}
-			if r.DurableDigest == 0 {
-				t.Fatal("durable digest empty on a durable run")
-			}
-		})
+	for _, tc := range []struct {
+		name    string
+		seed    int64
+		horizon time.Duration
+		short   []Kind
+	}{
+		{"once-per-replica", 7, 80 * time.Millisecond, []Kind{Acuerdo, Etcd}},
+		{"same-replica-twice", 6, 200 * time.Millisecond, []Kind{Acuerdo, Zookeeper}},
+	} {
+		kinds := durableKinds
+		if testing.Short() {
+			kinds = tc.short
+		}
+		for _, kind := range kinds {
+			t.Run(tc.name+"/"+string(kind), func(t *testing.T) {
+				cfg := durableChaos(tc.seed)
+				cfg.Horizon = tc.horizon
+				r := RunScenario(kind, tornStorm(), cfg)
+				if r.SafetyErr != nil {
+					t.Fatalf("safety violation: %v", r.SafetyErr)
+				}
+				if r.Violations != 0 {
+					t.Fatalf("%d invariant violations:\n%v", r.Violations, r.ViolationReports)
+				}
+				if r.ObserveChecks == 0 {
+					t.Fatal("observer ran no checks")
+				}
+				if r.Watchdog != nil {
+					t.Fatalf("run wedged at %v", r.Watchdog.FiredAt)
+				}
+				if r.DiskRecoveredBytes == 0 {
+					t.Fatal("torn restart recovered no bytes from disk")
+				}
+				if r.DurableDigest == 0 {
+					t.Fatal("durable digest empty on a durable run")
+				}
+			})
+		}
 	}
 }
 

@@ -291,6 +291,15 @@ func (d *Device) Truncate(name string) {
 	f.synced = 0
 }
 
+// trim cuts name down to its first n bytes, all of them durable (Reopen
+// discarding a torn tail).
+func (d *Device) trim(name string, n int) {
+	f := d.get(name)
+	d.used -= len(f.data) - n
+	f.data = f.data[:n]
+	f.synced = n
+}
+
 // Durable returns a copy of name's durable prefix — the bytes that survive
 // a crash right now. Recovery paths read this and charge ReadCost.
 func (d *Device) Durable(name string) []byte {

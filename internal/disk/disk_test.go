@@ -173,6 +173,22 @@ func TestRecoverStopsAtTornTail(t *testing.T) {
 			t.Fatalf("entry %d corrupted: %+v", i, e)
 		}
 	}
+
+	// Reopen must trim the torn bytes: an entry appended and fsynced after
+	// the restart has to survive a second power cut, not hide behind them.
+	if rec.Dropped == 0 {
+		t.Fatal("seed left no torn bytes on the platter; pick one that does")
+	}
+	ls, rec = Reopen(dev, "wal")
+	if _, durable := dev.Size("wal"); len(rec.Entries) != 3 || durable != rec.Bytes {
+		t.Fatalf("Reopen recovered %d entries and left %d durable bytes, want 3 and %d", len(rec.Entries), durable, rec.Bytes)
+	}
+	ls.AppendEntry(3, 2, bytes.Repeat([]byte{3}, 64), nil)
+	sim.RunFor(time.Millisecond)
+	dev.Crash(sim.Rand())
+	if _, rec = Reopen(dev, "wal"); len(rec.Entries) != 4 || rec.Tail != TailClean {
+		t.Fatalf("second recovery found %d entries (tail %v), want 4 clean", len(rec.Entries), rec.Tail)
+	}
 }
 
 func TestRecoverStopsAtBitFlip(t *testing.T) {

@@ -214,6 +214,24 @@ func (ls *LogStore) Flush(done func(error)) {
 // Reset truncates the log to empty (after a snapshot supersedes it).
 func (ls *LogStore) Reset() { ls.wal.Reset() }
 
+// Reopen is the one restart path for a typed log on a device that has just
+// come back from a crash: it replays the durable prefix (RecoverLog) and
+// returns a fresh store to append through — the old handle's in-flight
+// flush died with the device epoch, so its completion callbacks will never
+// fire. A torn or corrupt tail the replay dropped is trimmed off the file:
+// otherwise later appends sit behind the garbage, the next recovery stops
+// at it, and a replica power-cut twice loses its durable prefix. The trim
+// is immediately durable metadata, like Device.Truncate (zero simulated
+// time, no trace event). As with RecoverLog, callers charge
+// dev.ReadCost(rec.Bytes) themselves.
+func Reopen(dev *Device, name string) (*LogStore, Recovered) {
+	rec := RecoverLog(dev, name)
+	if rec.Dropped > 0 {
+		dev.trim(name, rec.Bytes)
+	}
+	return NewLogStore(dev, name), rec
+}
+
 // RecoverLog replays name's durable prefix on dev and returns the
 // reconstructed state. It performs no simulated-time charging itself;
 // callers pause their process for dev.ReadCost(total durable bytes).

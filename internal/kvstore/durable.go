@@ -77,7 +77,8 @@ func OpenDurableStore(dev *disk.Device, snapEvery int) (*DurableStore, RecoveryI
 		}
 		info.Bytes += len(blob)
 	}
-	rec := disk.RecoverLog(dev, kvWALName)
+	log, rec := disk.Reopen(dev, kvWALName)
+	d.log = log
 	info.Tail = rec.Tail
 	info.Bytes += rec.Bytes
 	for _, e := range rec.Entries {

@@ -755,13 +755,9 @@ func (s *Server) restartDurable() {
 	s.nextInst = 0
 	s.highestIns = 0
 	s.deliveredIDs = make(map[uint64]bool)
-	// Reopen both logs on the recovered device: the old handles' in-flight
-	// syncs died with the crash (their completion callbacks were dropped by
-	// the device epoch bump), so fresh stores are required.
-	s.astore = disk.NewLogStore(s.dev, paxosAcceptWAL)
-	s.lstore = disk.NewLogStore(s.dev, paxosLearnWAL)
-	arec := disk.RecoverLog(s.dev, paxosAcceptWAL)
-	lrec := disk.RecoverLog(s.dev, paxosLearnWAL)
+	astore, arec := disk.Reopen(s.dev, paxosAcceptWAL)
+	lstore, lrec := disk.Reopen(s.dev, paxosLearnWAL)
+	s.astore, s.lstore = astore, lstore
 	s.c.diskRecovered += int64(arec.Bytes) + int64(lrec.Bytes)
 	s.node.Proc.Pause(s.dev.ReadCost(arec.Bytes + lrec.Bytes))
 	if v, ok := arec.Meta[metaPromised]; ok {

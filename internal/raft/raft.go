@@ -828,11 +828,8 @@ func (c *Cluster) restartDurable(s *Server) {
 	s.seen = make(map[uint64]bool)
 	s.appliedIDs = make(map[uint64]bool)
 	s.role = follower
-	// Reopen the WAL: the old handle's in-flight flush state died with the
-	// device epoch (its completion callbacks will never fire).
-	s.store = disk.NewLogStore(s.dev, raftWALName)
-
-	rec := disk.RecoverLog(s.dev, raftWALName)
+	store, rec := disk.Reopen(s.dev, raftWALName)
+	s.store = store
 	c.diskRecovered += int64(rec.Bytes)
 	s.node.Proc.Pause(s.dev.ReadCost(rec.Bytes))
 	for _, e := range rec.Entries {

@@ -849,11 +849,8 @@ func (s *Server) restartDurable() {
 	s.seenIDs = make(map[uint64]bool)
 	s.deliveredIDs = make(map[uint64]bool)
 	s.votes = make(map[int]voteT)
-	// Reopen the log on the recovered device: the old handle's in-flight
-	// sync died with the crash (its completion callback was dropped by the
-	// device epoch bump), so a fresh store is required.
-	s.store = disk.NewLogStore(s.dev, zabWALName)
-	rec := disk.RecoverLog(s.dev, zabWALName)
+	store, rec := disk.Reopen(s.dev, zabWALName)
+	s.store = store
 	s.c.diskRecovered += int64(rec.Bytes)
 	s.node.Proc.Pause(s.dev.ReadCost(rec.Bytes))
 	// Entries were appended with seq = log index; truncation records drop
