@@ -42,7 +42,7 @@ func main() {
 		i, r := i, r
 		r.OnElected = func(e acuerdo.Epoch) {
 			fmt.Printf("%12v  node %d wins election, leads epoch %v (election took %v)\n",
-				sim.Now(), i, e, r.WonAt.Sub(r.SuspectedAt))
+				sim.Now(), i, e, r.ElectionTook)
 		}
 	}
 	c.OnDeliver = func(replica int, hdr acuerdo.MsgHdr, payload []byte) {

@@ -147,10 +147,13 @@ type Replica struct {
 	nextElection  simnet.Time
 
 	// Election instrumentation (Table 1): SuspectedAt is when this node
-	// began the election it won; WonAt is when it finished sending diffs
-	// and could begin broadcasting.
-	SuspectedAt simnet.Time
-	WonAt       simnet.Time
+	// began its current election; WonAt is when it last finished sending
+	// diffs and could begin broadcasting; ElectionTook is that win's
+	// duration, recorded at the win — SuspectedAt is re-armed by every later
+	// suspicion and restart, so WonAt-SuspectedAt is only meaningful then.
+	SuspectedAt  simnet.Time
+	WonAt        simnet.Time
+	ElectionTook time.Duration
 
 	sent     []sentRec
 	relPtr   []int
@@ -712,6 +715,7 @@ func (r *Replica) becomeLeader() {
 	r.next = hdr
 	r.acceptSST.Set(hdr)
 	r.WonAt = r.Sim.Now()
+	r.ElectionTook = r.WonAt.Sub(r.SuspectedAt)
 	r.obs.AcuerdoLeaderWin(int(r.ID), int64(r.WonAt), r.eCur.Round, uint32(r.eCur.Ldr))
 	if tr := r.Sim.Tracer(); tr != nil {
 		tr.Instant(trace.KElectWin, r.Node.ID, int64(r.WonAt), int64(r.eCur.Round), int64(r.eCur.Ldr))

@@ -600,8 +600,7 @@ func ElectionBench(cfg ElectionConfig) ElectionResult {
 			}
 		}
 		if i := c.LeaderIdx(); i >= 0 && i != ldr {
-			w := c.Replicas[i]
-			res.Durations = append(res.Durations, w.WonAt.Sub(w.SuspectedAt))
+			res.Durations = append(res.Durations, c.Replicas[i].ElectionTook)
 		}
 		// Let the old leader wake and rejoin before the next round.
 		sim.RunFor(cfg.PauseFor + 20*time.Millisecond)

@@ -258,7 +258,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	if c := inst.AcuerdoCluster; c != nil {
 		for _, r := range c.Replicas {
 			if r.WonAt >= faultStart {
-				res.Elections = append(res.Elections, r.WonAt.Sub(r.SuspectedAt))
+				res.Elections = append(res.Elections, r.ElectionTook)
 			}
 		}
 	}
