@@ -94,19 +94,19 @@ func (inst *Instance) ChaosTarget() chaos.Target { return inst.target }
 // DiskRecoveredBytes sums bytes read back from local disks during crash
 // recovery across the group; zero on volatile instances.
 func (inst *Instance) DiskRecoveredBytes() int64 {
-	if dg, ok := inst.Group.(abcast.DurableGroup); ok && inst.Disks != nil {
-		return dg.DiskRecoveredBytes()
+	if inst.Disks == nil {
+		return 0
 	}
-	return 0
+	return inst.Group.(abcast.DurableGroup).DiskRecoveredBytes()
 }
 
 // FabricRecoveryBytes sums payload bytes re-shipped over the interconnect to
 // refill crash-lost state across the group; zero on volatile instances.
 func (inst *Instance) FabricRecoveryBytes() int64 {
-	if dg, ok := inst.Group.(abcast.DurableGroup); ok && inst.Disks != nil {
-		return dg.FabricRecoveryBytes()
+	if inst.Disks == nil {
+		return 0
 	}
-	return 0
+	return inst.Group.(abcast.DurableGroup).FabricRecoveryBytes()
 }
 
 // DurableDigest folds every device's durable-content digest into one value:
