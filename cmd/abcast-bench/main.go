@@ -76,9 +76,9 @@ func main() {
 		{3, 10}: "Figure 8a", {3, 1000}: "Figure 8b",
 		{7, 10}: "Figure 8c", {7, 1000}: "Figure 8d",
 	}
-	var art *bench.FileJSON
+	var art *bench.Artifact
 	if *jsonOut != "" {
-		art = bench.NewFileJSON("figure8")
+		art = bench.NewArtifact("figure8", "")
 	}
 	var m0 runtime.MemStats
 	runtime.ReadMemStats(&m0)

@@ -99,14 +99,11 @@ func main() {
 	}
 
 	exit := 0
-	var artifact *bench.ChaosFileJSON
-	if *jsonPath != "" {
-		name := "chaos"
-		if *short {
-			name = "chaos-short"
-		}
-		artifact = bench.NewChaosFileJSON(name)
+	name := "chaos"
+	if *short {
+		name = "chaos-short"
 	}
+	artifact := bench.NewArtifact(name, "chaos")
 	start := time.Now()
 	for _, sc := range all {
 		fmt.Printf("scenario %s (%d nodes, seed %d)\n", sc.Name, *nodes, *seed)
@@ -128,12 +125,10 @@ func main() {
 				exit = 1
 			}
 		}
-		if artifact != nil {
-			artifact.Add(cfg, results)
-		}
+		artifact.AddChaos(cfg, results)
 		fmt.Println()
 	}
-	if artifact != nil {
+	if *jsonPath != "" {
 		artifact.WallNS = int64(time.Since(start))
 		if err := artifact.WriteFile(*jsonPath); err != nil {
 			fmt.Fprintf(os.Stderr, "chaos-bench: writing %s: %v\n", *jsonPath, err)

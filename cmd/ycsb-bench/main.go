@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -64,6 +63,10 @@ func main() {
 	flag.Parse()
 
 	if *pgs == "" {
+		if *jsonOut != "" || *observe || *system != flag.Lookup("system").DefValue {
+			fmt.Fprintln(os.Stderr, "ycsb-bench: -json, -observe and -system apply to scale-out mode only: add -pgs")
+			os.Exit(2)
+		}
 		var cfgs []bench.YCSBConfig
 		for _, n := range parseCounts(*counts, 3, "node count") {
 			cfg := bench.DefaultYCSB(n)
@@ -115,14 +118,11 @@ func main() {
 	bench.PrintPlacement(os.Stdout, results)
 
 	if *jsonOut != "" {
-		f := bench.NewPlacementFileJSON("placement")
+		f := bench.NewArtifact("placement", "placement")
 		f.Workers = rep.Workers
 		f.WallNS = int64(time.Since(start))
-		if f.Workers == 0 {
-			f.Workers = runtime.GOMAXPROCS(0)
-		}
 		for i := range results {
-			f.Add(&results[i])
+			f.AddPlacement(&results[i])
 		}
 		if err := f.WriteFile(*jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)

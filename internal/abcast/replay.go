@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"acuerdo/internal/digest"
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/trace"
 )
@@ -35,18 +36,7 @@ type SystemBuilder func(sim *simnet.Sim, deliver func(replica int, payload []byt
 type Observed interface {
 	// ObserverDigest reports the streaming check digest, the number of hook
 	// invocations folded into it, and the number of invariant violations.
-	ObserverDigest() (digest, checks uint64, violations int64)
-}
-
-// Durable is implemented by builders' return values (or wrappers around
-// them) that persist state to simulated disks (internal/disk). The replay
-// harness folds the durable-state digest into the run fingerprint: recovery
-// must be deterministic down to the bytes on every device — two same-seed
-// runs end with bit-identical durable store contents, restarts included.
-type Durable interface {
-	// DurableDigest folds every device's durable (fsynced) state into one
-	// digest (see disk.Device.Digest).
-	DurableDigest() uint64
+	ObserverDigest() (sum digest.Sum, checks uint64, violations int64)
 }
 
 // ReplayRun captures everything one seeded run observed that the determinism
@@ -59,17 +49,14 @@ type ReplayRun struct {
 	// TraceFP and TraceEvents summarize the full structured-event stream
 	// (trace.Tracer's streaming fingerprint): two same-seed runs must emit
 	// identical events in identical order, not just identical deliveries.
-	TraceFP     uint64
+	TraceFP     digest.Sum
 	TraceEvents uint64
 	// ObserveDigest, ObserveChecks, and ObserveViolations summarize the
 	// runtime invariant observer's check stream when the built system
 	// implements Observed; all zero otherwise.
-	ObserveDigest     uint64
+	ObserveDigest     digest.Sum
 	ObserveChecks     uint64
 	ObserveViolations int64
-	// DurableFP is the durable-disk-state digest when the built system
-	// implements Durable; zero otherwise.
-	DurableFP uint64
 }
 
 // ReplayOnce builds a system from seed via build, waits for it to become
@@ -105,9 +92,6 @@ func ReplayOnce(build SystemBuilder, replicas int, seed int64, cfg LoadConfig) (
 	if obs, ok := sys.(Observed); ok {
 		run.ObserveDigest, run.ObserveChecks, run.ObserveViolations = obs.ObserverDigest()
 	}
-	if d, ok := sys.(Durable); ok {
-		run.DurableFP = d.DurableDigest()
-	}
 	for node := 0; node < replicas; node++ {
 		seq := checker.Delivered(node)
 		run.Delivered = append(run.Delivered, append([]uint64(nil), seq...))
@@ -139,12 +123,11 @@ func (r *ReplayRun) Fingerprint() []byte {
 	}
 	put(uint64(r.Result.Committed))
 	put(uint64(r.Result.Elapsed))
-	put(r.TraceFP)
+	put(uint64(r.TraceFP))
 	put(r.TraceEvents)
-	put(r.ObserveDigest)
+	put(uint64(r.ObserveDigest))
 	put(r.ObserveChecks)
 	put(uint64(r.ObserveViolations))
-	put(r.DurableFP)
 	return buf.Bytes()
 }
 
@@ -211,8 +194,8 @@ func diffRuns(a, b *ReplayRun, i int) error {
 			a.TraceEvents, i, b.TraceEvents)
 	}
 	if a.TraceFP != b.TraceFP {
-		return fmt.Errorf("replay diverged: trace fingerprint %016x in run 0 but %016x in run %d — same deliveries, different event stream (timing or scheduling drift)",
-			a.TraceFP, b.TraceFP, i)
+		return fmt.Errorf("replay diverged: trace fingerprint %s in run 0 but %s in run %d — same deliveries, different event stream (timing or scheduling drift)",
+			a.TraceFP.Hex(), b.TraceFP.Hex(), i)
 	}
 	if a.ObserveViolations != b.ObserveViolations {
 		return fmt.Errorf("replay diverged: run 0 reported %d invariant violations, run %d reported %d",
@@ -223,12 +206,8 @@ func diffRuns(a, b *ReplayRun, i int) error {
 			a.ObserveChecks, i, b.ObserveChecks)
 	}
 	if a.ObserveDigest != b.ObserveDigest {
-		return fmt.Errorf("replay diverged: observer digest %016x in run 0 but %016x in run %d — same check count, different check operands (shadow-state drift)",
-			a.ObserveDigest, b.ObserveDigest, i)
-	}
-	if a.DurableFP != b.DurableFP {
-		return fmt.Errorf("replay diverged: durable disk digest %016x in run 0 but %016x in run %d — same deliveries, different bytes on disk (recovery or group-commit drift)",
-			a.DurableFP, b.DurableFP, i)
+		return fmt.Errorf("replay diverged: observer digest %s in run 0 but %s in run %d — same check count, different check operands (shadow-state drift)",
+			a.ObserveDigest.Hex(), b.ObserveDigest.Hex(), i)
 	}
 	if !bytes.Equal(a.Fingerprint(), b.Fingerprint()) {
 		return fmt.Errorf("replay diverged: fingerprints differ between run 0 and run %d", i)

@@ -137,7 +137,7 @@ func TestDurableRestartSameSeedSameDisk(t *testing.T) {
 		sim.RunFor(100 * time.Millisecond)
 		out := make([]uint64, len(devs))
 		for i, d := range devs {
-			out[i] = d.Digest()
+			out[i] = uint64(d.Digest())
 		}
 		return out
 	}

@@ -15,6 +15,7 @@ import (
 	"acuerdo/internal/apus"
 	"acuerdo/internal/chaos"
 	"acuerdo/internal/derecho"
+	"acuerdo/internal/digest"
 	"acuerdo/internal/disk"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/paxos"
@@ -111,11 +112,11 @@ func (inst *Instance) FabricRecoveryBytes() int64 {
 
 // DurableDigest folds every device's durable-content digest into one value:
 // two same-seed durable runs must match bit for bit. Zero on volatile
-// instances.
-func (inst *Instance) DurableDigest() uint64 {
-	var d uint64
+// instances: the fold is FNV-1 (multiply, then xor) from a zero basis.
+func (inst *Instance) DurableDigest() digest.Sum {
+	var d digest.Sum
 	for _, dev := range inst.Disks {
-		d = d*1099511628211 ^ dev.Digest()
+		d = d*digest.Prime ^ dev.Digest()
 	}
 	return d
 }
@@ -364,12 +365,6 @@ func SweepSystem(kind Kind, cfg Fig8Config) []abcast.LoadResult {
 	for i := range cfg.Windows {
 		out = append(out, RunPoint(kind, cfg, i))
 	}
-	return out
-}
-
-// Figure8 runs every system for one subfigure, serially.
-func Figure8(cfg Fig8Config, kinds []Kind) map[Kind][]abcast.LoadResult {
-	out, _ := Figure8Parallel(cfg, kinds, 1)
 	return out
 }
 

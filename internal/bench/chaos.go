@@ -13,6 +13,7 @@ import (
 
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/chaos"
+	"acuerdo/internal/digest"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/sweep"
@@ -71,7 +72,7 @@ type ChaosResult struct {
 	Plan string
 	// Fingerprint is the trace hash; two runs from the same seed must
 	// match bit-for-bit.
-	Fingerprint uint64
+	Fingerprint digest.Sum
 	// Acks is the number of client-visible commits over the whole run.
 	Acks int
 	// Fired is the engine's applied-action log.
@@ -99,7 +100,7 @@ type ChaosResult struct {
 	// replay bit-identically from the same seed.
 	Violations       int64
 	ViolationReports []string
-	ObserveDigest    uint64
+	ObserveDigest    digest.Sum
 	ObserveChecks    uint64
 	// Durability echoes the run's storage model. DiskRecoveredBytes and
 	// FabricRecoveryBytes account how crashed state was refilled — from the
@@ -109,7 +110,7 @@ type ChaosResult struct {
 	Durability          Durability
 	DiskRecoveredBytes  int64
 	FabricRecoveryBytes int64
-	DurableDigest       uint64
+	DurableDigest       digest.Sum
 }
 
 // MeanMTTR returns the average recovery time over recovered faults, and
@@ -277,17 +278,11 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	return res
 }
 
-// RunScenarioAll runs every listed system under the same scenario and
-// configuration (nil kinds = the full Figure 8 set), serially.
-func RunScenarioAll(sc chaos.Scenario, cfg ChaosConfig, kinds []Kind) []ChaosResult {
-	out, _ := RunScenarioAllParallel(sc, cfg, kinds, 1)
-	return out
-}
-
-// RunScenarioAllParallel is RunScenarioAll on a worker pool: each system's
-// run is a sealed world (its own simulator and tracer built from cfg.Seed),
-// so results — fingerprints included — are identical for every worker
-// count. workers <= 0 selects GOMAXPROCS.
+// RunScenarioAllParallel runs every listed system under the same scenario
+// and configuration (nil kinds = the full Figure 8 set) on a worker pool:
+// each system's run is a sealed world (its own simulator and tracer built
+// from cfg.Seed), so results — fingerprints included — are identical for
+// every worker count. workers <= 0 selects GOMAXPROCS.
 func RunScenarioAllParallel(sc chaos.Scenario, cfg ChaosConfig, kinds []Kind, workers int) ([]ChaosResult, sweep.Report) {
 	if kinds == nil {
 		kinds = AllKinds
@@ -327,11 +322,11 @@ func PrintRecoveryTable(w io.Writer, results []ChaosResult) {
 		if mode == "" {
 			mode = "volatile"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d/%d\t%.3fms\t%.3fms\t%.2fms\t%dB\t%dB\t%s\t%s\t%s\t%016x\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%d/%d\t%.3fms\t%.3fms\t%.2fms\t%dB\t%dB\t%s\t%s\t%s\t%s\n",
 			r.Kind, r.Plan, mode, r.Acks, len(r.Fired), n, measured,
 			float64(mean)/1e6, float64(r.MaxMTTR())/1e6, float64(r.Unavail)/1e6,
 			r.DiskRecoveredBytes, r.FabricRecoveryBytes,
-			wedged, safety, inv, r.Fingerprint)
+			wedged, safety, inv, r.Fingerprint.Hex())
 	}
 	tw.Flush()
 }
@@ -339,7 +334,7 @@ func PrintRecoveryTable(w io.Writer, results []ChaosResult) {
 // PrintChaosDetail renders one result's fired-action log, unavailability
 // windows, and (when the run wedged) the watchdog's diagnostic dump.
 func PrintChaosDetail(w io.Writer, r ChaosResult) {
-	fmt.Fprintf(w, "%s under %s: %d acks, fingerprint %016x\n", r.Kind, r.Plan, r.Acks, r.Fingerprint)
+	fmt.Fprintf(w, "%s under %s: %d acks, fingerprint %s\n", r.Kind, r.Plan, r.Acks, r.Fingerprint.Hex())
 	for _, f := range r.Fired {
 		fmt.Fprintf(w, "  %v fired %s (node %d)\n", f.At, f.Action, f.Node)
 	}
@@ -353,8 +348,8 @@ func PrintChaosDetail(w io.Writer, r ChaosResult) {
 		fmt.Fprintf(w, "  SAFETY: %v\n", r.SafetyErr)
 	}
 	if r.ObserveChecks > 0 || r.Violations > 0 {
-		fmt.Fprintf(w, "  invariants: %d checks, %d violations, digest %016x\n",
-			r.ObserveChecks, r.Violations, r.ObserveDigest)
+		fmt.Fprintf(w, "  invariants: %d checks, %d violations, digest %s\n",
+			r.ObserveChecks, r.Violations, r.ObserveDigest.Hex())
 	}
 	for _, rep := range r.ViolationReports {
 		fmt.Fprintf(w, "  INVARIANT: %s\n", rep)

@@ -41,13 +41,7 @@ func TestChaosDeterminism(t *testing.T) {
 			t.Run(string(kind)+"/"+sc.Name, func(t *testing.T) {
 				a := RunScenario(kind, sc, shortChaos(7))
 				b := RunScenario(kind, sc, shortChaos(7))
-				if a.Fingerprint != b.Fingerprint {
-					t.Fatalf("fingerprint diverged: %016x vs %016x", a.Fingerprint, b.Fingerprint)
-				}
-				if a.Acks != b.Acks || len(a.Fired) != len(b.Fired) {
-					t.Fatalf("run diverged: acks %d vs %d, fired %d vs %d",
-						a.Acks, b.Acks, len(a.Fired), len(b.Fired))
-				}
+				sameChaosRun(t, shortChaos(7), a, b)
 				for i := range a.Fired {
 					if a.Fired[i] != b.Fired[i] {
 						t.Fatalf("fired action %d diverged: %+v vs %+v", i, a.Fired[i], b.Fired[i])

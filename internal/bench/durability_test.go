@@ -83,19 +83,7 @@ func TestDurableChaosDeterminism(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			a := RunScenario(kind, tornStorm(), durableChaos(11))
 			b := RunScenario(kind, tornStorm(), durableChaos(11))
-			if a.Fingerprint != b.Fingerprint {
-				t.Fatalf("fingerprint diverged: %016x vs %016x", a.Fingerprint, b.Fingerprint)
-			}
-			if a.DurableDigest != b.DurableDigest {
-				t.Fatalf("durable digest diverged: %016x vs %016x", a.DurableDigest, b.DurableDigest)
-			}
-			if a.ObserveDigest != b.ObserveDigest {
-				t.Fatalf("observer digest diverged: %016x vs %016x", a.ObserveDigest, b.ObserveDigest)
-			}
-			if a.DiskRecoveredBytes != b.DiskRecoveredBytes || a.FabricRecoveryBytes != b.FabricRecoveryBytes {
-				t.Fatalf("recovery bytes diverged: disk %d vs %d, net %d vs %d",
-					a.DiskRecoveredBytes, b.DiskRecoveredBytes, a.FabricRecoveryBytes, b.FabricRecoveryBytes)
-			}
+			sameChaosRun(t, durableChaos(11), a, b)
 		})
 	}
 }

@@ -1,17 +1,11 @@
-// JSON results emitter and baseline comparator. Every sweep can be written
-// to a machine-readable file (BENCH_figure8.json at the repo root is the
-// committed artifact) so performance has a trajectory across commits, and
-// CompareBaseline turns two such files into a pass/fail regression verdict
-// for CI.
+// JSON artifacts: every harness can write its results as a machine-readable
+// file (the committed ones are the BENCH_*.json at the repo root) so
+// behaviour has a trajectory across commits; Compare (compare.go) turns two
+// of them into a pass/fail verdict for CI.
 //
-// The format separates two classes of fields on purpose:
-//
-//   - deterministic fields (committed counts, simulated elapsed time,
-//     throughput, latency quantiles, trace fingerprints) are pure functions
-//     of the seed and must match a baseline exactly on an unchanged tree;
-//   - host fields (wall-clock, workers, gomaxprocs, allocations) describe
-//     the machine and run and are compared only within a tolerance, or not
-//     at all.
+// There is one envelope, Artifact, for every kind of run; a kind contributes
+// only the point struct its Points carry and an Add method that fills it.
+// Writing, reading, comparing and cmd/bench-compare work on the JSON tree.
 package bench
 
 import (
@@ -19,9 +13,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/metrics"
 )
 
 // LatencyJSON is a latency histogram summary in nanoseconds of simulated
@@ -35,6 +29,14 @@ type LatencyJSON struct {
 	P99NS  int64 `json:"p99_ns"`
 	P999NS int64 `json:"p999_ns"`
 	MaxNS  int64 `json:"max_ns"`
+}
+
+func latencyJSON(h *metrics.Histogram) LatencyJSON {
+	s := h.Export()
+	return LatencyJSON{
+		MeanNS: int64(s.Mean), P50NS: int64(s.P50), P90NS: int64(s.P90),
+		P99NS: int64(s.P99), P999NS: int64(s.P999), MaxNS: int64(s.Max),
+	}
 }
 
 // PointJSON is one grid point of a sweep: one (system, nodes, payload,
@@ -66,38 +68,66 @@ type PointJSON struct {
 	WallNS int64 `json:"wall_ns"`
 }
 
-// FileJSON is a whole sweep artifact: identification, host metadata, and
-// the deterministic grid points.
-type FileJSON struct {
-	// Name identifies the sweep ("figure8", "figure8-short", ...).
+// Artifact is the one envelope every bench artifact is written in:
+// identification, host metadata, and the deterministic points.
+type Artifact struct {
+	// Name identifies the run ("figure8", "chaos-short", "placement", ...).
 	Name string `json:"name"`
+	// Kind says which point struct Points carry: "chaos", "placement", or
+	// absent for a sweep (sweep files predate the field). Two artifacts of
+	// different kinds never compare equal.
+	Kind string `json:"kind,omitempty"`
 	// GoMaxProcs, Workers, WallNS, Allocs, and AllocBytes are host
-	// metadata: the pool size the sweep ran with, its total wall-clock
-	// time, and the heap objects/bytes it allocated.
+	// metadata: the pool size the run used, its total wall-clock time, and
+	// the heap objects/bytes it allocated (zero = not recorded).
 	GoMaxProcs int    `json:"gomaxprocs"`
-	Workers    int    `json:"workers"`
+	Workers    int    `json:"workers,omitempty"`
 	WallNS     int64  `json:"wall_ns"`
-	Allocs     uint64 `json:"allocs"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-	// Points holds the deterministic grid results, in grid order.
-	Points []PointJSON `json:"points"`
+	Allocs     uint64 `json:"allocs,omitempty"`
+	AllocBytes uint64 `json:"alloc_bytes,omitempty"`
+	// Points holds the results in run order: point structs in an artifact
+	// being built, decoded JSON objects in one returned by ReadArtifact.
+	Points []any `json:"points"`
 }
 
-// NewFileJSON creates an empty artifact for the named sweep, stamping the
-// host's GOMAXPROCS.
-func NewFileJSON(name string) *FileJSON {
-	return &FileJSON{Name: name, GoMaxProcs: runtime.GOMAXPROCS(0)}
+// NewArtifact creates an empty artifact of the given name and kind,
+// stamping the host's GOMAXPROCS.
+func NewArtifact(name, kind string) *Artifact {
+	return &Artifact{Name: name, Kind: kind, GoMaxProcs: runtime.GOMAXPROCS(0)}
+}
+
+// WriteFile writes the artifact as indented JSON (byte-stable given the
+// same contents: encoding/json orders struct fields by declaration).
+func (a *Artifact) WriteFile(path string) error {
+	data, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// ReadArtifact parses an artifact of any kind previously written by
+// WriteFile.
+func ReadArtifact(path string) (*Artifact, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var a Artifact
+	if err := decodeJSON(data, &a); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &a, nil
 }
 
 // AddFigure8 appends one subfigure's results in deterministic grid order
 // (kinds outer, windows inner — the same order the tables print in).
-func (f *FileJSON) AddFigure8(cfg Fig8Config, results map[Kind][]abcast.LoadResult, kinds []Kind) {
+func (a *Artifact) AddFigure8(cfg Fig8Config, results map[Kind][]abcast.LoadResult, kinds []Kind) {
 	if kinds == nil {
 		kinds = AllKinds
 	}
 	for _, k := range kinds {
 		for i, r := range results[k] {
-			s := r.Latency.Export()
 			p := PointJSON{
 				System:     r.System,
 				Nodes:      cfg.Nodes,
@@ -108,46 +138,19 @@ func (f *FileJSON) AddFigure8(cfg Fig8Config, results map[Kind][]abcast.LoadResu
 				ElapsedNS:  int64(r.Elapsed),
 				MBPerSec:   r.MBPerSec,
 				MsgsPerSec: r.MsgsPerSec,
-				Latency: LatencyJSON{
-					MeanNS: int64(s.Mean), P50NS: int64(s.P50), P90NS: int64(s.P90),
-					P99NS: int64(s.P99), P999NS: int64(s.P999), MaxNS: int64(s.Max),
-				},
+				Latency:    latencyJSON(&r.Latency),
 			}
 			if r.Trace != nil {
-				p.TraceFP = fmt.Sprintf("%016x", r.Trace.Fingerprint())
+				p.TraceFP = r.Trace.Fingerprint().Hex()
 				p.TraceEvents = r.Trace.Emitted()
 			}
-			f.Points = append(f.Points, p)
+			a.Points = append(a.Points, p)
 		}
 	}
 }
 
-// WriteFile writes the artifact as indented JSON (byte-stable given the
-// same contents: encoding/json orders struct fields by declaration).
-func (f *FileJSON) WriteFile(path string) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadBenchFile parses an artifact previously written by WriteFile.
-func ReadBenchFile(path string) (*FileJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f FileJSON
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &f, nil
-}
-
-// ChaosPointJSON is one (system, scenario) cell of a chaos artifact. All
-// fields except nothing are deterministic: the whole row is a pure function
-// of the seed, so a baseline comparison demands exact equality.
+// ChaosPointJSON is one (system, scenario) cell of a chaos artifact. Every
+// field is deterministic: the whole row is a pure function of the seed.
 type ChaosPointJSON struct {
 	// System, Scenario, Nodes, and Seed identify the cell.
 	System   string `json:"system"`
@@ -188,31 +191,8 @@ type ChaosPointJSON struct {
 	DurableDigest       string `json:"durable_digest,omitempty"`
 }
 
-// ChaosFileJSON is a whole chaos-lane artifact: every (system, scenario)
-// cell of one seeded recovery benchmark, plus host metadata.
-type ChaosFileJSON struct {
-	// Name identifies the run ("chaos", "chaos-short", ...); Kind is the
-	// artifact discriminator, always "chaos" (sweep artifacts have none),
-	// which is how cmd/bench-compare dispatches.
-	Name string `json:"name"`
-	Kind string `json:"kind"`
-	// GoMaxProcs and WallNS are host metadata.
-	GoMaxProcs int   `json:"gomaxprocs"`
-	WallNS     int64 `json:"wall_ns"`
-	// Points holds the deterministic cells, in (scenario, system) run order.
-	Points []ChaosPointJSON `json:"points"`
-}
-
-// ChaosArtifactKind is the Kind discriminator chaos artifacts carry.
-const ChaosArtifactKind = "chaos"
-
-// NewChaosFileJSON creates an empty chaos artifact for the named run.
-func NewChaosFileJSON(name string) *ChaosFileJSON {
-	return &ChaosFileJSON{Name: name, Kind: ChaosArtifactKind, GoMaxProcs: runtime.GOMAXPROCS(0)}
-}
-
-// Add appends one scenario's cross-system results in run order.
-func (f *ChaosFileJSON) Add(cfg ChaosConfig, results []ChaosResult) {
+// AddChaos appends one scenario's cross-system results in run order.
+func (a *Artifact) AddChaos(cfg ChaosConfig, results []ChaosResult) {
 	for _, r := range results {
 		mean, n := r.MeanMTTR()
 		p := ChaosPointJSON{
@@ -228,7 +208,7 @@ func (f *ChaosFileJSON) Add(cfg ChaosConfig, results []ChaosResult) {
 			MTTRMaxNS:        int64(r.MaxMTTR()),
 			UnavailNS:        int64(r.Unavail),
 			Wedged:           r.Watchdog != nil,
-			Fingerprint:      fmt.Sprintf("%016x", r.Fingerprint),
+			Fingerprint:      r.Fingerprint.Hex(),
 			Violations:       r.Violations,
 			ViolationReports: r.ViolationReports,
 			ObserveChecks:    r.ObserveChecks,
@@ -237,184 +217,102 @@ func (f *ChaosFileJSON) Add(cfg ChaosConfig, results []ChaosResult) {
 			p.Safety = r.SafetyErr.Error()
 		}
 		if r.ObserveChecks > 0 {
-			p.ObserveDigest = fmt.Sprintf("%016x", r.ObserveDigest)
+			p.ObserveDigest = r.ObserveDigest.Hex()
 		}
 		if r.Durability != Volatile {
 			p.Durability = string(r.Durability)
 			p.DiskRecoveredBytes = r.DiskRecoveredBytes
 			p.FabricRecoveryBytes = r.FabricRecoveryBytes
-			p.DurableDigest = fmt.Sprintf("%016x", r.DurableDigest)
+			p.DurableDigest = r.DurableDigest.Hex()
 		}
-		f.Points = append(f.Points, p)
+		a.Points = append(a.Points, p)
 	}
 }
 
-// Violations totals the invariant violations over every cell.
-func (f *ChaosFileJSON) Violations() int64 {
-	var total int64
-	for i := range f.Points {
-		total += f.Points[i].Violations
-	}
-	return total
+// PlacementPGJSON is one group's share of a scale-out point. Every field
+// is deterministic.
+type PlacementPGJSON struct {
+	// PG, Leader, and Members echo the group's slot in the placement map.
+	PG      int   `json:"pg"`
+	Leader  int   `json:"leader"`
+	Members []int `json:"members"`
+	// Committed and OpsPerSec are the group's measured YCSB throughput.
+	Committed int     `json:"committed"`
+	OpsPerSec float64 `json:"ops_per_sec"`
+	// DeliveryFP folds the group's per-replica delivery sequences.
+	DeliveryFP string `json:"delivery_fp"`
+	// Violations and ObserveDigest carry the group's observer verdict when
+	// the run was observed.
+	Violations    int64  `json:"violations"`
+	ObserveChecks uint64 `json:"observe_checks,omitempty"`
+	ObserveDigest string `json:"observe_digest,omitempty"`
 }
 
-// WriteFile writes the chaos artifact as indented JSON.
-func (f *ChaosFileJSON) WriteFile(path string) error {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+// PlacementPointJSON is one scale-out point: one (system, PG count) cell
+// with its per-group shares. WallNS is host metadata; everything else is
+// deterministic.
+type PlacementPointJSON struct {
+	// System through Seed identify the cell.
+	System      string `json:"system"`
+	PGs         int    `json:"pgs"`
+	PGSize      int    `json:"pg_size"`
+	Fleet       int    `json:"fleet"`
+	Domains     int    `json:"domains"`
+	Seed        int64  `json:"seed"`
+	WindowPerPG int    `json:"window_per_pg"`
+	// Committed and AggOpsPerSec are the figure's y-axis: every group's
+	// measured load summed; ElapsedNS the measured simulated interval.
+	Committed    int     `json:"committed"`
+	AggOpsPerSec float64 `json:"agg_ops_per_sec"`
+	ElapsedNS    int64   `json:"elapsed_sim_ns"`
+	// Latency summarizes the merged commit-latency distribution.
+	Latency LatencyJSON `json:"latency"`
+	// MapFP is the placement map's digest, TraceFP the shared simulation's
+	// event-stream digest, and Fingerprint the folded seed-replay digest.
+	MapFP       string `json:"map_fp"`
+	TraceFP     string `json:"trace_fp"`
+	Fingerprint string `json:"fingerprint"`
+	// WallNS is the host wall-clock time the point took.
+	WallNS int64 `json:"wall_ns"`
+	// Groups holds the per-group shares, in PG-ID order.
+	Groups []PlacementPGJSON `json:"groups"`
 }
 
-// ReadChaosFile parses a chaos artifact previously written by WriteFile.
-func ReadChaosFile(path string) (*ChaosFileJSON, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// AddPlacement appends one scale-out point.
+func (a *Artifact) AddPlacement(r *PlacementResult) {
+	c := r.Config.Placement
+	p := PlacementPointJSON{
+		System:       r.System,
+		PGs:          c.PGs,
+		PGSize:       c.PGSize,
+		Fleet:        c.Fleet,
+		Domains:      c.Domains,
+		Seed:         r.Config.Seed,
+		WindowPerPG:  r.Config.WindowPerPG,
+		Committed:    r.Committed,
+		AggOpsPerSec: r.OpsPerSec,
+		ElapsedNS:    int64(r.Elapsed),
+		Latency:      latencyJSON(&r.Latency),
+		MapFP:        r.MapFP.Hex(),
+		TraceFP:      r.TraceFP.Hex(),
+		Fingerprint:  r.Fingerprint.Hex(),
 	}
-	var f ChaosFileJSON
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	for i := range r.Groups {
+		g := &r.Groups[i]
+		gj := PlacementPGJSON{
+			PG:            g.PG,
+			Leader:        g.Leader,
+			Members:       append([]int(nil), g.Members...),
+			Committed:     g.Committed,
+			OpsPerSec:     g.OpsPerSec,
+			DeliveryFP:    g.DeliveryFP.Hex(),
+			Violations:    g.Violations,
+			ObserveChecks: g.ObserveChecks,
+		}
+		if g.ObserveChecks > 0 {
+			gj.ObserveDigest = g.ObserveDigest.Hex()
+		}
+		p.Groups = append(p.Groups, gj)
 	}
-	if f.Kind != ChaosArtifactKind {
-		return nil, fmt.Errorf("%s: kind %q is not a chaos artifact", path, f.Kind)
-	}
-	return &f, nil
-}
-
-// SniffArtifactKind reports a result file's discriminator without fully
-// parsing it: "chaos" for chaos artifacts, "" for sweep artifacts (which
-// predate the field). cmd/bench-compare dispatches on this.
-func SniffArtifactKind(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var probe struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
-	}
-	return probe.Kind, nil
-}
-
-// CompareChaosBaseline checks cur against base. Every field of every cell
-// except host metadata is deterministic, so anything but exact equality is
-// a behaviour change: either a bug or a change that must regenerate the
-// committed baseline. Wall-clock is compared as in CompareBaseline.
-func CompareChaosBaseline(cur, base *ChaosFileJSON, wallTol float64) error {
-	if len(cur.Points) != len(base.Points) {
-		return fmt.Errorf("chaos: %d cells, baseline has %d", len(cur.Points), len(base.Points))
-	}
-	for i := range cur.Points {
-		c, b := &cur.Points[i], &base.Points[i]
-		id := fmt.Sprintf("cell %d (%s under %s)", i, b.System, b.Scenario)
-		if c.System != b.System || c.Scenario != b.Scenario || c.Nodes != b.Nodes || c.Seed != b.Seed {
-			return fmt.Errorf("chaos: %s: grid mismatch, got (%s under %s nodes=%d seed=%d)",
-				id, c.System, c.Scenario, c.Nodes, c.Seed)
-		}
-		if c.Violations != b.Violations {
-			return fmt.Errorf("chaos: %s: %d invariant violations, baseline %d", id, c.Violations, b.Violations)
-		}
-		if c.Safety != b.Safety {
-			return fmt.Errorf("chaos: %s: safety %q, baseline %q", id, c.Safety, b.Safety)
-		}
-		if c.Acks != b.Acks || c.Fired != b.Fired || c.Recovered != b.Recovered || c.Measured != b.Measured {
-			return fmt.Errorf("chaos: %s: acks/fired/recovered %d/%d/%d-of-%d, baseline %d/%d/%d-of-%d",
-				id, c.Acks, c.Fired, c.Recovered, c.Measured, b.Acks, b.Fired, b.Recovered, b.Measured)
-		}
-		if c.MTTRMeanNS != b.MTTRMeanNS || c.MTTRMaxNS != b.MTTRMaxNS || c.UnavailNS != b.UnavailNS {
-			return fmt.Errorf("chaos: %s: mttr mean/max %d/%d ns unavail %d ns, baseline %d/%d/%d",
-				id, c.MTTRMeanNS, c.MTTRMaxNS, c.UnavailNS, b.MTTRMeanNS, b.MTTRMaxNS, b.UnavailNS)
-		}
-		if c.Wedged != b.Wedged {
-			return fmt.Errorf("chaos: %s: wedged %v, baseline %v", id, c.Wedged, b.Wedged)
-		}
-		if c.Fingerprint != b.Fingerprint {
-			return fmt.Errorf("chaos: %s: trace fingerprint %s, baseline %s", id, c.Fingerprint, b.Fingerprint)
-		}
-		if c.ObserveDigest != "" && b.ObserveDigest != "" {
-			if c.ObserveChecks != b.ObserveChecks {
-				return fmt.Errorf("chaos: %s: %d observer checks, baseline %d", id, c.ObserveChecks, b.ObserveChecks)
-			}
-			if c.ObserveDigest != b.ObserveDigest {
-				return fmt.Errorf("chaos: %s: observer digest %s, baseline %s — same check count, different operands (shadow-state drift)",
-					id, c.ObserveDigest, b.ObserveDigest)
-			}
-		}
-		if c.Durability != b.Durability {
-			return fmt.Errorf("chaos: %s: durability %q, baseline %q", id, c.Durability, b.Durability)
-		}
-		if c.DiskRecoveredBytes != b.DiskRecoveredBytes || c.FabricRecoveryBytes != b.FabricRecoveryBytes {
-			return fmt.Errorf("chaos: %s: recovery bytes disk/net %d/%d, baseline %d/%d",
-				id, c.DiskRecoveredBytes, c.FabricRecoveryBytes, b.DiskRecoveredBytes, b.FabricRecoveryBytes)
-		}
-		if c.DurableDigest != b.DurableDigest {
-			return fmt.Errorf("chaos: %s: durable device digest %s, baseline %s — the simulated disks diverged",
-				id, c.DurableDigest, b.DurableDigest)
-		}
-	}
-	if wallTol >= 0 && base.WallNS > 0 {
-		limit := int64(float64(base.WallNS) * (1 + wallTol))
-		if cur.WallNS > limit {
-			return fmt.Errorf("chaos: wall-clock %v exceeds baseline %v by more than %.0f%%",
-				time.Duration(cur.WallNS), time.Duration(base.WallNS), wallTol*100)
-		}
-	}
-	return nil
-}
-
-// CompareBaseline checks cur against base and returns a non-nil error on
-// the first regression found.
-//
-// Deterministic fields must match exactly: the points must identify the
-// same grid in the same order, and every committed count, simulated
-// elapsed time, throughput, latency quantile, and (when both sides carry
-// one) trace fingerprint must be equal. A mismatch means the simulation's
-// behaviour changed — which is either a bug or a change that must
-// regenerate the committed baseline.
-//
-// Wall-clock is host metadata and is compared only when wallTol >= 0:
-// cur.WallNS may exceed base.WallNS by at most that fraction (0.10 = +10%).
-// Pass a negative wallTol when the two files come from different machines —
-// e.g. a freshly measured sweep against the committed baseline. Allocation
-// counts are informational and never compared.
-func CompareBaseline(cur, base *FileJSON, wallTol float64) error {
-	if len(cur.Points) != len(base.Points) {
-		return fmt.Errorf("bench: %d points, baseline has %d", len(cur.Points), len(base.Points))
-	}
-	for i := range cur.Points {
-		c, b := &cur.Points[i], &base.Points[i]
-		id := fmt.Sprintf("point %d (%s nodes=%d size=%d window=%d)", i, b.System, b.Nodes, b.MsgSize, b.Window)
-		if c.System != b.System || c.Nodes != b.Nodes || c.MsgSize != b.MsgSize || c.Window != b.Window || c.Seed != b.Seed {
-			return fmt.Errorf("bench: %s: grid mismatch, got (%s nodes=%d size=%d window=%d seed=%d)",
-				id, c.System, c.Nodes, c.MsgSize, c.Window, c.Seed)
-		}
-		if c.Committed != b.Committed {
-			return fmt.Errorf("bench: %s: committed %d, baseline %d", id, c.Committed, b.Committed)
-		}
-		if c.ElapsedNS != b.ElapsedNS {
-			return fmt.Errorf("bench: %s: simulated elapsed %d ns, baseline %d ns", id, c.ElapsedNS, b.ElapsedNS)
-		}
-		if c.MBPerSec != b.MBPerSec || c.MsgsPerSec != b.MsgsPerSec {
-			return fmt.Errorf("bench: %s: throughput %.6f MB/s / %.3f msg/s, baseline %.6f / %.3f",
-				id, c.MBPerSec, c.MsgsPerSec, b.MBPerSec, b.MsgsPerSec)
-		}
-		if c.Latency != b.Latency {
-			return fmt.Errorf("bench: %s: latency %+v, baseline %+v", id, c.Latency, b.Latency)
-		}
-		if c.TraceFP != "" && b.TraceFP != "" && c.TraceFP != b.TraceFP {
-			return fmt.Errorf("bench: %s: trace fingerprint %s, baseline %s", id, c.TraceFP, b.TraceFP)
-		}
-	}
-	if wallTol >= 0 && base.WallNS > 0 {
-		limit := int64(float64(base.WallNS) * (1 + wallTol))
-		if cur.WallNS > limit {
-			return fmt.Errorf("bench: wall-clock %v exceeds baseline %v by more than %.0f%%",
-				time.Duration(cur.WallNS), time.Duration(base.WallNS), wallTol*100)
-		}
-	}
-	return nil
+	a.Points = append(a.Points, p)
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/digest"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
 )
@@ -26,7 +27,7 @@ type observedSystem struct {
 }
 
 // ObserverDigest implements abcast.Observed.
-func (s observedSystem) ObserverDigest() (digest, checks uint64, violations int64) {
+func (s observedSystem) ObserverDigest() (sum digest.Sum, checks uint64, violations int64) {
 	return s.obs.Digest(), s.obs.Checks(), s.obs.ViolationCount()
 }
 

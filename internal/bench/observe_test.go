@@ -68,24 +68,7 @@ func TestObserverDeterminism(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			a := RunScenario(kind, storm(), observedChaos(7))
 			b := RunScenario(kind, storm(), observedChaos(7))
-			if a.ObserveChecks != b.ObserveChecks {
-				t.Fatalf("check counts diverged: %d vs %d", a.ObserveChecks, b.ObserveChecks)
-			}
-			if a.ObserveDigest != b.ObserveDigest {
-				t.Fatalf("observer digests diverged: %016x vs %016x (shadow-state drift)",
-					a.ObserveDigest, b.ObserveDigest)
-			}
-			if a.Violations != b.Violations {
-				t.Fatalf("violation counts diverged: %d vs %d", a.Violations, b.Violations)
-			}
-			if len(a.ViolationReports) != len(b.ViolationReports) {
-				t.Fatalf("report counts diverged: %d vs %d", len(a.ViolationReports), len(b.ViolationReports))
-			}
-			for i := range a.ViolationReports {
-				if a.ViolationReports[i] != b.ViolationReports[i] {
-					t.Fatalf("report %d diverged:\n%s\nvs\n%s", i, a.ViolationReports[i], b.ViolationReports[i])
-				}
-			}
+			sameChaosRun(t, observedChaos(7), a, b)
 			if a.ObserveChecks == 0 {
 				t.Fatal("observer performed no checks")
 			}
@@ -106,13 +89,7 @@ func TestObserverOffIsIdentical(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			off := RunScenario(kind, storm(), shortChaos(7))
 			on := RunScenario(kind, storm(), observedChaos(7))
-			if off.Acks != on.Acks {
-				t.Fatalf("attaching the observer changed the run: %d acks vs %d", off.Acks, on.Acks)
-			}
-			if off.Fingerprint != on.Fingerprint {
-				t.Fatalf("attaching the observer changed the trace: %016x vs %016x",
-					off.Fingerprint, on.Fingerprint)
-			}
+			sameChaosRun(t, shortChaos(7), off, on) // observer fields are one-sided, so skipped
 		})
 	}
 }

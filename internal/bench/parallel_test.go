@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -34,93 +33,13 @@ func TestParallelSerialEquivalence(t *testing.T) {
 
 	serial, _ := Figure8Parallel(cfg, kinds, 1)
 	par, _ := Figure8Parallel(cfg, kinds, 4)
-
-	for _, k := range kinds {
-		s, p := serial[k], par[k]
-		if len(s) != len(p) {
-			t.Fatalf("%s: %d serial points, %d parallel", k, len(s), len(p))
-		}
-		for i := range s {
-			if s[i].Window != p[i].Window || s[i].System != p[i].System {
-				t.Fatalf("%s point %d: grid mismatch: serial (%s w=%d), parallel (%s w=%d)",
-					k, i, s[i].System, s[i].Window, p[i].System, p[i].Window)
-			}
-			if s[i].Committed != p[i].Committed {
-				t.Errorf("%s window %d: committed %d serial, %d parallel", k, s[i].Window, s[i].Committed, p[i].Committed)
-			}
-			if s[i].Elapsed != p[i].Elapsed {
-				t.Errorf("%s window %d: elapsed %v serial, %v parallel", k, s[i].Window, s[i].Elapsed, p[i].Elapsed)
-			}
-			if s[i].MBPerSec != p[i].MBPerSec || s[i].MsgsPerSec != p[i].MsgsPerSec {
-				t.Errorf("%s window %d: throughput (%v, %v) serial, (%v, %v) parallel",
-					k, s[i].Window, s[i].MBPerSec, s[i].MsgsPerSec, p[i].MBPerSec, p[i].MsgsPerSec)
-			}
-			se, pe := s[i].Latency.Export(), p[i].Latency.Export()
-			if se.N != pe.N || se.Mean != pe.Mean || se.P50 != pe.P50 || se.P99 != pe.P99 || se.Max != pe.Max {
-				t.Errorf("%s window %d: latency summary differs between serial and parallel", k, s[i].Window)
-			}
-			sf, pf := s[i].Trace.Fingerprint(), p[i].Trace.Fingerprint()
-			if sf != pf {
-				t.Errorf("%s window %d: fingerprint %016x serial, %016x parallel", k, s[i].Window, sf, pf)
-			}
-		}
+	a, b := NewArtifact("serial", ""), NewArtifact("parallel", "")
+	a.AddFigure8(cfg, serial, kinds)
+	b.AddFigure8(cfg, par, kinds)
+	if len(a.Points) != len(kinds)*len(cfg.Windows) {
+		t.Fatalf("%d points, want %d", len(a.Points), len(kinds)*len(cfg.Windows))
 	}
-}
-
-// TestJSONRoundTrip checks that a sweep artifact survives
-// write → read → CompareBaseline against itself, and that CompareBaseline
-// actually fails when a deterministic field drifts.
-func TestJSONRoundTrip(t *testing.T) {
-	cfg := smallFig8()
-	kinds := []Kind{Acuerdo, Etcd}
-	results, rep := Figure8Parallel(cfg, kinds, 2)
-
-	f := NewFileJSON("figure8-test")
-	f.Workers = rep.Workers
-	f.WallNS = int64(rep.Wall)
-	f.AddFigure8(cfg, results, kinds)
-	if len(f.Points) != len(kinds)*len(cfg.Windows) {
-		t.Fatalf("artifact has %d points, want %d", len(f.Points), len(kinds)*len(cfg.Windows))
-	}
-	for i, p := range f.Points {
-		if p.TraceFP == "" {
-			t.Fatalf("point %d missing trace fingerprint", i)
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := f.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompareBaseline(back, f, 0); err != nil {
-		t.Fatalf("self-comparison failed: %v", err)
-	}
-
-	// A drifted deterministic field must fail the comparison.
-	back.Points[0].Committed++
-	if err := CompareBaseline(back, f, -1); err == nil {
-		t.Fatal("CompareBaseline accepted a drifted committed count")
-	}
-	back.Points[0].Committed--
-	back.Points[1].TraceFP = "0000000000000000"
-	if err := CompareBaseline(back, f, -1); err == nil {
-		t.Fatal("CompareBaseline accepted a drifted fingerprint")
-	}
-
-	// Wall-clock regression beyond tolerance must fail; negative tolerance
-	// must skip the check.
-	back.Points[1].TraceFP = f.Points[1].TraceFP
-	back.WallNS = f.WallNS*2 + 1
-	if f.WallNS > 0 {
-		if err := CompareBaseline(back, f, 0.10); err == nil {
-			t.Fatal("CompareBaseline accepted a 2x wall-clock regression at 10% tolerance")
-		}
-		if err := CompareBaseline(back, f, -1); err != nil {
-			t.Fatalf("negative tolerance should skip wall-clock: %v", err)
-		}
+	if err := Compare(a, b, -1); err != nil {
+		t.Fatalf("parallel sweep differs from serial: %v", err)
 	}
 }

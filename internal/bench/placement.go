@@ -16,6 +16,7 @@ import (
 
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/chaos"
+	"acuerdo/internal/digest"
 	"acuerdo/internal/kvstore"
 	"acuerdo/internal/metrics"
 	"acuerdo/internal/observe"
@@ -263,14 +264,14 @@ type PGResult struct {
 	Latency   metrics.Histogram
 	// DeliveryFP folds every replica's delivery sequence; two same-seed
 	// runs must match per group, not just in aggregate.
-	DeliveryFP uint64
+	DeliveryFP digest.Sum
 	// SafetyErr is the group's first atomic-broadcast violation, if any.
 	SafetyErr error
 	// Violations/ObserveChecks/ObserveDigest carry the group's observer
 	// verdict when the run was observed; zero otherwise.
 	Violations    int64
 	ObserveChecks uint64
-	ObserveDigest uint64
+	ObserveDigest digest.Sum
 }
 
 // PlacementResult is one multi-group run: per-group shares plus the
@@ -291,21 +292,10 @@ type PlacementResult struct {
 	// shared simulation's event-stream fingerprint; Fingerprint folds the
 	// map, every group's delivery and observer digests, and the trace into
 	// one seed-replay digest.
-	MapFP       uint64
-	TraceFP     uint64
+	MapFP       digest.Sum
+	TraceFP     digest.Sum
 	TraceEvents uint64
-	Fingerprint uint64
-}
-
-// foldFP mixes v into h byte by byte with the FNV-1a prime (the repo's
-// standard digest fold).
-func foldFP(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 0x100000001b3
-		v >>= 8
-	}
-	return h
+	Fingerprint digest.Sum
 }
 
 // pgWorkload is one group's YCSB-load stream: zipfian popularity over the
@@ -428,20 +418,19 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 	measuring = false
 	res.Elapsed = sim.Now().Sub(start)
 
-	fp := uint64(0xcbf29ce484222325)
-	fp = foldFP(fp, res.MapFP)
+	fp := digest.Offset.Uint64(uint64(res.MapFP))
 	for pg := range res.Groups {
 		pr := &res.Groups[pg]
 		pr.OpsPerSec = metrics.Throughput(pr.Committed, res.Elapsed)
 		if pr.SafetyErr == nil {
 			pr.SafetyErr = checkers[pg].CheckTotalOrder()
 		}
-		d := uint64(0xcbf29ce484222325)
+		d := digest.Offset
 		for node := 0; node < m.Config.PGSize; node++ {
 			seq := checkers[pg].Delivered(node)
-			d = foldFP(d, uint64(len(seq)))
+			d = d.Uint64(uint64(len(seq)))
 			for _, id := range seq {
-				d = foldFP(d, id)
+				d = d.Uint64(id)
 			}
 		}
 		pr.DeliveryFP = d
@@ -454,20 +443,15 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 		for _, s := range pr.Latency.Samples() {
 			res.Latency.Add(s)
 		}
-		fp = foldFP(fp, uint64(pr.Committed))
-		fp = foldFP(fp, pr.DeliveryFP)
-		fp = foldFP(fp, pr.ObserveDigest)
-		fp = foldFP(fp, pr.ObserveChecks)
-		fp = foldFP(fp, uint64(pr.Violations))
+		fp = fp.Uint64(uint64(pr.Committed)).Uint64(uint64(pr.DeliveryFP)).
+			Uint64(uint64(pr.ObserveDigest)).Uint64(pr.ObserveChecks).
+			Uint64(uint64(pr.Violations))
 	}
 	res.OpsPerSec = metrics.Throughput(res.Committed, res.Elapsed)
 	res.TraceFP = w.Tracer.Fingerprint()
 	res.TraceEvents = w.Tracer.Emitted()
-	fp = foldFP(fp, uint64(res.Committed))
-	fp = foldFP(fp, uint64(res.Elapsed))
-	fp = foldFP(fp, res.TraceFP)
-	fp = foldFP(fp, res.TraceEvents)
-	res.Fingerprint = fp
+	res.Fingerprint = fp.Uint64(uint64(res.Committed)).Uint64(uint64(res.Elapsed)).
+		Uint64(uint64(res.TraceFP)).Uint64(res.TraceEvents)
 	return res
 }
 
@@ -508,41 +492,22 @@ func RunPlacementSweep(cfgs []PlacementConfig, workers int) ([]PlacementResult, 
 }
 
 // VerifyPlacementReplay runs the same configuration `runs` times and fails
-// on the first divergence, checking the per-group digests before the
-// folded fingerprint so the report names the first group that drifted.
+// on the first divergence, comparing the runs as artifacts so the report
+// names the first field — and, inside a point, the first group — that
+// drifted.
 func VerifyPlacementReplay(cfg PlacementConfig, runs int) error {
 	if runs < 2 {
 		return fmt.Errorf("placement: need at least 2 runs to compare, got %d", runs)
 	}
-	var first *PlacementResult
+	var first *Artifact
 	for i := 0; i < runs; i++ {
 		run := RunPlacementYCSB(cfg)
+		art := NewArtifact("placement-replay", "placement")
+		art.AddPlacement(&run)
 		if first == nil {
-			first = &run
-			continue
-		}
-		for pg := range run.Groups {
-			a, b := &first.Groups[pg], &run.Groups[pg]
-			if a.Committed != b.Committed {
-				return fmt.Errorf("placement replay diverged: pg %d committed %d in run 0 but %d in run %d",
-					pg, a.Committed, b.Committed, i)
-			}
-			if a.DeliveryFP != b.DeliveryFP {
-				return fmt.Errorf("placement replay diverged: pg %d delivery digest %016x in run 0 but %016x in run %d",
-					pg, a.DeliveryFP, b.DeliveryFP, i)
-			}
-			if a.ObserveDigest != b.ObserveDigest || a.ObserveChecks != b.ObserveChecks {
-				return fmt.Errorf("placement replay diverged: pg %d observer digest %016x/%d in run 0 but %016x/%d in run %d",
-					pg, a.ObserveDigest, a.ObserveChecks, b.ObserveDigest, b.ObserveChecks, i)
-			}
-		}
-		if first.TraceFP != run.TraceFP {
-			return fmt.Errorf("placement replay diverged: trace fingerprint %016x in run 0 but %016x in run %d — same deliveries, different event stream",
-				first.TraceFP, run.TraceFP, i)
-		}
-		if first.Fingerprint != run.Fingerprint {
-			return fmt.Errorf("placement replay diverged: fingerprint %016x in run 0 but %016x in run %d",
-				first.Fingerprint, run.Fingerprint, i)
+			first = art
+		} else if err := Compare(first, art, -1); err != nil {
+			return fmt.Errorf("placement replay diverged in run %d: %w", i, err)
 		}
 	}
 	return nil
@@ -581,11 +546,11 @@ func PrintPlacement(w io.Writer, results []PlacementResult) {
 		r := &results[i]
 		c := r.Config.Placement
 		s := r.Latency.Export()
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.1f\t%.0f\t%.0f\t%.0f\t%.1f\t%.1f\t%016x\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.1f\t%.0f\t%.0f\t%.0f\t%.1f\t%.1f\t%s\n",
 			r.System, c.PGs, c.PGSize, c.Fleet,
 			float64(c.PGs*c.PGSize)/float64(c.Fleet),
 			r.OpsPerSec, r.MinPGOps(), r.MaxPGOps(),
-			us(s.P50), us(s.P99), r.Fingerprint)
+			us(s.P50), us(s.P99), r.Fingerprint.Hex())
 	}
 	tw.Flush()
 }

@@ -92,28 +92,6 @@ func RunYCSB(kind Kind, cfg YCSBConfig) YCSBResult {
 	return res
 }
 
-// Figure9 runs YCSB-load across node counts for the comparison systems,
-// serially.
-func Figure9(counts []int, seed int64) map[Kind][]YCSBResult {
-	out, _ := Figure9Parallel(counts, seed, 1)
-	return out
-}
-
-// Figure9Parallel runs the (system × node count) grid on a worker pool
-// with default per-count configurations. workers <= 0 selects GOMAXPROCS.
-func Figure9Parallel(counts []int, seed int64, workers int) (map[Kind][]YCSBResult, sweep.Report) {
-	if counts == nil {
-		counts = []int{3, 5, 7, 9}
-	}
-	cfgs := make([]YCSBConfig, 0, len(counts))
-	for _, n := range counts {
-		cfg := DefaultYCSB(n)
-		cfg.Seed = seed
-		cfgs = append(cfgs, cfg)
-	}
-	return RunYCSBAllParallel(YCSBSystems, cfgs, workers)
-}
-
 // RunYCSBAllParallel runs every (system, config) pair on a worker pool and
 // merges the results per system, in configuration order. Each point boots
 // its own instance from its config's seed, so results are identical for

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"time"
 
+	"acuerdo/internal/digest"
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/trace"
 )
@@ -429,35 +430,24 @@ func (d *Device) fault(id int, operand int64) {
 }
 
 // Digest folds every file's name, durable length, and durable bytes into a
-// streaming FNV-1a hash: two devices with identical durable state have
-// identical digests. The seed-replay harness compares it across runs so
-// durable-state drift fails replay.
-func (d *Device) Digest() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	word := func(v uint64) {
-		h = (h ^ v) * prime
-	}
+// word-folded digest: two devices with identical durable state have
+// identical digests. The chaos harness compares it across same-seed runs so
+// durable-state drift fails the durability lane.
+func (d *Device) Digest() digest.Sum {
+	h := digest.Offset
 	for _, name := range d.names() {
 		f := d.files[name]
-		for i := 0; i < len(name); i++ {
-			word(uint64(name[i]))
-		}
-		word(uint64(f.synced))
-		// Fold durable bytes 8 at a time (word-folded like the trace
-		// fingerprint; cheap and order-sensitive).
+		h = h.Str(name).Word(uint64(f.synced))
+		// Fold durable bytes 8 at a time (cheap and order-sensitive).
 		var acc uint64
 		for i := 0; i < f.synced; i++ {
 			acc = acc<<8 | uint64(f.data[i])
 			if i&7 == 7 {
-				word(acc)
+				h = h.Word(acc)
 				acc = 0
 			}
 		}
-		word(acc)
+		h = h.Word(acc)
 	}
 	return h
 }

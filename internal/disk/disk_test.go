@@ -323,7 +323,7 @@ func TestDigestTracksDurableStateOnly(t *testing.T) {
 		if extraVolatile {
 			ls.AppendEntry(99, 9, []byte("unsynced"), nil) // buffered, never flushed
 		}
-		return dev.Digest()
+		return uint64(dev.Digest())
 	}
 	if mk(1, false) != mk(2, false) {
 		t.Fatal("identical durable state produced different digests")
@@ -336,7 +336,7 @@ func TestDigestTracksDurableStateOnly(t *testing.T) {
 	dev := NewDevice(sim, 0, DefaultParams())
 	NewLogStore(dev, "wal").AppendEntry(0, 1, []byte("different"), nil)
 	sim.RunFor(time.Millisecond)
-	if dev.Digest() == mk(1, false) {
+	if uint64(dev.Digest()) == mk(1, false) {
 		t.Fatal("different durable state produced equal digests")
 	}
 }
@@ -367,7 +367,7 @@ func TestDeterministicTornCrash(t *testing.T) {
 		dev.ArmTornWrite()
 		dev.Crash(sim.Rand())
 		rec := RecoverLog(dev, "wal")
-		return len(rec.Entries), dev.Digest()
+		return len(rec.Entries), uint64(dev.Digest())
 	}
 	n1, d1 := run()
 	n2, d2 := run()

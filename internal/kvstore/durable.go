@@ -110,9 +110,6 @@ func (d *DurableStore) Apply(o Op) {
 // Sync arranges for done(err) once every op applied so far is durable.
 func (d *DurableStore) Sync(done func(error)) { d.log.Flush(done) }
 
-// Digest returns the device's durable-state digest (see disk.Device.Digest).
-func (d *DurableStore) Digest() uint64 { return d.dev.Digest() }
-
 // snapshot writes the current table as a new snapshot. The WAL is never
 // truncated mid-run — doing so before the snapshot is durable would lose
 // group-committed ops, and rewriting it afterwards buys nothing inside a

@@ -191,7 +191,7 @@ func TestDurableStoreDeterministicDigest(t *testing.T) {
 		applyN(d, 0, 25)
 		d.Sync(nil)
 		sim.RunFor(time.Millisecond)
-		return d.Digest()
+		return uint64(dev.Digest())
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("digests diverged: %016x vs %016x", a, b)

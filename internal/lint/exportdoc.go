@@ -9,7 +9,8 @@ import (
 // functions, methods, types, constants, and variables. It is scoped to the
 // packages whose exported surface is the repository's harness API
 // (internal/sweep, internal/bench, internal/chaos, internal/trace,
-// internal/observe, internal/disk, internal/placement, internal/abcast):
+// internal/observe, internal/disk, internal/placement, internal/abcast,
+// internal/digest):
 // those packages are what ARCHITECTURE.md points readers at, so an
 // undocumented export there is a documentation regression, not a style nit. internal/observe qualifies
 // because every protocol package calls its hooks — an undocumented hook is
@@ -19,18 +20,20 @@ import (
 // internal/placement qualifies because its Config/Map surface is how every
 // multi-group experiment is specified and reproduced. internal/abcast
 // qualifies because its Group contract is the one interface every protocol
-// package implements and every harness drives.
+// package implements and every harness drives. internal/digest qualifies
+// because every committed fingerprint is built from its folds.
 var ExportDoc = &Analyzer{
 	Name: "exportdoc",
 	Doc: "require doc comments on exported identifiers in the harness API " +
-		"packages (sweep, bench, chaos, trace, observe, disk, placement, abcast)",
+		"packages (sweep, bench, chaos, trace, observe, disk, placement, abcast, digest)",
 	Run: runExportDoc,
 	InScope: func(pkgPath string) bool {
 		switch pkgPath {
 		case "acuerdo/internal/sweep", "acuerdo/internal/bench",
 			"acuerdo/internal/chaos", "acuerdo/internal/trace",
 			"acuerdo/internal/observe", "acuerdo/internal/disk",
-			"acuerdo/internal/placement", "acuerdo/internal/abcast":
+			"acuerdo/internal/placement", "acuerdo/internal/abcast",
+			"acuerdo/internal/digest":
 			return true
 		}
 		return false

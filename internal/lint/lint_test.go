@@ -152,12 +152,15 @@ func TestAnalyzerScopes(t *testing.T) {
 		{"exportdoc", "acuerdo/internal/disk", true},
 		{"exportdoc", "acuerdo/internal/placement", true},
 		{"exportdoc", "acuerdo/internal/abcast", true},
+		{"exportdoc", "acuerdo/internal/digest", true},
 		{"exportdoc", "acuerdo/internal/zab", false},
 		// The placement map is pure computation on the simulation side of
 		// the wall, so the determinism analyzers cover it too.
 		{"maporder", "acuerdo/internal/placement", true},
 		{"nowallclock", "acuerdo/internal/placement", true},
 		{"hostblock", "acuerdo/internal/placement", true},
+		{"maporder", "acuerdo/internal/digest", true},
+		{"nowallclock", "acuerdo/internal/digest", true},
 		// The simulated disk runs on the simnet clock, so the determinism
 		// analyzers cover it like any protocol package.
 		{"maporder", "acuerdo/internal/disk", true},

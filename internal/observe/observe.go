@@ -41,6 +41,7 @@ import (
 	"sort"
 	"strings"
 
+	"acuerdo/internal/digest"
 	"acuerdo/internal/metrics"
 	"acuerdo/internal/trace"
 )
@@ -190,14 +191,6 @@ func (v Violation) String() string {
 // folded into the digest, and traced.
 const maxViolations = 64
 
-// FNV-1a parameters for the streaming check digest (same word-folded
-// variant as trace.Tracer: the digest is compared only against itself
-// between same-seed runs, never against external FNV values).
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
 // registry spaces: one global first-writer-wins table serves every
 // agreement-flavored invariant, keyed by (space, a, b).
 const (
@@ -273,7 +266,7 @@ type nodeState struct {
 	// derecho membership and delivered-prefix summary.
 	members    []int
 	dCount     uint64
-	dHash      uint64
+	dHash      digest.Sum
 	vsEligible bool
 
 	// acuerdo committed header (epoch round, epoch leader, count).
@@ -303,7 +296,7 @@ type sstShadow struct {
 // single-threaded by construction.
 type Observer struct {
 	cfg    Config
-	digest uint64
+	digest digest.Sum
 	checks uint64
 
 	counts [numInvariants]int64
@@ -321,7 +314,7 @@ type Observer struct {
 func New(cfg Config) *Observer {
 	o := &Observer{
 		cfg:    cfg,
-		digest: fnvOffset,
+		digest: digest.Offset,
 		reg:    make(map[regKey]regEntry),
 		nodes:  make([]nodeState, cfg.Nodes),
 	}
@@ -336,23 +329,15 @@ func New(cfg Config) *Observer {
 func (o *Observer) fold(inv Invariant, op uint64, node int, at, a, b int64) {
 	o.checks++
 	o.counts[inv]++
-	h := o.digest
-	h = (h ^ op) * fnvPrime
-	h = (h ^ uint64(int64(node))) * fnvPrime
-	h = (h ^ uint64(at)) * fnvPrime
-	h = (h ^ uint64(a)) * fnvPrime
-	h = (h ^ uint64(b)) * fnvPrime
-	o.digest = h
+	o.digest = o.digest.Word(op).Word(uint64(int64(node))).
+		Word(uint64(at)).Word(uint64(a)).Word(uint64(b))
 }
 
 // violate records one violation: report (capped), counters, digest fold,
 // and a trace event.
 func (o *Observer) violate(inv Invariant, node int, at, a, b int64, format string, args ...any) {
 	o.fails[inv]++
-	h := o.digest
-	h = (h ^ opViolation) * fnvPrime
-	h = (h ^ uint64(inv)) * fnvPrime
-	o.digest = h
+	o.digest = o.digest.Word(opViolation).Word(uint64(inv))
 	o.cfg.Tracer.Instant(trace.KInvariant, node, at, int64(inv), a)
 	o.cfg.Tracer.Add(trace.CtrViolations, 1)
 	if len(o.violations) >= maxViolations {
@@ -499,11 +484,9 @@ func (o *Observer) DerechoDeliver(node int, at int64, sender int, id int64) {
 	ns.dCount++
 	h := ns.dHash
 	if h == 0 {
-		h = fnvOffset
+		h = digest.Offset
 	}
-	h = (h ^ uint64(int64(sender))) * fnvPrime
-	h = (h ^ uint64(id)) * fnvPrime
-	ns.dHash = h
+	ns.dHash = h.Word(uint64(int64(sender))).Word(uint64(id))
 }
 
 // DerechoViewInstall checks the virtual-synchrony invariants as node
@@ -518,9 +501,9 @@ func (o *Observer) DerechoViewInstall(node int, at int64, view uint64, members [
 	}
 	members = append([]int(nil), members...)
 	sort.Ints(members)
-	mh := uint64(fnvOffset)
+	mh := digest.Offset
 	for _, m := range members {
-		mh = (mh ^ uint64(int64(m))) * fnvPrime
+		mh = mh.Word(uint64(int64(m)))
 	}
 	o.fold(InvViewAgreement, opViewInstall, node, at, int64(view), int64(mh))
 	o.checkReg(spaceView, view, 0, int64(mh), InvViewAgreement, node, at,
@@ -916,7 +899,7 @@ func (o *Observer) ApusDeliver(node int, at int64, idx uint64, id int64) {
 // Digest returns the streaming FNV digest over every hook invocation and
 // violation so far. Two same-seed runs must produce the same digest; the
 // replay harness asserts exactly that. Zero on a nil observer.
-func (o *Observer) Digest() uint64 {
+func (o *Observer) Digest() digest.Sum {
 	if o == nil {
 		return 0
 	}

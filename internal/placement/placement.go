@@ -29,6 +29,8 @@ package placement
 import (
 	"fmt"
 	"sort"
+
+	"acuerdo/internal/digest"
 )
 
 // Config parameterizes a placement map, mirroring fastblock's pool config.
@@ -109,35 +111,12 @@ type Map struct {
 	Groups []Group
 }
 
-// fnv1a64 is the 64-bit FNV-1a hash of b.
-func fnv1a64(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-// mix folds v into h with the FNV-1a prime, byte by byte.
-func mix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 0x100000001b3
-		v >>= 8
-	}
-	return h
-}
-
 // score is the rendezvous weight of placing pg on fleet node n under seed:
 // every (seed, pg, node) triple gets an independent pseudo-random 64-bit
 // draw, and each PG takes the highest-scoring nodes the spread rule allows.
 func score(seed int64, pg, n int) uint64 {
-	h := uint64(0x9e3779b97f4a7c15) // splitmix64 golden-gamma as the basis
-	h = mix(h, uint64(seed))
-	h = mix(h, uint64(pg))
-	h = mix(h, uint64(n))
-	return h
+	basis := digest.Sum(0x9e3779b97f4a7c15) // splitmix64 golden-gamma
+	return uint64(basis.Uint64(uint64(seed)).Uint64(uint64(pg)).Uint64(uint64(n)))
 }
 
 // Build materializes the placement map for cfg. The result is a pure
@@ -218,7 +197,7 @@ func Build(cfg Config) (*Map, error) {
 // KeyPG routes a key to its placement group by stable hashing: the same key
 // always lands in the same PG for a given PG count.
 func (m *Map) KeyPG(key string) int {
-	return int(fnv1a64([]byte(key)) % uint64(m.Config.PGs))
+	return int(uint64(digest.Offset.Str(key)) % uint64(m.Config.PGs))
 }
 
 // LeaderCounts returns how many groups each fleet node leads.
@@ -259,18 +238,14 @@ func (m *Map) HostedOn(n int) [][2]int {
 // every leader — into one FNV-1a digest. Two maps built from the same
 // configuration must match exactly; seed-replay harnesses fold this into
 // their run fingerprints.
-func (m *Map) Fingerprint() uint64 {
-	h := uint64(0xcbf29ce484222325)
-	h = mix(h, uint64(m.Config.PGs))
-	h = mix(h, uint64(m.Config.PGSize))
-	h = mix(h, uint64(m.Config.Fleet))
-	h = mix(h, uint64(m.Config.Domains))
-	h = mix(h, uint64(m.Config.Seed))
+func (m *Map) Fingerprint() digest.Sum {
+	c := m.Config
+	h := digest.Offset.Uint64(uint64(c.PGs)).Uint64(uint64(c.PGSize)).
+		Uint64(uint64(c.Fleet)).Uint64(uint64(c.Domains)).Uint64(uint64(c.Seed))
 	for _, g := range m.Groups {
-		h = mix(h, uint64(g.ID))
-		h = mix(h, uint64(g.Leader))
+		h = h.Uint64(uint64(g.ID)).Uint64(uint64(g.Leader))
 		for _, n := range g.Members {
-			h = mix(h, uint64(n))
+			h = h.Uint64(uint64(n))
 		}
 	}
 	return h

@@ -128,7 +128,7 @@ func TestDurableRestartSameSeedSameDisk(t *testing.T) {
 		sim.RunFor(200 * time.Millisecond)
 		out := make([]uint64, len(devs))
 		for i, d := range devs {
-			out[i] = d.Digest()
+			out[i] = uint64(d.Digest())
 		}
 		return out
 	}

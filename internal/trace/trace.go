@@ -16,7 +16,11 @@
 //     byte for byte — even after the ring has overwritten old events.
 package trace
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"acuerdo/internal/digest"
+)
 
 // Kind identifies an event type. Kinds are stable small integers; names
 // live in a side table so emitting an event never touches a string.
@@ -294,7 +298,7 @@ type Tracer struct {
 	dropped uint64
 
 	counters [numCounters]int64
-	fp       uint64
+	fp       digest.Sum
 
 	stages map[int64]*stageSet
 	names  map[int32]string
@@ -310,11 +314,6 @@ const DefaultRing = 1 << 16
 // megabytes, which is a measurable share of a fully traced sweep.
 const FingerprintRing = 1 << 10
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
 // New returns an enabled Tracer whose ring holds at most maxEvents events
 // (DefaultRing if maxEvents <= 0). Older events are overwritten once the
 // ring is full; counters, stages, and the fingerprint keep covering the
@@ -327,7 +326,7 @@ func New(maxEvents int) *Tracer {
 		ring:   make([]Event, maxEvents),
 		stages: make(map[int64]*stageSet),
 		names:  make(map[int32]string),
-		fp:     fnvOffset,
+		fp:     digest.Offset,
 	}
 }
 
@@ -335,20 +334,12 @@ func New(maxEvents int) *Tracer {
 // the stage tracker.
 func (t *Tracer) emit(ev Event) {
 	t.emitted++
-	// Streaming FNV-1a-style fold over the event's five fields plus the
-	// kind/node word, one 64-bit word per round instead of the canonical
-	// byte-at-a-time loop: five multiplies per event, not 37. The hash is
-	// used only for equality between same-seed runs, never interchanged
-	// with external FNV values, so the wider fold is free speed on the
-	// hottest emit path. It still covers the entire stream even after
-	// ring overwrite.
-	h := t.fp
-	h = (h ^ uint64(ev.TS)) * fnvPrime
-	h = (h ^ uint64(ev.Dur)) * fnvPrime
-	h = (h ^ (uint64(ev.Kind)<<32 | uint64(uint32(ev.Node)))) * fnvPrime
-	h = (h ^ uint64(ev.A)) * fnvPrime
-	h = (h ^ uint64(ev.B)) * fnvPrime
-	t.fp = h
+	// One word-fold round per field (kind and node share a word): five
+	// multiplies per event on the hottest emit path. The fold covers the
+	// entire stream even after ring overwrite.
+	t.fp = t.fp.Word(uint64(ev.TS)).Word(uint64(ev.Dur)).
+		Word(uint64(ev.Kind)<<32 | uint64(uint32(ev.Node))).
+		Word(uint64(ev.A)).Word(uint64(ev.B))
 
 	// start < len and n <= len always, so a subtract replaces the modulo;
 	// the division was measurable at figure-8 event rates.
@@ -483,7 +474,7 @@ func (t *Tracer) Dropped() uint64 {
 // Fingerprint returns the streaming FNV-1a hash over every event emitted
 // so far. Two runs with the same seed must produce the same fingerprint;
 // the replay harness asserts exactly that.
-func (t *Tracer) Fingerprint() uint64 {
+func (t *Tracer) Fingerprint() digest.Sum {
 	if t == nil {
 		return 0
 	}

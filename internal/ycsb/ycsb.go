@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"acuerdo/internal/digest"
 )
 
 // Zipfian generates zipf-distributed values in [0, n) using the
@@ -54,18 +56,6 @@ func (z *Zipfian) Next(rng *rand.Rand) uint64 {
 	return uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 }
 
-// fnv64 scrambles keys so popular items spread over the keyspace
-// (YCSB's ScrambledZipfian).
-func fnv64(v uint64) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 0x100000001b3
-		v >>= 8
-	}
-	return h
-}
-
 // Workload is the YCSB-load configuration: continuous writes with
 // scrambled-zipfian key popularity.
 type Workload struct {
@@ -93,7 +83,9 @@ func NewWorkload(records uint64, valueSize int, theta float64, seed int64) *Work
 
 // NextKey draws the next key.
 func (w *Workload) NextKey() string {
-	v := fnv64(w.zipf.Next(w.rng)) % w.RecordCount
+	// The FNV scramble spreads popular items over the keyspace (YCSB's
+	// ScrambledZipfian).
+	v := uint64(digest.Offset.Uint64(w.zipf.Next(w.rng))) % w.RecordCount
 	return fmt.Sprintf("user%016d", v)
 }
 
