@@ -334,7 +334,7 @@ func RunClosedLoop(sim *simnet.Sim, sys System, cfg LoadConfig) LoadResult {
 	var submit func()
 	submit = func() {
 		if !sys.Ready() {
-			sim.After(50*time.Microsecond, submit)
+			sim.PostAfter(50*time.Microsecond, submit)
 			return
 		}
 		nextID++

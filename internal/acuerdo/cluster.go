@@ -305,14 +305,14 @@ func (c *Cluster) send(id uint64, payload []byte) {
 	ldr := c.LeaderIdx()
 	if ldr < 0 {
 		// No leader right now; retry after a beat.
-		c.Sim.After(c.cfg.RetryTimeout, func() { c.resend(id, payload) })
+		c.Sim.PostAfter(c.cfg.RetryTimeout, func() { c.resend(id, payload) })
 		return
 	}
 	c.Client.Proc.Pause(c.cfg.ClientSubmitCost)
 	if _, err := c.reqOut.Send(c.Replicas[ldr].Node.ID, payload); err != nil {
 		panic("acuerdo: request send failed: " + err.Error())
 	}
-	c.Sim.After(c.cfg.RetryTimeout, func() { c.resend(id, payload) })
+	c.Sim.PostAfter(c.cfg.RetryTimeout, func() { c.resend(id, payload) })
 }
 
 // resend retries a request that has not been acknowledged (leader change

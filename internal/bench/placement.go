@@ -391,7 +391,7 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 		var submit func()
 		submit = func() {
 			if !inst.Sys.Ready() {
-				sim.After(time.Millisecond, submit)
+				sim.PostAfter(time.Millisecond, submit)
 				return
 			}
 			key, value := load.nextOp()

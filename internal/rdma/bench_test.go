@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"acuerdo/internal/simnet"
+	"acuerdo/internal/trace"
 )
 
 // BenchmarkWRPost measures the post-write-deliver cycle of one unsignaled
@@ -57,6 +58,41 @@ func BenchmarkWRPostSignaled(b *testing.B) {
 		sim.RunFor(25 * time.Microsecond)
 		if got := len(cq.Poll()); got != 1 {
 			b.Fatalf("polled %d completions, want 1", got)
+		}
+	}
+}
+
+// TestWritePostAllocFree pins an unsignaled WRITE, post through landing, at
+// zero allocations and one simulator event, traced or not: the post books
+// CPU without scheduling anything, the frame comes from the size-class pool,
+// and the delivery is a record recycled on the Fabric.
+func TestWritePostAllocFree(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		sim := simnet.New(1)
+		if traced {
+			sim.SetTracer(trace.New(trace.FingerprintRing))
+		}
+		f := NewFabric(sim, DefaultParams())
+		src, dst := f.AddNode("src"), f.AddNode("dst")
+		qp := src.Connect(dst, NewCQ())
+		qp.SignalEvery = 0 // never signaled: the paper's steady state between signals
+		mr := dst.RegisterMemory(4096)
+		small, large := make([]byte, 64), make([]byte, 1012)
+		cycle := func() {
+			for _, data := range [][]byte{small, large, small} {
+				if _, err := qp.Write(mr, 0, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sim.RunFor(25 * time.Microsecond)
+		}
+		cycle()
+		before := sim.Processed()
+		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+			t.Fatalf("traced=%v: three WRITEs allocate %.1f objects, want 0", traced, avg)
+		}
+		if got := sim.Processed() - before; got != 3*201 {
+			t.Fatalf("traced=%v: %d events for %d WRITEs, want one each", traced, got, 3*201)
 		}
 	}
 }

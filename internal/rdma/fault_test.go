@@ -167,3 +167,56 @@ func TestReadResponseParksBehindReverseCut(t *testing.T) {
 		t.Fatalf("read completion wrong after heal: %+v", comps)
 	}
 }
+
+// Parked and direct writes land through one delivery routine: after a heal,
+// parked writes arrive in order with exact bytes, a signaled one completes,
+// and every delivery record and frame is back on its free list with its
+// references dropped. A target that crashed while the writes were parked
+// takes the same routine's flush branch.
+func TestParkedWritesShareDeliveryRecord(t *testing.T) {
+	for _, crashTarget := range []bool{false, true} {
+		sim, f := testFabric(2)
+		a, b := f.Node(0), f.Node(1)
+		mr := b.RegisterMemory(2048)
+		cq := NewCQ()
+		qp := a.Connect(b, cq)
+		first, second := bytes.Repeat([]byte{0xA1}, 1012), []byte("tail")
+
+		qp.Write(mr, 0, []byte("direct"))
+		sim.RunFor(time.Millisecond)
+		f.PartitionOneWay(0, 1)
+		qp.Write(mr, 0, first)
+		qp.WriteSignaled(mr, 1012, second)
+		sim.RunFor(time.Millisecond)
+		if crashTarget {
+			b.Crash()
+		}
+		f.HealOneWay(0, 1)
+		sim.RunFor(10 * time.Millisecond)
+
+		comps := cq.Poll()
+		wantStatus := OK
+		if crashTarget {
+			wantStatus = Flushed
+		}
+		if len(comps) != 1 || comps[0].Status != wantStatus || comps[0].WRID != 3 {
+			t.Fatalf("crash=%v: comps = %+v, want one %v for wrid 3", crashTarget, comps, wantStatus)
+		}
+		landed := bytes.Equal(mr.Buf[:1012], first) && bytes.Equal(mr.Buf[1012:1016], second)
+		if landed == crashTarget {
+			t.Fatalf("crash=%v: parked writes landed = %v", crashTarget, landed)
+		}
+		if len(f.deliveryFree) != 2 {
+			t.Fatalf("crash=%v: %d delivery records recycled, want 2", crashTarget, len(f.deliveryFree))
+		}
+		for _, d := range f.deliveryFree {
+			if d.qp != nil || d.w.buf != nil || d.w.remote != nil {
+				t.Fatalf("crash=%v: recycled delivery still holds %+v", crashTarget, d.w)
+			}
+		}
+		// Both frame classes are back in the pool: posting again allocates no frame.
+		if avg := testing.AllocsPerRun(1, func() { f.frames.Put(f.frames.Get(1012)); f.frames.Put(f.frames.Get(4)) }); avg != 0 {
+			t.Fatalf("crash=%v: frames not returned to the pool", crashTarget)
+		}
+	}
+}

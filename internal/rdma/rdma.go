@@ -95,11 +95,14 @@ type Fabric struct {
 	loss   map[[2]int]float64       // directed loss probability windows
 	spike  map[[2]int]time.Duration // directed extra-latency windows
 
-	// bufFree recycles wire-frame payload copies. The sim is
-	// single-goroutine, so a plain slice free-list suffices; buffers are
-	// returned once their bytes land in the remote MR (or the write is
-	// dropped against a crashed node).
-	bufFree [][]byte
+	// frames recycles wire-frame payload copies; a frame is returned once its
+	// bytes land in the remote MR (or the write is dropped against a crashed
+	// node).
+	frames simnet.FramePool
+
+	// deliveryFree recycles the records that carry a WRITE from post to
+	// landing (see delivery).
+	deliveryFree []*delivery
 
 	// mrs tracks the poolable registered regions handed out by this
 	// fabric's nodes, for Release.
@@ -108,37 +111,6 @@ type Fabric struct {
 	// procQueue holds pre-created CPUs queued by ProvideProcs for the next
 	// AddNode calls; empty means AddNode creates a fresh Proc per node.
 	procQueue []*simnet.Proc
-}
-
-// getBuf returns a zeroed-length-n buffer from the fabric's wire-frame
-// free-list, allocating one (with power-of-two capacity) when none fits.
-func (f *Fabric) getBuf(n int) []byte {
-	// Scan a few entries from the top of the free-list; capacities are
-	// rounded to powers of two, so mixed ack/payload traffic still reuses.
-	for i := len(f.bufFree) - 1; i >= 0 && i >= len(f.bufFree)-8; i-- {
-		if cap(f.bufFree[i]) >= n {
-			b := f.bufFree[i]
-			last := len(f.bufFree) - 1
-			f.bufFree[i] = f.bufFree[last]
-			f.bufFree[last] = nil
-			f.bufFree = f.bufFree[:last]
-			return b[:n]
-		}
-	}
-	c := 64
-	for c < n {
-		c *= 2
-	}
-	return make([]byte, n, c)
-}
-
-// putBuf returns a wire-frame buffer to the free-list. Callers must not
-// touch the buffer afterwards.
-func (f *Fabric) putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	f.bufFree = append(f.bufFree, b[:0])
 }
 
 // NewFabric creates an empty fabric.
@@ -490,18 +462,71 @@ type QP struct {
 	nextWRID    uint64
 	outstanding int
 	lastDeliver simnet.Time
-	parked      []parkedWrite
+	parked      []wireWrite
 	parkedCQ    []parkedComp
 	closed      bool
 }
 
-type parkedWrite struct {
+// wireWrite is one posted WRITE between post and landing: parked on its QP
+// while the direction is cut, otherwise in flight in a delivery record.
+type wireWrite struct {
 	remote   *MR
 	off      int
-	buf      []byte
+	buf      []byte // frame from Fabric.frames
 	signaled bool
 	wrid     uint64
 	ser      time.Duration
+}
+
+// delivery lands one wireWrite at the remote NIC. It holds what a per-write
+// closure would capture; records are free-listed on the Fabric and land is
+// bound once, when the record is created, so a post allocates nothing.
+type delivery struct {
+	qp   *QP
+	w    wireWrite
+	land func() // bound to fire
+}
+
+// deliver schedules w to land at time at.
+func (qp *QP) deliver(at simnet.Time, w wireWrite) {
+	fb := qp.from.Fabric
+	var d *delivery
+	if n := len(fb.deliveryFree); n > 0 {
+		d = fb.deliveryFree[n-1]
+		fb.deliveryFree = fb.deliveryFree[:n-1]
+	} else {
+		d = &delivery{}
+		d.land = d.fire
+	}
+	d.qp, d.w = qp, w
+	fb.Sim.Post(at, d.land)
+}
+
+// fire recycles d (dropping its references, and before anything it calls can
+// post again, as Sim.fire does with event slots), then copies the frame into
+// the remote MR and raises the completion a signaled write asked for.
+func (d *delivery) fire() {
+	qp, w := d.qp, d.w
+	d.qp, d.w = nil, wireWrite{}
+	fb := qp.from.Fabric
+	at := fb.Sim.Now()
+	fb.deliveryFree = append(fb.deliveryFree, d)
+	if qp.to.crashed {
+		// Remote NIC unreachable: error completion after retries.
+		fb.frames.Put(w.buf)
+		if w.signaled {
+			qp.complete(at.Add(qp.params.RetryTimeout), w.wrid, Flushed, nil)
+		}
+		return
+	}
+	copy(w.remote.Buf[w.off:], w.buf)
+	if tr := fb.Sim.Tracer(); tr != nil {
+		tr.Instant(trace.KWireRx, qp.to.ID, int64(at), int64(w.wrid), int64(len(w.buf)))
+	}
+	fb.frames.Put(w.buf)
+	if w.signaled {
+		qp.completeWire(at, w.wrid, OK, nil)
+	}
 }
 
 // parkedComp is a completion whose ack could not travel the reverse
@@ -658,7 +683,7 @@ func (qp *QP) write(remote *MR, off int, data []byte, signaled bool) (uint64, er
 	qp.outstanding++
 
 	fb := qp.from.Fabric
-	buf := fb.getBuf(len(data))
+	buf := fb.frames.Get(len(data))
 	copy(buf, data)
 
 	sim := fb.Sim
@@ -672,64 +697,27 @@ func (qp *QP) write(remote *MR, off int, data []byte, signaled bool) (uint64, er
 		}
 	}
 
+	w := wireWrite{remote: remote, off: off, buf: buf, signaled: signaled, wrid: wrid, ser: ser}
 	if fb.CutOneWay(qp.from.ID, qp.to.ID) {
-		qp.parked = append(qp.parked, parkedWrite{remote: remote, off: off, buf: buf, signaled: signaled, wrid: wrid, ser: ser})
-		return wrid, nil
+		qp.parked = append(qp.parked, w)
+	} else {
+		qp.deliver(deliverAt, w)
 	}
-
-	sim.Post(deliverAt, func() {
-		if qp.to.crashed {
-			// Remote NIC unreachable: error completion after retries.
-			fb.putBuf(buf)
-			if signaled {
-				qp.complete(deliverAt.Add(qp.params.RetryTimeout), wrid, Flushed, nil)
-			}
-			return
-		}
-		copy(remote.Buf[off:], buf)
-		if tr := sim.Tracer(); tr != nil {
-			tr.Instant(trace.KWireRx, qp.to.ID, int64(deliverAt), int64(wrid), int64(len(buf)))
-		}
-		fb.putBuf(buf)
-		if signaled {
-			qp.completeWire(deliverAt, wrid, OK, nil)
-		}
-	})
 	return wrid, nil
 }
 
 // flushParked redelivers writes parked during a partition, in order.
 func (qp *QP) flushParked() {
-	fb := qp.from.Fabric
-	sim := fb.Sim
 	parked := qp.parked
 	qp.parked = nil
-	at := sim.Now()
-	for _, pw := range parked {
-		pw := pw
-		at = at.Add(pw.ser + qp.params.LinkLatency)
+	at := qp.from.Fabric.Sim.Now()
+	for _, w := range parked {
+		at = at.Add(w.ser + qp.params.LinkLatency)
 		if at <= qp.lastDeliver {
 			at = qp.lastDeliver + 1
 		}
 		qp.lastDeliver = at
-		deliverAt := at
-		sim.Post(deliverAt, func() {
-			if qp.to.crashed {
-				fb.putBuf(pw.buf)
-				if pw.signaled {
-					qp.complete(deliverAt.Add(qp.params.RetryTimeout), pw.wrid, Flushed, nil)
-				}
-				return
-			}
-			copy(pw.remote.Buf[pw.off:], pw.buf)
-			if tr := sim.Tracer(); tr != nil {
-				tr.Instant(trace.KWireRx, qp.to.ID, int64(deliverAt), int64(pw.wrid), int64(len(pw.buf)))
-			}
-			fb.putBuf(pw.buf)
-			if pw.signaled {
-				qp.completeWire(deliverAt, pw.wrid, OK, nil)
-			}
-		})
+		qp.deliver(at, w)
 	}
 }
 

@@ -157,6 +157,10 @@ type Sender struct {
 	node *rdma.Node
 	peer map[int]*peerState
 	ids  []int // stable peer order for Broadcast
+
+	// scratch is the staging record emit encodes into, shared by every peer:
+	// QP.Write copies it into the wire frame before returning.
+	scratch []byte
 }
 
 // NewSender creates a sender owned by node.
@@ -269,12 +273,16 @@ func (s *Sender) emit(ps *peerState, payload []byte) {
 
 	ps.wireSeq++
 	ps.emitIdx++
-	buf := make([]byte, rec)
+	if cap(s.scratch) < rec {
+		s.scratch = make([]byte, rec)
+	}
+	buf := s.scratch[:rec]
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(payload)))
 	copy(buf[headerSize:], payload)
 	if s.cfg.TwoWrite {
 		// Derecho style: payload first with a zero sequence word, then a
 		// second write publishes the sequence (the "counter").
+		binary.LittleEndian.PutUint64(buf[:8], 0)
 		s.write(ps, off, buf, false)
 		var seqw [8]byte
 		binary.LittleEndian.PutUint64(seqw[:], ps.wireSeq)

@@ -143,12 +143,19 @@ func TestRingFullWithoutBacklog(t *testing.T) {
 	}
 }
 
+// testPayload returns a payload whose length and every byte depend on i, so
+// a record staged in a reused buffer shows any byte left over from the
+// longer record staged before it.
+func testPayload(i int) []byte {
+	return bytes.Repeat([]byte{byte(i + 1)}, 1+(i*7)%23)
+}
+
 func TestBacklogFlushOnRelease(t *testing.T) {
 	cfg := Config{Bytes: 128, Backlog: true}
 	sim, s, recvs, _ := setup(1, cfg)
 	id := recvs[0].mr.Node.ID
 	for i := 0; i < 30; i++ {
-		if _, err := s.Send(id, []byte{byte(i), 0, 0, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+		if _, err := s.Send(id, testPayload(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,8 +172,8 @@ func TestBacklogFlushOnRelease(t *testing.T) {
 		t.Fatalf("delivered %d, want 30 (backlog must flush)", len(all))
 	}
 	for i, m := range all {
-		if m[0] != byte(i) {
-			t.Fatalf("order violated at %d: %d", i, m[0])
+		if !bytes.Equal(m, testPayload(i)) {
+			t.Fatalf("message %d = %x, want %x", i, m, testPayload(i))
 		}
 	}
 }
@@ -182,24 +189,67 @@ func TestTooLarge(t *testing.T) {
 func TestTwoWriteMode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TwoWrite = true
-	sim, s, recvs, f := setup(1, cfg)
+	sim, s, recvs, f := setup(2, cfg)
 	sender := f.Node(0)
 	for i := 0; i < 10; i++ {
-		s.Send(recvs[0].mr.Node.ID, []byte{byte(i)})
-	}
-	sim.RunFor(time.Millisecond)
-	got := recvs[0].Poll(0)
-	if len(got) != 10 {
-		t.Fatalf("two-write delivery = %d, want 10", len(got))
-	}
-	for i, m := range got {
-		if m[0] != byte(i) {
-			t.Fatalf("order violated: %v", got)
+		if _, err := s.Broadcast(testPayload(i)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Two verbs per message (the Derecho cost the paper calls out).
-	if sender.Writes != 20 {
-		t.Fatalf("writes = %d, want 20", sender.Writes)
+	sim.RunFor(time.Millisecond)
+	for _, r := range recvs {
+		got := r.Poll(0)
+		if len(got) != 10 {
+			t.Fatalf("two-write delivery = %d, want 10", len(got))
+		}
+		for i, m := range got {
+			if !bytes.Equal(m, testPayload(i)) {
+				t.Fatalf("message %d = %x, want %x", i, m, testPayload(i))
+			}
+		}
+	}
+	// Two verbs per message and peer (the Derecho cost the paper calls out).
+	if sender.Writes != 40 {
+		t.Fatalf("writes = %d, want 40", sender.Writes)
+	}
+}
+
+// TestSendPollAllocFree pins the send side of a record, staging through
+// landing, at zero allocations in both wire formats (one per-Sender scratch
+// record, copied into the wire frame by QP.Write), and a full Send+Poll at no
+// more than the receiver's two per record: the payload copy and the batch
+// slice.
+func TestSendPollAllocFree(t *testing.T) {
+	const batch = 64
+	for _, twoWrite := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.TwoWrite = twoWrite
+		sim, s, recvs, _ := setup(1, cfg)
+		id := recvs[0].mr.Node.ID
+		payload := make([]byte, 100)
+		send := func() {
+			for i := 0; i < batch; i++ {
+				if _, err := s.Send(id, payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sim.RunFor(time.Millisecond)
+		}
+		drain := func() {
+			if got := recvs[0].Poll(0); len(got) != batch {
+				t.Fatalf("polled %d records, want %d", len(got), batch)
+			}
+			s.Release(id, recvs[0].Consumed())
+		}
+		send()
+		if avg := testing.AllocsPerRun(20, send); avg != 0 {
+			t.Fatalf("twoWrite=%v: %d Sends allocate %.1f objects, want 0", twoWrite, batch, avg)
+		}
+		recvs[0].Poll(0)
+		s.Release(id, recvs[0].Consumed())
+		if avg := testing.AllocsPerRun(20, func() { send(); drain() }); avg > 2*batch {
+			t.Fatalf("twoWrite=%v: Send+Poll allocates %.1f objects per %d records, want <= 2 each", twoWrite, avg, batch)
+		}
 	}
 }
 

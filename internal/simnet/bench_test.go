@@ -164,3 +164,67 @@ func TestEventDispatchAllocFreeTraced(t *testing.T) {
 		t.Fatalf("traced event dispatch allocates %.1f objects/op, want 0", avg)
 	}
 }
+
+// TestProcRunAllocFree pins Proc.Run and RunAt with a callback at zero
+// allocations per submit-and-fire, traced or not: the state a per-call
+// closure used to capture lives in a procWork record recycled on the Sim.
+func TestProcRunAllocFree(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		s := New(1)
+		if traced {
+			s.SetTracer(trace.New(trace.FingerprintRing))
+		}
+		p := NewProc(s, 0, "n0")
+		n := 0
+		fn := func() { n++ }
+		cycle := func() {
+			p.Run(100*time.Nanosecond, fn)
+			s.Step()
+			p.RunAt(s.Now().Add(time.Microsecond), 100*time.Nanosecond, fn)
+			s.Step() // the trigger, which submits the Run
+			s.Step() // its completion
+		}
+		cycle()
+		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+			t.Fatalf("traced=%v: Run+RunAt allocate %.1f objects/cycle, want 0", traced, avg)
+		}
+		if n != 2*202 {
+			t.Fatalf("traced=%v: callbacks ran %d times, want %d", traced, n, 2*202)
+		}
+	}
+}
+
+// TestFramePoolAllocFree pins exact size-class reuse: a large frame is found
+// again no matter how many small ones were returned after it (the scanned
+// free-list this pool replaced looked at the newest eight only).
+func TestFramePoolAllocFree(t *testing.T) {
+	for _, tc := range []struct{ n, wantCap int }{
+		{0, 64}, {1, 64}, {64, 64}, {65, 128}, {128, 128}, {129, 256}, {1012, 1024},
+	} {
+		var p FramePool
+		b := p.Get(tc.n)
+		if len(b) != tc.n || cap(b) != tc.wantCap {
+			t.Fatalf("Get(%d): len %d cap %d, want cap %d", tc.n, len(b), cap(b), tc.wantCap)
+		}
+	}
+	var p FramePool
+	cycle := func() {
+		big := p.Get(1012)
+		var small [9][]byte
+		for i := range small {
+			small[i] = p.Get(40)
+		}
+		p.Put(big)
+		for _, b := range small {
+			p.Put(b)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("mixed-size frame reuse allocates %.1f objects/cycle, want 0", avg)
+	}
+	p.Put(make([]byte, 100)) // not a class capacity: must not be handed out
+	if b := p.Get(128); cap(b) != 128 {
+		t.Fatalf("foreign frame reused: cap %d", cap(b))
+	}
+}

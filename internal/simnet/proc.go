@@ -115,10 +115,59 @@ func (p *Proc) acquire() Time {
 	return start
 }
 
+// procWork is the state of one pending Run or RunAt callback: what the
+// closure each call used to allocate captured. Records are free-listed on the
+// Sim and fire is bound once, when the record is created, so steady-state
+// submission allocates nothing.
+type procWork struct {
+	p     *Proc
+	epoch uint64
+	fn    func()
+	begin bool          // RunAt: firing starts Run(cost, fn) instead of calling fn
+	cost  time.Duration // RunAt only
+	fire  func()        // bound to run
+}
+
+// post schedules w's work at time at, pinned to p's current epoch.
+func (p *Proc) post(at Time, fn func(), begin bool, cost time.Duration) {
+	var w *procWork
+	if n := len(p.Sim.workFree); n > 0 {
+		w = p.Sim.workFree[n-1]
+		p.Sim.workFree = p.Sim.workFree[:n-1]
+	} else {
+		w = &procWork{}
+		w.fire = w.run
+	}
+	w.p, w.epoch, w.fn, w.begin, w.cost = p, p.epoch, fn, begin, cost
+	p.Sim.Post(at, w.fire)
+}
+
+// run recycles w, dropping its references, before the callback runs (as
+// Sim.fire does with event slots, so a callback that submits work again
+// reuses w), and drops the work if the process crashed since submission.
+func (w *procWork) run() {
+	p, fn, begin, cost := w.p, w.fn, w.begin, w.cost
+	live := p.alive && p.epoch == w.epoch
+	w.p, w.fn = nil, nil
+	p.Sim.workFree = append(p.Sim.workFree, w)
+	if !live {
+		return
+	}
+	if begin {
+		p.Run(cost, fn)
+	} else {
+		fn()
+	}
+}
+
 // Run submits work costing cost of CPU time; fn runs when the work completes.
 // Work is executed in submission order. If the process crashes before the
-// work completes, fn never runs. fn may be nil to account for cost only.
-// Run returns the completion time.
+// work completes, fn never runs. Run returns the completion time.
+//
+// fn may be nil to account for cost only: the CPU window is booked
+// (BusyUntil, BusyTime, the trace span) and the completion time returned,
+// but no event is scheduled, because there is nothing to run at that time.
+// Verb posts (rdma.QP, tcpnet.Conn.Send) are this case.
 func (p *Proc) Run(cost time.Duration, fn func()) Time {
 	if !p.alive {
 		return p.Sim.Now()
@@ -134,12 +183,9 @@ func (p *Proc) Run(cost time.Duration, fn func()) Time {
 		tr.Span(trace.KProcRun, p.ID, int64(start), int64(cost), 0, 0)
 		tr.Add(trace.CtrProcTime, int64(cost))
 	}
-	epoch := p.epoch
-	p.Sim.Post(done, func() {
-		if p.alive && p.epoch == epoch && fn != nil {
-			fn()
-		}
-	})
+	if fn != nil {
+		p.post(done, fn, false, 0)
+	}
 	return done
 }
 
@@ -149,15 +195,10 @@ func (p *Proc) RunAt(at Time, cost time.Duration, fn func()) {
 	if !p.alive {
 		return
 	}
-	epoch := p.epoch
 	if at < p.Sim.Now() {
 		at = p.Sim.Now()
 	}
-	p.Sim.Post(at, func() {
-		if p.alive && p.epoch == epoch {
-			p.Run(cost, fn)
-		}
-	})
+	p.post(at, fn, true, cost)
 }
 
 // PollLoop runs poll every interval of idle time, charging cost per

@@ -49,6 +49,9 @@ type Sim struct {
 	tracer  *trace.Tracer
 	procs   []*Proc
 
+	// workFree recycles Proc.Run/RunAt callback records (see procWork).
+	workFree []*procWork
+
 	// Stats
 	processed uint64
 }

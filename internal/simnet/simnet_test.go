@@ -210,6 +210,80 @@ func TestProcRecoverDropsStaleWork(t *testing.T) {
 	}
 }
 
+// TestProcRunNilBooksOnly pins the nil-fn contract: the CPU window is booked
+// and the completion time returned exactly as with a callback, but nothing is
+// scheduled — a verb post has nothing to observe at post-done time.
+func TestProcRunNilBooksOnly(t *testing.T) {
+	s, twin := New(1), New(1)
+	p, q := NewProc(s, 0, "n0"), NewProc(twin, 0, "n0")
+	for _, cost := range []time.Duration{100, 50, 0} {
+		got, want := p.Run(cost, nil), q.Run(cost, func() {})
+		if got != want || p.BusyUntil() != q.BusyUntil() || p.BusyTime() != q.BusyTime() {
+			t.Fatalf("Run(%d, nil) = %v busyUntil %v busyTime %v; with a callback %v %v %v",
+				cost, got, p.BusyUntil(), p.BusyTime(), want, q.BusyUntil(), q.BusyTime())
+		}
+	}
+	if s.Pending() != 0 || twin.Pending() != 3 {
+		t.Fatalf("pending = %d (nil fn), %d (callbacks); want 0, 3", s.Pending(), twin.Pending())
+	}
+	s.Run()
+	if s.Processed() != 0 {
+		t.Fatalf("nil-fn Run dispatched %d events, want 0", s.Processed())
+	}
+}
+
+// TestProcWorkRecycled pins the procWork life cycle: a record returns to the
+// Sim's free list with its references dropped whether or not its callback
+// runs (crashed, or crashed and recovered into a new epoch, between submit
+// and fire), and it returns before the callback runs, so a callback that
+// submits again gets the same record back clean.
+func TestProcWorkRecycled(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		between func(p *Proc)
+		wantRan bool
+	}{
+		{"live", func(*Proc) {}, true},
+		{"crashed", func(p *Proc) { p.Crash() }, false},
+		{"recovered", func(p *Proc) { p.Crash(); p.Recover() }, false},
+	} {
+		s := New(1)
+		p := NewProc(s, 0, "n0")
+		ran := false
+		p.Run(100, func() { ran = true })
+		p.RunAt(50, 10, func() { ran = true })
+		s.After(10, func() { tc.between(p) })
+		s.Run()
+		if ran != tc.wantRan {
+			t.Fatalf("%s: callback ran = %v, want %v", tc.name, ran, tc.wantRan)
+		}
+		if len(s.workFree) != 2 {
+			t.Fatalf("%s: %d records on the free list, want 2", tc.name, len(s.workFree))
+		}
+		for _, w := range s.workFree {
+			if w.p != nil || w.fn != nil {
+				t.Fatalf("%s: recycled record still holds p=%v fn set=%v", tc.name, w.p, w.fn != nil)
+			}
+		}
+	}
+
+	s := New(1)
+	p := NewProc(s, 0, "n0")
+	var order []int
+	p.Run(10, func() {
+		order = append(order, 1)
+		p.Run(10, func() { order = append(order, 2) })
+		p.RunAt(s.Now().Add(100), 10, func() { order = append(order, 3) })
+	})
+	s.Run()
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("re-entrant submissions ran %v, want [1 2 3]", order)
+	}
+	if len(s.workFree) != 2 {
+		t.Fatalf("re-entrant submissions left %d records, want 2 (the first reused)", len(s.workFree))
+	}
+}
+
 func TestProcPause(t *testing.T) {
 	s := New(1)
 	p := NewProc(s, 0, "n0")

@@ -73,43 +73,19 @@ type Net struct {
 	loss   map[[2]int]float64       // directed loss probability windows
 	spike  map[[2]int]time.Duration // directed extra-latency windows
 
-	// bufFree recycles wire-frame message copies; a frame is returned to
-	// the free-list after the receiver's handler returns. Handlers must
-	// therefore copy any bytes they retain past their own return — the same
-	// contract real kernel receive buffers impose.
-	bufFree [][]byte
+	// frames recycles wire-frame message copies; a frame is returned to the
+	// pool after the receiver's handler returns. Handlers must therefore copy
+	// any bytes they retain past their own return — the same contract real
+	// kernel receive buffers impose.
+	frames simnet.FramePool
+
+	// recvFree recycles the records that carry a message to its receiver's
+	// handler (see recv).
+	recvFree []*recv
 
 	// procQueue holds pre-created CPUs queued by ProvideProcs for the next
 	// AddNode calls; empty means AddNode creates a fresh Proc per host.
 	procQueue []*simnet.Proc
-}
-
-// getBuf returns a length-n frame buffer from the free-list, allocating one
-// (with power-of-two capacity) when none fits.
-func (n *Net) getBuf(ln int) []byte {
-	for i := len(n.bufFree) - 1; i >= 0 && i >= len(n.bufFree)-8; i-- {
-		if cap(n.bufFree[i]) >= ln {
-			b := n.bufFree[i]
-			last := len(n.bufFree) - 1
-			n.bufFree[i] = n.bufFree[last]
-			n.bufFree[last] = nil
-			n.bufFree = n.bufFree[:last]
-			return b[:ln]
-		}
-	}
-	c := 64
-	for c < ln {
-		c *= 2
-	}
-	return make([]byte, ln, c)
-}
-
-// putBuf returns a frame buffer to the free-list.
-func (n *Net) putBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	n.bufFree = append(n.bufFree, b[:0])
 }
 
 // New creates an empty network.
@@ -296,7 +272,7 @@ func (nd *Node) Crash() {
 	for _, c := range nd.Net.conns {
 		if c.from == nd {
 			for _, buf := range c.parked {
-				nd.Net.putBuf(buf)
+				nd.Net.frames.Put(buf)
 			}
 			c.parked = nil
 		}
@@ -352,7 +328,7 @@ func (c *Conn) Send(msg []byte) {
 		tr.Add(trace.CtrTCPSendTime, int64(p.SendCost))
 	}
 
-	buf := nd.Net.getBuf(len(msg))
+	buf := nd.Net.frames.Get(len(msg))
 	copy(buf, msg)
 	if nd.Net.CutOneWay(nd.ID, c.to.ID) {
 		c.parked = append(c.parked, buf)
@@ -393,17 +369,45 @@ func (c *Conn) transmit(ready simnet.Time, buf []byte) {
 		tr.Add(trace.CtrTCPWakeups, 1)
 	}
 
-	to := c.to
-	// Receiver: wakeup + recv processing on the receiving CPU. The frame is
-	// recycled once the handler returns; handlers copy what they keep.
-	to.Proc.RunAt(arrive.Add(p.WakeupLatency), p.RecvCost, func() {
-		if tr := sim.Tracer(); tr != nil {
-			// Run fires at completion time, so the recv span ends now.
-			tr.Span(trace.KTCPRecv, to.ID, int64(sim.Now())-int64(p.RecvCost), int64(p.RecvCost), int64(len(buf)), 0)
-		}
-		c.handler(buf)
-		nd.Net.putBuf(buf)
-	})
+	// Receiver: wakeup + recv processing on the receiving CPU.
+	net := nd.Net
+	var r *recv
+	if n := len(net.recvFree); n > 0 {
+		r = net.recvFree[n-1]
+		net.recvFree = net.recvFree[:n-1]
+	} else {
+		r = &recv{}
+		r.handle = r.fire
+	}
+	r.c, r.buf = c, buf
+	c.to.Proc.RunAt(arrive.Add(p.WakeupLatency), p.RecvCost, r.handle)
+}
+
+// recv hands one delivered frame to its connection's handler. It holds what
+// a per-message closure would capture; records are free-listed on the Net and
+// handle is bound once, when the record is created, so a send allocates
+// nothing. A record whose receiver crashes first is simply dropped.
+type recv struct {
+	c      *Conn
+	buf    []byte
+	handle func() // bound to fire
+}
+
+// fire recycles r before the handler runs (a handler that sends reuses it);
+// the frame is recycled once the handler returns: handlers copy what they
+// keep.
+func (r *recv) fire() {
+	c, buf := r.c, r.buf
+	r.c, r.buf = nil, nil
+	net := c.from.Net
+	net.recvFree = append(net.recvFree, r)
+	if tr := net.Sim.Tracer(); tr != nil {
+		// Run fires at completion time, so the recv span ends now.
+		cost := int64(net.Params.RecvCost)
+		tr.Span(trace.KTCPRecv, c.to.ID, int64(net.Sim.Now())-cost, cost, int64(len(buf)), 0)
+	}
+	c.handler(buf)
+	net.frames.Put(buf)
 }
 
 // flushParked retransmits messages parked behind a one-way cut, in send
