@@ -20,8 +20,6 @@ type ClusterConfig struct {
 	Replica Config
 	// Desched, if non-nil, injects OS scheduler noise into every replica.
 	Desched *simnet.DeschedConfig
-	// ClientSubmitCost is the client CPU cost per request.
-	ClientSubmitCost time.Duration
 	// RetryTimeout is how long the client waits for a commit
 	// acknowledgment before resending (only matters across failures).
 	RetryTimeout time.Duration
@@ -30,10 +28,9 @@ type ClusterConfig struct {
 // DefaultClusterConfig returns a cluster of n replicas with default tuning.
 func DefaultClusterConfig(n int) ClusterConfig {
 	return ClusterConfig{
-		N:                n,
-		Replica:          DefaultConfig(),
-		ClientSubmitCost: 300 * time.Nanosecond,
-		RetryTimeout:     5 * time.Millisecond,
+		N:            n,
+		Replica:      DefaultConfig(),
+		RetryTimeout: 5 * time.Millisecond,
 	}
 }
 
@@ -48,13 +45,9 @@ type Cluster struct {
 	Replicas []*Replica
 	Client   *rdma.Node
 
-	cfg    ClusterConfig
-	reqOut *ringbuf.Sender     // client -> each replica
-	reqIn  []*ringbuf.Receiver // request ring tail at replica i
-	ackOut []*ringbuf.Sender   // replica i -> client
-	ackIn  []*ringbuf.Receiver // ack ring tails at the client
-
-	pending map[uint64]func()
+	cfg      ClusterConfig
+	link     *ringbuf.ClientLink // request and acknowledgment rings
+	requests *abcast.Client
 
 	// OnDeliver, if set, observes every delivery at every replica (after
 	// protocol processing); used by tests and the KV store.
@@ -66,13 +59,11 @@ func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg ClusterConfig) *Cluste
 	if cfg.Replica.PollInterval == 0 {
 		cfg.Replica = DefaultConfig()
 	}
-	if cfg.ClientSubmitCost == 0 {
-		cfg.ClientSubmitCost = 300 * time.Nanosecond
-	}
 	if cfg.RetryTimeout == 0 {
 		cfg.RetryTimeout = 5 * time.Millisecond
 	}
-	c := &Cluster{Sim: sim, Fabric: fabric, cfg: cfg, pending: make(map[uint64]func())}
+	c := &Cluster{Sim: sim, Fabric: fabric, cfg: cfg}
+	c.requests = abcast.NewClient(sim, c.try, cfg.RetryTimeout, cfg.RetryTimeout)
 
 	nodes := make([]*rdma.Node, cfg.N)
 	fabIDs := make([]int, cfg.N)
@@ -122,26 +113,22 @@ func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg ClusterConfig) *Cluste
 			peer.in[i] = r.out.AddPeer(nodes[j])
 		}
 	}
-	// Client request and acknowledgment rings.
-	clientRing := ringbuf.Config{Bytes: 1 << 20, Backlog: true}
-	c.reqOut = ringbuf.NewSender(c.Client, clientRing)
-	c.reqIn = make([]*ringbuf.Receiver, cfg.N)
-	c.ackOut = make([]*ringbuf.Sender, cfg.N)
-	c.ackIn = make([]*ringbuf.Receiver, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		c.reqIn[i] = c.reqOut.AddPeer(nodes[i])
-		c.ackOut[i] = ringbuf.NewSender(nodes[i], clientRing)
-		c.ackIn[i] = c.ackOut[i].AddPeer(c.Client)
-	}
+	c.link = ringbuf.NewClientLink(c.Client, nodes)
 	for i, r := range c.Replicas {
 		i, r := i, r
-		r.OnPoll = func() { c.drainRequests(i) }
-		r.OnDeliver = func(hdr MsgHdr, payload []byte) {
-			if r.IsLeader() && len(payload) >= 8 {
-				// Acknowledge commit to the client.
-				if _, err := c.ackOut[i].Send(c.Client.ID, payload[:8]); err != nil {
-					panic("acuerdo: ack send failed: " + err.Error())
+		r.OnPoll = func() {
+			// Requests reaching a non-leader are dropped (the client resends
+			// after its retry timeout, as with real leader-redirect schemes).
+			c.link.Requests(i, func(req []byte) {
+				if r.IsLeader() {
+					r.Broadcast(req)
 				}
+			})
+		}
+		r.OnDeliver = func(hdr MsgHdr, payload []byte) {
+			if r.IsLeader() {
+				// Acknowledge commit to the client.
+				c.link.Ack(i, payload)
 			}
 			if c.OnDeliver != nil {
 				c.OnDeliver(i, hdr, payload)
@@ -215,36 +202,7 @@ func (c *Cluster) Start() {
 	for _, r := range c.Replicas {
 		r.Start()
 	}
-	c.Client.Proc.PollLoop(500*time.Nanosecond, 100*time.Nanosecond, c.drainAcks)
-}
-
-// drainRequests feeds client requests arriving at replica i into the
-// protocol. Requests reaching a non-leader are dropped (the client resends
-// after its retry timeout, as with real leader-redirect schemes).
-func (c *Cluster) drainRequests(i int) {
-	r := c.Replicas[i]
-	for _, payload := range c.reqIn[i].Poll(0) {
-		if r.IsLeader() {
-			r.Broadcast(payload)
-		}
-	}
-	c.reqIn[i].ReturnCredits()
-}
-
-// drainAcks completes client requests as commit acknowledgments arrive.
-func (c *Cluster) drainAcks() {
-	for i := range c.ackIn {
-		for _, ack := range c.ackIn[i].Poll(0) {
-			id := abcast.MsgID(ack)
-			if done, ok := c.pending[id]; ok {
-				delete(c.pending, id)
-				if done != nil {
-					done()
-				}
-			}
-		}
-		c.ackIn[i].ReturnCredits()
-	}
+	c.link.Start(c.requests.Ack)
 }
 
 // Name implements abcast.System.
@@ -295,34 +253,16 @@ func (c *Cluster) Leader() *Replica {
 // Submit implements abcast.System. The payload's first 8 bytes must be a
 // unique request ID (see abcast.PutMsgID). done runs when the client
 // observes the commit acknowledgment.
-func (c *Cluster) Submit(payload []byte, done func()) {
-	id := abcast.MsgID(payload)
-	c.pending[id] = done
-	c.send(id, payload)
-}
+func (c *Cluster) Submit(payload []byte, done func()) { c.requests.Submit(payload, done) }
 
-func (c *Cluster) send(id uint64, payload []byte) {
+// try is the client's send step: one request onto the current leader's
+// request ring, or false while there is no leader.
+func (c *Cluster) try(_ uint64, payload []byte) bool {
 	ldr := c.LeaderIdx()
-	if ldr < 0 {
-		// No leader right now; retry after a beat.
-		c.Sim.PostAfter(c.cfg.RetryTimeout, func() { c.resend(id, payload) })
-		return
+	if ldr >= 0 {
+		c.link.Request(ldr, payload)
 	}
-	c.Client.Proc.Pause(c.cfg.ClientSubmitCost)
-	if _, err := c.reqOut.Send(c.Replicas[ldr].Node.ID, payload); err != nil {
-		panic("acuerdo: request send failed: " + err.Error())
-	}
-	c.Sim.PostAfter(c.cfg.RetryTimeout, func() { c.resend(id, payload) })
-}
-
-// resend retries a request that has not been acknowledged (leader change
-// lost it, or it is still in flight — duplicates are absorbed by the
-// pending map, mirroring client-side request IDs in real systems).
-func (c *Cluster) resend(id uint64, payload []byte) {
-	if _, ok := c.pending[id]; !ok {
-		return // already acknowledged
-	}
-	c.send(id, payload)
+	return ldr >= 0
 }
 
 var _ abcast.DurableGroup = (*Cluster)(nil)

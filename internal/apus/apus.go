@@ -85,14 +85,9 @@ type Cluster struct {
 	delivered []uint64   // per server: entries delivered upward
 	store     [][][]byte // per server: payload by index (retained until delivered)
 
-	// Client rings.
-	reqOut *ringbuf.Sender
-	reqIn  *ringbuf.Receiver
-	ackOut *ringbuf.Sender
-	ackIn  *ringbuf.Receiver
-
-	pending map[uint64]func()
-	obs     *observe.Observer
+	link     *ringbuf.ClientLink // client <-> leader rings
+	requests *abcast.Client
+	obs      *observe.Observer
 
 	// OnDeliver observes every delivery.
 	OnDeliver func(replica int, index uint64, payload []byte)
@@ -100,11 +95,10 @@ type Cluster struct {
 
 // NewCluster builds the deployment.
 func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Cluster {
-	c := &Cluster{
-		Sim: sim, Fabric: fabric, cfg: cfg,
-		nextIdx: 1,
-		pending: make(map[uint64]func()),
-	}
+	c := &Cluster{Sim: sim, Fabric: fabric, cfg: cfg, nextIdx: 1}
+	// No retry: the fixed leader never loses a request, and a dead leader
+	// is a permanent halt (see Crash).
+	c.requests = abcast.NewClient(sim, c.try, 0, 0)
 	c.nodes = make([]*rdma.Node, cfg.N)
 	for i := range c.nodes {
 		c.nodes[i] = fabric.AddNode("apus")
@@ -130,11 +124,7 @@ func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Cluster {
 		c.ackQPs[i] = c.nodes[i].Connect(leader, rdma.NewCQ())
 	}
 
-	ringCfg := ringbuf.Config{Bytes: 1 << 20, Backlog: true}
-	c.reqOut = ringbuf.NewSender(c.client, ringCfg)
-	c.reqIn = c.reqOut.AddPeer(leader)
-	c.ackOut = ringbuf.NewSender(leader, ringCfg)
-	c.ackIn = c.ackOut.AddPeer(c.client)
+	c.link = ringbuf.NewClientLink(c.client, c.nodes[:1])
 	return c
 }
 
@@ -153,16 +143,13 @@ func (c *Cluster) Start() {
 		i := i
 		c.nodes[i].Proc.PollLoop(c.cfg.AckInterval, c.cfg.PollCost, func() { c.acceptorPoll(i) })
 	}
-	c.client.Proc.PollLoop(500*time.Nanosecond, 100*time.Nanosecond, c.clientPoll)
+	c.link.Start(c.requests.Ack)
 }
 
 // leaderPoll drains client requests, seals batches, and commits on quorum
 // acknowledgment.
 func (c *Cluster) leaderPoll() {
-	for _, req := range c.reqIn.Poll(0) {
-		c.queue = append(c.queue, req)
-	}
-	c.reqIn.ReturnCredits()
+	c.link.Requests(0, func(req []byte) { c.queue = append(c.queue, req) })
 	// Commit check: quorum of acceptors (plus the leader itself) at or
 	// beyond the pending batch end.
 	if c.batchEnd > 0 {
@@ -235,11 +222,7 @@ func (c *Cluster) commitUpTo(end uint64) {
 		if c.OnDeliver != nil {
 			c.OnDeliver(0, c.delivered[0], payload)
 		}
-		if len(payload) >= 8 {
-			if _, err := c.ackOut.Send(c.client.ID, payload[:8]); err != nil {
-				panic("apus: client ack failed: " + err.Error())
-			}
-		}
+		c.link.Ack(0, payload)
 	}
 	c.committed = end
 	var buf [8]byte
@@ -301,19 +284,6 @@ func (c *Cluster) acceptorPoll(i int) {
 	}
 }
 
-func (c *Cluster) clientPoll() {
-	defer c.ackIn.ReturnCredits()
-	for _, ack := range c.ackIn.Poll(0) {
-		id := abcast.MsgID(ack)
-		if done, ok := c.pending[id]; ok {
-			delete(c.pending, id)
-			if done != nil {
-				done()
-			}
-		}
-	}
-}
-
 // --- fault injection (chaos engine surface) ---
 
 // Size implements abcast.Group.
@@ -365,13 +335,12 @@ func (c *Cluster) Name() string { return "apus" }
 func (c *Cluster) Ready() bool { return !c.nodes[0].Crashed() }
 
 // Submit implements abcast.System.
-func (c *Cluster) Submit(payload []byte, done func()) {
-	id := abcast.MsgID(payload)
-	c.pending[id] = done
-	c.client.Proc.Pause(300 * time.Nanosecond)
-	if _, err := c.reqOut.Send(c.nodes[0].ID, payload); err != nil {
-		panic("apus: request send failed: " + err.Error())
-	}
+func (c *Cluster) Submit(payload []byte, done func()) { c.requests.Submit(payload, done) }
+
+// try is the client's send step: every request goes to the fixed leader.
+func (c *Cluster) try(_ uint64, payload []byte) bool {
+	c.link.Request(0, payload)
+	return true
 }
 
 var _ abcast.Group = (*Cluster)(nil)

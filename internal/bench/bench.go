@@ -235,7 +235,7 @@ func NewInstanceOn(sim *simnet.Sim, kind Kind, n int, opt Options) *Instance {
 	// one, a private one otherwise; either way any queued replica CPUs are
 	// installed first, for the cluster's upcoming AddNode calls.
 	var g abcast.Group
-	var links chaos.LinkFaults
+	var links *simnet.Links
 	if sys.onFabric != nil {
 		f := opt.SharedFabric
 		if f == nil {
@@ -243,14 +243,14 @@ func NewInstanceOn(sim *simnet.Sim, kind Kind, n int, opt Options) *Instance {
 			inst.ownFabric = f
 		}
 		f.ProvideProcs(opt.ReplicaProcs)
-		g, links = sys.onFabric(sim, f, n, opt), f
+		g, links = sys.onFabric(sim, f, n, opt), f.Links
 	} else {
 		nt := opt.SharedNet
 		if nt == nil {
 			nt = tcpnet.New(sim, tcpnet.DefaultParams())
 		}
 		nt.ProvideProcs(opt.ReplicaProcs)
-		g, links = sys.onNet(sim, nt, n, opt), nt
+		g, links = sys.onNet(sim, nt, n, opt), nt.Links
 	}
 	g.SetObserver(opt.Observer)
 	if dg, ok := g.(abcast.DurableGroup); ok && opt.Durability != Volatile {

@@ -6,16 +6,8 @@ import (
 
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/disk"
+	"acuerdo/internal/simnet"
 )
-
-// LinkFaults is the directed link-fault surface both interconnects
-// (*rdma.Fabric and *tcpnet.Net) expose, in interconnect node-id space.
-type LinkFaults interface {
-	PartitionOneWay(a, b int)
-	HealOneWay(a, b int)
-	SetLoss(a, b int, p float64)
-	SetLatencySpike(a, b int, d time.Duration)
-}
 
 // GroupTarget is the Target over one replica group: the group's own
 // lifecycle surface, its interconnect's link faults, and (in durable
@@ -24,7 +16,7 @@ type LinkFaults interface {
 // across systems whose node-id layouts differ.
 type GroupTarget struct {
 	Group abcast.Group
-	Links LinkFaults
+	Links *simnet.Links
 	// Disks holds one device per replica, or nil for a volatile group, on
 	// which every disk action is a no-op.
 	Disks []*disk.Device

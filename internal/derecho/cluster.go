@@ -1,6 +1,7 @@
 package derecho
 
 import (
+	"slices"
 	"time"
 
 	"acuerdo/internal/abcast"
@@ -21,15 +22,11 @@ type Cluster struct {
 	Fabric *rdma.Fabric
 	Group  *Group
 
-	client *rdma.Node
-	reqOut *ringbuf.Sender
-	reqIn  []*ringbuf.Receiver
-	ackOut []*ringbuf.Sender
-	ackIn  []*ringbuf.Receiver
-
-	pending map[uint64]func()
-	target  map[uint64]int // in-flight request -> member it was sent to
-	rr      int
+	client   *rdma.Node
+	link     *ringbuf.ClientLink // request and acknowledgment rings
+	requests *abcast.Client
+	target   map[uint64]int // in-flight request -> member it was sent to
+	rr       int
 
 	// OnDeliver observes every data delivery at every member.
 	OnDeliver func(replica, sender int, idx uint64, payload []byte)
@@ -37,28 +34,18 @@ type Cluster struct {
 
 // NewCluster builds a Derecho group plus client on the fabric.
 func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Cluster {
-	c := &Cluster{
-		Sim: sim, Fabric: fabric,
-		pending: make(map[uint64]func()),
-		target:  make(map[uint64]int),
-	}
+	c := &Cluster{Sim: sim, Fabric: fabric, target: make(map[uint64]int)}
+	c.requests = abcast.NewClient(sim, c.try, 10*time.Millisecond, time.Millisecond)
 	c.Group = NewGroup(sim, fabric, cfg)
 	c.client = fabric.AddNode("derecho-client")
-	ringCfg := ringbuf.Config{Bytes: 1 << 20, Backlog: true}
-	c.reqOut = ringbuf.NewSender(c.client, ringCfg)
-	c.reqIn = make([]*ringbuf.Receiver, cfg.N)
-	c.ackOut = make([]*ringbuf.Sender, cfg.N)
-	c.ackIn = make([]*ringbuf.Receiver, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		c.reqIn[i] = c.reqOut.AddPeer(c.Group.Node(i))
-		c.ackOut[i] = ringbuf.NewSender(c.Group.Node(i), ringCfg)
-		c.ackIn[i] = c.ackOut[i].AddPeer(c.client)
+	members := make([]*rdma.Node, cfg.N)
+	for i := range members {
+		members[i] = c.Group.Node(i)
 	}
+	c.link = ringbuf.NewClientLink(c.client, members)
 	c.Group.OnDeliver = func(replica, sender int, idx uint64, payload []byte) {
-		if replica == sender && len(payload) >= 8 {
-			if _, err := c.ackOut[replica].Send(c.client.ID, payload[:8]); err != nil {
-				panic("derecho: client ack failed: " + err.Error())
-			}
+		if replica == sender {
+			c.link.Ack(replica, payload)
 		}
 		if c.OnDeliver != nil {
 			c.OnDeliver(replica, sender, idx, payload)
@@ -73,34 +60,20 @@ func (c *Cluster) Start() {
 	for i := 0; i < c.Group.Cfg.N; i++ {
 		i := i
 		c.Group.Node(i).Proc.PollLoop(c.Group.Cfg.PollInterval, 100*time.Nanosecond, func() {
-			for _, req := range c.reqIn[i].Poll(0) {
+			c.link.Requests(i, func(req []byte) {
 				if len(req) >= 8 && c.Group.DeliveredAt(i, abcast.MsgID(req)) {
 					// Retry of a message that survived a view change (its
 					// dead sender never acked it): re-ack, don't remulticast.
-					if _, err := c.ackOut[i].Send(c.client.ID, req[:8]); err != nil {
-						panic("derecho: client ack failed: " + err.Error())
-					}
-					continue
+					c.link.Ack(i, req)
+					return
 				}
 				c.Group.Submit(i, req)
-			}
-			c.reqIn[i].ReturnCredits()
+			})
 		})
 	}
-	c.client.Proc.PollLoop(500*time.Nanosecond, 100*time.Nanosecond, func() {
-		for i := range c.ackIn {
-			for _, ack := range c.ackIn[i].Poll(0) {
-				id := abcast.MsgID(ack)
-				if done, ok := c.pending[id]; ok {
-					delete(c.pending, id)
-					delete(c.target, id)
-					if done != nil {
-						done()
-					}
-				}
-			}
-			c.ackIn[i].ReturnCredits()
-		}
+	c.link.Start(func(ack []byte) {
+		delete(c.target, abcast.MsgID(ack))
+		c.requests.Ack(ack)
 	})
 }
 
@@ -121,64 +94,37 @@ func (c *Cluster) liveProbe() int {
 }
 
 // Submit implements abcast.System.
-func (c *Cluster) Submit(payload []byte, done func()) {
-	id := abcast.MsgID(payload)
-	c.pending[id] = done
-	c.send(id, payload)
-}
+func (c *Cluster) Submit(payload []byte, done func()) { c.requests.Submit(payload, done) }
 
-func (c *Cluster) send(id uint64, payload []byte) {
-	var target int
+// try is the client's send step. A request already handed to a member is
+// held (false) until that member has crashed AND the view has moved past it:
+// a live member never loses a queued request (it holds it across a wedge),
+// and re-sending before the ragged trim settles could double-deliver a
+// message that made the trim. After the view change the member-side
+// delivered-id check absorbs the survivors.
+func (c *Cluster) try(id uint64, payload []byte) bool {
 	probe := c.liveProbe()
+	if t, sent := c.target[id]; sent &&
+		(!c.Group.Node(t).Crashed() || slices.Contains(c.Group.Members(probe), t)) {
+		return false // in a live member's hands, or crashed but not yet excluded
+	}
+	var target int
 	if c.Group.Cfg.Mode == LeaderMode {
 		target = c.Group.Sender(probe)
 		if target < 0 || c.Group.Node(target).Crashed() {
-			c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
-			return
+			return false
 		}
 	} else {
 		members := c.Group.Members(probe)
 		if len(members) == 0 {
-			c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
-			return
+			return false
 		}
 		target = members[c.rr%len(members)]
 		c.rr++
 	}
 	c.target[id] = target
-	c.client.Proc.Pause(300 * time.Nanosecond)
-	if _, err := c.reqOut.Send(c.Group.Node(target).ID, payload); err != nil {
-		panic("derecho: request send failed: " + err.Error())
-	}
-	c.Sim.After(10*time.Millisecond, func() { c.retry(id, payload) })
-}
-
-// retry re-sends an unacknowledged request, but only once its member has
-// crashed AND the view has moved past it: a live member never loses a
-// queued request (it holds it across a wedge), and re-sending before the
-// ragged trim settles could double-deliver a message that made the trim.
-// After the view change the member-side delivered-id check absorbs the
-// survivors.
-func (c *Cluster) retry(id uint64, payload []byte) {
-	if _, ok := c.pending[id]; !ok {
-		return // acknowledged
-	}
-	t, ok := c.target[id]
-	if ok && !c.Group.Node(t).Crashed() {
-		// Still in a live member's hands; keep waiting.
-		c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
-		return
-	}
-	if ok {
-		for _, m := range c.Group.Members(c.liveProbe()) {
-			if m == t {
-				// Crashed but the survivors have not excluded it yet.
-				c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
-				return
-			}
-		}
-	}
-	c.send(id, payload)
+	c.link.Request(target, payload)
+	return true
 }
 
 // LeaderIdx returns the current view leader if it is alive, else -1 (view

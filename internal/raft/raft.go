@@ -124,7 +124,7 @@ type Cluster struct {
 
 	toServer []*tcpnet.Conn
 	toClient []*tcpnet.Conn
-	pending  map[uint64]func()
+	requests *abcast.Client
 
 	// OnDeliver observes every applied entry at every replica.
 	OnDeliver func(replica int, index int, payload []byte)
@@ -177,7 +177,8 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 
 // NewCluster builds the group.
 func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
-	c := &Cluster{Sim: sim, Net: net, cfg: cfg, pending: make(map[uint64]func())}
+	c := &Cluster{Sim: sim, Net: net, cfg: cfg}
+	c.requests = abcast.NewClient(sim, c.try, 50*time.Millisecond, 2*time.Millisecond)
 	nodes := make([]*tcpnet.Node, cfg.N)
 	for i := range nodes {
 		nodes[i] = net.AddNode("etcd")
@@ -207,9 +208,8 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 	c.toServer = make([]*tcpnet.Conn, cfg.N)
 	c.toClient = make([]*tcpnet.Conn, cfg.N)
 	for i, s := range c.Servers {
-		s := s
-		c.toServer[i] = c.Client.Connect(nodes[i], func(m []byte) { s.propose(m) })
-		c.toClient[i] = nodes[i].Connect(c.Client, c.clientAck)
+		c.toServer[i] = c.Client.Connect(nodes[i], s.propose)
+		c.toClient[i] = nodes[i].Connect(c.Client, c.requests.Ack)
 	}
 	return c
 }
@@ -886,36 +886,16 @@ func (c *Cluster) Name() string { return "etcd" }
 func (c *Cluster) Ready() bool { return c.LeaderIdx() >= 0 }
 
 // Submit implements abcast.System.
-func (c *Cluster) Submit(payload []byte, done func()) {
-	id := abcast.MsgID(payload)
-	c.pending[id] = done
-	c.sendReq(id, payload)
-}
+func (c *Cluster) Submit(payload []byte, done func()) { c.requests.Submit(payload, done) }
 
-func (c *Cluster) sendReq(id uint64, payload []byte) {
+// try is the client's send step: one request to the current leader, or false
+// while there is none.
+func (c *Cluster) try(_ uint64, payload []byte) bool {
 	ldr := c.LeaderIdx()
-	if ldr < 0 {
-		c.Sim.After(2*time.Millisecond, func() { c.retryReq(id, payload) })
-		return
+	if ldr >= 0 {
+		c.toServer[ldr].Send(payload)
 	}
-	c.toServer[ldr].Send(payload)
-	c.Sim.After(50*time.Millisecond, func() { c.retryReq(id, payload) })
-}
-
-func (c *Cluster) retryReq(id uint64, payload []byte) {
-	if _, ok := c.pending[id]; ok {
-		c.sendReq(id, payload)
-	}
-}
-
-func (c *Cluster) clientAck(m []byte) {
-	id := abcast.MsgID(m)
-	if done, ok := c.pending[id]; ok {
-		delete(c.pending, id)
-		if done != nil {
-			done()
-		}
-	}
+	return ldr >= 0
 }
 
 var _ abcast.DurableGroup = (*Cluster)(nil)

@@ -78,6 +78,10 @@ func TestOneWayCutParksInFlightCompletion(t *testing.T) {
 	}
 }
 
+// maxRetransmits mirrors the cap simnet.Links charges per message under a
+// p=1 loss window.
+const maxRetransmits = 16
+
 // A p=1 loss window delays delivery by exactly maxRetransmits retransmit
 // rounds per transmission; data is never dropped or reordered.
 func TestLossWindowDelaysButNeverDrops(t *testing.T) {

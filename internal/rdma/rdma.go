@@ -82,18 +82,17 @@ func (p *Params) serialize(n int) time.Duration {
 	return time.Duration(float64(wire) / p.Bandwidth * 1e9)
 }
 
-// Fabric is a set of nodes connected through one switch.
-//
-// The fault surface is directed: every cut, loss window, and latency spike
-// applies to one direction of a link, keyed by (from, to). The symmetric
-// Partition/Heal API is kept as a two-call convenience on top.
+// Fabric is a set of nodes connected through one switch. The embedded
+// simnet.Links is its directed fault surface (cuts, loss windows, latency
+// spikes, keyed by fabric node id) and its queued-CPU hand-out. A cut parks
+// in-flight and future writes on their QP; they are redelivered after the
+// heal, preserving the reliable-connection guarantee that nothing is lost or
+// reordered, and a lost transmission costs Params.RetransmitDelay.
 type Fabric struct {
+	*simnet.Links
 	Sim    *simnet.Sim
 	Params Params
 	nodes  []*Node
-	cut    map[[2]int]bool          // directed partition set, key [from, to]
-	loss   map[[2]int]float64       // directed loss probability windows
-	spike  map[[2]int]time.Duration // directed extra-latency windows
 
 	// frames recycles wire-frame payload copies; a frame is returned once its
 	// bytes land in the remote MR (or the write is dropped against a crashed
@@ -107,21 +106,13 @@ type Fabric struct {
 	// mrs tracks the poolable registered regions handed out by this
 	// fabric's nodes, for Release.
 	mrs [][]byte
-
-	// procQueue holds pre-created CPUs queued by ProvideProcs for the next
-	// AddNode calls; empty means AddNode creates a fresh Proc per node.
-	procQueue []*simnet.Proc
 }
 
 // NewFabric creates an empty fabric.
 func NewFabric(sim *simnet.Sim, p Params) *Fabric {
-	return &Fabric{
-		Sim:    sim,
-		Params: p,
-		cut:    make(map[[2]int]bool),
-		loss:   make(map[[2]int]float64),
-		spike:  make(map[[2]int]time.Duration),
-	}
+	f := &Fabric{Sim: sim, Params: p}
+	f.Links = simnet.NewLinks(sim, f.flushParked)
+	return f
 }
 
 // AddNode creates a node with its own NIC and its own CPU (Proc) — unless
@@ -129,30 +120,13 @@ func NewFabric(sim *simnet.Sim, p Params) *Fabric {
 // the node instead (placement-group co-location: many logical ring members
 // time-sharing one physical machine's core).
 func (f *Fabric) AddNode(name string) *Node {
-	var p *simnet.Proc
-	if len(f.procQueue) > 0 {
-		p = f.procQueue[0]
-		f.procQueue = f.procQueue[1:]
-	} else {
-		p = simnet.NewProc(f.Sim, len(f.nodes), name)
-	}
 	n := &Node{
 		Fabric: f,
 		ID:     len(f.nodes),
-		Proc:   p,
+		Proc:   f.NextProc(len(f.nodes), name),
 	}
 	f.nodes = append(f.nodes, n)
 	return n
-}
-
-// ProvideProcs queues CPUs for the next len(procs) AddNode calls, in order.
-// The placement layer uses this to land each ring replica on its assigned
-// fleet node's CPU: work posted by co-located replicas of different rings
-// then serializes on the shared core, which is exactly the contention a real
-// multi-group deployment pays. Calls beyond the queue (e.g. a cluster's
-// client node) fall back to fresh per-node CPUs.
-func (f *Fabric) ProvideProcs(procs []*simnet.Proc) {
-	f.procQueue = append(f.procQueue, procs...)
 }
 
 // Node returns the node with the given ID.
@@ -161,50 +135,10 @@ func (f *Fabric) Node(id int) *Node { return f.nodes[id] }
 // NumNodes returns the number of nodes ever added.
 func (f *Fabric) NumNodes() int { return len(f.nodes) }
 
-// Partition cuts both directions of the link between nodes a and b.
-// In-flight and future writes are parked and redelivered after Heal,
-// preserving the reliable-connection guarantee that nothing is lost or
-// reordered.
-func (f *Fabric) Partition(a, b int) {
-	f.PartitionOneWay(a, b)
-	f.PartitionOneWay(b, a)
-}
-
-// Heal restores both directions of the a-b link and flushes parked traffic.
-func (f *Fabric) Heal(a, b int) {
-	f.HealOneWay(a, b)
-	f.HealOneWay(b, a)
-}
-
-// PartitionOneWay cuts the a→b direction only: payloads from a toward b
-// (and completion acks flowing a→b for writes b posted) park until healed,
-// while b→a traffic is unaffected — the asymmetric failure mode that
-// breaks failure detectors which assume "I can reach you" implies "you can
-// reach me".
-func (f *Fabric) PartitionOneWay(a, b int) {
-	k := [2]int{a, b}
-	if f.cut[k] {
-		return
-	}
-	f.cut[k] = true
-	if tr := f.Sim.Tracer(); tr != nil {
-		tr.Instant(trace.KLinkCut, a, int64(f.Sim.Now()), int64(a), int64(b))
-		tr.Add(trace.CtrLinkCuts, 1)
-	}
-}
-
-// HealOneWay restores the a→b direction and flushes traffic parked on it:
-// payloads of QPs a→b, and completions of QPs b→a whose acks travel a→b.
-func (f *Fabric) HealOneWay(a, b int) {
-	k := [2]int{a, b}
-	if !f.cut[k] {
-		return
-	}
-	delete(f.cut, k)
-	if tr := f.Sim.Tracer(); tr != nil {
-		tr.Instant(trace.KLinkHeal, a, int64(f.Sim.Now()), int64(a), int64(b))
-		tr.Add(trace.CtrLinkHeals, 1)
-	}
+// flushParked is the heal hook: it releases the traffic parked on the
+// restored a→b direction — payloads of QPs a→b, and completions of QPs b→a
+// whose acks travel a→b.
+func (f *Fabric) flushParked(a, b int) {
 	for _, n := range f.nodes {
 		for _, qp := range n.qps {
 			if qp.from.ID == a && qp.to.ID == b {
@@ -215,87 +149,6 @@ func (f *Fabric) HealOneWay(a, b int) {
 			}
 		}
 	}
-}
-
-// Partitioned reports whether either direction of the a-b link is cut.
-func (f *Fabric) Partitioned(a, b int) bool {
-	return f.cut[[2]int{a, b}] || f.cut[[2]int{b, a}]
-}
-
-// CutOneWay reports whether the a→b direction is cut.
-func (f *Fabric) CutOneWay(a, b int) bool { return f.cut[[2]int{a, b}] }
-
-// SetLossOneWay installs (or, with p <= 0, clears) a loss-probability
-// window on the a→b direction. Under a window each transmission is lost
-// with probability p per attempt; the reliable connection retransmits, so
-// loss manifests as RetransmitDelay per lost attempt, never as dropped or
-// reordered data.
-func (f *Fabric) SetLossOneWay(a, b int, p float64) {
-	k := [2]int{a, b}
-	if p <= 0 {
-		delete(f.loss, k)
-		return
-	}
-	f.loss[k] = p
-}
-
-// SetLoss installs or clears a loss window on both directions of a-b.
-func (f *Fabric) SetLoss(a, b int, p float64) {
-	f.SetLossOneWay(a, b, p)
-	f.SetLossOneWay(b, a, p)
-}
-
-// SetLatencySpikeOneWay adds d of extra one-way latency to every message
-// on the a→b direction (d <= 0 clears the spike).
-func (f *Fabric) SetLatencySpikeOneWay(a, b int, d time.Duration) {
-	k := [2]int{a, b}
-	if d <= 0 {
-		delete(f.spike, k)
-		d = 0
-	} else {
-		f.spike[k] = d
-	}
-	if tr := f.Sim.Tracer(); tr != nil {
-		tr.Instant(trace.KLatSpike, a, int64(f.Sim.Now()), int64(d), int64(b))
-	}
-}
-
-// SetLatencySpike adds or clears a latency spike on both directions of a-b.
-func (f *Fabric) SetLatencySpike(a, b int, d time.Duration) {
-	f.SetLatencySpikeOneWay(a, b, d)
-	f.SetLatencySpikeOneWay(b, a, d)
-}
-
-// maxRetransmits caps the retransmission attempts charged per message so a
-// p=1.0 loss window stalls a link by a bounded, deterministic amount
-// rather than looping.
-const maxRetransmits = 16
-
-// faultDelay returns the extra one-way latency injected on from→to by the
-// active latency-spike and loss windows. It consumes simulator randomness
-// only while a loss window is installed on that direction, so runs without
-// chaos draw exactly the random stream they always did.
-func (f *Fabric) faultDelay(from, to int) time.Duration {
-	var d time.Duration
-	k := [2]int{from, to}
-	if ex := f.spike[k]; ex > 0 {
-		d += ex
-		if tr := f.Sim.Tracer(); tr != nil {
-			tr.Add(trace.CtrSpikeDelay, int64(ex))
-		}
-	}
-	if p := f.loss[k]; p > 0 {
-		rt := f.Params.RetransmitDelay
-		for i := 0; i < maxRetransmits && f.Sim.Rand().Float64() < p; i++ {
-			d += rt
-			if tr := f.Sim.Tracer(); tr != nil {
-				tr.Instant(trace.KLossDrop, from, int64(f.Sim.Now()), int64(rt), int64(to))
-				tr.Add(trace.CtrLossDrops, 1)
-				tr.Add(trace.CtrLossDelay, int64(rt))
-			}
-		}
-	}
-	return d
 }
 
 // Node is a machine on the fabric: one process/CPU plus one NIC.
@@ -591,7 +444,7 @@ func (qp *QP) post(payload int) (deliverAt simnet.Time, ser time.Duration) {
 	if p.LinkJitter != nil {
 		lat += p.LinkJitter.Sample(sim.Rand())
 	}
-	lat += qp.from.Fabric.faultDelay(qp.from.ID, qp.to.ID)
+	lat += qp.from.Fabric.FaultDelay(qp.from.ID, qp.to.ID, p.RetransmitDelay)
 	deliverAt = txDone.Add(lat)
 	if deliverAt <= qp.lastDeliver {
 		deliverAt = qp.lastDeliver + 1
@@ -613,7 +466,7 @@ func (qp *QP) completeWire(genAt simnet.Time, wrid uint64, st CompletionStatus, 
 		qp.parkedCQ = append(qp.parkedCQ, parkedComp{wrid: wrid, st: st, data: data})
 		return
 	}
-	lat := f.Params.LinkLatency + f.faultDelay(qp.to.ID, qp.from.ID)
+	lat := f.Params.LinkLatency + f.FaultDelay(qp.to.ID, qp.from.ID, f.Params.RetransmitDelay)
 	qp.complete(genAt.Add(lat), wrid, st, data)
 }
 

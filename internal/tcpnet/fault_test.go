@@ -64,6 +64,10 @@ func TestNetCrashDropsParked(t *testing.T) {
 	}
 }
 
+// maxRetransmits mirrors the cap simnet.Links charges per message under a
+// p=1 loss window.
+const maxRetransmits = 16
+
 // A p=1 loss window delays every message by the full retransmit penalty
 // but never drops it; clearing the window restores normal latency.
 func TestNetLossWindow(t *testing.T) {

@@ -63,15 +63,17 @@ func DefaultParams() Params {
 	}
 }
 
-// Net is a set of TCP hosts.
+// Net is a set of TCP hosts. The embedded simnet.Links is its directed fault
+// surface, keyed by host id, and its queued-CPU hand-out: messages sent
+// across a cut park in the sender's kernel buffer (TCP keeps retransmitting
+// silently) and are delivered, in order, once the direction heals; a lost
+// transmission costs Params.RetransmitDelay.
 type Net struct {
+	*simnet.Links
 	Sim    *simnet.Sim
 	Params Params
 	nodes  []*Node
 	conns  []*Conn
-	cut    map[[2]int]bool          // directed partition set, key [from, to]
-	loss   map[[2]int]float64       // directed loss probability windows
-	spike  map[[2]int]time.Duration // directed extra-latency windows
 
 	// frames recycles wire-frame message copies; a frame is returned to the
 	// pool after the receiver's handler returns. Handlers must therefore copy
@@ -82,146 +84,23 @@ type Net struct {
 	// recvFree recycles the records that carry a message to its receiver's
 	// handler (see recv).
 	recvFree []*recv
-
-	// procQueue holds pre-created CPUs queued by ProvideProcs for the next
-	// AddNode calls; empty means AddNode creates a fresh Proc per host.
-	procQueue []*simnet.Proc
 }
 
 // New creates an empty network.
 func New(sim *simnet.Sim, p Params) *Net {
-	return &Net{
-		Sim:    sim,
-		Params: p,
-		cut:    make(map[[2]int]bool),
-		loss:   make(map[[2]int]float64),
-		spike:  make(map[[2]int]time.Duration),
-	}
+	n := &Net{Sim: sim, Params: p}
+	n.Links = simnet.NewLinks(sim, n.flushParked)
+	return n
 }
 
-// Partition cuts both directions of the link between hosts a and b.
-func (n *Net) Partition(a, b int) {
-	n.PartitionOneWay(a, b)
-	n.PartitionOneWay(b, a)
-}
-
-// Heal restores both directions of the a-b link.
-func (n *Net) Heal(a, b int) {
-	n.HealOneWay(a, b)
-	n.HealOneWay(b, a)
-}
-
-// PartitionOneWay cuts the a→b direction only. Messages sent a→b park in
-// the sender's kernel buffer (TCP keeps retransmitting silently) and are
-// delivered, in order, once the direction heals; b→a traffic is
-// unaffected.
-func (n *Net) PartitionOneWay(a, b int) {
-	k := [2]int{a, b}
-	if n.cut[k] {
-		return
-	}
-	n.cut[k] = true
-	if tr := n.Sim.Tracer(); tr != nil {
-		tr.Instant(trace.KLinkCut, a, int64(n.Sim.Now()), int64(a), int64(b))
-		tr.Add(trace.CtrLinkCuts, 1)
-	}
-}
-
-// HealOneWay restores the a→b direction and retransmits parked messages
-// on every a→b connection, in send order.
-func (n *Net) HealOneWay(a, b int) {
-	k := [2]int{a, b}
-	if !n.cut[k] {
-		return
-	}
-	delete(n.cut, k)
-	if tr := n.Sim.Tracer(); tr != nil {
-		tr.Instant(trace.KLinkHeal, a, int64(n.Sim.Now()), int64(a), int64(b))
-		tr.Add(trace.CtrLinkHeals, 1)
-	}
+// flushParked is the heal hook: it retransmits the messages parked on every
+// a→b connection, in send order.
+func (n *Net) flushParked(a, b int) {
 	for _, c := range n.conns {
 		if c.from.ID == a && c.to.ID == b {
 			c.flushParked()
 		}
 	}
-}
-
-// Partitioned reports whether either direction of the a-b link is cut.
-func (n *Net) Partitioned(a, b int) bool {
-	return n.cut[[2]int{a, b}] || n.cut[[2]int{b, a}]
-}
-
-// CutOneWay reports whether the a→b direction is cut.
-func (n *Net) CutOneWay(a, b int) bool { return n.cut[[2]int{a, b}] }
-
-// SetLossOneWay installs (or, with p <= 0, clears) a loss-probability
-// window on the a→b direction; each lost transmission adds
-// RetransmitDelay, data is never dropped.
-func (n *Net) SetLossOneWay(a, b int, p float64) {
-	k := [2]int{a, b}
-	if p <= 0 {
-		delete(n.loss, k)
-		return
-	}
-	n.loss[k] = p
-}
-
-// SetLoss installs or clears a loss window on both directions of a-b.
-func (n *Net) SetLoss(a, b int, p float64) {
-	n.SetLossOneWay(a, b, p)
-	n.SetLossOneWay(b, a, p)
-}
-
-// SetLatencySpikeOneWay adds d of extra one-way latency to every message
-// on the a→b direction (d <= 0 clears the spike).
-func (n *Net) SetLatencySpikeOneWay(a, b int, d time.Duration) {
-	k := [2]int{a, b}
-	if d <= 0 {
-		delete(n.spike, k)
-		d = 0
-	} else {
-		n.spike[k] = d
-	}
-	if tr := n.Sim.Tracer(); tr != nil {
-		tr.Instant(trace.KLatSpike, a, int64(n.Sim.Now()), int64(d), int64(b))
-	}
-}
-
-// SetLatencySpike adds or clears a latency spike on both directions of a-b.
-func (n *Net) SetLatencySpike(a, b int, d time.Duration) {
-	n.SetLatencySpikeOneWay(a, b, d)
-	n.SetLatencySpikeOneWay(b, a, d)
-}
-
-// maxRetransmits caps retransmission attempts charged per message under a
-// loss window, bounding the injected delay deterministically.
-const maxRetransmits = 16
-
-// faultDelay returns the extra one-way latency injected on from→to by the
-// active latency-spike and loss windows. Randomness is consumed only while
-// a loss window is installed on that direction, so chaos-free runs draw
-// exactly the random stream they always did.
-func (n *Net) faultDelay(from, to int) time.Duration {
-	var d time.Duration
-	k := [2]int{from, to}
-	if ex := n.spike[k]; ex > 0 {
-		d += ex
-		if tr := n.Sim.Tracer(); tr != nil {
-			tr.Add(trace.CtrSpikeDelay, int64(ex))
-		}
-	}
-	if p := n.loss[k]; p > 0 {
-		rt := n.Params.RetransmitDelay
-		for i := 0; i < maxRetransmits && n.Sim.Rand().Float64() < p; i++ {
-			d += rt
-			if tr := n.Sim.Tracer(); tr != nil {
-				tr.Instant(trace.KLossDrop, from, int64(n.Sim.Now()), int64(rt), int64(to))
-				tr.Add(trace.CtrLossDrops, 1)
-				tr.Add(trace.CtrLossDelay, int64(rt))
-			}
-		}
-	}
-	return d
 }
 
 // Node is one host: a process plus a kernel network path.
@@ -241,24 +120,9 @@ type Node struct {
 // ProvideProcs, in which case the next queued CPU backs the host instead
 // (placement-group co-location on a shared physical machine).
 func (n *Net) AddNode(name string) *Node {
-	var p *simnet.Proc
-	if len(n.procQueue) > 0 {
-		p = n.procQueue[0]
-		n.procQueue = n.procQueue[1:]
-	} else {
-		p = simnet.NewProc(n.Sim, len(n.nodes), name)
-	}
-	nd := &Node{Net: n, ID: len(n.nodes), Proc: p}
+	nd := &Node{Net: n, ID: len(n.nodes), Proc: n.NextProc(len(n.nodes), name)}
 	n.nodes = append(n.nodes, nd)
 	return nd
-}
-
-// ProvideProcs queues CPUs for the next len(procs) AddNode calls, in order.
-// See rdma.Fabric.ProvideProcs: the placement layer lands each ring replica
-// on its assigned fleet node's CPU so co-located replicas of different rings
-// contend for the shared core.
-func (n *Net) ProvideProcs(procs []*simnet.Proc) {
-	n.procQueue = append(n.procQueue, procs...)
 }
 
 // Node returns the host with the given ID.
@@ -356,7 +220,7 @@ func (c *Conn) transmit(ready simnet.Time, buf []byte) {
 	if p.Jitter != nil {
 		lat += p.Jitter.Sample(sim.Rand())
 	}
-	lat += nd.Net.faultDelay(nd.ID, c.to.ID)
+	lat += nd.Net.FaultDelay(nd.ID, c.to.ID, p.RetransmitDelay)
 	arrive := txDone.Add(lat + p.KernelLatency)
 	if arrive <= c.lastDeliver {
 		arrive = c.lastDeliver + 1

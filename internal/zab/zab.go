@@ -166,7 +166,7 @@ type Cluster struct {
 
 	toLeader []*tcpnet.Conn // client -> each server
 	toClient []*tcpnet.Conn // each server -> client
-	pending  map[uint64]func()
+	requests *abcast.Client
 	obs      *observe.Observer
 
 	// fabricRecovery counts payload bytes re-shipped over the network
@@ -182,7 +182,8 @@ type Cluster struct {
 
 // NewCluster builds the ensemble.
 func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
-	c := &Cluster{Sim: sim, Net: net, cfg: cfg, pending: make(map[uint64]func())}
+	c := &Cluster{Sim: sim, Net: net, cfg: cfg}
+	c.requests = abcast.NewClient(sim, c.try, 20*time.Millisecond, time.Millisecond)
 	nodes := make([]*tcpnet.Node, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		nodes[i] = net.AddNode("zk")
@@ -213,9 +214,8 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 	c.toLeader = make([]*tcpnet.Conn, cfg.N)
 	c.toClient = make([]*tcpnet.Conn, cfg.N)
 	for i, s := range c.Servers {
-		s := s
-		c.toLeader[i] = c.Client.Connect(nodes[i], func(m []byte) { s.clientRequest(m) })
-		c.toClient[i] = nodes[i].Connect(c.Client, c.clientAck)
+		c.toLeader[i] = c.Client.Connect(nodes[i], s.clientRequest)
+		c.toClient[i] = nodes[i].Connect(c.Client, c.requests.Ack)
 	}
 	return c
 }
@@ -921,36 +921,16 @@ func (c *Cluster) Name() string { return "zookeeper" }
 func (c *Cluster) Ready() bool { return c.LeaderIdx() >= 0 }
 
 // Submit implements abcast.System.
-func (c *Cluster) Submit(payload []byte, done func()) {
-	id := abcast.MsgID(payload)
-	c.pending[id] = done
-	c.sendReq(id, payload)
-}
+func (c *Cluster) Submit(payload []byte, done func()) { c.requests.Submit(payload, done) }
 
-func (c *Cluster) sendReq(id uint64, payload []byte) {
+// try is the client's send step: one request to the current leader, or false
+// while there is none.
+func (c *Cluster) try(_ uint64, payload []byte) bool {
 	ldr := c.LeaderIdx()
-	if ldr < 0 {
-		c.Sim.After(time.Millisecond, func() { c.retry(id, payload) })
-		return
+	if ldr >= 0 {
+		c.toLeader[ldr].Send(payload)
 	}
-	c.toLeader[ldr].Send(payload)
-	c.Sim.After(20*time.Millisecond, func() { c.retry(id, payload) })
-}
-
-func (c *Cluster) retry(id uint64, payload []byte) {
-	if _, ok := c.pending[id]; ok {
-		c.sendReq(id, payload)
-	}
-}
-
-func (c *Cluster) clientAck(m []byte) {
-	id := abcast.MsgID(m)
-	if done, ok := c.pending[id]; ok {
-		delete(c.pending, id)
-		if done != nil {
-			done()
-		}
-	}
+	return ldr >= 0
 }
 
 var _ abcast.DurableGroup = (*Cluster)(nil)
