@@ -218,8 +218,15 @@ func (c *Cluster) Size() int { return len(c.Replicas) }
 // Crash implements abcast.Group (see Replica.Crash).
 func (c *Cluster) Crash(i int) { c.Replicas[i].Crash() }
 
-// Restart implements abcast.Group (see Replica.Restart).
-func (c *Cluster) Restart(i int) { c.Replicas[i].Restart() }
+// Restart implements abcast.Group (see Replica.Restart). A replica that was
+// down, not merely paused, may have lost a request record at its dead NIC,
+// so the client reconnects to it first.
+func (c *Cluster) Restart(i int) {
+	if c.Replicas[i].Node.Crashed() {
+		c.link.Reconnect(i)
+	}
+	c.Replicas[i].Restart()
+}
 
 // Proc implements abcast.Group.
 func (c *Cluster) Proc(i int) *simnet.Proc { return c.Replicas[i].Node.Proc }

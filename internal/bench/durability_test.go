@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -29,44 +30,55 @@ func tornStorm() chaos.Scenario {
 // in between: what it wrote after its first restart must not sit behind
 // the first cut's torn garbage, or the second replay stops there and the
 // durable prefix is lost (the durable-prefix observer invariant fires).
+// Acuerdo runs that storm on two more seeds: at 5 and 7 a request record
+// posted to the leader as it lost power was dropped at its dead NIC, and
+// before the client reconnected on restart (ringbuf.ClientLink.Reconnect)
+// the run wedged once that replica led again.
 func TestDurableTornWriteRestart(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		seed    int64
 		horizon time.Duration
 		short   []Kind
+		acuerdo []int64 // further seeds for Acuerdo alone
 	}{
-		{"once-per-replica", 7, 80 * time.Millisecond, []Kind{Acuerdo, Etcd}},
-		{"same-replica-twice", 6, 200 * time.Millisecond, []Kind{Acuerdo, Zookeeper}},
+		{"once-per-replica", 7, 80 * time.Millisecond, []Kind{Acuerdo, Etcd}, nil},
+		{"same-replica-twice", 6, 200 * time.Millisecond, []Kind{Acuerdo, Zookeeper}, []int64{5, 7}},
 	} {
 		kinds := durableKinds
 		if testing.Short() {
 			kinds = tc.short
 		}
 		for _, kind := range kinds {
-			t.Run(tc.name+"/"+string(kind), func(t *testing.T) {
-				cfg := durableChaos(tc.seed)
-				cfg.Horizon = tc.horizon
-				r := RunScenario(kind, tornStorm(), cfg)
-				if r.SafetyErr != nil {
-					t.Fatalf("safety violation: %v", r.SafetyErr)
-				}
-				if r.Violations != 0 {
-					t.Fatalf("%d invariant violations:\n%v", r.Violations, r.ViolationReports)
-				}
-				if r.ObserveChecks == 0 {
-					t.Fatal("observer ran no checks")
-				}
-				if r.Watchdog != nil {
-					t.Fatalf("run wedged at %v", r.Watchdog.FiredAt)
-				}
-				if r.DiskRecoveredBytes == 0 {
-					t.Fatal("torn restart recovered no bytes from disk")
-				}
-				if r.DurableDigest == 0 {
-					t.Fatal("durable digest empty on a durable run")
-				}
-			})
+			seeds := []int64{tc.seed}
+			if kind == Acuerdo {
+				seeds = append(seeds, tc.acuerdo...)
+			}
+			for _, seed := range seeds {
+				t.Run(fmt.Sprintf("%s/%s/seed-%d", tc.name, kind, seed), func(t *testing.T) {
+					cfg := durableChaos(seed)
+					cfg.Horizon = tc.horizon
+					r := RunScenario(kind, tornStorm(), cfg)
+					if r.SafetyErr != nil {
+						t.Fatalf("safety violation: %v", r.SafetyErr)
+					}
+					if r.Violations != 0 {
+						t.Fatalf("%d invariant violations:\n%v", r.Violations, r.ViolationReports)
+					}
+					if r.ObserveChecks == 0 {
+						t.Fatal("observer ran no checks")
+					}
+					if r.Watchdog != nil {
+						t.Fatalf("run wedged at %v", r.Watchdog.FiredAt)
+					}
+					if r.DiskRecoveredBytes == 0 {
+						t.Fatal("torn restart recovered no bytes from disk")
+					}
+					if r.DurableDigest == 0 {
+						t.Fatal("durable digest empty on a durable run")
+					}
+				})
+			}
 		}
 	}
 }

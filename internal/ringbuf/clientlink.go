@@ -74,3 +74,17 @@ func (l *ClientLink) Ack(i int, payload []byte) {
 		panic("ringbuf: client ack failed: " + err.Error())
 	}
 }
+
+// Reconnect re-establishes the client's connection to replica i after that
+// replica rebooted: the request ring, the credit word and both endpoints'
+// cursors start over from zero. A request posted as the replica lost power
+// was dropped at its dead NIC although the client's Sender had advanced its
+// wire sequence, and the Receiver would wait at that gap forever; whatever
+// was queued or unacknowledged is re-sent by the client's retry.
+func (l *ClientLink) Reconnect(i int) {
+	in, ps := l.reqIn[i], l.reqOut.peer[l.reqOut.ids[i]]
+	clear(in.mr.Buf)
+	clear(in.creditMR.Buf)
+	*in = Receiver{mr: in.mr, creditQP: in.creditQP, creditMR: in.creditMR}
+	*ps = peerState{id: ps.id, qp: ps.qp, ring: ps.ring, creditMR: ps.creditMR}
+}
