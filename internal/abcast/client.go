@@ -57,7 +57,7 @@ func (c *Client) send(id uint64, payload []byte) {
 // Ack completes the request whose id heads m and forgets it. Acknowledgments
 // for unknown ids — never submitted, or already acknowledged, as the
 // duplicates a retry produces are — are ignored. Its signature is a
-// tcpnet.Conn handler's, so TCP systems pass it straight to Connect.
+// tcpnet.Conn handler's, so TCP systems pass it straight to NewEnsemble.
 func (c *Client) Ack(m []byte) {
 	id := MsgID(m)
 	done, ok := c.pending[id]

@@ -38,8 +38,12 @@ func DefaultClusterConfig(n int) ClusterConfig {
 // simulated RDMA fabric. It implements abcast.DurableGroup: client requests
 // travel to the leader over an RDMA ring buffer and commit acknowledgments
 // travel back the same way, so measured latencies include both client hops
-// (as in the paper's experiments).
+// (as in the paper's experiments). The embedded Recovery counts, across the
+// group and in durable mode only, bytes read back from local WALs on restart
+// and diff payload bytes re-shipped over the fabric to refill crash-lost
+// state.
 type Cluster struct {
+	disk.Recovery
 	Sim      *simnet.Sim
 	Fabric   *rdma.Fabric
 	Replicas []*Replica
@@ -101,6 +105,7 @@ func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg ClusterConfig) *Cluste
 			commitSST: commitTabs[i],
 			relPtr:    make([]int, cfg.N),
 			released:  make([]uint64, cfg.N),
+			recovery:  &c.Recovery,
 		}
 	}
 	// Broadcast rings: each replica's sender feeds every peer's receiver.
@@ -174,26 +179,6 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 	for i, r := range c.Replicas {
 		r.SetDisk(devs[i])
 	}
-}
-
-// DiskRecoveredBytes sums bytes read back from local WALs during crash
-// recovery across the group (durable mode only).
-func (c *Cluster) DiskRecoveredBytes() int64 {
-	var n int64
-	for _, r := range c.Replicas {
-		n += int64(r.Stats.DiskRecoveredBytes)
-	}
-	return n
-}
-
-// FabricRecoveryBytes sums diff payload bytes re-shipped over the fabric to
-// refill crash-lost state across the group (durable mode only).
-func (c *Cluster) FabricRecoveryBytes() int64 {
-	var n int64
-	for _, r := range c.Replicas {
-		n += int64(r.Stats.FabricRecoveryBytes)
-	}
-	return n
 }
 
 // Start boots every replica (they elect a first leader) and the client's

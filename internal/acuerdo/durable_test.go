@@ -97,7 +97,7 @@ func TestDurableRestartRecoversFromDisk(t *testing.T) {
 	if r.LogLen() == 0 {
 		t.Fatal("nothing recovered from the WAL")
 	}
-	if r.Stats.DiskRecoveredBytes == 0 {
+	if r.recovery.DiskRecoveredBytes() == 0 {
 		t.Fatal("disk recovery bytes not counted")
 	}
 	sim.RunFor(100 * time.Millisecond)

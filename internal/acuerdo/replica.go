@@ -100,12 +100,6 @@ type Stats struct {
 	Delivered  uint64 // messages delivered to the application
 	Elections  uint64 // elections entered
 	SSTPushes  uint64 // acceptance pushes (for the ack-batching ablation)
-
-	// Durable-mode recovery accounting: bytes read back from the local WAL
-	// during crash recovery, and diff payload bytes re-shipped over the
-	// fabric to refill entries the crash lost.
-	DiskRecoveredBytes  uint64
-	FabricRecoveryBytes uint64
 }
 
 type sentRec struct {
@@ -162,12 +156,14 @@ type Replica struct {
 	// Durable mode (SetDisk): committed entries stream to a background WAL
 	// in delivery order (walPos entries appended, flushes queued up to
 	// walQueued); recovering marks the window between a durable restart and
-	// the first diff, whose payload bytes count as fabric recovery traffic.
+	// the first diff, whose payload bytes count as fabric recovery traffic
+	// in recovery, the group's ledger.
 	dev        *disk.Device
 	store      *disk.LogStore
 	walPos     uint64
 	walQueued  uint64
 	recovering bool
+	recovery   *disk.Recovery
 
 	obs *observe.Observer
 
@@ -243,24 +239,15 @@ func (r *Replica) SetDisk(dev *disk.Device) {
 // torn write).
 func (r *Replica) Crash() {
 	r.Node.Crash()
-	if r.dev != nil {
-		r.dev.Crash(r.Sim.Rand())
-	}
+	r.dev.Crash(r.Sim.Rand())
 }
 
 // Restart recovers a crashed or paused node into election mode; it will
-// rejoin the group when it receives a diff from a newer epoch. The
-// volatile/durable contract:
-//
-//   - Volatile mode (no SetDisk): this model treats the replica's memory —
-//     log, accepted and committed headers, epoch — as surviving the crash
-//     intact (the paper's replicas are memory-resident; a restart models a
-//     process pause, not a machine loss).
-//   - Durable mode (SetDisk): memory is authoritative for nothing. The
-//     committed prefix is rebuilt from the device's checksummed WAL (replay
-//     stops at the first torn or corrupt record) and re-delivered to the
-//     application; everything newer is refetched through the next epoch's
-//     diff.
+// rejoin the group when it receives a diff from a newer epoch. DESIGN §6.8
+// tabulates what survives in each storage mode: everything in the volatile
+// one (the paper's replicas are memory-resident; a restart models a process
+// pause, not a machine loss), only the WAL's committed prefix in the durable
+// one — everything newer is refetched through the next epoch's diff.
 func (r *Replica) Restart() {
 	if r.Node.Crashed() {
 		r.Node.Recover()
@@ -302,10 +289,8 @@ func (r *Replica) restartDurable() {
 	r.voteSST.Set(Vote{})
 	r.lastMaxVote = Vote{}
 	r.voteChangedAt = r.Sim.Now()
-	store, rec := disk.Reopen(r.dev, acuerdoWALName)
-	r.store = store
-	r.Stats.DiskRecoveredBytes += uint64(rec.Bytes)
-	r.Node.Proc.Pause(r.dev.ReadCost(rec.Bytes))
+	rec := r.recovery.Reopen(r.dev, r.Node.Proc, acuerdoWALName)[0]
+	r.store = rec.Store
 	// WAL records are committed entries in delivery order; replay them to
 	// the application and rebuild the log so the next diff splices cleanly.
 	n := uint64(0)
@@ -314,9 +299,7 @@ func (r *Replica) restartDurable() {
 		if err != nil || isDiff {
 			continue
 		}
-		pl := make([]byte, len(payload))
-		copy(pl, payload)
-		r.log.Insert(Entry{Hdr: hdr, Payload: pl})
+		r.log.Insert(Entry{Hdr: hdr, Payload: payload})
 		r.accepted = hdr
 		r.committed = hdr
 		n++
@@ -432,7 +415,7 @@ func (r *Replica) acceptDiff(hdr, diffFrom MsgHdr, entries []Entry) {
 		// First diff after a durable restart: its payload is the state the
 		// crash lost, re-shipped over the fabric.
 		for _, e := range entries {
-			r.Stats.FabricRecoveryBytes += uint64(len(e.Payload))
+			r.recovery.Refetched(len(e.Payload))
 		}
 		r.recovering = false
 	}

@@ -4,7 +4,9 @@
 // that drop un-fsynced bytes), a checksummed group-commit write-ahead log
 // (WAL, LogStore), and snapshot files with temp-then-atomic-rename
 // semantics. The protocol packages layer their durable log/ballot/vote
-// state on it; internal/chaos injects its disk faults (fsync stalls, torn
+// state on it and share its restart spine (Recovery.Reopen, the head of
+// every durable restart, and GroupCommit, the one-flush-in-flight batching
+// pump); internal/chaos injects its disk faults (fsync stalls, torn
 // last records, bit-flip corruption, full disk) through the fault surface
 // here.
 //
@@ -332,8 +334,12 @@ func (d *Device) ReadCost(n int) time.Duration {
 // queue is discarded, and each file loses its volatile tail. If a
 // torn-write fault is armed, each file with a volatile tail instead keeps a
 // random partial prefix of that tail — the torn last record a checksummed
-// WAL replay must detect and discard.
+// WAL replay must detect and discard. A nil Device is a replica in the
+// volatile model: it has no disk to lose.
 func (d *Device) Crash(rng *rand.Rand) {
+	if d == nil {
+		return
+	}
 	d.epoch++
 	d.syncBusy = false
 	d.syncQueue = nil

@@ -143,6 +143,16 @@ func TestLogStoreRecoverRoundTrip(t *testing.T) {
 	if rec.Meta[1] != 43 || rec.Meta[2] != 7 {
 		t.Fatalf("meta = %v", rec.Meta)
 	}
+	// Positional indexes by Seq: here the surviving log, index for index.
+	pos := rec.Positional()
+	if len(pos) != 4 || pos[3].Term != 203 || pos[3].Data[0] != 33 {
+		t.Fatalf("positional log %+v", pos)
+	}
+	// A gap stays zero and a later record for an index replaces the earlier.
+	pos = (&Recovered{Entries: []RecEntry{{Seq: 0, Term: 1}, {Seq: 2, Term: 2}, {Seq: 0, Term: 3}}}).Positional()
+	if len(pos) != 3 || pos[0].Term != 3 || pos[1].Term != 0 || pos[2].Term != 2 {
+		t.Fatalf("positional log with a gap and a rewrite: %+v", pos)
+	}
 }
 
 func TestRecoverStopsAtTornTail(t *testing.T) {
@@ -174,20 +184,40 @@ func TestRecoverStopsAtTornTail(t *testing.T) {
 		}
 	}
 
-	// Reopen must trim the torn bytes: an entry appended and fsynced after
-	// the restart has to survive a second power cut, not hide behind them.
+	// The restart step must trim the torn bytes: an entry appended and
+	// fsynced after the restart has to survive a second power cut, not hide
+	// behind them. It reads a second, untorn log in the same step and charges
+	// the ledger and the CPU once for both.
 	if rec.Dropped == 0 {
 		t.Fatal("seed left no torn bytes on the platter; pick one that does")
 	}
-	ls, rec = Reopen(dev, "wal")
-	if _, durable := dev.Size("wal"); len(rec.Entries) != 3 || durable != rec.Bytes {
-		t.Fatalf("Reopen recovered %d entries and left %d durable bytes, want 3 and %d", len(rec.Entries), durable, rec.Bytes)
+	NewLogStore(dev, "other").AppendEntry(0, 9, []byte("kept"), nil)
+	sim.RunFor(time.Millisecond)
+	var ledger Recovery
+	proc := simnet.NewProc(sim, 0, "replica")
+	logs := ledger.Reopen(dev, proc, "wal", "other")
+	wal, other := logs[0], logs[1]
+	if _, durable := dev.Size("wal"); len(wal.Entries) != 3 || durable != wal.Bytes {
+		t.Fatalf("Reopen recovered %d entries and left %d durable bytes, want 3 and %d", len(wal.Entries), durable, wal.Bytes)
 	}
-	ls.AppendEntry(3, 2, bytes.Repeat([]byte{3}, 64), nil)
+	if len(other.Entries) != 1 || string(other.Entries[0].Data) != "kept" || other.Store.Name() != "other" {
+		t.Fatalf("second log recovered %+v", other.Recovered)
+	}
+	read := wal.Bytes + other.Bytes
+	if got := ledger.DiskRecoveredBytes(); got != int64(read) {
+		t.Fatalf("ledger counts %d disk bytes, want %d", got, read)
+	}
+	if got, want := proc.BusyUntil().Sub(sim.Now()), dev.ReadCost(read); got != want {
+		t.Fatalf("restart paused the CPU for %v, want one read of both logs, %v", got, want)
+	}
+	wal.Store.AppendEntry(3, 2, bytes.Repeat([]byte{3}, 64), nil)
 	sim.RunFor(time.Millisecond)
 	dev.Crash(sim.Rand())
-	if _, rec = Reopen(dev, "wal"); len(rec.Entries) != 4 || rec.Tail != TailClean {
-		t.Fatalf("second recovery found %d entries (tail %v), want 4 clean", len(rec.Entries), rec.Tail)
+	if wal = ledger.Reopen(dev, proc, "wal")[0]; len(wal.Entries) != 4 || wal.Tail != TailClean {
+		t.Fatalf("second recovery found %d entries (tail %v), want 4 clean", len(wal.Entries), wal.Tail)
+	}
+	if got := ledger.DiskRecoveredBytes(); got != int64(read+wal.Bytes) {
+		t.Fatalf("ledger counts %d disk bytes after two restarts, want %d", got, read+wal.Bytes)
 	}
 }
 

@@ -3,6 +3,8 @@ package disk
 import (
 	"encoding/binary"
 	"hash/crc32"
+
+	"acuerdo/internal/simnet"
 )
 
 // WAL record wire format, little-endian:
@@ -100,7 +102,9 @@ func (w *WAL) Reset() {
 
 // RecEntry is one recovered log entry: a (Seq, Term) identifier pair whose
 // meaning belongs to the caller (raft: index/term; zab: position/zxid;
-// paxos: instance/ballot; kvstore: applied-counter/0) and the payload.
+// paxos: instance/ballot; kvstore: applied-counter/0) and the payload. Data
+// is the caller's to keep: recovery copied it off the device and holds no
+// other reference, so restart paths store it without copying again.
 type RecEntry struct {
 	Seq, Term uint64
 	Data      []byte
@@ -149,12 +153,16 @@ type Recovered struct {
 	Tail TailState
 }
 
-// ByKey folds the positional entries into a keyed map, last record per Seq
-// winning (the Paxos acceptor view: a re-accept at a higher ballot
-// supersedes the earlier record for that instance).
-func (r *Recovered) ByKey() map[uint64]RecEntry {
-	out := make(map[uint64]RecEntry, len(r.Entries))
+// Positional lays Entries out by Seq for the logs that append with Seq = log
+// index (raft, zab): out[i] is the surviving record of index i, and since
+// truncate records drop suffixes that is the surviving log prefix. A later
+// record for an index replaces the earlier one.
+func (r *Recovered) Positional() []RecEntry {
+	var out []RecEntry
 	for _, e := range r.Entries {
+		for uint64(len(out)) <= e.Seq {
+			out = append(out, RecEntry{})
+		}
 		out[e.Seq] = e
 	}
 	return out
@@ -222,8 +230,8 @@ func (ls *LogStore) Reset() { ls.wal.Reset() }
 // otherwise later appends sit behind the garbage, the next recovery stops
 // at it, and a replica power-cut twice loses its durable prefix. The trim
 // is immediately durable metadata, like Device.Truncate (zero simulated
-// time, no trace event). As with RecoverLog, callers charge
-// dev.ReadCost(rec.Bytes) themselves.
+// time, no trace event). Reopen charges nothing for the read; a replica
+// restart goes through Recovery.Reopen, which does.
 func Reopen(dev *Device, name string) (*LogStore, Recovered) {
 	rec := RecoverLog(dev, name)
 	if rec.Dropped > 0 {
@@ -232,9 +240,50 @@ func Reopen(dev *Device, name string) (*LogStore, Recovered) {
 	return NewLogStore(dev, name), rec
 }
 
+// Reopened is one log brought back by Recovery.Reopen: the fresh store to
+// append through and what its replay reconstructed.
+type Reopened struct {
+	Store *LogStore
+	Recovered
+}
+
+// Recovery is a durable group's recovery ledger: the bytes its replicas read
+// back from their own disks, and the payload bytes re-shipped over the
+// interconnect to refill what those disks had lost. A group embeds it for
+// abcast.DurableGroup's two counters.
+type Recovery struct {
+	diskBytes, fabricBytes int64
+}
+
+// DiskRecoveredBytes implements abcast.DurableGroup.
+func (r *Recovery) DiskRecoveredBytes() int64 { return r.diskBytes }
+
+// FabricRecoveryBytes implements abcast.DurableGroup.
+func (r *Recovery) FabricRecoveryBytes() int64 { return r.fabricBytes }
+
+// Refetched counts n payload bytes that arrived over the interconnect for a
+// position the replica held before it crashed.
+func (r *Recovery) Refetched(n int) { r.fabricBytes += int64(n) }
+
+// Reopen is the head of every durable restart: it reopens the named logs on
+// dev (the package-level Reopen, in the order given), adds the bytes read to
+// the ledger, and pauses proc for one recovery read over all of them. Each
+// protocol continues from the returned replays with its own record decoder,
+// metadata keys and re-apply loop.
+func (r *Recovery) Reopen(dev *Device, proc *simnet.Proc, names ...string) []Reopened {
+	logs := make([]Reopened, len(names))
+	bytes := 0
+	for i, name := range names {
+		logs[i].Store, logs[i].Recovered = Reopen(dev, name)
+		bytes += logs[i].Bytes
+	}
+	r.diskBytes += int64(bytes)
+	proc.Pause(dev.ReadCost(bytes))
+	return logs
+}
+
 // RecoverLog replays name's durable prefix on dev and returns the
-// reconstructed state. It performs no simulated-time charging itself;
-// callers pause their process for dev.ReadCost(total durable bytes).
+// reconstructed state. It performs no simulated-time charging itself.
 func RecoverLog(dev *Device, name string) Recovered {
 	rec := Recovered{Meta: make(map[uint8]uint64)}
 	buf := dev.Durable(name)

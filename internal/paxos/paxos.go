@@ -65,7 +65,6 @@ type Server struct {
 	c    *Cluster
 	id   int
 	node *tcpnet.Node
-	out  []*tcpnet.Conn
 
 	// Acceptor state.
 	promised uint64
@@ -103,25 +102,17 @@ type Server struct {
 }
 
 // Cluster is a libpaxos deployment plus a client host; implements
-// abcast.DurableGroup.
+// abcast.DurableGroup. The embedded Recovery counts bytes read back from
+// local logs on restart (durable mode only) and payload bytes re-shipped
+// over the network to refill a restarted learner's pre-crash instances.
 type Cluster struct {
-	Sim     *simnet.Sim
-	Net     *tcpnet.Net
-	Servers []*Server
-	Client  *tcpnet.Node
-	cfg     Config
-
-	toServer []*tcpnet.Conn
-	toClient []*tcpnet.Conn
+	*tcpnet.Ensemble
+	disk.Recovery
+	Sim      *simnet.Sim
+	Servers  []*Server
+	cfg      Config
 	requests *abcast.Client
 	obs      *observe.Observer
-
-	// fabricRecovery counts payload bytes re-shipped over the network
-	// to refill a restarted learner's pre-crash instances;
-	// diskRecovered counts bytes read back from local logs during
-	// crash recovery (durable mode only).
-	fabricRecovery int64
-	diskRecovered  int64
 
 	// OnDeliver observes deliveries at every learner.
 	OnDeliver func(replica int, instance uint64, payload []byte)
@@ -129,17 +120,12 @@ type Cluster struct {
 
 // NewCluster builds the deployment; server 0 is the initial proposer.
 func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
-	c := &Cluster{Sim: sim, Net: net, cfg: cfg}
+	c := &Cluster{Sim: sim, cfg: cfg}
 	c.requests = abcast.NewClient(sim, c.try, 30*time.Millisecond, time.Millisecond)
-	nodes := make([]*tcpnet.Node, cfg.N)
-	for i := range nodes {
-		nodes[i] = net.AddNode("paxos")
-	}
-	c.Client = net.AddNode("paxos-client")
 	c.Servers = make([]*Server, cfg.N)
-	for i := 0; i < cfg.N; i++ {
+	for i := range c.Servers {
 		c.Servers[i] = &Server{
-			c: c, id: i, node: nodes[i],
+			c: c, id: i,
 			accepted:     make(map[uint64]acceptedVal),
 			learned:      make(map[uint64]map[int]uint64),
 			chosen:       make(map[uint64][]byte),
@@ -149,21 +135,12 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 			deliveredIDs: make(map[uint64]bool),
 		}
 	}
+	c.Ensemble = tcpnet.NewEnsemble(net, "paxos", cfg.N,
+		func(i int) func([]byte) { return c.Servers[i].handle },
+		func(i int) func([]byte) { return c.Servers[i].submit },
+		c.requests.Ack)
 	for i, s := range c.Servers {
-		s.out = make([]*tcpnet.Conn, cfg.N)
-		for j := range c.Servers {
-			if i == j {
-				continue
-			}
-			peer := c.Servers[j]
-			s.out[j] = nodes[i].Connect(nodes[j], peer.handle)
-		}
-	}
-	c.toServer = make([]*tcpnet.Conn, cfg.N)
-	c.toClient = make([]*tcpnet.Conn, cfg.N)
-	for i, s := range c.Servers {
-		c.toServer[i] = c.Client.Connect(nodes[i], s.submit)
-		c.toClient[i] = nodes[i].Connect(c.Client, c.requests.Ack)
+		s.node = c.Node(i)
 	}
 	return c
 }
@@ -223,20 +200,6 @@ func (c *Cluster) Start() {
 	}
 }
 
-func (s *Server) send(j int, m []byte) {
-	if s.out[j] != nil {
-		s.out[j].Send(m)
-	}
-}
-
-func (s *Server) broadcast(m []byte) {
-	for j := range s.out {
-		if j != s.id {
-			s.send(j, m)
-		}
-	}
-}
-
 // enc: [kind][ballot u64][instance u64][from u32][payload]
 func enc(kind byte, ballot, inst uint64, from int, payload []byte) []byte {
 	m := make([]byte, 21+len(payload))
@@ -257,7 +220,7 @@ func (s *Server) submit(payload []byte) {
 	if s.deliveredIDs[id] {
 		// Retry of a value already chosen and delivered (its ack died with
 		// an old proposer): re-ack, never start a second instance.
-		s.c.toClient[s.id].Send(payload[:8])
+		s.c.Ack(s.id, payload)
 		return
 	}
 	if s.seenIDs[id] {
@@ -278,7 +241,7 @@ func (s *Server) pump() {
 		s.inFlight[inst] = payload
 		s.node.Proc.Pause(s.c.cfg.ProposerOpCost)
 		m := enc(mAccept, s.ballot, inst, s.id, payload)
-		s.broadcast(m)
+		s.c.Broadcast(s.id, m)
 		if tr := s.c.Sim.Tracer(); tr != nil {
 			tr.Instant(trace.KPropose, s.id, int64(s.c.Sim.Now()), trace.ID(payload), int64(inst))
 			tr.Add(trace.CtrProposes, 1)
@@ -344,7 +307,7 @@ func (s *Server) onAccept(ballot, inst uint64, payload []byte) {
 			tr.Instant(trace.KAccept, s.id, int64(s.c.Sim.Now()), trace.ID(pl), int64(inst))
 			tr.Add(trace.CtrAccepts, 1)
 		}
-		s.broadcast(enc(mAccepted, ballot, inst, s.id, pl))
+		s.c.Broadcast(s.id, enc(mAccepted, ballot, inst, s.id, pl))
 		s.onAccepted(ballot, inst, s.id, pl) // local learner
 	}
 	if s.astore == nil {
@@ -386,7 +349,7 @@ func (s *Server) onAccepted(ballot, inst uint64, from int, payload []byte) {
 			n++
 		}
 	}
-	if n >= s.c.quorum() {
+	if n >= s.c.Quorum() {
 		if _, ok := s.chosen[inst]; !ok {
 			s.chosen[inst] = append([]byte(nil), payload...)
 			s.c.obs.PaxosChosen(s.id, int64(s.c.Sim.Now()), inst, trace.ID(payload))
@@ -434,9 +397,7 @@ func (s *Server) deliver() {
 		}
 		if s.leading {
 			delete(s.inFlight, inst)
-			if len(payload) >= 8 {
-				s.c.toClient[s.id].Send(payload[:8])
-			}
+			s.c.Ack(s.id, payload)
 			s.pump()
 		}
 	}
@@ -465,7 +426,7 @@ func (s *Server) schedulePing() {
 	if !s.leading || s.node.Crashed() {
 		return
 	}
-	s.broadcast(enc(mPing, s.ballot, 0, s.id, nil))
+	s.c.Broadcast(s.id, enc(mPing, s.ballot, 0, s.id, nil))
 	s.c.Sim.After(s.c.cfg.LeaderTimeout/4, s.schedulePing)
 }
 
@@ -514,7 +475,7 @@ func (s *Server) takeOver() {
 	}
 	s.promises = make(map[int][]byte)
 	s.nextInst = s.delivered
-	s.broadcast(enc(mPrepare, s.ballot, s.delivered, s.id, nil))
+	s.c.Broadcast(s.id, enc(mPrepare, s.ballot, s.delivered, s.id, nil))
 	// Local promise.
 	s.onPrepare(s.ballot, s.delivered, s.id)
 	s.schedulePing()
@@ -552,7 +513,7 @@ func (s *Server) onPrepare(ballot, fromInst uint64, from int) {
 		if from == s.id {
 			s.onPromise(ballot, s.id, buf)
 		} else {
-			s.send(from, enc(mPromise, ballot, fromInst, s.id, buf))
+			s.c.Send(s.id, from, enc(mPromise, ballot, fromInst, s.id, buf))
 		}
 	}
 	if s.astore == nil {
@@ -576,7 +537,7 @@ func (s *Server) onPromise(ballot uint64, from int, payload []byte) {
 		return
 	}
 	s.promises[from] = append([]byte(nil), payload...)
-	if len(s.promises) < s.c.quorum() {
+	if len(s.promises) < s.c.Quorum() {
 		return
 	}
 	s.preparing = false
@@ -614,7 +575,7 @@ func (s *Server) onPromise(ballot uint64, from int, payload []byte) {
 			s.seenIDs[abcast.MsgID(av.payload)] = true
 		}
 		s.inFlight[inst] = av.payload
-		s.broadcast(enc(mAccept, s.ballot, inst, s.id, av.payload))
+		s.c.Broadcast(s.id, enc(mAccept, s.ballot, inst, s.id, av.payload))
 		s.onAccept(s.ballot, inst, av.payload)
 	}
 	s.pump()
@@ -642,7 +603,7 @@ func (s *Server) onLearnReq(fromInst uint64, from int) {
 		buf = append(buf, rec...)
 	}
 	if len(buf) > 0 {
-		s.send(from, enc(mLearn, 0, 0, s.id, buf))
+		s.c.Send(s.id, from, enc(mLearn, 0, 0, s.id, buf))
 	}
 }
 
@@ -660,7 +621,7 @@ func (s *Server) onLearn(payload []byte) {
 				s.lstore.AppendEntry(inst, 0, s.chosen[inst], nil)
 			}
 			if inst < s.preCrashDelivered {
-				s.c.fabricRecovery += int64(len(pl))
+				s.c.Refetched(len(pl))
 			}
 		}
 		off += 12 + ln
@@ -668,25 +629,10 @@ func (s *Server) onLearn(payload []byte) {
 	s.deliver()
 }
 
-// Size implements abcast.Group.
-func (c *Cluster) Size() int { return c.cfg.N }
-
-// Proc implements abcast.Group.
-func (c *Cluster) Proc(i int) *simnet.Proc { return c.Servers[i].node.Proc }
-
-// NodeID implements abcast.Group.
-func (c *Cluster) NodeID(i int) int { return c.Servers[i].node.ID }
-
 // SetDeliver implements abcast.Group over the typed OnDeliver hook.
 func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
 	c.OnDeliver = func(replica int, _ uint64, payload []byte) { fn(replica, payload) }
 }
-
-// DiskRecoveredBytes implements abcast.DurableGroup.
-func (c *Cluster) DiskRecoveredBytes() int64 { return c.diskRecovered }
-
-// FabricRecoveryBytes implements abcast.DurableGroup.
-func (c *Cluster) FabricRecoveryBytes() int64 { return c.fabricRecovery }
 
 // Crash fail-stops replica i. In durable mode the device's volatile write
 // cache is dropped too (only fsynced bytes survive, modulo an armed torn
@@ -695,27 +641,14 @@ func (c *Cluster) Crash(i int) {
 	s := c.Servers[i]
 	s.preCrashDelivered = s.delivered
 	s.node.Crash()
-	if s.dev != nil {
-		s.dev.Crash(c.Sim.Rand())
-	}
+	s.dev.Crash(c.Sim.Rand())
 }
 
-// Restart recovers a crashed replica as a non-leading acceptor/learner.
-// The volatile/durable contract:
-//
-//   - Volatile mode (no SetDisks): this model treats the acceptor state
-//     (promised, accepted) and learner state (chosen, delivered) as
-//     surviving the crash in memory — an idealized always-synced stable
-//     store. The proposer role never survives: clients fail over.
-//   - Durable mode (SetDisks): memory is authoritative for nothing. The
-//     acceptor's promise and accepted values and the learner's chosen
-//     values and delivery frontier are rebuilt from the device's
-//     checksummed logs (replay stops at the first torn or corrupt record);
-//     anything lost is refetched from peers.
-//
-// Either way the learner closes the instance gap its downtime opened by
-// asking peers for chosen values from its delivery frontier, then re-arms
-// failover.
+// Restart recovers a crashed replica as a non-leading acceptor/learner;
+// DESIGN §6.8 tabulates what survives in each storage mode (the proposer role
+// never does: clients fail over). The learner closes the instance gap its
+// downtime opened by asking peers for chosen values from its delivery
+// frontier, then re-arms failover.
 func (c *Cluster) Restart(i int) {
 	s := c.Servers[i]
 	if !s.node.Crashed() {
@@ -733,7 +666,7 @@ func (c *Cluster) Restart(i int) {
 		s.restartDurable()
 		return
 	}
-	s.broadcast(enc(mLearnReq, 0, s.delivered, s.id, nil))
+	s.c.Broadcast(s.id, enc(mLearnReq, 0, s.delivered, s.id, nil))
 	s.armFailover()
 }
 
@@ -755,36 +688,19 @@ func (s *Server) restartDurable() {
 	s.nextInst = 0
 	s.highestIns = 0
 	s.deliveredIDs = make(map[uint64]bool)
-	astore, arec := disk.Reopen(s.dev, paxosAcceptWAL)
-	lstore, lrec := disk.Reopen(s.dev, paxosLearnWAL)
-	s.astore, s.lstore = astore, lstore
-	s.c.diskRecovered += int64(arec.Bytes) + int64(lrec.Bytes)
-	s.node.Proc.Pause(s.dev.ReadCost(arec.Bytes + lrec.Bytes))
-	if v, ok := arec.Meta[metaPromised]; ok {
-		s.promised = v
+	logs := s.c.Recovery.Reopen(s.dev, s.node.Proc, paxosAcceptWAL, paxosLearnWAL)
+	arec, lrec := logs[0], logs[1]
+	s.astore, s.lstore = arec.Store, lrec.Store
+	s.promised = arec.Meta[metaPromised]
+	// Replay in log order: a re-accept at a higher ballot is a later record
+	// and supersedes the earlier one for its instance.
+	for _, e := range arec.Entries {
+		s.accepted[e.Seq] = acceptedVal{ballot: e.Term, payload: e.Data}
 	}
-	am := arec.ByKey()
-	ainsts := make([]uint64, 0, len(am))
-	for inst := range am {
-		ainsts = append(ainsts, inst)
+	for _, e := range lrec.Entries {
+		s.chosen[e.Seq] = e.Data
 	}
-	sort.Slice(ainsts, func(i, j int) bool { return ainsts[i] < ainsts[j] })
-	for _, inst := range ainsts {
-		e := am[inst]
-		s.accepted[inst] = acceptedVal{ballot: e.Term, payload: append([]byte(nil), e.Data...)}
-	}
-	lm := lrec.ByKey()
-	linsts := make([]uint64, 0, len(lm))
-	for inst := range lm {
-		linsts = append(linsts, inst)
-	}
-	sort.Slice(linsts, func(i, j int) bool { return linsts[i] < linsts[j] })
-	for _, inst := range linsts {
-		s.chosen[inst] = append([]byte(nil), lm[inst].Data...)
-	}
-	if v, ok := lrec.Meta[metaDelivered]; ok {
-		s.delivered = v
-	}
+	s.delivered = lrec.Meta[metaDelivered]
 	// Instances below the recovered frontier were delivered pre-crash;
 	// rebuild the dedup set so a client retry cannot open a new instance.
 	for inst := uint64(0); inst < s.delivered; inst++ {
@@ -807,13 +723,11 @@ func (s *Server) restartDurable() {
 	// the stale tail the frontier metadata missed), then ask peers for
 	// everything newer.
 	s.deliver()
-	s.broadcast(enc(mLearnReq, 0, s.delivered, s.id, nil))
+	s.c.Broadcast(s.id, enc(mLearnReq, 0, s.delivered, s.id, nil))
 	s.armFailover()
 }
 
 // --- cluster client API ---
-
-func (c *Cluster) quorum() int { return c.cfg.N/2 + 1 }
 
 // LeaderIdx returns the active proposer or -1.
 func (c *Cluster) LeaderIdx() int {
@@ -839,7 +753,7 @@ func (c *Cluster) Submit(payload []byte, done func()) { c.requests.Submit(payloa
 func (c *Cluster) try(_ uint64, payload []byte) bool {
 	ldr := c.LeaderIdx()
 	if ldr >= 0 {
-		c.toServer[ldr].Send(payload)
+		c.Request(ldr, payload)
 	}
 	return ldr >= 0
 }

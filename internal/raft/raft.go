@@ -75,7 +75,6 @@ type Server struct {
 	c    *Cluster
 	id   int
 	node *tcpnet.Node
-	out  []*tcpnet.Conn
 
 	role     roleT
 	term     uint64
@@ -90,9 +89,8 @@ type Server struct {
 	inflight  []bool
 
 	// Group-commit state.
-	persisted   int // entries [0,persisted) are on stable storage
-	persistBusy bool
-	persistCBs  []func()
+	persisted int              // entries [0,persisted) are on stable storage
+	fsync     disk.GroupCommit // WAL group commit, over flush
 
 	// Durable mode (SetDisks): the WAL holding entries and term/vote/commit
 	// metadata, and the count of log entries already appended to it.
@@ -115,26 +113,19 @@ type Server struct {
 }
 
 // Cluster is a Raft group plus a client host; implements abcast.DurableGroup.
+// The embedded Recovery counts bytes read back from local disks on restart
+// (durable mode only) and payload bytes re-replicated over the network to
+// refill restarted servers' pre-crash log positions.
 type Cluster struct {
-	Sim     *simnet.Sim
-	Net     *tcpnet.Net
-	Servers []*Server
-	Client  *tcpnet.Node
-	cfg     Config
-
-	toServer []*tcpnet.Conn
-	toClient []*tcpnet.Conn
+	*tcpnet.Ensemble
+	disk.Recovery
+	Sim      *simnet.Sim
+	Servers  []*Server
+	cfg      Config
 	requests *abcast.Client
 
 	// OnDeliver observes every applied entry at every replica.
 	OnDeliver func(replica int, index int, payload []byte)
-
-	// fabricRecovery counts payload bytes re-replicated over the
-	// network to refill restarted servers' pre-crash log positions;
-	// diskRecovered counts bytes read back from local disks during
-	// crash recovery (durable mode only).
-	fabricRecovery int64
-	diskRecovered  int64
 
 	obs *observe.Observer
 }
@@ -177,17 +168,12 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 
 // NewCluster builds the group.
 func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
-	c := &Cluster{Sim: sim, Net: net, cfg: cfg}
+	c := &Cluster{Sim: sim, cfg: cfg}
 	c.requests = abcast.NewClient(sim, c.try, 50*time.Millisecond, 2*time.Millisecond)
-	nodes := make([]*tcpnet.Node, cfg.N)
-	for i := range nodes {
-		nodes[i] = net.AddNode("etcd")
-	}
-	c.Client = net.AddNode("etcd-client")
 	c.Servers = make([]*Server, cfg.N)
-	for i := 0; i < cfg.N; i++ {
+	for i := range c.Servers {
 		c.Servers[i] = &Server{
-			c: c, id: i, node: nodes[i],
+			c: c, id: i,
 			votedFor:   -1,
 			nextIndex:  make([]int, cfg.N),
 			inflight:   make([]bool, cfg.N),
@@ -195,21 +181,13 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 			appliedIDs: make(map[uint64]bool),
 		}
 	}
+	c.Ensemble = tcpnet.NewEnsemble(net, "etcd", cfg.N,
+		func(i int) func([]byte) { return c.Servers[i].handle },
+		func(i int) func([]byte) { return c.Servers[i].propose },
+		c.requests.Ack)
 	for i, s := range c.Servers {
-		s.out = make([]*tcpnet.Conn, cfg.N)
-		for j := range c.Servers {
-			if i == j {
-				continue
-			}
-			peer := c.Servers[j]
-			s.out[j] = nodes[i].Connect(nodes[j], peer.handle)
-		}
-	}
-	c.toServer = make([]*tcpnet.Conn, cfg.N)
-	c.toClient = make([]*tcpnet.Conn, cfg.N)
-	for i, s := range c.Servers {
-		c.toServer[i] = c.Client.Connect(nodes[i], s.propose)
-		c.toClient[i] = nodes[i].Connect(c.Client, c.requests.Ack)
+		s.node = c.Node(i)
+		s.fsync = disk.NewGroupCommit(s.flush)
 	}
 	return c
 }
@@ -254,12 +232,6 @@ func (s *Server) lastLogTerm() uint64 {
 	return s.log[len(s.log)-1].term
 }
 
-func (s *Server) send(j int, m []byte) {
-	if s.out[j] != nil {
-		s.out[j].Send(m)
-	}
-}
-
 // --- election ---
 
 func (s *Server) startElection() {
@@ -281,13 +253,7 @@ func (s *Server) startElection() {
 	binary.LittleEndian.PutUint64(m[17:], s.lastLogTerm())
 	// The candidate's own term and self-vote must be durable before it
 	// solicits votes (it is counting itself in the quorum).
-	s.persistVoteState(func() {
-		for j := range s.out {
-			if j != s.id {
-				s.send(j, m)
-			}
-		}
-	})
+	s.persistVoteState(func() { s.c.Broadcast(s.id, m) })
 }
 
 func (s *Server) maybeStepDown(term uint64) {
@@ -334,9 +300,9 @@ func (s *Server) handle(m []byte) {
 			// The vote must be on stable storage before the reply leaves:
 			// a granted-then-forgotten vote could elect two leaders in one
 			// term after a restart.
-			s.persistVoteState(func() { s.send(from, resp) })
+			s.persistVoteState(func() { s.c.Send(s.id, from, resp) })
 		} else {
-			s.send(from, resp)
+			s.c.Send(s.id, from, resp)
 		}
 	case mVoteResp:
 		term := binary.LittleEndian.Uint64(m[1:])
@@ -345,7 +311,7 @@ func (s *Server) handle(m []byte) {
 			return
 		}
 		s.votes++
-		if s.votes >= s.c.quorum() {
+		if s.votes >= s.c.Quorum() {
 			s.becomeLeader()
 		}
 	case mAppendReq:
@@ -379,7 +345,7 @@ func (s *Server) heartbeat() {
 	if s.role != leader || s.node.Crashed() {
 		return
 	}
-	for j := range s.out {
+	for j := range s.inflight {
 		if j != s.id && !s.inflight[j] {
 			s.sendAppend(j)
 		}
@@ -410,7 +376,7 @@ func (s *Server) sendAppend(j int) {
 	}
 	m := encodeAppend(s.term, s.id, prev, prevTerm, s.commit, s.log[prev:prev+count])
 	s.inflight[j] = true
-	s.send(j, m)
+	s.c.Send(s.id, j, m)
 }
 
 func encodeAppend(term uint64, ldr, prev int, prevTerm uint64, commit int, entries []entry) []byte {
@@ -454,7 +420,7 @@ func (s *Server) onAppend(m []byte) {
 			resp[13] = 1
 		}
 		binary.LittleEndian.PutUint32(resp[14:], uint32(match))
-		s.send(ldr, resp)
+		s.c.Send(s.id, ldr, resp)
 	}
 	if term < s.term {
 		reply(false, 0)
@@ -508,7 +474,7 @@ func (s *Server) onAppend(m []byte) {
 		}
 		if appended {
 			if idx < s.preCrashLen {
-				s.c.fabricRecovery += int64(len(e.payload))
+				s.c.Refetched(len(e.payload))
 			}
 			s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(idx), e.term, trace.ID(e.payload))
 			if len(e.payload) >= 8 {
@@ -544,38 +510,22 @@ func (s *Server) onAppend(m []byte) {
 
 // persist models etcd's WAL: fsyncs batch while one is in flight.
 func (s *Server) persist(upTo int, done func()) {
-	if upTo > s.persisted {
-		s.persistCBs = append(s.persistCBs, func() {
-			if s.persisted < upTo {
-				s.persisted = upTo
-			}
-			done()
-		})
-	} else {
+	if upTo <= s.persisted {
 		done()
 		return
 	}
-	if !s.persistBusy {
-		s.persistBusy = true
-		s.runPersist()
-	}
+	s.fsync.Enqueue(func() {
+		if s.persisted < upTo {
+			s.persisted = upTo
+		}
+		done()
+	})
 }
 
-func (s *Server) runPersist() {
-	cbs := s.persistCBs
-	s.persistCBs = nil
-	finish := func() {
-		for _, cb := range cbs {
-			cb()
-		}
-		if len(s.persistCBs) > 0 {
-			s.runPersist()
-		} else {
-			s.persistBusy = false
-		}
-	}
+// flush is one WAL group commit.
+func (s *Server) flush(done func()) {
 	if s.store == nil {
-		s.node.Proc.Run(s.c.cfg.FsyncCost, finish)
+		s.node.Proc.Run(s.c.cfg.FsyncCost, done)
 		return
 	}
 	// Durable mode: append the not-yet-walled suffix and group-commit it on
@@ -585,7 +535,7 @@ func (s *Server) runPersist() {
 		s.store.AppendEntry(uint64(i), s.log[i].term, s.log[i].payload, nil)
 	}
 	s.walLen = len(s.log)
-	s.store.Flush(func(error) { finish() })
+	s.store.Flush(func(error) { done() })
 }
 
 // persistVoteState makes the current term and vote durable before done
@@ -657,7 +607,7 @@ func (s *Server) advanceCommit() {
 				n++
 			}
 		}
-		if n >= s.c.quorum() {
+		if n >= s.c.Quorum() {
 			s.commit = idx
 			s.c.obs.CommitAdvance(s.id, int64(s.c.Sim.Now()), uint64(idx))
 			s.persistCommit()
@@ -689,7 +639,7 @@ func (s *Server) apply() {
 			s.c.OnDeliver(s.id, s.applied, e.payload)
 		}
 		if s.role == leader {
-			s.c.toClient[s.id].Send(e.payload[:8])
+			s.c.Ack(s.id, e.payload)
 		}
 	}
 }
@@ -703,7 +653,7 @@ func (s *Server) propose(payload []byte) {
 	if s.appliedIDs[id] {
 		// Already committed and applied; the original ack died with a
 		// previous leader. Re-ack, don't re-append.
-		s.c.toClient[s.id].Send(payload[:8])
+		s.c.Ack(s.id, payload)
 		return
 	}
 	if s.seen[id] {
@@ -726,7 +676,7 @@ func (s *Server) propose(payload []byte) {
 		}
 		s.persist(len(s.log), func() {
 			s.advanceCommit()
-			for j := range s.out {
+			for j := range s.inflight {
 				if j != s.id && !s.inflight[j] && s.nextIndex[j] < s.persisted {
 					s.sendAppend(j)
 				}
@@ -737,25 +687,10 @@ func (s *Server) propose(payload []byte) {
 
 // --- fault injection ---
 
-// Size implements abcast.Group.
-func (c *Cluster) Size() int { return c.cfg.N }
-
-// Proc implements abcast.Group.
-func (c *Cluster) Proc(i int) *simnet.Proc { return c.Servers[i].node.Proc }
-
-// NodeID implements abcast.Group.
-func (c *Cluster) NodeID(i int) int { return c.Servers[i].node.ID }
-
 // SetDeliver implements abcast.Group over the typed OnDeliver hook.
 func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
 	c.OnDeliver = func(replica, _ int, payload []byte) { fn(replica, payload) }
 }
-
-// DiskRecoveredBytes implements abcast.DurableGroup.
-func (c *Cluster) DiskRecoveredBytes() int64 { return c.diskRecovered }
-
-// FabricRecoveryBytes implements abcast.DurableGroup.
-func (c *Cluster) FabricRecoveryBytes() int64 { return c.fabricRecovery }
 
 // Crash kills replica i: its process stops, in-flight messages to it are
 // dropped, and (durable mode) its disk loses the un-fsynced volatile tail.
@@ -763,24 +698,12 @@ func (c *Cluster) Crash(i int) {
 	s := c.Servers[i]
 	s.node.Crash()
 	s.preCrashLen = len(s.log)
-	if s.dev != nil {
-		s.dev.Crash(c.Sim.Rand())
-	}
+	s.dev.Crash(c.Sim.Rand())
 }
 
-// Restart recovers a crashed replica as a follower.
-//
-// State contract across a restart:
-//   - Volatile mode (no SetDisks): the in-memory log prefix modeled as
-//     fsynced (persisted) SURVIVES — the simulation stands in for etcd's
-//     WAL by trusting memory — while term and votedFor survive only
-//     because memory does; nothing is actually re-read.
-//   - Durable mode: ALL memory is discarded. The log, current term, vote,
-//     and commit index are re-read from the device's checksummed WAL
-//     (torn or corrupt tails drop records), committed entries are
-//     re-applied (re-deliveries ride the checker's restart replay
-//     window), and anything never group-committed is re-fetched from the
-//     leader over the fabric via nextIndex backtracking.
+// Restart recovers a crashed replica as a follower; DESIGN §6.8 tabulates
+// what survives in each storage mode. Anything never group-committed is
+// re-fetched from the leader over the fabric via nextIndex backtracking.
 func (c *Cluster) Restart(i int) {
 	s := c.Servers[i]
 	if !s.node.Crashed() {
@@ -792,8 +715,7 @@ func (c *Cluster) Restart(i int) {
 	// as a committed-prefix violation.
 	c.obs.NodeRestart(i, int64(c.Sim.Now()))
 	// Crash interrupts an in-flight fsync: its callbacks are gone.
-	s.persistBusy = false
-	s.persistCBs = nil
+	s.fsync.Reset()
 	if s.store != nil {
 		c.restartDurable(s)
 		return
@@ -828,21 +750,13 @@ func (c *Cluster) restartDurable(s *Server) {
 	s.seen = make(map[uint64]bool)
 	s.appliedIDs = make(map[uint64]bool)
 	s.role = follower
-	store, rec := disk.Reopen(s.dev, raftWALName)
-	s.store = store
-	c.diskRecovered += int64(rec.Bytes)
-	s.node.Proc.Pause(s.dev.ReadCost(rec.Bytes))
-	for _, e := range rec.Entries {
-		idx := int(e.Seq)
-		for len(s.log) <= idx {
-			s.log = append(s.log, entry{})
-		}
-		s.log[idx] = entry{term: e.Term, payload: e.Data}
-	}
-	for idx, e := range s.log {
-		c.obs.LogRecover(s.id, now, uint64(idx), e.term, trace.ID(e.payload))
-		if len(e.payload) >= 8 {
-			s.seen[abcast.MsgID(e.payload)] = true
+	rec := c.Recovery.Reopen(s.dev, s.node.Proc, raftWALName)[0]
+	s.store = rec.Store
+	for idx, e := range rec.Positional() {
+		s.log = append(s.log, entry{term: e.Term, payload: e.Data})
+		c.obs.LogRecover(s.id, now, uint64(idx), e.Term, trace.ID(e.Data))
+		if len(e.Data) >= 8 {
+			s.seen[abcast.MsgID(e.Data)] = true
 		}
 	}
 	s.persisted = len(s.log)
@@ -865,8 +779,6 @@ func (c *Cluster) restartDurable(s *Server) {
 }
 
 // --- cluster client API ---
-
-func (c *Cluster) quorum() int { return c.cfg.N/2 + 1 }
 
 // LeaderIdx returns the current leader or -1.
 func (c *Cluster) LeaderIdx() int {
@@ -893,7 +805,7 @@ func (c *Cluster) Submit(payload []byte, done func()) { c.requests.Submit(payloa
 func (c *Cluster) try(_ uint64, payload []byte) bool {
 	ldr := c.LeaderIdx()
 	if ldr >= 0 {
-		c.toServer[ldr].Send(payload)
+		c.Request(ldr, payload)
 	}
 	return ldr >= 0
 }

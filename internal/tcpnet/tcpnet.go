@@ -7,7 +7,8 @@
 // traverses the kernel network stack on both sides, and — unlike one-sided
 // RDMA writes — delivery requires the receiving *process* to be scheduled
 // (softirq + wakeup), so a busy or descheduled receiver delays every
-// message. Connections are reliable and FIFO, like real TCP.
+// message. Connections are reliable and FIFO, like real TCP. Ensemble wires
+// a whole baseline deployment (servers, client, mesh) out of them.
 //
 // Like rdma.Fabric, the network exposes a directed fault surface for the
 // chaos engine: one-way cuts (parked in the sender's kernel buffer and

@@ -88,7 +88,6 @@ type Server struct {
 	c    *Cluster
 	id   int
 	node *tcpnet.Node
-	out  []*tcpnet.Conn // to each peer (nil for self)
 
 	role      roleT
 	active    bool // leader only: finished the post-election sync round
@@ -108,9 +107,7 @@ type Server struct {
 	seenIDs      map[uint64]bool
 	deliveredIDs map[uint64]bool
 
-	pendingPersist []entry
-	persistCBs     []func()
-	persistBusy    bool
+	txnLog disk.GroupCommit // transaction-log group commit, over flush
 
 	// Durable mode (SetDisks): transaction log on a simulated device, the
 	// count of log entries already written to it, and the log length at the
@@ -156,25 +153,18 @@ func dec(m []byte) (kind byte, epoch uint32, zxid uint64, payload []byte) {
 }
 
 // Cluster is a ZooKeeper ensemble plus a client host. It implements
-// abcast.DurableGroup.
+// abcast.DurableGroup. The embedded Recovery counts bytes read back from
+// local transaction logs on restart (durable mode only) and payload bytes
+// re-shipped over the network to refill restarted servers' pre-crash log
+// positions.
 type Cluster struct {
-	Sim     *simnet.Sim
-	Net     *tcpnet.Net
-	Servers []*Server
-	Client  *tcpnet.Node
-	cfg     Config
-
-	toLeader []*tcpnet.Conn // client -> each server
-	toClient []*tcpnet.Conn // each server -> client
+	*tcpnet.Ensemble
+	disk.Recovery
+	Sim      *simnet.Sim
+	Servers  []*Server
+	cfg      Config
 	requests *abcast.Client
 	obs      *observe.Observer
-
-	// fabricRecovery counts payload bytes re-shipped over the network
-	// to refill restarted servers' pre-crash log positions;
-	// diskRecovered counts bytes read back from local transaction logs
-	// during crash recovery (durable mode only).
-	fabricRecovery int64
-	diskRecovered  int64
 
 	// OnDeliver observes every delivery (tests, KV store).
 	OnDeliver func(replica int, zxid uint64, payload []byte)
@@ -182,17 +172,12 @@ type Cluster struct {
 
 // NewCluster builds the ensemble.
 func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
-	c := &Cluster{Sim: sim, Net: net, cfg: cfg}
+	c := &Cluster{Sim: sim, cfg: cfg}
 	c.requests = abcast.NewClient(sim, c.try, 20*time.Millisecond, time.Millisecond)
-	nodes := make([]*tcpnet.Node, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		nodes[i] = net.AddNode("zk")
-	}
-	c.Client = net.AddNode("zk-client")
 	c.Servers = make([]*Server, cfg.N)
-	for i := 0; i < cfg.N; i++ {
+	for i := range c.Servers {
 		c.Servers[i] = &Server{
-			c: c, id: i, node: nodes[i],
+			c: c, id: i,
 			leader:       -1,
 			acks:         make(map[uint64]int),
 			votes:        make(map[int]voteT),
@@ -201,21 +186,13 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 			deliveredIDs: make(map[uint64]bool),
 		}
 	}
+	c.Ensemble = tcpnet.NewEnsemble(net, "zk", cfg.N,
+		func(i int) func([]byte) { return c.Servers[i].handle },
+		func(i int) func([]byte) { return c.Servers[i].clientRequest },
+		c.requests.Ack)
 	for i, s := range c.Servers {
-		s.out = make([]*tcpnet.Conn, cfg.N)
-		for j := range c.Servers {
-			if i == j {
-				continue
-			}
-			peer := c.Servers[j]
-			s.out[j] = nodes[i].Connect(nodes[j], peer.handle)
-		}
-	}
-	c.toLeader = make([]*tcpnet.Conn, cfg.N)
-	c.toClient = make([]*tcpnet.Conn, cfg.N)
-	for i, s := range c.Servers {
-		c.toLeader[i] = c.Client.Connect(nodes[i], s.clientRequest)
-		c.toClient[i] = nodes[i].Connect(c.Client, c.requests.Ack)
+		s.node = c.Node(i)
+		s.txnLog = disk.NewGroupCommit(s.flush)
 	}
 	return c
 }
@@ -268,20 +245,6 @@ func (c *Cluster) Start() {
 
 func (s *Server) alive() bool { return !s.node.Crashed() }
 
-func (s *Server) send(j int, m []byte) {
-	if s.out[j] != nil {
-		s.out[j].Send(m)
-	}
-}
-
-func (s *Server) broadcast(m []byte) {
-	for j := range s.out {
-		if j != s.id {
-			s.send(j, m)
-		}
-	}
-}
-
 // --- broadcast mode ---
 
 func (s *Server) clientRequest(payload []byte) {
@@ -292,7 +255,7 @@ func (s *Server) clientRequest(payload []byte) {
 	if s.deliveredIDs[id] {
 		// Retry of an already-applied request whose ack died with an old
 		// leader: re-ack, never re-propose under a fresh zxid.
-		s.c.toClient[s.id].Send(payload[:8])
+		s.c.Ack(s.id, payload)
 		return
 	}
 	if s.seenIDs[id] {
@@ -314,53 +277,31 @@ func (s *Server) clientRequest(payload []byte) {
 		s.log = append(s.log, e)
 		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(p))
 		s.acks[zxid] = 0
-		s.broadcast(enc(mPropose, s.epoch, zxid, p))
+		s.c.Broadcast(s.id, enc(mPropose, s.epoch, zxid, p))
 		if tr := s.c.Sim.Tracer(); tr != nil {
 			tr.Instant(trace.KPropose, s.id, int64(s.c.Sim.Now()), trace.ID(p), int64(zxid))
 			tr.Add(trace.CtrProposes, 1)
 		}
 		// The leader counts its own ack after its own group commit.
-		s.persist(e, func() { s.onAck(zxid) })
+		s.txnLog.Enqueue(func() { s.onAck(zxid) })
 	})
 }
 
-// persist models the transaction-log group commit: entries queue while one
-// sync is in flight and are acknowledged together when it completes.
-func (s *Server) persist(e entry, done func()) {
-	s.pendingPersist = append(s.pendingPersist, e)
-	s.persistCBs = append(s.persistCBs, done)
-	if !s.persistBusy {
-		s.persistBusy = true
-		s.runPersist()
-	}
-}
-
-func (s *Server) runPersist() {
-	s.pendingPersist = nil
-	cbs := s.persistCBs
-	s.persistCBs = nil
-	finish := func() {
-		for _, cb := range cbs {
-			cb()
-		}
-		if len(s.persistCBs) > 0 {
-			s.runPersist()
-		} else {
-			s.persistBusy = false
-		}
-	}
+// flush is one transaction-log group commit: proposals queue on txnLog while
+// one sync is in flight and are acknowledged together when it completes.
+func (s *Server) flush(done func()) {
 	if s.store == nil {
-		s.node.Proc.Run(s.c.cfg.FsyncCost, finish)
+		s.node.Proc.Run(s.c.cfg.FsyncCost, done)
 		return
 	}
 	// Durable mode: write the not-yet-logged suffix (proposals and adopted
-	// DIFF entries alike land in s.log before they reach persist) and
+	// DIFF entries alike land in s.log before they reach txnLog) and
 	// group-commit it on the device.
 	for i := s.walLen; i < len(s.log); i++ {
 		s.store.AppendEntry(uint64(i), s.log[i].zxid, s.log[i].payload, nil)
 	}
 	s.walLen = len(s.log)
-	s.store.Flush(func(error) { finish() })
+	s.store.Flush(func(error) { done() })
 }
 
 // persistCommitted records the committed frontier in the background and
@@ -407,7 +348,7 @@ func (s *Server) handle(m []byte) {
 		s.lastZxid = zxid
 		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(e.payload))
 		if len(s.log)-1 < s.preCrashLen {
-			s.c.fabricRecovery += int64(len(e.payload))
+			s.c.Refetched(len(e.payload))
 		}
 		if len(payload) >= 8 {
 			s.seenIDs[abcast.MsgID(payload)] = true
@@ -416,7 +357,7 @@ func (s *Server) handle(m []byte) {
 			tr.Instant(trace.KAccept, s.id, int64(s.c.Sim.Now()), trace.ID(payload), int64(zxid))
 			tr.Add(trace.CtrAccepts, 1)
 		}
-		s.persist(e, func() { s.send(s.leader, enc(mAck, s.epoch, zxid, nil)) })
+		s.txnLog.Enqueue(func() { s.c.Send(s.id, s.leader, enc(mAck, s.epoch, zxid, nil)) })
 	case mAck:
 		if s.role != leading || epoch != s.epoch {
 			return
@@ -449,12 +390,12 @@ func (s *Server) handle(m []byte) {
 			// A late joiner finished syncing after activation: tell it the
 			// committed boundary so it delivers without waiting for traffic.
 			if s.committed > 0 {
-				s.send(from, enc(mCommit, s.epoch, s.log[s.committed-1].zxid, nil))
+				s.c.Send(s.id, from, enc(mCommit, s.epoch, s.log[s.committed-1].zxid, nil))
 			}
 			return
 		}
 		s.nlAcked[from] = true
-		if len(s.nlAcked)+1 >= s.c.quorum() {
+		if len(s.nlAcked)+1 >= s.c.Quorum() {
 			s.activate()
 		}
 	case mPing:
@@ -471,9 +412,9 @@ func (s *Server) onAck(zxid uint64) {
 	}
 	n++
 	s.acks[zxid] = n
-	if n >= s.c.quorum() {
+	if n >= s.c.Quorum() {
 		delete(s.acks, zxid)
-		s.broadcast(enc(mCommit, s.epoch, zxid, nil))
+		s.c.Broadcast(s.id, enc(mCommit, s.epoch, zxid, nil))
 		s.deliverUpTo(zxid)
 	}
 }
@@ -500,8 +441,8 @@ func (s *Server) deliverUpTo(zxid uint64) {
 		if s.c.OnDeliver != nil {
 			s.c.OnDeliver(s.id, e.zxid, e.payload)
 		}
-		if s.role == leading && len(e.payload) >= 8 {
-			s.c.toClient[s.id].Send(e.payload[:8])
+		if s.role == leading {
+			s.c.Ack(s.id, e.payload)
 		}
 	}
 	if s.committed > before {
@@ -533,7 +474,7 @@ func (s *Server) sendVote() {
 	idb := make([]byte, 8)
 	binary.LittleEndian.PutUint32(idb, uint32(v.id))
 	binary.LittleEndian.PutUint32(idb[4:], uint32(s.id))
-	s.broadcast(enc(mVote, v.epoch, v.zxid, idb))
+	s.c.Broadcast(s.id, enc(mVote, v.epoch, v.zxid, idb))
 }
 
 // onVote processes sender's vote for candidate (with the candidate's last
@@ -587,7 +528,7 @@ func (s *Server) onVote(epoch uint32, zxid uint64, candidate, sender int) {
 			n++
 		}
 	}
-	if n >= s.c.quorum() && cur.id == s.id {
+	if n >= s.c.Quorum() && cur.id == s.id {
 		s.becomeLeader()
 	}
 }
@@ -608,19 +549,19 @@ func (s *Server) becomeLeader() {
 	// verification exchange the paper contrasts with Acuerdo's election.
 	idb := make([]byte, 4)
 	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.broadcast(enc(mNewLeader, s.epoch, s.lastZxid, idb))
+	s.c.Broadcast(s.id, enc(mNewLeader, s.epoch, s.lastZxid, idb))
 	s.schedulePing()
 }
 
 // syncFollower runs a targeted announce-and-sync round with one peer (a
 // rejoiner probing via votes, or a straggler missing the election round).
 func (s *Server) syncFollower(j int) {
-	if j == s.id || s.out[j] == nil {
+	if j == s.id {
 		return
 	}
 	idb := make([]byte, 4)
 	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.send(j, enc(mNewLeader, s.epoch, s.lastZxid, idb))
+	s.c.Send(s.id, j, enc(mNewLeader, s.epoch, s.lastZxid, idb))
 }
 
 func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
@@ -664,7 +605,7 @@ func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
 	s.lastPing = s.c.Sim.Now()
 	idb := make([]byte, 4)
 	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.send(ldr, enc(mFollowerInfo, s.epoch, s.lastZxid, idb))
+	s.c.Send(s.id, ldr, enc(mFollowerInfo, s.epoch, s.lastZxid, idb))
 	s.armFollowTimer()
 }
 
@@ -684,7 +625,7 @@ func (s *Server) sendDiff(j int, after uint64) {
 		copy(rec[12:], e.payload)
 		diff = append(diff, rec...)
 	}
-	s.send(j, enc(mSyncDiff, s.epoch, s.lastZxid, diff))
+	s.c.Send(s.id, j, enc(mSyncDiff, s.epoch, s.lastZxid, diff))
 }
 
 func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
@@ -699,7 +640,7 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 			s.log = append(s.log, entry{zxid, pl})
 			s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(pl))
 			if len(s.log)-1 < s.preCrashLen {
-				s.c.fabricRecovery += int64(len(pl))
+				s.c.Refetched(len(pl))
 			}
 			s.lastZxid = zxid
 			if len(pl) >= 8 {
@@ -714,7 +655,7 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 	// ack before persistence would let a commit outrun durable storage.
 	idb := make([]byte, 4)
 	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.persist(entry{}, func() { s.send(s.leader, enc(mNewLeaderAck, s.epoch, 0, idb)) })
+	s.txnLog.Enqueue(func() { s.c.Send(s.id, s.leader, enc(mNewLeaderAck, s.epoch, 0, idb)) })
 }
 
 // activate completes the verification round: a quorum has persisted the
@@ -724,7 +665,7 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 func (s *Server) activate() {
 	s.active = true
 	if len(s.log) > s.committed {
-		s.broadcast(enc(mCommit, s.epoch, s.lastZxid, nil))
+		s.c.Broadcast(s.id, enc(mCommit, s.epoch, s.lastZxid, nil))
 		s.deliverUpTo(s.lastZxid)
 	}
 }
@@ -733,7 +674,7 @@ func (s *Server) schedulePing() {
 	if s.role != leading || !s.alive() {
 		return
 	}
-	s.broadcast(enc(mPing, s.epoch, 0, nil))
+	s.c.Broadcast(s.id, enc(mPing, s.epoch, 0, nil))
 	s.c.Sim.After(s.c.cfg.HeartbeatInterval, s.schedulePing)
 }
 
@@ -761,25 +702,10 @@ func (s *Server) armElectTimer() {
 
 // --- fault injection (chaos engine surface) ---
 
-// Size implements abcast.Group.
-func (c *Cluster) Size() int { return c.cfg.N }
-
-// Proc implements abcast.Group.
-func (c *Cluster) Proc(i int) *simnet.Proc { return c.Servers[i].node.Proc }
-
-// NodeID implements abcast.Group.
-func (c *Cluster) NodeID(i int) int { return c.Servers[i].node.ID }
-
 // SetDeliver implements abcast.Group over the typed OnDeliver hook.
 func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
 	c.OnDeliver = func(replica int, _ uint64, payload []byte) { fn(replica, payload) }
 }
-
-// DiskRecoveredBytes implements abcast.DurableGroup.
-func (c *Cluster) DiskRecoveredBytes() int64 { return c.diskRecovered }
-
-// FabricRecoveryBytes implements abcast.DurableGroup.
-func (c *Cluster) FabricRecoveryBytes() int64 { return c.fabricRecovery }
 
 // Crash fail-stops replica i: its queued work and timers die, in-flight
 // messages to it are dropped, and peers see silence. In durable mode the
@@ -789,35 +715,21 @@ func (c *Cluster) Crash(i int) {
 	s := c.Servers[i]
 	s.preCrashLen = len(s.log)
 	s.node.Crash()
-	if s.dev != nil {
-		s.dev.Crash(c.Sim.Rand())
-	}
+	s.dev.Crash(c.Sim.Rand())
 }
 
-// Restart recovers a crashed replica. The volatile/durable contract:
-//
-//   - Volatile mode (no SetDisks): this model treats all of zab's nominally
-//     persistent state (epoch, log, committed prefix) as surviving the crash
-//     in memory — an idealized always-synced transaction log. Only the
-//     in-flight fsync machinery is reset.
-//   - Durable mode (SetDisks): memory is authoritative for nothing. Every
-//     field is discarded and rebuilt from the device: the checksummed WAL
-//     prefix (replay stops at the first torn or corrupt record), the epoch
-//     and committed-frontier metadata, and the dedup sets derived from the
-//     recovered entries. The lost tail is refetched from the leader's DIFF
-//     over the fabric.
-//
-// Either way the replica rejoins by probing with votes — an established
-// leader answers with a targeted sync round instead of a full re-election.
+// Restart recovers a crashed replica; DESIGN §6.8 tabulates what survives in
+// each storage mode. The replica rejoins by probing with votes — an
+// established leader answers with a targeted sync round instead of a full
+// re-election — and in durable mode refetches its lost tail from the
+// leader's DIFF over the fabric.
 func (c *Cluster) Restart(i int) {
 	s := c.Servers[i]
 	if !s.node.Crashed() {
 		return
 	}
 	s.node.Recover()
-	s.persistBusy = false
-	s.persistCBs = nil
-	s.pendingPersist = nil
+	s.txnLog.Reset()
 	if s.store != nil {
 		s.restartDurable()
 		return
@@ -849,34 +761,19 @@ func (s *Server) restartDurable() {
 	s.seenIDs = make(map[uint64]bool)
 	s.deliveredIDs = make(map[uint64]bool)
 	s.votes = make(map[int]voteT)
-	store, rec := disk.Reopen(s.dev, zabWALName)
-	s.store = store
-	s.c.diskRecovered += int64(rec.Bytes)
-	s.node.Proc.Pause(s.dev.ReadCost(rec.Bytes))
-	// Entries were appended with seq = log index; truncation records drop
-	// suffixes, so rebuilding positionally yields the surviving prefix.
-	for _, e := range rec.Entries {
-		idx := int(e.Seq)
-		for len(s.log) <= idx {
-			s.log = append(s.log, entry{})
+	rec := s.c.Recovery.Reopen(s.dev, s.node.Proc, zabWALName)[0]
+	s.store = rec.Store
+	for i, e := range rec.Positional() {
+		s.log = append(s.log, entry{zxid: e.Term, payload: e.Data})
+		s.c.obs.LogRecover(s.id, now, uint64(i), e.Term, trace.ID(e.Data))
+		if len(e.Data) >= 8 {
+			s.seenIDs[abcast.MsgID(e.Data)] = true
 		}
-		s.log[idx] = entry{zxid: e.Term, payload: append([]byte(nil), e.Data...)}
-	}
-	for i, e := range s.log {
-		s.c.obs.LogRecover(s.id, now, uint64(i), e.zxid, trace.ID(e.payload))
-		if len(e.payload) >= 8 {
-			s.seenIDs[abcast.MsgID(e.payload)] = true
-		}
-		s.lastZxid = e.zxid
+		s.lastZxid = e.Term
 	}
 	s.walLen = len(s.log)
-	if v, ok := rec.Meta[metaEpoch]; ok {
-		s.epoch = uint32(v)
-	}
-	committed := 0
-	if v, ok := rec.Meta[metaCommitted]; ok {
-		committed = int(v)
-	}
+	s.epoch = uint32(rec.Meta[metaEpoch])
+	committed := int(rec.Meta[metaCommitted])
 	if committed > len(s.log) {
 		// The commit meta outran the surviving log prefix (torn tail): only
 		// what is actually on disk can be replayed; the rest is refetched.
@@ -902,8 +799,6 @@ func (s *Server) restartDurable() {
 
 // --- cluster-level client API ---
 
-func (c *Cluster) quorum() int { return c.cfg.N/2 + 1 }
-
 // LeaderIdx returns the active leader index or -1.
 func (c *Cluster) LeaderIdx() int {
 	for i, s := range c.Servers {
@@ -928,7 +823,7 @@ func (c *Cluster) Submit(payload []byte, done func()) { c.requests.Submit(payloa
 func (c *Cluster) try(_ uint64, payload []byte) bool {
 	ldr := c.LeaderIdx()
 	if ldr >= 0 {
-		c.toLeader[ldr].Send(payload)
+		c.Request(ldr, payload)
 	}
 	return ldr >= 0
 }
