@@ -1,7 +1,8 @@
 // Package abcast defines the common contract every atomic-broadcast system
 // in this repository satisfies, the safety checker that validates the three
 // atomic-broadcast properties (Integrity, No Duplication, Total Order), and
-// the closed-loop client driver used by the Figure 8 experiments.
+// the closed-loop client every experiment drives its load through (Loop, and
+// RunClosedLoop for the Figure 8 measurement).
 package abcast
 
 import (
@@ -9,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"acuerdo/internal/digest"
 	"acuerdo/internal/disk"
 	"acuerdo/internal/metrics"
 	"acuerdo/internal/observe"
@@ -121,6 +123,8 @@ type Checker struct {
 	// the next re-delivered message must retrace (replayStart before the
 	// first re-delivery fixes the starting position).
 	replayNext []int
+	// err latches the first violation OnDeliver reported (see Err).
+	err error
 }
 
 // Restart replay cursor sentinels (see NodeRestart).
@@ -165,19 +169,19 @@ func (c *Checker) NodeRestart(node int) { c.replayNext[node] = replayStart }
 // replay window (see NodeRestart) and only in recorded order.
 func (c *Checker) OnDeliver(node int, id uint64) error {
 	if !c.broadcast[id] {
-		return fmt.Errorf("integrity violated: node %d delivered %d which was never broadcast", node, id)
+		return c.latch(fmt.Errorf("integrity violated: node %d delivered %d which was never broadcast", node, id))
 	}
 	if c.seen[node][id] {
 		if c.replayNext[node] == noReplay {
-			return fmt.Errorf("no-duplication violated: node %d delivered %d twice", node, id)
+			return c.latch(fmt.Errorf("no-duplication violated: node %d delivered %d twice", node, id))
 		}
 		p := c.pos[node][id]
 		if c.replayNext[node] == replayStart {
 			c.replayNext[node] = p
 		}
 		if p != c.replayNext[node] {
-			return fmt.Errorf("no-duplication violated: node %d re-delivered %d at position %d after restart, expected contiguous replay at position %d",
-				node, id, p, c.replayNext[node])
+			return c.latch(fmt.Errorf("no-duplication violated: node %d re-delivered %d at position %d after restart, expected contiguous replay at position %d",
+				node, id, p, c.replayNext[node]))
 		}
 		c.replayNext[node]++
 		if c.replayNext[node] == len(c.delivered[node]) {
@@ -187,8 +191,8 @@ func (c *Checker) OnDeliver(node int, id uint64) error {
 	}
 	if c.replayNext[node] != noReplay {
 		if c.replayNext[node] != replayStart {
-			return fmt.Errorf("no-duplication violated: node %d delivered fresh message %d mid-replay (retrace at %d of %d)",
-				node, id, c.replayNext[node], len(c.delivered[node]))
+			return c.latch(fmt.Errorf("no-duplication violated: node %d delivered fresh message %d mid-replay (retrace at %d of %d)",
+				node, id, c.replayNext[node], len(c.delivered[node])))
 		}
 		// First post-restart delivery is already fresh: no replay occurred.
 		c.replayNext[node] = noReplay
@@ -199,8 +203,49 @@ func (c *Checker) OnDeliver(node int, id uint64) error {
 	return nil
 }
 
+// latch keeps err if it is the first violation OnDeliver has reported.
+func (c *Checker) latch(err error) error {
+	if c.err == nil {
+		c.err = err
+	}
+	return err
+}
+
+// Err is a finished run's safety verdict: the first violation OnDeliver
+// reported, however many clean deliveries followed it, else
+// CheckTotalOrder's.
+func (c *Checker) Err() error {
+	if c.err != nil {
+		return c.err
+	}
+	return c.CheckTotalOrder()
+}
+
 // Delivered returns the delivery sequence observed at node.
 func (c *Checker) Delivered(node int) []uint64 { return c.delivered[node] }
+
+// fold continues d over node's delivery sequence: its length, then the ids.
+func (c *Checker) fold(d digest.Sum, node int) digest.Sum {
+	d = d.Uint64(uint64(len(c.delivered[node])))
+	for _, id := range c.delivered[node] {
+		d = d.Uint64(id)
+	}
+	return d
+}
+
+// Fingerprint folds every replica's delivery sequence, in replica order,
+// into one digest: two same-seed runs must match.
+func (c *Checker) Fingerprint() digest.Sum {
+	d := digest.Offset
+	for node := range c.delivered {
+		d = c.fold(d, node)
+	}
+	return d
+}
+
+// ReplicaFingerprint folds node's delivery sequence alone, for a comparison
+// that must name the replica that drifted.
+func (c *Checker) ReplicaFingerprint(node int) digest.Sum { return c.fold(digest.Offset, node) }
 
 // CheckTotalOrder verifies the prefix property: every replica's delivery
 // sequence is a prefix of the longest replica's sequence.
@@ -315,36 +360,54 @@ type LoadResult struct {
 	Trace *trace.Tracer
 }
 
-// RunClosedLoop drives sys with cfg.Window outstanding messages: every
-// commit acknowledgment immediately triggers the next submission, exactly
-// like the paper's load-regulating client. It runs the simulation itself and
-// returns the measured point.
+// readyPoll is how often Loop re-tests Ready while the system has no leader.
+const readyPoll = 50 * time.Microsecond
+
+// Loop is the paper's load regulator (§4.1), the one client shape of every
+// experiment: it keeps window requests outstanding by calling issue once per
+// request, with ids counting up from 1. issue submits request id to sys and
+// arranges for next to run when its commit acknowledgment arrives, which
+// issues the following request. While sys is not Ready nothing is issued;
+// the slot polls every readyPoll of simulated time instead. Loop only primes
+// the window — the caller runs the simulation — and its own work allocates
+// nothing per request.
+func Loop(sim *simnet.Sim, sys System, window int, issue func(id uint64, next func())) {
+	var id uint64
+	var next func()
+	next = func() {
+		if !sys.Ready() {
+			sim.PostAfter(readyPoll, next)
+			return
+		}
+		id++
+		issue(id, next)
+	}
+	for i := 0; i < window; i++ {
+		next()
+	}
+}
+
+// RunClosedLoop is Loop plus the measurement window: it drives sys with
+// cfg.Window outstanding fixed-size messages, runs the simulation itself
+// through warm-up and measurement, and returns the measured point.
 func RunClosedLoop(sim *simnet.Sim, sys System, cfg LoadConfig) LoadResult {
 	res := LoadResult{System: sys.Name(), Window: cfg.Window, MsgSize: cfg.MsgSize}
 	if cfg.MsgSize < 8 {
 		cfg.MsgSize = 8
 	}
 	var (
-		nextID     uint64
 		measuring  bool
 		start, end simnet.Time
 	)
 
 	tr := sim.Tracer()
-	var submit func()
-	submit = func() {
-		if !sys.Ready() {
-			sim.PostAfter(50*time.Microsecond, submit)
-			return
-		}
-		nextID++
+	Loop(sim, sys, cfg.Window, func(id uint64, next func()) {
 		payload := make([]byte, cfg.MsgSize)
-		PutMsgID(payload, nextID)
+		PutMsgID(payload, id)
 		if cfg.OnSubmit != nil {
-			cfg.OnSubmit(nextID)
+			cfg.OnSubmit(id)
 		}
 		sent := sim.Now()
-		id := nextID
 		if tr != nil {
 			tr.Instant(trace.KSubmit, -1, int64(sent), int64(id), 0)
 			tr.Add(trace.CtrSubmits, 1)
@@ -360,13 +423,9 @@ func RunClosedLoop(sim *simnet.Sim, sys System, cfg LoadConfig) LoadResult {
 					tr.Add(trace.CtrAcks, 1)
 				}
 			}
-			submit()
+			next()
 		})
-	}
-
-	for i := 0; i < cfg.Window; i++ {
-		submit()
-	}
+	})
 	sim.RunFor(cfg.Warmup)
 	measuring = true
 	start = sim.Now()

@@ -1,6 +1,7 @@
 package abcast
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -223,6 +224,177 @@ func TestRunClosedLoopSaturation(t *testing.T) {
 	}
 	if r8.Latency.Mean() < 3*r2.Latency.Mean() {
 		t.Fatalf("latency did not spike past the knee: %v -> %v", r2.Latency.Mean(), r8.Latency.Mean())
+	}
+}
+
+func TestRunClosedLoopOnSubmitHook(t *testing.T) {
+	sim := simnet.New(1)
+	fs := &fakeSystem{sim: sim, lat: 3 * time.Microsecond, cap: 1 << 30}
+	var ids []uint64
+	res := RunClosedLoop(sim, fs, LoadConfig{
+		Window: 4, MsgSize: 16,
+		Warmup: 100 * time.Microsecond, Measure: 2 * time.Millisecond,
+		OnSubmit: func(id uint64) { ids = append(ids, id) },
+	})
+	if len(ids) == 0 {
+		t.Fatal("OnSubmit never fired")
+	}
+	if len(ids) < res.Committed {
+		t.Fatalf("observed %d submissions but %d commits", len(ids), res.Committed)
+	}
+	for i, id := range ids {
+		if id != uint64(i+1) {
+			t.Fatalf("ids[%d] = %d, want %d", i, id, i+1)
+		}
+	}
+}
+
+// gate is a System whose readiness the test flips; it acknowledges nothing
+// itself, so the test fires each request's acknowledgment by hand.
+type gate struct{ ready bool }
+
+func (g *gate) Name() string          { return "gate" }
+func (g *gate) Ready() bool           { return g.ready }
+func (g *gate) Submit([]byte, func()) {}
+
+// TestLoop pins the load regulator's contract: exactly window requests
+// outstanding, ids 1, 2, 3, …, nothing issued while the system is not Ready,
+// and resumption on the 50 µs readiness poll.
+func TestLoop(t *testing.T) {
+	const window = 3
+	sim := simnet.New(1)
+	g := &gate{}
+	var (
+		ids  []uint64
+		at   []simnet.Time
+		acks []func()
+	)
+	Loop(sim, g, window, func(id uint64, next func()) {
+		ids = append(ids, id)
+		at = append(at, sim.Now())
+		acks = append(acks, next)
+	})
+	sim.RunFor(120 * time.Microsecond)
+	if len(ids) != 0 {
+		t.Fatalf("issued %v while the system was not Ready", ids)
+	}
+	// Ready from t=120us: the polls at 50 and 100 found nothing, the one at
+	// 150 issues the whole window, and with no ack nothing follows.
+	g.ready = true
+	sim.RunFor(time.Millisecond)
+	if len(ids) != window {
+		t.Fatalf("%d requests outstanding with no ack, want the window of %d", len(ids), window)
+	}
+	for i := range ids {
+		if want := simnet.Time(150 * time.Microsecond); at[i] != want {
+			t.Fatalf("request %d issued at %v, want the %v poll", ids[i], at[i], want)
+		}
+	}
+	// One ack, one more request, at once.
+	acks[1]()
+	if len(ids) != window+1 {
+		t.Fatalf("one ack issued %d requests, want 1", len(ids)-window)
+	}
+	// Acks that land while there is no leader hold their slots until a poll
+	// finds the system Ready again.
+	g.ready = false
+	acks[0]()
+	acks[2]()
+	sim.RunFor(70 * time.Microsecond)
+	if len(ids) != window+1 {
+		t.Fatalf("issued request %d while the system was not Ready", ids[len(ids)-1])
+	}
+	g.ready = true
+	sim.RunFor(50 * time.Microsecond)
+	if len(ids) != window+3 {
+		t.Fatalf("%d requests after the held slots resumed, want %d", len(ids), window+3)
+	}
+	for i, id := range ids {
+		if id != uint64(i+1) {
+			t.Fatalf("ids = %v, want 1, 2, 3, …", ids)
+		}
+	}
+}
+
+// flaky acknowledges every request one microsecond later and reports not
+// Ready on every fourth question, so both of Loop's paths run.
+type flaky struct {
+	sim   *simnet.Sim
+	asked int
+}
+
+func (f *flaky) Name() string { return "flaky" }
+func (f *flaky) Ready() bool {
+	f.asked++
+	return f.asked%4 != 0
+}
+func (f *flaky) Submit(_ []byte, done func()) { f.sim.PostAfter(time.Microsecond, done) }
+
+// TestLoopAllocFree pins Loop's own per-request work — the next closure, the
+// id counter, the readiness poll — at zero heap objects: it sits on the
+// per-operation path of every load-driven experiment.
+func TestLoopAllocFree(t *testing.T) {
+	sim := simnet.New(1)
+	f := &flaky{sim: sim}
+	var last uint64
+	Loop(sim, f, 8, func(id uint64, next func()) {
+		last = id
+		f.Submit(nil, next)
+	})
+	sim.RunFor(time.Millisecond) // grow the event queue to its steady size
+	before := last
+	if n := testing.AllocsPerRun(50, func() { sim.RunFor(100 * time.Microsecond) }); n != 0 {
+		t.Fatalf("Loop allocates %.1f objects per 100us of load, want 0", n)
+	}
+	if last == before {
+		t.Fatal("the measured stretch issued nothing")
+	}
+}
+
+// TestCheckerLatch pins the run verdict: Err returns the first OnDeliver
+// violation however many clean deliveries follow it, falls back to the
+// total-order check, and Fingerprint tells two runs apart when one
+// replica's sequence differs.
+func TestCheckerLatch(t *testing.T) {
+	run := func(node1 []uint64) *Checker {
+		c := NewChecker(2)
+		for id := uint64(1); id <= 3; id++ {
+			c.OnBroadcast(id)
+			c.OnDeliver(0, id)
+		}
+		for _, id := range node1 {
+			c.OnDeliver(1, id)
+		}
+		return c
+	}
+	clean := run([]uint64{1, 2, 3})
+	if err := clean.Err(); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+
+	forged := run([]uint64{1, 99, 2, 2, 3})
+	err := forged.Err()
+	if err == nil || !strings.Contains(err.Error(), "integrity") {
+		t.Fatalf("Err() = %v, want the first violation (integrity, id 99), not a later one", err)
+	}
+	if forged.CheckTotalOrder() != nil {
+		t.Fatal("the forged delivery was recorded in the sequence")
+	}
+
+	swapped := run([]uint64{2, 1})
+	if err := swapped.Err(); err == nil || !strings.Contains(err.Error(), "total order") {
+		t.Fatalf("Err() = %v, want the total-order fallback", err)
+	}
+
+	if clean.Fingerprint() != run([]uint64{1, 2, 3}).Fingerprint() {
+		t.Fatal("equal runs fingerprint differently")
+	}
+	short := run([]uint64{1, 2})
+	if clean.Fingerprint() == short.Fingerprint() {
+		t.Fatal("Fingerprint missed a replica whose sequence differs")
+	}
+	if clean.ReplicaFingerprint(0) != short.ReplicaFingerprint(0) || clean.ReplicaFingerprint(1) == short.ReplicaFingerprint(1) {
+		t.Fatal("ReplicaFingerprint does not isolate the replica that differs")
 	}
 }
 

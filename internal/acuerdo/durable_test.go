@@ -40,25 +40,15 @@ func newDurableCluster(t *testing.T, n int, seed int64) (*simnet.Sim, *Cluster, 
 // ack count pointer.
 func driveAcuerdoLoad(sim *simnet.Sim, c *Cluster, chk *abcast.Checker, w int) *int {
 	acks := new(int)
-	var nextID uint64
-	var submit func()
-	submit = func() {
-		if !c.Ready() {
-			sim.After(50*time.Microsecond, submit)
-			return
-		}
-		nextID++
+	abcast.Loop(sim, c, w, func(id uint64, next func()) {
 		p := make([]byte, 16)
-		abcast.PutMsgID(p, nextID)
-		chk.OnBroadcast(nextID)
+		abcast.PutMsgID(p, id)
+		chk.OnBroadcast(id)
 		c.Submit(p, func() {
 			*acks++
-			submit()
+			next()
 		})
-	}
-	for i := 0; i < w; i++ {
-		submit()
-	}
+	})
 	return acks
 }
 

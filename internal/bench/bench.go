@@ -84,9 +84,46 @@ type Instance struct {
 	// abcast.DurableGroup; nil otherwise.
 	Disks []*disk.Device
 
+	// Observer is the runtime invariant observer the instance was built
+	// under (Options.Observer), where a harness reads its verdict; nil when
+	// unobserved, which every Observer accessor reads as zero.
+	Observer *observe.Observer
+
 	// target is the instance's one chaos.Target; harnesses hook its
 	// BeforeRestart/AfterCrash rather than wrapping it.
 	target *chaos.GroupTarget
+}
+
+// Check puts the instance under the atomic-broadcast safety checker, the one
+// delivery tap every harness shares, and returns it: the caller reports each
+// broadcast (OnBroadcast) and reads the verdict (Err, Fingerprint) when the
+// run is over. Every delivery at every replica runs apply first, when
+// non-nil, then the checker; payloads under 8 bytes carry no message id and
+// are not checked. A restart opens the checker's replay window only on an
+// instance with disks, whose replicas re-deliver their recovered prefix: a
+// volatile replica re-delivers nothing, so an open window there would excuse
+// a real duplicate.
+func (inst *Instance) Check(apply func(replica int, payload []byte)) *abcast.Checker {
+	c := abcast.NewChecker(inst.N)
+	inst.Group.SetDeliver(func(replica int, payload []byte) {
+		if apply != nil {
+			apply(replica, payload)
+		}
+		if len(payload) >= 8 {
+			c.OnDeliver(replica, abcast.MsgID(payload)) // latched: read back through Err
+		}
+	})
+	if inst.Disks != nil {
+		inst.target.BeforeRestart = c.NodeRestart
+	}
+	return c
+}
+
+// verdict reads the observer's verdict: violation count, hook invocations,
+// and the streaming check digest; all zero on an unobserved instance.
+func (inst *Instance) verdict() (violations int64, checks uint64, sum digest.Sum) {
+	o := inst.Observer
+	return o.ViolationCount(), o.Checks(), o.Digest()
 }
 
 // ChaosTarget exposes the instance's fault-control surface.
@@ -230,7 +267,7 @@ func NewInstanceOn(sim *simnet.Sim, kind Kind, n int, opt Options) *Instance {
 	if opt.Tracer != nil {
 		sim.SetTracer(opt.Tracer)
 	}
-	inst := &Instance{Sim: sim, N: n}
+	inst := &Instance{Sim: sim, N: n, Observer: opt.Observer}
 	// Build on the shared interconnect when the placement layer provides
 	// one, a private one otherwise; either way any queued replica CPUs are
 	// installed first, for the cluster's upcoming AddNode calls.
@@ -332,13 +369,11 @@ func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 		opt.Tracer = trace.New(cfg.TraceEvents)
 	}
 	sim := simnet.New(cfg.Seed + int64(i))
-	var obs *observe.Observer
 	if cfg.Observe {
 		// The tracer must be installed before the observer is built so
 		// violations land in the trace stream too.
 		sim.SetTracer(opt.Tracer)
-		obs = NewObserver(sim, kind, cfg.Nodes)
-		opt.Observer = obs
+		opt.Observer = NewObserver(sim, kind, cfg.Nodes)
 	}
 	inst := NewInstanceOn(sim, kind, cfg.Nodes, opt)
 	inst.warmUp()
@@ -350,9 +385,9 @@ func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 		MinCommitted: cfg.MinCommitted,
 		MaxMeasure:   cfg.MaxMeasure,
 	})
-	if obs != nil && obs.ViolationCount() > 0 {
+	if inst.Observer.ViolationCount() > 0 {
 		panic(fmt.Sprintf("bench: %s/%d window %d violated invariants under fault-free load:\n%s",
-			kind, cfg.Nodes, cfg.Windows[i], obs.Report()))
+			kind, cfg.Nodes, cfg.Windows[i], inst.Observer.Report()))
 	}
 	inst.Close()
 	return res

@@ -14,7 +14,6 @@ import (
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/chaos"
 	"acuerdo/internal/digest"
-	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/sweep"
 	"acuerdo/internal/trace"
@@ -150,39 +149,25 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	tracer := trace.New(1 << 14)
 	sim := simnet.New(cfg.Seed)
 	opt := Options{Tracer: tracer, Durability: cfg.Durability}
-	var obs *observe.Observer
 	if cfg.Observe {
-		obs = NewObserver(sim, kind, cfg.Nodes)
-		opt.Observer = obs
+		opt.Observer = NewObserver(sim, kind, cfg.Nodes)
 	}
 	inst := NewInstanceOn(sim, kind, cfg.Nodes, opt)
 	inst.warmUp()
 	res := ChaosResult{Kind: kind, Plan: sc.Name, Durability: cfg.Durability}
 
-	// Safety: every delivery at every replica feeds the shared checker.
-	checker := abcast.NewChecker(cfg.Nodes)
-	if inst.Disks != nil {
-		// Durable restarts replay the recovered prefix from position zero;
-		// the checker's replay window absorbs the retrace. Amnesia wipes the
-		// victim's disk at crash time — the node rejoins with nothing, the
-		// worst-case fabric-bytes baseline — and the observer is told the
-		// durable floor is gone so the lost frontier is not a violation.
-		inst.target.BeforeRestart = checker.NodeRestart
-		if cfg.Durability == Amnesia {
-			inst.target.AfterCrash = func(i int) {
-				inst.Disks[i].Wipe()
-				obs.DiskFault(i, int64(sim.Now()))
-			}
+	// Safety: every delivery at every replica feeds the checker.
+	checker := inst.Check(nil)
+	if cfg.Durability == Amnesia && inst.Disks != nil {
+		// Amnesia wipes the victim's disk at crash time — the node rejoins
+		// with nothing, the worst-case fabric-bytes baseline — and the
+		// observer is told the durable floor is gone so the lost frontier is
+		// not a violation.
+		inst.target.AfterCrash = func(i int) {
+			inst.Disks[i].Wipe()
+			inst.Observer.DiskFault(i, int64(sim.Now()))
 		}
 	}
-	inst.Group.SetDeliver(func(replica int, payload []byte) {
-		if len(payload) < 8 {
-			return
-		}
-		if err := checker.OnDeliver(replica, abcast.MsgID(payload)); err != nil && res.SafetyErr == nil {
-			res.SafetyErr = err
-		}
-	})
 
 	// Closed-loop client: cfg.Window outstanding requests; every ack is
 	// timestamped for the availability probe.
@@ -190,25 +175,15 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	if cfg.MsgSize < 8 {
 		cfg.MsgSize = 8
 	}
-	var nextID uint64
-	var submit func()
-	submit = func() {
-		if !inst.Sys.Ready() {
-			sim.After(50*time.Microsecond, submit)
-			return
-		}
-		nextID++
+	abcast.Loop(sim, inst.Sys, cfg.Window, func(id uint64, next func()) {
 		payload := make([]byte, cfg.MsgSize)
-		abcast.PutMsgID(payload, nextID)
-		checker.OnBroadcast(nextID)
+		abcast.PutMsgID(payload, id)
+		checker.OnBroadcast(id)
 		inst.Sys.Submit(payload, func() {
 			acks = append(acks, sim.Now())
-			submit()
+			next()
 		})
-	}
-	for i := 0; i < cfg.Window; i++ {
-		submit()
-	}
+	})
 
 	// Fault schedule, compiled from the simulator's own RNG.
 	plan := sc.Build(sim.Rand(), cfg.Nodes, cfg.Horizon)
@@ -253,9 +228,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 		rep := wd.Report()
 		res.Watchdog = &rep
 	}
-	if res.SafetyErr == nil {
-		res.SafetyErr = checker.CheckTotalOrder()
-	}
+	res.SafetyErr = checker.Err()
 	if c := inst.AcuerdoCluster; c != nil {
 		for _, r := range c.Replicas {
 			if r.WonAt >= faultStart {
@@ -263,13 +236,9 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 			}
 		}
 	}
-	if obs != nil {
-		res.Violations = obs.ViolationCount()
-		for _, v := range obs.Violations() {
-			res.ViolationReports = append(res.ViolationReports, v.String())
-		}
-		res.ObserveDigest = obs.Digest()
-		res.ObserveChecks = obs.Checks()
+	res.Violations, res.ObserveChecks, res.ObserveDigest = inst.verdict()
+	for _, v := range inst.Observer.Violations() {
+		res.ViolationReports = append(res.ViolationReports, v.String())
 	}
 	res.DiskRecoveredBytes = inst.DiskRecoveredBytes()
 	res.FabricRecoveryBytes = inst.FabricRecoveryBytes()

@@ -42,21 +42,36 @@ func TestGroupContract(t *testing.T) {
 			}
 
 			seen := make([]int, n)
-			g.SetDeliver(func(replica int, payload []byte) { seen[replica]++ })
+			chk := inst.Check(func(replica int, payload []byte) { seen[replica]++ })
 			res := abcast.RunClosedLoop(inst.Sim, inst.Sys, abcast.LoadConfig{
 				Window: 4, MsgSize: 16, Warmup: time.Millisecond, Measure: 4 * time.Millisecond,
+				OnSubmit: chk.OnBroadcast,
 			})
 			if res.Committed == 0 {
 				t.Fatal("committed nothing")
 			}
 			for i, c := range seen {
-				if c == 0 {
-					t.Fatalf("SetDeliver hook never saw replica %d (deliveries %v)", i, seen)
+				if c == 0 || len(chk.Delivered(i)) == 0 {
+					t.Fatalf("Check's tap never saw replica %d (apply calls %v)", i, seen)
 				}
 			}
+			if err := chk.Err(); err != nil {
+				t.Fatal(err)
+			}
 
+			// Check hooks the restart path only where a replica has a disk
+			// to replay from.
 			restarted := -1
-			inst.target.BeforeRestart = func(i int) { restarted = i }
+			openWindow := inst.target.BeforeRestart
+			if (openWindow != nil) != durable[kind] {
+				t.Fatalf("Check hooked Restart = %v, want %v", openWindow != nil, durable[kind])
+			}
+			inst.target.BeforeRestart = func(i int) {
+				restarted = i
+				if openWindow != nil {
+					openWindow(i)
+				}
+			}
 			tgt.Crash(ldr)
 			if g.Proc(ldr).Alive() || g.LeaderIdx() == ldr {
 				t.Fatalf("Crash(%d): proc alive = %v, LeaderIdx() = %d", ldr, g.Proc(ldr).Alive(), g.LeaderIdx())
@@ -65,6 +80,12 @@ func TestGroupContract(t *testing.T) {
 			tgt.Restart(ldr)
 			if restarted != ldr {
 				t.Fatalf("BeforeRestart hook saw %d, want %d", restarted, ldr)
+			}
+			// After a volatile restart a re-delivery is still a duplicate.
+			if !durable[kind] {
+				if err := chk.OnDeliver(ldr, chk.Delivered(ldr)[0]); err == nil {
+					t.Fatalf("Check excused a re-delivery after the volatile Restart(%d)", ldr)
+				}
 			}
 			// Restart is a documented no-op where a system has no rejoin
 			// path (derecho members, the APUS leader); where the replica did
@@ -76,6 +97,15 @@ func TestGroupContract(t *testing.T) {
 				}
 				if l := g.LeaderIdx(); !g.Ready() || l < 0 || l >= n {
 					t.Fatalf("replica %d rejoined but the group is not serving (Ready %v, LeaderIdx %d)", ldr, g.Ready(), l)
+				}
+			}
+			// A durable restart re-delivers its recovered prefix (libpaxos
+			// only a stale tail, possibly empty), and the replay window Check
+			// opened absorbs the retrace.
+			if durable[kind] {
+				t.Logf("Restart(%d) re-delivered %d messages", ldr, seen[ldr]-len(chk.Delivered(ldr)))
+				if err := chk.Err(); err != nil {
+					t.Fatalf("durable Restart(%d): the replayed prefix was not excused: %v", ldr, err)
 				}
 			}
 		})

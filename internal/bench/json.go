@@ -73,7 +73,8 @@ type PointJSON struct {
 type Artifact struct {
 	// Name identifies the run ("figure8", "chaos-short", "placement", ...).
 	Name string `json:"name"`
-	// Kind says which point struct Points carry: "chaos", "placement", or
+	// Kind says which point struct Points carry: "chaos", "placement",
+	// "closed-loop" (a replay oracle run, never written to a file), or
 	// absent for a sweep (sweep files predate the field). Two artifacts of
 	// different kinds never compare equal.
 	Kind string `json:"kind,omitempty"`
@@ -120,6 +121,28 @@ func ReadArtifact(path string) (*Artifact, error) {
 	return &a, nil
 }
 
+// pointJSON renders one measured load point of a nodes-replica system whose
+// simulator was seeded with seed.
+func pointJSON(r *abcast.LoadResult, nodes int, seed int64) PointJSON {
+	p := PointJSON{
+		System:     r.System,
+		Nodes:      nodes,
+		MsgSize:    r.MsgSize,
+		Window:     r.Window,
+		Seed:       seed,
+		Committed:  r.Committed,
+		ElapsedNS:  int64(r.Elapsed),
+		MBPerSec:   r.MBPerSec,
+		MsgsPerSec: r.MsgsPerSec,
+		Latency:    latencyJSON(&r.Latency),
+	}
+	if r.Trace != nil {
+		p.TraceFP = r.Trace.Fingerprint().Hex()
+		p.TraceEvents = r.Trace.Emitted()
+	}
+	return p
+}
+
 // AddFigure8 appends one subfigure's results in deterministic grid order
 // (kinds outer, windows inner — the same order the tables print in).
 func (a *Artifact) AddFigure8(cfg Fig8Config, results map[Kind][]abcast.LoadResult, kinds []Kind) {
@@ -127,24 +150,8 @@ func (a *Artifact) AddFigure8(cfg Fig8Config, results map[Kind][]abcast.LoadResu
 		kinds = AllKinds
 	}
 	for _, k := range kinds {
-		for i, r := range results[k] {
-			p := PointJSON{
-				System:     r.System,
-				Nodes:      cfg.Nodes,
-				MsgSize:    cfg.MsgSize,
-				Window:     r.Window,
-				Seed:       cfg.Seed + int64(i),
-				Committed:  r.Committed,
-				ElapsedNS:  int64(r.Elapsed),
-				MBPerSec:   r.MBPerSec,
-				MsgsPerSec: r.MsgsPerSec,
-				Latency:    latencyJSON(&r.Latency),
-			}
-			if r.Trace != nil {
-				p.TraceFP = r.Trace.Fingerprint().Hex()
-				p.TraceEvents = r.Trace.Emitted()
-			}
-			a.Points = append(a.Points, p)
+		for i := range results[k] {
+			a.Points = append(a.Points, pointJSON(&results[k][i], cfg.Nodes, cfg.Seed+int64(i)))
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"acuerdo/internal/abcast"
-	"acuerdo/internal/digest"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
 )
@@ -18,40 +16,3 @@ func NewObserver(sim *simnet.Sim, kind Kind, nodes int) *observe.Observer {
 		Tracer: sim.Tracer(),
 	})
 }
-
-// observedSystem pairs a running system with its observer so the replay
-// harness can harvest the check digest through abcast.Observed.
-type observedSystem struct {
-	abcast.System
-	obs *observe.Observer
-}
-
-// ObserverDigest implements abcast.Observed.
-func (s observedSystem) ObserverDigest() (sum digest.Sum, checks uint64, violations int64) {
-	return s.obs.Digest(), s.obs.Checks(), s.obs.ViolationCount()
-}
-
-// ReplayBuilder adapts one benched system kind to the seed-replay harness:
-// the instance is constructed on the harness's simulator and its per-replica
-// delivery hook is routed into the harness's checker. With withObservers set,
-// the instance runs under a runtime invariant observer and the returned
-// system implements abcast.Observed, folding the observer digest into the
-// replay fingerprint.
-func ReplayBuilder(kind Kind, nodes int, withObservers bool) abcast.SystemBuilder {
-	return func(sim *simnet.Sim, deliver func(replica int, payload []byte)) abcast.System {
-		var opt Options
-		var o *observe.Observer
-		if withObservers {
-			o = NewObserver(sim, kind, nodes)
-			opt.Observer = o
-		}
-		inst := NewInstanceOn(sim, kind, nodes, opt)
-		inst.Group.SetDeliver(deliver)
-		if o != nil {
-			return observedSystem{System: inst.Sys, obs: o}
-		}
-		return inst.Sys
-	}
-}
-
-var _ abcast.Observed = observedSystem{}

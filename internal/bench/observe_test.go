@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"acuerdo/internal/abcast"
 	"acuerdo/internal/chaos"
 )
 
@@ -94,28 +93,27 @@ func TestObserverOffIsIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayWithObservers folds the observer digest into the seed-replay
-// fingerprint: VerifyReplay must pass with observers attached, and the run
-// must actually carry a non-trivial digest.
+// TestReplayWithObservers holds the observer's whole check stream to the
+// seed-replay oracle: VerifyReplay must pass with observers attached, and the
+// run must actually carry a non-trivial digest.
 func TestReplayWithObservers(t *testing.T) {
 	kinds := AllKinds
 	if testing.Short() {
 		kinds = []Kind{Acuerdo, Libpaxos, Etcd}
 	}
-	cfg := abcast.LoadConfig{Window: 8, MsgSize: 16, Warmup: time.Millisecond, Measure: 4 * time.Millisecond}
 	for _, kind := range kinds {
 		t.Run(string(kind), func(t *testing.T) {
-			run, err := abcast.ReplayOnce(ReplayBuilder(kind, 3, true), 3, 42, cfg)
+			run, err := replayPoint(kind, 3, 42, replayLoad, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if run.ObserveChecks == 0 {
 				t.Fatal("observed replay performed no checks")
 			}
-			if run.ObserveViolations != 0 {
-				t.Fatalf("%d invariant violations under fault-free replay load", run.ObserveViolations)
+			if run.Violations != 0 {
+				t.Fatalf("%d invariant violations under fault-free replay load", run.Violations)
 			}
-			if err := abcast.VerifyReplay(ReplayBuilder(kind, 3, true), 3, 42, cfg, 2); err != nil {
+			if err := VerifyReplay(kind, 3, 42, replayLoad, true, 2); err != nil {
 				t.Fatalf("observed replay diverged: %v", err)
 			}
 		})

@@ -19,7 +19,6 @@ import (
 	"acuerdo/internal/digest"
 	"acuerdo/internal/kvstore"
 	"acuerdo/internal/metrics"
-	"acuerdo/internal/observe"
 	"acuerdo/internal/placement"
 	"acuerdo/internal/rdma"
 	"acuerdo/internal/simnet"
@@ -81,10 +80,8 @@ type PlacementWorld struct {
 	Sim    *simnet.Sim
 	Tracer *trace.Tracer
 	Map    *placement.Map
-	// Insts holds one started instance per group, in PG-ID order;
-	// Observers is parallel to it (nil entries when observation is off).
-	Insts     []*Instance
-	Observers []*observe.Observer
+	// Insts holds one started instance per group, in PG-ID order.
+	Insts []*Instance
 	// FleetProcs are the shared CPUs, one per fleet node; group replicas
 	// run on the proc of the fleet node the map placed them on.
 	FleetProcs []*simnet.Proc
@@ -120,12 +117,9 @@ func NewPlacementWorld(kind Kind, m *placement.Map, seed int64, withObservers bo
 		}
 		o := opt
 		o.ReplicaProcs = procs
-		var obs *observe.Observer
 		if withObservers {
-			obs = NewObserver(sim, kind, m.Config.PGSize)
-			o.Observer = obs
+			o.Observer = NewObserver(sim, kind, m.Config.PGSize)
 		}
-		w.Observers = append(w.Observers, obs)
 		w.Insts = append(w.Insts, NewInstanceOn(sim, kind, m.Config.PGSize, o))
 	}
 	return w
@@ -368,47 +362,29 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 		pr.Members = append([]int(nil), g.Members...)
 
 		rm := kvstore.NewReplicated(inst.Sys, m.Config.PGSize)
-		checker := abcast.NewChecker(m.Config.PGSize)
-		checkers[pg] = checker
-		inst.Group.SetDeliver(func(replica int, payload []byte) {
+		checker := inst.Check(func(replica int, payload []byte) {
 			if err := rm.ApplyAt(replica, payload); err != nil {
 				panic(fmt.Sprintf("placement: pg %d delivered a bad op: %v", pg, err))
 			}
-			if err := checker.OnDeliver(replica, abcast.MsgID(payload)); err != nil && pr.SafetyErr == nil {
-				pr.SafetyErr = err
-			}
 		})
-		// Crashed replicas re-deliver their recovered prefix on restart;
-		// tell the checker so the retrace is absorbed, exactly as the
-		// single-ring chaos harness does.
-		inst.target.BeforeRestart = checker.NodeRestart
+		checkers[pg] = checker
 
 		load := loads[pg]
-		// nextID shadows kvstore.Replicated's op-ID counter (both advance
-		// by one per Set), so broadcasts register with the checker under
-		// the ID the delivered payload will carry.
-		var nextID uint64
-		var submit func()
-		submit = func() {
-			if !inst.Sys.Ready() {
-				sim.PostAfter(time.Millisecond, submit)
-				return
-			}
+		// Loop's ids shadow kvstore.Replicated's op-ID counter (both advance
+		// by one per Set), so broadcasts register with the checker under the
+		// ID the delivered payload will carry.
+		abcast.Loop(sim, inst.Sys, cfg.WindowPerPG, func(id uint64, next func()) {
 			key, value := load.nextOp()
-			nextID++
-			checker.OnBroadcast(nextID)
+			checker.OnBroadcast(id)
 			sent := sim.Now()
 			rm.Set(key, value, func() {
 				if measuring {
 					pr.Committed++
 					pr.Latency.Add(sim.Now().Sub(sent))
 				}
-				submit()
+				next()
 			})
-		}
-		for i := 0; i < cfg.WindowPerPG; i++ {
-			submit()
-		}
+		})
 	}
 
 	sim.RunFor(cfg.Warmup)
@@ -422,23 +398,9 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 	for pg := range res.Groups {
 		pr := &res.Groups[pg]
 		pr.OpsPerSec = metrics.Throughput(pr.Committed, res.Elapsed)
-		if pr.SafetyErr == nil {
-			pr.SafetyErr = checkers[pg].CheckTotalOrder()
-		}
-		d := digest.Offset
-		for node := 0; node < m.Config.PGSize; node++ {
-			seq := checkers[pg].Delivered(node)
-			d = d.Uint64(uint64(len(seq)))
-			for _, id := range seq {
-				d = d.Uint64(id)
-			}
-		}
-		pr.DeliveryFP = d
-		if obs := w.Observers[pg]; obs != nil {
-			pr.Violations = obs.ViolationCount()
-			pr.ObserveChecks = obs.Checks()
-			pr.ObserveDigest = obs.Digest()
-		}
+		pr.SafetyErr = checkers[pg].Err()
+		pr.DeliveryFP = checkers[pg].Fingerprint()
+		pr.Violations, pr.ObserveChecks, pr.ObserveDigest = w.Insts[pg].verdict()
 		res.Committed += pr.Committed
 		for _, s := range pr.Latency.Samples() {
 			res.Latency.Add(s)
@@ -475,7 +437,7 @@ func RunPlacementYCSB(cfg PlacementConfig) PlacementResult {
 		}
 		if pr.Violations > 0 {
 			panic(fmt.Sprintf("placement: pg %d violated invariants under fault-free load:\n%s",
-				pg, w.Observers[pg].Report()))
+				pg, w.Insts[pg].Observer.Report()))
 		}
 	}
 	return res
@@ -496,21 +458,11 @@ func RunPlacementSweep(cfgs []PlacementConfig, workers int) ([]PlacementResult, 
 // names the first field — and, inside a point, the first group — that
 // drifted.
 func VerifyPlacementReplay(cfg PlacementConfig, runs int) error {
-	if runs < 2 {
-		return fmt.Errorf("placement: need at least 2 runs to compare, got %d", runs)
-	}
-	var first *Artifact
-	for i := 0; i < runs; i++ {
+	return compareRuns("placement", runs, func(a *Artifact) error {
 		run := RunPlacementYCSB(cfg)
-		art := NewArtifact("placement-replay", "placement")
-		art.AddPlacement(&run)
-		if first == nil {
-			first = art
-		} else if err := Compare(first, art, -1); err != nil {
-			return fmt.Errorf("placement replay diverged in run %d: %w", i, err)
-		}
-	}
-	return nil
+		a.AddPlacement(&run)
+		return nil
+	})
 }
 
 // MinPGOps and MaxPGOps return the slowest and fastest group's throughput

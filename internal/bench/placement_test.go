@@ -111,7 +111,7 @@ func TestPlacementChaosIsolation(t *testing.T) {
 		}
 		if g.Violations > 0 {
 			t.Fatalf("pg %d: %d invariant violations under the storm:\n%s",
-				g.PG, g.Violations, w.Observers[g.PG].Report())
+				g.PG, g.Violations, w.Insts[g.PG].Observer.Report())
 		}
 	}
 	// The untargeted group must have kept committing through the storm —

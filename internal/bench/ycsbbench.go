@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"acuerdo/internal/abcast"
 	"acuerdo/internal/kvstore"
 	"acuerdo/internal/metrics"
 	"acuerdo/internal/sweep"
@@ -64,12 +65,7 @@ func RunYCSB(kind Kind, cfg YCSBConfig) YCSBResult {
 	res := YCSBResult{System: inst.Sys.Name(), Nodes: cfg.Nodes}
 	measuring := false
 
-	var submit func()
-	submit = func() {
-		if !inst.Sys.Ready() {
-			inst.Sim.After(time.Millisecond, submit)
-			return
-		}
+	abcast.Loop(inst.Sim, inst.Sys, cfg.Window, func(_ uint64, next func()) {
 		key, value := w.NextOp()
 		sent := inst.Sim.Now()
 		rm.Set(key, value, func() {
@@ -77,12 +73,9 @@ func RunYCSB(kind Kind, cfg YCSBConfig) YCSBResult {
 				res.Committed++
 				res.Latency.Add(inst.Sim.Now().Sub(sent))
 			}
-			submit()
+			next()
 		})
-	}
-	for i := 0; i < cfg.Window; i++ {
-		submit()
-	}
+	})
 	inst.Sim.RunFor(cfg.Warmup)
 	measuring = true
 	start := inst.Sim.Now()

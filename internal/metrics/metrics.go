@@ -185,70 +185,6 @@ func (h *Histogram) Export() Snapshot {
 	return s
 }
 
-// CounterSet is a small ordered collection of named int64 counters, used
-// to surface per-invariant check/violation tallies from the runtime
-// observers (internal/observe) through the same metrics surface as the
-// histograms. Iteration order is insertion order until Sort is called;
-// exporters call Sort so output is deterministic regardless of how the
-// counters were accumulated.
-type CounterSet struct {
-	names []string
-	idx   map[string]int
-	vals  []int64
-}
-
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet {
-	return &CounterSet{idx: make(map[string]int)}
-}
-
-// Add bumps name by delta, creating the counter at zero if absent.
-func (s *CounterSet) Add(name string, delta int64) {
-	i, ok := s.idx[name]
-	if !ok {
-		i = len(s.names)
-		s.idx[name] = i
-		s.names = append(s.names, name)
-		s.vals = append(s.vals, 0)
-	}
-	s.vals[i] += delta
-}
-
-// Get returns the current value of name (0 if absent).
-func (s *CounterSet) Get(name string) int64 {
-	if i, ok := s.idx[name]; ok {
-		return s.vals[i]
-	}
-	return 0
-}
-
-// Len returns the number of counters.
-func (s *CounterSet) Len() int { return len(s.names) }
-
-// Name returns the i-th counter's name in the current order.
-func (s *CounterSet) Name(i int) string { return s.names[i] }
-
-// Value returns the i-th counter's value in the current order.
-func (s *CounterSet) Value(i int) int64 { return s.vals[i] }
-
-// Sort orders the counters by name, making subsequent iteration
-// deterministic for export.
-func (s *CounterSet) Sort() {
-	order := make([]int, len(s.names))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return s.names[order[a]] < s.names[order[b]] })
-	names := make([]string, len(s.names))
-	vals := make([]int64, len(s.vals))
-	for to, from := range order {
-		names[to] = s.names[from]
-		vals[to] = s.vals[from]
-		s.idx[names[to]] = to
-	}
-	s.names, s.vals = names, vals
-}
-
 // Throughput converts a message count over a simulated interval into
 // messages/second.
 func Throughput(msgs int, elapsed time.Duration) float64 {

@@ -26,8 +26,8 @@
 //   - Deterministic: shadow state is updated in simulator event order, maps
 //     are only ever indexed (never ranged with side effects), and every
 //     hook folds its operands into a streaming FNV digest, so two runs of
-//     the same seed perform bit-identical check sequences. The digest folds
-//     into abcast.VerifyReplay next to the trace fingerprint.
+//     the same seed perform bit-identical check sequences; the seed-replay
+//     oracle compares the digest next to the trace fingerprint.
 //
 // On violation the observer records a structured report (node, invariant,
 // witness operands, simulated time, seed), emits a trace.KInvariant event so
@@ -42,7 +42,6 @@ import (
 	"strings"
 
 	"acuerdo/internal/digest"
-	"acuerdo/internal/metrics"
 	"acuerdo/internal/trace"
 )
 
@@ -206,6 +205,56 @@ const (
 	spaceHdr
 )
 
+// regName says which register a checkReg call guards. A witness's text is
+// built from it and the register's key only when a check fails (text), so
+// the hooks format nothing on the clean path.
+type regName uint8
+
+const (
+	regDelivery regName = iota
+	regDerechoDelivery
+	regDerechoView
+	regDerechoPrefixLen
+	regDerechoPrefixHash
+	regLogEntry
+	regPaxosValue
+	regPaxosChosen
+	regLeader
+	regAcuerdoHeader
+	regApusAssign
+	regApusDeliver
+)
+
+// text names the register keyed (a, b) in a witness.
+func (r regName) text(a, b uint64) string {
+	switch r {
+	case regDelivery:
+		return fmt.Sprintf("delivery position %d", a)
+	case regDerechoDelivery:
+		return fmt.Sprintf("derecho delivery position %d", a)
+	case regDerechoView:
+		return fmt.Sprintf("derecho view %d membership", a)
+	case regDerechoPrefixLen:
+		return fmt.Sprintf("derecho view %d delivered-prefix length", a)
+	case regDerechoPrefixHash:
+		return fmt.Sprintf("derecho view %d delivered-prefix hash", a)
+	case regLogEntry:
+		return fmt.Sprintf("log entry (index %d, term %d)", a, b)
+	case regPaxosValue:
+		return fmt.Sprintf("paxos (instance %d, ballot %d) value", a, b)
+	case regPaxosChosen:
+		return fmt.Sprintf("paxos instance %d chosen value", a)
+	case regLeader:
+		return fmt.Sprintf("leader for term %d", a)
+	case regAcuerdoHeader:
+		return fmt.Sprintf("acuerdo header (round %d, ldr %d, cnt %d) payload", a>>32, uint32(a), b)
+	case regApusAssign:
+		return fmt.Sprintf("apus slot %d assignment", a)
+	default: // regApusDeliver
+		return fmt.Sprintf("apus slot %d delivered payload", a)
+	}
+}
+
 // hook opcodes folded into the digest, one per public hook, so the digest
 // distinguishes which checks ran, not just which operands flowed by.
 const (
@@ -359,7 +408,7 @@ func (o *Observer) violate(inv Invariant, node int, at, a, b int64, format strin
 // checkReg enforces first-writer-wins agreement on key: the first value
 // recorded under key is the truth, and any later disagreement is a
 // violation of inv. Returns the winning entry.
-func (o *Observer) checkReg(space uint8, a, b uint64, val int64, inv Invariant, node int, at int64, what string) regEntry {
+func (o *Observer) checkReg(space uint8, a, b uint64, val int64, inv Invariant, node int, at int64, what regName) regEntry {
 	key := regKey{space: space, a: a, b: b}
 	e, ok := o.reg[key]
 	if !ok {
@@ -370,7 +419,7 @@ func (o *Observer) checkReg(space uint8, a, b uint64, val int64, inv Invariant, 
 	if e.val != val {
 		o.violate(inv, node, at, val, e.val,
 			"%s: node %d recorded %d but node %d recorded %d at t=%dns",
-			what, node, val, e.node, e.val, e.at)
+			what.text(a, b), node, val, e.node, e.val, e.at)
 	}
 	return e
 }
@@ -478,8 +527,7 @@ func (o *Observer) DerechoDeliver(node int, at int64, sender int, id int64) {
 	o.fold(InvDeliveryAgreement, opDerechoDeliver, node, at, int64(sender), id)
 	ns := &o.nodes[node]
 	if ns.vsEligible {
-		o.checkReg(spaceDeliver, ns.dCount, 0, id, InvDeliveryAgreement, node, at,
-			fmt.Sprintf("derecho delivery position %d", ns.dCount))
+		o.checkReg(spaceDeliver, ns.dCount, 0, id, InvDeliveryAgreement, node, at, regDerechoDelivery)
 	}
 	ns.dCount++
 	h := ns.dHash
@@ -506,8 +554,7 @@ func (o *Observer) DerechoViewInstall(node int, at int64, view uint64, members [
 		mh = mh.Word(uint64(int64(m)))
 	}
 	o.fold(InvViewAgreement, opViewInstall, node, at, int64(view), int64(mh))
-	o.checkReg(spaceView, view, 0, int64(mh), InvViewAgreement, node, at,
-		fmt.Sprintf("derecho view %d membership", view))
+	o.checkReg(spaceView, view, 0, int64(mh), InvViewAgreement, node, at, regDerechoView)
 	ns := &o.nodes[node]
 	if ns.members != nil {
 		inter := 0
@@ -529,10 +576,8 @@ func (o *Observer) DerechoViewInstall(node int, at int64, view uint64, members [
 	ns.members = append(ns.members[:0], members...)
 	if ns.vsEligible {
 		o.counts[InvVirtualSynchrony]++
-		o.checkReg(spaceVSCount, view, 0, int64(ns.dCount), InvVirtualSynchrony, node, at,
-			fmt.Sprintf("derecho view %d delivered-prefix length", view))
-		o.checkReg(spaceVSHash, view, 0, int64(ns.dHash), InvVirtualSynchrony, node, at,
-			fmt.Sprintf("derecho view %d delivered-prefix hash", view))
+		o.checkReg(spaceVSCount, view, 0, int64(ns.dCount), InvVirtualSynchrony, node, at, regDerechoPrefixLen)
+		o.checkReg(spaceVSHash, view, 0, int64(ns.dHash), InvVirtualSynchrony, node, at, regDerechoPrefixHash)
 	}
 }
 
@@ -547,8 +592,7 @@ func (o *Observer) LogAppend(node int, at int64, index, term uint64, id int64) {
 		return
 	}
 	o.fold(InvLogMatching, opLogAppend, node, at, int64(index), id)
-	o.checkReg(spaceLog, index, term, id, InvLogMatching, node, at,
-		fmt.Sprintf("log entry (index %d, term %d)", index, term))
+	o.checkReg(spaceLog, index, term, id, InvLogMatching, node, at, regLogEntry)
 	ns := &o.nodes[node]
 	for uint64(len(ns.log)) <= index {
 		ns.log = append(ns.log, logEntry{})
@@ -637,8 +681,7 @@ func (o *Observer) Deliver(node int, at int64, seq uint64, id int64) {
 	ns.deliverNext = seq + 1
 	ns.deliverSeen = true
 	o.counts[InvDeliveryAgreement]++
-	o.checkReg(spaceDeliver, seq, 0, id, InvDeliveryAgreement, node, at,
-		fmt.Sprintf("delivery position %d", seq))
+	o.checkReg(spaceDeliver, seq, 0, id, InvDeliveryAgreement, node, at, regDelivery)
 }
 
 // --- durability -----------------------------------------------------------
@@ -694,8 +737,7 @@ func (o *Observer) LogRecover(node int, at int64, index, term uint64, id int64) 
 		}
 	}
 	o.counts[InvLogMatching]++
-	o.checkReg(spaceLog, index, term, id, InvLogMatching, node, at,
-		fmt.Sprintf("log entry (index %d, term %d)", index, term))
+	o.checkReg(spaceLog, index, term, id, InvLogMatching, node, at, regLogEntry)
 	for uint64(len(ns.log)) <= index {
 		ns.log = append(ns.log, logEntry{})
 	}
@@ -775,8 +817,7 @@ func (o *Observer) PaxosAccept(node int, at int64, inst, ballot uint64, id int64
 		ns.promised = ballot
 	}
 	ns.promisedSeen = true
-	o.checkReg(spaceBallot, inst, ballot, id, InvBallotSingleValue, node, at,
-		fmt.Sprintf("paxos (instance %d, ballot %d) value", inst, ballot))
+	o.checkReg(spaceBallot, inst, ballot, id, InvBallotSingleValue, node, at, regPaxosValue)
 }
 
 // PaxosChosen records node learning that inst chose id and checks that an
@@ -786,8 +827,7 @@ func (o *Observer) PaxosChosen(node int, at int64, inst uint64, id int64) {
 		return
 	}
 	o.fold(InvChosenAgreement, opChosen, node, at, int64(inst), id)
-	o.checkReg(spaceChosen, inst, 0, id, InvChosenAgreement, node, at,
-		fmt.Sprintf("paxos instance %d chosen value", inst))
+	o.checkReg(spaceChosen, inst, 0, id, InvChosenAgreement, node, at, regPaxosChosen)
 }
 
 // --- elections ------------------------------------------------------------
@@ -800,8 +840,7 @@ func (o *Observer) LeaderElected(node int, at int64, term uint64) {
 		return
 	}
 	o.fold(InvLeaderUniqueness, opLeader, node, at, int64(term), 0)
-	o.checkReg(spaceLeader, term, 0, int64(node), InvLeaderUniqueness, node, at,
-		fmt.Sprintf("leader for term %d", term))
+	o.checkReg(spaceLeader, term, 0, int64(node), InvLeaderUniqueness, node, at, regLeader)
 }
 
 // AcuerdoLeaderWin records node winning the acuerdo epoch (round, ldr) and
@@ -863,8 +902,7 @@ func (o *Observer) AcuerdoCommit(node int, at int64, round, ldr, cnt uint32, id 
 	ns.aRound, ns.aLdr, ns.aCnt = round, ldr, cnt
 	ns.aSeen = true
 	o.counts[InvDeliveryAgreement]++
-	o.checkReg(spaceHdr, uint64(round)<<32|uint64(ldr), uint64(cnt), id, InvDeliveryAgreement, node, at,
-		fmt.Sprintf("acuerdo header (round %d, ldr %d, cnt %d) payload", round, ldr, cnt))
+	o.checkReg(spaceHdr, uint64(round)<<32|uint64(ldr), uint64(cnt), id, InvDeliveryAgreement, node, at, regAcuerdoHeader)
 }
 
 // --- apus -----------------------------------------------------------------
@@ -877,8 +915,7 @@ func (o *Observer) ApusAssign(node int, at int64, idx uint64, id int64) {
 		return
 	}
 	o.fold(InvPrefixImmutable, opAssign, node, at, int64(idx), id)
-	o.checkReg(spaceAssign, idx, 0, id, InvPrefixImmutable, node, at,
-		fmt.Sprintf("apus slot %d assignment", idx))
+	o.checkReg(spaceAssign, idx, 0, id, InvPrefixImmutable, node, at, regApusAssign)
 }
 
 // ApusDeliver records node delivering slot idx carrying id: generic
@@ -890,8 +927,7 @@ func (o *Observer) ApusDeliver(node int, at int64, idx uint64, id int64) {
 	}
 	o.Deliver(node, at, idx, id)
 	o.counts[InvPrefixImmutable]++
-	o.checkReg(spaceAssign, idx, 0, id, InvPrefixImmutable, node, at,
-		fmt.Sprintf("apus slot %d delivered payload", idx))
+	o.checkReg(spaceAssign, idx, 0, id, InvPrefixImmutable, node, at, regApusDeliver)
 }
 
 // --- results --------------------------------------------------------------
@@ -973,20 +1009,4 @@ func (o *Observer) Counters() []InvariantCount {
 		out = append(out, InvariantCount{Invariant: i, Checks: o.counts[i], Violations: o.fails[i]})
 	}
 	return out
-}
-
-// Metrics surfaces the per-invariant tallies as a metrics.CounterSet
-// ("observe.<invariant>.checks" / ".violations"), sorted by name. Nil on a
-// nil observer.
-func (o *Observer) Metrics() *metrics.CounterSet {
-	if o == nil {
-		return nil
-	}
-	cs := metrics.NewCounterSet()
-	for _, c := range o.Counters() {
-		cs.Add("observe."+c.Invariant.String()+".checks", c.Checks)
-		cs.Add("observe."+c.Invariant.String()+".violations", c.Violations)
-	}
-	cs.Sort()
-	return cs
 }

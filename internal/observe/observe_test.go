@@ -52,7 +52,7 @@ func TestNilObserver(t *testing.T) {
 	if o.Digest() != 0 || o.Checks() != 0 || o.ViolationCount() != 0 {
 		t.Errorf("nil accessors = (%d, %d, %d), want zeros", o.Digest(), o.Checks(), o.ViolationCount())
 	}
-	if o.Violations() != nil || o.Report() != "" || o.Counters() != nil || o.Metrics() != nil {
+	if o.Violations() != nil || o.Report() != "" || o.Counters() != nil {
 		t.Error("nil result accessors should return empty values")
 	}
 }
@@ -310,8 +310,7 @@ func TestViolationCap(t *testing.T) {
 	}
 }
 
-// TestCountersAndMetrics checks the per-invariant tallies and their
-// CounterSet export.
+// TestCountersAndMetrics checks the per-invariant tallies.
 func TestCountersAndMetrics(t *testing.T) {
 	o := newObs(3)
 	o.PaxosChosen(0, 10, 0, 7)
@@ -328,11 +327,58 @@ func TestCountersAndMetrics(t *testing.T) {
 	if !found {
 		t.Fatal("chosen-agreement missing from Counters()")
 	}
-	cs := o.Metrics()
-	if got := cs.Get("observe.chosen-agreement.violations"); got != 1 {
-		t.Errorf("metrics violations = %d, want 1", got)
+}
+
+// TestRegisterWitnessText pins the witness every first-writer-wins register
+// produces. The text is built only once a check fails, from the register's
+// key rather than the hook's arguments, and chaos artifacts carry it
+// (violation_reports), so it may not drift.
+func TestRegisterWitnessText(t *testing.T) {
+	const tail = ": node 1 recorded 9 but node 0 recorded 7 at t=10ns"
+	for _, tc := range []struct {
+		want string
+		hook func(o *observe.Observer, node int, at, id int64)
+	}{
+		{"delivery position 0" + tail, func(o *observe.Observer, n int, at, id int64) { o.Deliver(n, at, 0, id) }},
+		{"log entry (index 3, term 2)" + tail, func(o *observe.Observer, n int, at, id int64) { o.LogAppend(n, at, 3, 2, id) }},
+		{"log entry (index 4, term 2)" + tail, func(o *observe.Observer, n int, at, id int64) { o.LogRecover(n, at, 4, 2, id) }},
+		{"paxos (instance 5, ballot 6) value" + tail, func(o *observe.Observer, n int, at, id int64) { o.PaxosAccept(n, at, 5, 6, id) }},
+		{"paxos instance 5 chosen value" + tail, func(o *observe.Observer, n int, at, id int64) { o.PaxosChosen(n, at, 5, id) }},
+		{"leader for term 8: node 1 recorded 1 but node 0 recorded 0 at t=10ns", func(o *observe.Observer, n int, at, _ int64) { o.LeaderElected(n, at, 8) }},
+		{"acuerdo header (round 2, ldr 1, cnt 3) payload" + tail, func(o *observe.Observer, n int, at, id int64) { o.AcuerdoCommit(n, at, 2, 1, 3, id) }},
+		{"apus slot 4 assignment" + tail, func(o *observe.Observer, n int, at, id int64) { o.ApusAssign(n, at, 4, id) }},
+		{"apus slot 0 delivered payload" + tail, func(o *observe.Observer, n int, at, id int64) { o.ApusDeliver(n, at, 0, id) }},
+		{"derecho delivery position 0" + tail, func(o *observe.Observer, n int, at, id int64) { o.DerechoDeliver(n, at, 0, id) }},
+	} {
+		o := newObs(3)
+		tc.hook(o, 0, 10, 7)
+		tc.hook(o, 1, 20, 9) // node 1 disagrees
+		vs := o.Violations()
+		if len(vs) == 0 || vs[len(vs)-1].Detail != tc.want {
+			t.Errorf("witnesses %+v, want the last to read %q", vs, tc.want)
+		}
 	}
-	if got := cs.Get("observe.chosen-agreement.checks"); got != 2 {
-		t.Errorf("metrics checks = %d, want 2", got)
+
+	// Derecho's view registers: node 1 installs view 2 with another
+	// membership after delivering one message more than node 0 had.
+	o := newObs(3)
+	o.DerechoDeliver(0, 5, 0, 7)
+	o.DerechoViewInstall(0, 10, 2, []int{0, 1, 2})
+	o.DerechoDeliver(1, 6, 0, 7)
+	o.DerechoDeliver(1, 7, 0, 8)
+	o.DerechoViewInstall(1, 20, 2, []int{0, 1})
+	vs := o.Violations()
+	want := []string{ // the membership and prefix hashes are opaque operands
+		"derecho view 2 membership: node 1 recorded ",
+		"derecho view 2 delivered-prefix length: node 1 recorded 2 but node 0 recorded 1 at t=10ns",
+		"derecho view 2 delivered-prefix hash: node 1 recorded ",
+	}
+	if len(vs) != len(want) {
+		t.Fatalf("%d derecho view witnesses, want %d:\n%s", len(vs), len(want), o.Report())
+	}
+	for i, prefix := range want {
+		if !strings.HasPrefix(vs[i].Detail, prefix) {
+			t.Errorf("derecho view witness %d = %q, want prefix %q", i, vs[i].Detail, prefix)
+		}
 	}
 }

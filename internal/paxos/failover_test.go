@@ -40,26 +40,16 @@ func TestProposerFailoverPreservesCommittedPrefix(t *testing.T) {
 	sim, c, chk, obs := newObservedCluster(t, 3, 9)
 	sim.RunFor(100 * time.Millisecond)
 
-	var nextID uint64
 	acks := 0
-	var submit func()
-	submit = func() {
-		if !c.Ready() {
-			sim.After(50*time.Microsecond, submit)
-			return
-		}
-		nextID++
+	abcast.Loop(sim, c, 4, func(id uint64, next func()) {
 		p := make([]byte, 16)
-		abcast.PutMsgID(p, nextID)
-		chk.OnBroadcast(nextID)
+		abcast.PutMsgID(p, id)
+		chk.OnBroadcast(id)
 		c.Submit(p, func() {
 			acks++
-			submit()
+			next()
 		})
-	}
-	for i := 0; i < 4; i++ {
-		submit()
-	}
+	})
 	sim.RunFor(20 * time.Millisecond)
 
 	old := c.LeaderIdx()

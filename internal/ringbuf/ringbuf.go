@@ -265,7 +265,7 @@ func (s *Sender) emit(ps *peerState, payload []byte) {
 			var hdr [headerSize]byte
 			binary.LittleEndian.PutUint64(hdr[:], ps.wireSeq)
 			binary.LittleEndian.PutUint32(hdr[8:], wrapMarker)
-			s.write(ps, ps.woff, hdr[:], false)
+			s.write(ps, ps.woff, hdr[:])
 		}
 		// A remainder < headerSize wraps implicitly on both sides.
 		ps.woff = 0
@@ -283,27 +283,21 @@ func (s *Sender) emit(ps *peerState, payload []byte) {
 		// Derecho style: payload first with a zero sequence word, then a
 		// second write publishes the sequence (the "counter").
 		binary.LittleEndian.PutUint64(buf[:8], 0)
-		s.write(ps, off, buf, false)
+		s.write(ps, off, buf)
 		var seqw [8]byte
 		binary.LittleEndian.PutUint64(seqw[:], ps.wireSeq)
-		s.write(ps, off, seqw[:], false)
+		s.write(ps, off, seqw[:])
 	} else {
 		binary.LittleEndian.PutUint64(buf[:8], ps.wireSeq)
-		s.write(ps, off, buf, false)
+		s.write(ps, off, buf)
 	}
 	ps.woff = off + rec
 	ps.inflight = append(ps.inflight, inflightRec{msgIdx: ps.emitIdx, bytes: rec + waste})
 	ps.inflightBytes += rec + waste
 }
 
-func (s *Sender) write(ps *peerState, off int, data []byte, signaled bool) {
-	var err error
-	if signaled {
-		_, err = ps.qp.WriteSignaled(ps.ring, off, data)
-	} else {
-		_, err = ps.qp.Write(ps.ring, off, data)
-	}
-	if err != nil && err != rdma.ErrSendQueueFull {
+func (s *Sender) write(ps *peerState, off int, data []byte) {
+	if _, err := ps.qp.Write(ps.ring, off, data); err != nil && err != rdma.ErrSendQueueFull {
 		panic(fmt.Sprintf("ringbuf: write failed: %v", err))
 	}
 	// ErrSendQueueFull toward a crashed peer is tolerated: RC toward a dead

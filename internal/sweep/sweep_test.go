@@ -86,41 +86,3 @@ func TestRunEdgeCases(t *testing.T) {
 		t.Fatalf("bad results: %v", out)
 	}
 }
-
-func TestGridPointsOrderAndSize(t *testing.T) {
-	g := Grid{
-		Systems:  []string{"a", "b"},
-		Nodes:    []int{3, 7},
-		Payloads: []int{10},
-		Windows:  []int{1, 2, 4},
-		Seeds:    []int64{1},
-	}
-	pts := g.Points()
-	if len(pts) != g.Size() || len(pts) != 12 {
-		t.Fatalf("got %d points, Size()=%d, want 12", len(pts), g.Size())
-	}
-	// Systems vary slowest, windows faster.
-	if pts[0].System != "a" || pts[6].System != "b" {
-		t.Fatalf("system order wrong: %+v", pts)
-	}
-	if pts[0].Window != 1 || pts[1].Window != 2 || pts[2].Window != 4 {
-		t.Fatalf("window order wrong: %+v", pts[:3])
-	}
-	for i, p := range pts {
-		if p.Index != i {
-			t.Fatalf("point %d has Index %d", i, p.Index)
-		}
-	}
-}
-
-// An empty axis contributes a single zero cell, not an empty product.
-func TestGridEmptyAxes(t *testing.T) {
-	g := Grid{Windows: []int{1, 2}}
-	pts := g.Points()
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
-	}
-	if pts[0].System != "" || pts[0].Nodes != 0 {
-		t.Fatalf("zero cell wrong: %+v", pts[0])
-	}
-}
