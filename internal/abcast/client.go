@@ -17,6 +17,29 @@ type Client struct {
 	timeout time.Duration
 	idle    time.Duration
 	pending map[uint64]func()
+
+	retryFree []*retry
+}
+
+// retry is one armed re-send: what a per-attempt closure would capture.
+// Records are free-listed on the Client and fire is bound once, when the
+// record is created, so arming allocates nothing in steady state.
+type retry struct {
+	c       *Client
+	id      uint64
+	payload []byte
+	fire    func() // bound to run
+}
+
+// run recycles r, dropping its payload reference, before it re-sends (so the
+// attempt it makes re-arms with the same record).
+func (r *retry) run() {
+	c, id, payload := r.c, r.id, r.payload
+	r.payload = nil
+	c.retryFree = append(c.retryFree, r)
+	if _, ok := c.pending[id]; ok {
+		c.send(id, payload)
+	}
 }
 
 // NewClient creates a client that sends through try. try routes one request
@@ -47,11 +70,16 @@ func (c *Client) send(id uint64, payload []byte) {
 	if d <= 0 {
 		return
 	}
-	c.sim.PostAfter(d, func() {
-		if _, ok := c.pending[id]; ok {
-			c.send(id, payload)
-		}
-	})
+	var r *retry
+	if n := len(c.retryFree); n > 0 {
+		r = c.retryFree[n-1]
+		c.retryFree = c.retryFree[:n-1]
+	} else {
+		r = &retry{c: c}
+		r.fire = r.run
+	}
+	r.id, r.payload = id, payload
+	c.sim.PostAfter(d, r.fire)
 }
 
 // Ack completes the request whose id heads m and forgets it. Acknowledgments

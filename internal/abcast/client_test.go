@@ -117,8 +117,8 @@ func TestClientRetry(t *testing.T) {
 }
 
 // TestClientSubmitAckAllocs pins the client's own steady-state cost per
-// request at one object — the retry event's closure; the table entry reuses
-// its map slot.
+// request at zero objects: the armed retry is a recycled record and the table
+// entry reuses its map slot.
 func TestClientSubmitAckAllocs(t *testing.T) {
 	sim := simnet.New(1)
 	c := NewClient(sim, func(uint64, []byte) bool { return true }, time.Microsecond, time.Microsecond)
@@ -132,7 +132,7 @@ func TestClientSubmitAckAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cycle()
 	}
-	if n := testing.AllocsPerRun(1000, cycle); n != 1 {
-		t.Fatalf("Submit→Ack allocates %v objects per request, want 1", n)
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("Submit→Ack allocates %v objects per request, want 0", n)
 	}
 }

@@ -2,6 +2,7 @@ package acuerdo
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -510,5 +511,70 @@ func TestNoDuplicateDeliveryAcrossFailover(t *testing.T) {
 	}
 	if chk.MinDelivered() < int(id)/2 {
 		t.Fatalf("delivered only %d of %d at the slowest replica", chk.MinDelivered(), id)
+	}
+}
+
+// TestBroadcastAcceptAllocFree pins the record path, request ring → Broadcast
+// → follower accept → commit → delivery → acknowledgment ring, at no
+// allocation per message: the request and the broadcast record are ring views,
+// the broadcast is gathered into pooled wire frames, and the log copies each
+// payload into its arena. What is left is amortised growth — a 64 KiB arena
+// chunk and a doubling of entries now and then at each replica — bounded here
+// at a tenth of an object per message.
+func TestBroadcastAcceptAllocFree(t *testing.T) {
+	sim := simnet.New(1)
+	cfg := DefaultClusterConfig(3)
+	// Armed retries are recycled when they fire: a short timeout (still far
+	// above the commit latency) fills that free list within the warm-up.
+	cfg.RetryTimeout = 200 * time.Microsecond
+	c := NewCluster(sim, rdma.NewFabric(sim, rdma.DefaultParams()), cfg)
+	c.Start()
+	sim.RunFor(20 * time.Millisecond)
+	if c.LeaderIdx() < 0 {
+		t.Fatal("no leader")
+	}
+
+	// The warm-up is long because the simulator's calendar queue grows each of
+	// its 8192 buckets on demand, over many 2.1 ms rotations.
+	const window, size, warm, measured = 16, 100, 60000, 10000
+	var next uint64
+	acked := 0
+	send := make([]func(), window)
+	for i := range send {
+		p := make([]byte, size)
+		var done func()
+		send[i] = func() {
+			next++
+			abcast.PutMsgID(p, next)
+			c.Submit(p, done)
+		}
+		done = func() { acked++; send[i]() }
+		send[i]()
+	}
+	runTo := func(n int) {
+		for i := 0; acked < n; i++ {
+			if i > 10000 {
+				t.Fatalf("stalled at %d of %d acks", acked, n)
+			}
+			sim.RunFor(100 * time.Microsecond)
+		}
+	}
+	runTo(warm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := acked
+	runTo(warm + measured)
+	runtime.ReadMemStats(&after)
+	got, want := acked-start, acked
+	sim.RunFor(time.Millisecond) // followers deliver behind the commit row
+	for i, r := range c.Replicas {
+		if int(r.Stats.Delivered) < want {
+			t.Fatalf("replica %d delivered %d of %d acknowledged messages", i, r.Stats.Delivered, want)
+		}
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / float64(got); per > 0.1 {
+		t.Fatalf("%d objects over %d messages at 3 replicas = %.3f per message, want <= 0.1", after.Mallocs-before.Mallocs, got, per)
+	} else {
+		t.Logf("%d objects over %d messages (%.4f per message)", after.Mallocs-before.Mallocs, got, per)
 	}
 }

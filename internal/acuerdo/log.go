@@ -12,8 +12,33 @@ type Entry struct {
 // iterated in header order). It is kept as a sorted slice: in the normal
 // broadcast mode insertions are strictly appending, so the common case is
 // O(1).
+//
+// The log owns its payload bytes: Insert copies the payload into an
+// append-only arena of chunks and the stored entry points there, so the
+// caller's buffer — a ring view, a slice of a diff record, a recovered WAL
+// record, the client's request — is free the moment Insert returns, and what
+// Get and the Range methods hand out stays valid for the life of the log.
+// The arena only remembers the chunk it is filling; a full chunk lives as
+// long as an entry (or a slice a reader took) points into it.
 type Log struct {
 	entries []Entry
+	chunk   []byte // the arena's open chunk: len used, cap-len free
+}
+
+// logChunk is the arena's chunk size. At 64 KiB a chunk is one allocation per
+// ~65 entries of 1000 B and the open chunk's slack is noise even across the
+// few hundred logs of a 64-group placement world.
+const logChunk = 64 << 10
+
+// own copies p into the arena and returns the copy.
+func (l *Log) own(p []byte) []byte {
+	if len(p) > cap(l.chunk)-len(l.chunk) {
+		// A payload larger than a chunk gets one of its own, exactly full.
+		l.chunk = make([]byte, 0, max(logChunk, len(p)))
+	}
+	start := len(l.chunk)
+	l.chunk = append(l.chunk, p...)
+	return l.chunk[start:len(l.chunk):len(l.chunk)]
 }
 
 // Len returns the number of entries.
@@ -26,8 +51,9 @@ func (l *Log) search(h MsgHdr) int {
 	})
 }
 
-// Insert stores e, replacing any entry with the same header.
+// Insert stores a copy of e, replacing any entry with the same header.
 func (l *Log) Insert(e Entry) {
+	e.Payload = l.own(e.Payload)
 	i := l.search(e.Hdr)
 	if i < len(l.entries) && l.entries[i].Hdr == e.Hdr {
 		l.entries[i] = e

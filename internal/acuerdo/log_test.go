@@ -1,6 +1,7 @@
 package acuerdo
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -172,4 +173,65 @@ func TestDiffApplicationIdempotent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLogOwnsPayload: Insert copies, so the log's bytes are its own — the
+// caller's buffer can change (a ring slot is overwritten, a diff record is
+// dropped) without the entry noticing — across chunk boundaries, for an entry
+// larger than a chunk, and with RemoveFrom and TrimBelow doing what they did.
+func TestLogOwnsPayload(t *testing.T) {
+	var l Log
+	pattern := func(c uint32, n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(c) + byte(i)
+		}
+		return p
+	}
+	size := func(c uint32) int {
+		if c == 40 {
+			return logChunk + logChunk/2 // larger than a chunk
+		}
+		return 1000 + int(c) // ~65 per chunk: 200 entries cross several
+	}
+	buf := make([]byte, 2*logChunk)
+	for c := uint32(1); c <= 200; c++ {
+		p := buf[:size(c)]
+		copy(p, pattern(c, len(p)))
+		l.Insert(Entry{Hdr: hdr(1, 1, c), Payload: p})
+		clear(p) // the caller's buffer is reused at once
+	}
+	check := func(lo, hi uint32) {
+		t.Helper()
+		if l.Len() != int(hi-lo+1) {
+			t.Fatalf("len = %d, want %d", l.Len(), hi-lo+1)
+		}
+		for c := lo; c <= hi; c++ {
+			e := l.Get(hdr(1, 1, c))
+			if e == nil || !bytes.Equal(e.Payload, pattern(c, size(c))) {
+				t.Fatalf("entry %d lost or changed", c)
+			}
+		}
+	}
+	check(1, 200)
+
+	// A stored payload is capped: appending to it cannot run into the next.
+	e := l.Get(hdr(1, 1, 7))
+	_ = append(e.Payload, 0xff)
+	check(1, 200)
+
+	l.RemoveFrom(hdr(1, 1, 151))
+	l.TrimBelow(hdr(1, 1, 11))
+	if l.Get(hdr(1, 1, 151)) != nil || l.Get(hdr(1, 1, 10)) != nil {
+		t.Fatal("RemoveFrom/TrimBelow left entries outside [11,150]")
+	}
+	check(11, 150)
+
+	// Replacing and re-extending after the cut leaves the survivors alone.
+	p := pattern(150, size(150))
+	l.Insert(Entry{Hdr: hdr(1, 1, 150), Payload: p})
+	for c := uint32(151); c <= 160; c++ {
+		l.Insert(Entry{Hdr: hdr(1, 1, c), Payload: pattern(c, size(c))})
+	}
+	check(11, 160)
 }

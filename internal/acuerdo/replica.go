@@ -437,14 +437,17 @@ func (r *Replica) Broadcast(payload []byte) bool {
 	}
 	r.count++
 	hdr := MsgHdr{E: r.eNew, Cnt: r.count}
-	rec := EncodeMessage(hdr, payload)
+	// The record is message header ‖ payload (EncodeMessage's bytes), gathered
+	// behind the ring header straight into each follower's wire frame.
+	var mh [msgHdrSize]byte
+	putMsgHdr(mh[:], hdr, kindNormal)
 	r.Node.Proc.Pause(r.Cfg.PerMsgCost)
 	var idx uint64
 	for j := 0; j < r.N; j++ {
 		if j == int(r.ID) {
 			continue
 		}
-		i, err := r.out.Send(r.fabIDs[j], rec)
+		i, err := r.out.Send(r.fabIDs[j], mh[:], payload)
 		if err != nil {
 			panic("acuerdo: broadcast ring send failed: " + err.Error())
 		}
@@ -453,9 +456,7 @@ func (r *Replica) Broadcast(payload []byte) bool {
 	r.sent = append(r.sent, sentRec{hdr: hdr, idx: idx})
 	// Self-acceptance: the leader stores and accepts its own message
 	// locally (broadcast includes itself).
-	pl := make([]byte, len(payload))
-	copy(pl, payload)
-	r.log.Insert(Entry{Hdr: hdr, Payload: pl})
+	r.log.Insert(Entry{Hdr: hdr, Payload: payload})
 	r.accepted = hdr
 	r.acceptSST.Set(hdr)
 	r.Stats.Broadcasts++

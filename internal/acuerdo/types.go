@@ -207,13 +207,23 @@ const (
 	kindDiff   = byte(1)
 )
 
+// msgHdrSize is the encoded message header that precedes a normal record's
+// payload: the MsgHdr and the kind byte.
+const msgHdrSize = 13
+
+// putMsgHdr encodes a record's message header into dst[:msgHdrSize].
+func putMsgHdr(dst []byte, hdr MsgHdr, kind byte) {
+	HdrCodec{}.Encode(dst, hdr)
+	dst[12] = kind
+}
+
 // EncodeMessage builds the ring-buffer record for a normal broadcast
-// message.
+// message in a fresh buffer (the WAL's record format; Broadcast gathers the
+// same bytes into the wire frame without building the record).
 func EncodeMessage(hdr MsgHdr, payload []byte) []byte {
-	buf := make([]byte, 13+len(payload))
-	HdrCodec{}.Encode(buf, hdr)
-	buf[12] = kindNormal
-	copy(buf[13:], payload)
+	buf := make([]byte, msgHdrSize+len(payload))
+	putMsgHdr(buf, hdr, kindNormal)
+	copy(buf[msgHdrSize:], payload)
 	return buf
 }
 
@@ -228,8 +238,7 @@ func EncodeDiff(hdr, from MsgHdr, entries []Entry) []byte {
 		n += 16 + len(e.Payload)
 	}
 	buf := make([]byte, n)
-	HdrCodec{}.Encode(buf, hdr)
-	buf[12] = kindDiff
+	putMsgHdr(buf, hdr, kindDiff)
 	HdrCodec{}.Encode(buf[13:], from)
 	binary.LittleEndian.PutUint32(buf[25:], uint32(len(entries)))
 	off := 29
@@ -244,6 +253,8 @@ func EncodeDiff(hdr, from MsgHdr, entries []Entry) []byte {
 
 // DecodeMessage parses a ring-buffer record. For diff records the range
 // lower bound and entries are returned; for normal records the payload is.
+// The payload and every entry's Payload are views into rec, valid as long as
+// rec is: Log.Insert copies what the replica keeps.
 func DecodeMessage(rec []byte) (hdr MsgHdr, payload []byte, entries []Entry, diffFrom MsgHdr, isDiff bool, err error) {
 	if len(rec) < 13 {
 		return hdr, nil, nil, diffFrom, false, fmt.Errorf("acuerdo: short record (%d bytes)", len(rec))
@@ -266,13 +277,12 @@ func DecodeMessage(rec []byte) (hdr MsgHdr, payload []byte, entries []Entry, dif
 			}
 			eh := HdrCodec{}.Decode(rec[off:])
 			ln := binary.LittleEndian.Uint32(rec[off+12:])
-			if off+16+int(ln) > len(rec) {
+			end := off + 16 + int(ln)
+			if end > len(rec) {
 				return hdr, nil, nil, diffFrom, true, fmt.Errorf("acuerdo: truncated diff payload %d", i)
 			}
-			pl := make([]byte, ln)
-			copy(pl, rec[off+16:])
-			entries = append(entries, Entry{Hdr: eh, Payload: pl})
-			off += 16 + int(ln)
+			entries = append(entries, Entry{Hdr: eh, Payload: rec[off+16 : end : end]})
+			off = end
 		}
 		return hdr, nil, entries, diffFrom, true, nil
 	default:

@@ -14,6 +14,7 @@ package apus
 
 import (
 	"encoding/binary"
+	"fmt"
 	"time"
 
 	"acuerdo/internal/abcast"
@@ -149,7 +150,10 @@ func (c *Cluster) Start() {
 // leaderPoll drains client requests, seals batches, and commits on quorum
 // acknowledgment.
 func (c *Cluster) leaderPoll() {
-	c.link.Requests(0, func(req []byte) { c.queue = append(c.queue, req) })
+	// A request waits in queue and then in store[0] until its batch commits,
+	// long after Requests has returned its ring slot to the client: keep a
+	// copy, not the view.
+	c.link.Requests(0, func(req []byte) { c.queue = append(c.queue, append([]byte(nil), req...)) })
 	// Commit check: quorum of acceptors (plus the leader itself) at or
 	// beyond the pending batch end.
 	if c.batchEnd > 0 {
@@ -334,8 +338,15 @@ func (c *Cluster) Name() string { return "apus" }
 // Ready implements abcast.System.
 func (c *Cluster) Ready() bool { return !c.nodes[0].Crashed() }
 
-// Submit implements abcast.System.
-func (c *Cluster) Submit(payload []byte, done func()) { c.requests.Submit(payload, done) }
+// Submit implements abcast.System. A request that does not fit a log slot is
+// refused here, where it enters: sendBatch writes it at a fixed slot stride,
+// so a longer one would run into its neighbour's slot.
+func (c *Cluster) Submit(payload []byte, done func()) {
+	if slotHdr+len(payload) > c.cfg.SlotBytes {
+		panic(fmt.Sprintf("apus: %d-byte request exceeds the %d-byte log slot (%d-byte header)", len(payload), c.cfg.SlotBytes, slotHdr))
+	}
+	c.requests.Submit(payload, done)
+}
 
 // try is the client's send step: every request goes to the fixed leader.
 func (c *Cluster) try(_ uint64, payload []byte) bool {

@@ -1,6 +1,8 @@
 package apus
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,4 +123,37 @@ func TestSlowAcceptorStallsBatch(t *testing.T) {
 	if done != 20 {
 		t.Fatalf("pipeline did not recover: %d of 20", done)
 	}
+}
+
+// TestOversizeRequestRefused: a request that would overrun its log slot into
+// the next one is refused where it enters, with both sizes; the largest that
+// fits commits intact.
+func TestOversizeRequestRefused(t *testing.T) {
+	sim, c, chk := newCluster(t, 3, 1)
+	fits := make([]byte, c.cfg.SlotBytes-slotHdr)
+	abcast.PutMsgID(fits, 1)
+	fits[len(fits)-1] = 0xee
+	chk.OnBroadcast(1)
+	var got []byte
+	c.OnDeliver = func(r int, _ uint64, payload []byte) {
+		if r == 2 {
+			got = payload
+		}
+	}
+	c.Submit(fits, nil)
+	sim.RunFor(time.Millisecond)
+	if !bytes.Equal(got, fits) {
+		t.Fatalf("a slot-filling request delivered %d bytes at an acceptor, want its %d intact", len(got), len(fits))
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"1089-byte request", "1100-byte log slot"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("oversize Submit: recovered %q, want it to name %q", msg, want)
+			}
+		}
+	}()
+	c.Submit(make([]byte, len(fits)+1), nil)
+	t.Fatal("oversize request accepted")
 }

@@ -1,7 +1,7 @@
 package lint
 
 // This file implements the function-local def-use/dataflow engine that powers
-// the RDMA contract analyzers (cqorder, mrlifetime). The design, in the order
+// the RDMA contract analyzers (cqorder, mrlifetime, ringview). The design, in the order
 // a run proceeds (DESIGN.md §6.6 has the full treatment):
 //
 //  1. Access paths. Values are named by normalized access paths over the
@@ -668,9 +668,11 @@ func (b *cfgBuilder) findLoop(label *ast.Ident, isBreak bool) *loopTargets {
 // ---------------------------------------------------------------------------
 
 // flowHooks are the analyzer-supplied callbacks of one function-local run.
-// transfer mutates the fact set for one atomic node; report sees each node
-// with its pre-state during the final stable pass.
+// entry, when non-nil, is the fact set on entry to the function (facts about
+// its parameters); transfer mutates the fact set for one atomic node; report
+// sees each node with its pre-state during the final stable pass.
 type flowHooks struct {
+	entry    facts
 	transfer func(n ast.Node, f facts)
 	report   func(n ast.Node, f facts)
 }
@@ -681,7 +683,7 @@ func runFlow(body *ast.BlockStmt, hooks flowHooks) {
 	g := buildCFG(body)
 
 	in := make([]facts, len(g.blocks))
-	in[g.entry.index] = facts{}
+	in[g.entry.index] = hooks.entry.clone()
 	work := []*cfgBlock{g.entry}
 	inWork := make([]bool, len(g.blocks))
 	inWork[g.entry.index] = true

@@ -22,6 +22,8 @@
 //     touched until a CQ.Poll observes the completion.
 //   - mrlifetime (dataflow): no use of fabric-owned memory after
 //     Fabric.Release returns it to the process-wide MR pool.
+//   - ringview (dataflow): a record polled from a ring is a view into ring
+//     memory; storing it where it outlives the poll needs a copy.
 //   - exportdoc: exported identifiers in the harness API packages (sweep,
 //     bench, chaos, trace) must carry doc comments.
 //
@@ -106,7 +108,7 @@ type Diagnostic struct {
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoWallClock, MapOrder, SimProc, ExportDoc, CQOrder, MRLifetime, HostBlock}
+	return []*Analyzer{NoWallClock, MapOrder, SimProc, ExportDoc, CQOrder, MRLifetime, RingView, HostBlock}
 }
 
 // directiveAnalyzer is the pseudo-analyzer name attached to diagnostics about

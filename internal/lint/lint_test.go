@@ -145,6 +145,10 @@ func TestAnalyzerScopes(t *testing.T) {
 		{"mrlifetime", "acuerdo/internal/rdma", false},
 		{"cqorder", "acuerdo/internal/apus", true},
 		{"mrlifetime", "acuerdo/internal/bench", true},
+		// ringview follows the suite default: every ring consumer, and
+		// ringbuf's own ClientLink.
+		{"ringview", "acuerdo/internal/apus", true},
+		{"ringview", "acuerdo/internal/ringbuf", true},
 		// exportdoc covers only the harness API packages.
 		{"exportdoc", "acuerdo/internal/sweep", true},
 		{"exportdoc", "acuerdo/internal/bench", true},
@@ -183,12 +187,12 @@ func TestAnalyzerScopes(t *testing.T) {
 	}
 }
 
-// TestAnalyzerMetadata keeps the suite's registry stable: seven analyzers,
+// TestAnalyzerMetadata keeps the suite's registry stable: eight analyzers,
 // documented, uniquely named.
 func TestAnalyzerMetadata(t *testing.T) {
 	all := lint.All()
-	if len(all) != 7 {
-		t.Fatalf("All() returned %d analyzers, want 7", len(all))
+	if len(all) != 8 {
+		t.Fatalf("All() returned %d analyzers, want 8", len(all))
 	}
 	seen := map[string]bool{}
 	for _, az := range all {

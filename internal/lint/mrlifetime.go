@@ -142,10 +142,5 @@ func isFabricValue(t types.Type) bool {
 	// A []byte is fabric memory when it is an MR's Buf (or a slice of one);
 	// the caller's path check keeps unrelated byte slices out because their
 	// canonical paths never derive from a fabric root.
-	if slice, ok := t.Underlying().(*types.Slice); ok {
-		if basic, ok := slice.Elem().Underlying().(*types.Basic); ok && basic.Kind() == types.Uint8 {
-			return true
-		}
-	}
-	return false
+	return isByteSlice(t)
 }

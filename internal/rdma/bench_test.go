@@ -63,9 +63,10 @@ func BenchmarkWRPostSignaled(b *testing.B) {
 }
 
 // TestWritePostAllocFree pins an unsignaled WRITE, post through landing, at
-// zero allocations and one simulator event, traced or not: the post books
-// CPU without scheduling anything, the frame comes from the size-class pool,
-// and the delivery is a record recycled on the Fabric.
+// zero allocations and one simulator event, traced or not, one part or a
+// gather list: the post books CPU without scheduling anything, the frame comes
+// from the size-class pool, and the delivery is a record recycled on the
+// Fabric.
 func TestWritePostAllocFree(t *testing.T) {
 	for _, traced := range []bool{false, true} {
 		sim := simnet.New(1)
@@ -84,15 +85,18 @@ func TestWritePostAllocFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if _, err := qp.Write(mr, 0, small[:12], small[:13], large[:987]); err != nil {
+				t.Fatal(err)
+			}
 			sim.RunFor(25 * time.Microsecond)
 		}
 		cycle()
 		before := sim.Processed()
 		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-			t.Fatalf("traced=%v: three WRITEs allocate %.1f objects, want 0", traced, avg)
+			t.Fatalf("traced=%v: four WRITEs allocate %.1f objects, want 0", traced, avg)
 		}
-		if got := sim.Processed() - before; got != 3*201 {
-			t.Fatalf("traced=%v: %d events for %d WRITEs, want one each", traced, got, 3*201)
+		if got := sim.Processed() - before; got != 4*201 {
+			t.Fatalf("traced=%v: %d events for %d WRITEs, want one each", traced, got, 4*201)
 		}
 	}
 }

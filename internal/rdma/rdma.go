@@ -499,33 +499,41 @@ func (qp *QP) complete(at simnet.Time, wrid uint64, st CompletionStatus, data []
 	})
 }
 
-// Write posts a one-sided RDMA write of data into remote[off:]. The write is
-// signaled according to the QP's selective-signaling policy. It returns the
-// work request ID.
-func (qp *QP) Write(remote *MR, off int, data []byte) (uint64, error) {
+// Write posts a one-sided RDMA write of parts, back to back, into
+// remote[off:]. parts is the work request's gather list (ibv_send_wr.sg_list
+// on real verbs): however many parts, it is one WR, one post and one wire
+// frame of their total length, and the only copy is the one into that frame,
+// made before Write returns, so the caller may reuse every part at once. The
+// write is signaled according to the QP's selective-signaling policy. It
+// returns the work request ID.
+func (qp *QP) Write(remote *MR, off int, parts ...[]byte) (uint64, error) {
 	signaled := false
 	qp.sinceSignal++
 	if qp.SignalEvery > 0 && qp.sinceSignal >= qp.SignalEvery {
 		signaled = true
 		qp.sinceSignal = 0
 	}
-	return qp.write(remote, off, data, signaled)
+	return qp.write(remote, off, parts, signaled)
 }
 
 // WriteSignaled posts a write that always requests a completion.
 func (qp *QP) WriteSignaled(remote *MR, off int, data []byte) (uint64, error) {
 	qp.sinceSignal = 0
-	return qp.write(remote, off, data, true)
+	return qp.write(remote, off, [][]byte{data}, true)
 }
 
-func (qp *QP) write(remote *MR, off int, data []byte, signaled bool) (uint64, error) {
+func (qp *QP) write(remote *MR, off int, parts [][]byte, signaled bool) (uint64, error) {
 	if qp.closed {
 		return 0, ErrQPClosed
 	}
 	if remote.Node != qp.to {
 		return 0, fmt.Errorf("rdma: MR belongs to node %d, QP targets node %d", remote.Node.ID, qp.to.ID)
 	}
-	if off < 0 || off+len(data) > len(remote.Buf) {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
+	if off < 0 || off+size > len(remote.Buf) {
 		return 0, ErrBounds
 	}
 	if qp.outstanding >= qp.params.SendQueueDepth {
@@ -536,13 +544,16 @@ func (qp *QP) write(remote *MR, off int, data []byte, signaled bool) (uint64, er
 	qp.outstanding++
 
 	fb := qp.from.Fabric
-	buf := fb.frames.Get(len(data))
-	copy(buf, data)
+	buf := fb.frames.Get(size)
+	n := 0
+	for _, p := range parts {
+		n += copy(buf[n:], p)
+	}
 
 	sim := fb.Sim
-	deliverAt, ser := qp.post(len(data))
+	deliverAt, ser := qp.post(size)
 	if tr := sim.Tracer(); tr != nil {
-		tr.Instant(trace.KWRPost, qp.from.ID, int64(sim.Now()), int64(wrid), int64(len(data)))
+		tr.Instant(trace.KWRPost, qp.from.ID, int64(sim.Now()), int64(wrid), int64(size))
 		tr.Add(trace.CtrRDMAWrites, 1)
 		if !signaled {
 			tr.Instant(trace.KSigSkip, qp.from.ID, int64(sim.Now()), int64(wrid), 0)

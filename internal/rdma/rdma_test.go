@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,6 +32,55 @@ func TestWriteLandsBytes(t *testing.T) {
 	sim.RunFor(time.Millisecond)
 	if !bytes.Equal(mr.Buf[8:13], []byte("hello")) {
 		t.Fatalf("remote memory = %q", mr.Buf[8:13])
+	}
+}
+
+// TestWriteGather pins the gather list as a pure change of who assembles the
+// frame: a two-part write lands the bytes of the concatenation and costs what
+// the one-part write of the concatenation costs — post CPU, serialization (so
+// landing time), wire bytes and WR count.
+func TestWriteGather(t *testing.T) {
+	hdr, payload := []byte("ring header "), bytes.Repeat([]byte{0xab}, 1000)
+	type cost struct {
+		landed      []byte
+		busy        time.Duration
+		lastDeliver simnet.Time
+		bytesSent   uint64
+		writes      uint64
+		wrid        uint64
+	}
+	post := func(parts ...[]byte) cost {
+		sim, f := testFabric(2)
+		a, b := f.Node(0), f.Node(1)
+		mr := b.RegisterMemory(2048)
+		qp := a.Connect(b, NewCQ())
+		wrid, err := qp.Write(mr, 16, parts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.RunFor(time.Millisecond)
+		return cost{mr.Buf, a.Proc.BusyTime(), qp.lastDeliver, a.BytesSent, a.Writes, wrid}
+	}
+	one := post(append(append([]byte(nil), hdr...), payload...))
+	two := post(hdr, payload)
+	if !bytes.Equal(one.landed, two.landed) {
+		t.Fatal("two-part write landed different bytes than the one-part write of the concatenation")
+	}
+	if !bytes.Equal(two.landed[16:16+len(hdr)], hdr) || two.landed[16+len(hdr)+999] != 0xab || two.landed[16+len(hdr)+1000] != 0 {
+		t.Fatal("gathered parts did not land back to back at the offset")
+	}
+	one.landed, two.landed = nil, nil
+	if !reflect.DeepEqual(one, two) {
+		t.Fatalf("two-part write cost %+v, one-part %+v", two, one)
+	}
+	if one.writes != 1 {
+		t.Fatalf("a gather write posted %d WRs, want 1", one.writes)
+	}
+	// The bounds check is on the total.
+	_, f := testFabric(2)
+	mr := f.Node(1).RegisterMemory(16)
+	if _, err := f.Node(0).Connect(f.Node(1), NewCQ()).Write(mr, 0, make([]byte, 10), make([]byte, 7)); err != ErrBounds {
+		t.Fatalf("gather write past the MR: err = %v, want ErrBounds", err)
 	}
 }
 

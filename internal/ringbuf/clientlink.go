@@ -33,7 +33,8 @@ func NewClientLink(client *rdma.Node, replicas []*rdma.Node) *ClientLink {
 }
 
 // Start boots the client's poll loop, which hands every acknowledgment
-// arriving from any replica to ack (abcast.Client.Ack).
+// arriving from any replica to ack (abcast.Client.Ack). m is a view into the
+// acknowledgment ring, valid only until ack returns (see the package comment).
 func (l *ClientLink) Start(ack func(m []byte)) {
 	l.client.Proc.PollLoop(500*time.Nanosecond, 100*time.Nanosecond, func() {
 		for _, in := range l.ackIn {
@@ -56,7 +57,9 @@ func (l *ClientLink) Request(to int, payload []byte) {
 
 // Requests hands every request that has arrived at replica i to fn, in
 // order, then returns the ring credits to the client. Call it from replica
-// i's poll loop.
+// i's poll loop. req is a view into the request ring, and the credits let
+// the client overwrite it: an fn that keeps req past its own return copies
+// it first (see the package comment).
 func (l *ClientLink) Requests(i int, fn func(req []byte)) {
 	for _, req := range l.reqIn[i].Poll(0) {
 		fn(req)

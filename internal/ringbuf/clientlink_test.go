@@ -29,7 +29,7 @@ func TestClientLinkReconnect(t *testing.T) {
 	requests := func(i int) [][]byte {
 		sim.RunFor(50 * time.Microsecond)
 		var got [][]byte
-		l.Requests(i, func(req []byte) { got = append(got, req) })
+		l.Requests(i, func(req []byte) { got = append(got, append([]byte(nil), req...)) })
 		return got
 	}
 	want := func(what string, got [][]byte, want ...[]byte) {

@@ -24,9 +24,24 @@
 // queues to an unbounded per-receiver backlog (Acuerdo: "effectively
 // infinite pending messages") or reports ErrRingFull so the protocol can
 // stall (Derecho).
+//
+// Buffer ownership. A record is copied twice on its way, both times by the
+// fabric: Send hands the ring header and the caller's parts to QP.Write as one
+// gather list, which copies them into the wire frame (the caller may reuse
+// every part as soon as Send returns), and the frame lands in the receiver's
+// ring (the DMA). Poll then returns views: each record is a slice of the ring's
+// registered memory, not a copy. A view is valid until its slot is released to
+// the sender — ReturnCredits, or whatever protocol state the sender's Release
+// follows, such as Acuerdo's acceptance push — or until the next Poll on the
+// same Receiver, which reuses the batch slice. Whoever keeps a record, or any
+// part of one, past that point copies it first (append([]byte(nil), v...),
+// bytes.Clone, copy into a buffer it owns); the ringview analyzer
+// (internal/lint) checks the retention sites it can see. The same rule holds
+// for the []byte a ClientLink hands to a Requests or Start callback.
 package ringbuf
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,6 +52,11 @@ import (
 const (
 	headerSize = 12 // seq uint64 + len uint32
 	wrapMarker = ^uint32(0)
+
+	// maxParts bounds the gather list of one Send — a protocol header and a
+	// payload — as max_send_sge does on real verbs; the ring header takes
+	// one more entry of the work request.
+	maxParts = 2
 )
 
 var (
@@ -68,8 +88,9 @@ func DefaultConfig() Config {
 type Receiver struct {
 	mr       *rdma.MR
 	off      int
-	wireSeq  uint64 // next expected wire sequence
-	consumed uint64 // payload records consumed (for Release bookkeeping)
+	wireSeq  uint64   // next expected wire sequence
+	consumed uint64   // payload records consumed (for Release bookkeeping)
+	batch    [][]byte // Poll's result, reused by the next Poll
 
 	creditQP *rdma.QP // back-channel to the sender's credit word
 	creditMR *rdma.MR
@@ -99,8 +120,13 @@ func (r *Receiver) Consumed() uint64 { return r.consumed }
 
 // Poll drains available records, returning at most limit payloads
 // (limit <= 0 means unlimited). Each call returns a receiver-side batch.
+//
+// The payloads are views into the ring's registered memory, in a batch slice
+// the next Poll reuses: each is valid until its slot is released to the sender
+// or Poll is called again, and a caller that keeps one longer copies it first
+// (see the package comment).
 func (r *Receiver) Poll(limit int) [][]byte {
-	var out [][]byte
+	out := r.batch[:0]
 	buf := r.mr.Buf
 	for limit <= 0 || len(out) < limit {
 		if len(buf)-r.off < headerSize {
@@ -117,16 +143,19 @@ func (r *Receiver) Poll(limit int) [][]byte {
 			r.off = 0
 			continue
 		}
-		if int(ln) > len(buf) {
-			panic(fmt.Sprintf("ringbuf: corrupt record length %d", ln))
+		// The sender never splits a record across the end of the ring
+		// (placement wraps first), so one that runs past it is corrupt.
+		start := r.off + headerSize
+		if int(ln) > len(buf)-start {
+			panic(fmt.Sprintf("ringbuf: corrupt record at offset %d: length %d runs past the %d-byte ring", r.off, ln, len(buf)))
 		}
-		payload := make([]byte, ln)
-		copy(payload, buf[r.off+headerSize:r.off+headerSize+int(ln)])
-		out = append(out, payload)
+		end := start + int(ln)
+		out = append(out, buf[start:end:end])
 		r.wireSeq++
 		r.consumed++
-		r.off += headerSize + int(ln)
+		r.off = end
 	}
+	r.batch = out
 	return out
 }
 
@@ -145,9 +174,9 @@ type peerState struct {
 	wireSeq       uint64
 	msgIdx        uint64 // logical send index (includes backlogged)
 	emitIdx       uint64 // wire emission index; == msgIdx when backlog empty
-	inflight      []inflightRec
+	inflight      fifo[inflightRec]
 	inflightBytes int
-	backlog       [][]byte
+	backlog       fifo[[]byte]
 }
 
 // Sender is the sending endpoint of a ring: one per node, broadcasting to
@@ -157,10 +186,6 @@ type Sender struct {
 	node *rdma.Node
 	peer map[int]*peerState
 	ids  []int // stable peer order for Broadcast
-
-	// scratch is the staging record emit encodes into, shared by every peer:
-	// QP.Write copies it into the wire frame before returning.
-	scratch []byte
 }
 
 // NewSender creates a sender owned by node.
@@ -206,7 +231,7 @@ func (s *Sender) CanSend(to, payloadLen int) bool {
 		return false
 	}
 	s.pollCredits(ps)
-	if len(ps.backlog) > 0 {
+	if ps.backlog.len() > 0 {
 		return false
 	}
 	rec := headerSize + payloadLen
@@ -225,44 +250,61 @@ func (s *Sender) placement(ps *peerState, rec int) (off, waste int) {
 	return off, waste
 }
 
-// Send writes payload into peer to's ring (unicast, send_to in the paper).
-// It returns the 1-based payload message index on that peer's ring. With
-// backlog enabled a full ring queues the message instead of failing.
-func (s *Sender) Send(to int, payload []byte) (uint64, error) {
+// Send writes one record into peer to's ring (unicast, send_to in the paper):
+// the concatenation of parts, at most maxParts of them, gathered by the
+// write itself so a caller with a header and a payload need not join them
+// first. Every part may be reused once Send returns. It returns the 1-based
+// payload message index on that peer's ring. With backlog enabled a full ring
+// queues the message instead of failing.
+func (s *Sender) Send(to int, parts ...[]byte) (uint64, error) {
 	ps := s.peer[to]
 	if ps == nil {
 		return 0, fmt.Errorf("ringbuf: unknown peer %d", to)
 	}
+	if len(parts) > maxParts {
+		panic(fmt.Sprintf("ringbuf: %d-part record, the gather list holds %d", len(parts), maxParts))
+	}
 	s.pollCredits(ps)
-	rec := headerSize + len(payload)
+	rec := headerSize + partsLen(parts)
 	if rec > s.cfg.Bytes/2 {
 		return 0, ErrTooLarge
 	}
 	_, waste := s.placement(ps, rec)
 	full := ps.inflightBytes+waste+rec > s.cfg.Bytes-headerSize
-	if len(ps.backlog) > 0 || full {
+	if ps.backlog.len() > 0 || full {
 		// Preserve FIFO: never bypass queued messages.
 		if s.cfg.Backlog {
 			ps.msgIdx++
-			ps.backlog = append(ps.backlog, append([]byte(nil), payload...))
+			ps.backlog.push(bytes.Join(parts, nil))
 			return ps.msgIdx, nil
 		}
 		return 0, ErrRingFull
 	}
 	ps.msgIdx++
-	s.emit(ps, payload)
+	s.emit(ps, parts...)
 	return ps.msgIdx, nil
 }
 
+func partsLen(parts [][]byte) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
+}
+
 // emit performs the wire writes for one record; capacity must be checked.
-func (s *Sender) emit(ps *peerState, payload []byte) {
-	rec := headerSize + len(payload)
+// Ring header and parts go to QP.Write as one gather list, so the record is
+// assembled once, in the wire frame.
+func (s *Sender) emit(ps *peerState, parts ...[]byte) {
+	payloadLen := partsLen(parts)
+	rec := headerSize + payloadLen
 	off, waste := s.placement(ps, rec)
+	var hdr [headerSize]byte
 	if waste > 0 {
 		if waste >= headerSize {
 			// Explicit wrap marker.
 			ps.wireSeq++
-			var hdr [headerSize]byte
 			binary.LittleEndian.PutUint64(hdr[:], ps.wireSeq)
 			binary.LittleEndian.PutUint32(hdr[8:], wrapMarker)
 			s.write(ps, ps.woff, hdr[:])
@@ -273,31 +315,32 @@ func (s *Sender) emit(ps *peerState, payload []byte) {
 
 	ps.wireSeq++
 	ps.emitIdx++
-	if cap(s.scratch) < rec {
-		s.scratch = make([]byte, rec)
+	// An element-wise copy: escape analysis sends whatever the copy builtin
+	// moves to the heap, and with it every caller's parts.
+	sg := [1 + maxParts][]byte{hdr[:]}
+	for i, p := range parts {
+		sg[1+i] = p
 	}
-	buf := s.scratch[:rec]
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(payload)))
-	copy(buf[headerSize:], payload)
+	n := 1 + len(parts)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(payloadLen))
 	if s.cfg.TwoWrite {
 		// Derecho style: payload first with a zero sequence word, then a
 		// second write publishes the sequence (the "counter").
-		binary.LittleEndian.PutUint64(buf[:8], 0)
-		s.write(ps, off, buf)
-		var seqw [8]byte
-		binary.LittleEndian.PutUint64(seqw[:], ps.wireSeq)
-		s.write(ps, off, seqw[:])
+		binary.LittleEndian.PutUint64(hdr[:8], 0)
+		s.write(ps, off, sg[:n]...)
+		binary.LittleEndian.PutUint64(hdr[:8], ps.wireSeq)
+		s.write(ps, off, hdr[:8])
 	} else {
-		binary.LittleEndian.PutUint64(buf[:8], ps.wireSeq)
-		s.write(ps, off, buf)
+		binary.LittleEndian.PutUint64(hdr[:8], ps.wireSeq)
+		s.write(ps, off, sg[:n]...)
 	}
 	ps.woff = off + rec
-	ps.inflight = append(ps.inflight, inflightRec{msgIdx: ps.emitIdx, bytes: rec + waste})
+	ps.inflight.push(inflightRec{msgIdx: ps.emitIdx, bytes: rec + waste})
 	ps.inflightBytes += rec + waste
 }
 
-func (s *Sender) write(ps *peerState, off int, data []byte) {
-	if _, err := ps.qp.Write(ps.ring, off, data); err != nil && err != rdma.ErrSendQueueFull {
+func (s *Sender) write(ps *peerState, off int, parts ...[]byte) {
+	if _, err := ps.qp.Write(ps.ring, off, parts...); err != nil && err != rdma.ErrSendQueueFull {
 		panic(fmt.Sprintf("ringbuf: write failed: %v", err))
 	}
 	// ErrSendQueueFull toward a crashed peer is tolerated: RC toward a dead
@@ -331,27 +374,24 @@ func (s *Sender) Release(to int, upto uint64) {
 }
 
 func (s *Sender) release(ps *peerState, upto uint64) {
-	for len(ps.inflight) > 0 && ps.inflight[0].msgIdx <= upto {
-		ps.inflightBytes -= ps.inflight[0].bytes
-		ps.inflight = ps.inflight[1:]
+	for ps.inflight.len() > 0 && ps.inflight.front().msgIdx <= upto {
+		ps.inflightBytes -= ps.inflight.pop().bytes
 	}
 	// Flush backlog into freed space, preserving order.
-	for len(ps.backlog) > 0 {
-		payload := ps.backlog[0]
-		rec := headerSize + len(payload)
+	for ps.backlog.len() > 0 {
+		rec := headerSize + len(*ps.backlog.front())
 		_, waste := s.placement(ps, rec)
 		if ps.inflightBytes+waste+rec > s.cfg.Bytes-headerSize {
 			break
 		}
-		ps.backlog = ps.backlog[1:]
-		s.emit(ps, payload)
+		s.emit(ps, ps.backlog.pop())
 	}
 }
 
 // Backlogged reports how many messages are queued for peer to.
 func (s *Sender) Backlogged(to int) int {
 	if ps := s.peer[to]; ps != nil {
-		return len(ps.backlog)
+		return ps.backlog.len()
 	}
 	return 0
 }
@@ -362,4 +402,39 @@ func (s *Sender) InFlight(to int) int {
 		return ps.inflightBytes
 	}
 	return 0
+}
+
+// fifo is a queue popped by advancing a head index, not by re-slicing: the
+// backing array is rewound whenever the queue drains and compacted, once the
+// consumed prefix is at least half of it, before it would grow, so a queue
+// that stays short never reallocates however many elements pass through.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// front returns the oldest element; the queue must not be empty.
+func (q *fifo[T]) front() *T { return &q.buf[q.head] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// pop removes and returns the oldest element; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero // drop the reference a backlogged payload holds
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
 }

@@ -2,7 +2,9 @@ package ringbuf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -150,6 +152,15 @@ func testPayload(i int) []byte {
 	return bytes.Repeat([]byte{byte(i + 1)}, 1+(i*7)%23)
 }
 
+// keep appends copies of a polled batch to all: the views die at the Release
+// that follows.
+func keep(all, batch [][]byte) [][]byte {
+	for _, m := range batch {
+		all = append(all, append([]byte(nil), m...))
+	}
+	return all
+}
+
 func TestBacklogFlushOnRelease(t *testing.T) {
 	cfg := Config{Bytes: 128, Backlog: true}
 	sim, s, recvs, _ := setup(1, cfg)
@@ -165,7 +176,7 @@ func TestBacklogFlushOnRelease(t *testing.T) {
 	var all [][]byte
 	for i := 0; i < 50 && len(all) < 30; i++ {
 		sim.RunFor(time.Millisecond)
-		all = append(all, recvs[0].Poll(0)...)
+		all = keep(all, recvs[0].Poll(0))
 		s.Release(id, recvs[0].Consumed())
 	}
 	if len(all) != 30 {
@@ -184,6 +195,16 @@ func TestTooLarge(t *testing.T) {
 	if _, err := s.Send(recvs[0].mr.Node.ID, make([]byte, 100)); err != ErrTooLarge {
 		t.Fatalf("err = %v, want ErrTooLarge", err)
 	}
+}
+
+func TestTooManyParts(t *testing.T) {
+	_, s, recvs, _ := setup(1, DefaultConfig())
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "3-part record") {
+			t.Fatalf("a gather list past maxParts: recovered %q", msg)
+		}
+	}()
+	s.Send(recvs[0].mr.Node.ID, []byte{1}, []byte{2}, []byte{3})
 }
 
 func TestTwoWriteMode(t *testing.T) {
@@ -214,11 +235,11 @@ func TestTwoWriteMode(t *testing.T) {
 	}
 }
 
-// TestSendPollAllocFree pins the send side of a record, staging through
-// landing, at zero allocations in both wire formats (one per-Sender scratch
-// record, copied into the wire frame by QP.Write), and a full Send+Poll at no
-// more than the receiver's two per record: the payload copy and the batch
-// slice.
+// TestSendPollAllocFree pins a record, Send through landing through Poll and
+// Release, at zero allocations in both wire formats, one part or a gather
+// list: the ring header and the parts are gathered into the pooled wire frame
+// by QP.Write, Poll returns views in a batch slice it reuses, and the in-flight
+// queue rewinds when it drains.
 func TestSendPollAllocFree(t *testing.T) {
 	const batch = 64
 	for _, twoWrite := range []bool{false, true} {
@@ -226,10 +247,13 @@ func TestSendPollAllocFree(t *testing.T) {
 		cfg.TwoWrite = twoWrite
 		sim, s, recvs, _ := setup(1, cfg)
 		id := recvs[0].mr.Node.ID
-		payload := make([]byte, 100)
+		hdr, payload := make([]byte, 13), make([]byte, 100)
 		send := func() {
-			for i := 0; i < batch; i++ {
+			for i := 0; i < batch; i += 2 {
 				if _, err := s.Send(id, payload); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Send(id, hdr, payload); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -242,14 +266,150 @@ func TestSendPollAllocFree(t *testing.T) {
 			s.Release(id, recvs[0].Consumed())
 		}
 		send()
-		if avg := testing.AllocsPerRun(20, send); avg != 0 {
-			t.Fatalf("twoWrite=%v: %d Sends allocate %.1f objects, want 0", twoWrite, batch, avg)
+		drain()
+		if avg := testing.AllocsPerRun(20, func() { send(); drain() }); avg != 0 {
+			t.Fatalf("twoWrite=%v: Send+Poll+Release allocates %.1f objects per %d records, want 0", twoWrite, avg, batch)
 		}
-		recvs[0].Poll(0)
-		s.Release(id, recvs[0].Consumed())
-		if avg := testing.AllocsPerRun(20, func() { send(); drain() }); avg > 2*batch {
-			t.Fatalf("twoWrite=%v: Send+Poll allocates %.1f objects per %d records, want <= 2 each", twoWrite, avg, batch)
+	}
+}
+
+// TestPollReturnsViews pins the buffer-ownership rule of the package comment:
+// a polled record is a slice of the ring's registered memory, it reads intact
+// through later sends for as long as its slot is unreleased, and once released
+// the sender's wrap overwrites it in place.
+func TestPollReturnsViews(t *testing.T) {
+	cfg := Config{Bytes: 256, Backlog: true}
+	sim, s, recvs, _ := setup(1, cfg)
+	r, id := recvs[0], recvs[0].mr.Node.ID
+	first := bytes.Repeat([]byte{0x11}, 40)
+	if _, err := s.Send(id, first[:3], first[3:]); err != nil {
+		t.Fatal(err)
+	}
+	sim.RunFor(time.Millisecond)
+	got := r.Poll(0)
+	if len(got) != 1 || !bytes.Equal(got[0], first) {
+		t.Fatalf("polled %x, want one record %x", got, first)
+	}
+	view := got[0]
+	if &view[0] != &r.mr.Buf[headerSize] {
+		t.Fatal("polled record does not alias the ring MR")
+	}
+	if cap(view) != len(view) {
+		t.Fatalf("view has cap %d beyond its %d bytes: an append would write into the ring", cap(view), len(view))
+	}
+
+	// Unreleased: the sender fills the rest of the ring and backlogs the
+	// remainder rather than touch the slot.
+	for i := 0; i < 8; i++ {
+		if _, err := s.Send(id, bytes.Repeat([]byte{byte(0x20 + i)}, 40)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	sim.RunFor(time.Millisecond)
+	if s.Backlogged(id) == 0 {
+		t.Fatal("eight more records fit a 256-byte ring with the first unreleased")
+	}
+	if !bytes.Equal(view, first) {
+		t.Fatalf("unreleased view changed under later sends: %x", view)
+	}
+
+	// Released: the backlog wraps onto the slot.
+	for i := 0; i < 10 && s.Backlogged(id) > 0; i++ {
+		r.Poll(0)
+		s.Release(id, r.Consumed())
+		sim.RunFor(time.Millisecond)
+	}
+	if s.Backlogged(id) > 0 {
+		t.Fatal("backlog never flushed")
+	}
+	if bytes.Equal(view, first) {
+		t.Fatal("released view still reads the old record after the ring wrapped over it")
+	}
+}
+
+// TestPollCorruptLength: a length word that runs the record past the end of
+// the ring is reported with its offset, not as a bare slice-bounds panic —
+// including one that is smaller than the ring, which the sender never writes
+// (placement wraps first).
+func TestPollCorruptLength(t *testing.T) {
+	cfg := Config{Bytes: 256, Backlog: true}
+	sim, s, recvs, _ := setup(1, cfg)
+	r, id := recvs[0], recvs[0].mr.Node.ID
+	for i := 0; i < 2; i++ {
+		if _, err := s.Send(id, make([]byte, 88)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.RunFor(time.Millisecond)
+	// The second record sits at offset 100 with 144 bytes behind its header.
+	binary.LittleEndian.PutUint32(r.mr.Buf[100+8:], 145)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "corrupt record at offset 100") || !strings.Contains(msg, "length 145") {
+			t.Fatalf("Poll over a corrupt length: recovered %q", msg)
+		}
+	}()
+	r.Poll(0)
+}
+
+// TestQueuesDoNotSlide pins the head-indexed in-flight and backlog queues. At
+// window 1 (send, land, poll, release, repeat) neither ever reallocates; under
+// a full ring, records that pass through both queues across many partial
+// releases still arrive once each, in order.
+func TestQueuesDoNotSlide(t *testing.T) {
+	cfg := Config{Bytes: 256, Backlog: true}
+	sim, s, recvs, _ := setup(1, cfg)
+	r, id := recvs[0], recvs[0].mr.Node.ID
+	ps := s.peer[id]
+	step := func(i int) {
+		if _, err := s.Send(id, testPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+		sim.RunFor(10 * time.Microsecond)
+		if got := r.Poll(0); len(got) != 1 || !bytes.Equal(got[0], testPayload(i)) {
+			t.Fatalf("record %d: polled %x", i, got)
+		}
+		s.Release(id, r.Consumed())
+	}
+	step(0)
+	inflight := &ps.inflight.buf[:1][0]
+	for i := 1; i < 1000; i++ {
+		step(i)
+	}
+	if &ps.inflight.buf[:1][0] != inflight || cap(ps.inflight.buf) > 4 {
+		t.Fatalf("in-flight queue reallocated at window 1 (cap %d)", cap(ps.inflight.buf))
+	}
+	if ps.inflight.len() != 0 || ps.backlog.len() != 0 || ps.inflightBytes != 0 {
+		t.Fatalf("queues not empty at rest: %d in flight (%d B), %d backlogged", ps.inflight.len(), ps.inflightBytes, ps.backlog.len())
+	}
+
+	// Full ring: 200 records against room for about eight, released one
+	// poll at a time.
+	const n = 200
+	for i := 0; i < n; i++ {
+		if _, err := s.Send(id, testPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Backlogged(id) < n-16 {
+		t.Fatalf("backlog = %d, want most of %d", s.Backlogged(id), n)
+	}
+	next := 0
+	for round := 0; round < 4*n && next < n; round++ {
+		sim.RunFor(10 * time.Microsecond)
+		for _, m := range r.Poll(1) {
+			if !bytes.Equal(m, testPayload(next)) {
+				t.Fatalf("record %d = %x, want %x", next, m, testPayload(next))
+			}
+			next++
+		}
+		s.Release(id, r.Consumed())
+	}
+	if next != n || s.Backlogged(id) != 0 {
+		t.Fatalf("delivered %d of %d, %d still backlogged", next, n, s.Backlogged(id))
+	}
+	if c := cap(ps.backlog.buf); c > 2*n {
+		t.Fatalf("backlog queue grew to cap %d for %d records", c, n)
 	}
 }
 
@@ -312,13 +472,13 @@ func TestExactlyOnceInOrderProperty(t *testing.T) {
 			}
 			if i%de == 0 {
 				sim.RunFor(100 * time.Microsecond)
-				got = append(got, r.Poll(0)...)
+				got = keep(got, r.Poll(0))
 				s.Release(id, r.Consumed())
 			}
 		}
 		for i := 0; i < 100 && len(got) < len(want); i++ {
 			sim.RunFor(time.Millisecond)
-			got = append(got, r.Poll(0)...)
+			got = keep(got, r.Poll(0))
 			s.Release(id, r.Consumed())
 		}
 		if len(got) != len(want) {
