@@ -376,7 +376,7 @@ func Loop(sim *simnet.Sim, sys System, window int, issue func(id uint64, next fu
 	var next func()
 	next = func() {
 		if !sys.Ready() {
-			sim.PostAfter(readyPoll, next)
+			sim.After(readyPoll, next)
 			return
 		}
 		id++

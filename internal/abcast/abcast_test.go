@@ -328,7 +328,7 @@ func (f *flaky) Ready() bool {
 	f.asked++
 	return f.asked%4 != 0
 }
-func (f *flaky) Submit(_ []byte, done func()) { f.sim.PostAfter(time.Microsecond, done) }
+func (f *flaky) Submit(_ []byte, done func()) { f.sim.After(time.Microsecond, done) }
 
 // TestLoopAllocFree pins Loop's own per-request work — the next closure, the
 // id counter, the readiness poll — at zero heap objects: it sits on the

@@ -79,7 +79,7 @@ func (c *Client) send(id uint64, payload []byte) {
 		r.fire = r.run
 	}
 	r.id, r.payload = id, payload
-	c.sim.PostAfter(d, r.fire)
+	c.sim.After(d, r.fire)
 }
 
 // Ack completes the request whose id heads m and forgets it. Acknowledgments

@@ -99,7 +99,7 @@ func TestClientRetry(t *testing.T) {
 			done := 0
 			c.Submit(request(7), func() { done++ })
 			if tc.ackAt != never {
-				sim.PostAfter(tc.ackAt, func() { c.Ack(request(7)) })
+				sim.After(tc.ackAt, func() { c.Ack(request(7)) })
 			}
 			sim.RunFor(tc.want[len(tc.want)-1] + idle/2)
 			if !reflect.DeepEqual(got, tc.want) {

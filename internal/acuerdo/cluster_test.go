@@ -9,6 +9,7 @@ import (
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/rdma"
 	"acuerdo/internal/simnet"
+	"acuerdo/internal/trace"
 )
 
 func newTestCluster(t *testing.T, n int, seed int64) (*simnet.Sim, *Cluster, *abcast.Checker) {
@@ -266,6 +267,39 @@ func TestPausedLeaderRejoinsAsFollower(t *testing.T) {
 	}
 	if got := len(chk.Delivered(old)); got != 20 {
 		t.Fatalf("woken node delivered %d of 20", got)
+	}
+}
+
+// TestRestartLiveReplicaKeepsOnePollLoop pins Restart as a no-op on a
+// replica that is not crashed. Only a crash ends a poll loop, so a Restart
+// that called Start would leave two running beside each other: the group
+// must still count one poll per poll interval per replica afterwards.
+func TestRestartLiveReplicaKeepsOnePollLoop(t *testing.T) {
+	sim := simnet.New(9)
+	tr := trace.New(trace.FingerprintRing)
+	sim.SetTracer(tr)
+	c := NewCluster(sim, rdma.NewFabric(sim, rdma.DefaultParams()), DefaultClusterConfig(3))
+	c.Start()
+	sim.RunFor(20 * time.Millisecond)
+	polls := func(d time.Duration) int64 {
+		before := tr.Counter(trace.CtrPolls)
+		sim.RunFor(d)
+		return tr.Counter(trace.CtrPolls) - before
+	}
+	const window = time.Millisecond
+	base := polls(window)
+	f := (c.LeaderIdx() + 1) % 3
+	r := c.Replicas[f]
+	r.Restart()
+	role := r.Role()
+	got := polls(window)
+	perLoop := int64(window / (r.Cfg.PollInterval + r.Cfg.PollCost))
+	if got > base+perLoop/2 {
+		t.Fatalf("%d polls in the window after Restart, %d before: a second poll loop (%d polls per window each) is running",
+			got, base, perLoop)
+	}
+	if role != Follower {
+		t.Fatalf("Restart moved a live follower to %v", role)
 	}
 }
 

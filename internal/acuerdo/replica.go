@@ -178,8 +178,6 @@ type Replica struct {
 	// OnElected, if set, runs when this node wins an election, after the
 	// diff transfer.
 	OnElected func(e Epoch)
-
-	stopPoll func()
 }
 
 // Role returns the node's current role.
@@ -207,14 +205,7 @@ func (r *Replica) Start() {
 	r.voteChangedAt = r.Sim.Now()
 	r.ldrRowAt = r.Sim.Now()
 	r.SuspectedAt = r.Sim.Now()
-	r.stopPoll = r.Node.Proc.PollLoop(r.Cfg.PollInterval, r.Cfg.PollCost, r.poll)
-}
-
-// Stop halts the event loop (the process stays alive).
-func (r *Replica) Stop() {
-	if r.stopPoll != nil {
-		r.stopPoll()
-	}
+	r.Node.Proc.PollLoop(r.Cfg.PollInterval, r.Cfg.PollCost, r.poll)
 }
 
 // acuerdoWALName is the per-replica committed-entry log device file.
@@ -242,16 +233,20 @@ func (r *Replica) Crash() {
 	r.dev.Crash(r.Sim.Rand())
 }
 
-// Restart recovers a crashed or paused node into election mode; it will
-// rejoin the group when it receives a diff from a newer epoch. DESIGN §6.8
-// tabulates what survives in each storage mode: everything in the volatile
-// one (the paper's replicas are memory-resident; a restart models a process
-// pause, not a machine loss), only the WAL's committed prefix in the durable
-// one — everything newer is refetched through the next epoch's diff.
+// Restart recovers a crashed node into election mode; it will rejoin the
+// group when it receives a diff from a newer epoch. A node that is not
+// crashed is left alone: its poll loop is still running (only a crash ends
+// one, so Start here would arm a second), and a paused node rejoins by
+// itself when it wakes. DESIGN §6.8 tabulates what survives in each storage
+// mode: everything in the volatile one (the paper's replicas are
+// memory-resident; a restart models a process pause, not a machine loss),
+// only the WAL's committed prefix in the durable one — everything newer is
+// refetched through the next epoch's diff.
 func (r *Replica) Restart() {
-	if r.Node.Crashed() {
-		r.Node.Recover()
+	if !r.Node.Crashed() {
+		return
 	}
+	r.Node.Recover()
 	r.role = Electing
 	if r.store != nil {
 		r.restartDurable()

@@ -94,9 +94,6 @@ func (h MsgHdr) LessEq(o MsgHdr) bool { return h.Cmp(o) <= 0 }
 // IsZero reports whether h is the zero header (nothing accepted yet).
 func (h MsgHdr) IsZero() bool { return h == MsgHdr{} }
 
-// IsDiff reports whether h identifies an epoch's diff message.
-func (h MsgHdr) IsDiff() bool { return h.Cnt == 0 && !h.E.IsZero() }
-
 func (h MsgHdr) String() string { return fmt.Sprintf("(%s,%d)", h.E, h.Cnt) }
 
 // Vote is one row of the election SST: the epoch the voter wants to join

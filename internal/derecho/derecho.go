@@ -136,13 +136,12 @@ func (c rowCodec) Decode(src []byte) row {
 
 // node is one Derecho member.
 type node struct {
-	g    *Group
-	id   int
-	rn   *rdma.Node
-	out  *ringbuf.Sender
-	in   []*ringbuf.Receiver
-	tab  *sst.Table[row]
-	stop func()
+	g   *Group
+	id  int
+	rn  *rdma.Node
+	out *ringbuf.Sender
+	in  []*ringbuf.Receiver
+	tab *sst.Table[row]
 
 	view    uint32
 	members []int // live membership, ascending
@@ -269,7 +268,7 @@ func (g *Group) Start() {
 			nd.lastHBAt[j] = now
 		}
 		nd := nd
-		nd.stop = nd.rn.Proc.PollLoop(g.Cfg.PollInterval, g.Cfg.PollCost, nd.poll)
+		nd.rn.Proc.PollLoop(g.Cfg.PollInterval, g.Cfg.PollCost, nd.poll)
 	}
 }
 

@@ -221,7 +221,7 @@ func (d *Device) startSync() {
 	}
 	doneAt := start.Add(d.params.FsyncLatency + time.Duration(dirty)*d.params.FsyncBytePer)
 	epoch := d.epoch
-	d.sim.PostAfter(doneAt.Sub(d.sim.Now()), func() {
+	d.sim.After(doneAt.Sub(d.sim.Now()), func() {
 		if d.epoch != epoch {
 			return // crashed meanwhile; queue was discarded
 		}
@@ -253,7 +253,7 @@ func (d *Device) complete(cost time.Duration, done func(error), err error) {
 		return
 	}
 	epoch := d.epoch
-	d.sim.PostAfter(cost, func() {
+	d.sim.After(cost, func() {
 		if d.epoch == epoch {
 			done(err)
 		}
@@ -325,7 +325,7 @@ func (d *Device) Size(name string) (total, durable int) {
 }
 
 // ReadCost returns the simulated time a recovery read of n bytes takes;
-// callers charge it to their process (Pause) or clock (PostAfter).
+// callers charge it to their process (Pause) or clock (After).
 func (d *Device) ReadCost(n int) time.Duration {
 	return d.params.ReadLatency + time.Duration(n)*d.params.ReadBytePer
 }

@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
@@ -90,11 +91,11 @@ func TestCrashDropsPendingCallbacks(t *testing.T) {
 func TestWALGroupCommitBatches(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
-	w := NewWAL(dev, "wal")
+	w := NewLogStore(dev, "wal")
 	const n = 16
 	acked := 0
 	for i := 0; i < n; i++ {
-		w.Append(KindUser, []byte{byte(i)}, func(err error) {
+		w.AppendEntry(uint64(i), 0, []byte{byte(i)}, func(err error) {
 			if err != nil {
 				t.Errorf("append: %v", err)
 			}
@@ -109,6 +110,28 @@ func TestWALGroupCommitBatches(t *testing.T) {
 	// the head, at most one more for the batch behind it.
 	if f := dev.Stats().Fsyncs; f > 2 {
 		t.Fatalf("group commit issued %d fsyncs for %d concurrent appends", f, n)
+	}
+}
+
+// TestLogStoreGoldenBytes pins the on-device record format byte for byte —
+// [crc][len][kind][payload] for one entry, one truncate, one meta cell and
+// the flush marker — so a change to how records are built cannot move what
+// an older log replays as.
+func TestLogStoreGoldenBytes(t *testing.T) {
+	sim := newSim(1)
+	dev := NewDevice(sim, 0, DefaultParams())
+	ls := NewLogStore(dev, "wal")
+	ls.AppendEntry(7, 3, []byte("acuerdo"), nil)
+	ls.Truncate(5, nil)
+	ls.SetMeta(2, 0x0102030405060708, nil)
+	ls.Flush(nil)
+	sim.RunFor(time.Millisecond)
+	const want = "af61a250" + "17000000" + "01" + "0700000000000000" + "0300000000000000" + "6163756572646f" +
+		"4c321f80" + "08000000" + "02" + "0500000000000000" +
+		"bfc9a5e6" + "09000000" + "03" + "02" + "0807060504030201" +
+		"3edff241" + "09000000" + "03" + "ff" + "0000000000000000"
+	if got := hex.EncodeToString(dev.Durable("wal")); got != want {
+		t.Fatalf("device bytes\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -250,17 +273,17 @@ func TestRecoverStopsAtBitFlip(t *testing.T) {
 func TestFullDiskFailsAppends(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
-	w := NewWAL(dev, "wal")
+	w := NewLogStore(dev, "wal")
 	dev.SetFull(true)
 	var got error
-	w.Append(KindUser, []byte("x"), func(err error) { got = err })
+	w.AppendEntry(0, 0, []byte("x"), func(err error) { got = err })
 	sim.RunFor(time.Millisecond)
 	if got != ErrNoSpace {
 		t.Fatalf("append on full disk: err=%v, want ErrNoSpace", got)
 	}
 	dev.SetFull(false)
 	got = nil
-	w.Append(KindUser, []byte("x"), func(err error) { got = err })
+	w.AppendEntry(0, 0, []byte("x"), func(err error) { got = err })
 	sim.RunFor(time.Millisecond)
 	if got != nil {
 		t.Fatalf("append after clearing full: %v", got)

@@ -18,87 +18,16 @@ import (
 // is the recovered durable prefix, everything after is discarded.
 const recHeader = 9
 
-// Record kinds used by LogStore. Callers layering their own records on a
-// raw WAL may use kinds >= KindUser.
+// Record kinds. An entry's payload is [seq u64][term u64][data], a
+// truncate's [keepBelow u64], a meta cell's [key u8][val u64].
 const (
 	kindEntry byte = 1
 	kindTrunc byte = 2
 	kindMeta  byte = 3
-	// KindUser is the first record kind free for callers of WAL.Append.
-	KindUser byte = 16
 )
 
-func encodeRecord(kind byte, payload []byte) []byte {
-	rec := make([]byte, recHeader+len(payload))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(payload)))
-	rec[8] = kind
-	copy(rec[recHeader:], payload)
-	crc := crc32.ChecksumIEEE(rec[8 : recHeader+len(payload)])
-	binary.LittleEndian.PutUint32(rec[0:], crc)
-	return rec
-}
-
-// WAL is a group-committed write-ahead log on one device file. Append
-// buffers the record and queues the caller behind the next flush; while a
-// flush is in flight further appends pile onto one batch that a single
-// follow-up flush covers — fsync cost amortizes across the batch exactly
-// like etcd/ZooKeeper group commit.
-type WAL struct {
-	dev  *Device
-	name string
-
-	busy    bool
-	pending []func(error) // callbacks awaiting the next flush
-}
-
-// NewWAL opens (or creates) the named log on dev.
-func NewWAL(dev *Device, name string) *WAL {
-	return &WAL{dev: dev, name: name}
-}
-
-// Name returns the WAL's file name on the device.
-func (w *WAL) Name() string { return w.name }
-
-// Device returns the underlying device.
-func (w *WAL) Device() *Device { return w.dev }
-
-// Append writes one record and arranges for done(nil) once a flush has
-// made it durable, or done(ErrNoSpace) on a full disk (the record is then
-// lost — callers decide whether to retry, degrade, or halt). done may be
-// nil: the record still rides the next group commit.
-func (w *WAL) Append(kind byte, payload []byte, done func(error)) {
-	rec := encodeRecord(kind, payload)
-	if err := w.dev.Append(w.name, rec, nil); err != nil {
-		w.dev.Complete(0, done, err)
-		return
-	}
-	w.pending = append(w.pending, done)
-	w.kick()
-}
-
-func (w *WAL) kick() {
-	if w.busy || len(w.pending) == 0 {
-		return
-	}
-	w.busy = true
-	batch := w.pending
-	w.pending = nil
-	w.dev.Sync(w.name, func(err error) {
-		w.busy = false
-		for _, cb := range batch {
-			if cb != nil {
-				cb(err)
-			}
-		}
-		w.kick()
-	})
-}
-
-// Reset truncates the log to empty (used after a snapshot supersedes it).
-// Pending group commits still complete against the old content's flush.
-func (w *WAL) Reset() {
-	w.dev.Truncate(w.name)
-}
+// flushKey is the meta key Flush writes and replay ignores.
+const flushKey = 255
 
 // RecEntry is one recovered log entry: a (Seq, Term) identifier pair whose
 // meaning belongs to the caller (raft: index/term; zab: position/zxid;
@@ -168,59 +97,96 @@ func (r *Recovered) Positional() []RecEntry {
 	return out
 }
 
-// LogStore is the typed WAL the protocol packages persist through: ordered
-// entries carrying a (Seq, Term) pair, positional truncation, and
-// small-integer metadata cells (current term, voted-for, commit frontier,
-// epoch...). All writes group-commit through one WAL; a nil done callback
-// means fire-and-forget (the write still becomes durable with the next
-// flush).
+// LogStore is the group-committed write-ahead log the protocol packages
+// persist through, on one device file: ordered entries carrying a (Seq,
+// Term) pair, positional truncation, and small-integer metadata cells
+// (current term, voted-for, commit frontier, epoch...). A write buffers its
+// record and queues the caller behind the next flush; while a flush is in
+// flight further writes pile onto one batch that a single follow-up flush
+// covers — fsync cost amortizes across the batch exactly like
+// etcd/ZooKeeper group commit. done(nil) runs once a flush has made the
+// record durable, done(ErrNoSpace) on a full disk (the record is then lost
+// — callers decide whether to retry, degrade, or halt). A nil done means
+// fire-and-forget: the record still rides the next group commit.
 type LogStore struct {
-	wal *WAL
+	dev  *Device
+	name string
+
+	busy    bool
+	pending []func(error) // callbacks awaiting the next flush
 }
 
-// NewLogStore opens (or creates) the named typed log on dev.
+// NewLogStore opens (or creates) the named log on dev.
 func NewLogStore(dev *Device, name string) *LogStore {
-	return &LogStore{wal: NewWAL(dev, name)}
+	return &LogStore{dev: dev, name: name}
 }
-
-// Device returns the underlying device.
-func (ls *LogStore) Device() *Device { return ls.wal.dev }
 
 // Name returns the log's file name.
-func (ls *LogStore) Name() string { return ls.wal.name }
+func (ls *LogStore) Name() string { return ls.name }
+
+// write stamps rec's header around the payload already at rec[recHeader:],
+// buffers the record on the device and queues done behind the next flush.
+func (ls *LogStore) write(kind byte, rec []byte, done func(error)) {
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(rec)-recHeader))
+	rec[8] = kind
+	binary.LittleEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(rec[8:]))
+	if err := ls.dev.Append(ls.name, rec, nil); err != nil {
+		ls.dev.Complete(0, done, err)
+		return
+	}
+	ls.pending = append(ls.pending, done)
+	ls.kick()
+}
+
+func (ls *LogStore) kick() {
+	if ls.busy || len(ls.pending) == 0 {
+		return
+	}
+	ls.busy = true
+	batch := ls.pending
+	ls.pending = nil
+	ls.dev.Sync(ls.name, func(err error) {
+		ls.busy = false
+		for _, cb := range batch {
+			if cb != nil {
+				cb(err)
+			}
+		}
+		ls.kick()
+	})
+}
 
 // AppendEntry persists one log entry.
 func (ls *LogStore) AppendEntry(seq, term uint64, data []byte, done func(error)) {
-	payload := make([]byte, 16+len(data))
-	binary.LittleEndian.PutUint64(payload[0:], seq)
-	binary.LittleEndian.PutUint64(payload[8:], term)
-	copy(payload[16:], data)
-	ls.wal.Append(kindEntry, payload, done)
+	rec := make([]byte, recHeader+16+len(data))
+	binary.LittleEndian.PutUint64(rec[recHeader:], seq)
+	binary.LittleEndian.PutUint64(rec[recHeader+8:], term)
+	copy(rec[recHeader+16:], data)
+	ls.write(kindEntry, rec, done)
 }
 
 // Truncate persists a positional truncation: on replay, every entry with
 // Seq >= keepBelow recovered so far is dropped.
 func (ls *LogStore) Truncate(keepBelow uint64, done func(error)) {
-	var payload [8]byte
-	binary.LittleEndian.PutUint64(payload[:], keepBelow)
-	ls.wal.Append(kindTrunc, payload[:], done)
+	var rec [recHeader + 8]byte
+	binary.LittleEndian.PutUint64(rec[recHeader:], keepBelow)
+	ls.write(kindTrunc, rec[:], done)
 }
 
 // SetMeta persists one metadata cell (last write wins on replay).
 func (ls *LogStore) SetMeta(key uint8, val uint64, done func(error)) {
-	var payload [9]byte
-	payload[0] = key
-	binary.LittleEndian.PutUint64(payload[1:], val)
-	ls.wal.Append(kindMeta, payload[:], done)
+	var rec [recHeader + 9]byte
+	rec[recHeader] = key
+	binary.LittleEndian.PutUint64(rec[recHeader+1:], val)
+	ls.write(kindMeta, rec[:], done)
 }
 
 // Flush arranges for done(err) once everything appended so far is durable.
-func (ls *LogStore) Flush(done func(error)) {
-	ls.wal.Append(kindMeta, []byte{255, 0, 0, 0, 0, 0, 0, 0, 0}, done)
-}
+func (ls *LogStore) Flush(done func(error)) { ls.SetMeta(flushKey, 0, done) }
 
 // Reset truncates the log to empty (after a snapshot supersedes it).
-func (ls *LogStore) Reset() { ls.wal.Reset() }
+// Pending group commits still complete against the old content's flush.
+func (ls *LogStore) Reset() { ls.dev.Truncate(ls.name) }
 
 // Reopen is the one restart path for a typed log on a device that has just
 // come back from a crash: it replays the durable prefix (RecoverLog) and
@@ -323,7 +289,7 @@ func RecoverLog(dev *Device, name string) Recovered {
 				rec.Entries = kept
 			}
 		case kindMeta:
-			if len(payload) >= 9 && payload[0] != 255 {
+			if len(payload) >= 9 && payload[0] != flushKey {
 				rec.Meta[payload[0]] = binary.LittleEndian.Uint64(payload[1:])
 			}
 		}

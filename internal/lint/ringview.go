@@ -17,8 +17,8 @@ import (
 // a sub-slice, a struct literal holding one, a call result that can carry a
 // byte slice and was handed one — may be passed to callees freely but not
 // parked where it outlives the function: a field, a map, a package variable,
-// a field-held slice (by append), or a closure handed to Sim.Post/PostAfter/
-// At/After. append([]byte(nil), v...), bytes.Clone, string(v) and copy into a
+// a field-held slice (by append), or a closure handed to Sim.At/After/
+// PostAfter. append([]byte(nil), v...), bytes.Clone, string(v) and copy into a
 // buffer of one's own produce fresh bytes and end the derivation. Retention
 // inside a callee is invisible; DESIGN.md §6.6 lists the unsound cases.
 var RingView = &Analyzer{
@@ -51,7 +51,6 @@ var viewCallbacks = map[string]int{
 // deferringCalls run their closure argument in a later event, after the poll
 // that produced any view it captured has returned.
 var deferringCalls = map[string]bool{
-	simnetPkg + ".Sim.Post":      true,
 	simnetPkg + ".Sim.PostAfter": true,
 	simnetPkg + ".Sim.At":        true,
 	simnetPkg + ".Sim.After":     true,

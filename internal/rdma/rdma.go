@@ -132,9 +132,6 @@ func (f *Fabric) AddNode(name string) *Node {
 // Node returns the node with the given ID.
 func (f *Fabric) Node(id int) *Node { return f.nodes[id] }
 
-// NumNodes returns the number of nodes ever added.
-func (f *Fabric) NumNodes() int { return len(f.nodes) }
-
 // flushParked is the heal hook: it releases the traffic parked on the
 // restored a→b direction — payloads of QPs a→b, and completions of QPs b→a
 // whose acks travel a→b.
@@ -352,7 +349,7 @@ func (qp *QP) deliver(at simnet.Time, w wireWrite) {
 		d.land = d.fire
 	}
 	d.qp, d.w = qp, w
-	fb.Sim.Post(at, d.land)
+	fb.Sim.At(at, d.land)
 }
 
 // fire recycles d (dropping its references, and before anything it calls can
@@ -483,7 +480,7 @@ func (qp *QP) flushParkedComps() {
 
 func (qp *QP) complete(at simnet.Time, wrid uint64, st CompletionStatus, data []byte) {
 	sim := qp.from.Fabric.Sim
-	sim.Post(at, func() {
+	sim.At(at, func() {
 		if qp.from.crashed {
 			return
 		}
@@ -616,7 +613,7 @@ func (qp *QP) Read(remote *MR, off, n int) (uint64, error) {
 		qp.complete(reqAt.Add(p.RetryTimeout), wrid, Flushed, nil)
 		return wrid, nil
 	}
-	sim.Post(reqAt, func() {
+	sim.At(reqAt, func() {
 		if qp.to.crashed {
 			qp.complete(reqAt.Add(p.RetryTimeout), wrid, Flushed, nil)
 			return

@@ -220,9 +220,6 @@ func (s *Sender) pollCredits(ps *peerState) {
 	}
 }
 
-// Peers returns the registered peer node IDs in registration order.
-func (s *Sender) Peers() []int { return s.ids }
-
 // CanSend reports whether a record of the given payload size fits in peer
 // to's ring right now (ignoring backlog).
 func (s *Sender) CanSend(to, payloadLen int) bool {
@@ -392,14 +389,6 @@ func (s *Sender) release(ps *peerState, upto uint64) {
 func (s *Sender) Backlogged(to int) int {
 	if ps := s.peer[to]; ps != nil {
 		return ps.backlog.len()
-	}
-	return 0
-}
-
-// InFlight reports unreleased ring bytes toward peer to.
-func (s *Sender) InFlight(to int) int {
-	if ps := s.peer[to]; ps != nil {
-		return ps.inflightBytes
 	}
 	return 0
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // BenchmarkEventDispatch measures the steady-state schedule-and-run cost of
-// one event on the free-list fast path (Post, no Timer handle, no tracer)
-// at several pending-set sizes. The population matters: a binary heap pays
+// one event (At + Step, no tracer) at several pending-set sizes. The population matters: a binary heap pays
 // O(log n) pointer-chasing sifts per op, so its single-event best case
 // hides the cost the dense sweep profiles actually pay, while the calendar
 // queue is O(1) regardless. The committed pre-calendar-queue numbers on
@@ -21,11 +20,11 @@ func BenchmarkEventDispatch(b *testing.B) {
 			s := New(1)
 			n := 0
 			fn := func() { n++ }
-			primePopulation(bc.pending, bc.horizon, func(at Time) { s.Post(at, fn) })
+			primePopulation(bc.pending, bc.horizon, func(at Time) { s.At(at, fn) })
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.Post(s.Now().Add(bc.horizon), fn)
+				s.At(s.Now().Add(bc.horizon), fn)
 				s.Step()
 			}
 		})
@@ -88,61 +87,45 @@ func BenchmarkEventDispatchTraced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Post(s.Now().Add(time.Microsecond), fn)
+		s.At(s.Now().Add(time.Microsecond), fn)
 		s.Step()
-	}
-}
-
-// BenchmarkTimerDispatch measures the Timer-handle path (At/After) for
-// comparison: it allocates the *Timer the caller can Stop.
-func BenchmarkTimerDispatch(b *testing.B) {
-	s := New(1)
-	n := 0
-	fn := func() { n++ }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(time.Microsecond, fn)
-		s.Step()
-	}
-}
-
-// BenchmarkTimerStop measures the arm-then-cancel cycle protocols run on
-// every heartbeat: schedule a timer, Stop it before it fires. Stop is O(1)
-// in-place under the calendar queue (the old heap paid an O(log n) remove).
-func BenchmarkTimerStop(b *testing.B) {
-	s := New(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := s.After(10*time.Millisecond, fn)
-		t.Stop()
-		// Keep the clock moving so cancelled slots get swept instead of
-		// accumulating forever.
-		if i&1023 == 1023 {
-			s.RunFor(time.Microsecond)
-		}
 	}
 }
 
 // TestEventDispatchAllocFree pins the nil-tracer fast path at zero
 // allocations per dispatched event: once the free list and the bucket
-// arena are primed, Post + Step must not touch the heap. This is the
+// arena are primed, At + Step must not touch the heap. This is the
 // invariant the slot free-list and bucket arena exist for; a regression
 // here taxes every one of the millions of events a sweep processes.
 func TestEventDispatchAllocFree(t *testing.T) {
 	s := New(1)
 	n := 0
 	fn := func() { n++ }
-	s.Post(s.Now().Add(time.Microsecond), fn)
+	s.At(s.Now().Add(time.Microsecond), fn)
 	s.Step()
 	avg := testing.AllocsPerRun(200, func() {
-		s.Post(s.Now().Add(time.Microsecond), fn)
+		s.At(s.Now().Add(time.Microsecond), fn)
 		s.Step()
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state event dispatch allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestAfterAllocFree pins the other spelling of the one scheduling call:
+// After returns no handle, so After + Step allocates nothing either.
+func TestAfterAllocFree(t *testing.T) {
+	s := New(1)
+	n := 0
+	fn := func() { n++ }
+	s.After(time.Microsecond, fn)
+	s.Step()
+	avg := testing.AllocsPerRun(200, func() {
+		s.After(time.Microsecond, fn)
+		s.Step()
+	})
+	if avg != 0 {
+		t.Fatalf("After + Step allocates %.1f objects/op, want 0", avg)
 	}
 }
 
@@ -154,10 +137,10 @@ func TestEventDispatchAllocFreeTraced(t *testing.T) {
 	s.SetTracer(trace.New(trace.FingerprintRing))
 	n := 0
 	fn := func() { n++ }
-	s.Post(s.Now().Add(time.Microsecond), fn)
+	s.At(s.Now().Add(time.Microsecond), fn)
 	s.Step()
 	avg := testing.AllocsPerRun(200, func() {
-		s.Post(s.Now().Add(time.Microsecond), fn)
+		s.At(s.Now().Add(time.Microsecond), fn)
 		s.Step()
 	})
 	if avg != 0 {

@@ -11,15 +11,9 @@
 // profiles (see DESIGN.md §6.5 for measurements).
 //
 // Events live in a struct-of-slots slab addressed by int32 index, recycled
-// through a free list, with a per-slot generation counter so stale Timer
-// handles can detect reuse. Cancellation is lazy: Timer.Stop marks the slot
-// stopped and dispatch sweeps it out when its bucket's turn comes. The old
-// heap removed cancelled events eagerly, which is exactly why its RunUntil
-// horizon check ("is the head due?") was a trap: under lazy cancellation a
-// stopped head with at <= t hides a live event with at > t behind it. The
-// calendar queue makes the horizon contract structural instead: popDue(t)
-// only ever surfaces a live event with at <= t, no matter what stale slots
-// sit in front of it.
+// through a free list. Nothing is ever cancelled (DESIGN.md §6.5): a
+// scheduled event fires, so every ref filed in a bucket or the overflow
+// ladder is a pending event and the queue's counts are exact.
 package simnet
 
 import (
@@ -49,28 +43,24 @@ const (
 const maxTime = Time(math.MaxInt64)
 
 // eventSlot is one entry in the event slab. Slots are recycled through the
-// free list once fired or swept; gen is bumped on every recycle so a stale
-// Timer handle observes the mismatch instead of cancelling an unrelated
-// event that reused the slot.
+// free list the moment they fire.
 type eventSlot struct {
-	at      Time
-	seq     uint64
-	fn      func()
-	gen     uint32
-	stopped bool
-	inWheel bool // resident in a wheel bucket (vs the overflow ladder)
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 // calQueue is the calendar queue. It stores int32 indices into the slot
 // slab, never pointers, so bucket scans touch densely packed memory.
 //
 // Invariants, with `low` the aligned lower edge of the current bucket:
-//   - every live slot has at >= the simulator's clock >= low;
-//   - wheel-resident slots (inWheel) have at in [low, low+wheelSpan);
+//   - every pending slot has at >= the simulator's clock >= low;
+//   - wheel-resident slots have at in [low, low+wheelSpan);
 //   - overflow slots have at >= rotEnd, the end of the window covered by
 //     the last redistribution (rotEnd <= low+wheelSpan always);
-//   - stopped slots may linger anywhere until a sweep visits them; they are
-//     excluded from size and wheelLive the moment Stop marks them.
+//   - every ref outside the current bucket's consumed prefix is a pending
+//     event: size == len(overflow) + refs filed in buckets beyond pos, and
+//     len(slots) == len(free) + size.
 type calQueue struct {
 	slots []eventSlot
 	free  []int32
@@ -80,23 +70,22 @@ type calQueue struct {
 	low     Time // aligned inclusive lower edge of the current bucket
 	rotEnd  Time // exclusive end of the window the wheel currently covers
 	pos     int  // consumed prefix of the sorted current bucket
-	sorted  bool // current bucket has been swept+sorted by dispatch
+	sorted  bool // current bucket has been sorted by dispatch
 
-	// occ is a conservative occupancy bitmap, one bit per bucket: the bit
-	// is set whenever a slot is filed into the bucket and cleared when
-	// dispatch leaves the bucket empty. "Conservative" because a bucket
-	// whose events were all cancelled keeps its bit until a sweep visits
-	// it; a set bit therefore means "worth entering", not "has live work".
-	// advance uses it to skip runs of empty buckets a word at a time, so
-	// dispatch across an idle gap costs O(gap/64) instead of O(gap).
+	// occ is the occupancy bitmap, one bit per bucket: set when a slot is
+	// filed into the bucket, cleared when dispatch leaves it empty. advance
+	// uses it to skip runs of empty buckets a word at a time, so dispatch
+	// across an idle gap costs O(gap/64) instead of O(gap).
 	occ [numBuckets / 64]uint64
 
 	overflow []int32
-	ovMin    Time // lower bound on the earliest live overflow timestamp
+	ovMin    Time // earliest overflow timestamp (maxTime when empty)
 
-	size      int // live events, wheel + overflow
-	wheelLive int // live events resident in wheel buckets
+	size int // pending events, wheel + overflow
 }
+
+// wheelEmpty reports whether every pending event sits in the overflow ladder.
+func (q *calQueue) wheelEmpty() bool { return q.size == len(q.overflow) }
 
 // bucketCap is the initial per-bucket capacity. Every bucket's slice is
 // carved out of one contiguous arena so a fresh queue dispatches its first
@@ -118,34 +107,29 @@ func (q *calQueue) init() {
 
 // alloc takes a slot from the free list (or grows the slab), fills it, and
 // files it in the wheel or overflow. O(1); allocation-free in steady state.
-func (q *calQueue) alloc(at Time, seq uint64, fn func()) int32 {
+func (q *calQueue) alloc(at Time, seq uint64, fn func()) {
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
 		q.free = q.free[:n-1]
-		sl := &q.slots[idx]
-		sl.at, sl.seq, sl.fn, sl.stopped = at, seq, fn, false
+		q.slots[idx] = eventSlot{at: at, seq: seq, fn: fn}
 	} else {
 		q.slots = append(q.slots, eventSlot{at: at, seq: seq, fn: fn})
 		idx = int32(len(q.slots) - 1)
 	}
 	q.size++
 	q.file(idx, at)
-	return idx
 }
 
 // file places slot idx into its bucket or the overflow ladder.
 func (q *calQueue) file(idx int32, at Time) {
 	if at-q.low >= wheelSpan {
-		q.slots[idx].inWheel = false
 		q.overflow = append(q.overflow, idx)
 		if at < q.ovMin {
 			q.ovMin = at
 		}
 		return
 	}
-	q.slots[idx].inWheel = true
-	q.wheelLive++
 	b := int(at>>bucketShift) & bucketMask
 	q.occ[b>>6] |= 1 << uint(b&63)
 	if b == q.cur && q.sorted {
@@ -172,104 +156,40 @@ func (q *calQueue) file(idx int32, at Time) {
 	q.buckets[b] = append(q.buckets[b], idx)
 }
 
-// stop lazily cancels slot idx. The slot stays filed until a sweep reaches
-// it; only the live-event accounting changes now — except when this was
-// the last live event. Sweeps are driven by dispatch passing through
-// buckets, and with nothing live, dispatch never runs: without the reset
-// below, a workload that arms and cancels timers while the queue is
-// otherwise idle would accumulate cancelled slots forever. The reset walks
-// every filed ref exactly once, so its cost amortizes to O(1) per stop.
-func (q *calQueue) stop(idx int32) {
-	sl := &q.slots[idx]
-	sl.stopped = true
-	q.size--
-	if sl.inWheel {
-		q.wheelLive--
-	}
-	if q.size == 0 {
-		q.reset()
-	}
-}
-
-// reset sweeps every cancelled ref out of the queue. Callable only with no
-// live events: every ref in the overflow ladder and in non-consumed bucket
-// positions is stopped, and flushCurrent disposes of the current bucket's
-// consumed prefix (whose slots were already recycled at fire time).
-func (q *calQueue) reset() {
-	q.flushCurrent()
-	for w, word := range q.occ {
-		for word != 0 {
-			b := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			for _, idx := range q.buckets[b] {
-				q.recycle(idx)
-			}
-			q.buckets[b] = q.buckets[b][:0]
-		}
-		q.occ[w] = 0
-	}
-	for _, idx := range q.overflow {
-		q.recycle(idx)
-	}
-	q.overflow = q.overflow[:0]
-	q.ovMin = maxTime
-}
-
-// recycle returns a fired or swept slot to the free list. Bumping gen
-// invalidates every Timer handle still pointing at it.
+// recycle returns a fired slot to the free list.
 func (q *calQueue) recycle(idx int32) {
-	sl := &q.slots[idx]
-	sl.gen++
-	sl.fn = nil
+	q.slots[idx].fn = nil
 	q.free = append(q.free, idx)
 }
 
-// popDue removes and returns the earliest live event with at <= deadline.
-// It reports false — touching neither the clock nor any live event — when
-// the earliest live event is past the deadline. This is the structural
-// horizon guarantee RunUntil relies on: stale cancelled slots are swept in
-// passing and can never cause an event beyond the deadline to surface.
+// popDue removes and returns the earliest event with at <= deadline. It
+// reports false — touching neither the clock nor any event — when the
+// earliest event is past the deadline, which is RunUntil's horizon.
 func (q *calQueue) popDue(deadline Time) (int32, bool) {
 	for q.size > 0 {
-		if q.wheelLive == 0 {
-			// Every live event sits in the overflow ladder.
+		if q.wheelEmpty() {
 			if q.ovMin > deadline {
 				return -1, false
 			}
-			if !q.jump(deadline) {
-				return -1, false
-			}
-			// The wheel was realigned at the earliest live event.
+			q.jump()
 		}
 		if !q.sorted {
 			q.enterBucket()
 		}
 		bkt := q.buckets[q.cur]
-		for q.pos < len(bkt) {
+		if q.pos < len(bkt) {
 			idx := bkt[q.pos]
-			sl := &q.slots[idx]
-			if sl.stopped {
-				// Cancelled after the bucket was sorted.
-				q.recycle(idx)
-				q.pos++
-				continue
-			}
-			if sl.at > deadline {
+			if q.slots[idx].at > deadline {
 				return -1, false
 			}
 			q.pos++
-			q.wheelLive--
 			q.size--
 			return idx, true
 		}
 		// Bucket consumed. Advance — but never past the bucket that
 		// contains the deadline, so the wheel's position stays <= the
-		// clock the caller is about to commit. Clear the consumed refs
-		// either way: their slots are recycled (and maybe reused) the
-		// moment they fire, so they must not outlive this pass.
-		q.buckets[q.cur] = bkt[:0]
-		q.occ[q.cur>>6] &^= 1 << uint(q.cur&63)
-		q.pos = 0
+		// clock the caller is about to commit.
+		q.flushCurrent()
 		if q.low+bucketWidth > deadline {
 			return -1, false
 		}
@@ -287,13 +207,12 @@ func (q *calQueue) popDue(deadline Time) (int32, bool) {
 func (q *calQueue) advance(deadline Time) {
 	q.cur = (q.cur + 1) & bucketMask
 	q.low += bucketWidth
-	q.pos = 0
 	q.sorted = false
 	for {
 		if q.low == q.rotEnd {
 			q.redistribute()
 		}
-		if q.low+bucketWidth > deadline || q.wheelLive == 0 ||
+		if q.low+bucketWidth > deadline || q.wheelEmpty() ||
 			len(q.buckets[q.cur]) != 0 {
 			return
 		}
@@ -330,61 +249,24 @@ func (q *calQueue) nextOcc(maxSteps int) int {
 	return maxSteps
 }
 
-// jump realigns an empty wheel directly at the earliest live overflow
-// event, sweeping stale overflow refs on the way. It reports false (wheel
-// untouched) if that event is past the deadline. Stopped slots abandoned in
-// wheel buckets stay filed; whichever rotation next enters their bucket
-// sweeps and recycles them.
-func (q *calQueue) jump(deadline Time) bool {
+// jump realigns an empty wheel directly at the earliest overflow event.
+func (q *calQueue) jump() {
 	q.flushCurrent()
-	min := maxTime
-	live := q.overflow[:0]
-	for _, idx := range q.overflow {
-		sl := &q.slots[idx]
-		if sl.stopped {
-			q.recycle(idx)
-			continue
-		}
-		live = append(live, idx)
-		if sl.at < min {
-			min = sl.at
-		}
-	}
-	q.overflow = live
-	q.ovMin = min
-	if min > deadline {
-		return false
-	}
-	if min == maxTime {
-		panic("simnet: calqueue accounting broken: live events but none found")
-	}
-	q.low = min >> bucketShift << bucketShift
-	q.cur = int(min>>bucketShift) & bucketMask
-	q.rotEnd = q.low + wheelSpan
-	q.pos = 0
+	q.low = q.ovMin >> bucketShift << bucketShift
+	q.cur = int(q.ovMin>>bucketShift) & bucketMask
 	q.sorted = false
 	q.redistribute()
-	return true
 }
 
-// flushCurrent empties the current bucket ahead of a wheel realignment.
-// Only the current bucket can hold consumed refs — slots that already
-// fired and were recycled (possibly reused by a newer schedule) but whose
-// index still sits in the consumed prefix. Dropping them here keeps the
-// invariant that every ref abandoned in a non-current bucket belongs to a
-// stopped slot, which later sweeps detect by flag. The unconsumed suffix
-// is all stopped too (jump runs only with wheelLive == 0); recycle it now.
+// flushCurrent truncates the current bucket once dispatch has consumed it.
+// Only the current bucket can hold consumed refs — slots that already fired
+// and were recycled (possibly reused by a newer schedule) but whose index
+// still sits in the consumed prefix — and they must not outlive the pass
+// that consumed them.
 func (q *calQueue) flushCurrent() {
-	bkt := q.buckets[q.cur]
-	for _, idx := range bkt[q.pos:] {
-		if q.slots[idx].stopped {
-			q.recycle(idx)
-		}
-	}
-	q.buckets[q.cur] = bkt[:0]
+	q.buckets[q.cur] = q.buckets[q.cur][:0]
 	q.occ[q.cur>>6] &^= 1 << uint(q.cur&63)
 	q.pos = 0
-	q.sorted = false
 }
 
 // redistribute pulls every overflow event inside the wheel's new window
@@ -394,46 +276,29 @@ func (q *calQueue) flushCurrent() {
 func (q *calQueue) redistribute() {
 	q.rotEnd = q.low + wheelSpan
 	min := maxTime
-	live := q.overflow[:0]
+	far := q.overflow[:0]
 	for _, idx := range q.overflow {
-		sl := &q.slots[idx]
-		if sl.stopped {
-			q.recycle(idx)
-			continue
-		}
-		if sl.at < q.rotEnd {
-			sl.inWheel = true
-			q.wheelLive++
-			b := int(sl.at>>bucketShift) & bucketMask
+		at := q.slots[idx].at
+		if at < q.rotEnd {
+			b := int(at>>bucketShift) & bucketMask
 			q.occ[b>>6] |= 1 << uint(b&63)
 			q.buckets[b] = append(q.buckets[b], idx)
 			continue
 		}
-		live = append(live, idx)
-		if sl.at < min {
-			min = sl.at
+		far = append(far, idx)
+		if at < min {
+			min = at
 		}
 	}
-	q.overflow = live
+	q.overflow = far
 	q.ovMin = min
 }
 
-// enterBucket prepares the current bucket for dispatch: sweep out slots
-// cancelled since they were filed (recycling them), then sort the
-// survivors by (at, seq). Each event is sorted at most once, so dispatch
-// stays O(1) amortized with an O(k log k) one-time cost per k-event bucket.
+// enterBucket sorts the current bucket by (at, seq) for dispatch. Each event
+// is sorted at most once, so dispatch stays O(1) amortized with an
+// O(k log k) one-time cost per k-event bucket.
 func (q *calQueue) enterBucket() {
-	bkt := q.buckets[q.cur]
-	live := bkt[:0]
-	for _, idx := range bkt {
-		if q.slots[idx].stopped {
-			q.recycle(idx)
-			continue
-		}
-		live = append(live, idx)
-	}
-	q.sortBucket(live)
-	q.buckets[q.cur] = live
+	q.sortBucket(q.buckets[q.cur])
 	q.pos = 0
 	q.sorted = true
 }

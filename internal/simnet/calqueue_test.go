@@ -9,18 +9,15 @@ import (
 
 // ---------------------------------------------------------------------------
 // Reference implementation: the pre-calendar-queue binary-heap event core,
-// kept as an executable specification. Eager Stop removal, (at, seq)
-// ordering, slot recycling with generation counters — the semantics the
-// calendar queue must reproduce observably, and the baseline
-// BenchmarkEventDispatchHeapRef measures the speedup against.
+// kept as an executable specification: (at, seq) ordering and the RunUntil
+// horizon — the semantics the calendar queue must reproduce observably, and
+// the baseline BenchmarkEventDispatchHeapRef measures the speedup against.
 // ---------------------------------------------------------------------------
 
 type refEvent struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	index int
-	gen   uint32
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 type refHeap struct {
@@ -40,33 +37,18 @@ func (h *refHeap) Less(i, j int) bool {
 	}
 	return a.seq < b.seq
 }
-func (h *refHeap) Swap(i, j int) {
-	h.events[i], h.events[j] = h.events[j], h.events[i]
-	h.events[i].index = i
-	h.events[j].index = j
-}
-func (h *refHeap) Push(x any) {
-	ev := x.(*refEvent)
-	ev.index = len(h.events)
-	h.events = append(h.events, ev)
-}
+func (h *refHeap) Swap(i, j int) { h.events[i], h.events[j] = h.events[j], h.events[i] }
+func (h *refHeap) Push(x any)    { h.events = append(h.events, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := h.events
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
 	h.events = old[:n-1]
-	ev.index = -1
 	return ev
 }
 
-type refTimer struct {
-	h   *refHeap
-	ev  *refEvent
-	gen uint32
-}
-
-func (h *refHeap) schedule(at Time, fn func()) refTimer {
+func (h *refHeap) schedule(at Time, fn func()) {
 	h.seq++
 	var ev *refEvent
 	if n := len(h.free); n > 0 {
@@ -77,18 +59,6 @@ func (h *refHeap) schedule(at Time, fn func()) refTimer {
 		ev = &refEvent{at: at, seq: h.seq, fn: fn}
 	}
 	heap.Push(h, ev)
-	return refTimer{h: h, ev: ev, gen: ev.gen}
-}
-
-func (t refTimer) stop() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.index < 0 {
-		return false
-	}
-	heap.Remove(t.h, t.ev.index)
-	t.ev.gen++
-	t.ev.fn = nil
-	t.h.free = append(t.h.free, t.ev)
-	return true
 }
 
 func (h *refHeap) step() bool {
@@ -98,7 +68,6 @@ func (h *refHeap) step() bool {
 	ev := heap.Pop(h).(*refEvent)
 	h.now = ev.at
 	fn := ev.fn
-	ev.gen++
 	ev.fn = nil
 	h.free = append(h.free, ev)
 	fn()
@@ -116,59 +85,16 @@ func (h *refHeap) runUntil(t Time) {
 
 func (h *refHeap) pending() int { return len(h.events) }
 
-// ---------------------------------------------------------------------------
-// The headline regression: the RunUntil horizon contract.
-// ---------------------------------------------------------------------------
-
-// TestRunUntilHorizonWithStoppedHead pins the RunUntil event-horizon
-// contract with a cancelled timer parked in front of a live event beyond
-// the horizon: no event with at > t may run, and the clock must land
-// exactly on t. The old core's RunUntil trusted the queue head's timestamp
-// and relied on Stop eagerly removing cancelled events to keep that head
-// live; under the calendar queue's lazy cancellation a stopped head with
-// at <= t hides a live event past the horizon, which that check would have
-// fired (the event-horizon bug). popDue makes the contract structural — it
-// never surfaces anything but a due, live event — so this test guards the
-// contract itself rather than one implementation's luck.
-func TestRunUntilHorizonWithStoppedHead(t *testing.T) {
-	s := New(1)
-	fired := false
-	tm := s.At(50, func() { t.Fatal("cancelled timer fired") })
-	s.At(500, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop reported false for a pending timer")
-	}
-	s.RunUntil(100)
-	if fired {
-		t.Fatal("RunUntil(100) fired an event scheduled at 500")
-	}
-	if s.Now() != 100 {
-		t.Fatalf("RunUntil(100) left the clock at %d, want 100", s.Now())
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1 (the live event)", s.Pending())
-	}
-	// The live event must still be intact and fire on the next window.
-	s.RunUntil(500)
-	if !fired {
-		t.Fatal("live event did not fire once the horizon passed it")
-	}
-	if s.Now() != 500 {
-		t.Fatalf("clock = %d, want 500", s.Now())
-	}
-}
-
-// TestRunUntilHorizonOverflow is the same contract with the live event in
-// the overflow ladder (beyond the wheel span): the cancelled slot's stale
-// timestamp also taints the ladder's cached minimum, and the jump path
-// must re-derive it rather than surface anything early.
+// TestRunUntilHorizonOverflow pins the RunUntil horizon contract — no event
+// with at > t runs and the clock lands exactly on t — with the pending
+// event in the overflow ladder (beyond the wheel span), where the check is
+// the ladder's cached minimum rather than a bucket head.
 func TestRunUntilHorizonOverflow(t *testing.T) {
 	s := New(1)
 	far := Time(3 * wheelSpan)
 	fired := false
-	tm := s.At(100, func() { t.Fatal("cancelled timer fired") })
+	s.At(100, func() {})
 	s.At(far, func() { fired = true })
-	tm.Stop()
 	s.RunUntil(far - 1)
 	if fired || s.Now() != far-1 {
 		t.Fatalf("fired=%v now=%d, want false, %d", fired, s.Now(), far-1)
@@ -180,47 +106,7 @@ func TestRunUntilHorizonOverflow(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Timer.Stop semantics on recycled slots.
-// ---------------------------------------------------------------------------
-
-// TestTimerStopRecycledSlot asserts Stop returns false once the event has
-// fired, and that a stale handle can never cancel an unrelated event that
-// reused its slot. Slots are recycled before the callback runs, so the
-// reuse window opens the instant the event fires.
-func TestTimerStopRecycledSlot(t *testing.T) {
-	s := New(1)
-	fired := 0
-	t1 := s.After(time.Microsecond, func() { fired++ })
-	idx1 := t1.idx
-	s.RunFor(2 * time.Microsecond)
-	if fired != 1 {
-		t.Fatalf("timer fired %d times, want 1", fired)
-	}
-	if t1.Stop() {
-		t.Fatal("Stop returned true after the timer fired")
-	}
-	// A new schedule must reuse the recycled slot (free-list LIFO); the
-	// stale handle still reports false and must not cancel it.
-	t2 := s.After(time.Microsecond, func() { fired++ })
-	if t2.idx != idx1 {
-		t.Fatalf("new timer got slot %d, want recycled slot %d", t2.idx, idx1)
-	}
-	if t1.Stop() {
-		t.Fatal("stale handle cancelled a recycled slot's new event")
-	}
-	s.RunFor(2 * time.Microsecond)
-	if fired != 2 {
-		t.Fatalf("second timer fired %d times, want 2 total (stale Stop must not affect it)", fired)
-	}
-	// And double-Stop on a cancelled timer reports false the second time.
-	t3 := s.After(time.Microsecond, func() {})
-	if !t3.Stop() || t3.Stop() {
-		t.Fatal("Stop must report true exactly once for a cancelled timer")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Calendar-queue mechanics: overflow, jump, rotation, sweep, reset.
+// Calendar-queue mechanics: overflow, jump, rotation.
 // ---------------------------------------------------------------------------
 
 // TestCalQueueOverflowOrder schedules events far beyond the wheel span in
@@ -232,7 +118,7 @@ func TestCalQueueOverflowOrder(t *testing.T) {
 	at := []Time{5 * wheelSpan, wheelSpan + 7, 3 * wheelSpan, 2*wheelSpan + 100, wheelSpan}
 	for i, a := range at {
 		i := i
-		s.Post(a, func() { got = append(got, i) })
+		s.At(a, func() { got = append(got, i) })
 	}
 	s.Run()
 	want := []int{4, 1, 3, 2, 0}
@@ -258,10 +144,10 @@ func TestCalQueueRotation(t *testing.T) {
 		if fired < 40 {
 			// Half a rotation ahead: alternates between wheel and
 			// overflow filing depending on the wheel's position.
-			s.PostAfter(time.Duration(wheelSpan/2), tick)
+			s.After(time.Duration(wheelSpan/2), tick)
 		}
 	}
-	s.PostAfter(time.Duration(wheelSpan/2), tick)
+	s.After(time.Duration(wheelSpan/2), tick)
 	s.Run()
 	if fired != 40 {
 		t.Fatalf("fired %d ticks, want 40", fired)
@@ -280,13 +166,13 @@ func TestCalQueueSameTimestampFIFO(t *testing.T) {
 	at := Time(1000)
 	for i := 0; i < 8; i++ {
 		i := i
-		s.Post(at, func() {
+		s.At(at, func() {
 			got = append(got, i)
 			if i == 0 {
 				// Same timestamp, scheduled mid-dispatch: must run
 				// after every already-queued tie, in posting order.
-				s.Post(at, func() { got = append(got, 100) })
-				s.Post(at, func() { got = append(got, 101) })
+				s.At(at, func() { got = append(got, 100) })
+				s.At(at, func() { got = append(got, 101) })
 			}
 		})
 	}
@@ -302,70 +188,13 @@ func TestCalQueueSameTimestampFIFO(t *testing.T) {
 	}
 }
 
-// TestCalQueueCancelSweepRecycles cancels a bucketful of timers and checks
-// the sweep returns their slots to the free list once dispatch passes, so
-// cancelled timers don't grow the slab.
-func TestCalQueueCancelSweepRecycles(t *testing.T) {
-	s := New(1)
-	timers := make([]*Timer, 64)
-	for i := range timers {
-		timers[i] = s.After(time.Duration(i)*time.Nanosecond+time.Microsecond, func() {})
-	}
-	slab := len(s.q.slots)
-	live := 0
-	s.After(2*time.Microsecond, func() { live++ })
-	for _, tm := range timers {
-		if !tm.Stop() {
-			t.Fatal("Stop failed on a pending timer")
-		}
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want 1", s.Pending())
-	}
-	s.RunFor(3 * time.Microsecond)
-	if live != 1 {
-		t.Fatalf("live event fired %d times, want 1", live)
-	}
-	// Every cancelled slot must be reusable: scheduling 64 more events
-	// must not grow the slab beyond one extra live slot's worth.
-	for i := 0; i < 64; i++ {
-		s.Post(s.Now().Add(time.Microsecond), func() {})
-	}
-	if len(s.q.slots) > slab+1 {
-		t.Fatalf("slab grew from %d to %d; cancelled slots were not recycled", slab, len(s.q.slots))
-	}
-}
-
-// TestCalQueueResetOnEmpty pins the idle arm/cancel pattern: when the last
-// live event is cancelled, every lingering cancelled ref (wheel and
-// overflow) is swept immediately — dispatch never runs on an empty queue,
-// so nothing else would ever reclaim them.
-func TestCalQueueResetOnEmpty(t *testing.T) {
-	s := New(1)
-	for i := 0; i < 1000; i++ {
-		near := s.After(time.Microsecond, func() {})          // wheel
-		far := s.After(time.Duration(2*wheelSpan), func() {}) // overflow
-		near.Stop()
-		far.Stop()
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", s.Pending())
-	}
-	if len(s.q.overflow) != 0 {
-		t.Fatalf("%d cancelled refs linger in the overflow ladder", len(s.q.overflow))
-	}
-	if len(s.q.slots) > 4 {
-		t.Fatalf("slab grew to %d slots under pure arm/cancel load", len(s.q.slots))
-	}
-}
-
 // TestCalQueueSparseGap fires a lone event far ahead within the wheel span
 // (the occupancy-bitmap skip path) and one beyond it (the jump path).
 func TestCalQueueSparseGap(t *testing.T) {
 	s := New(1)
 	var order []int
-	s.Post(wheelSpan-bucketWidth, func() { order = append(order, 0) })
-	s.Post(wheelSpan*7+3, func() { order = append(order, 1) })
+	s.At(wheelSpan-bucketWidth, func() { order = append(order, 0) })
+	s.At(wheelSpan*7+3, func() { order = append(order, 1) })
 	if !s.Step() || !s.Step() {
 		t.Fatal("Step returned false with events pending")
 	}
@@ -382,13 +211,14 @@ func TestCalQueueSparseGap(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // TestCalQueueDifferential drives the calendar queue and the reference
-// binary heap side by side through a seeded random schedule/cancel/step/
-// run-until workload and asserts identical observable behavior: the same
-// events fire in the same order, Stop reports the same results, and the
-// clocks and pending counts never diverge. Schedule distances mix bucket
-// ties, in-wheel spreads, rotation crossings, and deep overflow so every
-// queue path (sorted insert, bitmap skip, jump, redistribute, sweep,
-// reset) is exercised.
+// binary heap side by side through a seeded random schedule/step/run-until
+// workload and asserts identical observable behavior: the same events fire
+// in the same order, and the clocks and pending counts never diverge.
+// Schedule distances mix bucket ties, in-wheel spreads, rotation crossings,
+// and deep overflow so every queue path (sorted insert, bitmap skip, jump,
+// redistribute) is exercised. After every operation it also checks what
+// holds only because nothing is cancelled: every slot is free or pending,
+// and every filed ref is a pending event.
 func TestCalQueueDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -396,12 +226,6 @@ func TestCalQueueDifferential(t *testing.T) {
 		h := newRefHeap()
 
 		var gotLog, wantLog []int
-		type handles struct {
-			id int
-			st *Timer
-			ht refTimer
-		}
-		var hs []handles
 		nextID := 0
 
 		dist := func() time.Duration {
@@ -419,23 +243,13 @@ func TestCalQueueDifferential(t *testing.T) {
 
 		for op := 0; op < 4000; op++ {
 			switch r := rng.Intn(100); {
-			case r < 55: // schedule
+			case r < 60: // schedule
 				id := nextID
 				nextID++
 				d := dist()
-				st := s.After(d, func() { gotLog = append(gotLog, id) })
-				ht := h.schedule(h.now.Add(d), func() { wantLog = append(wantLog, id) })
-				hs = append(hs, handles{id: id, st: st, ht: ht})
-			case r < 75: // cancel a random handle (maybe stale)
-				if len(hs) == 0 {
-					continue
-				}
-				i := rng.Intn(len(hs))
-				a, b := hs[i].st.Stop(), hs[i].ht.stop()
-				if a != b {
-					t.Fatalf("seed %d op %d: Stop(id=%d) = %v, reference = %v", seed, op, hs[i].id, a, b)
-				}
-			case r < 90: // step
+				s.After(d, func() { gotLog = append(gotLog, id) })
+				h.schedule(h.now.Add(d), func() { wantLog = append(wantLog, id) })
+			case r < 88: // step
 				a, b := s.Step(), h.step()
 				if a != b {
 					t.Fatalf("seed %d op %d: Step = %v, reference = %v", seed, op, a, b)
@@ -450,6 +264,17 @@ func TestCalQueueDifferential(t *testing.T) {
 			}
 			if s.Now() != h.now {
 				t.Fatalf("seed %d op %d: now = %d, reference = %d", seed, op, s.Now(), h.now)
+			}
+			q := &s.q
+			if len(q.slots) != len(q.free)+s.Pending() {
+				t.Fatalf("seed %d op %d: %d slots != %d free + %d pending", seed, op, len(q.slots), len(q.free), s.Pending())
+			}
+			filed := len(q.overflow) - q.pos
+			for _, bkt := range q.buckets {
+				filed += len(bkt)
+			}
+			if filed != s.Pending() {
+				t.Fatalf("seed %d op %d: %d refs filed, %d events pending (stale ref)", seed, op, filed, s.Pending())
 			}
 		}
 		// Drain both and compare the complete fire logs.

@@ -139,7 +139,7 @@ func (p *Proc) post(at Time, fn func(), begin bool, cost time.Duration) {
 		w.fire = w.run
 	}
 	w.p, w.epoch, w.fn, w.begin, w.cost = p, p.epoch, fn, begin, cost
-	p.Sim.Post(at, w.fire)
+	p.Sim.At(at, w.fire)
 }
 
 // run recycles w, dropping its references, before the callback runs (as
@@ -202,8 +202,9 @@ func (p *Proc) RunAt(at Time, cost time.Duration, fn func()) {
 }
 
 // PollLoop runs poll every interval of idle time, charging cost per
-// iteration, until the returned stop function is called or the process
-// crashes. Polling is how all RDMA receivers discover incoming writes: the
+// iteration, until the process crashes: a loop ends with its CPU and there
+// is nothing to stop it by hand (whoever restarts the process arms a new
+// one). Polling is how all RDMA receivers discover incoming writes: the
 // loop body drains whatever has accumulated, which is exactly the paper's
 // receiver-side batching model.
 //
@@ -220,16 +221,12 @@ func (p *Proc) RunAt(at Time, cost time.Duration, fn func()) {
 // the core never double-books. Every path is a pure function of simulated
 // state, so determinism is unaffected; the fast path halves the
 // event-dispatch volume of poll-dominated runs.
-func (p *Proc) PollLoop(interval, cost time.Duration, poll func()) (stop func()) {
-	stopped := false
+func (p *Proc) PollLoop(interval, cost time.Duration, poll func()) {
 	epoch := p.epoch
 	var body func()
 	var fire func()
 	// body is the poll iteration itself: trace, drain, rearm.
 	body = func() {
-		if stopped {
-			return
-		}
 		if tr := p.Sim.tracer; tr != nil {
 			tr.Instant(trace.KPoll, p.ID, int64(p.Sim.Now()), 0, 0)
 			tr.Add(trace.CtrPolls, 1)
@@ -237,12 +234,12 @@ func (p *Proc) PollLoop(interval, cost time.Duration, poll func()) (stop func())
 		}
 		poll()
 		// Optimistic rearm: one event at the next completion time.
-		p.Sim.PostAfter(interval+cost, fire)
+		p.Sim.After(interval+cost, fire)
 	}
 	// fire runs at the optimistic completion time D and validates the
 	// claimed window [D-cost, D) before accounting it.
 	fire = func() {
-		if stopped || !p.alive || p.epoch != epoch {
+		if !p.alive || p.epoch != epoch {
 			return
 		}
 		d := p.Sim.Now()
@@ -266,5 +263,4 @@ func (p *Proc) PollLoop(interval, cost time.Duration, poll func()) (stop func())
 	if p.alive {
 		p.Run(cost, body)
 	}
-	return func() { stopped = true }
 }

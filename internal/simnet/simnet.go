@@ -87,88 +87,34 @@ func (s *Sim) SetTracer(t *trace.Tracer) { s.tracer = t }
 // Tracer returns the installed trace collector, or nil when disabled.
 func (s *Sim) Tracer() *trace.Tracer { return s.tracer }
 
-// Timer is a handle to a scheduled event that can be stopped before firing.
-//
-// The handle pins the event slot's generation at schedule time: once the
-// event fires (or its cancelled slot is swept) the slot is recycled for a
-// later schedule, and any further Stop calls on the stale handle observe
-// the generation mismatch and report false instead of cancelling an
-// unrelated event.
-type Timer struct {
-	s   *Sim
-	idx int32
-	gen uint32
-}
-
-// Stop cancels the timer. It reports whether the callback was prevented
-// from running (false if it already ran or was already stopped).
-//
-// Cancellation is lazy: the slot is marked stopped in place — O(1), no
-// queue surgery — and the calendar queue sweeps it out when dispatch next
-// passes its bucket. The slot is recycled at sweep time, so a Timer whose
-// event already fired always sees a generation mismatch here: events are
-// recycled before their callback runs, which is also why there is no
-// "currently running" state to special-case.
-func (t *Timer) Stop() bool {
-	if t == nil || t.s == nil {
-		return false
-	}
-	sl := &t.s.q.slots[t.idx]
-	if sl.gen != t.gen || sl.stopped {
-		return false
-	}
-	t.s.q.stop(t.idx)
-	return true
-}
-
-// schedule enqueues fn at time at, reusing a recycled slot when available.
-func (s *Sim) schedule(at Time, fn func()) int32 {
+// At schedules fn to run at time at. Scheduling in the past panics: that is
+// always a logic error in a discrete-event model. A scheduled event always
+// fires — there is no handle and nothing to cancel (DESIGN.md §6.5); a
+// timer that may be overtaken re-checks a generation, timestamp or role in
+// fn. With the slot free-list, steady-state scheduling allocates nothing.
+func (s *Sim) At(at Time, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("simnet: scheduling event at %v before now %v", at, s.now))
 	}
 	s.seq++
-	return s.q.alloc(at, s.seq, fn)
-}
-
-// At schedules fn to run at time at and returns a Timer handle that can
-// cancel it. Scheduling in the past panics: that is always a logic error in
-// a discrete-event model. Hot paths that never cancel should use Post, which
-// skips the Timer allocation.
-func (s *Sim) At(at Time, fn func()) *Timer {
-	idx := s.schedule(at, fn)
-	return &Timer{s: s, idx: idx, gen: s.q.slots[idx].gen}
+	s.q.alloc(at, s.seq, fn)
 }
 
 // After schedules fn to run d after the current time.
-func (s *Sim) After(d time.Duration, fn func()) *Timer {
+func (s *Sim) After(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now.Add(d), fn)
+	s.At(s.now.Add(d), fn)
 }
 
-// Post schedules fn to run at time at, like At, but returns no handle: the
-// event cannot be cancelled. Combined with the slot free-list this makes
-// steady-state scheduling allocation-free, which matters because every
-// message send, completion, and poll iteration in the hot loop goes through
-// here.
-func (s *Sim) Post(at Time, fn func()) {
-	s.schedule(at, fn)
-}
-
-// PostAfter schedules fn to run d after the current time, without a handle.
-func (s *Sim) PostAfter(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.Post(s.now.Add(d), fn)
-}
+// PostAfter is a synonym of After, kept only because benchmark/workloads.go
+// (frozen while this was renamed) calls it; delete it in the next benchmark PR.
+func (s *Sim) PostAfter(d time.Duration, fn func()) { s.After(d, fn) }
 
 // fire advances the clock to slot idx's timestamp and runs its callback.
 // The slot is recycled before fn runs: fn may schedule new events, and
-// letting them reuse the slot keeps the free-list small. The generation
-// bump means a Timer for this event now reports false from Stop, matching
-// the "already ran" semantics.
+// letting them reuse the slot keeps the free-list small.
 func (s *Sim) fire(idx int32) {
 	sl := &s.q.slots[idx]
 	s.now = sl.at
@@ -192,14 +138,7 @@ func (s *Sim) Step() bool {
 }
 
 // RunUntil executes all events scheduled at or before t, then advances the
-// clock to t.
-//
-// The horizon contract: no event with at > t runs, and the clock never
-// exceeds t, regardless of cancelled timers parked ahead of live events.
-// The contract is structural — popDue only surfaces live events that are
-// due — where the old event heap re-checked only the queue head, which
-// under lazy cancellation can be a stopped slot hiding a live event beyond
-// the horizon (the RunUntil event-horizon bug).
+// clock to t. No event with at > t runs, and the clock never exceeds t.
 func (s *Sim) RunUntil(t Time) {
 	for {
 		idx, ok := s.q.popDue(t)
@@ -240,7 +179,7 @@ func (s *Sim) Stop() { s.stopped = true }
 // the returned slice is undefined.
 func (s *Sim) Procs() []*Proc { return s.procs }
 
-// Pending reports the number of scheduled (unfired, unstopped) events.
-// The count is maintained incrementally at schedule/stop/fire time, so
-// calling it in a hot assertion loop is O(1).
+// Pending reports the number of scheduled, unfired events. The count is
+// maintained at schedule/fire time, so calling it in a hot assertion loop
+// is O(1).
 func (s *Sim) Pending() int { return s.q.size }

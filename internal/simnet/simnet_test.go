@@ -38,28 +38,28 @@ func TestSameTimestampFIFO(t *testing.T) {
 	}
 }
 
-func TestTimerStop(t *testing.T) {
+// TestAfterPostAfterSameStream pins PostAfter as a synonym of After: the
+// two spellings draw from one sequence, so alternating them at equal
+// timestamps fires in call order.
+func TestAfterPostAfterSameStream(t *testing.T) {
 	s := New(1)
-	fired := false
-	tm := s.After(10, func() { fired = true })
-	if !tm.Stop() {
-		t.Fatal("Stop returned false for pending timer")
-	}
-	if tm.Stop() {
-		t.Fatal("second Stop returned true")
+	var got []int
+	for i := 0; i < 10; i++ {
+		i := i
+		sched := s.After
+		if i%2 == 1 {
+			sched = s.PostAfter
+		}
+		sched(100, func() { got = append(got, i) })
 	}
 	s.Run()
-	if fired {
-		t.Fatal("stopped timer fired")
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("After/PostAfter at one timestamp not in call order: %v", got)
+		}
 	}
-}
-
-func TestTimerStopAfterFire(t *testing.T) {
-	s := New(1)
-	tm := s.After(10, func() {})
-	s.Run()
-	if tm.Stop() {
-		t.Fatal("Stop returned true after fire")
+	if len(got) != 10 {
+		t.Fatalf("fired %d events, want 10", len(got))
 	}
 }
 
@@ -318,16 +318,10 @@ func TestPollLoop(t *testing.T) {
 	s := New(1)
 	p := NewProc(s, 0, "n0")
 	n := 0
-	stop := p.PollLoop(100*time.Nanosecond, 10*time.Nanosecond, func() { n++ })
+	p.PollLoop(100*time.Nanosecond, 10*time.Nanosecond, func() { n++ })
 	s.RunUntil(1000)
 	if n < 8 || n > 11 {
 		t.Fatalf("poll iterations = %d, want ~9-10", n)
-	}
-	stop()
-	prev := n
-	s.RunFor(1000 * time.Nanosecond)
-	if n != prev {
-		t.Fatal("poll loop kept running after stop")
 	}
 }
 
@@ -397,25 +391,16 @@ func TestUniformDegenerate(t *testing.T) {
 
 func TestPendingCount(t *testing.T) {
 	s := New(1)
-	tm := s.After(10, func() {})
+	s.After(10, func() {})
 	s.After(20, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", s.Pending())
 	}
-	tm.Stop()
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
-	}
-	// Stopping twice must not double-count the removal.
-	tm.Stop()
-	if s.Pending() != 1 {
-		t.Fatalf("pending after double stop = %d, want 1", s.Pending())
-	}
 	// Events scheduled from inside callbacks are counted too, and running
 	// the simulation dry drains the counter to zero.
 	s.After(30, func() { s.After(5, func() {}) })
-	if s.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", s.Pending())
+	if s.Pending() != 3 {
+		t.Fatalf("pending = %d, want 3", s.Pending())
 	}
 	s.Run()
 	if s.Pending() != 0 {

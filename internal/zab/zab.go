@@ -117,10 +117,8 @@ type Server struct {
 	walLen      int
 	preCrashLen int
 
-	votes      map[int]voteT
-	lastPing   simnet.Time
-	pingTimer  *simnet.Timer
-	electTimer *simnet.Timer
+	votes    map[int]voteT
+	lastPing simnet.Time
 }
 
 type voteT struct {
