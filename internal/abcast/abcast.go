@@ -8,6 +8,7 @@ package abcast
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"acuerdo/internal/digest"
@@ -112,20 +113,32 @@ func PutMsgID(payload []byte, id uint64) {
 }
 
 // Checker validates atomic-broadcast safety across replicas. Protocol
-// integration tests feed it every broadcast and every delivery.
+// integration tests feed it every broadcast and every delivery. Its state is
+// the property it checks: one agreed sequence and how far along it each
+// replica is, so every violation is decided at the delivery that causes it.
 type Checker struct {
-	broadcast map[uint64]bool
-	delivered [][]uint64 // per node, in delivery order
-	seen      []map[uint64]bool
-	pos       []map[uint64]int // per node, id -> index in delivered[node]
+	// order is the agreed delivery sequence: position k holds the id the
+	// first replica to deliver there delivered.
+	order []uint64
+	// pos maps every broadcast id to its position in order, or undelivered;
+	// its key set is the broadcast set.
+	pos map[uint64]int
+	// next is the per-node delivery cursor: node r has delivered exactly
+	// order[:next[r]].
+	next []int
 	// replayNext is the per-node restart replay cursor: noReplay when the
-	// node has no open replay window, otherwise the delivered[node] index
-	// the next re-delivered message must retrace (replayStart before the
-	// first re-delivery fixes the starting position).
+	// node has no open replay window, otherwise the order position the next
+	// re-delivered message must retrace (replayStart before the first
+	// re-delivery fixes the starting position).
 	replayNext []int
-	// err latches the first violation OnDeliver reported (see Err).
-	err error
+	// err latches the first violation OnDeliver reported (see Err), orderErr
+	// the first Total Order violation (see CheckTotalOrder).
+	err, orderErr error
 }
+
+// undelivered is the pos of an id that was broadcast and not yet delivered
+// anywhere; it compares above every position.
+const undelivered = int(^uint(0) >> 1)
 
 // Restart replay cursor sentinels (see NodeRestart).
 const (
@@ -136,22 +149,22 @@ const (
 // NewChecker creates a checker for n replicas.
 func NewChecker(n int) *Checker {
 	c := &Checker{
-		broadcast:  make(map[uint64]bool),
-		delivered:  make([][]uint64, n),
-		seen:       make([]map[uint64]bool, n),
-		pos:        make([]map[uint64]int, n),
+		pos:        make(map[uint64]int),
+		next:       make([]int, n),
 		replayNext: make([]int, n),
 	}
-	for i := range c.seen {
-		c.seen[i] = make(map[uint64]bool)
-		c.pos[i] = make(map[uint64]int)
+	for i := range c.replayNext {
 		c.replayNext[i] = noReplay
 	}
 	return c
 }
 
 // OnBroadcast records that id was handed to the system by a client.
-func (c *Checker) OnBroadcast(id uint64) { c.broadcast[id] = true }
+func (c *Checker) OnBroadcast(id uint64) {
+	if _, known := c.pos[id]; !known {
+		c.pos[id] = undelivered
+	}
+}
 
 // NodeRestart opens a replay window for node: a replica that recovers its
 // durable state after a crash legally re-applies (and therefore re-delivers)
@@ -164,18 +177,22 @@ func (c *Checker) OnBroadcast(id uint64) { c.broadcast[id] = true }
 func (c *Checker) NodeRestart(node int) { c.replayNext[node] = replayStart }
 
 // OnDeliver records that replica node delivered id. It returns an error
-// immediately on an Integrity or No-Duplication violation so tests fail at
-// the offending event. Re-deliveries are tolerated only inside a restart
-// replay window (see NodeRestart) and only in recorded order.
+// immediately on an Integrity, No-Duplication or Total Order violation, so
+// tests fail at the offending event, and does not record the delivery.
+// Re-deliveries are tolerated only inside a restart replay window (see
+// NodeRestart) and only in recorded order. A fresh delivery must be the
+// agreed id at the node's next position: it defines that position when the
+// node is the first to reach it.
 func (c *Checker) OnDeliver(node int, id uint64) error {
-	if !c.broadcast[id] {
+	p, broadcast := c.pos[id]
+	if !broadcast {
 		return c.latch(fmt.Errorf("integrity violated: node %d delivered %d which was never broadcast", node, id))
 	}
-	if c.seen[node][id] {
+	n := c.next[node]
+	if p < n { // node has delivered order[:n], id among them
 		if c.replayNext[node] == noReplay {
 			return c.latch(fmt.Errorf("no-duplication violated: node %d delivered %d twice", node, id))
 		}
-		p := c.pos[node][id]
 		if c.replayNext[node] == replayStart {
 			c.replayNext[node] = p
 		}
@@ -184,7 +201,7 @@ func (c *Checker) OnDeliver(node int, id uint64) error {
 				node, id, p, c.replayNext[node]))
 		}
 		c.replayNext[node]++
-		if c.replayNext[node] == len(c.delivered[node]) {
+		if c.replayNext[node] == n {
 			c.replayNext[node] = noReplay // retrace complete
 		}
 		return nil
@@ -192,14 +209,25 @@ func (c *Checker) OnDeliver(node int, id uint64) error {
 	if c.replayNext[node] != noReplay {
 		if c.replayNext[node] != replayStart {
 			return c.latch(fmt.Errorf("no-duplication violated: node %d delivered fresh message %d mid-replay (retrace at %d of %d)",
-				node, id, c.replayNext[node], len(c.delivered[node])))
+				node, id, c.replayNext[node], n))
 		}
 		// First post-restart delivery is already fresh: no replay occurred.
 		c.replayNext[node] = noReplay
 	}
-	c.seen[node][id] = true
-	c.pos[node][id] = len(c.delivered[node])
-	c.delivered[node] = append(c.delivered[node], id)
+	switch {
+	case p == n: // a replica ahead of node agreed this position already
+	case p == undelivered && n == len(c.order): // node is at the frontier
+		c.pos[id] = n
+		c.order = append(c.order, id)
+	default:
+		err := fmt.Errorf("total order violated: node %d delivered %d at position %d, the agreed order has %d there",
+			node, id, n, c.order[n])
+		if c.orderErr == nil {
+			c.orderErr = err
+		}
+		return c.latch(err)
+	}
+	c.next[node] = n + 1
 	return nil
 }
 
@@ -212,22 +240,20 @@ func (c *Checker) latch(err error) error {
 }
 
 // Err is a finished run's safety verdict: the first violation OnDeliver
-// reported, however many clean deliveries followed it, else
-// CheckTotalOrder's.
-func (c *Checker) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.CheckTotalOrder()
-}
+// reported, however many clean deliveries followed it.
+func (c *Checker) Err() error { return c.err }
 
-// Delivered returns the delivery sequence observed at node.
-func (c *Checker) Delivered(node int) []uint64 { return c.delivered[node] }
+// Delivered returns the delivery sequence observed at node: a view of the
+// agreed order, valid for as long as the checker is.
+func (c *Checker) Delivered(node int) []uint64 {
+	n := c.next[node]
+	return c.order[:n:n]
+}
 
 // fold continues d over node's delivery sequence: its length, then the ids.
 func (c *Checker) fold(d digest.Sum, node int) digest.Sum {
-	d = d.Uint64(uint64(len(c.delivered[node])))
-	for _, id := range c.delivered[node] {
+	d = d.Uint64(uint64(c.next[node]))
+	for _, id := range c.order[:c.next[node]] {
 		d = d.Uint64(id)
 	}
 	return d
@@ -237,7 +263,7 @@ func (c *Checker) fold(d digest.Sum, node int) digest.Sum {
 // into one digest: two same-seed runs must match.
 func (c *Checker) Fingerprint() digest.Sum {
 	d := digest.Offset
-	for node := range c.delivered {
+	for node := range c.next {
 		d = c.fold(d, node)
 	}
 	return d
@@ -247,26 +273,10 @@ func (c *Checker) Fingerprint() digest.Sum {
 // that must name the replica that drifted.
 func (c *Checker) ReplicaFingerprint(node int) digest.Sum { return c.fold(digest.Offset, node) }
 
-// CheckTotalOrder verifies the prefix property: every replica's delivery
-// sequence is a prefix of the longest replica's sequence.
-func (c *Checker) CheckTotalOrder() error {
-	longest := 0
-	for i, d := range c.delivered {
-		if len(d) > len(c.delivered[longest]) {
-			longest = i
-		}
-	}
-	ref := c.delivered[longest]
-	for i, d := range c.delivered {
-		for k, id := range d {
-			if ref[k] != id {
-				return fmt.Errorf("total order violated: node %d delivered %d at position %d, node %d delivered %d",
-					i, id, k, longest, ref[k])
-			}
-		}
-	}
-	return nil
-}
+// CheckTotalOrder reports the prefix property — every replica's delivery
+// sequence is a prefix of the agreed order — as the first Total Order
+// violation OnDeliver refused, nil if there was none.
+func (c *Checker) CheckTotalOrder() error { return c.orderErr }
 
 // Agreement checks the fourth atomic-broadcast property: every message
 // committed at one replica is delivered at all live replicas up to the
@@ -275,43 +285,26 @@ func (c *Checker) CheckTotalOrder() error {
 // live; exclude crashed replicas by building a checker over the survivors).
 // minPrefix is the caller's liveness floor: the run must have committed at
 // least that many messages everywhere, which keeps a trivially empty prefix
-// from passing vacuously.
+// from passing vacuously. What the replicas hold up to the prefix is one
+// sequence by construction, so beyond the floor only a refused delivery
+// (CheckTotalOrder) can break it.
 func (c *Checker) Agreement(minPrefix int) error {
 	if minPrefix < 0 {
 		return fmt.Errorf("agreement: negative minPrefix %d", minPrefix)
 	}
-	prefix := c.MinDelivered()
-	if prefix < minPrefix {
+	if prefix := c.MinDelivered(); prefix < minPrefix {
 		return fmt.Errorf("agreement violated: committed prefix is %d messages, caller requires at least %d at every live replica", prefix, minPrefix)
 	}
-	if len(c.delivered) == 0 {
-		return nil
-	}
-	ref := c.delivered[0]
-	for i, d := range c.delivered[1:] {
-		for k := 0; k < prefix; k++ {
-			if d[k] != ref[k] {
-				return fmt.Errorf("agreement violated: node %d delivered %d at position %d of the committed prefix, node 0 delivered %d",
-					i+1, d[k], k, ref[k])
-			}
-		}
-	}
-	return nil
+	return c.orderErr
 }
 
 // MinDelivered returns the shortest delivery sequence length (the committed
 // prefix guaranteed at every replica).
 func (c *Checker) MinDelivered() int {
-	if len(c.delivered) == 0 {
+	if len(c.next) == 0 {
 		return 0
 	}
-	min := len(c.delivered[0])
-	for _, d := range c.delivered[1:] {
-		if len(d) < min {
-			min = len(d)
-		}
-	}
-	return min
+	return slices.Min(c.next)
 }
 
 // LoadConfig parameterizes one closed-loop load point (one x-position in a

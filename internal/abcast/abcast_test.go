@@ -1,11 +1,15 @@
 package abcast
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"acuerdo/internal/digest"
 	"acuerdo/internal/simnet"
 )
 
@@ -501,5 +505,328 @@ func TestCheckerRestartNoReplay(t *testing.T) {
 	}
 	if err := c.OnDeliver(0, 1); err == nil {
 		t.Fatal("re-delivery accepted after the window closed on a fresh message")
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Reference implementation: the checker as it stood before its state became
+// the agreed order — a broadcast set, and per replica a delivery sequence, a
+// seen set and a position index, with Total Order decided by scanning every
+// sequence against the longest at the end of the run. Kept as an executable
+// specification of the verdicts and fingerprints Checker must reproduce.
+// ---------------------------------------------------------------------------
+
+type refChecker struct {
+	broadcast  map[uint64]bool
+	delivered  [][]uint64
+	seen       []map[uint64]bool
+	pos        []map[uint64]int
+	replayNext []int
+	err        error
+}
+
+func newRefChecker(n int) *refChecker {
+	c := &refChecker{
+		broadcast:  make(map[uint64]bool),
+		delivered:  make([][]uint64, n),
+		seen:       make([]map[uint64]bool, n),
+		pos:        make([]map[uint64]int, n),
+		replayNext: make([]int, n),
+	}
+	for i := range c.seen {
+		c.seen[i] = make(map[uint64]bool)
+		c.pos[i] = make(map[uint64]int)
+		c.replayNext[i] = noReplay
+	}
+	return c
+}
+
+func (c *refChecker) OnBroadcast(id uint64) { c.broadcast[id] = true }
+func (c *refChecker) NodeRestart(node int)  { c.replayNext[node] = replayStart }
+
+func (c *refChecker) OnDeliver(node int, id uint64) error {
+	if !c.broadcast[id] {
+		return c.latch(fmt.Errorf("integrity violated: node %d delivered %d which was never broadcast", node, id))
+	}
+	if c.seen[node][id] {
+		if c.replayNext[node] == noReplay {
+			return c.latch(fmt.Errorf("no-duplication violated: node %d delivered %d twice", node, id))
+		}
+		p := c.pos[node][id]
+		if c.replayNext[node] == replayStart {
+			c.replayNext[node] = p
+		}
+		if p != c.replayNext[node] {
+			return c.latch(fmt.Errorf("no-duplication violated: node %d re-delivered %d at position %d after restart, expected contiguous replay at position %d",
+				node, id, p, c.replayNext[node]))
+		}
+		c.replayNext[node]++
+		if c.replayNext[node] == len(c.delivered[node]) {
+			c.replayNext[node] = noReplay
+		}
+		return nil
+	}
+	if c.replayNext[node] != noReplay {
+		if c.replayNext[node] != replayStart {
+			return c.latch(fmt.Errorf("no-duplication violated: node %d delivered fresh message %d mid-replay (retrace at %d of %d)",
+				node, id, c.replayNext[node], len(c.delivered[node])))
+		}
+		c.replayNext[node] = noReplay
+	}
+	c.seen[node][id] = true
+	c.pos[node][id] = len(c.delivered[node])
+	c.delivered[node] = append(c.delivered[node], id)
+	return nil
+}
+
+func (c *refChecker) latch(err error) error {
+	if c.err == nil {
+		c.err = err
+	}
+	return err
+}
+
+func (c *refChecker) Err() error {
+	if c.err != nil {
+		return c.err
+	}
+	return c.CheckTotalOrder()
+}
+
+func (c *refChecker) Delivered(node int) []uint64 { return c.delivered[node] }
+
+func (c *refChecker) fold(d digest.Sum, node int) digest.Sum {
+	d = d.Uint64(uint64(len(c.delivered[node])))
+	for _, id := range c.delivered[node] {
+		d = d.Uint64(id)
+	}
+	return d
+}
+
+func (c *refChecker) Fingerprint() digest.Sum {
+	d := digest.Offset
+	for node := range c.delivered {
+		d = c.fold(d, node)
+	}
+	return d
+}
+
+func (c *refChecker) ReplicaFingerprint(node int) digest.Sum { return c.fold(digest.Offset, node) }
+
+func (c *refChecker) CheckTotalOrder() error {
+	longest := 0
+	for i, d := range c.delivered {
+		if len(d) > len(c.delivered[longest]) {
+			longest = i
+		}
+	}
+	ref := c.delivered[longest]
+	for i, d := range c.delivered {
+		for k, id := range d {
+			if ref[k] != id {
+				return fmt.Errorf("total order violated: node %d delivered %d at position %d, node %d delivered %d",
+					i, id, k, longest, ref[k])
+			}
+		}
+	}
+	return nil
+}
+
+func (c *refChecker) MinDelivered() int {
+	min := len(c.delivered[0])
+	for _, d := range c.delivered[1:] {
+		if len(d) < min {
+			min = len(d)
+		}
+	}
+	return min
+}
+
+// violationClass is the property an error names: the text before " violated".
+func violationClass(err error) string {
+	if err == nil {
+		return ""
+	}
+	class, _, _ := strings.Cut(err.Error(), " violated")
+	return class
+}
+
+// TestCheckerDifferential runs seeded programs — broadcasts, in-order
+// deliveries at replicas that lag one another, restarts with a full, a
+// mid-stream or no replay, and in five of every six one injected fault —
+// through Checker and the reference. Every delivery gets the same accept/refuse
+// answer except the two the reference cannot decide at the event: a swapped
+// or skipped delivery, which Checker must refuse at that call, naming node,
+// position and both ids, where the reference only finds it in Err's final
+// scan. Clean programs must agree on every fingerprint, sequence and length;
+// faulty ones on the class of violation Err reports.
+func TestCheckerDifferential(t *testing.T) {
+	const replicas = 3
+	faults := []string{"", "forged", "duplicate", "swap", "skip", "fresh-mid-replay"}
+	for seed := int64(1); seed <= 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fault := faults[int(seed)%len(faults)]
+		got, want := NewChecker(replicas), newRefChecker(replicas)
+
+		var (
+			order   []uint64 // the sequence the program's replicas agree on
+			pending []uint64 // broadcast, not yet in order
+			nextID  uint64
+			at      [replicas]int // replica r has delivered order[:at[r]]
+		)
+		broadcast := func() {
+			nextID++
+			pending = append(pending, nextID)
+			got.OnBroadcast(nextID)
+			want.OnBroadcast(nextID)
+		}
+		// deliver feeds one delivery to both checkers and returns their answers.
+		deliver := func(r int, id uint64) (g, w error) {
+			return got.OnDeliver(r, id), want.OnDeliver(r, id)
+		}
+		// clean feeds a delivery both checkers must accept.
+		clean := func(r int, id uint64) {
+			t.Helper()
+			if g, w := deliver(r, id); g != nil || w != nil {
+				t.Fatalf("seed %d (%s): clean delivery of %d at node %d refused: got %v, reference %v", seed, fault, id, r, g, w)
+			}
+		}
+		// advance delivers replica r's next message, extending the agreed
+		// order from the pending broadcasts when r is at the frontier.
+		advance := func(r int) {
+			t.Helper()
+			if at[r] == len(order) {
+				if len(pending) == 0 {
+					broadcast()
+				}
+				k := rng.Intn(len(pending))
+				order = append(order, pending[k])
+				pending = append(pending[:k], pending[k+1:]...)
+			}
+			clean(r, order[at[r]])
+			at[r]++
+		}
+		restart := func(r int) {
+			t.Helper()
+			got.NodeRestart(r)
+			want.NodeRestart(r)
+			from := at[r] // no replay at all
+			switch rng.Intn(3) {
+			case 0:
+				from = 0 // full replay
+			case 1:
+				from = rng.Intn(at[r] + 1) // the WAL tail only
+			}
+			for _, id := range order[from:at[r]] {
+				clean(r, id)
+			}
+		}
+		step := func(except int) {
+			t.Helper()
+			r := rng.Intn(replicas)
+			if r == except {
+				return
+			}
+			switch p := rng.Intn(100); {
+			case p < 25:
+				broadcast()
+			case p < 95:
+				advance(r)
+			default:
+				restart(r)
+			}
+		}
+
+		for op := 0; op < 300; op++ {
+			step(-1)
+		}
+
+		victim := -1
+		if fault != "" {
+			// The victim lags the frontier by at least two and has delivered
+			// at least two: every fault below has room to happen.
+			victim = rng.Intn(replicas)
+			lead := (victim + 1) % replicas
+			for at[victim] < 2 {
+				advance(victim)
+			}
+			if got.replayNext[victim] != noReplay {
+				advance(victim) // close a no-replay restart window
+			}
+			for at[lead] < at[victim]+2 {
+				advance(lead)
+			}
+			n := at[victim]
+			var g, w error
+			atEvent := true // does the reference decide it at the call too?
+			switch fault {
+			case "forged":
+				g, w = deliver(victim, nextID+1000)
+			case "duplicate":
+				g, w = deliver(victim, order[rng.Intn(n)])
+			case "swap":
+				atEvent = false
+				g, w = deliver(victim, order[n+1])
+				clean(victim, order[n]) // the other half lands where it belongs
+			case "skip":
+				atEvent = false
+				g, w = deliver(victim, order[n+1])
+			case "fresh-mid-replay":
+				got.NodeRestart(victim)
+				want.NodeRestart(victim)
+				clean(victim, order[0])
+				g, w = deliver(victim, order[n])
+			}
+			if g == nil {
+				t.Fatalf("seed %d (%s): OnDeliver accepted the faulty delivery at node %d position %d", seed, fault, victim, n)
+			}
+			if atEvent != (w != nil) {
+				t.Fatalf("seed %d (%s): reference OnDeliver = %v, decided at the event: want %v", seed, fault, w, atEvent)
+			}
+			if atEvent && g.Error() != w.Error() {
+				t.Fatalf("seed %d (%s): OnDeliver = %q, reference %q", seed, fault, g, w)
+			}
+			if !atEvent {
+				text := fmt.Sprintf("total order violated: node %d delivered %d at position %d, the agreed order has %d there",
+					victim, order[n+1], n, order[n])
+				if g.Error() != text {
+					t.Fatalf("seed %d (%s): OnDeliver = %q, want %q", seed, fault, g, text)
+				}
+				if got.CheckTotalOrder() != g {
+					t.Fatalf("seed %d (%s): CheckTotalOrder = %v, want the refused delivery's error", seed, fault, got.CheckTotalOrder())
+				}
+			}
+			// The verdict is latched: clean deliveries elsewhere do not move it.
+			for op := 0; op < 50; op++ {
+				step(victim)
+			}
+			if got.Err() != g {
+				t.Fatalf("seed %d (%s): Err = %v, want the first violation %v", seed, fault, got.Err(), g)
+			}
+		}
+
+		if g, w := violationClass(got.Err()), violationClass(want.Err()); g != w {
+			t.Fatalf("seed %d (%s): Err class %q (%v), reference %q (%v)", seed, fault, g, got.Err(), w, want.Err())
+		}
+		if fault != "" {
+			continue // a refused delivery is not recorded; the reference records it
+		}
+		if got.Err() != nil {
+			t.Fatalf("seed %d: clean program: %v", seed, got.Err())
+		}
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Fatalf("seed %d: Fingerprint %s, reference %s", seed, got.Fingerprint().Hex(), want.Fingerprint().Hex())
+		}
+		if got.MinDelivered() != want.MinDelivered() {
+			t.Fatalf("seed %d: MinDelivered %d, reference %d", seed, got.MinDelivered(), want.MinDelivered())
+		}
+		for r := 0; r < replicas; r++ {
+			if got.ReplicaFingerprint(r) != want.ReplicaFingerprint(r) {
+				t.Fatalf("seed %d: replica %d fingerprint %s, reference %s", seed, r, got.ReplicaFingerprint(r).Hex(), want.ReplicaFingerprint(r).Hex())
+			}
+			if !slices.Equal(got.Delivered(r), want.Delivered(r)) {
+				t.Fatalf("seed %d: replica %d delivered %v, reference %v", seed, r, got.Delivered(r), want.Delivered(r))
+			}
+		}
 	}
 }

@@ -370,9 +370,6 @@ func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 	}
 	sim := simnet.New(cfg.Seed + int64(i))
 	if cfg.Observe {
-		// The tracer must be installed before the observer is built so
-		// violations land in the trace stream too.
-		sim.SetTracer(opt.Tracer)
 		opt.Observer = NewObserver(sim, kind, cfg.Nodes)
 	}
 	inst := NewInstanceOn(sim, kind, cfg.Nodes, opt)
@@ -406,8 +403,8 @@ func SweepSystem(kind Kind, cfg Fig8Config) []abcast.LoadResult {
 // Figure8Parallel runs one subfigure's (system × window) grid on a worker
 // pool. Every grid point is a sealed world — its own simulator, seeded only
 // by (cfg.Seed, window index) — so the merged result is identical for every
-// worker count, including 1; only the sweep.Report (host wall-clock,
-// steals) varies. workers <= 0 selects GOMAXPROCS.
+// worker count, including 1; only the sweep.Report (host wall-clock) varies.
+// workers <= 0 selects GOMAXPROCS.
 func Figure8Parallel(cfg Fig8Config, kinds []Kind, workers int) (map[Kind][]abcast.LoadResult, sweep.Report) {
 	if kinds == nil {
 		kinds = AllKinds

@@ -40,8 +40,7 @@ func latencyJSON(h *metrics.Histogram) LatencyJSON {
 }
 
 // PointJSON is one grid point of a sweep: one (system, nodes, payload,
-// window, seed) cell with its measured results. WallNS is host metadata;
-// everything else is deterministic.
+// window, seed) cell with its measured results, every field deterministic.
 type PointJSON struct {
 	// System, Nodes, MsgSize, Window, and Seed identify the grid cell.
 	System  string `json:"system"`
@@ -64,8 +63,6 @@ type PointJSON struct {
 	// tracer observed.
 	TraceFP     string `json:"trace_fp,omitempty"`
 	TraceEvents uint64 `json:"trace_events,omitempty"`
-	// WallNS is the host wall-clock time the point took (machine-dependent).
-	WallNS int64 `json:"wall_ns"`
 }
 
 // Artifact is the one envelope every bench artifact is written in:
@@ -256,8 +253,7 @@ type PlacementPGJSON struct {
 }
 
 // PlacementPointJSON is one scale-out point: one (system, PG count) cell
-// with its per-group shares. WallNS is host metadata; everything else is
-// deterministic.
+// with its per-group shares, every field deterministic.
 type PlacementPointJSON struct {
 	// System through Seed identify the cell.
 	System      string `json:"system"`
@@ -279,8 +275,6 @@ type PlacementPointJSON struct {
 	MapFP       string `json:"map_fp"`
 	TraceFP     string `json:"trace_fp"`
 	Fingerprint string `json:"fingerprint"`
-	// WallNS is the host wall-clock time the point took.
-	WallNS int64 `json:"wall_ns"`
 	// Groups holds the per-group shares, in PG-ID order.
 	Groups []PlacementPGJSON `json:"groups"`
 }

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"acuerdo/internal/chaos"
+	"acuerdo/internal/simnet"
+	"acuerdo/internal/trace"
 )
 
 // observedChaos is shortChaos with the runtime invariant observers on.
@@ -134,5 +136,20 @@ func TestRunPointObserve(t *testing.T) {
 	observed := RunPoint(Acuerdo, cfg, 0)
 	if plain.Committed != observed.Committed {
 		t.Fatalf("observer changed the measurement: %d committed vs %d", plain.Committed, observed.Committed)
+	}
+}
+
+// TestObserverViolationReachesTracer pins the wiring order nobody has to get
+// right: an observer built before NewInstanceOn installs Options.Tracer (as
+// RunScenario builds it) still lands its violations in that tracer.
+func TestObserverViolationReachesTracer(t *testing.T) {
+	sim := simnet.New(1)
+	obs := NewObserver(sim, Etcd, 3)
+	tr := trace.New(64)
+	NewInstanceOn(sim, Etcd, 3, Options{Tracer: tr, Observer: obs})
+	obs.LeaderElected(0, 10, 99)
+	obs.LeaderElected(1, 20, 99) // a second winner of term 99
+	if got := tr.Counter(trace.CtrViolations); got != 1 {
+		t.Fatalf("CtrViolations = %d after one leader-uniqueness violation, want 1", got)
 	}
 }

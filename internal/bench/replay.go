@@ -20,9 +20,9 @@ import (
 
 // ReplayPointJSON is one seeded closed-loop run as the replay oracle sees it:
 // the load point (always traced, so trace_fp and trace_events are present)
-// plus every stream the point only summarizes. Every field but wall_ns is
-// deterministic, and the ones added here are written even when zero, so
-// Compare holds two runs to all of them.
+// plus every stream the point only summarizes. Every field is deterministic,
+// and the ones added here are written even when zero, so Compare holds two
+// runs to all of them.
 type ReplayPointJSON struct {
 	PointJSON
 	// SamplesFP folds every latency sample in measurement order.
@@ -44,8 +44,7 @@ type ReplayPointJSON struct {
 func replayPoint(kind Kind, nodes int, seed int64, cfg abcast.LoadConfig, observed bool) (ReplayPointJSON, error) {
 	sim := simnet.New(seed)
 	// A small ring suffices: the fingerprint streams over every emitted
-	// event regardless of ring overwrites. Installed before the observer is
-	// built, so violations land in the event stream too.
+	// event regardless of ring overwrites.
 	sim.SetTracer(trace.New(1024))
 	var opt Options
 	if observed {

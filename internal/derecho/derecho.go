@@ -303,15 +303,6 @@ func (g *Group) Submit(i int, payload []byte) {
 // death means no acknowledgment was ever sent).
 func (g *Group) DeliveredAt(i int, id uint64) bool { return g.nodes[i].deliv[id] }
 
-func (nd *node) isMember(j int) bool {
-	for _, m := range nd.members {
-		if m == j {
-			return true
-		}
-	}
-	return false
-}
-
 // canMulticast reports whether the ring has room toward every live peer —
 // Derecho's sender stalls whenever any member lags (slot reuse requires
 // global stability).

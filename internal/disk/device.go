@@ -1,14 +1,18 @@
 // Package disk is the deterministic simulated-storage subsystem: a per-node
 // NVMe-like Device on the simnet clock (configurable write/fsync/read
 // latency, volatile page cache vs. fsynced durable prefix, crash semantics
-// that drop un-fsynced bytes), a checksummed group-commit write-ahead log
-// (WAL, LogStore), and snapshot files with temp-then-atomic-rename
-// semantics. The protocol packages layer their durable log/ballot/vote
+// that drop un-fsynced bytes) and a checksummed group-commit write-ahead log
+// (LogStore). The protocol packages layer their durable log/ballot/vote
 // state on it and share its restart spine (Recovery.Reopen, the head of
 // every durable restart, and GroupCommit, the one-flush-in-flight batching
 // pump); internal/chaos injects its disk faults (fsync stalls, torn
 // last records, bit-flip corruption, full disk) through the fault surface
 // here.
+//
+// There is one storage story: a replica's durable state is its protocol's
+// WAL, and the application above it is rebuilt by re-delivery of the
+// recovered log. There are no snapshot files and no application-level log,
+// which would write every operation a second time under the protocol's own.
 //
 // Everything is driven by simnet events and the simulator's seeded RNG, so
 // disk-backed runs replay bit for bit from a seed like every other layer.
@@ -25,17 +29,16 @@ import (
 	"acuerdo/internal/trace"
 )
 
-// ErrNoSpace is returned by writes to a full device (capacity exhausted or
-// the full-disk fault armed).
+// ErrNoSpace is returned by writes to a full device (the full-disk fault is
+// armed).
 var ErrNoSpace = errors.New("disk: no space left on device")
 
 // Params models one device's service times. The defaults approximate a
 // datacenter NVMe drive: sub-microsecond buffered writes, ~10 us flushes.
 type Params struct {
-	// WriteLatency is the fixed cost of one buffered (page-cache) write.
+	// WriteLatency is the fixed cost of one buffered (page-cache) write:
+	// page-cache writes are memcpy-speed, so there is no per-byte term.
 	WriteLatency time.Duration
-	// WriteBytePer is the additional per-byte cost of a buffered write.
-	WriteBytePer time.Duration
 	// FsyncLatency is the fixed cost of one flush.
 	FsyncLatency time.Duration
 	// FsyncBytePer is the additional per-byte cost of flushing dirty bytes.
@@ -44,15 +47,12 @@ type Params struct {
 	ReadLatency time.Duration
 	// ReadBytePer is the additional per-byte cost of a recovery read.
 	ReadBytePer time.Duration
-	// Capacity bounds the device's total bytes; zero means unlimited.
-	Capacity int
 }
 
 // DefaultParams returns the standard NVMe-like device model.
 func DefaultParams() Params {
 	return Params{
 		WriteLatency: 300 * time.Nanosecond,
-		WriteBytePer: 0, // page-cache writes are memcpy-speed; the fixed cost dominates
 		FsyncLatency: 10 * time.Microsecond,
 		FsyncBytePer: time.Nanosecond,
 		ReadLatency:  5 * time.Microsecond,
@@ -102,7 +102,6 @@ type Device struct {
 	params Params
 
 	files map[string]*file
-	used  int
 
 	// epoch guards completion callbacks: Crash increments it and every
 	// pending write/fsync completion belonging to the old epoch is dropped,
@@ -169,12 +168,11 @@ func (d *Device) get(name string) *file {
 // buffered bytes are volatile until a Sync covering them completes. done
 // may be nil.
 func (d *Device) Append(name string, p []byte, done func(error)) error {
-	if d.full || (d.params.Capacity > 0 && d.used+len(p) > d.params.Capacity) {
+	if d.full {
 		return ErrNoSpace
 	}
 	f := d.get(name)
 	f.data = append(f.data, p...)
-	d.used += len(p)
 	d.stats.Writes++
 	d.stats.WriteBytes += int64(len(p))
 	if tr := d.sim.Tracer(); tr != nil {
@@ -182,16 +180,8 @@ func (d *Device) Append(name string, p []byte, done func(error)) error {
 		tr.Add(trace.CtrDiskWrites, 1)
 		tr.Add(trace.CtrDiskWriteBytes, int64(len(p)))
 	}
-	cost := d.params.WriteLatency + time.Duration(len(p))*d.params.WriteBytePer
-	d.complete(cost, done, nil)
+	d.complete(d.params.WriteLatency, done, nil)
 	return nil
-}
-
-// Complete schedules done(err) after cost of simulated time, dropping it if
-// the device crashes first. It lets layered stores surface synchronous
-// errors (ErrNoSpace) through their usual asynchronous callback path.
-func (d *Device) Complete(cost time.Duration, done func(error), err error) {
-	d.complete(cost, done, err)
 }
 
 // Sync schedules an fsync of name: when it completes, every byte buffered
@@ -248,6 +238,8 @@ func (d *Device) startSync() {
 }
 
 // complete schedules done(err) after cost; a crash in between drops it.
+// LogStore surfaces a synchronous ErrNoSpace through it, on its usual
+// asynchronous callback path.
 func (d *Device) complete(cost time.Duration, done func(error), err error) {
 	if done == nil {
 		return
@@ -260,36 +252,11 @@ func (d *Device) complete(cost time.Duration, done func(error), err error) {
 	})
 }
 
-// Rename atomically replaces newName with oldName's content and removes
-// oldName. The rename itself is modeled as an immediately durable metadata
-// journal entry (as on any journaling filesystem): after Rename returns,
-// a crash observes the new name bound to oldName's durable prefix and the
-// old snapshot gone. Renaming a missing file is a no-op.
-func (d *Device) Rename(oldName, newName string) {
-	f, ok := d.files[oldName]
-	if !ok {
-		return
-	}
-	if prev, ok := d.files[newName]; ok {
-		d.used -= len(prev.data)
-	}
-	delete(d.files, oldName)
-	d.files[newName] = f
-}
-
-// Remove deletes name (no-op when missing).
-func (d *Device) Remove(name string) {
-	if f, ok := d.files[name]; ok {
-		d.used -= len(f.data)
-		delete(d.files, name)
-	}
-}
-
 // Truncate resets name to empty (creating it if needed). The truncation is
-// modeled as immediately durable metadata, like Rename.
+// modeled as an immediately durable metadata journal entry, as on any
+// journaling filesystem.
 func (d *Device) Truncate(name string) {
 	f := d.get(name)
-	d.used -= len(f.data)
 	f.data = nil
 	f.synced = 0
 }
@@ -298,7 +265,6 @@ func (d *Device) Truncate(name string) {
 // discarding a torn tail).
 func (d *Device) trim(name string, n int) {
 	f := d.get(name)
-	d.used -= len(f.data) - n
 	f.data = f.data[:n]
 	f.synced = n
 }
@@ -355,7 +321,6 @@ func (d *Device) Crash(rng *rand.Rand) {
 		if tail := len(f.data) - f.synced; torn && tail > 0 && rng != nil {
 			keep += rng.Intn(tail) // 0 <= extra < tail: at least one byte lost
 		}
-		d.used -= len(f.data) - keep
 		f.data = f.data[:keep]
 		// Everything that survived the power loss is on the platter now —
 		// a torn partial record is durable garbage until replay discards it.
@@ -370,7 +335,6 @@ func (d *Device) Wipe() {
 	d.syncBusy = false
 	d.syncQueue = nil
 	d.files = make(map[string]*file)
-	d.used = 0
 }
 
 // StallFsync opens (or extends) an fsync-stall window: flushes issued

@@ -290,19 +290,6 @@ func TestFullDiskFailsAppends(t *testing.T) {
 	}
 }
 
-func TestCapacityEnforced(t *testing.T) {
-	sim := newSim(1)
-	p := DefaultParams()
-	p.Capacity = 100
-	dev := NewDevice(sim, 0, p)
-	if err := dev.Append("wal", make([]byte, 80), nil); err != nil {
-		t.Fatalf("first append: %v", err)
-	}
-	if err := dev.Append("wal", make([]byte, 30), nil); err != ErrNoSpace {
-		t.Fatalf("over-capacity append: err=%v, want ErrNoSpace", err)
-	}
-}
-
 func TestFsyncStallDelaysFlush(t *testing.T) {
 	sim := newSim(1)
 	p := DefaultParams()
@@ -317,50 +304,6 @@ func TestFsyncStallDelaysFlush(t *testing.T) {
 	sim.RunFor(20 * time.Millisecond)
 	if got := doneAt.Sub(start); got != 5*time.Millisecond+10*time.Microsecond {
 		t.Fatalf("stalled fsync took %v, want 5.01ms", got)
-	}
-}
-
-func TestSnapshotAtomicRename(t *testing.T) {
-	sim := newSim(1)
-	dev := NewDevice(sim, 0, DefaultParams())
-	done := false
-	WriteSnapshot(dev, "snap", []byte("v1"), func(err error) {
-		if err != nil {
-			t.Errorf("snapshot v1: %v", err)
-		}
-		done = true
-	})
-	sim.RunFor(time.Millisecond)
-	if !done {
-		t.Fatal("snapshot v1 never completed")
-	}
-	// Crash mid-way through writing v2: before its flush completes, the
-	// rename has not happened, so recovery still sees v1 intact.
-	WriteSnapshot(dev, "snap", []byte("v2-much-longer"), nil)
-	dev.Crash(sim.Rand())
-	got, ok := ReadSnapshot(dev, "snap")
-	if !ok || !bytes.Equal(got, []byte("v1")) {
-		t.Fatalf("post-crash snapshot = %q ok=%v, want v1", got, ok)
-	}
-	// A completed rewrite replaces it.
-	WriteSnapshot(dev, "snap", []byte("v3"), nil)
-	sim.RunFor(time.Millisecond)
-	got, ok = ReadSnapshot(dev, "snap")
-	if !ok || !bytes.Equal(got, []byte("v3")) {
-		t.Fatalf("snapshot after rewrite = %q ok=%v, want v3", got, ok)
-	}
-}
-
-func TestSnapshotChecksumRejectsCorruption(t *testing.T) {
-	sim := newSim(9)
-	dev := NewDevice(sim, 0, DefaultParams())
-	WriteSnapshot(dev, "snap", bytes.Repeat([]byte("abc"), 50), nil)
-	sim.RunFor(time.Millisecond)
-	if !dev.CorruptDurable(sim.Rand()) {
-		t.Fatal("nothing corrupted")
-	}
-	if _, ok := ReadSnapshot(dev, "snap"); ok {
-		t.Fatal("corrupted snapshot passed its checksum")
 	}
 }
 

@@ -131,7 +131,7 @@ func (ls *LogStore) write(kind byte, rec []byte, done func(error)) {
 	rec[8] = kind
 	binary.LittleEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(rec[8:]))
 	if err := ls.dev.Append(ls.name, rec, nil); err != nil {
-		ls.dev.Complete(0, done, err)
+		ls.dev.complete(0, done, err)
 		return
 	}
 	ls.pending = append(ls.pending, done)

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 	"time"
@@ -41,6 +42,69 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := DecodeOp(op.Encode()[:16]); err == nil {
 		t.Fatal("truncated op accepted")
+	}
+}
+
+// TestOpRoundTripAllKinds is the Encode/DecodeOp property test across every
+// op kind: decode(encode(op)) == op for arbitrary ids, keys, and values.
+func TestOpRoundTripAllKinds(t *testing.T) {
+	for _, kind := range []OpKind{OpCreate, OpSet, OpDelete} {
+		kind := kind
+		f := func(id uint64, key string, value []byte) bool {
+			if len(key) > 60000 {
+				key = key[:60000]
+			}
+			op := Op{ID: id, Kind: kind, Key: key, Value: value}
+			got, err := DecodeOp(op.Encode())
+			if err != nil {
+				return false
+			}
+			return got.ID == id && got.Kind == kind && got.Key == key &&
+				bytes.Equal(got.Value, value)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Fatalf("kind %d: %v", kind, err)
+		}
+	}
+}
+
+// TestDecodeOpMalformed is the malformed-input table: short buffers,
+// truncations, wrong kinds, oversized length fields, and trailing garbage
+// must all be rejected.
+func TestDecodeOpMalformed(t *testing.T) {
+	good := Op{ID: 7, Kind: OpSet, Key: "key", Value: []byte("value")}.Encode()
+	oversizedKey := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint16(oversizedKey[9:], 60000)
+	oversizedVal := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(oversizedVal[11:], 1<<30)
+	wrongKind := append([]byte(nil), good...)
+	wrongKind[8] = 99
+	zeroKind := append([]byte(nil), good...)
+	zeroKind[8] = 0
+	trailing := append(append([]byte(nil), good...), 0xde, 0xad)
+
+	cases := []struct {
+		name string
+		in   []byte
+	}{
+		{"empty", nil},
+		{"short", []byte{1, 2, 3}},
+		{"header-only-minus-one", good[:14]},
+		{"truncated-key", good[:16]},
+		{"truncated-value", good[:len(good)-2]},
+		{"wrong-kind", wrongKind},
+		{"zero-kind", zeroKind},
+		{"oversized-key-length", oversizedKey},
+		{"oversized-value-length", oversizedVal},
+		{"trailing-garbage", trailing},
+	}
+	for _, c := range cases {
+		if _, err := DecodeOp(c.in); err == nil {
+			t.Errorf("%s: DecodeOp accepted %d bytes", c.name, len(c.in))
+		}
+	}
+	if _, err := DecodeOp(good); err != nil {
+		t.Fatalf("well-formed op rejected: %v", err)
 	}
 }
 

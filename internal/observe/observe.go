@@ -153,9 +153,10 @@ type Config struct {
 	// Seed is the simulation seed, stamped into violations so a report is
 	// replayable on its own.
 	Seed int64
-	// Tracer, when non-nil, receives a trace.KInvariant event per
-	// violation so violations land in the Chrome export.
-	Tracer *trace.Tracer
+	// Tracer, when non-nil, is asked at each violation for the tracer that
+	// receives its trace.KInvariant event, so violations land in the Chrome
+	// export whichever of observer and tracer was set up first.
+	Tracer func() *trace.Tracer
 }
 
 // Violation is one structured invariant-violation report: the witness the
@@ -387,8 +388,11 @@ func (o *Observer) fold(inv Invariant, op uint64, node int, at, a, b int64) {
 func (o *Observer) violate(inv Invariant, node int, at, a, b int64, format string, args ...any) {
 	o.fails[inv]++
 	o.digest = o.digest.Word(opViolation).Word(uint64(inv))
-	o.cfg.Tracer.Instant(trace.KInvariant, node, at, int64(inv), a)
-	o.cfg.Tracer.Add(trace.CtrViolations, 1)
+	if o.cfg.Tracer != nil {
+		tr := o.cfg.Tracer()
+		tr.Instant(trace.KInvariant, node, at, int64(inv), a)
+		tr.Add(trace.CtrViolations, 1)
+	}
 	if len(o.violations) >= maxViolations {
 		o.truncated++
 		return
@@ -832,15 +836,21 @@ func (o *Observer) PaxosChosen(node int, at int64, inst uint64, id int64) {
 
 // --- elections ------------------------------------------------------------
 
-// LeaderElected records node winning term and checks that no other node
-// ever wins the same term (raft term, zab epoch, acuerdo epoch packed as
-// round<<32|leader).
+// LeaderElected records node winning term and checks that a term is won
+// once in the whole run, restarts included (raft term, paxos ballot, acuerdo
+// epoch packed as round<<32|leader): not by another node, and not again by
+// the node that already led it — a replica that lost its state and is
+// re-elected into an epoch it used before numbers new entries over old ones.
 func (o *Observer) LeaderElected(node int, at int64, term uint64) {
 	if o == nil {
 		return
 	}
 	o.fold(InvLeaderUniqueness, opLeader, node, at, int64(term), 0)
-	o.checkReg(spaceLeader, term, 0, int64(node), InvLeaderUniqueness, node, at, regLeader)
+	e := o.checkReg(spaceLeader, term, 0, int64(node), InvLeaderUniqueness, node, at, regLeader)
+	if e.val == int64(node) && e.at != at {
+		o.violate(InvLeaderUniqueness, node, at, int64(term), e.at,
+			"node %d won term %d again: it already led it at t=%dns", node, term, e.at)
+	}
 }
 
 // AcuerdoLeaderWin records node winning the acuerdo epoch (round, ldr) and

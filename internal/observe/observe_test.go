@@ -212,12 +212,26 @@ func TestChosenAgreementViolation(t *testing.T) {
 func TestLeaderUniquenessViolation(t *testing.T) {
 	o := newObs(3)
 	o.LeaderElected(0, 10, 5)
-	o.LeaderElected(0, 20, 5) // same winner re-reporting: ok
-	if o.ViolationCount() != 0 {
-		t.Fatalf("re-reported win flagged:\n%s", o.Report())
-	}
 	o.LeaderElected(1, 30, 5) // a second winner for term 5
 	wantViolations(t, o, observe.InvLeaderUniqueness, 1)
+}
+
+// TestLeaderUniquenessReelection: a term is won once per run. The same node
+// winning it a second time — re-elected, after losing its state, into an
+// epoch it already led — is the amnesia failure of DESIGN §7, caught at the
+// election; its digest fold is the one every win makes.
+func TestLeaderUniquenessReelection(t *testing.T) {
+	o := newObs(3)
+	o.AcuerdoLeaderWin(2, 200720, 1, 2)
+	o.AcuerdoLeaderWin(0, 300000, 2, 0)
+	if o.ViolationCount() != 0 {
+		t.Fatalf("distinct epochs flagged:\n%s", o.Report())
+	}
+	o.AcuerdoLeaderWin(2, 60000000, 1, 2)
+	wantViolations(t, o, observe.InvLeaderUniqueness, 1)
+	if got, want := o.Violations()[0].Detail, "node 2 won term 4294967298 again: it already led it at t=200720ns"; got != want {
+		t.Fatalf("witness %q, want %q", got, want)
+	}
 }
 
 func TestAcuerdoLeaderWinMismatch(t *testing.T) {

@@ -4,30 +4,30 @@
 // Every grid point of a benchmark sweep (system × window × payload size ×
 // node count × seed) runs in its own simnet.Sim seeded independently, so
 // grid points share no state and can execute on any OS thread in any order.
-// The orchestrator exploits that: jobs are partitioned across a
-// GOMAXPROCS-sized pool of workers that steal work from each other when
-// their own share drains, and results are written into a slot per job, so
-// the merged output is a pure function of the job list — byte-stable
-// regardless of scheduling.
+// The orchestrator exploits that: a GOMAXPROCS-sized pool of workers takes
+// job indices from one shared counter, so a worker that finishes early simply
+// takes the next job — the load balances by construction — and results are
+// written into a slot per job, so the merged output is a pure function of the
+// job list — byte-stable regardless of scheduling.
 //
 // This package is the one deliberate exception to the repository's
 // determinism contract (see ARCHITECTURE.md): it uses real goroutines and
 // the wall clock, because it is the host-side harness *around* the
 // simulations, never part of one. Nothing here may leak into simulated
 // results except through the Report, which is explicitly host-side metadata
-// (wall-clock durations, steal counts) and must never be folded into
-// byte-stable output.
+// (wall-clock duration) and must never be folded into byte-stable output.
 package sweep
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Report describes how a Run executed on the host. All fields are
-// host-side metadata: wall-clock times and steal counts vary run to run
-// and machine to machine, and must not be mixed into deterministic output.
+// host-side metadata: the wall-clock time varies run to run and machine to
+// machine, and must not be mixed into deterministic output.
 type Report struct {
 	// Jobs is the number of jobs executed.
 	Jobs int
@@ -35,58 +35,6 @@ type Report struct {
 	Workers int
 	// Wall is the wall-clock duration of the whole Run call.
 	Wall time.Duration
-	// JobWall holds the wall-clock duration of each job, indexed like the
-	// job list.
-	JobWall []time.Duration
-	// Steals counts how many times an idle worker took work from another
-	// worker's share.
-	Steals int
-}
-
-// ranges tracks each worker's remaining contiguous share of the job index
-// space and implements stealing. A single mutex is enough: the critical
-// section is a few integer operations, orders of magnitude cheaper than any
-// simulation job.
-type ranges struct {
-	mu     sync.Mutex
-	lo, hi []int
-	steals int
-}
-
-// next returns the next job index for worker w, stealing the upper half of
-// the largest remaining share when w's own share is empty. The second
-// result is false when no work remains anywhere.
-func (r *ranges) next(w int) (int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lo[w] < r.hi[w] {
-		i := r.lo[w]
-		r.lo[w]++
-		return i, true
-	}
-	// Steal from the victim with the most remaining work.
-	victim, best := -1, 0
-	for j := range r.lo {
-		if rem := r.hi[j] - r.lo[j]; rem > best {
-			victim, best = j, rem
-		}
-	}
-	if victim < 0 {
-		return 0, false
-	}
-	r.steals++
-	if best == 1 {
-		// Nothing to split; take the last job directly.
-		i := r.lo[victim]
-		r.lo[victim]++
-		return i, true
-	}
-	mid := r.lo[victim] + best/2
-	r.lo[w], r.hi[w] = mid, r.hi[victim]
-	r.hi[victim] = mid
-	i := r.lo[w]
-	r.lo[w]++
-	return i, true
 }
 
 // Run executes fn(i) for every i in [0, n) on a pool of workers and returns
@@ -107,46 +55,32 @@ func Run[T any](n, workers int, fn func(i int) T) ([]T, Report) {
 		workers = n
 	}
 	out := make([]T, n)
-	rep := Report{Jobs: n, Workers: workers, JobWall: make([]time.Duration, n)}
+	rep := Report{Jobs: n, Workers: workers}
 	start := time.Now()
-	if n == 0 {
-		rep.Wall = time.Since(start)
-		return out, rep
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			t0 := time.Now()
+	if workers <= 1 {
+		for i := range out {
 			out[i] = fn(i)
-			rep.JobWall[i] = time.Since(t0)
 		}
 		rep.Wall = time.Since(start)
 		return out, rep
 	}
 
-	// Partition [0, n) into near-equal contiguous shares.
-	r := &ranges{lo: make([]int, workers), hi: make([]int, workers)}
-	for w := 0; w < workers; w++ {
-		r.lo[w] = w * n / workers
-		r.hi[w] = (w + 1) * n / workers
-	}
+	var next atomic.Int64 // the next job index nobody has taken
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
-				i, ok := r.next(w)
-				if !ok {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				t0 := time.Now()
 				out[i] = fn(i)
-				rep.JobWall[i] = time.Since(t0)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	rep.Steals = r.steals
 	rep.Wall = time.Since(start)
 	return out, rep
 }

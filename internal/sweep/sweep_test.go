@@ -32,7 +32,7 @@ func TestRunExecutesEveryJobOnce(t *testing.T) {
 }
 
 // Results must be identical across worker counts even when job durations
-// are wildly skewed (which forces stealing).
+// are wildly skewed.
 func TestRunDeterministicUnderSkew(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(42))
@@ -56,20 +56,26 @@ func TestRunDeterministicUnderSkew(t *testing.T) {
 	}
 }
 
-// A grossly unbalanced initial partition must be rebalanced by stealing:
-// with 4 workers and every job's cost concentrated in the first quarter,
-// the idle workers must pick up part of it.
-func TestRunSteals(t *testing.T) {
+// A grossly skewed load must spread over the pool: with 4 workers and every
+// job's cost concentrated in the first quarter of the index space, no single
+// worker may be left to run that quarter alone, one job after another.
+func TestRunBalancesSkew(t *testing.T) {
 	const n = 40
+	var running atomic.Int32
+	var overlapped atomic.Bool
 	job := func(i int) int {
 		if i < 10 {
+			if running.Add(1) > 1 {
+				overlapped.Store(true)
+			}
 			time.Sleep(2 * time.Millisecond)
+			running.Add(-1)
 		}
 		return i
 	}
-	_, rep := Run(n, 4, job)
-	if rep.Steals == 0 {
-		t.Fatal("no steals despite a skewed load")
+	Run(n, 4, job)
+	if !overlapped.Load() {
+		t.Fatal("the costly jobs ran one at a time despite three idle workers")
 	}
 }
 
