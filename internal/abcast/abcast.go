@@ -65,7 +65,11 @@ type Group interface {
 	// Call before Start.
 	SetObserver(o *observe.Observer)
 	// SetDeliver installs fn as the group's delivery hook, replacing any
-	// previous one: it runs for every delivery at every replica.
+	// previous one: it runs for every delivery at every replica. payload
+	// belongs to the system and is only fn's for the call — Acuerdo recycles
+	// the bytes once the whole group has committed past them — so a handler
+	// that keeps payload past its own return copies it first (the rule ring
+	// views carry).
 	SetDeliver(fn func(replica int, payload []byte))
 	// Start boots the group (replicas elect a first leader).
 	Start()

@@ -54,7 +54,9 @@ type Cluster struct {
 	requests *abcast.Client
 
 	// OnDeliver, if set, observes every delivery at every replica (after
-	// protocol processing); used by tests and the KV store.
+	// protocol processing); used by tests and the KV store. payload is the
+	// replica log's copy (see Replica.OnDeliver): a handler that keeps it
+	// past its own return copies it first.
 	OnDeliver func(replica int, hdr MsgHdr, payload []byte)
 }
 

@@ -447,36 +447,6 @@ func TestOldEpochMessagesDiscarded(t *testing.T) {
 	}
 }
 
-func TestLogTrim(t *testing.T) {
-	sim, c, chk := newTestCluster(t, 3, 11)
-	sim.RunFor(20 * time.Millisecond)
-	for i := uint64(1); i <= 300; i++ {
-		payload := make([]byte, 16)
-		abcast.PutMsgID(payload, i)
-		chk.OnBroadcast(i)
-		c.Submit(payload, nil)
-	}
-	sim.RunFor(40 * time.Millisecond)
-	before := c.Leader().LogLen()
-	for _, r := range c.Replicas {
-		r.TrimLog()
-	}
-	after := c.Leader().LogLen()
-	if after >= before || after > 10 {
-		t.Fatalf("trim ineffective: %d -> %d", before, after)
-	}
-	// The group still works after trimming.
-	payload := make([]byte, 16)
-	abcast.PutMsgID(payload, 1000)
-	chk.OnBroadcast(1000)
-	done := false
-	c.Submit(payload, func() { done = true })
-	sim.RunFor(10 * time.Millisecond)
-	if !done {
-		t.Fatal("commit failed after trim")
-	}
-}
-
 func TestElectionsAreFast(t *testing.T) {
 	// Without injected scheduler noise an election (suspicion to first
 	// broadcast capability) completes in tens of microseconds.

@@ -3,8 +3,10 @@ package acuerdo
 import (
 	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func hdr(r, l, c uint32) MsgHdr { return MsgHdr{E: Epoch{r, PID(l)}, Cnt: c} }
@@ -153,7 +155,12 @@ func TestDiffApplicationIdempotent(t *testing.T) {
 			}
 		}
 		from := hdr(1, 1, uint32(rng.Intn(20)))
-		entries := append([]Entry(nil), l.RangeClosed(from, hdr(1, 1, 20))...)
+		// A diff record is its own buffer: what RangeClosed hands out dies
+		// with the entries RemoveFrom is about to delete.
+		var entries []Entry
+		for _, e := range l.RangeClosed(from, hdr(1, 1, 20)) {
+			entries = append(entries, Entry{Hdr: e.Hdr, Payload: bytes.Clone(e.Payload)})
+		}
 		apply := func() {
 			l.RemoveFrom(from)
 			for _, e := range entries {
@@ -161,14 +168,14 @@ func TestDiffApplicationIdempotent(t *testing.T) {
 			}
 		}
 		apply()
-		snap1 := append([]Entry(nil), l.RangeClosed(MsgHdr{}, hdr(9, 9, 9))...)
+		snap1 := append([]Entry(nil), l.RangeClosed(MsgHdr{}, hdr(9, 9, 9))...) // headers only: the second apply replaces the bytes
 		apply()
 		snap2 := l.RangeClosed(MsgHdr{}, hdr(9, 9, 9))
 		if len(snap1) != len(snap2) {
 			t.Fatalf("trial %d: lengths differ", trial)
 		}
 		for i := range snap1 {
-			if snap1[i].Hdr != snap2[i].Hdr {
+			if snap1[i].Hdr != snap2[i].Hdr || !bytes.Equal(snap2[i].Payload, []byte{byte(snap2[i].Hdr.Cnt)}) {
 				t.Fatalf("trial %d: entry %d differs", trial, i)
 			}
 		}
@@ -234,4 +241,252 @@ func TestLogOwnsPayload(t *testing.T) {
 		l.Insert(Entry{Hdr: hdr(1, 1, c), Payload: pattern(c, size(c))})
 	}
 	check(11, 160)
+}
+
+// refLog is the Log this package had before the deque and the counted arena:
+// a sorted slice, copy-down trims, and one fresh allocation per payload (so
+// nothing it holds is ever recycled). TestLogModel runs the real Log against
+// it.
+type refLog struct{ entries []Entry }
+
+func (l *refLog) search(h MsgHdr) int {
+	return sort.Search(len(l.entries), func(i int) bool { return !l.entries[i].Hdr.Less(h) })
+}
+
+func (l *refLog) Insert(e Entry) {
+	e.Payload = bytes.Clone(e.Payload)
+	i := l.search(e.Hdr)
+	if i < len(l.entries) && l.entries[i].Hdr == e.Hdr {
+		l.entries[i] = e
+		return
+	}
+	l.entries = append(l.entries, Entry{})
+	copy(l.entries[i+1:], l.entries[i:])
+	l.entries[i] = e
+}
+
+func (l *refLog) Get(h MsgHdr) *Entry {
+	if i := l.search(h); i < len(l.entries) && l.entries[i].Hdr == h {
+		return &l.entries[i]
+	}
+	return nil
+}
+
+func (l *refLog) RemoveFrom(h MsgHdr) { l.entries = l.entries[:l.search(h)] }
+
+func (l *refLog) TrimBelow(h MsgHdr) {
+	if i := l.search(h); i > 0 {
+		l.entries = append(l.entries[:0], l.entries[i:]...)
+	}
+}
+
+func (l *refLog) RangeOpen(lo, hi MsgHdr) []Entry {
+	i := l.search(lo)
+	if i < len(l.entries) && l.entries[i].Hdr == lo {
+		i++
+	}
+	return l.entries[i:l.search(hi)]
+}
+
+func (l *refLog) RangeClosed(lo, hi MsgHdr) []Entry {
+	i, j := l.search(lo), l.search(hi)
+	if j < len(l.entries) && l.entries[j].Hdr == hi {
+		j++
+	}
+	return l.entries[i:j]
+}
+
+func (l *refLog) Last() *Entry {
+	if len(l.entries) == 0 {
+		return nil
+	}
+	return &l.entries[len(l.entries)-1]
+}
+
+// TestLogModel drives Log and refLog with the same random program — in-order
+// and out-of-order inserts, same-header replacements, payloads from empty to
+// larger than a chunk, RemoveFrom and TrimBelow at random cuts — and after
+// every step compares Len, Get, both Ranges, Last and the bytes of every live
+// payload. A chunk recycled under a live entry, a miscounted chunk or a stale
+// slot left in the deque shows up as a payload that changed.
+func TestLogModel(t *testing.T) {
+	same := func(step int, what string, got, want []Entry) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %s has %d entries, want %d", step, what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Hdr != want[i].Hdr || !bytes.Equal(got[i].Payload, want[i].Payload) {
+				t.Fatalf("step %d: %s entry %d is %v (%d bytes), want %v (%d bytes) with the bytes it was inserted with",
+					step, what, i, got[i].Hdr, len(got[i].Payload), want[i].Hdr, len(want[i].Payload))
+			}
+		}
+	}
+	sameEntry := func(step int, what string, got, want *Entry) {
+		t.Helper()
+		if (got == nil) != (want == nil) {
+			t.Fatalf("step %d: %s = %v, want %v", step, what, got, want)
+		}
+		if got != nil {
+			same(step, what, []Entry{*got}, []Entry{*want})
+		}
+	}
+	top := hdr(9, 9, 9)
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var l Log
+		var ref refLog
+		buf := make([]byte, 2*logChunk)
+		next := uint32(1) // the next in-order count
+		payload := func() []byte {
+			var n int
+			switch k := rng.Intn(100); {
+			case k < 5:
+				n = 0
+			case k < 8:
+				n = logChunk + rng.Intn(logChunk) // oversize
+			case k < 40:
+				n = 4000 + rng.Intn(8000) // a few per chunk
+			default:
+				n = 1 + rng.Intn(1200)
+			}
+			p := buf[:n]
+			rng.Read(p)
+			return p
+		}
+		insert := func(c uint32) {
+			e := Entry{Hdr: hdr(1, 1, c), Payload: payload()}
+			l.Insert(e)
+			ref.Insert(e)
+			clear(e.Payload) // the caller's buffer is reused at once
+		}
+		for step := 0; step < 3000; step++ {
+			lo := uint32(0)
+			if len(ref.entries) > 0 {
+				lo = ref.entries[0].Hdr.Cnt
+			}
+			switch k := rng.Intn(100); {
+			case k < 55: // in order
+				insert(next)
+				next++
+			case k < 65: // out of order: a gap, filled later or never
+				next += uint32(1 + rng.Intn(3))
+				insert(next)
+				next++
+			case k < 75 && next > lo: // replace, fill a gap, or land just below the head
+				below := min(lo, 2)
+				insert(lo - below + uint32(rng.Intn(int(next-lo+below))))
+			case k < 80 && next > lo:
+				h := hdr(1, 1, lo+uint32(rng.Intn(int(next-lo)+1)))
+				l.RemoveFrom(h)
+				ref.RemoveFrom(h)
+			case next > lo:
+				// Trim like a replica does: usually a little, sometimes all.
+				span := int(next-lo) + 1
+				if rng.Intn(4) > 0 {
+					span = min(span, 40)
+				}
+				h := hdr(1, 1, lo+uint32(rng.Intn(span)))
+				l.TrimBelow(h)
+				ref.TrimBelow(h)
+			}
+			if l.Len() != len(ref.entries) {
+				t.Fatalf("seed %d step %d: Len = %d, want %d", seed, step, l.Len(), len(ref.entries))
+			}
+			same(step, "the whole log", l.RangeClosed(MsgHdr{}, top), ref.entries)
+			sameEntry(step, "Last", l.Last(), ref.Last())
+			a, b := hdr(1, 1, lo+uint32(rng.Intn(int(next-lo)+2))), hdr(1, 1, lo+uint32(rng.Intn(int(next-lo)+2)))
+			if b.Less(a) {
+				a, b = b, a
+			}
+			if a != b { // an empty open interval is not a query the replica makes
+				same(step, "RangeOpen", l.RangeOpen(a, b), ref.RangeOpen(a, b))
+			}
+			same(step, "RangeClosed", l.RangeClosed(a, b), ref.RangeClosed(a, b))
+			sameEntry(step, "Get", l.Get(a), ref.Get(a))
+			if l.head > 0 {
+				for i, e := range l.entries[:l.head] {
+					if e.Hdr != (MsgHdr{}) || e.chunk != 0 || e.Payload != nil {
+						t.Fatalf("seed %d step %d: dead slot %d still holds %v", seed, step, i, e.Hdr)
+					}
+				}
+			}
+		}
+		// The arena's books balance: every live entry is counted in its chunk,
+		// every chunk nobody points into is empty and on the free list or open.
+		live := make([]int, len(l.chunks)+1)
+		for _, e := range l.live() {
+			live[e.chunk]++
+		}
+		free := 0
+		for i, c := range l.chunks {
+			if c.live != live[i+1] {
+				t.Fatalf("seed %d: chunk %d counts %d live entries, %d point into it", seed, i+1, c.live, live[i+1])
+			}
+			if c.live == 0 {
+				if len(c.buf) != 0 {
+					t.Fatalf("seed %d: empty chunk %d still has %d bytes in use", seed, i+1, len(c.buf))
+				}
+				if uint32(i+1) != l.open {
+					free++
+				}
+			}
+		}
+		if free != len(l.free) {
+			t.Fatalf("seed %d: %d empty chunks, %d on the free list", seed, free, len(l.free))
+		}
+		// Dropping everything returns every chunk and leaves no stale slot.
+		l.TrimBelow(top)
+		if l.Len() != 0 || len(l.free)+1 < len(l.chunks) {
+			t.Fatalf("seed %d: after trimming everything, %d entries and %d of %d chunks free", seed, l.Len(), len(l.free), len(l.chunks))
+		}
+		for i, e := range l.entries[:cap(l.entries)] {
+			if e.Payload != nil {
+				t.Fatalf("seed %d: slot %d of the backing array still points at a payload", seed, i)
+			}
+		}
+	}
+}
+
+// TestEntrySize pins the layout the arena's bookkeeping rides on: the chunk id
+// fills the padding after the 12-byte header, so an Entry is as large as it
+// was without it and a log that never trims (every durable run) allocates what
+// it did.
+func TestEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(Entry{}); n != 40 {
+		t.Fatalf("Entry is %d bytes, want 40", n)
+	}
+}
+
+// TestLogSteadyStateAllocFree: a log that is trimmed as it grows — a fixed
+// window of 1000-byte entries, trimmed every few inserts as pushCommitRow
+// does — cycles through the chunks and the deque it already has and allocates
+// nothing, however long it runs.
+func TestLogSteadyStateAllocFree(t *testing.T) {
+	const window, every = 256, 8
+	var l Log
+	p := make([]byte, 1000)
+	e := Epoch{Round: 1, Ldr: 1}
+	cnt := uint32(0)
+	step := func() {
+		cnt++
+		l.Insert(Entry{Hdr: MsgHdr{E: e, Cnt: cnt}, Payload: p})
+		if cnt%every == 0 && cnt > window {
+			l.TrimBelow(MsgHdr{E: e, Cnt: cnt - window})
+		}
+	}
+	for i := 0; i < 8*window; i++ {
+		step()
+	}
+	chunks := len(l.chunks)
+	if got := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4*window; i++ {
+			step()
+		}
+	}); got != 0 {
+		t.Fatalf("%v allocations per %d inserts at a fixed window, want 0", got, 4*window)
+	}
+	if len(l.chunks) != chunks || l.Len() > window+every {
+		t.Fatalf("%d chunks grew to %d, %d entries held at window %d", chunks, len(l.chunks), l.Len(), window)
+	}
 }

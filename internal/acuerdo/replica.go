@@ -170,7 +170,9 @@ type Replica struct {
 	Stats Stats
 
 	// OnDeliver is invoked for every message delivered to the local
-	// application, in total order.
+	// application, in total order. payload is the log's copy and is recycled
+	// once the group has committed past it: a handler that keeps it beyond
+	// its own return copies it first.
 	OnDeliver func(hdr MsgHdr, payload []byte)
 	// OnPoll, if set, runs at the start of every event-loop iteration
 	// (the cluster uses it to drain client request rings).
@@ -195,7 +197,7 @@ func (r *Replica) Committed() MsgHdr { return r.committed }
 // IsLeader reports whether the node currently leads its epoch.
 func (r *Replica) IsLeader() bool { return r.role == Leader }
 
-// LogLen returns the number of log entries held (for GC tests).
+// LogLen returns the number of log entries held (for the trim tests).
 func (r *Replica) LogLen() int { return r.log.Len() }
 
 func (r *Replica) majority() int { return r.N/2 + 1 }
@@ -545,8 +547,9 @@ func (r *Replica) deliverEntry(e Entry) {
 
 // pushCommitRow periodically publishes Committed plus a heartbeat to every
 // peer (Figure 6 lines 93-95). This is off the commit critical path for the
-// leader and doubles as the liveness signal for the failure detector. In
-// durable mode the same cadence group-commits the WAL tail.
+// leader and doubles as the liveness signal for the failure detector. The
+// same cadence trims a volatile replica's log below the group's stability
+// frontier and, in durable mode, group-commits the WAL tail.
 func (r *Replica) pushCommitRow() {
 	now := r.Sim.Now()
 	if now.Sub(r.lastCommitPush) < r.Cfg.CommitPushInterval {
@@ -556,7 +559,14 @@ func (r *Replica) pushCommitRow() {
 	r.hb++
 	r.commitSST.Set(CommitRow{Hdr: r.committed, HB: r.hb})
 	r.commitSST.PushMine()
-	if r.store != nil && r.walPos > r.walQueued {
+	if r.store == nil {
+		// Volatile: forget what the whole group has committed. It is host
+		// bookkeeping, not protocol work — no simulated CPU, no trace event.
+		// A replica with a store keeps its whole log: there the frontier must
+		// be each member's recovered WAL frontier, which a restarted member
+		// does not publish yet (ROADMAP 1(iv)).
+		r.log.TrimBelow(r.stableFrontier())
+	} else if r.walPos > r.walQueued {
 		n := r.walPos
 		r.walQueued = n
 		r.store.Flush(func(err error) {
@@ -704,6 +714,22 @@ func (r *Replica) becomeLeader() {
 	}
 }
 
+// stableFrontier returns the header every member is known to have committed:
+// the minimum commit row over the whole group as this replica sees it, live
+// members and down ones alike. A down volatile member keeps its memory, so its
+// frozen row holds the frontier where it stopped until it rejoins. Rows only
+// grow, and becomeLeader cuts every diff from one of them, so nothing below
+// the frontier is ever asked of this replica again.
+func (r *Replica) stableFrontier() MsgHdr {
+	low := r.commitSST.Get(0).Hdr
+	for k := 1; k < r.N; k++ {
+		if row := r.commitSST.Get(k).Hdr; row.Less(low) {
+			low = row
+		}
+	}
+	return low
+}
+
 // releaseRings frees broadcast ring slots. Acuerdo reuses a slot as soon as
 // the receiver has *accepted* the message; the ReleaseOnCommit ablation
 // only frees slots committed at all nodes (Derecho's policy, which couples
@@ -713,12 +739,7 @@ func (r *Replica) releaseRings() {
 		return
 	}
 	if r.Cfg.ReleaseOnCommit {
-		low := r.commitSST.Get(0).Hdr
-		for k := 1; k < r.N; k++ {
-			if row := r.commitSST.Get(k).Hdr; row.Less(low) {
-				low = row
-			}
-		}
+		low := r.stableFrontier()
 		for j := 0; j < r.N; j++ {
 			if j == int(r.ID) {
 				continue
@@ -768,20 +789,5 @@ func (r *Replica) pruneSent() {
 				r.relPtr[j] -= min
 			}
 		}
-	}
-}
-
-// TrimLog garbage-collects log entries below the minimum committed header
-// across the group (safe: diffs are built from per-node committed rows,
-// all of which are >= this bound).
-func (r *Replica) TrimLog() {
-	low := r.commitSST.Get(0).Hdr
-	for k := 1; k < r.N; k++ {
-		if row := r.commitSST.Get(k).Hdr; row.Less(low) {
-			low = row
-		}
-	}
-	if !low.IsZero() {
-		r.log.TrimBelow(low)
 	}
 }
