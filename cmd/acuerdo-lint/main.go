@@ -2,12 +2,12 @@
 // RDMA-contract lint suite in internal/lint. It type-checks the requested
 // packages and runs every analyzer over the packages it applies to (scope is
 // per analyzer — see lint.Analyzer.InScope: internal/sweep is exempt from the
-// determinism passes, internal/rdma from the contract passes, and exportdoc
+// determinism passes, internal/rdma from mrlifetime, and exportdoc
 // covers only the harness API packages).
 //
 // Usage:
 //
-//	go run ./cmd/acuerdo-lint [-analyzers=cqorder,mrlifetime,...] [-json] [packages]
+//	go run ./cmd/acuerdo-lint [-analyzers=mrlifetime,ringview,...] [-json] [packages]
 //
 // With no package arguments it checks ./.... Findings print as
 // file:line:col: message (analyzer); with -json the full result (diagnostics

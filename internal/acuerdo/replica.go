@@ -102,6 +102,9 @@ type Stats struct {
 	SSTPushes  uint64 // acceptance pushes (for the ack-batching ablation)
 }
 
+// sentRec is one broadcast or diff the leader put on its rings: the header a
+// peer's acceptance (or commit) row must reach before ring index idx toward
+// that peer can be released.
 type sentRec struct {
 	hdr MsgHdr
 	idx uint64
@@ -149,7 +152,11 @@ type Replica struct {
 	WonAt        simnet.Time
 	ElectionTook time.Duration
 
+	// Release bookkeeping. Records are numbered from the first ever sent;
+	// sent[0] is record sentBase, and relPtr[j] is the first record peer j
+	// has yet to pass. pruneSent keeps sent within twice the in-flight window.
 	sent     []sentRec
+	sentBase int
 	relPtr   []int
 	released []uint64
 
@@ -272,7 +279,7 @@ func (r *Replica) restartDurable() {
 	r.accepted, r.committed, r.next = MsgHdr{}, MsgHdr{}, MsgHdr{}
 	r.eCur, r.eNew = Epoch{}, Epoch{}
 	r.count = 0
-	r.sent = nil
+	r.sent, r.sentBase = nil, 0
 	for j := range r.relPtr {
 		r.relPtr[j] = 0
 		r.released[j] = 0
@@ -352,7 +359,7 @@ func (r *Replica) drainRings() {
 			if err != nil {
 				continue // corrupt record; drop
 			}
-			r.Node.Proc.Pause(r.Cfg.PerMsgCost)
+			r.Node.Proc.Charge(r.Cfg.PerMsgCost)
 			if !isDiff {
 				// Normal message acceptance (line 47).
 				if hdr.E == r.eNew && hdr.E == r.eCur {
@@ -438,7 +445,7 @@ func (r *Replica) Broadcast(payload []byte) bool {
 	// behind the ring header straight into each follower's wire frame.
 	var mh [msgHdrSize]byte
 	putMsgHdr(mh[:], hdr, kindNormal)
-	r.Node.Proc.Pause(r.Cfg.PerMsgCost)
+	r.Node.Proc.Charge(r.Cfg.PerMsgCost)
 	var idx uint64
 	for j := 0; j < r.N; j++ {
 		if j == int(r.ID) {
@@ -519,7 +526,7 @@ func (r *Replica) commitTask() {
 }
 
 func (r *Replica) deliverEntry(e Entry) {
-	r.Node.Proc.Pause(r.Cfg.DeliverCost)
+	r.Node.Proc.Charge(r.Cfg.DeliverCost)
 	r.obs.AcuerdoCommit(int(r.ID), int64(r.Sim.Now()), e.Hdr.E.Round, uint32(e.Hdr.E.Ldr), e.Hdr.Cnt, trace.ID(e.Payload))
 	r.committed = e.Hdr
 	r.Stats.Delivered++
@@ -758,7 +765,7 @@ func (r *Replica) releaseRings() {
 }
 
 func (r *Replica) advanceRelease(j int, upTo MsgHdr) {
-	p := r.relPtr[j]
+	p := r.relPtr[j] - r.sentBase
 	moved := false
 	for p < len(r.sent) && r.sent[p].hdr.LessEq(upTo) {
 		r.released[j] = r.sent[p].idx
@@ -766,28 +773,24 @@ func (r *Replica) advanceRelease(j int, upTo MsgHdr) {
 		moved = true
 	}
 	if moved {
-		r.relPtr[j] = p
+		r.relPtr[j] = r.sentBase + p
 		r.out.Release(r.fabIDs[j], r.released[j])
 	}
 }
 
-// pruneSent drops release bookkeeping every replica has passed.
+// pruneSent forgets the records every peer has passed: once they are at
+// least half of sent, the live tail moves down over them. A prune copies no
+// more records than it frees, and sent stays within twice the in-flight
+// window however many records pass through.
 func (r *Replica) pruneSent() {
-	min := len(r.sent)
+	min := r.sentBase + len(r.sent)
 	for j := 0; j < r.N; j++ {
-		if j == int(r.ID) {
-			continue
-		}
-		if r.relPtr[j] < min {
+		if j != int(r.ID) && r.relPtr[j] < min {
 			min = r.relPtr[j]
 		}
 	}
-	if min > 4096 {
-		r.sent = append(r.sent[:0], r.sent[min:]...)
-		for j := range r.relPtr {
-			if j != int(r.ID) {
-				r.relPtr[j] -= min
-			}
-		}
+	if dead := min - r.sentBase; dead >= len(r.sent)-dead {
+		n := copy(r.sent, r.sent[dead:])
+		r.sent, r.sentBase = r.sent[:n], min
 	}
 }

@@ -36,15 +36,17 @@ func loadLoop(sim *simnet.Sim, c *Cluster, chk *abcast.Checker, window, size int
 // window, not its length": a volatile group under a closed loop holds, after
 // T and after 10·T, the same handful of log entries (the window plus what a
 // commit-push interval and the followers' lag add) in the same few arena
-// chunks at every replica, however many messages went through. Not shortened
-// under -short: the race lane runs it at full depth.
+// chunks at every replica, however many messages went through — and its
+// leader the same handful of ring-release records (what no peer has accepted
+// yet) in an array that stopped growing at the window. Not shortened under
+// -short: the race lane runs it at full depth.
 func TestLogBoundedState(t *testing.T) {
 	const (
 		window, size = 16, 1000
 		T            = 2 * time.Millisecond
 		maxLen       = 2 * window
 	)
-	run := func(d time.Duration) (delivered uint64, chunks int) {
+	run := func(d time.Duration) (delivered uint64, chunks, sentCap int) {
 		sim, c, chk := newTestCluster(t, 3, 11)
 		sim.RunFor(20 * time.Millisecond)
 		stop := false
@@ -66,16 +68,24 @@ func TestLogBoundedState(t *testing.T) {
 		if err := chk.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return c.Leader().Stats.Delivered, chunks
+		ldr := c.Leader()
+		t.Logf("after %v: leader holds %d release records of %d sent, room for %d", d, len(ldr.sent), ldr.sentBase+len(ldr.sent), cap(ldr.sent))
+		if n := len(ldr.sent); n > maxLen {
+			t.Errorf("after %v: leader holds %d release records of %d sent, want <= %d", d, n, ldr.sentBase+n, maxLen)
+		}
+		return ldr.Stats.Delivered, chunks, cap(ldr.sent)
 	}
-	short, shortChunks := run(T)
-	long, longChunks := run(10 * T)
+	short, shortChunks, shortSent := run(T)
+	long, longChunks, longSent := run(10 * T)
 	if short < 20*window || long < 8*short {
 		t.Fatalf("delivered %d in %v and %d in %v: not the load this test is about", short, T, long, 10*T)
 	}
 	// Two: the chunk the live entries sit in and the one they spill into.
 	if shortChunks != longChunks || longChunks > 2 {
 		t.Fatalf("%d arena chunks after %v, %d after %v: want the same, and <= 2", shortChunks, T, longChunks, 10*T)
+	}
+	if shortSent != longSent || longSent > 4*maxLen {
+		t.Fatalf("room for %d release records after %v, %d after %v: want the same, and <= %d", shortSent, T, longSent, 10*T, 4*maxLen)
 	}
 }
 
@@ -178,5 +188,43 @@ func TestStoreKeepsWholeLog(t *testing.T) {
 	}
 	if err := chk.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLeaderBusyTimeCountsCharges: a leader's BusyTime is every nanosecond it
+// was charged — poll iterations, verb posts, and the per-message and
+// per-delivery costs booked with Proc.Charge — so it is never less than the
+// sum of what the leader's own counters say it was charged.
+func TestLeaderBusyTimeCountsCharges(t *testing.T) {
+	const window, size = 256, 1000
+	sim, c, chk := newTestCluster(t, 7, 3)
+	sim.RunFor(20 * time.Millisecond)
+	stop := false
+	loadLoop(sim, c, chk, window, size, &stop)
+	sim.RunFor(time.Millisecond)
+
+	ldr := c.Leader()
+	polls, clientPoll := 0, ldr.OnPoll
+	ldr.OnPoll = func() { polls++; clientPoll() }
+	proc := ldr.Node.Proc
+	busy0, writes0, stats0, t0 := proc.BusyTime(), ldr.Node.Writes, ldr.Stats, sim.Now()
+	sim.RunFor(2 * time.Millisecond)
+	busy, elapsed := proc.BusyTime()-busy0, sim.Now().Sub(t0)
+	if c.Leader() != ldr || chk.Err() != nil {
+		t.Fatalf("leader changed or order lost under load: %v", chk.Err())
+	}
+
+	// polls-1: the iteration in flight at t0 was charged before it.
+	floor := time.Duration(polls-1)*ldr.Cfg.PollCost +
+		time.Duration(ldr.Node.Writes-writes0)*c.Fabric.Params.PostCost +
+		time.Duration(ldr.Stats.Broadcasts-stats0.Broadcasts)*ldr.Cfg.PerMsgCost +
+		time.Duration(ldr.Stats.Delivered-stats0.Delivered)*ldr.Cfg.DeliverCost
+	t.Logf("leader busy %v of %v (%.2f); polls, posts, broadcasts and deliveries alone account for %v",
+		busy, elapsed, float64(busy)/float64(elapsed), floor)
+	if busy < floor {
+		t.Fatalf("BusyTime moved %v in %v, less than the %v the leader was charged", busy, elapsed, floor)
+	}
+	if busy < elapsed/2 || busy > elapsed {
+		t.Fatalf("a leader at window %d reads %.2f busy, want a loaded CPU and at most 1", window, float64(busy)/float64(elapsed))
 	}
 }

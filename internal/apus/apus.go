@@ -120,9 +120,9 @@ func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Cluster {
 	for i := 1; i < cfg.N; i++ {
 		c.logMRs[i] = c.nodes[i].RegisterMemory(cfg.LogSlots * cfg.SlotBytes)
 		c.commitMRs[i] = c.nodes[i].RegisterMemory(8)
-		c.logQPs[i] = leader.Connect(c.nodes[i], rdma.NewCQ())
-		c.commitQPs[i] = leader.Connect(c.nodes[i], rdma.NewCQ())
-		c.ackQPs[i] = c.nodes[i].Connect(leader, rdma.NewCQ())
+		c.logQPs[i] = leader.Connect(c.nodes[i])
+		c.commitQPs[i] = leader.Connect(c.nodes[i])
+		c.ackQPs[i] = c.nodes[i].Connect(leader)
 	}
 
 	c.link = ringbuf.NewClientLink(c.client, c.nodes[:1])
@@ -185,7 +185,7 @@ func (c *Cluster) sendBatch() {
 	for _, payload := range batch {
 		idx := c.nextIdx
 		c.nextIdx++
-		leader.Proc.Pause(c.cfg.InstanceCost)
+		leader.Proc.Charge(c.cfg.InstanceCost)
 		if c.store[0] == nil {
 			c.store[0] = [][]byte{nil}
 		}
@@ -259,7 +259,7 @@ func (c *Cluster) acceptorPoll(i int) {
 		copy(payload, buf[off+slotHdr:off+slotHdr+ln])
 		c.store[i] = append(c.store[i], payload)
 		c.seen[i] = next
-		c.nodes[i].Proc.Pause(c.cfg.AcceptorCost)
+		c.nodes[i].Proc.Charge(c.cfg.AcceptorCost)
 		if tr := c.Sim.Tracer(); tr != nil {
 			tr.Instant(trace.KAccept, c.nodes[i].ID, int64(c.Sim.Now()), trace.ID(payload), int64(next))
 			tr.Add(trace.CtrAccepts, 1)

@@ -397,7 +397,7 @@ func (nd *node) drain() {
 		}
 		recs := nd.in[s].Poll(0)
 		for _, rec := range recs {
-			nd.rn.Proc.Pause(nd.g.Cfg.PerMsgCost)
+			nd.rn.Proc.Charge(nd.g.Cfg.PerMsgCost)
 			kind := rec[0]
 			payload := rec[1:]
 			if kind == kView {
@@ -471,7 +471,7 @@ func (nd *node) deliver() {
 		nd.nd[s] = idx + 1
 		nd.rotPos++
 		if pm.kind == kData {
-			nd.rn.Proc.Pause(nd.g.Cfg.PerMsgCost)
+			nd.rn.Proc.Charge(nd.g.Cfg.PerMsgCost)
 			if len(pm.payload) >= 8 {
 				nd.deliv[binary.LittleEndian.Uint64(pm.payload)] = true
 			}

@@ -2,8 +2,9 @@
 // replicated hash table whose update commands (create, set, delete) are
 // replicated through an atomic broadcast engine, with every replica holding
 // a complete copy. Reads can be served directly from any replica — with
-// Acuerdo they bypass the broadcast instance entirely (the client reads
-// replica memory with a one-sided RDMA read).
+// Acuerdo they bypass the broadcast instance entirely (in the paper the
+// client reads replica memory with a one-sided RDMA read; here Get reads the
+// replica's copy in place and costs nothing on the simulated fabric).
 package kvstore
 
 import (

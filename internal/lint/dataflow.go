@@ -1,7 +1,7 @@
 package lint
 
 // This file implements the function-local def-use/dataflow engine that powers
-// the RDMA contract analyzers (cqorder, mrlifetime, ringview). The design, in the order
+// the RDMA contract analyzers (mrlifetime, ringview). The design, in the order
 // a run proceeds (DESIGN.md §6.6 has the full treatment):
 //
 //  1. Access paths. Values are named by normalized access paths over the
@@ -32,15 +32,14 @@ package lint
 //     iterates to fixpoint — gen/kill transfer over a finite bit lattice is
 //     monotone, so termination is structural. A final report pass replays
 //     each reachable block from its fixed input and hands every statement its
-//     pre-state, which is what "a read on some path not passing through a
-//     poll" means operationally.
+//     pre-state, which is what "a use on some path passing through a
+//     release" means operationally.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -259,25 +258,6 @@ func (env *pathEnv) canon(path string) string {
 		path = env.alias[pre] + rest
 	}
 	return path
-}
-
-// origins returns the canonical derivation chain of path, starting at
-// canon(path) and climbing derived-from edges of any prefix; used to answer
-// "is this value owned by a released fabric".
-func (env *pathEnv) origins(path string) []string {
-	var out []string
-	seen := map[string]bool{}
-	cur := env.canon(path)
-	for hop := 0; hop < 16 && cur != "" && !seen[cur]; hop++ {
-		seen[cur] = true
-		out = append(out, cur)
-		pre, _, ok := env.longestPrefix(env.derived, cur)
-		if !ok {
-			break
-		}
-		cur = env.canon(env.derived[pre])
-	}
-	return out
 }
 
 // longestPrefix finds the longest key of m that is path itself or a proper
@@ -730,13 +710,41 @@ func applyNode(n ast.Node, f facts, fn func(ast.Node, facts)) {
 	walkSkippingFuncLits(n, func(sub ast.Node) { fn(sub, f) })
 }
 
-// sortedPaths returns the keys of f in stable order (test helper and
-// deterministic-diagnostic support).
-func sortedPaths(f facts) []string {
-	out := make([]string, 0, len(f))
-	for k := range f {
-		out = append(out, k)
+// accessExpr returns n as a reportable value access — a selector chain or a
+// plain identifier *use* (an aliased buffer read like `b := mr.Buf; b[0]`
+// surfaces as an Ident whose canonical path ends in .Buf). Defining
+// occurrences return nil: the definition's right-hand side carries the read.
+func accessExpr(info *types.Info, n ast.Node) ast.Expr {
+	switch e := n.(type) {
+	case *ast.SelectorExpr:
+		return e
+	case *ast.Ident:
+		if info.Defs[e] != nil {
+			return nil
+		}
+		return e
 	}
-	sort.Strings(out)
-	return out
+	return nil
+}
+
+// killDefines applies the strong update of an assignment: facts on redefined
+// left-hand sides are cleared, unless the assignment records an alias (then
+// the canonical region's state must survive).
+func killDefines(env *pathEnv, f facts, st *ast.AssignStmt) {
+	if len(st.Lhs) != len(st.Rhs) {
+		return
+	}
+	for i := range st.Lhs {
+		lp := pathOf(env.info, st.Lhs[i])
+		if lp == "" {
+			continue
+		}
+		// An alias assignment (rhs has a path of its own) keeps the canonical
+		// region's state; a fresh value — including the self-assignment the
+		// CFG synthesizes at range heads — is a strong update.
+		if rp := pathOf(env.info, st.Rhs[i]); rp != "" && rp != lp {
+			continue
+		}
+		f.killPrefix(env.canon(lp))
+	}
 }

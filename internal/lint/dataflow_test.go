@@ -113,20 +113,19 @@ func f(c *outer) {
 
 func TestPathEnvOrigins(t *testing.T) {
 	// Hand-built environment: mr derives from n, n derives from f, and b
-	// aliases mr.Buf. origins(b) must climb all the way to f.
+	// aliases mr.Buf. A release of f must reach b by climbing every
+	// derived-from edge; a release of an unrelated root must not.
 	env := &pathEnv{
 		alias:   map[string]string{"b#1": "mr#2.Buf"},
 		derived: map[string]string{"mr#2": "n#3", "n#3": "f#4"},
 	}
-	got := env.origins("b#1")
-	want := []string{"mr#2.Buf", "n#3", "f#4"}
-	if len(got) != len(want) {
-		t.Fatalf("origins = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("origins = %v, want %v", got, want)
+	for _, root := range []string{"mr#2.Buf", "mr#2", "n#3", "f#4"} {
+		if !releasedOrigin(env, facts{root: mrReleased}, "b#1") {
+			t.Errorf("release of %s does not reach b#1", root)
 		}
+	}
+	if releasedOrigin(env, facts{"g#5": mrReleased, "mr#2.Len": mrReleased}, "b#1") {
+		t.Error("b#1 reported released through a path it does not derive from")
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package lint implements the determinism and RDMA-contract lint suite that
 // guards the simulation's core invariants: two runs with the same seed
 // execute the same events and report identical latencies (see
-// internal/simnet), and protocol code honors the post/poll/release contract
-// of internal/rdma. Syntactic analyzers enforce the determinism discipline,
-// dataflow analyzers (see dataflow.go and DESIGN.md §6.6) check the ordering
-// properties, and one pass guards the documentation of the harness API:
+// internal/simnet), and protocol code honors the memory-ownership contract
+// of internal/rdma and internal/ringbuf. Syntactic analyzers enforce the
+// determinism discipline, dataflow analyzers (see dataflow.go and DESIGN.md
+// §6.6) check the ownership properties, and one pass guards the
+// documentation of the harness API:
 //
 //   - nowallclock: protocol and fabric code must use the simnet clock and the
 //     Sim's seeded RNG, never the wall clock (time.Now, time.Sleep, ...) or
@@ -18,8 +19,6 @@
 //     the virtual clock.
 //   - hostblock: simulation-driven packages must not declare or operate on
 //     host channels, nor reach for sync / sync/atomic primitives.
-//   - cqorder (dataflow): an MR targeted by a posted work request may not be
-//     touched until a CQ.Poll observes the completion.
 //   - mrlifetime (dataflow): no use of fabric-owned memory after
 //     Fabric.Release returns it to the process-wide MR pool.
 //   - ringview (dataflow): a record polled from a ring is a view into ring
@@ -31,7 +30,7 @@
 // runs independent simulations on real goroutines and measures host
 // wall-clock, so nowallclock, simproc, and hostblock exempt it (per-analyzer
 // InScope) while exportdoc covers it. internal/rdma implements the verbs
-// themselves, so cqorder and mrlifetime exempt it.
+// themselves, so mrlifetime exempts it.
 //
 // Suppression: a finding is waived by "//lint:ignore <analyzer>
 // <justification>" on, or directly above, the offending line. The
@@ -108,7 +107,7 @@ type Diagnostic struct {
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoWallClock, MapOrder, SimProc, ExportDoc, CQOrder, MRLifetime, RingView, HostBlock}
+	return []*Analyzer{NoWallClock, MapOrder, SimProc, ExportDoc, MRLifetime, RingView, HostBlock}
 }
 
 // directiveAnalyzer is the pseudo-analyzer name attached to diagnostics about

@@ -140,10 +140,8 @@ func TestAnalyzerScopes(t *testing.T) {
 		{"simproc", "acuerdo/internal/apus", true},
 		{"hostblock", "acuerdo/internal/rdma", true},
 		{"hostblock", "acuerdo/internal/apus", true},
-		// The contract analyzers exempt the rdma implementation itself.
-		{"cqorder", "acuerdo/internal/rdma", false},
+		// mrlifetime exempts the rdma implementation itself.
 		{"mrlifetime", "acuerdo/internal/rdma", false},
-		{"cqorder", "acuerdo/internal/apus", true},
 		{"mrlifetime", "acuerdo/internal/bench", true},
 		// ringview follows the suite default: every ring consumer, and
 		// ringbuf's own ClientLink.
@@ -187,12 +185,12 @@ func TestAnalyzerScopes(t *testing.T) {
 	}
 }
 
-// TestAnalyzerMetadata keeps the suite's registry stable: eight analyzers,
+// TestAnalyzerMetadata keeps the suite's registry stable: seven analyzers,
 // documented, uniquely named.
 func TestAnalyzerMetadata(t *testing.T) {
 	all := lint.All()
-	if len(all) != 8 {
-		t.Fatalf("All() returned %d analyzers, want 8", len(all))
+	if len(all) != 7 {
+		t.Fatalf("All() returned %d analyzers, want 7", len(all))
 	}
 	seen := map[string]bool{}
 	for _, az := range all {

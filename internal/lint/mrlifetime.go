@@ -8,7 +8,7 @@ import (
 
 // MRLifetime enforces the memory-ownership side of the RDMA contract:
 // Fabric.Release returns every registered region to the process-wide MR pool
-// (DESIGN.md §6.5), so any MR, Node, QP, or CQ obtained from a fabric — and
+// (DESIGN.md §6.5), so any MR, Node, or QP obtained from a fabric — and
 // any alias of one, including aliases parked in struct fields — is dead the
 // moment Release (or bench.Instance.Close, which wraps it) returns. Touching
 // such a value afterwards reads or writes pooled memory that the next
@@ -23,7 +23,7 @@ import (
 // view; DESIGN.md §6.6 lists the unsound cases.
 var MRLifetime = &Analyzer{
 	Name: "mrlifetime",
-	Doc: "forbid using MR/Node/QP/CQ values (or aliases of them) after the " +
+	Doc: "forbid using MR/Node/QP values (or aliases of them) after the " +
 		"owning Fabric.Release or bench Instance.Close (function-local)",
 	// internal/rdma implements Release itself and may touch its own pool.
 	InScope: func(pkgPath string) bool {
@@ -131,7 +131,7 @@ func isFabricValue(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	for _, name := range []string{"MR", "Node", "QP", "CQ", "Fabric"} {
+	for _, name := range []string{"MR", "Node", "QP", "Fabric"} {
 		if namedTypeIs(t, rdmaPkg, name) {
 			return true
 		}

@@ -239,7 +239,7 @@ func (s *Server) pump() {
 		inst := s.nextInst
 		s.nextInst++
 		s.inFlight[inst] = payload
-		s.node.Proc.Pause(s.c.cfg.ProposerOpCost)
+		s.node.Proc.Charge(s.c.cfg.ProposerOpCost)
 		m := enc(mAccept, s.ballot, inst, s.id, payload)
 		s.c.Broadcast(s.id, m)
 		if tr := s.c.Sim.Tracer(); tr != nil {
@@ -298,7 +298,7 @@ func (s *Server) onAccept(ballot, inst uint64, payload []byte) {
 		return
 	}
 	s.promised = ballot
-	s.node.Proc.Pause(s.c.cfg.AcceptorOpCost)
+	s.node.Proc.Charge(s.c.cfg.AcceptorOpCost)
 	pl := append([]byte(nil), payload...)
 	s.accepted[inst] = acceptedVal{ballot: ballot, payload: pl}
 	notify := func() {
@@ -329,7 +329,7 @@ func (s *Server) onAccept(ballot, inst uint64, payload []byte) {
 // onAccepted is phase 2b at the learner: a quorum of acceptors on the same
 // ballot chooses the value; deliver in instance order.
 func (s *Server) onAccepted(ballot, inst uint64, from int, payload []byte) {
-	s.node.Proc.Pause(s.c.cfg.LearnerOpCost)
+	s.node.Proc.Charge(s.c.cfg.LearnerOpCost)
 	lm := s.learned[inst]
 	if lm == nil {
 		lm = make(map[int]uint64)

@@ -443,7 +443,7 @@ func (s *Server) onAppend(m []byte) {
 		off += 12 + ln
 	}
 	if count > 0 {
-		s.node.Proc.Pause(time.Duration(count) * s.c.cfg.FollowerOpCost)
+		s.node.Proc.Charge(time.Duration(count) * s.c.cfg.FollowerOpCost)
 	}
 	// Truncate conflicts, append new entries.
 	for i, e := range entries {

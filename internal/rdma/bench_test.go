@@ -17,8 +17,7 @@ func BenchmarkWRPost(b *testing.B) {
 	f := NewFabric(sim, DefaultParams())
 	src := f.AddNode("src")
 	dst := f.AddNode("dst")
-	cq := NewCQ()
-	qp := src.Connect(dst, cq)
+	qp := src.Connect(dst)
 	mr := dst.RegisterMemory(4096)
 	data := make([]byte, 64)
 
@@ -38,26 +37,27 @@ func BenchmarkWRPost(b *testing.B) {
 	}
 }
 
-// BenchmarkWRPostSignaled includes completion generation and CQ polling.
+// BenchmarkWRPostSignaled signals every write, so each cycle includes the ack
+// and the completion event that frees the send queue.
 func BenchmarkWRPostSignaled(b *testing.B) {
 	sim := simnet.New(1)
 	f := NewFabric(sim, DefaultParams())
 	src := f.AddNode("src")
 	dst := f.AddNode("dst")
-	cq := NewCQ()
-	qp := src.Connect(dst, cq)
+	qp := src.Connect(dst)
+	qp.SignalEvery = 1
 	mr := dst.RegisterMemory(4096)
 	data := make([]byte, 64)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := qp.WriteSignaled(mr, 0, data); err != nil {
+		if _, err := qp.Write(mr, 0, data); err != nil {
 			b.Fatal(err)
 		}
 		sim.RunFor(25 * time.Microsecond)
-		if got := len(cq.Poll()); got != 1 {
-			b.Fatalf("polled %d completions, want 1", got)
+		if qp.outstanding != 0 {
+			b.Fatalf("%d writes unacknowledged after the completion, want 0", qp.outstanding)
 		}
 	}
 }
@@ -75,7 +75,7 @@ func TestWritePostAllocFree(t *testing.T) {
 		}
 		f := NewFabric(sim, DefaultParams())
 		src, dst := f.AddNode("src"), f.AddNode("dst")
-		qp := src.Connect(dst, NewCQ())
+		qp := src.Connect(dst)
 		qp.SignalEvery = 0 // never signaled: the paper's steady state between signals
 		mr := dst.RegisterMemory(4096)
 		small, large := make([]byte, 64), make([]byte, 1012)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"acuerdo/internal/simnet"
 )
 
 // One-way cut semantics: cutting a→b parks a's payloads while b→a traffic
@@ -13,8 +15,8 @@ func TestPartitionOneWayBlocksOnlyThatDirection(t *testing.T) {
 	a, b := f.Node(0), f.Node(1)
 	mrB := b.RegisterMemory(64)
 	mrA := a.RegisterMemory(64)
-	qpAB := a.Connect(b, NewCQ())
-	qpBA := b.Connect(a, NewCQ())
+	qpAB := a.Connect(b)
+	qpBA := b.Connect(a)
 
 	f.PartitionOneWay(0, 1)
 	if !f.CutOneWay(0, 1) || f.CutOneWay(1, 0) {
@@ -48,16 +50,18 @@ func TestPartitionOneWayBlocksOnlyThatDirection(t *testing.T) {
 }
 
 // An in-flight write posted before a reverse-direction cut still lands
-// (the payload is already on the wire), but its completion — whose ack
-// travels the cut direction — parks until the direction heals.
+// (the payload is already on the wire), but its ack travels the cut
+// direction: the completion — and the send-queue slot it frees — waits until
+// the direction heals.
 func TestOneWayCutParksInFlightCompletion(t *testing.T) {
-	sim, f := testFabric(2)
+	sim, f, tr := tracedFabric(2)
+	f.Params.SendQueueDepth = 1
 	a, b := f.Node(0), f.Node(1)
 	mrB := b.RegisterMemory(64)
-	cq := NewCQ()
-	qp := a.Connect(b, cq)
+	qp := a.Connect(b)
+	qp.SignalEvery = 1
 
-	if _, err := qp.WriteSignaled(mrB, 0, []byte("x")); err != nil {
+	if _, err := qp.Write(mrB, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	// Cut the ack path (b→a) while the payload is still in flight a→b.
@@ -66,15 +70,25 @@ func TestOneWayCutParksInFlightCompletion(t *testing.T) {
 	if mrB.Buf[0] != 'x' {
 		t.Fatal("in-flight payload should land despite the reverse cut")
 	}
-	if n := cq.Len(); n != 0 {
-		t.Fatalf("completion crossed the cut ack path: %d entries", n)
+	if n := len(cqes(t, tr)); n != 0 {
+		t.Fatalf("completion crossed the cut ack path: %d KCQE events", n)
+	}
+	if _, err := qp.Write(mrB, 0, []byte("y")); err != ErrSendQueueFull {
+		t.Fatalf("send queue freed without an ack: err = %v", err)
 	}
 
 	f.HealOneWay(1, 0)
+	healed := sim.Now()
 	sim.RunFor(time.Millisecond)
-	comps := cq.Poll()
-	if len(comps) != 1 || comps[0].Status != OK {
+	comps := cqes(t, tr)
+	if len(comps) != 1 || comps[0].Node != 0 || comps[0].A != 1 || Status(comps[0].B) != OK {
 		t.Fatalf("parked completion not flushed on heal: %+v", comps)
+	}
+	if got, want := simnet.Time(comps[0].TS), healed.Add(f.Params.LinkLatency); got != want {
+		t.Fatalf("parked ack arrived at %v, want one link latency after the heal (%v)", got, want)
+	}
+	if _, err := qp.Write(mrB, 0, []byte("y")); err != nil {
+		t.Fatalf("after the ack: %v", err)
 	}
 }
 
@@ -88,7 +102,7 @@ func TestLossWindowDelaysButNeverDrops(t *testing.T) {
 	sim, f := testFabric(2)
 	a, b := f.Node(0), f.Node(1)
 	mrB := b.RegisterMemory(64)
-	qp := a.Connect(b, NewCQ())
+	qp := a.Connect(b)
 
 	f.SetLossOneWay(0, 1, 1.0)
 	if _, err := qp.Write(mrB, 0, []byte("lossy")); err != nil {
@@ -120,7 +134,7 @@ func TestLatencySpikeOneWay(t *testing.T) {
 	sim, f := testFabric(2)
 	a, b := f.Node(0), f.Node(1)
 	mrB := b.RegisterMemory(64)
-	qp := a.Connect(b, NewCQ())
+	qp := a.Connect(b)
 
 	spike := 500 * time.Microsecond
 	f.SetLatencySpikeOneWay(0, 1, spike)
@@ -146,32 +160,6 @@ func TestLatencySpikeOneWay(t *testing.T) {
 	}
 }
 
-// A read whose response path is cut mid-flight parks the data completion
-// until the direction heals.
-func TestReadResponseParksBehindReverseCut(t *testing.T) {
-	sim, f := testFabric(2)
-	a, b := f.Node(0), f.Node(1)
-	mrB := b.RegisterMemory(64)
-	copy(mrB.Buf, []byte("payload"))
-	cq := NewCQ()
-	qp := a.Connect(b, cq)
-
-	if _, err := qp.Read(mrB, 0, 7); err != nil {
-		t.Fatal(err)
-	}
-	f.PartitionOneWay(1, 0)
-	sim.RunFor(time.Millisecond)
-	if cq.Len() != 0 {
-		t.Fatal("read data crossed the cut response path")
-	}
-	f.HealOneWay(1, 0)
-	sim.RunFor(time.Millisecond)
-	comps := cq.Poll()
-	if len(comps) != 1 || comps[0].Status != OK || !bytes.Equal(comps[0].Data, []byte("payload")) {
-		t.Fatalf("read completion wrong after heal: %+v", comps)
-	}
-}
-
 // Parked and direct writes land through one delivery routine: after a heal,
 // parked writes arrive in order with exact bytes, a signaled one completes,
 // and every delivery record and frame is back on its free list with its
@@ -179,18 +167,18 @@ func TestReadResponseParksBehindReverseCut(t *testing.T) {
 // takes the same routine's flush branch.
 func TestParkedWritesShareDeliveryRecord(t *testing.T) {
 	for _, crashTarget := range []bool{false, true} {
-		sim, f := testFabric(2)
+		sim, f, tr := tracedFabric(2)
 		a, b := f.Node(0), f.Node(1)
 		mr := b.RegisterMemory(2048)
-		cq := NewCQ()
-		qp := a.Connect(b, cq)
+		qp := a.Connect(b)
+		qp.SignalEvery = 3 // the third write below asks for the completion
 		first, second := bytes.Repeat([]byte{0xA1}, 1012), []byte("tail")
 
 		qp.Write(mr, 0, []byte("direct"))
 		sim.RunFor(time.Millisecond)
 		f.PartitionOneWay(0, 1)
 		qp.Write(mr, 0, first)
-		qp.WriteSignaled(mr, 1012, second)
+		qp.Write(mr, 1012, second)
 		sim.RunFor(time.Millisecond)
 		if crashTarget {
 			b.Crash()
@@ -198,12 +186,12 @@ func TestParkedWritesShareDeliveryRecord(t *testing.T) {
 		f.HealOneWay(0, 1)
 		sim.RunFor(10 * time.Millisecond)
 
-		comps := cq.Poll()
+		comps := cqes(t, tr)
 		wantStatus := OK
 		if crashTarget {
 			wantStatus = Flushed
 		}
-		if len(comps) != 1 || comps[0].Status != wantStatus || comps[0].WRID != 3 {
+		if len(comps) != 1 || Status(comps[0].B) != wantStatus || comps[0].A != 3 {
 			t.Fatalf("crash=%v: comps = %+v, want one %v for wrid 3", crashTarget, comps, wantStatus)
 		}
 		landed := bytes.Equal(mr.Buf[:1012], first) && bytes.Equal(mr.Buf[1012:1016], second)

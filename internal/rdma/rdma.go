@@ -1,7 +1,7 @@
 // Package rdma simulates the RDMA facilities Acuerdo depends on: reliable
 // connections (queue pairs) with lossless FIFO delivery, registered memory
-// regions, one-sided WRITE and READ verbs that complete without involving the
-// remote CPU, completion queues, and selective signaling.
+// regions, a one-sided WRITE verb that completes without involving the remote
+// CPU, and selective signaling that bounds the send queue.
 //
 // The simulation models the performance-relevant behaviour of a RoCE fabric:
 //
@@ -13,9 +13,13 @@
 //   - delivery is FIFO per queue pair and needs no receiver CPU: payload
 //     bytes appear in the remote memory region and are discovered by
 //     polling;
-//   - completions are acknowledgment-driven and can be batched: an
-//     unsignaled write's completion is implied by the completion of any
-//     later signaled write on the same queue pair (selective signaling).
+//   - a completion is an event inside the queue pair, not something a
+//     consumer polls: the acknowledgment of a signaled write (or its retry
+//     timeout) reaches the sender and frees the send queue of that write and
+//     every earlier one (selective signaling; the paper signals one write
+//     in a thousand for exactly this, §3.2). It says nothing the protocols
+//     may rely on about remote visibility, so nothing else hangs off it
+//     (DESIGN.md §6.10, "What a completion is for").
 //
 // All timing is driven by a simnet.Sim, so runs are deterministic.
 package rdma
@@ -133,8 +137,8 @@ func (f *Fabric) AddNode(name string) *Node {
 func (f *Fabric) Node(id int) *Node { return f.nodes[id] }
 
 // flushParked is the heal hook: it releases the traffic parked on the
-// restored a→b direction — payloads of QPs a→b, and completions of QPs b→a
-// whose acks travel a→b.
+// restored a→b direction — payloads of QPs a→b, and the acks of QPs b→a,
+// which travel a→b.
 func (f *Fabric) flushParked(a, b int) {
 	for _, n := range f.nodes {
 		for _, qp := range n.qps {
@@ -142,7 +146,7 @@ func (f *Fabric) flushParked(a, b int) {
 				qp.flushParked()
 			}
 			if qp.from.ID == b && qp.to.ID == a {
-				qp.flushParkedComps()
+				qp.flushParkedAcks()
 			}
 		}
 	}
@@ -249,50 +253,31 @@ func (f *Fabric) Release() {
 	f.mrs = nil
 }
 
-// CompletionStatus distinguishes successful completions from flush errors.
-type CompletionStatus int
+// Status is how a signaled write's completion ended: the B operand of its
+// trace.KCQE event.
+type Status int
 
 const (
 	// OK means the write was acknowledged by the remote NIC.
-	OK CompletionStatus = iota
+	OK Status = iota
 	// Flushed means the retry timeout expired (remote unreachable).
 	Flushed
 )
 
-// Completion is one completion-queue entry.
-type Completion struct {
-	QP     *QP
-	WRID   uint64
-	Status CompletionStatus
-	// Data carries the payload for READ completions.
-	Data []byte
-}
+// CQ is what Connect used to deliver completions to. Nothing in the tree
+// passes one any more; CQ and NewCQ remain, like simnet.Sim.PostAfter, only
+// because the frozen benchmark/kernels.go still hands Connect a fresh one.
+// Delete both, and Connect's variadic, with the next benchmark PR.
+type CQ struct{}
 
-// CQ is a completion queue, drained by polling.
-type CQ struct {
-	entries []Completion
-}
-
-// NewCQ creates an empty completion queue.
+// NewCQ returns a CQ that nothing reads.
 func NewCQ() *CQ { return &CQ{} }
-
-// Poll drains and returns all pending completions.
-func (c *CQ) Poll() []Completion {
-	out := c.entries
-	c.entries = nil
-	return out
-}
-
-// Len reports the number of pending completions.
-func (c *CQ) Len() int { return len(c.entries) }
 
 var (
 	// ErrSendQueueFull is returned when a queue pair has too many
 	// unacknowledged work requests.
 	ErrSendQueueFull = errors.New("rdma: send queue full")
-	// ErrQPClosed is returned for operations on a closed queue pair.
-	ErrQPClosed = errors.New("rdma: queue pair closed")
-	// ErrBounds is returned when a write or read exceeds the remote MR.
+	// ErrBounds is returned when a write exceeds the remote MR.
 	ErrBounds = errors.New("rdma: access outside memory region")
 )
 
@@ -300,7 +285,6 @@ var (
 // Writes posted on a QP are delivered losslessly, in FIFO order.
 type QP struct {
 	from, to *Node
-	cq       *CQ
 	params   *Params
 
 	// SignalEvery controls selective signaling: every k-th write requests
@@ -310,11 +294,10 @@ type QP struct {
 
 	sinceSignal int
 	nextWRID    uint64
-	outstanding int
+	outstanding int // unacknowledged WRs; a completion resets it
 	lastDeliver simnet.Time
 	parked      []wireWrite
-	parkedCQ    []parkedComp
-	closed      bool
+	parkedAcks  []uint64 // wrids whose acks wait behind a to→from cut
 }
 
 // wireWrite is one posted WRITE between post and landing: parked on its QP
@@ -365,7 +348,7 @@ func (d *delivery) fire() {
 		// Remote NIC unreachable: error completion after retries.
 		fb.frames.Put(w.buf)
 		if w.signaled {
-			qp.complete(at.Add(qp.params.RetryTimeout), w.wrid, Flushed, nil)
+			qp.complete(at.Add(qp.params.RetryTimeout), w.wrid, Flushed)
 		}
 		return
 	}
@@ -375,42 +358,23 @@ func (d *delivery) fire() {
 	}
 	fb.frames.Put(w.buf)
 	if w.signaled {
-		qp.completeWire(at, w.wrid, OK, nil)
+		qp.ack(at, w.wrid)
 	}
 }
 
-// parkedComp is a completion whose ack could not travel the reverse
-// (to→from) direction because of a one-way cut.
-type parkedComp struct {
-	wrid uint64
-	st   CompletionStatus
-	data []byte
-}
-
-// Connect creates a reliable-connection QP from n to remote, with
-// completions delivered to cq. (In real verbs a QP is bidirectional; a pair
-// of simulated QPs models one connection.)
-func (n *Node) Connect(remote *Node, cq *CQ) *QP {
+// Connect creates a reliable-connection QP from n to remote. (In real verbs
+// a QP is bidirectional; a pair of simulated QPs models one connection.) The
+// variadic is ignored: see CQ.
+func (n *Node) Connect(remote *Node, _ ...*CQ) *QP {
 	qp := &QP{
 		from:        n,
 		to:          remote,
-		cq:          cq,
 		params:      &n.Fabric.Params,
 		SignalEvery: 1000,
 	}
 	n.qps = append(n.qps, qp)
 	return qp
 }
-
-// From returns the local endpoint.
-func (qp *QP) From() *Node { return qp.from }
-
-// To returns the remote endpoint.
-func (qp *QP) To() *Node { return qp.to }
-
-// Close tears the connection down (used by election schemes that revoke
-// access, cf. DARE/Mu). Subsequent posts fail with ErrQPClosed.
-func (qp *QP) Close() { qp.closed = true }
 
 // post charges CPU and NIC serialization and returns the delivery time.
 func (qp *QP) post(payload int) (deliverAt simnet.Time, ser time.Duration) {
@@ -452,43 +416,42 @@ func (qp *QP) post(payload int) (deliverAt simnet.Time, ser time.Duration) {
 	return deliverAt, ser
 }
 
-// completeWire delivers a completion whose acknowledgment traverses the
-// reverse (to→from) wire direction, generated at the remote NIC at genAt.
-// If that direction is cut the completion parks until HealOneWay flushes
-// it; locally-generated error completions (Flushed) bypass this and use
-// complete directly.
-func (qp *QP) completeWire(genAt simnet.Time, wrid uint64, st CompletionStatus, data []byte) {
+// ack carries the acknowledgment of signaled write wrid, generated at the
+// remote NIC at genAt, over the reverse (to→from) wire direction. If that
+// direction is cut the ack parks until HealOneWay flushes it; the locally
+// generated retry timeout (Flushed) bypasses this and uses complete directly.
+func (qp *QP) ack(genAt simnet.Time, wrid uint64) {
 	f := qp.from.Fabric
 	if f.CutOneWay(qp.to.ID, qp.from.ID) {
-		qp.parkedCQ = append(qp.parkedCQ, parkedComp{wrid: wrid, st: st, data: data})
+		qp.parkedAcks = append(qp.parkedAcks, wrid)
 		return
 	}
 	lat := f.Params.LinkLatency + f.FaultDelay(qp.to.ID, qp.from.ID, f.Params.RetransmitDelay)
-	qp.complete(genAt.Add(lat), wrid, st, data)
+	qp.complete(genAt.Add(lat), wrid, OK)
 }
 
-// flushParkedComps releases completions parked behind a reverse-direction
-// cut, in generation order.
-func (qp *QP) flushParkedComps() {
-	parked := qp.parkedCQ
-	qp.parkedCQ = nil
+// flushParkedAcks releases the acks parked behind a reverse-direction cut, in
+// generation order.
+func (qp *QP) flushParkedAcks() {
+	parked := qp.parkedAcks
+	qp.parkedAcks = nil
 	at := qp.from.Fabric.Sim.Now().Add(qp.params.LinkLatency)
-	for _, pc := range parked {
-		qp.complete(at, pc.wrid, pc.st, pc.data)
+	for _, wrid := range parked {
+		qp.complete(at, wrid, OK)
 	}
 }
 
-func (qp *QP) complete(at simnet.Time, wrid uint64, st CompletionStatus, data []byte) {
+// complete is the whole of what a completion does: at time at the sender's
+// NIC retires signaled write wrid and every write before it, which frees the
+// send queue. Nothing is queued for a consumer; the KCQE event and CtrCQEs
+// are its only other trace.
+func (qp *QP) complete(at simnet.Time, wrid uint64, st Status) {
 	sim := qp.from.Fabric.Sim
 	sim.At(at, func() {
 		if qp.from.crashed {
 			return
 		}
-		// A completion acknowledges this and all earlier writes.
 		qp.outstanding = 0
-		if qp.cq != nil {
-			qp.cq.entries = append(qp.cq.entries, Completion{QP: qp, WRID: wrid, Status: st, Data: data})
-		}
 		if tr := sim.Tracer(); tr != nil {
 			tr.Instant(trace.KCQE, qp.from.ID, int64(at), int64(wrid), int64(st))
 			tr.Add(trace.CtrCQEs, 1)
@@ -504,24 +467,12 @@ func (qp *QP) complete(at simnet.Time, wrid uint64, st CompletionStatus, data []
 // write is signaled according to the QP's selective-signaling policy. It
 // returns the work request ID.
 func (qp *QP) Write(remote *MR, off int, parts ...[]byte) (uint64, error) {
+	// The cadence counts attempts: a post refused below still advances it.
 	signaled := false
 	qp.sinceSignal++
 	if qp.SignalEvery > 0 && qp.sinceSignal >= qp.SignalEvery {
 		signaled = true
 		qp.sinceSignal = 0
-	}
-	return qp.write(remote, off, parts, signaled)
-}
-
-// WriteSignaled posts a write that always requests a completion.
-func (qp *QP) WriteSignaled(remote *MR, off int, data []byte) (uint64, error) {
-	qp.sinceSignal = 0
-	return qp.write(remote, off, [][]byte{data}, true)
-}
-
-func (qp *QP) write(remote *MR, off int, parts [][]byte, signaled bool) (uint64, error) {
-	if qp.closed {
-		return 0, ErrQPClosed
 	}
 	if remote.Node != qp.to {
 		return 0, fmt.Errorf("rdma: MR belongs to node %d, QP targets node %d", remote.Node.ID, qp.to.ID)
@@ -581,51 +532,3 @@ func (qp *QP) flushParked() {
 		qp.deliver(at, w)
 	}
 }
-
-// Read posts a one-sided RDMA read of n bytes from remote[off:]. The data
-// arrives in a completion on the QP's CQ; the remote CPU is not involved.
-func (qp *QP) Read(remote *MR, off, n int) (uint64, error) {
-	if qp.closed {
-		return 0, ErrQPClosed
-	}
-	if remote.Node != qp.to {
-		return 0, fmt.Errorf("rdma: MR belongs to node %d, QP targets node %d", remote.Node.ID, qp.to.ID)
-	}
-	if off < 0 || off+n > len(remote.Buf) {
-		return 0, ErrBounds
-	}
-	if qp.outstanding >= qp.params.SendQueueDepth {
-		return 0, ErrSendQueueFull
-	}
-	qp.nextWRID++
-	wrid := qp.nextWRID
-	qp.outstanding++
-
-	sim := qp.from.Fabric.Sim
-	p := qp.params
-	// Request is a minimum-size frame.
-	reqAt, _ := qp.post(0)
-	if tr := sim.Tracer(); tr != nil {
-		tr.Instant(trace.KWRPost, qp.from.ID, int64(sim.Now()), int64(wrid), int64(n))
-		tr.Add(trace.CtrRDMAReads, 1)
-	}
-	if qp.from.Fabric.Partitioned(qp.from.ID, qp.to.ID) || qp.to.crashed {
-		qp.complete(reqAt.Add(p.RetryTimeout), wrid, Flushed, nil)
-		return wrid, nil
-	}
-	sim.At(reqAt, func() {
-		if qp.to.crashed {
-			qp.complete(reqAt.Add(p.RetryTimeout), wrid, Flushed, nil)
-			return
-		}
-		// Remote NIC reads memory and streams the response back over the
-		// to→from direction (parks behind a reverse one-way cut).
-		data := make([]byte, n)
-		copy(data, remote.Buf[off:off+n])
-		qp.completeWire(reqAt.Add(p.serialize(n)), wrid, OK, data)
-	})
-	return wrid, nil
-}
-
-// Outstanding reports unacknowledged work requests on the QP.
-func (qp *QP) Outstanding() int { return qp.outstanding }

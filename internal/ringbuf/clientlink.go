@@ -49,7 +49,7 @@ func (l *ClientLink) Start(ack func(m []byte)) {
 // Request charges the client's CPU for one submission and puts the request
 // on replica to's request ring.
 func (l *ClientLink) Request(to int, payload []byte) {
-	l.client.Proc.Pause(300 * time.Nanosecond)
+	l.client.Proc.Charge(300 * time.Nanosecond)
 	if _, err := l.reqOut.Send(l.reqOut.ids[to], payload); err != nil {
 		panic("ringbuf: client request failed: " + err.Error())
 	}

@@ -201,10 +201,10 @@ func NewSender(node *rdma.Node, cfg Config) *Sender {
 // their fabric node ID.
 func (s *Sender) AddPeer(recv *rdma.Node) *Receiver {
 	mr := recv.RegisterMemory(s.cfg.Bytes)
-	qp := s.node.Connect(recv, rdma.NewCQ())
+	qp := s.node.Connect(recv)
 	qp.SignalEvery = 1000 // the paper signals every thousand messages
 	creditMR := s.node.RegisterMemory(8)
-	creditQP := recv.Connect(s.node, rdma.NewCQ())
+	creditQP := recv.Connect(s.node)
 	creditQP.SignalEvery = 1024
 	ps := &peerState{id: recv.ID, qp: qp, ring: mr, creditMR: creditMR}
 	s.peer[recv.ID] = ps

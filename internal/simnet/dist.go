@@ -10,27 +10,12 @@ import (
 // are used for link jitter, descheduling pauses, and workload think times.
 type Dist interface {
 	Sample(rng *rand.Rand) time.Duration
-	// Mean returns the distribution's expected value, used for reporting
-	// and for sizing experiment warmups.
-	Mean() time.Duration
 }
 
 // Constant is a degenerate distribution that always returns D.
 type Constant struct{ D time.Duration }
 
 func (c Constant) Sample(*rand.Rand) time.Duration { return c.D }
-func (c Constant) Mean() time.Duration             { return c.D }
-
-// Uniform samples uniformly from [Lo, Hi].
-type Uniform struct{ Lo, Hi time.Duration }
-
-func (u Uniform) Sample(rng *rand.Rand) time.Duration {
-	if u.Hi <= u.Lo {
-		return u.Lo
-	}
-	return u.Lo + time.Duration(rng.Int63n(int64(u.Hi-u.Lo)+1))
-}
-func (u Uniform) Mean() time.Duration { return (u.Lo + u.Hi) / 2 }
 
 // Exponential samples from an exponential distribution with the given mean,
 // truncated at Cap when Cap > 0. Exponential jitter is the conventional model
@@ -47,7 +32,6 @@ func (e Exponential) Sample(rng *rand.Rand) time.Duration {
 	}
 	return d
 }
-func (e Exponential) Mean() time.Duration { return e.MeanD }
 
 // LogNormal samples exp(N(Mu, Sigma)) nanoseconds, truncated at Cap when
 // Cap > 0. Heavy-tailed pauses (GC, scheduler preemption) are well modelled
@@ -67,26 +51,4 @@ func (l LogNormal) Sample(rng *rand.Rand) time.Duration {
 		d = l.Cap
 	}
 	return d
-}
-
-func (l LogNormal) Mean() time.Duration {
-	return time.Duration(math.Exp(l.Mu + l.Sigma*l.Sigma/2))
-}
-
-// Mixture samples from A with probability PA, otherwise from B. It models
-// bimodal behaviour such as "usually fast, occasionally descheduled".
-type Mixture struct {
-	PA   float64
-	A, B Dist
-}
-
-func (m Mixture) Sample(rng *rand.Rand) time.Duration {
-	if rng.Float64() < m.PA {
-		return m.A.Sample(rng)
-	}
-	return m.B.Sample(rng)
-}
-
-func (m Mixture) Mean() time.Duration {
-	return time.Duration(m.PA*float64(m.A.Mean()) + (1-m.PA)*float64(m.B.Mean()))
 }

@@ -77,13 +77,22 @@ func (p *Proc) Recover() {
 	p.Sim.tracer.Instant(trace.KProcRecover, p.ID, int64(p.Sim.Now()), int64(p.epoch), 0)
 }
 
-// Pause deschedules the process for d starting now (on top of queued work).
+// Pause deschedules the process for d starting now (on top of queued work):
+// the CPU is held and does nothing, so BusyTime does not move.
 func (p *Proc) Pause(d time.Duration) {
 	now := p.Sim.Now()
 	if p.busyUntil < now {
 		p.busyUntil = now
 	}
 	p.busyUntil = p.busyUntil.Add(d)
+}
+
+// Charge books d of CPU time for work the running callback did inline (a
+// protocol's per-message cost). It holds the CPU exactly as Pause does and
+// counts d as consumed in BusyTime; it traces and schedules nothing.
+func (p *Proc) Charge(d time.Duration) {
+	p.Pause(d)
+	p.busyTime += d
 }
 
 // BusyUntil returns the time at which the CPU becomes free.

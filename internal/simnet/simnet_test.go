@@ -1,11 +1,14 @@
 package simnet
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"acuerdo/internal/trace"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -296,6 +299,41 @@ func TestProcPause(t *testing.T) {
 	}
 }
 
+// Charge holds the CPU exactly as Pause does — same completion times, no
+// event, no trace — and differs only in counting the time as consumed.
+func TestProcCharge(t *testing.T) {
+	type outcome struct {
+		at, busyUntil Time
+		busy          time.Duration
+		events        uint64
+		fp            uint64
+	}
+	run := func(hold func(*Proc, time.Duration)) outcome {
+		s := New(1)
+		tr := trace.New(trace.FingerprintRing)
+		s.SetTracer(tr)
+		p := NewProc(s, 0, "n0")
+		var o outcome
+		p.Run(10, func() {
+			hold(p, 1000)
+			hold(p, 500)
+			o.busyUntil = p.BusyUntil()
+			p.Run(10, func() { o.at = s.Now() })
+		})
+		s.Run()
+		o.busy, o.events, o.fp = p.BusyTime(), s.Processed(), uint64(tr.Fingerprint())
+		return o
+	}
+	paused, charged := run((*Proc).Pause), run((*Proc).Charge)
+	if paused.at != 1520 || paused.busyUntil != 1510 || paused.busy != 20 {
+		t.Fatalf("Pause: %+v, want completion at 1520 behind a CPU held to 1510, 20ns consumed", paused)
+	}
+	charged.busy -= 1500
+	if charged != paused {
+		t.Fatalf("Charge: %+v (less the 1500ns charged), Pause: %+v: want the same schedule and trace", charged, paused)
+	}
+}
+
 func TestProcDesched(t *testing.T) {
 	s := New(1)
 	p := NewProc(s, 0, "n0")
@@ -342,12 +380,12 @@ func TestDistributions(t *testing.T) {
 	cases := []struct {
 		name string
 		d    Dist
+		mean time.Duration
 	}{
-		{"constant", Constant{5 * time.Microsecond}},
-		{"uniform", Uniform{time.Microsecond, 9 * time.Microsecond}},
-		{"exp", Exponential{MeanD: 5 * time.Microsecond}},
-		{"lognormal", LogNormal{Mu: 8.5, Sigma: 0.5}},
-		{"mixture", Mixture{PA: 0.5, A: Constant{time.Microsecond}, B: Constant{9 * time.Microsecond}}},
+		{"constant", Constant{5 * time.Microsecond}, 5 * time.Microsecond},
+		{"exp", Exponential{MeanD: 5 * time.Microsecond}, 5 * time.Microsecond},
+		// exp(Mu + Sigma²/2) nanoseconds.
+		{"lognormal", LogNormal{Mu: 8.5, Sigma: 0.5}, time.Duration(math.Exp(8.5 + 0.5*0.5/2))},
 	}
 	for _, c := range cases {
 		var sum time.Duration
@@ -360,13 +398,9 @@ func TestDistributions(t *testing.T) {
 			sum += v
 		}
 		mean := sum / n
-		want := c.d.Mean()
-		if want == 0 {
-			continue
-		}
-		ratio := float64(mean) / float64(want)
+		ratio := float64(mean) / float64(c.mean)
 		if ratio < 0.9 || ratio > 1.1 {
-			t.Errorf("%s: empirical mean %v vs declared %v (ratio %.2f)", c.name, mean, want, ratio)
+			t.Errorf("%s: empirical mean %v vs expected %v (ratio %.2f)", c.name, mean, c.mean, ratio)
 		}
 	}
 }
@@ -378,14 +412,6 @@ func TestExponentialCap(t *testing.T) {
 		if v := d.Sample(rng); v > 2*time.Millisecond {
 			t.Fatalf("sample %v exceeds cap", v)
 		}
-	}
-}
-
-func TestUniformDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	d := Uniform{Lo: 5, Hi: 5}
-	if v := d.Sample(rng); v != 5 {
-		t.Fatalf("degenerate uniform = %v", v)
 	}
 }
 

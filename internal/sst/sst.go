@@ -59,7 +59,7 @@ func Build[T any](nodes []*rdma.Node, codec Codec[T]) []*Table[T] {
 			if j == i {
 				continue
 			}
-			t.qps[j] = nd.Connect(peer, rdma.NewCQ())
+			t.qps[j] = nd.Connect(peer)
 			// SST pushes are tiny and frequent; sign sparsely.
 			t.qps[j].SignalEvery = 1024
 		}
@@ -121,7 +121,7 @@ func (t *Table[T]) PushMineTo(j int) {
 		// (last write wins), so dropping a push is safe — a later push
 		// carries fresher state. This mirrors real deployments where a
 		// wedged QP to a dead node is simply abandoned.
-		if err != rdma.ErrSendQueueFull && err != rdma.ErrQPClosed {
+		if err != rdma.ErrSendQueueFull {
 			panic(fmt.Sprintf("sst: push failed: %v", err))
 		}
 	}

@@ -40,7 +40,7 @@ const (
 	KWRPost  // work request posted; A=wr id, B=payload bytes
 	KWireTx  // NIC serialization window; A=bytes on wire
 	KWireRx  // bytes landed in remote memory; A=wr id, B=bytes on wire
-	KCQE     // completion queue entry; A=wr id, B=status
+	KCQE     // signaled write completed at its sender; A=wr id, B=status
 	KSigSkip // unsignaled completion suppressed; A=wr id
 
 	// TCP/kernel path.
@@ -175,11 +175,10 @@ const (
 	CtrPollTime                   // ns of poll-loop CPU
 
 	CtrRDMAWrites   // RDMA writes posted
-	CtrRDMAReads    // RDMA reads posted
 	CtrRDMABytes    // bytes on the RDMA wire (incl. per-message overhead)
 	CtrRDMAPostTime // ns of verb-post CPU
 	CtrRDMAWireTime // ns of NIC serialization
-	CtrCQEs         // completions surfaced
+	CtrCQEs         // completions of signaled writes
 	CtrSigSkips     // completions suppressed by selective signaling
 
 	CtrTCPMsgs     // messages sent over TCP
@@ -222,7 +221,6 @@ var counterNames = [numCounters]string{
 	CtrPolls:          "proc.polls",
 	CtrPollTime:       "proc.poll_ns",
 	CtrRDMAWrites:     "rdma.writes",
-	CtrRDMAReads:      "rdma.reads",
 	CtrRDMABytes:      "rdma.wire_bytes",
 	CtrRDMAPostTime:   "rdma.post_ns",
 	CtrRDMAWireTime:   "rdma.wire_ns",

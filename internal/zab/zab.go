@@ -334,7 +334,7 @@ func (s *Server) handle(m []byte) {
 		if s.role != following || epoch != s.epoch || !s.synced {
 			return
 		}
-		s.node.Proc.Pause(s.c.cfg.FollowerOpCost)
+		s.node.Proc.Charge(s.c.cfg.FollowerOpCost)
 		e := entry{zxid: zxid, payload: append([]byte(nil), payload...)}
 		s.log = append(s.log, e)
 		// Track the log tail like every other append path. Without this,
