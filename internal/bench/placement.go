@@ -301,7 +301,7 @@ type pgWorkload struct {
 	keys  []string
 	zipf  *ycsb.Zipfian
 	rng   *rand.Rand
-	value int
+	value []byte // every op's value is drawn into this one buffer
 }
 
 // newPGWorkloads shards the keyspace by the map's routing and builds one
@@ -322,18 +322,18 @@ func newPGWorkloads(m *placement.Map, records uint64, value int, seed int64) []*
 			keys:  keys,
 			zipf:  ycsb.NewZipfian(uint64(len(keys)), 0.99),
 			rng:   rand.New(rand.NewSource(seed + 1000003*int64(pg+1))),
-			value: value,
+			value: make([]byte, value),
 		}
 	}
 	return out
 }
 
-// nextOp draws the group's next write.
+// nextOp draws the group's next write. The value is valid until the next
+// call: Op.Encode copies it before Replicated.Set returns.
 func (w *pgWorkload) nextOp() (string, []byte) {
 	key := w.keys[w.zipf.Next(w.rng)%uint64(len(w.keys))]
-	value := make([]byte, w.value)
-	w.rng.Read(value)
-	return key, value
+	w.rng.Read(w.value)
+	return key, w.value
 }
 
 // RunPlacementLoad drives per-group closed-loop YCSB load over an
@@ -402,9 +402,7 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 		pr.DeliveryFP = checkers[pg].Fingerprint()
 		pr.Violations, pr.ObserveChecks, pr.ObserveDigest = w.Insts[pg].verdict()
 		res.Committed += pr.Committed
-		for _, s := range pr.Latency.Samples() {
-			res.Latency.Add(s)
-		}
+		res.Latency.Merge(&pr.Latency)
 		fp = fp.Uint64(uint64(pr.Committed)).Uint64(uint64(pr.DeliveryFP)).
 			Uint64(uint64(pr.ObserveDigest)).Uint64(pr.ObserveChecks).
 			Uint64(uint64(pr.Violations))

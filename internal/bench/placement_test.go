@@ -123,3 +123,16 @@ func TestPlacementChaosIsolation(t *testing.T) {
 			got, res.Elapsed, res.Groups[0].Committed)
 	}
 }
+
+// TestNextOpAllocFree: a group's write stream draws every value into the
+// group's one buffer (kvstore.Op.Encode copies it before Set returns).
+func TestNextOpAllocFree(t *testing.T) {
+	m, err := placement.Build(shortPlacement(Acuerdo, 2).Placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newPGWorkloads(m, 1000, 100, 5)[1]
+	if n := testing.AllocsPerRun(1000, func() { w.nextOp() }); n != 0 {
+		t.Errorf("%v allocs per nextOp, want 0", n)
+	}
+}

@@ -10,6 +10,7 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"acuerdo/internal/abcast"
 )
@@ -32,9 +33,21 @@ type Op struct {
 	Value []byte
 }
 
+// mustFit panics when a key of kl bytes or a value of vl bytes is too long for
+// its length field: encoded anyway, the lengths would wrap and the bytes
+// decode as a different, "truncated" or "trailing bytes" op.
+func mustFit(kl, vl int) {
+	if kl > math.MaxUint16 || uint64(vl) > math.MaxUint32 {
+		panic(fmt.Sprintf("kvstore: op too large to encode: %d-byte key (max %d), %d-byte value (max %d)",
+			kl, math.MaxUint16, vl, uint32(math.MaxUint32)))
+	}
+}
+
 // Encode serializes the op; the leading 8 bytes are the request ID so the
-// encoding doubles as an abcast payload.
+// encoding doubles as an abcast payload. It copies Key and Value, and panics
+// on an op whose lengths do not fit the encoding (mustFit).
 func (o Op) Encode() []byte {
+	mustFit(len(o.Key), len(o.Value))
 	b := make([]byte, 15+len(o.Key)+len(o.Value))
 	binary.LittleEndian.PutUint64(b, o.ID)
 	b[8] = byte(o.Kind)
@@ -45,36 +58,44 @@ func (o Op) Encode() []byte {
 	return b
 }
 
-// DecodeOp parses an encoded op. The buffer must be exactly one encoded
-// op: length fields that run past the buffer (truncation) and trailing
-// bytes beyond the encoded lengths (garbage a lax decoder would silently
-// accept) are both rejected.
-func DecodeOp(b []byte) (Op, error) {
+// split validates an encoded op and returns views of its key and value. The
+// buffer must be exactly one encoded op: length fields that run past the
+// buffer (truncation), trailing bytes beyond the encoded lengths (garbage a
+// lax decoder would silently accept) and an unknown kind are all rejected,
+// before anything is copied.
+func split(b []byte) (kind OpKind, key, value []byte, err error) {
 	if len(b) < 15 {
-		return Op{}, fmt.Errorf("kvstore: short op (%d bytes)", len(b))
+		return 0, nil, nil, fmt.Errorf("kvstore: short op (%d bytes)", len(b))
 	}
 	kl := int(binary.LittleEndian.Uint16(b[9:]))
 	vl := int(binary.LittleEndian.Uint32(b[11:]))
 	if 15+kl+vl > len(b) {
-		return Op{}, fmt.Errorf("kvstore: truncated op")
+		return 0, nil, nil, fmt.Errorf("kvstore: truncated op")
 	}
 	if 15+kl+vl != len(b) {
-		return Op{}, fmt.Errorf("kvstore: %d trailing bytes after op", len(b)-15-kl-vl)
+		return 0, nil, nil, fmt.Errorf("kvstore: %d trailing bytes after op", len(b)-15-kl-vl)
 	}
-	o := Op{
-		ID:   binary.LittleEndian.Uint64(b),
-		Kind: OpKind(b[8]),
-		Key:  string(b[15 : 15+kl]),
-	}
-	if vl > 0 {
-		o.Value = append([]byte(nil), b[15+kl:15+kl+vl]...)
-	}
-	switch o.Kind {
+	switch kind = OpKind(b[8]); kind {
 	case OpCreate, OpSet, OpDelete:
 	default:
-		return Op{}, fmt.Errorf("kvstore: unknown op kind %d", o.Kind)
+		return 0, nil, nil, fmt.Errorf("kvstore: unknown op kind %d", kind)
 	}
-	return o, nil
+	return kind, b[15 : 15+kl], b[15+kl:], nil
+}
+
+// DecodeOp parses an encoded op (see split for what it rejects) into an Op
+// that shares nothing with b.
+func DecodeOp(b []byte) (Op, error) {
+	kind, key, value, err := split(b)
+	if err != nil {
+		return Op{}, err
+	}
+	return Op{
+		ID:    binary.LittleEndian.Uint64(b),
+		Kind:  kind,
+		Key:   string(key),
+		Value: append([]byte(nil), value...),
+	}, nil
 }
 
 // Store is one replica's hash-table copy.
@@ -86,7 +107,7 @@ type Store struct {
 // NewStore creates an empty table.
 func NewStore() *Store { return &Store{m: make(map[string][]byte)} }
 
-// Apply executes one committed update command.
+// Apply executes one committed update command. The store keeps o.Value.
 func (s *Store) Apply(o Op) {
 	s.Applied++
 	switch o.Kind {
@@ -97,7 +118,9 @@ func (s *Store) Apply(o Op) {
 	}
 }
 
-// Get reads a key directly (the broadcast-bypassing read path).
+// Get reads a key directly (the broadcast-bypassing read path). The result
+// is the store's own bytes: valid until the next write to that key, which may
+// overwrite them in place.
 func (s *Store) Get(key string) ([]byte, bool) {
 	v, ok := s.m[key]
 	return v, ok
@@ -126,13 +149,22 @@ func NewReplicated(engine abcast.System, n int) *Replicated {
 }
 
 // ApplyAt feeds one delivered broadcast payload into replica i's store.
-// Deliveries arrive in total order, so all stores stay identical.
+// Deliveries arrive in total order, so all stores stay identical. The op is
+// applied from the payload view and nothing of payload is retained: a set to
+// a key the store holds at the same value length overwrites that value in
+// place, and only a new key or a changed length allocates.
 func (r *Replicated) ApplyAt(i int, payload []byte) error {
-	op, err := DecodeOp(payload)
+	kind, key, value, err := split(payload)
 	if err != nil {
 		return err
 	}
-	r.Stores[i].Apply(op)
+	s := r.Stores[i]
+	if old, ok := s.m[string(key)]; ok && kind != OpDelete && len(old) == len(value) {
+		s.Applied++
+		copy(old, value)
+		return nil
+	}
+	s.Apply(Op{Kind: kind, Key: string(key), Value: append([]byte(nil), value...)})
 	return nil
 }
 

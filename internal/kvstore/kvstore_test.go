@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -105,6 +106,32 @@ func TestDecodeOpMalformed(t *testing.T) {
 	}
 	if _, err := DecodeOp(good); err != nil {
 		t.Fatalf("well-formed op rejected: %v", err)
+	}
+
+	// The other way round: an op whose lengths do not fit their fields used
+	// to encode with the lengths wrapped, into bytes that decode as one of
+	// the cases above (or, worse, as a different well-formed op). Encode
+	// refuses instead. A value past uint32 needs a 4 GiB slice, so that case
+	// goes to the length check directly.
+	for _, c := range []struct {
+		name   string
+		encode func()
+		refuse bool
+	}{
+		{"key-past-uint16", func() { Op{Kind: OpSet, Key: strings.Repeat("k", 1<<16), Value: []byte("v")}.Encode() }, true},
+		{"key-at-uint16", func() { Op{Kind: OpSet, Key: strings.Repeat("k", 1<<16-1)}.Encode() }, false},
+		{"value-past-uint32", func() { mustFit(3, int(uint64(1)<<32)) }, true},
+		{"value-at-uint32", func() { mustFit(3, int(uint64(1)<<32-1)) }, false},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if strings.Contains(msg, "too large to encode") != c.refuse {
+					t.Errorf("%s: panic %q, want a refusal: %v", c.name, msg, c.refuse)
+				}
+			}()
+			c.encode()
+		}()
 	}
 }
 

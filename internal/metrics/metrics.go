@@ -24,6 +24,13 @@ func (h *Histogram) Add(d time.Duration) {
 	h.sum += d
 }
 
+// Merge records every sample of o, in o's insertion order.
+func (h *Histogram) Merge(o *Histogram) {
+	h.samples = append(h.samples, o.samples...)
+	h.sorted = nil
+	h.sum += o.sum
+}
+
 // N returns the number of samples.
 func (h *Histogram) N() int { return len(h.samples) }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -279,5 +280,26 @@ func TestHistogramPercentileInterpolation(t *testing.T) {
 	one.Add(7 * time.Millisecond)
 	if one.Percentile(50) != 7*time.Millisecond || one.Percentile(99.9) != 7*time.Millisecond {
 		t.Fatal("single-sample percentiles must return the sample")
+	}
+}
+
+// TestHistogramMerge: merging is adding every sample in order — same
+// insertion order, same sum, same exported snapshot — also after the
+// receiver's order statistics were already built.
+func TestHistogramMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var merged, added Histogram
+	for part := 0; part < 5; part++ {
+		var h Histogram
+		for i := rng.Intn(200); i > 0; i-- {
+			h.Add(time.Duration(rng.Intn(1e6)))
+		}
+		merged.Merge(&h)
+		for _, s := range h.Samples() {
+			added.Add(s)
+		}
+		if !reflect.DeepEqual(merged.Samples(), added.Samples()) || !reflect.DeepEqual(merged.Export(), added.Export()) {
+			t.Fatalf("after part %d: merged %v, added %v", part, &merged, &added)
+		}
 	}
 }

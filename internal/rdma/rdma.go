@@ -109,7 +109,7 @@ type Fabric struct {
 
 	// mrs tracks the poolable registered regions handed out by this
 	// fabric's nodes, for Release.
-	mrs [][]byte
+	mrs []*MR
 }
 
 // NewFabric creates an empty fabric.
@@ -187,18 +187,32 @@ func (n *Node) Crashed() bool { return n.crashed }
 // appear directly in Buf; the owning process discovers them by polling.
 type MR struct {
 	Node *Node
-	Buf  []byte
+	// Buf is the region's memory. A region large enough to pool (mrPoolMin)
+	// is written only by delivery.fire, the remote write landing; its owner
+	// reads it. Smaller regions may also be written in place by their owner
+	// (an SST's local row).
+	Buf []byte
+	// hi is the high-water mark of landed writes: Buf[hi:] is still zero.
+	hi int
+}
+
+// Zero returns the region to all zeroes by clearing what landed in it.
+func (mr *MR) Zero() {
+	clear(mr.Buf[:mr.hi])
+	mr.hi = 0
 }
 
 // mrPool recycles the backing arrays of large registered regions across
 // fabric instances. Sweeps build a fresh fabric per load point, and the
 // dominant setup cost is the kernel and GC zeroing tens of megabytes of
 // ring and log regions each time; reusing the arrays keeps that memory
-// warm. Buffers are re-zeroed on acquire, so a pooled region is
-// indistinguishable from a fresh allocation and every downstream result
-// stays byte-identical. The map is keyed by exact size (region sizes come
-// from a handful of fixed configs) and mutex-guarded because parallel
-// sweeps construct fabrics concurrently.
+// warm. Every array in the pool is all zeroes: Release clears the extent
+// that landed in a region before pooling it, so a pooled region is
+// indistinguishable from a fresh allocation, every downstream result stays
+// byte-identical, and a world pays for the bytes it wrote, not for the size
+// of its rings (a ring that wrapped has hi == len(Buf)). The map is keyed
+// by exact size (region sizes come from a handful of fixed configs) and
+// mutex-guarded because parallel sweeps construct fabrics concurrently.
 var (
 	//lint:ignore hostblock the MR pool is shared across fabrics owned by concurrent sweep workers, so this one lock is genuinely cross-goroutine; pooling is order-independent and never touches simulated state
 	mrPoolMu sync.Mutex
@@ -213,41 +227,33 @@ const mrPoolMin = 1 << 16
 func (n *Node) RegisterMemory(size int) *MR {
 	mr := &MR{Node: n}
 	if size >= mrPoolMin {
+		n.Fabric.mrs = append(n.Fabric.mrs, mr)
 		mrPoolMu.Lock()
 		if l := mrPool[size]; len(l) > 0 {
-			b := l[len(l)-1]
+			mr.Buf = l[len(l)-1]
 			l[len(l)-1] = nil
 			mrPool[size] = l[:len(l)-1]
-			mrPoolMu.Unlock()
-			clear(b)
-			mr.Buf = b
-			n.Fabric.mrs = append(n.Fabric.mrs, b)
-			return mr
 		}
 		mrPoolMu.Unlock()
-		n.Fabric.mrs = append(n.Fabric.mrs, nil) // placeholder, set below
 	}
-	mr.Buf = make([]byte, size)
-	if size >= mrPoolMin {
-		n.Fabric.mrs[len(n.Fabric.mrs)-1] = mr.Buf
+	if mr.Buf == nil {
+		mr.Buf = make([]byte, size)
 	}
 	return mr
 }
 
-// Release returns every poolable registered region to the process-wide
-// pool. The fabric — and every node, QP, and MR built on it — must not be
-// used afterwards: region contents are reused (and re-zeroed) by whatever
-// instance registers memory next. Harnesses that build one instance per
-// measurement point call this between points.
+// Release returns every poolable registered region, zeroed, to the
+// process-wide pool. The fabric — and every node, QP, and MR built on it —
+// must not be used afterwards: the arrays belong to whatever instance
+// registers memory next. Harnesses that build one instance per measurement
+// point call this between points.
 func (f *Fabric) Release() {
-	if len(f.mrs) == 0 {
-		return
+	for _, mr := range f.mrs {
+		mr.Zero()
 	}
 	mrPoolMu.Lock()
-	for _, b := range f.mrs {
-		if b != nil {
-			mrPool[len(b)] = append(mrPool[len(b)], b)
-		}
+	for _, mr := range f.mrs {
+		mrPool[len(mr.Buf)] = append(mrPool[len(mr.Buf)], mr.Buf)
 	}
 	mrPoolMu.Unlock()
 	f.mrs = nil
@@ -352,7 +358,9 @@ func (d *delivery) fire() {
 		}
 		return
 	}
-	copy(w.remote.Buf[w.off:], w.buf)
+	if end := w.off + copy(w.remote.Buf[w.off:], w.buf); end > w.remote.hi {
+		w.remote.hi = end
+	}
 	if tr := fb.Sim.Tracer(); tr != nil {
 		tr.Instant(trace.KWireRx, qp.to.ID, int64(at), int64(w.wrid), int64(len(w.buf)))
 	}

@@ -86,8 +86,8 @@ func (l *ClientLink) Ack(i int, payload []byte) {
 // was queued or unacknowledged is re-sent by the client's retry.
 func (l *ClientLink) Reconnect(i int) {
 	in, ps := l.reqIn[i], l.reqOut.peer[l.reqOut.ids[i]]
-	clear(in.mr.Buf)
-	clear(in.creditMR.Buf)
+	in.mr.Zero()
+	in.creditMR.Zero()
 	*in = Receiver{mr: in.mr, creditQP: in.creditQP, creditMR: in.creditMR}
 	*ps = peerState{id: ps.id, qp: ps.qp, ring: ps.ring, creditMR: ps.creditMR}
 }
