@@ -34,8 +34,8 @@ func benchFig8(b *testing.B, kind bench.Kind, nodes, size int) {
 	var low, high abcast.LoadResult
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		res := bench.SweepSystem(kind, cfg)
-		low, high = res[0], res[1]
+		res, _ := bench.Figure8Parallel(cfg, []bench.Kind{kind}, 1)
+		low, high = res[kind][0], res[kind][1]
 	}
 	b.ReportMetric(us(low.Latency.Mean()), "lat-us(w=1)")
 	b.ReportMetric(us(low.Latency.Percentile(99)), "p99-us(w=1)")
@@ -87,12 +87,12 @@ func BenchmarkFigure9(b *testing.B) {
 		for _, n := range []int{3, 5, 7, 9} {
 			k, n := k, n
 			b.Run(fmt.Sprintf("%s/nodes=%d", k, n), func(b *testing.B) {
-				var r bench.YCSBResult
+				var r bench.PlacementResult
 				for i := 0; i < b.N; i++ {
-					cfg := bench.DefaultYCSB(n)
+					cfg := bench.Figure9(k, n)
 					cfg.Measure = 15 * time.Millisecond
 					cfg.Seed = int64(i + 1)
-					r = bench.RunYCSB(k, cfg)
+					r = bench.RunPlacementYCSB(cfg)
 				}
 				b.ReportMetric(r.OpsPerSec, "ops/s")
 				b.ReportMetric(us(r.Latency.Mean()), "lat-us")

@@ -44,12 +44,10 @@ func main() {
 	observe := flag.Bool("observe", false, "run every load point under the runtime invariant observers; a violation aborts with the witness report")
 	flag.Parse()
 
-	kinds := bench.AllKinds
-	if *systems != "" {
-		kinds = nil
-		for _, s := range strings.Split(*systems, ",") {
-			kinds = append(kinds, bench.Kind(strings.TrimSpace(s)))
-		}
+	kinds, err := bench.ParseKinds(*systems, bench.AllKinds)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	var ws []int
 	if *windows != "" {

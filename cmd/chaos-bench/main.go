@@ -53,12 +53,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	kinds := bench.AllKinds
-	if *systems != "" {
-		kinds = nil
-		for _, s := range strings.Split(*systems, ",") {
-			kinds = append(kinds, bench.Kind(strings.TrimSpace(s)))
-		}
+	kinds, err := bench.ParseKinds(*systems, bench.AllKinds)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	cfg := bench.DefaultChaos(*nodes, *seed)

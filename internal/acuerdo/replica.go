@@ -61,8 +61,6 @@ type Config struct {
 	ElectionPeriod time.Duration
 	// RingBytes sizes each broadcast ring.
 	RingBytes int
-	// MaxBatch bounds messages drained per poll (0 = unlimited).
-	MaxBatch int
 
 	// Ablation knobs (all false in the real protocol):
 
@@ -89,7 +87,6 @@ func DefaultConfig() Config {
 		CandidateTimeout:   1 * time.Millisecond,
 		ElectionPeriod:     100 * time.Microsecond,
 		RingBytes:          4 << 20,
-		MaxBatch:           0,
 	}
 }
 
@@ -353,7 +350,7 @@ func (r *Replica) drainRings() {
 		if i == int(r.ID) || r.in[i] == nil {
 			continue
 		}
-		recs := r.in[i].Poll(r.Cfg.MaxBatch)
+		recs := r.in[i].Poll(0)
 		for _, rec := range recs {
 			hdr, payload, entries, diffFrom, isDiff, err := DecodeMessage(rec)
 			if err != nil {

@@ -267,6 +267,11 @@ func DecodeMessage(rec []byte) (hdr MsgHdr, payload []byte, entries []Entry, dif
 		diffFrom = HdrCodec{}.Decode(rec[13:])
 		cnt := binary.LittleEndian.Uint32(rec[25:])
 		off := 29
+		// An entry is at least its 16-byte header, so the bytes that remain
+		// bound the count: a corrupt one must not size an allocation.
+		if uint64(cnt)*16 > uint64(len(rec)-off) {
+			return hdr, nil, nil, diffFrom, true, fmt.Errorf("acuerdo: diff claims %d entries in %d bytes", cnt, len(rec)-off)
+		}
 		entries = make([]Entry, 0, cnt)
 		for i := uint32(0); i < cnt; i++ {
 			if off+16 > len(rec) {

@@ -2,7 +2,9 @@ package acuerdo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -184,16 +186,39 @@ func TestDiffRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeCorruptRecords(t *testing.T) {
-	if _, _, _, _, _, err := DecodeMessage([]byte{1, 2}); err == nil {
-		t.Fatal("short record accepted")
-	}
 	bad := EncodeMessage(MsgHdr{E: Epoch{1, 1}, Cnt: 1}, []byte("x"))
 	bad[12] = 99
-	if _, _, _, _, _, err := DecodeMessage(bad); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
 	diff := EncodeDiff(MsgHdr{E: Epoch{1, 1}}, MsgHdr{}, []Entry{{Hdr: MsgHdr{E: Epoch{1, 1}, Cnt: 1}, Payload: []byte("abc")}})
-	if _, _, _, _, _, err := DecodeMessage(diff[:len(diff)-2]); err == nil {
-		t.Fatal("truncated diff accepted")
+	// A bare diff header whose count field claims entries the record has no
+	// bytes for: drainRings promises "corrupt record; drop", so the count
+	// must be refused before it sizes anything.
+	claims := func(cnt uint32) []byte {
+		rec := EncodeDiff(MsgHdr{E: Epoch{1, 1}}, MsgHdr{}, nil)
+		binary.LittleEndian.PutUint32(rec[25:], cnt)
+		return rec
+	}
+	for _, c := range []struct {
+		name string
+		rec  []byte
+	}{
+		{"short record", []byte{1, 2}},
+		{"unknown kind", bad},
+		{"truncated diff payload", diff[:len(diff)-2]},
+		{"truncated diff entry header", diff[:29+8]},
+		{"diff cut inside its count", diff[:27]},
+		{"count of 1 in an empty diff", claims(1)},
+		{"count of 2^20 in an empty diff", claims(1 << 20)},
+		{"count of 2^32-1 in an empty diff", claims(1<<32 - 1)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, entries, _, _, err := DecodeMessage(c.rec)
+		runtime.ReadMemStats(&after)
+		if err == nil || entries != nil {
+			t.Errorf("%s: accepted (%d entries, err %v)", c.name, len(entries), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+			t.Errorf("%s: refusing a %d-byte record allocated %d bytes", c.name, len(c.rec), got)
+		}
 	}
 }

@@ -7,6 +7,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -44,6 +46,25 @@ const (
 
 // AllKinds lists every system in the Figure 8 comparison.
 var AllKinds = []Kind{Acuerdo, DerechoAll, DerechoLeader, Etcd, Libpaxos, Zookeeper, Apus}
+
+// ParseKinds parses a comma-separated list of system names, the one reading
+// of every command's -systems flag. An empty list selects def; a name outside
+// AllKinds is an error that lists the known ones, so a typo is refused before
+// any world is built.
+func ParseKinds(list string, def []Kind) ([]Kind, error) {
+	if list == "" {
+		return def, nil
+	}
+	var kinds []Kind
+	for _, s := range strings.Split(list, ",") {
+		k := Kind(strings.TrimSpace(s))
+		if !slices.Contains(AllKinds, k) {
+			return nil, fmt.Errorf("unknown system %q (want one of %v)", k, AllKinds)
+		}
+		kinds = append(kinds, k)
+	}
+	return kinds, nil
+}
 
 // Durability selects the storage model an instance boots with.
 type Durability string
@@ -388,16 +409,6 @@ func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 	}
 	inst.Close()
 	return res
-}
-
-// SweepSystem measures one system across the window ladder; each point runs
-// on a fresh instance for independence.
-func SweepSystem(kind Kind, cfg Fig8Config) []abcast.LoadResult {
-	out := make([]abcast.LoadResult, 0, len(cfg.Windows))
-	for i := range cfg.Windows {
-		out = append(out, RunPoint(kind, cfg, i))
-	}
-	return out
 }
 
 // Figure8Parallel runs one subfigure's (system × window) grid on a worker

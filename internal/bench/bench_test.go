@@ -1,11 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"strings"
 	"testing"
 	"time"
-
-	"acuerdo/internal/abcast"
 )
 
 // quickFig8 shrinks one load point per system for test speed.
@@ -25,7 +26,8 @@ func TestAllSystemsMeasurable(t *testing.T) {
 	for _, k := range AllKinds {
 		k := k
 		t.Run(string(k), func(t *testing.T) {
-			res := SweepSystem(k, cfg)
+			all, _ := Figure8Parallel(cfg, []Kind{k}, 1)
+			res := all[k]
 			if len(res) != 1 {
 				t.Fatalf("points = %d", len(res))
 			}
@@ -43,8 +45,8 @@ func TestShapeAcuerdoBeatsDerechoLatency(t *testing.T) {
 	// Paper headline: Acuerdo ~10us vs Derecho-leader >=19us at low load.
 	cfg := quickFig8(3, 10)
 	cfg.Windows = []int{1}
-	a := SweepSystem(Acuerdo, cfg)[0]
-	d := SweepSystem(DerechoLeader, cfg)[0]
+	a := RunPoint(Acuerdo, cfg, 0)
+	d := RunPoint(DerechoLeader, cfg, 0)
 	if a.Latency.Mean() >= d.Latency.Mean() {
 		t.Fatalf("acuerdo %v !< derecho-leader %v", a.Latency.Mean(), d.Latency.Mean())
 	}
@@ -56,9 +58,9 @@ func TestShapeAcuerdoBeatsDerechoLatency(t *testing.T) {
 func TestShapeTCPOrderOfMagnitudeSlower(t *testing.T) {
 	cfg := quickFig8(3, 10)
 	cfg.Windows = []int{1}
-	a := SweepSystem(Acuerdo, cfg)[0]
+	a := RunPoint(Acuerdo, cfg, 0)
 	for _, k := range []Kind{Zookeeper, Libpaxos, Etcd} {
-		r := SweepSystem(k, cfg)[0]
+		r := RunPoint(k, cfg, 0)
 		if r.Latency.Mean() < 8*a.Latency.Mean() {
 			t.Fatalf("%s latency %v not ~10x above acuerdo %v", k, r.Latency.Mean(), a.Latency.Mean())
 		}
@@ -70,8 +72,8 @@ func TestShapeAcuerdoSmallMsgBandwidth2xDerecho(t *testing.T) {
 	cfg := quickFig8(3, 10)
 	cfg.Windows = []int{256}
 	cfg.Measure = 15 * time.Millisecond
-	a := SweepSystem(Acuerdo, cfg)[0]
-	d := SweepSystem(DerechoLeader, cfg)[0]
+	a := RunPoint(Acuerdo, cfg, 0)
+	d := RunPoint(DerechoLeader, cfg, 0)
 	ratio := a.MBPerSec / d.MBPerSec
 	if ratio < 1.4 || ratio > 3.5 {
 		t.Fatalf("acuerdo/derecho-leader throughput ratio = %.2f (a=%.2f d=%.2f), want ~2",
@@ -97,11 +99,12 @@ func TestElectionBenchProducesDurations(t *testing.T) {
 }
 
 func TestYCSBShape(t *testing.T) {
-	cfg := DefaultYCSB(3)
-	cfg.Measure = 10 * time.Millisecond
-	a := RunYCSB(Acuerdo, cfg)
-	z := RunYCSB(Zookeeper, cfg)
-	e := RunYCSB(Etcd, cfg)
+	cfgs := []PlacementConfig{Figure9(Acuerdo, 3), Figure9(Zookeeper, 3), Figure9(Etcd, 3)}
+	for i := range cfgs {
+		cfgs[i].Measure = 10 * time.Millisecond
+	}
+	res, _ := RunPlacementSweep(cfgs, 1)
+	a, z, e := res[0], res[1], res[2]
 	if a.Committed == 0 || z.Committed == 0 || e.Committed == 0 {
 		t.Fatalf("committed: a=%d z=%d e=%d", a.Committed, z.Committed, e.Committed)
 	}
@@ -113,10 +116,69 @@ func TestYCSBShape(t *testing.T) {
 	}
 }
 
+// TestFigure9Golden: the committed results_figure9.txt is a checked view of
+// the harness, not a hand-regenerated copy — PrintFigure9 over the twelve
+// default cells reproduces it byte for byte. Under -short only the n = 3
+// cells run and only their rows are compared (every column but the first is
+// as wide as its header, and "zookeeper" is in both tables, so the rows
+// align the same).
+func TestFigure9Golden(t *testing.T) {
+	golden, err := os.ReadFile("../../results_figure9.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := []int{3, 5, 7, 9}
+	if testing.Short() {
+		counts = counts[:1]
+		lines := strings.SplitAfter(string(golden), "\n")
+		rows := lines[:2:2]
+		for _, l := range lines[2:] {
+			if f := strings.Fields(l); len(f) > 1 && f[1] == "3" {
+				rows = append(rows, l)
+			}
+		}
+		golden = []byte(strings.Join(rows, ""))
+	}
+	var cfgs []PlacementConfig
+	for _, k := range YCSBSystems {
+		for _, n := range counts {
+			cfgs = append(cfgs, Figure9(k, n))
+		}
+	}
+	res, _ := RunPlacementSweep(cfgs, 0)
+	var got bytes.Buffer
+	PrintFigure9(&got, res)
+	if !bytes.Equal(got.Bytes(), golden) {
+		t.Fatalf("PrintFigure9 differs from results_figure9.txt:\n--- got\n%s--- want\n%s", got.Bytes(), golden)
+	}
+}
+
+// TestFigure9Replay: a Figure 9 cell replays from its seed like every other
+// rung of the placement ladder — delivery sequences, trace and all.
+func TestFigure9Replay(t *testing.T) {
+	if err := VerifyPlacementReplay(Figure9(Acuerdo, 3), 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPrintersDoNotPanic(t *testing.T) {
 	cfg := quickFig8(3, 10)
-	res := map[Kind][]abcast.LoadResult{Acuerdo: SweepSystem(Acuerdo, cfg)}
+	res, _ := Figure8Parallel(cfg, []Kind{Acuerdo}, 1)
 	PrintFigure8(io.Discard, "test", cfg, res, []Kind{Acuerdo})
 	PrintTable1(io.Discard, []Table1Row{{Quiet: ElectionResult{Nodes: 3, Durations: []time.Duration{time.Millisecond}}}})
-	PrintFigure9(io.Discard, map[Kind][]YCSBResult{Acuerdo: {{System: "acuerdo", Nodes: 3}}})
+	PrintFigure9(io.Discard, []PlacementResult{{System: "acuerdo", Config: Figure9(Acuerdo, 3)}})
+}
+
+// TestParseKinds: the one reading of every command's system list.
+func TestParseKinds(t *testing.T) {
+	if got, err := ParseKinds("", YCSBSystems); err != nil || len(got) != len(YCSBSystems) {
+		t.Fatalf("empty list: %v, %v; want the default", got, err)
+	}
+	got, err := ParseKinds("apus, etcd", nil)
+	if err != nil || len(got) != 2 || got[0] != Apus || got[1] != Etcd {
+		t.Fatalf("apus, etcd: %v, %v", got, err)
+	}
+	if _, err := ParseKinds("acuerdo,nosuch", AllKinds); err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Fatalf("unknown name accepted: %v", err)
+	}
 }

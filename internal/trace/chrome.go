@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // WriteChrome serializes the ring contents in Chrome trace_event JSON
@@ -44,6 +45,11 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 				chromeTid(n), strconv.Quote(fmt.Sprintf("%s %d", t.names[n], n)))
 		}
 
+		// An event's Chrome category is the layer prefix of its kind's name.
+		var cats [numKinds]string
+		for k, name := range kindNames {
+			cats[k], _, _ = strings.Cut(name, ".")
+		}
 		var lastTS int64
 		for i := 0; i < t.n; i++ {
 			ev := t.ring[(t.start+i)%len(t.ring)]
@@ -53,10 +59,10 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			sep()
 			if ev.Dur > 0 {
 				fmt.Fprintf(bw, "{\"name\":%q,\"cat\":%q,\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":0,\"tid\":%d,\"args\":{\"a\":%d,\"b\":%d}}",
-					KindName(ev.Kind), kindCats[ev.Kind], us(ev.TS), us(ev.Dur), chromeTid(ev.Node), ev.A, ev.B)
+					KindName(ev.Kind), cats[ev.Kind], us(ev.TS), us(ev.Dur), chromeTid(ev.Node), ev.A, ev.B)
 			} else {
 				fmt.Fprintf(bw, "{\"name\":%q,\"cat\":%q,\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":0,\"tid\":%d,\"args\":{\"a\":%d,\"b\":%d}}",
-					KindName(ev.Kind), kindCats[ev.Kind], us(ev.TS), chromeTid(ev.Node), ev.A, ev.B)
+					KindName(ev.Kind), cats[ev.Kind], us(ev.TS), chromeTid(ev.Node), ev.A, ev.B)
 			}
 		}
 		for c := Counter(0); c < numCounters; c++ {

@@ -127,42 +127,6 @@ func KindName(k Kind) string {
 	return "unknown"
 }
 
-var kindCats = [numKinds]string{
-	KSimEvent:    "sim",
-	KProcRun:     "proc",
-	KProcDesched: "proc",
-	KProcCrash:   "proc",
-	KProcRecover: "proc",
-	KPoll:        "proc",
-	KWRPost:      "rdma",
-	KWireTx:      "rdma",
-	KWireRx:      "rdma",
-	KCQE:         "rdma",
-	KSigSkip:     "rdma",
-	KTCPSend:     "tcp",
-	KTCPWire:     "tcp",
-	KTCPWakeup:   "tcp",
-	KTCPRecv:     "tcp",
-	KSubmit:      "proto",
-	KPropose:     "proto",
-	KAccept:      "proto",
-	KCommit:      "proto",
-	KDeliver:     "proto",
-	KAck:         "proto",
-	KElectStart:  "proto",
-	KElectWin:    "proto",
-	KChaosAct:    "chaos",
-	KLinkCut:     "chaos",
-	KLinkHeal:    "chaos",
-	KLossDrop:    "chaos",
-	KLatSpike:    "chaos",
-	KWatchdog:    "chaos",
-	KInvariant:   "observe",
-	KDiskWrite:   "disk",
-	KDiskFsync:   "disk",
-	KDiskFault:   "disk",
-}
-
 // Counter identifies a monotonic per-layer counter.
 type Counter uint8
 
