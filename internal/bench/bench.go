@@ -110,9 +110,10 @@ type Instance struct {
 	// unobserved, which every Observer accessor reads as zero.
 	Observer *observe.Observer
 
-	// target is the instance's one chaos.Target; harnesses hook its
-	// BeforeRestart/AfterCrash rather than wrapping it.
-	target *chaos.GroupTarget
+	// member is the instance's group as a chaos fleet member — the one
+	// group of ChaosTarget, or one of a PlacementWorld's; harnesses hook its
+	// BeforeRestart/AfterCrash rather than wrapping the target.
+	member *chaos.Member
 }
 
 // Check puts the instance under the atomic-broadcast safety checker, the one
@@ -135,7 +136,7 @@ func (inst *Instance) Check(apply func(replica int, payload []byte)) *abcast.Che
 		}
 	})
 	if inst.Disks != nil {
-		inst.target.BeforeRestart = c.NodeRestart
+		inst.member.BeforeRestart = c.NodeRestart
 	}
 	return c
 }
@@ -147,8 +148,9 @@ func (inst *Instance) verdict() (violations int64, checks uint64, sum digest.Sum
 	return o.ViolationCount(), o.Checks(), o.Digest()
 }
 
-// ChaosTarget exposes the instance's fault-control surface.
-func (inst *Instance) ChaosTarget() chaos.Target { return inst.target }
+// ChaosTarget exposes the instance's fault-control surface: the fleet whose
+// node i hosts replica i.
+func (inst *Instance) ChaosTarget() chaos.Target { return chaos.OneGroup(inst.member, inst.Sim.Rand()) }
 
 // DiskRecoveredBytes sums bytes read back from local disks during crash
 // recovery across the group; zero on volatile instances.
@@ -321,7 +323,17 @@ func NewInstanceOn(sim *simnet.Sim, kind Kind, n int, opt Options) *Instance {
 	g.Start()
 	inst.Sys, inst.Group = g, g
 	inst.AcuerdoCluster, _ = g.(*acuerdo.Cluster)
-	inst.target = &chaos.GroupTarget{Group: g, Links: links, Disks: inst.Disks, Rand: sim.Rand()}
+	inst.member = &chaos.Member{Group: g, Links: links, Disks: inst.Disks}
+	if opt.Durability == Amnesia && inst.Disks != nil {
+		// Amnesia wipes the victim's disk at crash time — the node rejoins
+		// with nothing, the worst-case fabric-bytes baseline — and the
+		// observer is told the durable floor is gone so the lost frontier is
+		// not a violation.
+		inst.member.AfterCrash = func(i int) {
+			inst.Disks[i].Wipe()
+			inst.Observer.DiskFault(i, int64(sim.Now()))
+		}
+	}
 	return inst
 }
 
@@ -381,9 +393,10 @@ func DefaultFig8(nodes, msgSize int) Fig8Config {
 }
 
 // RunPoint measures grid point i (window cfg.Windows[i]) of one system's
-// ladder on a fresh, privately seeded instance. It is the unit of work both
-// the serial and the parallel sweeps execute, which is why their results
-// are identical byte for byte.
+// ladder on a fresh, privately seeded instance, under the safety checker:
+// the point is fault-free, so a violation is a protocol bug and panics. It
+// is the unit of work both the serial and the parallel sweeps execute, which
+// is why their results are identical byte for byte.
 func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 	var opt Options
 	if cfg.TraceEvents > 0 {
@@ -395,6 +408,7 @@ func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 	}
 	inst := NewInstanceOn(sim, kind, cfg.Nodes, opt)
 	inst.warmUp()
+	checker := inst.Check(nil)
 	res := abcast.RunClosedLoop(inst.Sim, inst.Sys, abcast.LoadConfig{
 		Window:       cfg.Windows[i],
 		MsgSize:      cfg.MsgSize,
@@ -402,7 +416,12 @@ func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 		Measure:      cfg.Measure,
 		MinCommitted: cfg.MinCommitted,
 		MaxMeasure:   cfg.MaxMeasure,
+		OnSubmit:     checker.OnBroadcast,
 	})
+	if err := checker.Err(); err != nil {
+		panic(fmt.Sprintf("bench: %s/%d window %d violated safety under fault-free load: %v",
+			kind, cfg.Nodes, cfg.Windows[i], err))
+	}
 	if inst.Observer.ViolationCount() > 0 {
 		panic(fmt.Sprintf("bench: %s/%d window %d violated invariants under fault-free load:\n%s",
 			kind, cfg.Nodes, cfg.Windows[i], inst.Observer.Report()))

@@ -158,16 +158,6 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 
 	// Safety: every delivery at every replica feeds the checker.
 	checker := inst.Check(nil)
-	if cfg.Durability == Amnesia && inst.Disks != nil {
-		// Amnesia wipes the victim's disk at crash time — the node rejoins
-		// with nothing, the worst-case fabric-bytes baseline — and the
-		// observer is told the durable floor is gone so the lost frontier is
-		// not a violation.
-		inst.target.AfterCrash = func(i int) {
-			inst.Disks[i].Wipe()
-			inst.Observer.DiskFault(i, int64(sim.Now()))
-		}
-	}
 
 	// Closed-loop client: cfg.Window outstanding requests; every ack is
 	// timestamped for the availability probe.
@@ -191,7 +181,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 		panic("chaos: " + err.Error())
 	}
 	faultStart := sim.Now().Add(cfg.Settle)
-	engine := chaos.NewEngine(sim, inst.target)
+	engine := chaos.NewEngine(sim, inst.ChaosTarget())
 	engine.Schedule(faultStart, plan)
 
 	// Watchdog on the ack stream: a wedged run (quorum gone, fixed leader

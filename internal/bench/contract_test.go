@@ -64,11 +64,11 @@ func TestGroupContract(t *testing.T) {
 			// Check hooks the restart path only where a replica has a disk
 			// to replay from.
 			restarted := -1
-			openWindow := inst.target.BeforeRestart
+			openWindow := inst.member.BeforeRestart
 			if (openWindow != nil) != durable[kind] {
 				t.Fatalf("Check hooked Restart = %v, want %v", openWindow != nil, durable[kind])
 			}
-			inst.target.BeforeRestart = func(i int) {
+			inst.member.BeforeRestart = func(i int) {
 				restarted = i
 				if openWindow != nil {
 					openWindow(i)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"acuerdo/internal/abcast"
 	"acuerdo/internal/chaos"
 )
 
@@ -154,6 +155,31 @@ func TestAmnesiaPaysInFabricBytes(t *testing.T) {
 	if a.FabricRecoveryBytes < d.FabricRecoveryBytes {
 		t.Fatalf("amnesia re-shipped fewer bytes (%d) than durable (%d)",
 			a.FabricRecoveryBytes, d.FabricRecoveryBytes)
+	}
+}
+
+// TestAmnesiaIsAnInstanceOption: Options.Durability alone decides the storage
+// model. An amnesia instance built outside RunScenario loses a follower's
+// disk when its chaos target crashes it; a durable one keeps the WAL.
+func TestAmnesiaIsAnInstanceOption(t *testing.T) {
+	const wal = "acuerdo.wal" // acuerdo's one log file
+	for _, mode := range []Durability{Durable, Amnesia} {
+		t.Run(string(mode), func(t *testing.T) {
+			inst := NewInstance(Acuerdo, 3, 1, Options{Durability: mode})
+			defer inst.Close()
+			abcast.RunClosedLoop(inst.Sim, inst.Sys, abcast.LoadConfig{
+				Window: 4, MsgSize: 16, Warmup: time.Millisecond, Measure: 4 * time.Millisecond,
+			})
+			f := (inst.Group.LeaderIdx() + 1) % 3
+			if _, durable := inst.Disks[f].Size(wal); durable == 0 {
+				t.Fatalf("follower %d made nothing durable", f)
+			}
+			inst.ChaosTarget().Crash(f)
+			_, durable := inst.Disks[f].Size(wal)
+			if kept := durable > 0; kept != (mode == Durable) {
+				t.Fatalf("after Crash(%d) follower holds %d durable WAL bytes, want them kept = %v", f, durable, mode == Durable)
+			}
+		})
 	}
 }
 

@@ -154,96 +154,17 @@ func (w *PlacementWorld) Close() {
 	}
 }
 
-// fleetTarget is the chaos.Target over a multi-group world: node indices
-// are fleet nodes, and every action fans out through Map.HostedOn to the
-// single-group targets of the co-located replicas — crashing fleet node k
-// takes down every group replica it hosts, through each ring's own crash
-// path (a shared CPU's crash kills every poll loop on it, so partial
-// crashes would leave sibling replicas as zombies).
-type fleetTarget struct{ w *PlacementWorld }
-
-// ChaosTarget exposes the world's fleet-level fault surface.
-func (w *PlacementWorld) ChaosTarget() chaos.Target { return fleetTarget{w} }
-
-// Replicas reports the fleet size (the chaos plan's node space).
-func (t fleetTarget) Replicas() int { return t.w.Map.Config.Fleet }
-
-// Leader resolves the Leader sentinel to the fleet node currently leading
-// group 0 — the storm's designated victim group.
-func (t fleetTarget) Leader() int {
-	li := t.w.Insts[0].target.Leader()
-	if li < 0 {
-		return -1
+// ChaosTarget exposes the world's fault surface: the fleet of its groups,
+// with Map's placement as the replica → node table and FleetProcs as the
+// nodes' CPUs. The Leader sentinel names the node leading group 0.
+func (w *PlacementWorld) ChaosTarget() chaos.Target {
+	f := &chaos.Fleet{Procs: w.FleetProcs, Rand: w.Sim.Rand()}
+	for pg, inst := range w.Insts {
+		f.Members = append(f.Members, inst.member)
+		f.Hosts = append(f.Hosts, w.Map.Groups[pg].Members)
 	}
-	return t.w.Map.Groups[0].Members[li]
+	return f
 }
-
-// eachHosted applies f to the (group target, replica) pair of every replica
-// fleet node k hosts, in PG order.
-func (t fleetTarget) eachHosted(k int, f func(g chaos.Target, replica int)) {
-	for _, pr := range t.w.Map.HostedOn(k) {
-		f(t.w.Insts[pr[0]].target, pr[1])
-	}
-}
-
-// eachLink applies f to every intra-group link between a replica hosted on
-// fleet node i and one hosted on fleet node j. Groups never talk across
-// rings, so these are the only links a fleet-level link fault can touch.
-func (t fleetTarget) eachLink(i, j int, f func(g chaos.Target, ri, rj int)) {
-	onJ := t.w.Map.HostedOn(j)
-	for _, pi := range t.w.Map.HostedOn(i) {
-		for _, pj := range onJ {
-			if pi[0] == pj[0] && pi[1] != pj[1] {
-				f(t.w.Insts[pi[0]].target, pi[1], pj[1])
-			}
-		}
-	}
-}
-
-// Crash kills fleet node k: every hosted replica crashes.
-func (t fleetTarget) Crash(k int) { t.eachHosted(k, chaos.Target.Crash) }
-
-// Restart recovers fleet node k: every hosted replica rejoins.
-func (t fleetTarget) Restart(k int) { t.eachHosted(k, chaos.Target.Restart) }
-
-// Pause deschedules fleet node k's CPU, stalling every co-located replica
-// at once (they share the core).
-func (t fleetTarget) Pause(k int, d time.Duration) { t.w.FleetProcs[k].Pause(d) }
-
-// CutOneWay drops the i→j direction of every co-hosted intra-group link.
-func (t fleetTarget) CutOneWay(i, j int) { t.eachLink(i, j, chaos.Target.CutOneWay) }
-
-// HealOneWay restores the i→j direction cut by CutOneWay.
-func (t fleetTarget) HealOneWay(i, j int) { t.eachLink(i, j, chaos.Target.HealOneWay) }
-
-// SetLoss installs/clears loss on every co-hosted intra-group link.
-func (t fleetTarget) SetLoss(i, j int, p float64) {
-	t.eachLink(i, j, func(g chaos.Target, ri, rj int) { g.SetLoss(ri, rj, p) })
-}
-
-// SetLatencySpike installs/clears extra latency on every co-hosted
-// intra-group link.
-func (t fleetTarget) SetLatencySpike(i, j int, d time.Duration) {
-	t.eachLink(i, j, func(g chaos.Target, ri, rj int) { g.SetLatencySpike(ri, rj, d) })
-}
-
-// DiskStall stalls the disk of every replica fleet node k hosts.
-func (t fleetTarget) DiskStall(k int, d time.Duration) {
-	t.eachHosted(k, func(g chaos.Target, r int) { g.DiskStall(r, d) })
-}
-
-// DiskTorn arms a torn write on the disk of every replica node k hosts.
-func (t fleetTarget) DiskTorn(k int) { t.eachHosted(k, chaos.Target.DiskTorn) }
-
-// DiskCorrupt flips a durable bit on the disk of every replica node k hosts.
-func (t fleetTarget) DiskCorrupt(k int) { t.eachHosted(k, chaos.Target.DiskCorrupt) }
-
-// DiskFull sets or clears disk-full on every replica node k hosts.
-func (t fleetTarget) DiskFull(k int, on bool) {
-	t.eachHosted(k, func(g chaos.Target, r int) { g.DiskFull(r, on) })
-}
-
-var _ chaos.Target = fleetTarget{}
 
 // PGResult is one group's share of a multi-group run.
 type PGResult struct {

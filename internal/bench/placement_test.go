@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"acuerdo/internal/chaos"
 	"acuerdo/internal/placement"
+	"acuerdo/internal/trace"
 )
 
 // shortPlacement returns a wall-affordable multi-group configuration for
@@ -121,6 +123,99 @@ func TestPlacementChaosIsolation(t *testing.T) {
 	if got := res.Groups[1].Committed; got < 100 {
 		t.Fatalf("pg 1 nearly stalled during pg 0's storm: %d commits in %v (pg0: %d)",
 			got, res.Elapsed, res.Groups[0].Committed)
+	}
+}
+
+// TestFleetFanOut holds the placement world's chaos target to its map: a
+// fleet-node action lands on exactly the replicas Map.HostedOn names, a link
+// action on exactly the intra-group links between two nodes' replicas, and
+// the Leader sentinel on the node leading group 0.
+func TestFleetFanOut(t *testing.T) {
+	cfg := shortPlacement(Acuerdo, 2)
+	m, err := placement.Build(cfg.Placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewPlacementWorld(cfg.Kind, m, cfg.Seed, false)
+	defer w.Close()
+	w.WarmUp()
+	tgt := w.ChaosTarget()
+	if tgt.Replicas() != m.Config.Fleet || m.Config.Fleet != 6 {
+		t.Fatalf("target spans %d nodes, map fleet %d, want 6", tgt.Replicas(), m.Config.Fleet)
+	}
+	if li := w.Insts[0].Group.LeaderIdx(); tgt.Leader() != m.Groups[0].Members[li] {
+		t.Fatalf("Leader() = %d, want node %d hosting group 0's leader (replica %d)", tgt.Leader(), m.Groups[0].Members[li], li)
+	}
+
+	// Every node id the shared fabric gave a replica, and who hosts it.
+	links := w.Fabric.Links
+	type replica struct{ pg, idx, node, id int }
+	var all []replica
+	for pg, g := range m.Groups {
+		for idx, node := range g.Members {
+			all = append(all, replica{pg, idx, node, w.Insts[pg].Group.NodeID(idx)})
+		}
+	}
+	i, j := m.Groups[0].Members[0], m.Groups[0].Members[1]
+	tgt.CutOneWay(i, j)
+	cut := 0
+	for _, a := range all {
+		for _, b := range all {
+			want := a.pg == b.pg && a.node == i && b.node == j
+			if links.CutOneWay(a.id, b.id) != want {
+				t.Fatalf("CutOneWay(%d, %d): link pg%d/r%d -> pg%d/r%d cut = %v, want %v", i, j, a.pg, a.idx, b.pg, b.idx, !want, want)
+			}
+			if want {
+				cut++
+			}
+		}
+	}
+	tgt.HealOneWay(i, j)
+	for _, a := range all {
+		for _, b := range all {
+			if links.Partitioned(a.id, b.id) {
+				t.Fatalf("HealOneWay(%d, %d) left pg%d/r%d - pg%d/r%d partitioned", i, j, a.pg, a.idx, b.pg, b.idx)
+			}
+		}
+	}
+	if cut == 0 {
+		t.Fatal("nodes hosting two replicas of group 0 share no link")
+	}
+
+	// The busiest node, so a crash spans both groups where the map allows it.
+	k := 0
+	for n := range m.Config.Fleet {
+		if len(m.HostedOn(n)) > len(m.HostedOn(k)) {
+			k = n
+		}
+	}
+	hosted := make(map[[2]int]bool)
+	for _, pr := range m.HostedOn(k) {
+		hosted[pr] = true
+	}
+	down := func() map[[2]int]bool {
+		out := make(map[[2]int]bool)
+		for _, a := range all {
+			if w.Insts[a.pg].AcuerdoCluster.Replicas[a.idx].Node.Crashed() {
+				out[[2]int{a.pg, a.idx}] = true
+			}
+		}
+		return out
+	}
+	tgt.Crash(k)
+	if got := down(); !reflect.DeepEqual(got, hosted) {
+		t.Fatalf("Crash(%d) downed %v, want exactly HostedOn = %v", k, got, hosted)
+	}
+	// The world is volatile: disk actions reach no device, and do nothing.
+	tgt.DiskStall(k, time.Millisecond)
+	tgt.DiskTorn(k)
+	tgt.DiskCorrupt(k)
+	if n := w.Tracer.Counter(trace.CtrDiskFaults); n != 0 {
+		t.Fatalf("disk actions on a volatile world applied %d faults", n)
+	}
+	tgt.Restart(k)
+	if got := down(); len(got) != 0 {
+		t.Fatalf("Restart(%d) left %v down", k, got)
 	}
 }
 

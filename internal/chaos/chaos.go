@@ -1,9 +1,14 @@
 // Package chaos is a deterministic fault-injection engine for the
 // simulated stack. A declarative Plan — timed crashes, recoveries, pause
 // storms, symmetric and asymmetric partitions with heals, per-link
-// loss-probability windows, and latency-spike windows — is compiled onto
-// the simulation event heap and applied to a Target (any system the bench
-// harness can crash, restart, pause, and cut links on).
+// loss-probability windows, latency-spike windows, and disk faults — is
+// compiled onto the simulation event heap and applied to a Target: the
+// Fleet of replica groups a harness hosts, one group or many.
+//
+// The fault model is the paper's fail-stop one: a node crashes, pauses or
+// loses links, and its disk stalls, loses power mid-write (a torn last
+// record) or rots (a flipped bit recovery must catch), but never refuses a
+// write.
 //
 // Determinism is the whole point: scenario generators draw every random
 // choice from the simulator's seeded RNG, actions fire as ordinary
@@ -61,10 +66,6 @@ const (
 	// verify during recovery. Fires even while the node is down (bit
 	// rot does not wait for reboots). No-op on volatile targets.
 	ADiskCorrupt
-	// ADiskFull sets (Prob > 0) or clears (Prob <= 0) the disk-full
-	// condition on Node's disk: appends fail at sync time until
-	// cleared. No-op on volatile targets.
-	ADiskFull
 )
 
 var actionNames = map[ActionKind]string{
@@ -80,7 +81,6 @@ var actionNames = map[ActionKind]string{
 	ADiskStall:   "disk-stall",
 	ADiskTorn:    "disk-torn",
 	ADiskCorrupt: "disk-corrupt",
-	ADiskFull:    "disk-full",
 }
 
 // String returns the action kind's stable name.
@@ -122,12 +122,6 @@ func (a Action) String() string {
 		return fmt.Sprintf("%v %s n%d", a.At, a.Kind, a.Node)
 	case APause, ADiskStall:
 		return fmt.Sprintf("%v %s n%d %v", a.At, a.Kind, a.Node, a.Dur)
-	case ADiskFull:
-		state := "clear"
-		if a.Prob > 0 {
-			state = "on"
-		}
-		return fmt.Sprintf("%v %s n%d %s", a.At, a.Kind, a.Node, state)
 	case ALoss:
 		return fmt.Sprintf("%v %s %d-%d p=%.2f", a.At, a.Kind, a.From, a.To, a.Prob)
 	case ALatency:
@@ -144,7 +138,7 @@ func (a Action) Disruptive() bool {
 	switch a.Kind {
 	case ACrash, APause, ACut, ACutOneWay:
 		return true
-	case ALoss, ADiskFull:
+	case ALoss:
 		return a.Prob > 0
 	case ALatency, ADiskStall:
 		return a.Dur > 0
@@ -161,11 +155,11 @@ type Plan struct {
 	Actions []Action
 }
 
-// Target is the control surface the engine drives. GroupTarget implements
-// it over any abcast.Group (a multi-group world fans out to one per group);
-// node indices are replica indices (0..Replicas-1), never client nodes.
+// Target is the control surface the engine drives. Fleet is its one
+// implementation; node indices are fleet nodes (0..Replicas-1) — for a
+// single group, replica indices — never client nodes.
 type Target interface {
-	// Replicas returns the replica count.
+	// Replicas returns the node count.
 	Replicas() int
 	// Leader returns the current leader's replica index, or -1 if the
 	// target has none (mid-election, or leader crashed).
@@ -195,9 +189,6 @@ type Target interface {
 	// DiskCorrupt flips one durable bit on replica i's disk; a no-op
 	// for volatile targets.
 	DiskCorrupt(i int)
-	// DiskFull sets or clears the disk-full condition on replica i's
-	// disk; a no-op for volatile targets.
-	DiskFull(i int, on bool)
 }
 
 // Fired records one action the engine applied, with its sentinel resolved.
@@ -315,11 +306,6 @@ func (e *Engine) apply(a Action) {
 			break
 		}
 		e.target.DiskCorrupt(node)
-	case ADiskFull:
-		if node < 0 {
-			break
-		}
-		e.target.DiskFull(node, a.Prob > 0)
 	}
 	e.fired = append(e.fired, Fired{At: e.sim.Now(), Action: a, Node: node})
 }

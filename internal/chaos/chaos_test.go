@@ -43,9 +43,6 @@ func (t *fakeTarget) DiskStall(i int, d time.Duration) {
 }
 func (t *fakeTarget) DiskTorn(i int)    { t.calls = append(t.calls, fmt.Sprintf("disk-torn %d", i)) }
 func (t *fakeTarget) DiskCorrupt(i int) { t.calls = append(t.calls, fmt.Sprintf("disk-corrupt %d", i)) }
-func (t *fakeTarget) DiskFull(i int, on bool) {
-	t.calls = append(t.calls, fmt.Sprintf("disk-full %d %v", i, on))
-}
 
 // The engine fires actions in plan order at the scheduled times, resolves
 // the Leader and LastCrashed sentinels at fire time, and refuses to crash
@@ -65,21 +62,19 @@ func TestEngineDispatchAndSentinels(t *testing.T) {
 		{At: 8 * time.Millisecond, Kind: ADiskStall, Node: 2, Dur: time.Millisecond},
 		{At: 8 * time.Millisecond, Kind: ADiskTorn, Node: Leader},
 		{At: 8 * time.Millisecond, Kind: ADiskCorrupt, Node: 0},
-		{At: 9 * time.Millisecond, Kind: ADiskFull, Node: 2, Prob: 1},
-		{At: 9 * time.Millisecond, Kind: ADiskFull, Node: 2},
 	}})
 	sim.RunFor(10 * time.Millisecond)
 
 	want := []string{
 		"crash 0", "restart 0", "cut 1>2", "loss 0-2 0.5", "spike 0-1 1ms", "heal 1>2",
-		"disk-stall 2 1ms", "disk-torn 1", "disk-corrupt 0", "disk-full 2 true", "disk-full 2 false",
+		"disk-stall 2 1ms", "disk-torn 1", "disk-corrupt 0",
 	}
 	if !reflect.DeepEqual(tgt.calls, want) {
 		t.Fatalf("calls = %v, want %v", tgt.calls, want)
 	}
 	fired := eng.Fired()
-	if len(fired) != 12 {
-		t.Fatalf("fired %d actions, want 12", len(fired))
+	if len(fired) != 10 {
+		t.Fatalf("fired %d actions, want 10", len(fired))
 	}
 	if fired[0].Node != 0 {
 		t.Fatalf("leader sentinel resolved to %d, want 0", fired[0].Node)

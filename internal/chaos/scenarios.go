@@ -167,7 +167,7 @@ func TornWriteRestart(interval, downFor time.Duration) Scenario {
 func (p Plan) Validate(n int) error {
 	for i, a := range p.Actions {
 		switch a.Kind {
-		case ACrash, ARecover, APause, ADiskStall, ADiskTorn, ADiskCorrupt, ADiskFull:
+		case ACrash, ARecover, APause, ADiskStall, ADiskTorn, ADiskCorrupt:
 			if a.Node >= n || (a.Node < 0 && a.Node != Leader && a.Node != LastCrashed) {
 				return fmt.Errorf("plan %s action %d (%s): node %d out of range", p.Name, i, a, a.Node)
 			}

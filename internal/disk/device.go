@@ -6,8 +6,9 @@
 // state on it and share its restart spine (Recovery.Reopen, the head of
 // every durable restart, and GroupCommit, the one-flush-in-flight batching
 // pump); internal/chaos injects its disk faults (fsync stalls, torn
-// last records, bit-flip corruption, full disk) through the fault surface
-// here.
+// last records, bit-flip corruption) through the fault surface here. The
+// device fails only by losing power: a write is never refused, so no
+// completion carries an error.
 //
 // There is one storage story: a replica's durable state is its protocol's
 // WAL, and the application above it is rebuilt by re-delivery of the
@@ -19,7 +20,6 @@
 package disk
 
 import (
-	"errors"
 	"math/rand"
 	"sort"
 	"time"
@@ -28,10 +28,6 @@ import (
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/trace"
 )
-
-// ErrNoSpace is returned by writes to a full device (the full-disk fault is
-// armed).
-var ErrNoSpace = errors.New("disk: no space left on device")
 
 // Params models one device's service times. The defaults approximate a
 // datacenter NVMe drive: sub-microsecond buffered writes, ~10 us flushes.
@@ -80,7 +76,7 @@ type Stats struct {
 	// Crashes counts Crash calls; TornCrashes those that left a torn tail.
 	Crashes     int64
 	TornCrashes int64
-	// Faults counts applied fault-surface calls (stall/torn-arm/corrupt/full).
+	// Faults counts applied fault-surface calls (stall/torn-arm/corrupt).
 	Faults int64
 }
 
@@ -89,7 +85,6 @@ const (
 	faultStall = iota
 	faultTornArm
 	faultCorrupt
-	faultFull
 )
 
 // Device is one node's simulated disk. All methods must be called from
@@ -115,14 +110,13 @@ type Device struct {
 
 	// fault state
 	tornArmed bool
-	full      bool
 
 	stats Stats
 }
 
 type syncReq struct {
 	name string
-	done func(error)
+	done func()
 }
 
 // NewDevice creates an empty device owned by node (the replica index used
@@ -163,14 +157,9 @@ func (d *Device) get(name string) *file {
 }
 
 // Append buffers p at the end of name (creating it if needed) and runs done
-// with nil after the write latency. If the device is full it returns
-// ErrNoSpace synchronously, buffers nothing, and never calls done. The
-// buffered bytes are volatile until a Sync covering them completes. done
-// may be nil.
-func (d *Device) Append(name string, p []byte, done func(error)) error {
-	if d.full {
-		return ErrNoSpace
-	}
+// after the write latency. The buffered bytes are volatile until a Sync
+// covering them completes. done may be nil.
+func (d *Device) Append(name string, p []byte, done func()) {
 	f := d.get(name)
 	f.data = append(f.data, p...)
 	d.stats.Writes++
@@ -180,15 +169,23 @@ func (d *Device) Append(name string, p []byte, done func(error)) error {
 		tr.Add(trace.CtrDiskWrites, 1)
 		tr.Add(trace.CtrDiskWriteBytes, int64(len(p)))
 	}
-	d.complete(d.params.WriteLatency, done, nil)
-	return nil
+	if done == nil {
+		return
+	}
+	// A crash before the write latency elapses drops done.
+	epoch := d.epoch
+	d.sim.After(d.params.WriteLatency, func() {
+		if d.epoch == epoch {
+			done()
+		}
+	})
 }
 
 // Sync schedules an fsync of name: when it completes, every byte buffered
 // in name at the time Sync was called is durable. Flushes are serialized
 // per device (FIFO); an armed fsync-stall window delays the head of the
 // queue until the window closes. done may be nil.
-func (d *Device) Sync(name string, done func(error)) {
+func (d *Device) Sync(name string, done func()) {
 	d.syncQueue = append(d.syncQueue, syncReq{name: name, done: done})
 	if !d.syncBusy {
 		d.syncBusy = true
@@ -227,27 +224,12 @@ func (d *Device) startSync() {
 		}
 		d.syncQueue = d.syncQueue[1:]
 		if req.done != nil {
-			req.done(nil)
+			req.done()
 		}
 		if len(d.syncQueue) > 0 {
 			d.startSync()
 		} else {
 			d.syncBusy = false
-		}
-	})
-}
-
-// complete schedules done(err) after cost; a crash in between drops it.
-// LogStore surfaces a synchronous ErrNoSpace through it, on its usual
-// asynchronous callback path.
-func (d *Device) complete(cost time.Duration, done func(error), err error) {
-	if done == nil {
-		return
-	}
-	epoch := d.epoch
-	d.sim.After(cost, func() {
-		if d.epoch == epoch {
-			done(err)
 		}
 	})
 }
@@ -378,17 +360,6 @@ func (d *Device) CorruptDurable(rng *rand.Rand) bool {
 	victim.data[off] ^= 1 << uint(rng.Intn(8))
 	d.fault(faultCorrupt, int64(off))
 	return true
-}
-
-// SetFull arms or clears the full-disk fault: while armed every Append
-// fails with ErrNoSpace.
-func (d *Device) SetFull(on bool) {
-	d.full = on
-	v := int64(0)
-	if on {
-		v = 1
-	}
-	d.fault(faultFull, v)
 }
 
 func (d *Device) fault(id int, operand int64) {

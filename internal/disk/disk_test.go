@@ -16,21 +16,11 @@ func TestAppendSyncDurability(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
 	var wrote, synced bool
-	dev.Append("wal", []byte("hello"), func(err error) {
-		if err != nil {
-			t.Errorf("append: %v", err)
-		}
-		wrote = true
-	})
+	dev.Append("wal", []byte("hello"), func() { wrote = true })
 	if _, durable := dev.Size("wal"); durable != 0 {
 		t.Fatalf("bytes durable before any fsync: %d", durable)
 	}
-	dev.Sync("wal", func(err error) {
-		if err != nil {
-			t.Errorf("sync: %v", err)
-		}
-		synced = true
-	})
+	dev.Sync("wal", func() { synced = true })
 	sim.RunFor(time.Millisecond)
 	if !wrote || !synced {
 		t.Fatalf("callbacks did not fire: wrote=%v synced=%v", wrote, synced)
@@ -52,7 +42,7 @@ func TestFsyncLatencyOnClock(t *testing.T) {
 	dev.Append("wal", make([]byte, 100), nil)
 	start := sim.Now()
 	var doneAt simnet.Time
-	dev.Sync("wal", func(error) { doneAt = sim.Now() })
+	dev.Sync("wal", func() { doneAt = sim.Now() })
 	sim.RunFor(time.Millisecond)
 	if got := doneAt.Sub(start); got != 10*time.Microsecond {
 		t.Fatalf("fsync took %v, want 10us", got)
@@ -79,8 +69,8 @@ func TestCrashDropsPendingCallbacks(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
 	fired := false
-	dev.Append("wal", []byte("x"), func(error) { fired = true })
-	dev.Sync("wal", func(error) { fired = true })
+	dev.Append("wal", []byte("x"), func() { fired = true })
+	dev.Sync("wal", func() { fired = true })
 	dev.Crash(sim.Rand())
 	sim.RunFor(time.Millisecond)
 	if fired {
@@ -95,12 +85,7 @@ func TestWALGroupCommitBatches(t *testing.T) {
 	const n = 16
 	acked := 0
 	for i := 0; i < n; i++ {
-		w.AppendEntry(uint64(i), 0, []byte{byte(i)}, func(err error) {
-			if err != nil {
-				t.Errorf("append: %v", err)
-			}
-			acked++
-		})
+		w.AppendEntry(uint64(i), 0, []byte{byte(i)}, func() { acked++ })
 	}
 	sim.RunFor(time.Millisecond)
 	if acked != n {
@@ -270,26 +255,6 @@ func TestRecoverStopsAtBitFlip(t *testing.T) {
 	}
 }
 
-func TestFullDiskFailsAppends(t *testing.T) {
-	sim := newSim(1)
-	dev := NewDevice(sim, 0, DefaultParams())
-	w := NewLogStore(dev, "wal")
-	dev.SetFull(true)
-	var got error
-	w.AppendEntry(0, 0, []byte("x"), func(err error) { got = err })
-	sim.RunFor(time.Millisecond)
-	if got != ErrNoSpace {
-		t.Fatalf("append on full disk: err=%v, want ErrNoSpace", got)
-	}
-	dev.SetFull(false)
-	got = nil
-	w.AppendEntry(0, 0, []byte("x"), func(err error) { got = err })
-	sim.RunFor(time.Millisecond)
-	if got != nil {
-		t.Fatalf("append after clearing full: %v", got)
-	}
-}
-
 func TestFsyncStallDelaysFlush(t *testing.T) {
 	sim := newSim(1)
 	p := DefaultParams()
@@ -300,7 +265,7 @@ func TestFsyncStallDelaysFlush(t *testing.T) {
 	dev.StallFsync(5 * time.Millisecond)
 	start := sim.Now()
 	var doneAt simnet.Time
-	dev.Sync("wal", func(error) { doneAt = sim.Now() })
+	dev.Sync("wal", func() { doneAt = sim.Now() })
 	sim.RunFor(20 * time.Millisecond)
 	if got := doneAt.Sub(start); got != 5*time.Millisecond+10*time.Microsecond {
 		t.Fatalf("stalled fsync took %v, want 5.01ms", got)

@@ -12,7 +12,7 @@ import (
 func walPump(ls **LogStore, flushes *int) GroupCommit {
 	return NewGroupCommit(func(done func()) {
 		*flushes++
-		(*ls).Flush(func(error) { done() })
+		(*ls).Flush(done)
 	})
 }
 

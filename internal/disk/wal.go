@@ -104,16 +104,15 @@ func (r *Recovered) Positional() []RecEntry {
 // record and queues the caller behind the next flush; while a flush is in
 // flight further writes pile onto one batch that a single follow-up flush
 // covers — fsync cost amortizes across the batch exactly like
-// etcd/ZooKeeper group commit. done(nil) runs once a flush has made the
-// record durable, done(ErrNoSpace) on a full disk (the record is then lost
-// — callers decide whether to retry, degrade, or halt). A nil done means
+// etcd/ZooKeeper group commit. done runs once a flush has made the record
+// durable, or never, if the device loses power first. A nil done means
 // fire-and-forget: the record still rides the next group commit.
 type LogStore struct {
 	dev  *Device
 	name string
 
 	busy    bool
-	pending []func(error) // callbacks awaiting the next flush
+	pending []func() // callbacks awaiting the next flush
 }
 
 // NewLogStore opens (or creates) the named log on dev.
@@ -126,14 +125,11 @@ func (ls *LogStore) Name() string { return ls.name }
 
 // write stamps rec's header around the payload already at rec[recHeader:],
 // buffers the record on the device and queues done behind the next flush.
-func (ls *LogStore) write(kind byte, rec []byte, done func(error)) {
+func (ls *LogStore) write(kind byte, rec []byte, done func()) {
 	binary.LittleEndian.PutUint32(rec[4:], uint32(len(rec)-recHeader))
 	rec[8] = kind
 	binary.LittleEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(rec[8:]))
-	if err := ls.dev.Append(ls.name, rec, nil); err != nil {
-		ls.dev.complete(0, done, err)
-		return
-	}
+	ls.dev.Append(ls.name, rec, nil)
 	ls.pending = append(ls.pending, done)
 	ls.kick()
 }
@@ -145,11 +141,11 @@ func (ls *LogStore) kick() {
 	ls.busy = true
 	batch := ls.pending
 	ls.pending = nil
-	ls.dev.Sync(ls.name, func(err error) {
+	ls.dev.Sync(ls.name, func() {
 		ls.busy = false
 		for _, cb := range batch {
 			if cb != nil {
-				cb(err)
+				cb()
 			}
 		}
 		ls.kick()
@@ -157,7 +153,7 @@ func (ls *LogStore) kick() {
 }
 
 // AppendEntry persists one log entry.
-func (ls *LogStore) AppendEntry(seq, term uint64, data []byte, done func(error)) {
+func (ls *LogStore) AppendEntry(seq, term uint64, data []byte, done func()) {
 	rec := make([]byte, recHeader+16+len(data))
 	binary.LittleEndian.PutUint64(rec[recHeader:], seq)
 	binary.LittleEndian.PutUint64(rec[recHeader+8:], term)
@@ -167,25 +163,29 @@ func (ls *LogStore) AppendEntry(seq, term uint64, data []byte, done func(error))
 
 // Truncate persists a positional truncation: on replay, every entry with
 // Seq >= keepBelow recovered so far is dropped.
-func (ls *LogStore) Truncate(keepBelow uint64, done func(error)) {
+func (ls *LogStore) Truncate(keepBelow uint64, done func()) {
 	var rec [recHeader + 8]byte
 	binary.LittleEndian.PutUint64(rec[recHeader:], keepBelow)
 	ls.write(kindTrunc, rec[:], done)
 }
 
 // SetMeta persists one metadata cell (last write wins on replay).
-func (ls *LogStore) SetMeta(key uint8, val uint64, done func(error)) {
+func (ls *LogStore) SetMeta(key uint8, val uint64, done func()) {
 	var rec [recHeader + 9]byte
 	rec[recHeader] = key
 	binary.LittleEndian.PutUint64(rec[recHeader+1:], val)
 	ls.write(kindMeta, rec[:], done)
 }
 
-// Flush arranges for done(err) once everything appended so far is durable.
-func (ls *LogStore) Flush(done func(error)) { ls.SetMeta(flushKey, 0, done) }
+// Flush arranges for done once everything appended so far is durable.
+func (ls *LogStore) Flush(done func()) { ls.SetMeta(flushKey, 0, done) }
 
-// Reset truncates the log to empty (after a snapshot supersedes it).
-// Pending group commits still complete against the old content's flush.
+// Reset truncates the log to empty; pending group commits still complete
+// against the old content's flush. No package here calls it — the storage
+// story has no snapshot to supersede a log — and it survives, with
+// Device.Truncate beneath it, only for the frozen benchmark/kernels.go,
+// which empties its kernel's log between batches. Delete both with the next
+// benchmark PR.
 func (ls *LogStore) Reset() { ls.dev.Truncate(ls.name) }
 
 // Reopen is the one restart path for a typed log on a device that has just

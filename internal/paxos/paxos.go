@@ -319,11 +319,7 @@ func (s *Server) onAccept(ballot, inst uint64, payload []byte) {
 	// was counted on. Group commit batches concurrent accepts into one sync.
 	s.astore.AppendEntry(inst, ballot, pl, nil)
 	s.astore.SetMeta(metaPromised, s.promised, nil)
-	s.astore.Flush(func(err error) {
-		if err == nil {
-			notify()
-		}
-	})
+	s.astore.Flush(notify)
 }
 
 // onAccepted is phase 2b at the learner: a quorum of acceptors on the same
@@ -413,11 +409,7 @@ func (s *Server) persistDelivered() {
 	}
 	n := s.delivered
 	s.lstore.SetMeta(metaDelivered, n, nil)
-	s.lstore.Flush(func(err error) {
-		if err == nil {
-			s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n)
-		}
-	})
+	s.lstore.Flush(func() { s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n) })
 }
 
 // --- proposer failover (phase 1) ---
@@ -523,11 +515,7 @@ func (s *Server) onPrepare(ballot, fromInst uint64, from int) {
 	// A promise is binding only once durable: sync it before replying so no
 	// post-crash incarnation can accept a lower ballot this reply excluded.
 	s.astore.SetMeta(metaPromised, s.promised, nil)
-	s.astore.Flush(func(err error) {
-		if err == nil {
-			reply()
-		}
-	})
+	s.astore.Flush(reply)
 }
 
 // onPromise is phase 1b at the new proposer: on a quorum of promises,

@@ -535,7 +535,7 @@ func (s *Server) flush(done func()) {
 		s.store.AppendEntry(uint64(i), s.log[i].term, s.log[i].payload, nil)
 	}
 	s.walLen = len(s.log)
-	s.store.Flush(func(error) { done() })
+	s.store.Flush(done)
 }
 
 // persistVoteState makes the current term and vote durable before done
@@ -548,7 +548,7 @@ func (s *Server) persistVoteState(done func()) {
 	}
 	s.store.SetMeta(metaTerm, s.term, nil)
 	s.store.SetMeta(metaVote, uint64(int64(s.votedFor)+1), nil)
-	s.store.Flush(func(error) { done() })
+	s.store.Flush(done)
 }
 
 // persistCommit records the commit index in the background and reports the
@@ -561,11 +561,7 @@ func (s *Server) persistCommit() {
 	}
 	n := uint64(s.commit)
 	s.store.SetMeta(metaCommit, n, nil)
-	s.store.Flush(func(err error) {
-		if err == nil {
-			s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n)
-		}
-	})
+	s.store.Flush(func() { s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n) })
 }
 
 func (s *Server) onAppendResp(m []byte) {

@@ -173,7 +173,7 @@ const (
 	CtrDiskWriteBytes // bytes buffered by devices
 	CtrDiskFsyncs     // fsyncs completed by devices
 	CtrDiskFsyncBytes // bytes made durable by fsyncs
-	CtrDiskFaults     // disk faults applied (stall/torn/corrupt/full)
+	CtrDiskFaults     // disk faults applied (stall/torn/corrupt)
 
 	numCounters
 )

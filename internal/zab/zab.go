@@ -299,7 +299,7 @@ func (s *Server) flush(done func()) {
 		s.store.AppendEntry(uint64(i), s.log[i].zxid, s.log[i].payload, nil)
 	}
 	s.walLen = len(s.log)
-	s.store.Flush(func(error) { done() })
+	s.store.Flush(done)
 }
 
 // persistCommitted records the committed frontier in the background and
@@ -310,11 +310,7 @@ func (s *Server) persistCommitted() {
 	}
 	n := uint64(s.committed)
 	s.store.SetMeta(metaCommitted, n, nil)
-	s.store.Flush(func(err error) {
-		if err == nil {
-			s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n)
-		}
-	})
+	s.store.Flush(func() { s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n) })
 }
 
 // persistEpoch records the current epoch; it rides the next group commit.
