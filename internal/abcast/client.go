@@ -45,9 +45,12 @@ func (r *retry) run() {
 // NewClient creates a client that sends through try. try routes one request
 // and puts it on the wire, reporting whether it did: after true the client
 // re-sends once timeout passes without an acknowledgment (a leader change
-// lost the request, or it is merely slow — the protocols absorb duplicates
-// by id); after false (no serving replica right now, or the system asks to
-// hold the request) it asks again after idle. A zero duration never re-arms.
+// lost the request, or it is merely slow — every leader that can receive a
+// re-send asks its Sessions table, which re-acknowledges a delivered id and
+// drops one in flight, so a retry is never ordered twice; APUS passes a zero
+// timeout and never re-sends); after false (no serving replica right now, or
+// the system asks to hold the request) it asks again after idle. A zero
+// duration never re-arms.
 func NewClient(sim *simnet.Sim, try func(id uint64, payload []byte) bool, timeout, idle time.Duration) *Client {
 	return &Client{sim: sim, try: try, timeout: timeout, idle: idle, pending: make(map[uint64]func())}
 }

@@ -125,10 +125,19 @@ func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg ClusterConfig) *Cluste
 		i, r := i, r
 		r.OnPoll = func() {
 			// Requests reaching a non-leader are dropped (the client resends
-			// after its retry timeout, as with real leader-redirect schemes).
+			// after its retry timeout, as with real leader-redirect schemes),
+			// and a leader proposes only what its client-request table admits:
+			// a retry whose request is delivered is re-acknowledged, one still
+			// in flight here is dropped.
 			c.link.Requests(i, func(req []byte) {
-				if r.IsLeader() {
+				if !r.IsLeader() {
+					return
+				}
+				switch r.sessions.Admit(abcast.MsgID(req)) {
+				case abcast.Propose:
 					r.Broadcast(req)
+				case abcast.Reack:
+					c.link.Ack(i, req)
 				}
 			})
 		}

@@ -3,6 +3,7 @@ package acuerdo
 import (
 	"time"
 
+	"acuerdo/internal/abcast"
 	"acuerdo/internal/disk"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/rdma"
@@ -169,6 +170,11 @@ type Replica struct {
 	recovering bool
 	recovery   *disk.Recovery
 
+	// sessions is the client-request table: updated at delivery, reseeded
+	// from the log above the committed header when this node wins, grown by
+	// Broadcast, consulted by the cluster's request path.
+	sessions abcast.Sessions
+
 	obs *observe.Observer
 
 	Stats Stats
@@ -273,6 +279,7 @@ func (r *Replica) restartDurable() {
 	// protocol state, and keeping it monotone keeps the commit SST's
 	// per-cell invariant meaningful across restarts.
 	r.log = Log{}
+	r.sessions = abcast.Sessions{} // refilled by the replay below
 	r.accepted, r.committed, r.next = MsgHdr{}, MsgHdr{}, MsgHdr{}
 	r.eCur, r.eNew = Epoch{}, Epoch{}
 	r.count = 0
@@ -313,6 +320,7 @@ func (r *Replica) restartDurable() {
 	r.obs.RecoverDone(int(r.ID), now, uint64(r.log.Len()), n)
 	for _, e := range r.log.RangeClosed(MsgHdr{}, r.committed) {
 		r.obs.AcuerdoCommit(int(r.ID), now, e.Hdr.E.Round, uint32(e.Hdr.E.Ldr), e.Hdr.Cnt, trace.ID(e.Payload))
+		r.sessions.Deliver(abcast.MsgID(e.Payload))
 		r.Stats.Delivered++
 		if r.OnDeliver != nil {
 			r.OnDeliver(e.Hdr, e.Payload)
@@ -432,6 +440,9 @@ func (r *Replica) acceptDiff(hdr, diffFrom MsgHdr, entries []Entry) {
 // Broadcast proposes payload as the epoch's next message (Figure 4). It
 // returns false if this node is not the leader. The ring buffer pipelines
 // the message to every follower without waiting for any acknowledgment.
+// Broadcast does not consult the client-request table — the cluster's
+// request path does, before it calls Broadcast — but records payload's id as
+// pending there.
 func (r *Replica) Broadcast(payload []byte) bool {
 	if r.role != Leader {
 		return false
@@ -458,6 +469,7 @@ func (r *Replica) Broadcast(payload []byte) bool {
 	// Self-acceptance: the leader stores and accepts its own message
 	// locally (broadcast includes itself).
 	r.log.Insert(Entry{Hdr: hdr, Payload: payload})
+	r.sessions.Pend(abcast.MsgID(payload))
 	r.accepted = hdr
 	r.acceptSST.Set(hdr)
 	r.Stats.Broadcasts++
@@ -526,6 +538,7 @@ func (r *Replica) deliverEntry(e Entry) {
 	r.Node.Proc.Charge(r.Cfg.DeliverCost)
 	r.obs.AcuerdoCommit(int(r.ID), int64(r.Sim.Now()), e.Hdr.E.Round, uint32(e.Hdr.E.Ldr), e.Hdr.Cnt, trace.ID(e.Payload))
 	r.committed = e.Hdr
+	r.sessions.Deliver(abcast.MsgID(e.Payload))
 	r.Stats.Delivered++
 	if tr := r.Sim.Tracer(); tr != nil {
 		now := int64(r.Sim.Now())
@@ -697,6 +710,12 @@ func (r *Replica) becomeLeader() {
 		idx = i
 	}
 	r.sent = append(r.sent, sentRec{hdr: hdr, idx: idx})
+	// The diff's commit delivers every entry this node holds above its
+	// committed header: those are the requests pending here.
+	r.sessions.Reseed()
+	for _, e := range r.log.RangeOpen(r.committed, MsgHdr{E: r.eNew}) {
+		r.sessions.Pend(abcast.MsgID(e.Payload))
+	}
 	// Self-transition: our log already matches the diff contents, so only
 	// the epoch state changes.
 	r.eCur = r.eNew

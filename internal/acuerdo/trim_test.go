@@ -38,15 +38,16 @@ func loadLoop(sim *simnet.Sim, c *Cluster, chk *abcast.Checker, window, size int
 // commit-push interval and the followers' lag add) in the same few arena
 // chunks at every replica, however many messages went through — and its
 // leader the same handful of ring-release records (what no peer has accepted
-// yet) in an array that stopped growing at the window. Not shortened under
-// -short: the race lane runs it at full depth.
+// yet) in an array that stopped growing at the window, and every replica a
+// client-request table whose rings cover the same few blocks of ids. Not
+// shortened under -short: the race lane runs it at full depth.
 func TestLogBoundedState(t *testing.T) {
 	const (
 		window, size = 16, 1000
 		T            = 2 * time.Millisecond
 		maxLen       = 2 * window
 	)
-	run := func(d time.Duration) (delivered uint64, chunks, sentCap int) {
+	run := func(d time.Duration) (delivered uint64, chunks, sentCap, span int) {
 		sim, c, chk := newTestCluster(t, 3, 11)
 		sim.RunFor(20 * time.Millisecond)
 		stop := false
@@ -54,7 +55,7 @@ func TestLogBoundedState(t *testing.T) {
 		sim.RunFor(d)
 		chunks = len(c.Replicas[0].log.chunks)
 		for i, r := range c.Replicas {
-			t.Logf("after %v: replica %d holds %d entries in %d chunks, delivered %d", d, i, r.LogLen(), len(r.log.chunks), r.Stats.Delivered)
+			t.Logf("after %v: replica %d holds %d entries in %d chunks, delivered %d, its request table covers %d ids", d, i, r.LogLen(), len(r.log.chunks), r.Stats.Delivered, r.sessions.Span())
 			if n := r.LogLen(); n > maxLen {
 				t.Errorf("after %v: replica %d holds %d entries of %d delivered, want <= %d", d, i, n, r.Stats.Delivered, maxLen)
 			}
@@ -64,6 +65,7 @@ func TestLogBoundedState(t *testing.T) {
 			if n := cap(r.log.entries); n > 8*maxLen {
 				t.Errorf("after %v: replica %d's deque has room for %d entries, want <= %d", d, i, n, 8*maxLen)
 			}
+			span = max(span, r.sessions.Span())
 		}
 		if err := chk.Err(); err != nil {
 			t.Fatal(err)
@@ -73,10 +75,10 @@ func TestLogBoundedState(t *testing.T) {
 		if n := len(ldr.sent); n > maxLen {
 			t.Errorf("after %v: leader holds %d release records of %d sent, want <= %d", d, n, ldr.sentBase+n, maxLen)
 		}
-		return ldr.Stats.Delivered, chunks, cap(ldr.sent)
+		return ldr.Stats.Delivered, chunks, cap(ldr.sent), span
 	}
-	short, shortChunks, shortSent := run(T)
-	long, longChunks, longSent := run(10 * T)
+	short, shortChunks, shortSent, shortSpan := run(T)
+	long, longChunks, longSent, longSpan := run(10 * T)
 	if short < 20*window || long < 8*short {
 		t.Fatalf("delivered %d in %v and %d in %v: not the load this test is about", short, T, long, 10*T)
 	}
@@ -86,6 +88,11 @@ func TestLogBoundedState(t *testing.T) {
 	}
 	if shortSent != longSent || longSent > 4*maxLen {
 		t.Fatalf("room for %d release records after %v, %d after %v: want the same, and <= %d", shortSent, T, longSent, 10*T, 4*maxLen)
+	}
+	// The window's ids straddle at most two 64-id blocks, and the rings are a
+	// power of two of them.
+	if shortSpan != longSpan || longSpan > 4*64 {
+		t.Fatalf("client-request tables cover %d ids after %v, %d after %v: want the same, and <= %d", shortSpan, T, longSpan, 10*T, 4*64)
 	}
 }
 

@@ -61,13 +61,14 @@ func (c *Cluster) Start() {
 		i := i
 		c.Group.Node(i).Proc.PollLoop(c.Group.Cfg.PollInterval, 100*time.Nanosecond, func() {
 			c.link.Requests(i, func(req []byte) {
-				if len(req) >= 8 && c.Group.DeliveredAt(i, abcast.MsgID(req)) {
+				switch c.Group.nodes[i].sessions.Admit(abcast.MsgID(req)) {
+				case abcast.Propose:
+					c.Group.Submit(i, req)
+				case abcast.Reack:
 					// Retry of a message that survived a view change (its
 					// dead sender never acked it): re-ack, don't remulticast.
 					c.link.Ack(i, req)
-					return
 				}
-				c.Group.Submit(i, req)
 			})
 		})
 	}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"time"
 
+	"acuerdo/internal/abcast"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/rdma"
 	"acuerdo/internal/ringbuf"
@@ -148,7 +149,7 @@ type node struct {
 	wedged  bool
 
 	recv     []uint64        // receipt counters (includes nulls and view msgs)
-	deliv    map[uint64]bool // data message ids delivered here (client dedup)
+	sessions abcast.Sessions // client-request table, updated at delivery
 	pend     [][]pmsg        // per sender: undelivered messages (absolute idx order)
 	nd       []uint64        // per sender: next index to deliver (1-based)
 	rotPos   int             // rotation position within members
@@ -202,7 +203,6 @@ func NewGroup(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Group {
 		g.nodes[i] = &node{
 			g: g, id: i, rn: rnodes[i], tab: tabs[i],
 			members:  members,
-			deliv:    make(map[uint64]bool),
 			recv:     make([]uint64, cfg.N),
 			pend:     make([][]pmsg, cfg.N),
 			nd:       make([]uint64, cfg.N),
@@ -296,12 +296,6 @@ func (g *Group) Submit(i int, payload []byte) {
 		nd.trySend()
 	}
 }
-
-// DeliveredAt reports whether member i has delivered data message id. The
-// client layer uses it to absorb retries of messages that survived a view
-// change (a crashed sender's stable messages deliver everywhere, but its
-// death means no acknowledgment was ever sent).
-func (g *Group) DeliveredAt(i int, id uint64) bool { return g.nodes[i].deliv[id] }
 
 // canMulticast reports whether the ring has room toward every live peer —
 // Derecho's sender stalls whenever any member lags (slot reuse requires
@@ -472,9 +466,7 @@ func (nd *node) deliver() {
 		nd.rotPos++
 		if pm.kind == kData {
 			nd.rn.Proc.Charge(nd.g.Cfg.PerMsgCost)
-			if len(pm.payload) >= 8 {
-				nd.deliv[binary.LittleEndian.Uint64(pm.payload)] = true
-			}
+			nd.sessions.Deliver(abcast.MsgID(pm.payload))
 			if tr := nd.g.Sim.Tracer(); tr != nil {
 				now := int64(nd.g.Sim.Now())
 				if s == nd.id {
@@ -682,9 +674,7 @@ func (nd *node) installView(view uint32, members []int, trim []uint64) {
 		nd.nd[s] = idx + 1
 		nd.rotPos++
 		if pm.kind == kData {
-			if len(pm.payload) >= 8 {
-				nd.deliv[binary.LittleEndian.Uint64(pm.payload)] = true
-			}
+			nd.sessions.Deliver(abcast.MsgID(pm.payload))
 			if nd.g.obs != nil {
 				nd.g.obs.DerechoDeliver(nd.id, int64(nd.g.Sim.Now()), s, trace.ID(pm.payload))
 			}

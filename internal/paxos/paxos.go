@@ -86,11 +86,9 @@ type Server struct {
 	lastPing   simnet.Time
 	highestIns uint64
 
-	// Duplicate suppression: ids this proposer has queued/proposed in its
-	// current reign (cleared on step-down so an unchosen value can be
-	// re-proposed after failover) and ids this learner has delivered.
-	seenIDs      map[uint64]bool
-	deliveredIDs map[uint64]bool
+	// The client-request table: updated at delivery, reseeded with the
+	// re-driven values when this proposer wins phase 1, consulted by submit.
+	sessions abcast.Sessions
 
 	// Durable mode (SetDisks): the acceptor's promise/accept log and the
 	// learner's chosen/delivered log share one device, and the delivery
@@ -126,13 +124,11 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 	for i := range c.Servers {
 		c.Servers[i] = &Server{
 			c: c, id: i,
-			accepted:     make(map[uint64]acceptedVal),
-			learned:      make(map[uint64]map[int]uint64),
-			chosen:       make(map[uint64][]byte),
-			inFlight:     make(map[uint64][]byte),
-			promises:     make(map[int][]byte),
-			seenIDs:      make(map[uint64]bool),
-			deliveredIDs: make(map[uint64]bool),
+			accepted: make(map[uint64]acceptedVal),
+			learned:  make(map[uint64]map[int]uint64),
+			chosen:   make(map[uint64][]byte),
+			inFlight: make(map[uint64][]byte),
+			promises: make(map[int][]byte),
 		}
 	}
 	c.Ensemble = tcpnet.NewEnsemble(net, "paxos", cfg.N,
@@ -217,16 +213,16 @@ func (s *Server) submit(payload []byte) {
 		return // client retries
 	}
 	id := abcast.MsgID(payload)
-	if s.deliveredIDs[id] {
+	switch s.sessions.Admit(id) {
+	case abcast.Reack:
 		// Retry of a value already chosen and delivered (its ack died with
 		// an old proposer): re-ack, never start a second instance.
 		s.c.Ack(s.id, payload)
 		return
-	}
-	if s.seenIDs[id] {
+	case abcast.Drop:
 		return // already queued or in flight this reign
 	}
-	s.seenIDs[id] = true
+	s.sessions.Pend(id)
 	s.queue = append(s.queue, append([]byte(nil), payload...))
 	s.pump()
 }
@@ -279,14 +275,12 @@ func (s *Server) handle(m []byte) {
 }
 
 // stepDown demotes a deposed proposer: a higher ballot won, so this reign's
-// queue and in-flight set are abandoned (clients retry to the new proposer;
-// the seen set is cleared so an unchosen value can be proposed again).
+// queue and in-flight set are abandoned (clients retry to the new proposer).
 func (s *Server) stepDown() {
 	s.leading = false
 	s.preparing = false
 	s.queue = nil
 	s.inFlight = make(map[uint64][]byte)
-	s.seenIDs = make(map[uint64]bool)
 	s.lastPing = s.c.Sim.Now()
 	s.armFailover()
 }
@@ -385,9 +379,7 @@ func (s *Server) deliver() {
 			tr.Instant(trace.KDeliver, s.id, now, trace.ID(payload), int64(inst))
 			tr.Add(trace.CtrDelivers, 1)
 		}
-		if len(payload) >= 8 {
-			s.deliveredIDs[abcast.MsgID(payload)] = true
-		}
+		s.sessions.Deliver(abcast.MsgID(payload))
 		if s.c.OnDeliver != nil {
 			s.c.OnDeliver(s.id, inst, payload)
 		}
@@ -552,16 +544,15 @@ func (s *Server) onPromise(ballot uint64, from int, payload []byte) {
 		insts = append(insts, inst)
 	}
 	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
+	// Re-driven values are this reign's pending set; a client retry for one
+	// must not open a second instance.
+	s.sessions.Reseed()
 	for _, inst := range insts {
 		av := best[inst]
 		if inst >= s.nextInst {
 			s.nextInst = inst + 1
 		}
-		if len(av.payload) >= 8 {
-			// Re-driven values are in flight under this reign; a client
-			// retry for one must not open a second instance.
-			s.seenIDs[abcast.MsgID(av.payload)] = true
-		}
+		s.sessions.Pend(abcast.MsgID(av.payload))
 		s.inFlight[inst] = av.payload
 		s.c.Broadcast(s.id, enc(mAccept, s.ballot, inst, s.id, av.payload))
 		s.onAccept(s.ballot, inst, av.payload)
@@ -648,7 +639,6 @@ func (c *Cluster) Restart(i int) {
 	s.queue = nil
 	s.inFlight = make(map[uint64][]byte)
 	s.promises = make(map[int][]byte)
-	s.seenIDs = make(map[uint64]bool)
 	s.lastPing = c.Sim.Now()
 	if s.astore != nil {
 		s.restartDurable()
@@ -675,7 +665,7 @@ func (s *Server) restartDurable() {
 	s.ballot = 0
 	s.nextInst = 0
 	s.highestIns = 0
-	s.deliveredIDs = make(map[uint64]bool)
+	s.sessions = abcast.Sessions{}
 	logs := s.c.Recovery.Reopen(s.dev, s.node.Proc, paxosAcceptWAL, paxosLearnWAL)
 	arec, lrec := logs[0], logs[1]
 	s.astore, s.lstore = arec.Store, lrec.Store
@@ -689,12 +679,11 @@ func (s *Server) restartDurable() {
 		s.chosen[e.Seq] = e.Data
 	}
 	s.delivered = lrec.Meta[metaDelivered]
-	// Instances below the recovered frontier were delivered pre-crash;
-	// rebuild the dedup set so a client retry cannot open a new instance.
+	// Instances below the recovered frontier were delivered pre-crash and
+	// are not delivered again: record them in the client-request table so a
+	// retry cannot open a new instance.
 	for inst := uint64(0); inst < s.delivered; inst++ {
-		if pl, ok := s.chosen[inst]; ok && len(pl) >= 8 {
-			s.deliveredIDs[abcast.MsgID(pl)] = true
-		}
+		s.sessions.Deliver(abcast.MsgID(s.chosen[inst]))
 	}
 	// The recovered "log length" is the contiguous chosen prefix: every
 	// durably delivered instance is durably chosen (persistDelivered syncs

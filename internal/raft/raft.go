@@ -101,12 +101,9 @@ type Server struct {
 	// re-replicated below it count as recovery bytes over the fabric.
 	preCrashLen int
 
-	// Duplicate suppression across leader changes: ids present in the
-	// local log and ids already applied. A client that retries because
-	// its ack died with the old leader must not get its payload
-	// appended twice (No-Duplication).
-	seen       map[uint64]bool
-	appliedIDs map[uint64]bool
+	// The client-request table: updated at apply, reseeded from the log
+	// above the applied prefix when this server wins, consulted by propose.
+	sessions abcast.Sessions
 
 	timerGen  int
 	lastHeard simnet.Time
@@ -174,11 +171,9 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 	for i := range c.Servers {
 		c.Servers[i] = &Server{
 			c: c, id: i,
-			votedFor:   -1,
-			nextIndex:  make([]int, cfg.N),
-			inflight:   make([]bool, cfg.N),
-			seen:       make(map[uint64]bool),
-			appliedIDs: make(map[uint64]bool),
+			votedFor:  -1,
+			nextIndex: make([]int, cfg.N),
+			inflight:  make([]bool, cfg.N),
 		}
 	}
 	c.Ensemble = tcpnet.NewEnsemble(net, "etcd", cfg.N,
@@ -331,6 +326,10 @@ func (s *Server) becomeLeader() {
 		tr.Instant(trace.KElectWin, s.id, int64(s.c.Sim.Now()), int64(s.term), 0)
 	}
 	s.c.obs.LeaderElected(s.id, int64(s.c.Sim.Now()), s.term)
+	s.sessions.Reseed()
+	for _, e := range s.log[s.applied:] {
+		s.sessions.Pend(abcast.MsgID(e.payload))
+	}
 	// Commit barrier (Raft §5.4.2): a leader only counts replicas for
 	// entries of its own term, so append a no-op to drive commitment of
 	// any entries inherited from dead leaders. No-ops carry no payload
@@ -451,11 +450,6 @@ func (s *Server) onAppend(m []byte) {
 		appended := false
 		if idx < len(s.log) {
 			if s.log[idx].term != e.term {
-				for _, dead := range s.log[idx:] {
-					if len(dead.payload) >= 8 {
-						delete(s.seen, abcast.MsgID(dead.payload))
-					}
-				}
 				s.log = s.log[:idx]
 				s.c.obs.LogTruncate(s.id, int64(s.c.Sim.Now()), uint64(idx))
 				if s.persisted > idx {
@@ -477,9 +471,6 @@ func (s *Server) onAppend(m []byte) {
 				s.c.Refetched(len(e.payload))
 			}
 			s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(idx), e.term, trace.ID(e.payload))
-			if len(e.payload) >= 8 {
-				s.seen[abcast.MsgID(e.payload)] = true
-			}
 			if tr := s.c.Sim.Tracer(); tr != nil {
 				tr.Instant(trace.KAccept, s.id, int64(s.c.Sim.Now()), trace.ID(e.payload), int64(idx))
 				tr.Add(trace.CtrAccepts, 1)
@@ -621,7 +612,7 @@ func (s *Server) apply() {
 		if len(e.payload) < 8 {
 			continue // election no-op barrier: invisible to the application
 		}
-		s.appliedIDs[abcast.MsgID(e.payload)] = true
+		s.sessions.Deliver(abcast.MsgID(e.payload))
 		if tr := s.c.Sim.Tracer(); tr != nil {
 			now := int64(s.c.Sim.Now())
 			if s.role == leader {
@@ -646,13 +637,13 @@ func (s *Server) propose(payload []byte) {
 		return // client retries
 	}
 	id := abcast.MsgID(payload)
-	if s.appliedIDs[id] {
+	switch s.sessions.Admit(id) {
+	case abcast.Reack:
 		// Already committed and applied; the original ack died with a
 		// previous leader. Re-ack, don't re-append.
 		s.c.Ack(s.id, payload)
 		return
-	}
-	if s.seen[id] {
+	case abcast.Drop:
 		return // already in the log, still in flight
 	}
 	// Copy before deferring: payload aliases the connection's frame buffer,
@@ -660,10 +651,10 @@ func (s *Server) propose(payload []byte) {
 	// needed its own copy anyway; take it now so the closure owns its bytes.
 	p := append([]byte(nil), payload...)
 	s.node.Proc.Run(s.c.cfg.LeaderOpCost, func() {
-		if s.role != leader || s.seen[id] || s.appliedIDs[id] {
+		if s.role != leader || s.sessions.Admit(id) != abcast.Propose {
 			return
 		}
-		s.seen[id] = true
+		s.sessions.Pend(id)
 		s.log = append(s.log, entry{term: s.term, payload: p})
 		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), s.term, trace.ID(p))
 		if tr := s.c.Sim.Tracer(); tr != nil {
@@ -719,11 +710,6 @@ func (c *Cluster) Restart(i int) {
 	if s.persisted < s.applied {
 		s.persisted = s.applied
 	}
-	for _, dead := range s.log[s.persisted:] {
-		if len(dead.payload) >= 8 {
-			delete(s.seen, abcast.MsgID(dead.payload))
-		}
-	}
 	s.log = s.log[:s.persisted]
 	c.obs.LogTruncate(i, int64(c.Sim.Now()), uint64(s.persisted))
 	if s.commit > s.persisted {
@@ -743,17 +729,13 @@ func (c *Cluster) restartDurable(s *Server) {
 	s.log = nil
 	s.commit, s.applied, s.persisted, s.walLen = 0, 0, 0, 0
 	s.term, s.votedFor, s.votes = 0, -1, 0
-	s.seen = make(map[uint64]bool)
-	s.appliedIDs = make(map[uint64]bool)
+	s.sessions = abcast.Sessions{} // refilled by the re-apply below
 	s.role = follower
 	rec := c.Recovery.Reopen(s.dev, s.node.Proc, raftWALName)[0]
 	s.store = rec.Store
 	for idx, e := range rec.Positional() {
 		s.log = append(s.log, entry{term: e.Term, payload: e.Data})
 		c.obs.LogRecover(s.id, now, uint64(idx), e.Term, trace.ID(e.Data))
-		if len(e.Data) >= 8 {
-			s.seen[abcast.MsgID(e.Data)] = true
-		}
 	}
 	s.persisted = len(s.log)
 	s.walLen = len(s.log)

@@ -271,9 +271,10 @@ const (
 )
 
 // CQ is what Connect used to deliver completions to. Nothing in the tree
-// passes one any more; CQ and NewCQ remain, like simnet.Sim.PostAfter, only
-// because the frozen benchmark/kernels.go still hands Connect a fresh one.
-// Delete both, and Connect's variadic, with the next benchmark PR.
+// passes one any more; CQ and NewCQ remain only because the frozen
+// benchmark/kernels.go still hands Connect a fresh one (simnet keeps a
+// scheduling synonym for the same module). Delete both, and Connect's
+// variadic, with the next benchmark PR.
 type CQ struct{}
 
 // NewCQ returns a CQ that nothing reads.

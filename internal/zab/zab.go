@@ -101,11 +101,10 @@ type Server struct {
 	acks      map[uint64]int
 	nlAcked   map[int]bool
 
-	// Duplicate suppression across leader changes: ids in the local log
-	// and ids already delivered. A client retry whose ack died with the
-	// old leader must not be proposed under a fresh zxid.
-	seenIDs      map[uint64]bool
-	deliveredIDs map[uint64]bool
+	// The client-request table: updated at delivery, reseeded from the log
+	// above the committed prefix when this server wins, consulted by
+	// clientRequest.
+	sessions abcast.Sessions
 
 	txnLog disk.GroupCommit // transaction-log group commit, over flush
 
@@ -176,12 +175,10 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 	for i := range c.Servers {
 		c.Servers[i] = &Server{
 			c: c, id: i,
-			leader:       -1,
-			acks:         make(map[uint64]int),
-			votes:        make(map[int]voteT),
-			nlAcked:      make(map[int]bool),
-			seenIDs:      make(map[uint64]bool),
-			deliveredIDs: make(map[uint64]bool),
+			leader:  -1,
+			acks:    make(map[uint64]int),
+			votes:   make(map[int]voteT),
+			nlAcked: make(map[int]bool),
 		}
 	}
 	c.Ensemble = tcpnet.NewEnsemble(net, "zk", cfg.N,
@@ -250,13 +247,13 @@ func (s *Server) clientRequest(payload []byte) {
 		return // dropped; client retries
 	}
 	id := abcast.MsgID(payload)
-	if s.deliveredIDs[id] {
+	switch s.sessions.Admit(id) {
+	case abcast.Reack:
 		// Retry of an already-applied request whose ack died with an old
 		// leader: re-ack, never re-propose under a fresh zxid.
 		s.c.Ack(s.id, payload)
 		return
-	}
-	if s.seenIDs[id] {
+	case abcast.Drop:
 		return // already in flight under some zxid
 	}
 	// Copy before deferring: payload aliases the connection's frame buffer,
@@ -264,10 +261,10 @@ func (s *Server) clientRequest(payload []byte) {
 	// needed its own copy anyway; take it now so the closure owns its bytes.
 	p := append([]byte(nil), payload...)
 	s.node.Proc.Run(s.c.cfg.LeaderOpCost, func() {
-		if s.role != leading || !s.active || s.seenIDs[id] || s.deliveredIDs[id] {
+		if s.role != leading || !s.active || s.sessions.Admit(id) != abcast.Propose {
 			return
 		}
-		s.seenIDs[id] = true
+		s.sessions.Pend(id)
 		s.counter++
 		zxid := uint64(s.epoch)<<32 | uint64(s.counter)
 		s.lastZxid = zxid
@@ -343,9 +340,6 @@ func (s *Server) handle(m []byte) {
 		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(e.payload))
 		if len(s.log)-1 < s.preCrashLen {
 			s.c.Refetched(len(e.payload))
-		}
-		if len(payload) >= 8 {
-			s.seenIDs[abcast.MsgID(payload)] = true
 		}
 		if tr := s.c.Sim.Tracer(); tr != nil {
 			tr.Instant(trace.KAccept, s.id, int64(s.c.Sim.Now()), trace.ID(payload), int64(zxid))
@@ -429,9 +423,7 @@ func (s *Server) deliverUpTo(zxid uint64) {
 			tr.Instant(trace.KDeliver, s.id, now, trace.ID(e.payload), int64(e.zxid))
 			tr.Add(trace.CtrDelivers, 1)
 		}
-		if len(e.payload) >= 8 {
-			s.deliveredIDs[abcast.MsgID(e.payload)] = true
-		}
+		s.sessions.Deliver(abcast.MsgID(e.payload))
 		if s.c.OnDeliver != nil {
 			s.c.OnDeliver(s.id, e.zxid, e.payload)
 		}
@@ -538,6 +530,10 @@ func (s *Server) becomeLeader() {
 	s.nlAcked = make(map[int]bool)
 	s.acks = make(map[uint64]int)
 	s.counter = 0
+	s.sessions.Reseed()
+	for _, e := range s.log[s.committed:] {
+		s.sessions.Pend(abcast.MsgID(e.payload))
+	}
 	// Recovery phase: announce leadership, then sync each follower with a
 	// per-follower DIFF once it reports its last zxid — the extra
 	// verification exchange the paper contrasts with Acuerdo's election.
@@ -576,14 +572,7 @@ func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
 	s.active = false
 	s.synced = false
 	s.leader = ldr
-	// Drop the uncommitted tail; the leader's DIFF replaces it. The ids of
-	// dropped entries leave the seen set so a client retry can re-propose
-	// them if the new leader does not have them.
-	for _, e := range s.log[s.committed:] {
-		if len(e.payload) >= 8 {
-			delete(s.seenIDs, abcast.MsgID(e.payload))
-		}
-	}
+	// Drop the uncommitted tail; the leader's DIFF replaces it.
 	s.log = s.log[:s.committed]
 	s.c.obs.LogTruncate(s.id, int64(s.c.Sim.Now()), uint64(s.committed))
 	if s.store != nil && s.walLen > s.committed {
@@ -637,9 +626,6 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 				s.c.Refetched(len(pl))
 			}
 			s.lastZxid = zxid
-			if len(pl) >= 8 {
-				s.seenIDs[abcast.MsgID(pl)] = true
-			}
 		}
 		off += 12 + ln
 	}
@@ -732,8 +718,8 @@ func (c *Cluster) Restart(i int) {
 }
 
 // restartDurable rebuilds the replica from its device: recover the WAL
-// prefix, restore metadata, re-derive dedup state, replay the committed
-// prefix to the application, and rejoin via election.
+// prefix, restore metadata, replay the committed prefix to the application
+// (which refills the client-request table), and rejoin via election.
 func (s *Server) restartDurable() {
 	now := int64(s.c.Sim.Now())
 	// Unlike the volatile path (whose committed prefix survives in memory),
@@ -752,17 +738,13 @@ func (s *Server) restartDurable() {
 	s.committed = 0
 	s.acks = make(map[uint64]int)
 	s.nlAcked = make(map[int]bool)
-	s.seenIDs = make(map[uint64]bool)
-	s.deliveredIDs = make(map[uint64]bool)
+	s.sessions = abcast.Sessions{} // refilled by the replay below
 	s.votes = make(map[int]voteT)
 	rec := s.c.Recovery.Reopen(s.dev, s.node.Proc, zabWALName)[0]
 	s.store = rec.Store
 	for i, e := range rec.Positional() {
 		s.log = append(s.log, entry{zxid: e.Term, payload: e.Data})
 		s.c.obs.LogRecover(s.id, now, uint64(i), e.Term, trace.ID(e.Data))
-		if len(e.Data) >= 8 {
-			s.seenIDs[abcast.MsgID(e.Data)] = true
-		}
 		s.lastZxid = e.Term
 	}
 	s.walLen = len(s.log)
@@ -781,9 +763,7 @@ func (s *Server) restartDurable() {
 		e := s.log[s.committed]
 		s.committed++
 		s.c.obs.Deliver(s.id, now, uint64(s.committed-1), trace.ID(e.payload))
-		if len(e.payload) >= 8 {
-			s.deliveredIDs[abcast.MsgID(e.payload)] = true
-		}
+		s.sessions.Deliver(abcast.MsgID(e.payload))
 		if s.c.OnDeliver != nil {
 			s.c.OnDeliver(s.id, e.zxid, e.payload)
 		}

@@ -119,3 +119,41 @@ func TestVoteOrderingPrefersLongerLog(t *testing.T) {
 		t.Fatal("epoch must dominate")
 	}
 }
+
+// TestSessionsBoundedState is the horizon × 10 test for the client-request
+// table: under a closed loop of window 64, after T and after 10·T every
+// server's table covers the same few blocks of ids, however many requests
+// went through. (The two maps it replaced held an entry per request of the
+// run.)
+func TestSessionsBoundedState(t *testing.T) {
+	const (
+		window = 64
+		T      = 20 * time.Millisecond
+	)
+	run := func(d time.Duration) (delivered, span int) {
+		sim, c, chk := newCluster(t, 3, 5)
+		sim.RunFor(100 * time.Millisecond)
+		abcast.Loop(sim, c, window, func(id uint64, next func()) {
+			p := make([]byte, 16)
+			abcast.PutMsgID(p, id)
+			chk.OnBroadcast(id)
+			c.Submit(p, next)
+		})
+		sim.RunFor(d)
+		for i, s := range c.Servers {
+			t.Logf("after %v: server %d delivered %d, its request table covers %d ids", d, i, len(chk.Delivered(i)), s.sessions.Span())
+			span = max(span, s.sessions.Span())
+		}
+		return chk.MinDelivered(), span
+	}
+	short, shortSpan := run(T)
+	long, longSpan := run(10 * T)
+	if short < 4*window || long < 8*short {
+		t.Fatalf("delivered %d in %v and %d in %v: not the load this test is about", short, T, long, 10*T)
+	}
+	// A window of ids straddles at most two 64-id blocks beyond the
+	// watermark's, and the rings are a power of two of blocks.
+	if shortSpan != longSpan || longSpan > 4*64 {
+		t.Fatalf("request tables cover %d ids after %v, %d after %v: want the same, and <= %d", shortSpan, T, longSpan, 10*T, 4*64)
+	}
+}
