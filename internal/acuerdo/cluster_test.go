@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/disk"
 	"acuerdo/internal/rdma"
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/trace"
@@ -526,12 +527,48 @@ func TestNoDuplicateDeliveryAcrossFailover(t *testing.T) {
 // chunk and a doubling of entries now and then at each replica — bounded here
 // at a tenth of an object per message.
 func TestBroadcastAcceptAllocFree(t *testing.T) {
+	objs, msgs := steadyStateAllocs(t, false)
+	if per := float64(objs) / float64(msgs); per > 0.1 {
+		t.Fatalf("%d objects over %d messages at 3 replicas = %.3f per message, want <= 0.1", objs, msgs, per)
+	} else {
+		t.Logf("%d objects over %d messages (%.4f per message)", objs, msgs, per)
+	}
+}
+
+// TestDurableRecordPathAllocFree is the same path with a WAL on every
+// replica: each delivery appends its record in place on the device, and each
+// commit-row push group-commits it and reports the durable frontier, all
+// through recycled queues and fsync records. A replica with a store keeps
+// its whole log, so the arena's chunks are what remains — bounded here at a
+// twentieth of an object per delivery.
+func TestDurableRecordPathAllocFree(t *testing.T) {
+	objs, msgs := steadyStateAllocs(t, true)
+	deliveries := 3 * msgs
+	if per := float64(objs) / float64(deliveries); per > 0.05 {
+		t.Fatalf("%d objects over %d deliveries = %.3f per delivery, want <= 0.05", objs, deliveries, per)
+	} else {
+		t.Logf("%d objects over %d deliveries (%.4f per delivery)", objs, deliveries, per)
+	}
+}
+
+// steadyStateAllocs runs a 3-replica group at window 16, 100 B, warms it up
+// and returns the heap objects allocated over the next 10 000 acknowledged
+// messages, and their count. durable gives every replica a disk.
+func steadyStateAllocs(t *testing.T, durable bool) (objs uint64, msgs int) {
+	t.Helper()
 	sim := simnet.New(1)
 	cfg := DefaultClusterConfig(3)
 	// Armed retries are recycled when they fire: a short timeout (still far
 	// above the commit latency) fills that free list within the warm-up.
 	cfg.RetryTimeout = 200 * time.Microsecond
 	c := NewCluster(sim, rdma.NewFabric(sim, rdma.DefaultParams()), cfg)
+	var devs []*disk.Device
+	if durable {
+		for i := 0; i < cfg.N; i++ {
+			devs = append(devs, disk.NewDevice(sim, i, disk.DefaultParams()))
+		}
+		c.SetDisks(devs)
+	}
 	c.Start()
 	sim.RunFor(20 * time.Millisecond)
 	if c.LeaderIdx() < 0 {
@@ -569,16 +606,17 @@ func TestBroadcastAcceptAllocFree(t *testing.T) {
 	start := acked
 	runTo(warm + measured)
 	runtime.ReadMemStats(&after)
-	got, want := acked-start, acked
+	msgs, want := acked-start, acked
 	sim.RunFor(time.Millisecond) // followers deliver behind the commit row
 	for i, r := range c.Replicas {
 		if int(r.Stats.Delivered) < want {
 			t.Fatalf("replica %d delivered %d of %d acknowledged messages", i, r.Stats.Delivered, want)
 		}
 	}
-	if per := float64(after.Mallocs-before.Mallocs) / float64(got); per > 0.1 {
-		t.Fatalf("%d objects over %d messages at 3 replicas = %.3f per message, want <= 0.1", after.Mallocs-before.Mallocs, got, per)
-	} else {
-		t.Logf("%d objects over %d messages (%.4f per message)", after.Mallocs-before.Mallocs, got, per)
+	for i, dev := range devs {
+		if st := dev.Stats(); st.Writes < int64(want) || st.Fsyncs == 0 {
+			t.Fatalf("replica %d's disk took %d writes and %d fsyncs for %d deliveries", i, st.Writes, st.Fsyncs, want)
+		}
 	}
+	return after.Mallocs - before.Mallocs, msgs
 }

@@ -160,11 +160,13 @@ type Replica struct {
 
 	// Durable mode (SetDisk): committed entries stream to a background WAL
 	// in delivery order (walPos entries appended, flushes queued up to
-	// walQueued); recovering marks the window between a durable restart and
-	// the first diff, whose payload bytes count as fabric recovery traffic
-	// in recovery, the group's ledger.
+	// walQueued), each encoded into walBuf, which the next one reuses;
+	// recovering marks the window between a durable restart and the first
+	// diff, whose payload bytes count as fabric recovery traffic in
+	// recovery, the group's ledger.
 	dev        *disk.Device
 	store      *disk.LogStore
+	walBuf     []byte
 	walPos     uint64
 	walQueued  uint64
 	recovering bool
@@ -235,6 +237,13 @@ func (r *Replica) SetDisk(dev *disk.Device) {
 	}
 	r.dev = dev
 	r.store = disk.NewLogStore(dev, acuerdoWALName)
+	r.store.OnFrontier = r.reportDurable
+}
+
+// reportDurable, the hook on every store the replica opens, tells the
+// observer that the first n WAL entries are durable.
+func (r *Replica) reportDurable(n uint64) {
+	r.obs.DurableFrontier(int(r.ID), int64(r.Sim.Now()), n)
 }
 
 // Crash fails the node (crash-stop). In durable mode the device's volatile
@@ -299,6 +308,7 @@ func (r *Replica) restartDurable() {
 	r.voteChangedAt = r.Sim.Now()
 	rec := r.recovery.Reopen(r.dev, r.Node.Proc, acuerdoWALName)[0]
 	r.store = rec.Store
+	r.store.OnFrontier = r.reportDurable
 	// WAL records are committed entries in delivery order; replay them to
 	// the application and rebuild the log so the next diff splices cleanly.
 	n := uint64(0)
@@ -449,7 +459,7 @@ func (r *Replica) Broadcast(payload []byte) bool {
 	}
 	r.count++
 	hdr := MsgHdr{E: r.eNew, Cnt: r.count}
-	// The record is message header ‖ payload (EncodeMessage's bytes), gathered
+	// The record is message header ‖ payload (appendMessage's bytes), gathered
 	// behind the ring header straight into each follower's wire frame.
 	var mh [msgHdrSize]byte
 	putMsgHdr(mh[:], hdr, kindNormal)
@@ -557,7 +567,8 @@ func (r *Replica) deliverEntry(e Entry) {
 		// Background durability: the append queues on the device and the
 		// next commit-row push flushes it. Never on the commit critical
 		// path — the client ack does not wait for the disk.
-		r.store.AppendEntry(r.walPos, 0, EncodeMessage(e.Hdr, e.Payload), nil)
+		r.walBuf = appendMessage(r.walBuf[:0], e.Hdr, e.Payload)
+		r.store.AppendEntry(r.walPos, 0, r.walBuf, nil)
 		r.walPos++
 	}
 }
@@ -584,9 +595,8 @@ func (r *Replica) pushCommitRow() {
 		// does not publish yet (ROADMAP 1(iv)).
 		r.log.TrimBelow(r.stableFrontier())
 	} else if r.walPos > r.walQueued {
-		n := r.walPos
-		r.walQueued = n
-		r.store.Flush(func() { r.obs.DurableFrontier(int(r.ID), int64(r.Sim.Now()), n) })
+		r.walQueued = r.walPos
+		r.store.FlushFrontier(r.walPos)
 	}
 }
 

@@ -215,13 +215,19 @@ func putMsgHdr(dst []byte, hdr MsgHdr, kind byte) {
 }
 
 // EncodeMessage builds the ring-buffer record for a normal broadcast
-// message in a fresh buffer (the WAL's record format; Broadcast gathers the
-// same bytes into the wire frame without building the record).
+// message in a fresh buffer.
 func EncodeMessage(hdr MsgHdr, payload []byte) []byte {
-	buf := make([]byte, msgHdrSize+len(payload))
-	putMsgHdr(buf, hdr, kindNormal)
-	copy(buf[msgHdrSize:], payload)
-	return buf
+	return appendMessage(make([]byte, 0, msgHdrSize+len(payload)), hdr, payload)
+}
+
+// appendMessage appends the ring-buffer record for a normal broadcast
+// message to dst: the WAL's record format, which a durable replica builds in
+// a buffer it reuses (Broadcast gathers the same bytes into the wire frame
+// without building the record).
+func appendMessage(dst []byte, hdr MsgHdr, payload []byte) []byte {
+	var mh [msgHdrSize]byte
+	putMsgHdr(mh[:], hdr, kindNormal)
+	return append(append(dst, mh[:]...), payload...)
 }
 
 // EncodeDiff builds the ring-buffer record for a diff message containing

@@ -1,14 +1,15 @@
 // Package disk is the deterministic simulated-storage subsystem: a per-node
-// NVMe-like Device on the simnet clock (configurable write/fsync/read
-// latency, volatile page cache vs. fsynced durable prefix, crash semantics
-// that drop un-fsynced bytes) and a checksummed group-commit write-ahead log
-// (LogStore). The protocol packages layer their durable log/ballot/vote
-// state on it and share its restart spine (Recovery.Reopen, the head of
-// every durable restart, and GroupCommit, the one-flush-in-flight batching
-// pump); internal/chaos injects its disk faults (fsync stalls, torn
-// last records, bit-flip corruption) through the fault surface here. The
-// device fails only by losing power: a write is never refused, so no
-// completion carries an error.
+// NVMe-like Device on the simnet clock (configurable fsync/read latency,
+// volatile page cache vs. fsynced durable prefix, crash semantics that drop
+// un-fsynced bytes) and a checksummed group-commit write-ahead log
+// (LogStore) whose record path allocates nothing. The protocol packages
+// layer their durable log/ballot/vote state on it and share its restart
+// spine (Recovery.Reopen, the head of every durable restart, and
+// GroupCommit, the one-flush-in-flight batching pump); internal/chaos
+// injects its disk faults (fsync stalls, torn last records, bit-flip
+// corruption) through the fault surface here. The device fails only by
+// losing power: a write is never refused, so no completion carries an
+// error.
 //
 // There is one storage story: a replica's durable state is its protocol's
 // WAL, and the application above it is rebuilt by re-delivery of the
@@ -30,11 +31,9 @@ import (
 )
 
 // Params models one device's service times. The defaults approximate a
-// datacenter NVMe drive: sub-microsecond buffered writes, ~10 us flushes.
+// datacenter NVMe drive: ~10 us flushes. A buffered (page-cache) write is
+// memcpy-speed and completes when Append returns, so it has no latency here.
 type Params struct {
-	// WriteLatency is the fixed cost of one buffered (page-cache) write:
-	// page-cache writes are memcpy-speed, so there is no per-byte term.
-	WriteLatency time.Duration
 	// FsyncLatency is the fixed cost of one flush.
 	FsyncLatency time.Duration
 	// FsyncBytePer is the additional per-byte cost of flushing dirty bytes.
@@ -48,7 +47,6 @@ type Params struct {
 // DefaultParams returns the standard NVMe-like device model.
 func DefaultParams() Params {
 	return Params{
-		WriteLatency: 300 * time.Nanosecond,
 		FsyncLatency: 10 * time.Microsecond,
 		FsyncBytePer: time.Nanosecond,
 		ReadLatency:  5 * time.Microsecond,
@@ -98,14 +96,18 @@ type Device struct {
 
 	files map[string]*file
 
-	// epoch guards completion callbacks: Crash increments it and every
-	// pending write/fsync completion belonging to the old epoch is dropped,
-	// exactly like simnet.Proc's crash semantics.
+	// epoch guards fsync completions: Crash increments it and every pending
+	// completion belonging to the old epoch is dropped, exactly like
+	// simnet.Proc's crash semantics.
 	epoch uint64
 
-	// fsync machinery: one flush in flight at a time, FIFO queue behind it.
+	// fsync machinery: one flush in flight at a time, a FIFO queue behind it
+	// (syncQueue[syncHead:], its head the flush in flight), and the free
+	// list of the records that carry a flush from issue to completion.
 	syncBusy   bool
 	syncQueue  []syncReq
+	syncHead   int
+	syncFree   []*inflight
 	stallUntil simnet.Time
 
 	// fault state
@@ -117,6 +119,21 @@ type Device struct {
 type syncReq struct {
 	name string
 	done func()
+}
+
+// inflight is one issued fsync on its way to completion. It holds what a
+// per-flush closure would capture; records are free-listed on the Device and
+// fire is bound once, when the record is created, so a flush allocates
+// nothing. Each record carries the epoch it was issued in: a crash cancels
+// nothing, so a pre-crash completion still fires, finds its epoch stale and
+// only recycles its record.
+type inflight struct {
+	dev   *Device
+	req   syncReq
+	upTo  int
+	dirty int
+	epoch uint64
+	fire  func() // bound to complete
 }
 
 // NewDevice creates an empty device owned by node (the replica index used
@@ -156,29 +173,26 @@ func (d *Device) get(name string) *file {
 	return f
 }
 
-// Append buffers p at the end of name (creating it if needed) and runs done
-// after the write latency. The buffered bytes are volatile until a Sync
-// covering them completes. done may be nil.
-func (d *Device) Append(name string, p []byte, done func()) {
+// Append buffers the concatenation of parts at the end of name (creating it
+// if needed) as one write and returns the landed bytes, which the caller may
+// finish in place (a checksum over them) before anything else touches the
+// file. The buffered bytes are volatile until a Sync covering them
+// completes.
+func (d *Device) Append(name string, parts ...[]byte) []byte {
 	f := d.get(name)
-	f.data = append(f.data, p...)
+	start := len(f.data)
+	for _, p := range parts {
+		f.data = append(f.data, p...)
+	}
+	n := len(f.data) - start
 	d.stats.Writes++
-	d.stats.WriteBytes += int64(len(p))
+	d.stats.WriteBytes += int64(n)
 	if tr := d.sim.Tracer(); tr != nil {
-		tr.Instant(trace.KDiskWrite, d.node, int64(d.sim.Now()), int64(len(p)), int64(d.node))
+		tr.Instant(trace.KDiskWrite, d.node, int64(d.sim.Now()), int64(n), int64(d.node))
 		tr.Add(trace.CtrDiskWrites, 1)
-		tr.Add(trace.CtrDiskWriteBytes, int64(len(p)))
+		tr.Add(trace.CtrDiskWriteBytes, int64(n))
 	}
-	if done == nil {
-		return
-	}
-	// A crash before the write latency elapses drops done.
-	epoch := d.epoch
-	d.sim.After(d.params.WriteLatency, func() {
-		if d.epoch == epoch {
-			done()
-		}
-	})
+	return f.data[start:]
 }
 
 // Sync schedules an fsync of name: when it completes, every byte buffered
@@ -186,6 +200,15 @@ func (d *Device) Append(name string, p []byte, done func()) {
 // per device (FIFO); an armed fsync-stall window delays the head of the
 // queue until the window closes. done may be nil.
 func (d *Device) Sync(name string, done func()) {
+	if d.syncHead > 0 && 2*d.syncHead >= len(d.syncQueue) {
+		// A completion that flushes again queues its next flush before the
+		// device can see its queue drain, so a busy device's queue never
+		// does: slide the live tail down (rewind it, when it did drain) once
+		// at least half of it is spent.
+		n := copy(d.syncQueue, d.syncQueue[d.syncHead:])
+		clear(d.syncQueue[n:])
+		d.syncQueue, d.syncHead = d.syncQueue[:n], 0
+	}
 	d.syncQueue = append(d.syncQueue, syncReq{name: name, done: done})
 	if !d.syncBusy {
 		d.syncBusy = true
@@ -195,7 +218,7 @@ func (d *Device) Sync(name string, done func()) {
 
 // startSync issues the flush at the head of the queue.
 func (d *Device) startSync() {
-	req := d.syncQueue[0]
+	req := d.syncQueue[d.syncHead]
 	f := d.get(req.name)
 	upTo := len(f.data)
 	dirty := upTo - f.synced
@@ -207,31 +230,57 @@ func (d *Device) startSync() {
 		start = d.stallUntil
 	}
 	doneAt := start.Add(d.params.FsyncLatency + time.Duration(dirty)*d.params.FsyncBytePer)
-	epoch := d.epoch
-	d.sim.After(doneAt.Sub(d.sim.Now()), func() {
-		if d.epoch != epoch {
-			return // crashed meanwhile; queue was discarded
-		}
-		if f2, ok := d.files[req.name]; ok && upTo > f2.synced {
-			f2.synced = upTo
-		}
-		d.stats.Fsyncs++
-		d.stats.FsyncBytes += int64(dirty)
-		if tr := d.sim.Tracer(); tr != nil {
-			tr.Instant(trace.KDiskFsync, d.node, int64(d.sim.Now()), int64(dirty), int64(d.node))
-			tr.Add(trace.CtrDiskFsyncs, 1)
-			tr.Add(trace.CtrDiskFsyncBytes, int64(dirty))
-		}
-		d.syncQueue = d.syncQueue[1:]
-		if req.done != nil {
-			req.done()
-		}
-		if len(d.syncQueue) > 0 {
-			d.startSync()
-		} else {
-			d.syncBusy = false
-		}
-	})
+	var s *inflight
+	if n := len(d.syncFree); n > 0 {
+		s = d.syncFree[n-1]
+		d.syncFree = d.syncFree[:n-1]
+	} else {
+		s = &inflight{dev: d}
+		s.fire = s.complete
+	}
+	s.req, s.upTo, s.dirty, s.epoch = req, upTo, dirty, d.epoch
+	d.sim.After(doneAt.Sub(d.sim.Now()), s.fire)
+}
+
+// complete recycles s (before anything it calls can issue a flush again),
+// then, unless a crash intervened, makes the flushed prefix durable, pops
+// the queue, runs the caller's done and starts the next flush.
+func (s *inflight) complete() {
+	d, req, upTo, dirty := s.dev, s.req, s.upTo, s.dirty
+	stale := s.epoch != d.epoch
+	s.req = syncReq{}
+	d.syncFree = append(d.syncFree, s)
+	if stale {
+		return // crashed meanwhile; queue was discarded
+	}
+	if f, ok := d.files[req.name]; ok && upTo > f.synced {
+		f.synced = upTo
+	}
+	d.stats.Fsyncs++
+	d.stats.FsyncBytes += int64(dirty)
+	if tr := d.sim.Tracer(); tr != nil {
+		tr.Instant(trace.KDiskFsync, d.node, int64(d.sim.Now()), int64(dirty), int64(d.node))
+		tr.Add(trace.CtrDiskFsyncs, 1)
+		tr.Add(trace.CtrDiskFsyncBytes, int64(dirty))
+	}
+	d.syncQueue[d.syncHead] = syncReq{}
+	d.syncHead++
+	if req.done != nil {
+		req.done()
+	}
+	if d.syncHead < len(d.syncQueue) {
+		d.startSync()
+	} else {
+		d.syncBusy = false
+	}
+}
+
+// dropSyncs forgets every queued flush: a crash took their completions.
+func (d *Device) dropSyncs() {
+	d.epoch++
+	d.syncBusy = false
+	clear(d.syncQueue)
+	d.syncQueue, d.syncHead = d.syncQueue[:0], 0
 }
 
 // Truncate resets name to empty (creating it if needed). The truncation is
@@ -288,9 +337,7 @@ func (d *Device) Crash(rng *rand.Rand) {
 	if d == nil {
 		return
 	}
-	d.epoch++
-	d.syncBusy = false
-	d.syncQueue = nil
+	d.dropSyncs()
 	d.stats.Crashes++
 	torn := d.tornArmed
 	d.tornArmed = false
@@ -313,9 +360,7 @@ func (d *Device) Crash(rng *rand.Rand) {
 // Wipe destroys all content, durable bytes included (the amnesia model:
 // the node lost its disk, not just its memory). Pending completions drop.
 func (d *Device) Wipe() {
-	d.epoch++
-	d.syncBusy = false
-	d.syncQueue = nil
+	d.dropSyncs()
 	d.files = make(map[string]*file)
 }
 

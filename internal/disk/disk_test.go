@@ -15,15 +15,20 @@ func newSim(seed int64) *simnet.Sim { return simnet.New(seed) }
 func TestAppendSyncDurability(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
-	var wrote, synced bool
-	dev.Append("wal", []byte("hello"), func() { wrote = true })
+	synced := false
+	if got := dev.Append("wal", []byte("hel"), nil, []byte("lo")); string(got) != "hello" {
+		t.Fatalf("Append landed %q, want the parts concatenated", got)
+	}
+	if st := dev.Stats(); st.Writes != 1 || st.WriteBytes != 5 {
+		t.Fatalf("a three-part append counted %d writes of %d bytes, want one of 5", st.Writes, st.WriteBytes)
+	}
 	if _, durable := dev.Size("wal"); durable != 0 {
 		t.Fatalf("bytes durable before any fsync: %d", durable)
 	}
 	dev.Sync("wal", func() { synced = true })
 	sim.RunFor(time.Millisecond)
-	if !wrote || !synced {
-		t.Fatalf("callbacks did not fire: wrote=%v synced=%v", wrote, synced)
+	if !synced {
+		t.Fatal("sync callback did not fire")
 	}
 	if total, durable := dev.Size("wal"); total != 5 || durable != 5 {
 		t.Fatalf("got total=%d durable=%d, want 5/5", total, durable)
@@ -39,7 +44,7 @@ func TestFsyncLatencyOnClock(t *testing.T) {
 	p.FsyncLatency = 10 * time.Microsecond
 	p.FsyncBytePer = 0
 	dev := NewDevice(sim, 0, p)
-	dev.Append("wal", make([]byte, 100), nil)
+	dev.Append("wal", make([]byte, 100))
 	start := sim.Now()
 	var doneAt simnet.Time
 	dev.Sync("wal", func() { doneAt = sim.Now() })
@@ -52,10 +57,10 @@ func TestFsyncLatencyOnClock(t *testing.T) {
 func TestCrashDropsVolatileTail(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
-	dev.Append("wal", []byte("durable|"), nil)
+	dev.Append("wal", []byte("durable|"))
 	dev.Sync("wal", nil)
 	sim.RunFor(time.Millisecond)
-	dev.Append("wal", []byte("volatile"), nil)
+	dev.Append("wal", []byte("volatile"))
 	dev.Crash(sim.Rand())
 	if got := dev.Durable("wal"); !bytes.Equal(got, []byte("durable|")) {
 		t.Fatalf("post-crash content %q", got)
@@ -69,7 +74,7 @@ func TestCrashDropsPendingCallbacks(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
 	fired := false
-	dev.Append("wal", []byte("x"), func() { fired = true })
+	dev.Append("wal", []byte("x"))
 	dev.Sync("wal", func() { fired = true })
 	dev.Crash(sim.Rand())
 	sim.RunFor(time.Millisecond)
@@ -261,7 +266,7 @@ func TestFsyncStallDelaysFlush(t *testing.T) {
 	p.FsyncLatency = 10 * time.Microsecond
 	p.FsyncBytePer = 0
 	dev := NewDevice(sim, 0, p)
-	dev.Append("wal", []byte("x"), nil)
+	dev.Append("wal", []byte("x"))
 	dev.StallFsync(5 * time.Millisecond)
 	start := sim.Now()
 	var doneAt simnet.Time

@@ -32,8 +32,10 @@ const flushKey = 255
 // RecEntry is one recovered log entry: a (Seq, Term) identifier pair whose
 // meaning belongs to the caller (raft: index/term; zab: position/zxid;
 // paxos: instance/ballot; kvstore: applied-counter/0) and the payload. Data
-// is the caller's to keep: recovery copied it off the device and holds no
-// other reference, so restart paths store it without copying again.
+// is the caller's to keep: it is a capped view of the one copy recovery read
+// off the device, which nothing else references, so restart paths store it
+// without copying again, and an append to one entry's Data reallocates
+// rather than clobbering the next entry's.
 type RecEntry struct {
 	Seq, Term uint64
 	Data      []byte
@@ -100,85 +102,141 @@ func (r *Recovered) Positional() []RecEntry {
 // LogStore is the group-committed write-ahead log the protocol packages
 // persist through, on one device file: ordered entries carrying a (Seq,
 // Term) pair, positional truncation, and small-integer metadata cells
-// (current term, voted-for, commit frontier, epoch...). A write buffers its
-// record and queues the caller behind the next flush; while a flush is in
-// flight further writes pile onto one batch that a single follow-up flush
-// covers — fsync cost amortizes across the batch exactly like
-// etcd/ZooKeeper group commit. done runs once a flush has made the record
-// durable, or never, if the device loses power first. A nil done means
-// fire-and-forget: the record still rides the next group commit.
+// (current term, voted-for, commit frontier, epoch...). A write lands its
+// record on the device in place and queues the caller behind the next flush;
+// while a flush is in flight further writes pile onto one batch that a
+// single follow-up flush covers — fsync cost amortizes across the batch
+// exactly like etcd/ZooKeeper group commit. done runs once a flush has made
+// the record durable, or never, if the device loses power first. A nil done
+// means fire-and-forget: the record still rides the next group commit. The
+// record path allocates nothing once the file and the queues have grown.
 type LogStore struct {
 	dev  *Device
 	name string
 
-	busy    bool
-	pending []func() // callbacks awaiting the next flush
+	// OnFrontier reports a FlushFrontier's n once its flush has landed. The
+	// owner sets it on every store it opens or reopens; nil reports nothing.
+	OnFrontier func(n uint64)
+
+	busy  bool
+	dirty bool // a record is buffered that no flush in flight covers
+	// queued waits on the next flush and batch on the one in flight; spare
+	// is a released batch, recycled as the next queue. onSynced takes the
+	// batch before it releases anyone, so a waiter that writes and starts
+	// the next flush mid-batch never appends into the slice being released.
+	queued, batch, spare []waiter
+	synced               func() // bound to onSynced
+}
+
+// waiter is one caller queued behind a flush: a callback, or (done nil) a
+// durable frontier for OnFrontier.
+type waiter struct {
+	done     func()
+	frontier uint64
 }
 
 // NewLogStore opens (or creates) the named log on dev.
 func NewLogStore(dev *Device, name string) *LogStore {
-	return &LogStore{dev: dev, name: name}
+	ls := &LogStore{dev: dev, name: name}
+	ls.synced = ls.onSynced
+	return ls
 }
 
 // Name returns the log's file name.
 func (ls *LogStore) Name() string { return ls.name }
 
-// write stamps rec's header around the payload already at rec[recHeader:],
-// buffers the record on the device and queues done behind the next flush.
-func (ls *LogStore) write(kind byte, rec []byte, done func()) {
+// write lands hdr ‖ data as one record, stamping its length, kind and
+// checksum over the landed bytes; hdr[recHeader:] already holds the
+// payload's fixed fields. The flush that covers it starts at the caller's
+// kick.
+func (ls *LogStore) write(kind byte, hdr, data []byte) {
+	rec := ls.dev.Append(ls.name, hdr, data)
 	binary.LittleEndian.PutUint32(rec[4:], uint32(len(rec)-recHeader))
 	rec[8] = kind
 	binary.LittleEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(rec[8:]))
-	ls.dev.Append(ls.name, rec, nil)
-	ls.pending = append(ls.pending, done)
+	ls.dirty = true
+}
+
+// after queues done (unless nil) behind the next flush and kicks.
+func (ls *LogStore) after(done func()) {
+	if done != nil {
+		ls.queued = append(ls.queued, waiter{done: done})
+	}
 	ls.kick()
 }
 
+// kick starts a flush covering every buffered record, unless one is in
+// flight (its completion kicks again) or nothing was written since the last.
 func (ls *LogStore) kick() {
-	if ls.busy || len(ls.pending) == 0 {
+	if ls.busy || !ls.dirty {
 		return
 	}
-	ls.busy = true
-	batch := ls.pending
-	ls.pending = nil
-	ls.dev.Sync(ls.name, func() {
-		ls.busy = false
-		for _, cb := range batch {
-			if cb != nil {
-				cb()
-			}
+	ls.busy, ls.dirty = true, false
+	ls.batch, ls.queued, ls.spare = ls.queued, ls.spare, nil
+	ls.dev.Sync(ls.name, ls.synced)
+}
+
+// onSynced releases the landed flush's batch in queue order. busy clears
+// first, so a waiter that writes starts the next flush mid-batch, as a
+// caller of the device would; the batch is recycled only after the loop.
+func (ls *LogStore) onSynced() {
+	batch := ls.batch
+	ls.batch = nil
+	ls.busy = false
+	for _, w := range batch {
+		if w.done != nil {
+			w.done()
+		} else if ls.OnFrontier != nil {
+			ls.OnFrontier(w.frontier)
 		}
-		ls.kick()
-	})
+	}
+	clear(batch)
+	ls.spare = batch[:0]
+	ls.kick()
 }
 
 // AppendEntry persists one log entry.
 func (ls *LogStore) AppendEntry(seq, term uint64, data []byte, done func()) {
-	rec := make([]byte, recHeader+16+len(data))
-	binary.LittleEndian.PutUint64(rec[recHeader:], seq)
-	binary.LittleEndian.PutUint64(rec[recHeader+8:], term)
-	copy(rec[recHeader+16:], data)
-	ls.write(kindEntry, rec, done)
+	var hdr [recHeader + 16]byte
+	binary.LittleEndian.PutUint64(hdr[recHeader:], seq)
+	binary.LittleEndian.PutUint64(hdr[recHeader+8:], term)
+	ls.write(kindEntry, hdr[:], data)
+	ls.after(done)
 }
 
 // Truncate persists a positional truncation: on replay, every entry with
 // Seq >= keepBelow recovered so far is dropped.
 func (ls *LogStore) Truncate(keepBelow uint64, done func()) {
-	var rec [recHeader + 8]byte
-	binary.LittleEndian.PutUint64(rec[recHeader:], keepBelow)
-	ls.write(kindTrunc, rec[:], done)
+	var hdr [recHeader + 8]byte
+	binary.LittleEndian.PutUint64(hdr[recHeader:], keepBelow)
+	ls.write(kindTrunc, hdr[:], nil)
+	ls.after(done)
 }
 
 // SetMeta persists one metadata cell (last write wins on replay).
 func (ls *LogStore) SetMeta(key uint8, val uint64, done func()) {
-	var rec [recHeader + 9]byte
-	rec[recHeader] = key
-	binary.LittleEndian.PutUint64(rec[recHeader+1:], val)
-	ls.write(kindMeta, rec[:], done)
+	ls.meta(key, val)
+	ls.after(done)
+}
+
+func (ls *LogStore) meta(key uint8, val uint64) {
+	var hdr [recHeader + 9]byte
+	hdr[recHeader] = key
+	binary.LittleEndian.PutUint64(hdr[recHeader+1:], val)
+	ls.write(kindMeta, hdr[:], nil)
 }
 
 // Flush arranges for done once everything appended so far is durable.
 func (ls *LogStore) Flush(done func()) { ls.SetMeta(flushKey, 0, done) }
+
+// FlushFrontier is Flush reporting n through OnFrontier, in done's place:
+// once everything appended so far is durable, the owner learns that its
+// first n entries are.
+func (ls *LogStore) FlushFrontier(n uint64) {
+	ls.meta(flushKey, 0)
+	ls.queued = append(ls.queued, waiter{frontier: n})
+	ls.kick()
+}
 
 // Reset truncates the log to empty; pending group commits still complete
 // against the old content's flush. No package here calls it — the storage
@@ -270,12 +328,11 @@ func RecoverLog(dev *Device, name string) Recovered {
 		switch kind {
 		case kindEntry:
 			if len(payload) >= 16 {
-				e := RecEntry{
+				rec.Entries = append(rec.Entries, RecEntry{
 					Seq:  binary.LittleEndian.Uint64(payload[0:]),
 					Term: binary.LittleEndian.Uint64(payload[8:]),
-				}
-				e.Data = append(e.Data, payload[16:]...)
-				rec.Entries = append(rec.Entries, e)
+					Data: payload[16:len(payload):len(payload)],
+				})
 			}
 		case kindTrunc:
 			if len(payload) >= 8 {

@@ -1,0 +1,358 @@
+package disk
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
+	"testing"
+	"time"
+
+	"acuerdo/internal/digest"
+	"acuerdo/internal/simnet"
+	"acuerdo/internal/trace"
+)
+
+// refLogStore is LogStore's flush pump as it was before the record path
+// stopped allocating: each write builds its record in a fresh buffer and
+// queues its callback, nil or not; a flush hands its batch to a per-flush
+// closure; a durable frontier is reported by a closure in done's place. It is
+// the reference TestLogStoreDifferential holds LogStore to.
+type refLogStore struct {
+	dev     *Device
+	name    string
+	report  func(n uint64)
+	busy    bool
+	pending []func()
+}
+
+func (ls *refLogStore) write(kind byte, rec []byte, done func()) {
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(rec)-recHeader))
+	rec[8] = kind
+	binary.LittleEndian.PutUint32(rec[0:], crc32.ChecksumIEEE(rec[8:]))
+	ls.dev.Append(ls.name, rec)
+	ls.pending = append(ls.pending, done)
+	ls.kick()
+}
+
+func (ls *refLogStore) kick() {
+	if ls.busy || len(ls.pending) == 0 {
+		return
+	}
+	ls.busy = true
+	batch := ls.pending
+	ls.pending = nil
+	ls.dev.Sync(ls.name, func() {
+		ls.busy = false
+		for _, cb := range batch {
+			if cb != nil {
+				cb()
+			}
+		}
+		ls.kick()
+	})
+}
+
+func (ls *refLogStore) AppendEntry(seq, term uint64, data []byte, done func()) {
+	rec := make([]byte, recHeader+16+len(data))
+	binary.LittleEndian.PutUint64(rec[recHeader:], seq)
+	binary.LittleEndian.PutUint64(rec[recHeader+8:], term)
+	copy(rec[recHeader+16:], data)
+	ls.write(kindEntry, rec, done)
+}
+
+func (ls *refLogStore) Truncate(keepBelow uint64, done func()) {
+	var rec [recHeader + 8]byte
+	binary.LittleEndian.PutUint64(rec[recHeader:], keepBelow)
+	ls.write(kindTrunc, rec[:], done)
+}
+
+func (ls *refLogStore) SetMeta(key uint8, val uint64, done func()) {
+	var rec [recHeader + 9]byte
+	rec[recHeader] = key
+	binary.LittleEndian.PutUint64(rec[recHeader+1:], val)
+	ls.write(kindMeta, rec[:], done)
+}
+
+func (ls *refLogStore) Flush(done func()) { ls.SetMeta(flushKey, 0, done) }
+
+func (ls *refLogStore) FlushFrontier(n uint64) { ls.Flush(func() { ls.report(n) }) }
+
+// walAPI is what the differential drives on both stores.
+type walAPI interface {
+	AppendEntry(seq, term uint64, data []byte, done func())
+	Truncate(keepBelow uint64, done func())
+	SetMeta(key uint8, val uint64, done func())
+	Flush(done func())
+	FlushFrontier(n uint64)
+}
+
+// opener opens (or, after a crash, reopens) the named log with report as its
+// frontier hook.
+type opener func(dev *Device, name string, reopen bool, report func(n uint64)) walAPI
+
+func openLogStore(dev *Device, name string, reopen bool, report func(n uint64)) walAPI {
+	ls := NewLogStore(dev, name)
+	if reopen {
+		ls, _ = Reopen(dev, name)
+	}
+	ls.OnFrontier = report
+	return ls
+}
+
+func openRef(dev *Device, name string, reopen bool, report func(n uint64)) walAPI {
+	if reopen {
+		if rec := RecoverLog(dev, name); rec.Dropped > 0 {
+			dev.trim(name, rec.Bytes)
+		}
+	}
+	return &refLogStore{dev: dev, name: name, report: report}
+}
+
+// release is one callback or frontier report: which, and when.
+type release struct {
+	id int
+	at simnet.Time
+}
+
+type walRun struct {
+	releases []release
+	files    [2][]byte
+	stats    Stats
+	fp       digest.Sum
+}
+
+// driveWAL runs one seeded program over two logs sharing a device: entries,
+// truncations, meta cells, flushes and frontier flushes, with and without
+// callbacks, time advancing by less than a flush and more, fsync stalls, and
+// power cuts (some torn) followed by a reopen. Every third callback writes
+// again from inside its batch, itself with a callback.
+func driveWAL(seed int64, open opener) walRun {
+	var out walRun
+	sim := newSim(seed)
+	tr := trace.New(trace.FingerprintRing)
+	sim.SetTracer(tr)
+	dev := NewDevice(sim, 0, DefaultParams())
+	rng := rand.New(rand.NewSource(seed))
+	names := [2]string{"a", "b"}
+	var logs [2]walAPI
+	ids := 0
+	report := func(id int) func(n uint64) {
+		return func(n uint64) { out.releases = append(out.releases, release{-int(n) - 1000*id, sim.Now()}) }
+	}
+	var done func(l int) func()
+	done = func(l int) func() {
+		ids++
+		id := ids
+		return func() {
+			out.releases = append(out.releases, release{id, sim.Now()})
+			if id%3 == 0 && id < 2000 {
+				logs[l].AppendEntry(uint64(id), 9, []byte{byte(id)}, done(l))
+			}
+		}
+	}
+	maybe := func(l int) func() {
+		if rng.Intn(3) == 0 {
+			return nil
+		}
+		return done(l)
+	}
+	for l := range logs {
+		logs[l] = open(dev, names[l], false, report(l))
+	}
+	seq, frontier := uint64(0), uint64(0)
+	for step := 0; step < 400; step++ {
+		l := rng.Intn(2)
+		switch op := rng.Intn(100); {
+		case op < 35:
+			seq++
+			logs[l].AppendEntry(seq, uint64(step), bytes.Repeat([]byte{byte(seq)}, rng.Intn(48)), maybe(l))
+		case op < 45:
+			logs[l].SetMeta(uint8(1+rng.Intn(3)), uint64(step), maybe(l))
+		case op < 50:
+			logs[l].Truncate(seq/2, maybe(l))
+		case op < 58:
+			logs[l].Flush(maybe(l))
+		case op < 66:
+			frontier++
+			logs[l].FlushFrontier(frontier)
+		case op < 95:
+			sim.RunFor(time.Duration(rng.Intn(25000)) * time.Nanosecond)
+		case op < 97:
+			dev.StallFsync(time.Duration(rng.Intn(40)) * time.Microsecond)
+		default:
+			if rng.Intn(2) == 0 {
+				dev.ArmTornWrite()
+			}
+			dev.Crash(sim.Rand())
+			for l := range logs {
+				logs[l] = open(dev, names[l], true, report(l))
+			}
+		}
+	}
+	sim.RunFor(10 * time.Millisecond)
+	for l, name := range names {
+		out.files[l] = dev.Durable(name)
+	}
+	out.stats = dev.Stats()
+	out.fp = tr.Fingerprint()
+	return out
+}
+
+// TestLogStoreDifferential holds the allocation-free pump to the one before
+// it: on every seed the same callbacks and frontier reports are released in
+// the same order at the same instants, the device ends with the same durable
+// bytes and counters, and the traced event stream is the same.
+func TestLogStoreDifferential(t *testing.T) {
+	seeds := 200
+	if testing.Short() {
+		seeds = 50
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		got, want := driveWAL(seed, openLogStore), driveWAL(seed, openRef)
+		if len(got.releases) != len(want.releases) {
+			t.Fatalf("seed %d: %d releases, reference %d", seed, len(got.releases), len(want.releases))
+		}
+		for i := range got.releases {
+			if got.releases[i] != want.releases[i] {
+				t.Fatalf("seed %d: release %d is %+v, reference %+v", seed, i, got.releases[i], want.releases[i])
+			}
+		}
+		for l := range got.files {
+			if !bytes.Equal(got.files[l], want.files[l]) {
+				t.Fatalf("seed %d: log %d holds %d durable bytes, reference %d, or they differ", seed, l, len(got.files[l]), len(want.files[l]))
+			}
+		}
+		if got.stats != want.stats || got.fp != want.fp {
+			t.Fatalf("seed %d: stats %+v fingerprint %x, reference %+v %x", seed, got.stats, got.fp, want.stats, want.fp)
+		}
+		if seed == 1 && (len(want.releases) < 100 || want.stats.Crashes == 0) {
+			t.Fatalf("seed 1 released %d callbacks over %d crashes: the program exercises too little", len(want.releases), want.stats.Crashes)
+		}
+	}
+}
+
+// TestStaleFsyncCompletesNothing cuts power with a flush in flight, reopens
+// the log and flushes again before the dead flush's event is due. That event
+// still fires — nothing is cancelled — and must complete nothing: the new
+// flush lands at its own time, once.
+func TestStaleFsyncCompletesNothing(t *testing.T) {
+	sim := newSim(1)
+	p := DefaultParams()
+	p.FsyncLatency = 10 * time.Microsecond
+	p.FsyncBytePer = 0
+	dev := NewDevice(sim, 0, p)
+	ls := NewLogStore(dev, "wal")
+	var released []simnet.Time
+	lost := false
+	ls.AppendEntry(0, 1, []byte("lost"), func() { lost = true })
+	sim.RunFor(5 * time.Microsecond) // the flush is due at 10 us
+	dev.Crash(sim.Rand())
+	ls, _ = Reopen(dev, "wal")
+	start := sim.Now()
+	ls.AppendEntry(0, 2, []byte("kept"), func() { released = append(released, sim.Now()) })
+	sim.RunFor(time.Millisecond)
+	if lost {
+		t.Fatal("a callback of the flush the crash interrupted ran")
+	}
+	if len(released) != 1 || released[0].Sub(start) != p.FsyncLatency {
+		t.Fatalf("post-restart flush released at %v (issued at %v), want once, %v later", released, start, p.FsyncLatency)
+	}
+	if st := dev.Stats(); st.Fsyncs != 1 {
+		t.Fatalf("%d fsyncs completed, want only the post-restart one", st.Fsyncs)
+	}
+	if rec := RecoverLog(dev, "wal"); len(rec.Entries) != 1 || string(rec.Entries[0].Data) != "kept" {
+		t.Fatalf("recovered %+v, want only the post-restart entry", rec.Entries)
+	}
+}
+
+// TestSyncQueueStaysBounded: a store whose every flush completion writes
+// again queues its next flush before the device sees its queue drain, as
+// every protocol under load does, so the device queue never rewinds by
+// draining; it must still not grow with the number of flushes.
+func TestSyncQueueStaysBounded(t *testing.T) {
+	sim := newSim(1)
+	dev := NewDevice(sim, 0, DefaultParams())
+	ls := NewLogStore(dev, "wal")
+	other := NewLogStore(dev, "other")
+	flushes := 0
+	var again func()
+	again = func() {
+		if flushes++; flushes < 10000 {
+			ls.SetMeta(1, uint64(flushes), again)
+			other.SetMeta(1, uint64(flushes), nil)
+		}
+	}
+	again()
+	sim.RunFor(time.Second)
+	if flushes != 10000 {
+		t.Fatalf("%d flushes completed, want 10000", flushes)
+	}
+	if c := cap(dev.syncQueue); c > 8 {
+		t.Fatalf("the device queue grew to %d slots over %d back-to-back flushes", c, flushes)
+	}
+}
+
+// TestRecoverLogCarvesCappedViews: recovered entries are views of one copy
+// of the durable bytes, each capped at its own length, so an append to one
+// reallocates instead of overwriting the record after it, and a write into
+// one leaves the device alone.
+func TestRecoverLogCarvesCappedViews(t *testing.T) {
+	sim := newSim(1)
+	dev := NewDevice(sim, 0, DefaultParams())
+	ls := NewLogStore(dev, "wal")
+	ls.AppendEntry(0, 1, []byte("first"), nil)
+	ls.AppendEntry(1, 1, nil, nil)
+	ls.AppendEntry(2, 1, []byte("third"), nil)
+	sim.RunFor(time.Millisecond)
+	rec := RecoverLog(dev, "wal")
+	if len(rec.Entries) != 3 {
+		t.Fatalf("recovered %d entries, want 3", len(rec.Entries))
+	}
+	for i, e := range rec.Entries {
+		if cap(e.Data) != len(e.Data) {
+			t.Fatalf("entry %d: len %d cap %d, want a capped view", i, len(e.Data), cap(e.Data))
+		}
+	}
+	_ = append(rec.Entries[0].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
+	_ = append(rec.Entries[1].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
+	if string(rec.Entries[2].Data) != "third" {
+		t.Fatalf("an append to an earlier entry clobbered the last: %q", rec.Entries[2].Data)
+	}
+	rec.Entries[0].Data[0] = 'F'
+	if again := RecoverLog(dev, "wal"); string(again.Entries[0].Data) != "first" {
+		t.Fatalf("a write into a recovered entry reached the device: %q", again.Entries[0].Data)
+	}
+}
+
+// TestLogStoreAllocFree pins the record path at zero allocations once the
+// file has room: entries with callbacks, a meta cell, a frontier flush and
+// the group commit that lands them, on a recycled queue and fsync record.
+func TestLogStoreAllocFree(t *testing.T) {
+	sim := newSim(1)
+	dev := NewDevice(sim, 0, DefaultParams())
+	ls := NewLogStore(dev, "wal")
+	reported := uint64(0)
+	ls.OnFrontier = func(n uint64) { reported = n }
+	dev.get("wal").data = make([]byte, 0, 1<<20)
+	data := make([]byte, 100)
+	acked := 0
+	done := func() { acked++ }
+	seq := uint64(0)
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			seq++
+			ls.AppendEntry(seq, 1, data, done)
+		}
+		ls.SetMeta(1, seq, nil)
+		ls.FlushFrontier(seq)
+		sim.RunFor(100 * time.Microsecond)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("a group-commit cycle allocates %.1f objects, want 0", avg)
+	}
+	if reported != seq || acked != int(seq) {
+		t.Fatalf("frontier %d and %d callbacks after %d entries", reported, acked, seq)
+	}
+}

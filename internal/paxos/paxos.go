@@ -181,6 +181,7 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 		s.dev = devs[i]
 		s.astore = disk.NewLogStore(devs[i], paxosAcceptWAL)
 		s.lstore = disk.NewLogStore(devs[i], paxosLearnWAL)
+		s.lstore.OnFrontier = s.reportDurable
 	}
 }
 
@@ -401,7 +402,13 @@ func (s *Server) persistDelivered() {
 	}
 	n := s.delivered
 	s.lstore.SetMeta(metaDelivered, n, nil)
-	s.lstore.Flush(func() { s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n) })
+	s.lstore.FlushFrontier(n)
+}
+
+// reportDurable, the hook on every learner store the server opens, tells
+// the observer that the first n instances are durably delivered.
+func (s *Server) reportDurable(n uint64) {
+	s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n)
 }
 
 // --- proposer failover (phase 1) ---
@@ -669,6 +676,7 @@ func (s *Server) restartDurable() {
 	logs := s.c.Recovery.Reopen(s.dev, s.node.Proc, paxosAcceptWAL, paxosLearnWAL)
 	arec, lrec := logs[0], logs[1]
 	s.astore, s.lstore = arec.Store, lrec.Store
+	s.lstore.OnFrontier = s.reportDurable
 	s.promised = arec.Meta[metaPromised]
 	// Replay in log order: a re-accept at a higher ballot is a later record
 	// and supersedes the earlier one for its instance.

@@ -160,6 +160,7 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 	for i, s := range c.Servers {
 		s.dev = devs[i]
 		s.store = disk.NewLogStore(devs[i], raftWALName)
+		s.store.OnFrontier = s.reportDurable
 	}
 }
 
@@ -552,7 +553,13 @@ func (s *Server) persistCommit() {
 	}
 	n := uint64(s.commit)
 	s.store.SetMeta(metaCommit, n, nil)
-	s.store.Flush(func() { s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n) })
+	s.store.FlushFrontier(n)
+}
+
+// reportDurable, the hook on every store the server opens, tells the
+// observer that the first n entries are durably committed.
+func (s *Server) reportDurable(n uint64) {
+	s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n)
 }
 
 func (s *Server) onAppendResp(m []byte) {
@@ -733,6 +740,7 @@ func (c *Cluster) restartDurable(s *Server) {
 	s.role = follower
 	rec := c.Recovery.Reopen(s.dev, s.node.Proc, raftWALName)[0]
 	s.store = rec.Store
+	s.store.OnFrontier = s.reportDurable
 	for idx, e := range rec.Positional() {
 		s.log = append(s.log, entry{term: e.Term, payload: e.Data})
 		c.obs.LogRecover(s.id, now, uint64(idx), e.Term, trace.ID(e.Data))

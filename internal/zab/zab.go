@@ -228,6 +228,7 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 	for i, s := range c.Servers {
 		s.dev = devs[i]
 		s.store = disk.NewLogStore(devs[i], zabWALName)
+		s.store.OnFrontier = s.reportDurable
 	}
 }
 
@@ -307,7 +308,13 @@ func (s *Server) persistCommitted() {
 	}
 	n := uint64(s.committed)
 	s.store.SetMeta(metaCommitted, n, nil)
-	s.store.Flush(func() { s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n) })
+	s.store.FlushFrontier(n)
+}
+
+// reportDurable, the hook on every store the server opens, tells the
+// observer that the first n transactions are durably committed.
+func (s *Server) reportDurable(n uint64) {
+	s.c.obs.DurableFrontier(s.id, int64(s.c.Sim.Now()), n)
 }
 
 // persistEpoch records the current epoch; it rides the next group commit.
@@ -742,6 +749,7 @@ func (s *Server) restartDurable() {
 	s.votes = make(map[int]voteT)
 	rec := s.c.Recovery.Reopen(s.dev, s.node.Proc, zabWALName)[0]
 	s.store = rec.Store
+	s.store.OnFrontier = s.reportDurable
 	for i, e := range rec.Positional() {
 		s.log = append(s.log, entry{zxid: e.Term, payload: e.Data})
 		s.c.obs.LogRecover(s.id, now, uint64(i), e.Term, trace.ID(e.Data))
