@@ -29,7 +29,12 @@ type System interface {
 	Name() string
 	// Submit broadcasts payload. done, if non-nil, runs at the simulated
 	// time the *client* learns the message is committed (it includes the
-	// client's request and acknowledgment hops).
+	// client's request and acknowledgment hops). payload is the caller's
+	// again once done runs: a system copies what it keeps (a transport at
+	// post time, a log into its own storage), and anything that still holds
+	// payload after the ack — an armed retry — looks up its own id before it
+	// reads it. A closed loop therefore refills one buffer per window slot
+	// (see Requests).
 	Submit(payload []byte, done func())
 	// Ready reports whether the system currently accepts client traffic
 	// (e.g., a leader is elected).
@@ -384,6 +389,58 @@ func Loop(sim *simnet.Sim, sys System, window int, issue func(id uint64, next fu
 	}
 }
 
+// Request is one closed-loop request record: a payload buffer, the request's
+// id and send time, and the Loop continuation it was issued with. Done,
+// bound once when the record is created, is the completion to hand Submit.
+type Request struct {
+	Payload []byte
+	ID      uint64
+	Sent    simnet.Time
+	Done    func() // bound to done
+	next    func()
+	list    *Requests
+}
+
+// Requests is the free list of a closed loop's request records. A window
+// bounds how many are out, and a record returns to the list when its ack
+// runs — the payload is the caller's again then (System.Submit) — so its
+// buffer carries the next request and a loop that takes one record per
+// issue allocates nothing once the window is full.
+type Requests struct {
+	// Size is the length of a new record's Payload.
+	Size int
+	// OnAck, if non-nil, runs at each acknowledgment before the record is
+	// recycled.
+	OnAck func(r *Request)
+	free  []*Request
+}
+
+// Take returns a record for request id, sent at sent, whose ack runs next.
+// Its Payload holds whatever the record's last request left there.
+func (l *Requests) Take(id uint64, sent simnet.Time, next func()) *Request {
+	var r *Request
+	if n := len(l.free); n > 0 {
+		r = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		r = &Request{Payload: make([]byte, l.Size), list: l}
+		r.Done = r.done
+	}
+	r.ID, r.Sent, r.next = id, sent, next
+	return r
+}
+
+// done recycles r, then issues the next request, which takes r straight back.
+func (r *Request) done() {
+	l, next := r.list, r.next
+	if l.OnAck != nil {
+		l.OnAck(r)
+	}
+	r.next = nil
+	l.free = append(l.free, r)
+	next()
+}
+
 // RunClosedLoop is Loop plus the measurement window: it drives sys with
 // cfg.Window outstanding fixed-size messages, runs the simulation itself
 // through warm-up and measurement, and returns the measured point.
@@ -398,30 +455,29 @@ func RunClosedLoop(sim *simnet.Sim, sys System, cfg LoadConfig) LoadResult {
 	)
 
 	tr := sim.Tracer()
+	reqs := Requests{Size: cfg.MsgSize, OnAck: func(r *Request) {
+		if measuring {
+			res.Latency.Add(sim.Now().Sub(r.Sent))
+			res.Committed++
+			if tr != nil {
+				// Emit the ack marker only for measured messages, so the
+				// decomposition covers exactly the histogram's sample set.
+				tr.Instant(trace.KAck, -1, int64(sim.Now()), int64(r.ID), 0)
+				tr.Add(trace.CtrAcks, 1)
+			}
+		}
+	}}
 	Loop(sim, sys, cfg.Window, func(id uint64, next func()) {
-		payload := make([]byte, cfg.MsgSize)
-		PutMsgID(payload, id)
+		r := reqs.Take(id, sim.Now(), next)
+		PutMsgID(r.Payload, id)
 		if cfg.OnSubmit != nil {
 			cfg.OnSubmit(id)
 		}
-		sent := sim.Now()
 		if tr != nil {
-			tr.Instant(trace.KSubmit, -1, int64(sent), int64(id), 0)
+			tr.Instant(trace.KSubmit, -1, int64(r.Sent), int64(id), 0)
 			tr.Add(trace.CtrSubmits, 1)
 		}
-		sys.Submit(payload, func() {
-			if measuring {
-				res.Latency.Add(sim.Now().Sub(sent))
-				res.Committed++
-				if tr != nil {
-					// Emit the ack marker only for measured messages, so the
-					// decomposition covers exactly the histogram's sample set.
-					tr.Instant(trace.KAck, -1, int64(sim.Now()), int64(id), 0)
-					tr.Add(trace.CtrAcks, 1)
-				}
-			}
-			next()
-		})
+		sys.Submit(r.Payload, r.Done)
 	})
 	sim.RunFor(cfg.Warmup)
 	measuring = true

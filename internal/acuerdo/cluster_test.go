@@ -551,6 +551,54 @@ func TestDurableRecordPathAllocFree(t *testing.T) {
 	}
 }
 
+// TestRunClosedLoopAllocFree pins abcast.RunClosedLoop's own per-request
+// work over a real group — a recycled request record whose buffer carries
+// the next request, its bound completion, the client's request table and
+// armed retry — at no allocation: between two submits deep in the warm-up
+// the whole run, client and replicas, allocates nothing per request. What it
+// may allocate is the simulator's event queue still growing a bucket now and
+// then, bounded here at a thousandth of an object per request; the queue
+// takes some 200 000 requests to settle, so -short skips the pin.
+func TestRunClosedLoopAllocFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 220 000-request warm-up")
+	}
+	sim := simnet.New(1)
+	cfg := DefaultClusterConfig(3)
+	cfg.RetryTimeout = 200 * time.Microsecond // see steadyStateAllocs
+	c := NewCluster(sim, rdma.NewFabric(sim, rdma.DefaultParams()), cfg)
+	c.Start()
+	sim.RunFor(20 * time.Millisecond)
+	if c.LeaderIdx() < 0 {
+		t.Fatal("no leader")
+	}
+	const from, to = 200000, 220000
+	var ms runtime.MemStats
+	var before, after uint64
+	abcast.RunClosedLoop(sim, c, abcast.LoadConfig{
+		Window: 16, MsgSize: 100, Warmup: 600 * time.Millisecond, Measure: time.Microsecond,
+		OnSubmit: func(id uint64) {
+			switch id {
+			case from:
+				runtime.ReadMemStats(&ms)
+				before = ms.Mallocs
+			case to:
+				runtime.ReadMemStats(&ms)
+				after = ms.Mallocs
+			}
+		},
+	})
+	if after == 0 {
+		t.Fatalf("the warm-up did not reach request %d", to)
+	}
+	const reqs = to - from
+	if per := float64(after-before) / reqs; per > 0.001 {
+		t.Fatalf("%d objects over %d requests = %.4f per request, want <= 0.001", after-before, reqs, per)
+	} else {
+		t.Logf("%d objects over %d requests (%.5f per request)", after-before, reqs, per)
+	}
+}
+
 // steadyStateAllocs runs a 3-replica group at window 16, 100 B, warms it up
 // and returns the heap objects allocated over the next 10 000 acknowledged
 // messages, and their count. durable gives every replica a disk.

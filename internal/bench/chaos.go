@@ -165,14 +165,12 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	if cfg.MsgSize < 8 {
 		cfg.MsgSize = 8
 	}
+	reqs := abcast.Requests{Size: cfg.MsgSize, OnAck: func(*abcast.Request) { acks = append(acks, sim.Now()) }}
 	abcast.Loop(sim, inst.Sys, cfg.Window, func(id uint64, next func()) {
-		payload := make([]byte, cfg.MsgSize)
-		abcast.PutMsgID(payload, id)
+		r := reqs.Take(id, sim.Now(), next)
+		abcast.PutMsgID(r.Payload, id)
 		checker.OnBroadcast(id)
-		inst.Sys.Submit(payload, func() {
-			acks = append(acks, sim.Now())
-			next()
-		})
+		inst.Sys.Submit(r.Payload, r.Done)
 	})
 
 	// Fault schedule, compiled from the simulator's own RNG.

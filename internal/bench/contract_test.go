@@ -114,6 +114,60 @@ func TestGroupContract(t *testing.T) {
 	}
 }
 
+// TestSubmitPayloadNotRetained pins abcast.System.Submit's buffer rule —
+// the payload is the caller's again once done runs — which lets
+// RunClosedLoop's request records carry their next request in the same
+// buffer. Every system runs the same closed loop twice, once with each
+// buffer filled with 0xFF the instant its ack runs: a system that still read
+// an acknowledged request's bytes (a queued view, an armed retry that re-sent
+// without looking up its id) would order or deliver something else, and the
+// delivery fingerprints would differ. The run outlasts every system's retry
+// timeout, so armed re-sends fire after their requests' acks.
+func TestSubmitPayloadNotRetained(t *testing.T) {
+	for _, kind := range AllKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			run := func(poison bool) (uint64, int) {
+				inst := NewInstance(kind, 3, 3, Options{})
+				defer inst.Close()
+				chk := inst.Check(nil)
+				sys := inst.Sys
+				if poison {
+					sys = poisonOnAck{sys}
+				}
+				res := abcast.RunClosedLoop(inst.Sim, sys, abcast.LoadConfig{
+					Window: 8, MsgSize: 32, Warmup: time.Millisecond, Measure: 60 * time.Millisecond,
+					OnSubmit: chk.OnBroadcast,
+				})
+				if err := chk.Err(); err != nil {
+					t.Fatalf("poisoned %v: %v", poison, err)
+				}
+				return uint64(chk.Fingerprint()), res.Committed
+			}
+			fp, n := run(false)
+			pfp, pn := run(true)
+			if n == 0 {
+				t.Fatal("committed nothing")
+			}
+			if fp != pfp || n != pn {
+				t.Fatalf("poisoning acknowledged buffers moved the run: fingerprint %016x, %d commits; poisoned %016x, %d commits", fp, n, pfp, pn)
+			}
+		})
+	}
+}
+
+// poisonOnAck fills each payload with 0xFF the instant its ack runs, before
+// the closed loop's record carries its next request in the same buffer.
+type poisonOnAck struct{ abcast.System }
+
+func (p poisonOnAck) Submit(payload []byte, done func()) {
+	p.System.Submit(payload, func() {
+		for i := range payload {
+			payload[i] = 0xFF
+		}
+		done()
+	})
+}
+
 // TestPayloadIntegrity checks what the other oracles do not look at: the
 // bytes. Every payload byte is derived from the request id and compared at
 // every delivery at every replica, under a closed loop whose window × record

@@ -250,7 +250,7 @@ func newPGWorkloads(m *placement.Map, records uint64, value int, seed int64) []*
 }
 
 // nextOp draws the group's next write. The value is valid until the next
-// call: Op.Encode copies it before Replicated.Set returns.
+// call: Replicated.Update encodes a copy before it returns.
 func (w *pgWorkload) nextOp() (string, []byte) {
 	key := w.keys[w.zipf.Next(w.rng)%uint64(len(w.keys))]
 	w.rng.Read(w.value)
@@ -291,20 +291,20 @@ func RunPlacementLoad(w *PlacementWorld, cfg PlacementConfig) PlacementResult {
 		checkers[pg] = checker
 
 		load := loads[pg]
+		reqs := abcast.Requests{OnAck: func(r *abcast.Request) {
+			if measuring {
+				pr.Committed++
+				pr.Latency.Add(sim.Now().Sub(r.Sent))
+			}
+		}}
 		// Loop's ids shadow kvstore.Replicated's op-ID counter (both advance
-		// by one per Set), so broadcasts register with the checker under the
-		// ID the delivered payload will carry.
+		// by one per Update), so broadcasts register with the checker under
+		// the ID the delivered payload will carry.
 		abcast.Loop(sim, inst.Sys, cfg.WindowPerPG, func(id uint64, next func()) {
 			key, value := load.nextOp()
 			checker.OnBroadcast(id)
-			sent := sim.Now()
-			rm.Set(key, value, func() {
-				if measuring {
-					pr.Committed++
-					pr.Latency.Add(sim.Now().Sub(sent))
-				}
-				next()
-			})
+			r := reqs.Take(id, sim.Now(), next)
+			r.Payload = rm.Update(r.Payload, kvstore.OpSet, key, value, r.Done)
 		})
 	}
 

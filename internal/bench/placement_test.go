@@ -220,7 +220,7 @@ func TestFleetFanOut(t *testing.T) {
 }
 
 // TestNextOpAllocFree: a group's write stream draws every value into the
-// group's one buffer (kvstore.Op.Encode copies it before Set returns).
+// group's one buffer (Replicated.Update encodes a copy before it returns).
 func TestNextOpAllocFree(t *testing.T) {
 	m, err := placement.Build(shortPlacement(Acuerdo, 2).Placement)
 	if err != nil {

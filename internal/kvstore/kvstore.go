@@ -43,19 +43,21 @@ func mustFit(kl, vl int) {
 	}
 }
 
-// Encode serializes the op; the leading 8 bytes are the request ID so the
-// encoding doubles as an abcast payload. It copies Key and Value, and panics
-// on an op whose lengths do not fit the encoding (mustFit).
-func (o Op) Encode() []byte {
+// Encode serializes the op into a new buffer (see AppendEncode).
+func (o Op) Encode() []byte { return o.AppendEncode(nil) }
+
+// AppendEncode appends the op's encoding to dst and returns the result; the
+// leading 8 bytes are the request ID so the encoding doubles as an abcast
+// payload. It copies Key and Value, and panics on an op whose lengths do not
+// fit the encoding (mustFit).
+func (o Op) AppendEncode(dst []byte) []byte {
 	mustFit(len(o.Key), len(o.Value))
-	b := make([]byte, 15+len(o.Key)+len(o.Value))
-	binary.LittleEndian.PutUint64(b, o.ID)
-	b[8] = byte(o.Kind)
-	binary.LittleEndian.PutUint16(b[9:], uint16(len(o.Key)))
-	binary.LittleEndian.PutUint32(b[11:], uint32(len(o.Value)))
-	copy(b[15:], o.Key)
-	copy(b[15+len(o.Key):], o.Value)
-	return b
+	dst = binary.LittleEndian.AppendUint64(dst, o.ID)
+	dst = append(dst, byte(o.Kind))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(o.Key)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(o.Value)))
+	dst = append(dst, o.Key...)
+	return append(dst, o.Value...)
 }
 
 // split validates an encoded op and returns views of its key and value. The
@@ -168,22 +170,25 @@ func (r *Replicated) ApplyAt(i int, payload []byte) error {
 	return nil
 }
 
-// Update replicates an update command; done runs when the client observes
-// the commit.
-func (r *Replicated) Update(kind OpKind, key string, value []byte, done func()) {
+// Update replicates an update command, encoded into buf's storage (grown if
+// it is too small), and returns the encoded payload; done runs when the
+// client observes the commit, and buf is the caller's again from then on
+// (abcast.System.Submit).
+func (r *Replicated) Update(buf []byte, kind OpKind, key string, value []byte, done func()) []byte {
 	r.nextID++
-	op := Op{ID: r.nextID, Kind: kind, Key: key, Value: value}
-	r.Engine.Submit(op.Encode(), done)
+	p := Op{ID: r.nextID, Kind: kind, Key: key, Value: value}.AppendEncode(buf[:0])
+	r.Engine.Submit(p, done)
+	return p
 }
 
 // Set replicates a set command.
 func (r *Replicated) Set(key string, value []byte, done func()) {
-	r.Update(OpSet, key, value, done)
+	r.Update(nil, OpSet, key, value, done)
 }
 
 // Delete replicates a delete command.
 func (r *Replicated) Delete(key string, done func()) {
-	r.Update(OpDelete, key, nil, done)
+	r.Update(nil, OpDelete, key, nil, done)
 }
 
 // Get reads key from replica i directly, bypassing the broadcast engine.

@@ -106,6 +106,8 @@ type Fabric struct {
 	// deliveryFree recycles the records that carry a WRITE from post to
 	// landing (see delivery).
 	deliveryFree []*delivery
+	// completionFree recycles the records of scheduled completions.
+	completionFree []*completion
 
 	// mrs tracks the poolable registered regions handed out by this
 	// fabric's nodes, for Release.
@@ -455,17 +457,42 @@ func (qp *QP) flushParkedAcks() {
 // send queue. Nothing is queued for a consumer; the KCQE event and CtrCQEs
 // are its only other trace.
 func (qp *QP) complete(at simnet.Time, wrid uint64, st Status) {
-	sim := qp.from.Fabric.Sim
-	sim.At(at, func() {
-		if qp.from.crashed {
-			return
-		}
-		qp.outstanding = 0
-		if tr := sim.Tracer(); tr != nil {
-			tr.Instant(trace.KCQE, qp.from.ID, int64(at), int64(wrid), int64(st))
-			tr.Add(trace.CtrCQEs, 1)
-		}
-	})
+	fb := qp.from.Fabric
+	var c *completion
+	if n := len(fb.completionFree); n > 0 {
+		c = fb.completionFree[n-1]
+		fb.completionFree = fb.completionFree[:n-1]
+	} else {
+		c = &completion{}
+		c.retire = c.fire
+	}
+	c.qp, c.wrid, c.st = qp, wrid, st
+	fb.Sim.At(at, c.retire)
+}
+
+// completion is one scheduled complete, free-listed on the Fabric like
+// delivery, with retire bound once.
+type completion struct {
+	qp     *QP
+	wrid   uint64
+	st     Status
+	retire func() // bound to fire
+}
+
+// fire recycles c, then retires its write.
+func (c *completion) fire() {
+	qp, wrid, st := c.qp, c.wrid, c.st
+	c.qp = nil
+	fb := qp.from.Fabric
+	fb.completionFree = append(fb.completionFree, c)
+	if qp.from.crashed {
+		return
+	}
+	qp.outstanding = 0
+	if tr := fb.Sim.Tracer(); tr != nil {
+		tr.Instant(trace.KCQE, qp.from.ID, int64(fb.Sim.Now()), int64(wrid), int64(st))
+		tr.Add(trace.CtrCQEs, 1)
+	}
 }
 
 // Write posts a one-sided RDMA write of parts, back to back, into

@@ -1,6 +1,7 @@
 package zab
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -164,4 +165,82 @@ func TestVolatileModeUnchanged(t *testing.T) {
 			t.Fatal("SetDisks(nil) switched modes")
 		}
 	}
+}
+
+// TestDurablePayloadsSurviveTruncation drives load whose every payload byte
+// is derived from its request id, through recycled client buffers, across a
+// leader crash — the followers drop their uncommitted tails for the new
+// leader's DIFF, which carves the adopted entries from the arena again — and
+// the old leader's durable restart, which replays RecoverLog's views. Every
+// delivered payload must carry its request's bytes when it is delivered and
+// still at the end of the run: nothing carved later may overwrite a view
+// handed to OnDeliver.
+func TestDurablePayloadsSurviveTruncation(t *testing.T) {
+	sim, c, chk, obs, _ := newDurableCluster(t, 3, 31)
+	fill := func(p []byte, id uint64) {
+		abcast.PutMsgID(p, id)
+		for i := 8; i < len(p); i++ {
+			p[i] = byte(id) ^ byte(id>>8) ^ byte(i*13)
+		}
+	}
+	const size = 48
+	want := make([]byte, size)
+	type view struct {
+		id uint64
+		p  []byte
+	}
+	var kept []view
+	corrupt := func(id uint64, p []byte) bool { fill(want, id); return !bytes.Equal(p, want) }
+	c.OnDeliver = func(r int, _ uint64, p []byte) {
+		if err := chk.OnDeliver(r, abcast.MsgID(p)); err != nil {
+			t.Fatal(err)
+		}
+		id := abcast.MsgID(p)
+		if corrupt(id, p) {
+			t.Fatalf("replica %d delivered request %d with the wrong bytes", r, id)
+		}
+		kept = append(kept, view{id, p})
+	}
+	sim.RunFor(200 * time.Millisecond)
+	acks := 0
+	reqs := abcast.Requests{Size: size, OnAck: func(*abcast.Request) { acks++ }}
+	abcast.Loop(sim, c, 8, func(id uint64, next func()) {
+		r := reqs.Take(id, sim.Now(), next)
+		fill(r.Payload, id)
+		chk.OnBroadcast(id)
+		c.Submit(r.Payload, r.Done)
+	})
+	sim.RunFor(30 * time.Millisecond)
+
+	old := c.LeaderIdx()
+	tails := 0
+	for i, s := range c.Servers {
+		if i != old {
+			tails += len(s.log) - s.committed
+		}
+	}
+	if tails == 0 {
+		t.Fatal("no follower held an uncommitted tail at the crash: nothing for the DIFF to truncate")
+	}
+	c.Crash(old)
+	sim.RunFor(50 * time.Millisecond)
+	chk.NodeRestart(old)
+	c.Restart(old)
+	before := acks
+	sim.RunFor(300 * time.Millisecond)
+	if acks == before {
+		t.Fatal("no commits after the failover and restart")
+	}
+	for i, v := range kept {
+		if corrupt(v.id, v.p) {
+			t.Fatalf("delivery %d (request %d) was overwritten after it was delivered: it reads as request %d", i, v.id, abcast.MsgID(v.p))
+		}
+	}
+	if err := chk.CheckTotalOrder(); err != nil {
+		t.Fatal(err)
+	}
+	if n := obs.ViolationCount(); n != 0 {
+		t.Fatalf("%d invariant violations:\n%s", n, obs.Report())
+	}
+	t.Logf("%d deliveries, %d uncommitted follower entries at the crash", len(kept), tails)
 }

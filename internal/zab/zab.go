@@ -13,6 +13,7 @@ package zab
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 
@@ -107,6 +108,17 @@ type Server struct {
 	sessions abcast.Sessions
 
 	txnLog disk.GroupCommit // transaction-log group commit, over flush
+	// logged is what each txnLog caller waits for, in the order they
+	// enqueued; GroupCommit releases them in that order through released,
+	// bound to onLogged.
+	logged     []waiter
+	loggedHead int
+	released   func()
+
+	// arena holds the log's payload bytes (see own); reqFree recycles the
+	// records of client requests waiting for the leader's CPU.
+	arena   []byte
+	reqFree []*request
 
 	// Durable mode (SetDisks): transaction log on a simulated device, the
 	// count of log entries already written to it, and the log length at the
@@ -118,6 +130,43 @@ type Server struct {
 
 	votes    map[int]voteT
 	lastPing simnet.Time
+
+	// ping and checkPing are schedulePing and checkLeader, bound once: the
+	// heartbeat timers re-arm every interval.
+	ping, checkPing func()
+}
+
+// waiter is one transaction-log caller: what to send, or count, once the
+// group commit it rode lands.
+type waiter struct {
+	kind waitKind
+	zxid uint64
+}
+
+type waitKind uint8
+
+const (
+	ownAck       waitKind = iota // the leader's own ack of zxid
+	followerAck                  // a follower's ACK of zxid to its leader
+	newLeaderAck                 // a follower's NEWLEADERACK for the adopted DIFF
+)
+
+// request is a client request between its arrival and the leader's CPU
+// getting to it. Records are free-listed on the Server and run is bound once,
+// so queueing one allocates nothing in steady state.
+type request struct {
+	s   *Server
+	id  uint64
+	p   []byte
+	run func() // bound to fire
+}
+
+// fire recycles r, then proposes its request.
+func (r *request) fire() {
+	s, id, p := r.s, r.id, r.p
+	r.p = nil
+	s.reqFree = append(s.reqFree, r)
+	s.propose(id, p)
 }
 
 type voteT struct {
@@ -136,8 +185,12 @@ func (v voteT) better(o voteT) bool {
 	return v.id > o.id
 }
 
-func enc(kind byte, epoch uint32, zxid uint64, payload []byte) []byte {
-	b := make([]byte, 13+len(payload))
+// enc frames a message in the cluster's scratch buffer. The frame is only
+// good until the next enc, which is all a send needs: Send and Broadcast copy
+// it into the transport's own frame before they return.
+func (c *Cluster) enc(kind byte, epoch uint32, zxid uint64, payload []byte) []byte {
+	b := slices.Grow(c.scratch[:0], 13+len(payload))[:13+len(payload)]
+	c.scratch = b
 	b[0] = kind
 	binary.LittleEndian.PutUint32(b[1:], epoch)
 	binary.LittleEndian.PutUint64(b[5:], zxid)
@@ -162,6 +215,7 @@ type Cluster struct {
 	cfg      Config
 	requests *abcast.Client
 	obs      *observe.Observer
+	scratch  []byte // enc's frame buffer
 
 	// OnDeliver observes every delivery (tests, KV store).
 	OnDeliver func(replica int, zxid uint64, payload []byte)
@@ -188,6 +242,8 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 	for i, s := range c.Servers {
 		s.node = c.Node(i)
 		s.txnLog = disk.NewGroupCommit(s.flush)
+		s.released = s.onLogged
+		s.ping, s.checkPing = s.schedulePing, s.checkLeader
 	}
 	return c
 }
@@ -257,30 +313,87 @@ func (s *Server) clientRequest(payload []byte) {
 	case abcast.Drop:
 		return // already in flight under some zxid
 	}
-	// Copy before deferring: payload aliases the connection's frame buffer,
-	// which the transport recycles when this handler returns. The log entry
-	// needed its own copy anyway; take it now so the closure owns its bytes.
-	p := append([]byte(nil), payload...)
-	s.node.Proc.Run(s.c.cfg.LeaderOpCost, func() {
-		if s.role != leading || !s.active || s.sessions.Admit(id) != abcast.Propose {
-			return
-		}
-		s.sessions.Pend(id)
-		s.counter++
-		zxid := uint64(s.epoch)<<32 | uint64(s.counter)
-		s.lastZxid = zxid
-		e := entry{zxid: zxid, payload: p}
-		s.log = append(s.log, e)
-		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(p))
-		s.acks[zxid] = 0
-		s.c.Broadcast(s.id, enc(mPropose, s.epoch, zxid, p))
-		if tr := s.c.Sim.Tracer(); tr != nil {
-			tr.Instant(trace.KPropose, s.id, int64(s.c.Sim.Now()), trace.ID(p), int64(zxid))
-			tr.Add(trace.CtrProposes, 1)
-		}
-		// The leader counts its own ack after its own group commit.
-		s.txnLog.Enqueue(func() { s.onAck(zxid) })
-	})
+	// payload aliases the connection's frame buffer, which the transport
+	// recycles when this handler returns: carve the log entry's copy from the
+	// arena now, and the deferred proposal owns its bytes.
+	var r *request
+	if n := len(s.reqFree); n > 0 {
+		r = s.reqFree[n-1]
+		s.reqFree = s.reqFree[:n-1]
+	} else {
+		r = &request{s: s}
+		r.run = r.fire
+	}
+	r.id, r.p = id, s.own(payload)
+	s.node.Proc.Run(s.c.cfg.LeaderOpCost, r.run)
+}
+
+// propose orders request id, whose payload p the log owns, once the leader's
+// CPU has processed it.
+func (s *Server) propose(id uint64, p []byte) {
+	if s.role != leading || !s.active || s.sessions.Admit(id) != abcast.Propose {
+		return
+	}
+	s.sessions.Pend(id)
+	s.counter++
+	zxid := uint64(s.epoch)<<32 | uint64(s.counter)
+	s.lastZxid = zxid
+	s.log = append(s.log, entry{zxid: zxid, payload: p})
+	s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(p))
+	s.acks[zxid] = 0
+	s.c.Broadcast(s.id, s.c.enc(mPropose, s.epoch, zxid, p))
+	if tr := s.c.Sim.Tracer(); tr != nil {
+		tr.Instant(trace.KPropose, s.id, int64(s.c.Sim.Now()), trace.ID(p), int64(zxid))
+		tr.Add(trace.CtrProposes, 1)
+	}
+	// The leader counts its own ack after its own group commit.
+	s.afterLog(ownAck, zxid)
+}
+
+// logChunk is the size of the arena chunks log payloads are carved from.
+const logChunk = 32 << 10
+
+// own copies p into the server's payload arena and returns the copy, capped at
+// its length so that no append through one entry reaches the next. The arena
+// only grows — zab never trims its log — so a chunk is garbage once no log
+// entry points into it.
+func (s *Server) own(p []byte) []byte {
+	if len(p) > cap(s.arena)-len(s.arena) {
+		s.arena = make([]byte, 0, max(logChunk, len(p)))
+	}
+	n := len(s.arena)
+	s.arena = append(s.arena, p...)
+	return s.arena[n : n+len(p) : n+len(p)]
+}
+
+// afterLog queues a waiter of kind for the next transaction-log group commit.
+func (s *Server) afterLog(kind waitKind, zxid uint64) {
+	if s.loggedHead > 0 && 2*s.loggedHead >= len(s.logged) {
+		// A busy log always has the next batch queued behind the one being
+		// released, so the FIFO never drains: slide the live tail down once
+		// at least half of it is spent, as disk.Device.Sync does.
+		n := copy(s.logged, s.logged[s.loggedHead:])
+		s.logged, s.loggedHead = s.logged[:n], 0
+	}
+	s.logged = append(s.logged, waiter{kind, zxid})
+	s.txnLog.Enqueue(s.released)
+}
+
+// onLogged releases the oldest waiter. It reads the leader and epoch now, when
+// the commit has landed, not when the waiter queued.
+func (s *Server) onLogged() {
+	w := s.logged[s.loggedHead]
+	s.loggedHead++
+	switch w.kind {
+	case ownAck:
+		s.onAck(w.zxid)
+	case followerAck:
+		s.c.Send(s.id, s.leader, s.c.enc(mAck, s.epoch, w.zxid, nil))
+	case newLeaderAck:
+		var idb [4]byte
+		binary.LittleEndian.PutUint32(idb[:], uint32(s.id))
+		s.c.Send(s.id, s.leader, s.c.enc(mNewLeaderAck, s.epoch, 0, idb[:]))
+	}
 }
 
 // flush is one transaction-log group commit: proposals queue on txnLog while
@@ -335,7 +448,7 @@ func (s *Server) handle(m []byte) {
 			return
 		}
 		s.node.Proc.Charge(s.c.cfg.FollowerOpCost)
-		e := entry{zxid: zxid, payload: append([]byte(nil), payload...)}
+		e := entry{zxid: zxid, payload: s.own(payload)}
 		s.log = append(s.log, e)
 		// Track the log tail like every other append path. Without this,
 		// two things break: election votes report a stale position, and a
@@ -352,7 +465,7 @@ func (s *Server) handle(m []byte) {
 			tr.Instant(trace.KAccept, s.id, int64(s.c.Sim.Now()), trace.ID(payload), int64(zxid))
 			tr.Add(trace.CtrAccepts, 1)
 		}
-		s.txnLog.Enqueue(func() { s.c.Send(s.id, s.leader, enc(mAck, s.epoch, zxid, nil)) })
+		s.afterLog(followerAck, zxid)
 	case mAck:
 		if s.role != leading || epoch != s.epoch {
 			return
@@ -385,7 +498,7 @@ func (s *Server) handle(m []byte) {
 			// A late joiner finished syncing after activation: tell it the
 			// committed boundary so it delivers without waiting for traffic.
 			if s.committed > 0 {
-				s.c.Send(s.id, from, enc(mCommit, s.epoch, s.log[s.committed-1].zxid, nil))
+				s.c.Send(s.id, from, s.c.enc(mCommit, s.epoch, s.log[s.committed-1].zxid, nil))
 			}
 			return
 		}
@@ -409,7 +522,7 @@ func (s *Server) onAck(zxid uint64) {
 	s.acks[zxid] = n
 	if n >= s.c.Quorum() {
 		delete(s.acks, zxid)
-		s.c.Broadcast(s.id, enc(mCommit, s.epoch, zxid, nil))
+		s.c.Broadcast(s.id, s.c.enc(mCommit, s.epoch, zxid, nil))
 		s.deliverUpTo(zxid)
 	}
 }
@@ -467,7 +580,7 @@ func (s *Server) sendVote() {
 	idb := make([]byte, 8)
 	binary.LittleEndian.PutUint32(idb, uint32(v.id))
 	binary.LittleEndian.PutUint32(idb[4:], uint32(s.id))
-	s.c.Broadcast(s.id, enc(mVote, v.epoch, v.zxid, idb))
+	s.c.Broadcast(s.id, s.c.enc(mVote, v.epoch, v.zxid, idb))
 }
 
 // onVote processes sender's vote for candidate (with the candidate's last
@@ -546,7 +659,7 @@ func (s *Server) becomeLeader() {
 	// verification exchange the paper contrasts with Acuerdo's election.
 	idb := make([]byte, 4)
 	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.c.Broadcast(s.id, enc(mNewLeader, s.epoch, s.lastZxid, idb))
+	s.c.Broadcast(s.id, s.c.enc(mNewLeader, s.epoch, s.lastZxid, idb))
 	s.schedulePing()
 }
 
@@ -558,7 +671,7 @@ func (s *Server) syncFollower(j int) {
 	}
 	idb := make([]byte, 4)
 	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.c.Send(s.id, j, enc(mNewLeader, s.epoch, s.lastZxid, idb))
+	s.c.Send(s.id, j, s.c.enc(mNewLeader, s.epoch, s.lastZxid, idb))
 }
 
 func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
@@ -595,7 +708,7 @@ func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
 	s.lastPing = s.c.Sim.Now()
 	idb := make([]byte, 4)
 	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.c.Send(s.id, ldr, enc(mFollowerInfo, s.epoch, s.lastZxid, idb))
+	s.c.Send(s.id, ldr, s.c.enc(mFollowerInfo, s.epoch, s.lastZxid, idb))
 	s.armFollowTimer()
 }
 
@@ -615,7 +728,7 @@ func (s *Server) sendDiff(j int, after uint64) {
 		copy(rec[12:], e.payload)
 		diff = append(diff, rec...)
 	}
-	s.c.Send(s.id, j, enc(mSyncDiff, s.epoch, s.lastZxid, diff))
+	s.c.Send(s.id, j, s.c.enc(mSyncDiff, s.epoch, s.lastZxid, diff))
 }
 
 func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
@@ -640,9 +753,7 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 	// Ack only after the adopted history hits the transaction log: the
 	// leader commits its inherited suffix on a quorum of these acks, so an
 	// ack before persistence would let a commit outrun durable storage.
-	idb := make([]byte, 4)
-	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.txnLog.Enqueue(func() { s.c.Send(s.id, s.leader, enc(mNewLeaderAck, s.epoch, 0, idb)) })
+	s.afterLog(newLeaderAck, 0)
 }
 
 // activate completes the verification round: a quorum has persisted the
@@ -652,7 +763,7 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 func (s *Server) activate() {
 	s.active = true
 	if len(s.log) > s.committed {
-		s.c.Broadcast(s.id, enc(mCommit, s.epoch, s.lastZxid, nil))
+		s.c.Broadcast(s.id, s.c.enc(mCommit, s.epoch, s.lastZxid, nil))
 		s.deliverUpTo(s.lastZxid)
 	}
 }
@@ -661,21 +772,23 @@ func (s *Server) schedulePing() {
 	if s.role != leading || !s.alive() {
 		return
 	}
-	s.c.Broadcast(s.id, enc(mPing, s.epoch, 0, nil))
-	s.c.Sim.After(s.c.cfg.HeartbeatInterval, s.schedulePing)
+	s.c.Broadcast(s.id, s.c.enc(mPing, s.epoch, 0, nil))
+	s.c.Sim.After(s.c.cfg.HeartbeatInterval, s.ping)
 }
 
-func (s *Server) armFollowTimer() {
-	s.c.Sim.After(s.c.cfg.ElectTimeout, func() {
-		if s.role != following || !s.alive() {
-			return
-		}
-		if s.c.Sim.Now().Sub(s.lastPing) >= s.c.cfg.ElectTimeout {
-			s.startElection()
-			return
-		}
-		s.armFollowTimer()
-	})
+func (s *Server) armFollowTimer() { s.c.Sim.After(s.c.cfg.ElectTimeout, s.checkPing) }
+
+// checkLeader is the follower timer: a leader silent for ElectTimeout starts
+// an election.
+func (s *Server) checkLeader() {
+	if s.role != following || !s.alive() {
+		return
+	}
+	if s.c.Sim.Now().Sub(s.lastPing) >= s.c.cfg.ElectTimeout {
+		s.startElection()
+		return
+	}
+	s.armFollowTimer()
 }
 
 func (s *Server) armElectTimer() {
@@ -717,6 +830,7 @@ func (c *Cluster) Restart(i int) {
 	}
 	s.node.Recover()
 	s.txnLog.Reset()
+	s.logged, s.loggedHead = s.logged[:0], 0
 	if s.store != nil {
 		s.restartDurable()
 		return
@@ -750,6 +864,8 @@ func (s *Server) restartDurable() {
 	rec := s.c.Recovery.Reopen(s.dev, s.node.Proc, zabWALName)[0]
 	s.store = rec.Store
 	s.store.OnFrontier = s.reportDurable
+	// Recovered payloads are RecoverLog's capped views of its one read of
+	// the device: the log keeps them as they are, outside the arena.
 	for i, e := range rec.Positional() {
 		s.log = append(s.log, entry{zxid: e.Term, payload: e.Data})
 		s.c.obs.LogRecover(s.id, now, uint64(i), e.Term, trace.ID(e.Data))
