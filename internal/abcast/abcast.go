@@ -11,6 +11,7 @@ import (
 	"slices"
 	"time"
 
+	"acuerdo/internal/chunks"
 	"acuerdo/internal/digest"
 	"acuerdo/internal/disk"
 	"acuerdo/internal/metrics"
@@ -128,12 +129,12 @@ func PutMsgID(payload []byte, id uint64) {
 type Checker struct {
 	// order is the agreed delivery sequence: position k holds the id the
 	// first replica to deliver there delivered.
-	order []uint64
+	order chunks.List[uint64]
 	// pos maps every broadcast id to its position in order, or undelivered;
 	// its key set is the broadcast set.
 	pos map[uint64]int
 	// next is the per-node delivery cursor: node r has delivered exactly
-	// order[:next[r]].
+	// the first next[r] ids of order.
 	next []int
 	// replayNext is the per-node restart replay cursor: noReplay when the
 	// node has no open replay window, otherwise the order position the next
@@ -198,7 +199,7 @@ func (c *Checker) OnDeliver(node int, id uint64) error {
 		return c.latch(fmt.Errorf("integrity violated: node %d delivered %d which was never broadcast", node, id))
 	}
 	n := c.next[node]
-	if p < n { // node has delivered order[:n], id among them
+	if p < n { // node has delivered the first n ids of order, id among them
 		if c.replayNext[node] == noReplay {
 			return c.latch(fmt.Errorf("no-duplication violated: node %d delivered %d twice", node, id))
 		}
@@ -225,12 +226,12 @@ func (c *Checker) OnDeliver(node int, id uint64) error {
 	}
 	switch {
 	case p == n: // a replica ahead of node agreed this position already
-	case p == undelivered && n == len(c.order): // node is at the frontier
+	case p == undelivered && n == c.order.Len(): // node is at the frontier
 		c.pos[id] = n
-		c.order = append(c.order, id)
+		c.order.Append(id)
 	default:
 		err := fmt.Errorf("total order violated: node %d delivered %d at position %d, the agreed order has %d there",
-			node, id, n, c.order[n])
+			node, id, n, c.order.At(n))
 		if c.orderErr == nil {
 			c.orderErr = err
 		}
@@ -252,18 +253,23 @@ func (c *Checker) latch(err error) error {
 // reported, however many clean deliveries followed it.
 func (c *Checker) Err() error { return c.err }
 
-// Delivered returns the delivery sequence observed at node: a view of the
-// agreed order, valid for as long as the checker is.
+// Delivered returns a copy of the delivery sequence observed at node.
 func (c *Checker) Delivered(node int) []uint64 {
 	n := c.next[node]
-	return c.order[:n:n]
+	out := make([]uint64, 0, n)
+	for ids := range c.order.Chunks(0, n) {
+		out = append(out, ids...)
+	}
+	return out
 }
 
 // fold continues d over node's delivery sequence: its length, then the ids.
 func (c *Checker) fold(d digest.Sum, node int) digest.Sum {
 	d = d.Uint64(uint64(c.next[node]))
-	for _, id := range c.order[:c.next[node]] {
-		d = d.Uint64(id)
+	for ids := range c.order.Chunks(0, c.next[node]) {
+		for _, id := range ids {
+			d = d.Uint64(id)
+		}
 	}
 	return d
 }

@@ -140,6 +140,7 @@ type Replica struct {
 	voteChangedAt simnet.Time
 	lastMaxVote   Vote
 	nextElection  simnet.Time
+	votes         []Vote // electionStep's snapshot of voteSST, reused
 
 	// Election instrumentation (Table 1): SuspectedAt is when this node
 	// began its current election; WonAt is when it last finished sending
@@ -645,9 +646,9 @@ func (r *Replica) electionStep() {
 		return
 	}
 	r.nextElection = r.Sim.Now().Add(r.Cfg.ElectionPeriod)
-	votes := r.voteSST.Snapshot()
+	r.votes = r.voteSST.Snapshot(r.votes)
 	mx := Vote{}
-	for _, v := range votes {
+	for _, v := range r.votes {
 		if v.Cmp(mx) > 0 {
 			mx = v
 		}
@@ -658,7 +659,7 @@ func (r *Replica) electionStep() {
 		r.lastMaxVote = mx
 		r.voteChangedAt = now
 	}
-	my := votes[r.ID]
+	my := r.votes[r.ID]
 	iAmCandidate := !my.IsZero() && my.ENew.Ldr == r.ID && my == mx
 	timedOut := !iAmCandidate && now.Sub(r.voteChangedAt) > r.Cfg.CandidateTimeout
 
@@ -704,13 +705,12 @@ func (r *Replica) becomeLeader() {
 	r.role = Leader
 	r.count = 0
 	hdr := MsgHdr{E: r.eNew, Cnt: 0}
-	comm := r.commitSST.Snapshot()
 	var idx uint64
 	for j := 0; j < r.N; j++ {
 		if j == int(r.ID) {
 			continue
 		}
-		from := comm[j].Hdr
+		from := r.commitSST.Get(j).Hdr
 		entries := r.log.RangeClosed(from, r.accepted)
 		rec := EncodeDiff(hdr, from, entries)
 		i, err := r.out.Send(r.fabIDs[j], rec)

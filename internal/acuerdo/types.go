@@ -141,8 +141,11 @@ func (HdrCodec) Encode(dst []byte, h MsgHdr) {
 	binary.LittleEndian.PutUint32(dst[8:], h.Cnt)
 }
 
-// Decode reads a MsgHdr from src.
-func (HdrCodec) Decode(src []byte) MsgHdr {
+// Decode reads a MsgHdr from src into dst.
+func (HdrCodec) Decode(dst *MsgHdr, src []byte) { *dst = hdrAt(src) }
+
+// hdrAt reads the MsgHdr encoded at the start of src.
+func hdrAt(src []byte) MsgHdr {
 	return MsgHdr{
 		E: Epoch{
 			Round: binary.LittleEndian.Uint32(src[0:]),
@@ -165,14 +168,14 @@ func (VoteCodec) Encode(dst []byte, v Vote) {
 	HdrCodec{}.Encode(dst[8:], v.Acpt)
 }
 
-// Decode reads a Vote from src.
-func (VoteCodec) Decode(src []byte) Vote {
-	return Vote{
+// Decode reads a Vote from src into dst.
+func (VoteCodec) Decode(dst *Vote, src []byte) {
+	*dst = Vote{
 		ENew: Epoch{
 			Round: binary.LittleEndian.Uint32(src[0:]),
 			Ldr:   PID(binary.LittleEndian.Uint32(src[4:])),
 		},
-		Acpt: HdrCodec{}.Decode(src[8:]),
+		Acpt: hdrAt(src[8:]),
 	}
 }
 
@@ -188,10 +191,10 @@ func (CommitCodec) Encode(dst []byte, r CommitRow) {
 	binary.LittleEndian.PutUint64(dst[12:], r.HB)
 }
 
-// Decode reads a CommitRow from src.
-func (CommitCodec) Decode(src []byte) CommitRow {
-	return CommitRow{
-		Hdr: HdrCodec{}.Decode(src[0:]),
+// Decode reads a CommitRow from src into dst.
+func (CommitCodec) Decode(dst *CommitRow, src []byte) {
+	*dst = CommitRow{
+		Hdr: hdrAt(src[0:]),
 		HB:  binary.LittleEndian.Uint64(src[12:]),
 	}
 }
@@ -262,7 +265,7 @@ func DecodeMessage(rec []byte) (hdr MsgHdr, payload []byte, entries []Entry, dif
 	if len(rec) < 13 {
 		return hdr, nil, nil, diffFrom, false, fmt.Errorf("acuerdo: short record (%d bytes)", len(rec))
 	}
-	hdr = HdrCodec{}.Decode(rec)
+	hdr = hdrAt(rec)
 	switch rec[12] {
 	case kindNormal:
 		return hdr, rec[13:], nil, diffFrom, false, nil
@@ -270,7 +273,7 @@ func DecodeMessage(rec []byte) (hdr MsgHdr, payload []byte, entries []Entry, dif
 		if len(rec) < 29 {
 			return hdr, nil, nil, diffFrom, true, fmt.Errorf("acuerdo: short diff record")
 		}
-		diffFrom = HdrCodec{}.Decode(rec[13:])
+		diffFrom = hdrAt(rec[13:])
 		cnt := binary.LittleEndian.Uint32(rec[25:])
 		off := 29
 		// An entry is at least its 16-byte header, so the bytes that remain
@@ -283,7 +286,7 @@ func DecodeMessage(rec []byte) (hdr MsgHdr, payload []byte, entries []Entry, dif
 			if off+16 > len(rec) {
 				return hdr, nil, nil, diffFrom, true, fmt.Errorf("acuerdo: truncated diff entry %d", i)
 			}
-			eh := HdrCodec{}.Decode(rec[off:])
+			eh := hdrAt(rec[off:])
 			ln := binary.LittleEndian.Uint32(rec[off+12:])
 			end := off + 16 + int(ln)
 			if end > len(rec) {

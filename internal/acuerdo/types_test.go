@@ -95,7 +95,9 @@ func TestHdrCodecRoundTrip(t *testing.T) {
 		h := MsgHdr{E: Epoch{r, PID(l)}, Cnt: c}
 		buf := make([]byte, 12)
 		HdrCodec{}.Encode(buf, h)
-		return HdrCodec{}.Decode(buf) == h
+		var got MsgHdr
+		HdrCodec{}.Decode(&got, buf)
+		return got == h
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -107,7 +109,9 @@ func TestVoteCodecRoundTrip(t *testing.T) {
 		v := Vote{ENew: Epoch{r1, PID(l1)}, Acpt: MsgHdr{E: Epoch{r2, PID(l2)}, Cnt: c}}
 		buf := make([]byte, 20)
 		VoteCodec{}.Encode(buf, v)
-		return VoteCodec{}.Decode(buf) == v
+		var got Vote
+		VoteCodec{}.Decode(&got, buf)
+		return got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -119,7 +123,9 @@ func TestCommitCodecRoundTrip(t *testing.T) {
 		row := CommitRow{Hdr: MsgHdr{E: Epoch{r, PID(l)}, Cnt: c}, HB: hb}
 		buf := make([]byte, 20)
 		CommitCodec{}.Encode(buf, row)
-		return CommitCodec{}.Decode(buf) == row
+		var got CommitRow
+		CommitCodec{}.Decode(&got, buf)
+		return got == row
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -124,15 +124,17 @@ func (c rowCodec) Encode(dst []byte, r row) {
 	binary.LittleEndian.PutUint32(dst[8*c.n+12:], r.view)
 }
 
-func (c rowCodec) Decode(src []byte) row {
-	r := row{recv: make([]uint64, c.n)}
-	for i := 0; i < c.n; i++ {
+// Decode reads a row into r, reusing r.recv once it has the right length.
+func (c rowCodec) Decode(r *row, src []byte) {
+	if len(r.recv) != c.n {
+		r.recv = make([]uint64, c.n)
+	}
+	for i := range r.recv {
 		r.recv[i] = binary.LittleEndian.Uint64(src[8*i:])
 	}
 	r.hb = binary.LittleEndian.Uint64(src[8*c.n:])
 	r.wedged = src[8*c.n+8] == 1
 	r.view = binary.LittleEndian.Uint32(src[8*c.n+12:])
-	return r
 }
 
 // node is one Derecho member.
@@ -157,7 +159,7 @@ type node struct {
 	mySent   uint64          // == recv[id]
 	hb       uint64
 	lastPush simnet.Time
-	rowCache []row // decoded snapshot reused per poll
+	rowCache []row // this poll's decoded snapshot; every poll decodes into it
 
 	lastHB   []uint64
 	lastHBAt []simnet.Time
@@ -374,7 +376,7 @@ func (nd *node) trySend() {
 
 // poll is one predicate-evaluation iteration.
 func (nd *node) poll() {
-	nd.rowCache = nd.tab.Snapshot()
+	nd.rowCache = nd.tab.Snapshot(nd.rowCache)
 	nd.drain()
 	nd.trySend()
 	nd.deliver()

@@ -10,7 +10,7 @@ import (
 // packages whose exported surface is the repository's harness API
 // (internal/sweep, internal/bench, internal/chaos, internal/trace,
 // internal/observe, internal/disk, internal/placement, internal/abcast,
-// internal/digest):
+// internal/digest, internal/chunks):
 // those packages are what ARCHITECTURE.md points readers at, so an
 // undocumented export there is a documentation regression, not a style nit. internal/observe qualifies
 // because every protocol package calls its hooks — an undocumented hook is
@@ -21,11 +21,13 @@ import (
 // multi-group experiment is specified and reproduced. internal/abcast
 // qualifies because its Group contract is the one interface every protocol
 // package implements and every harness drives. internal/digest qualifies
-// because every committed fingerprint is built from its folds.
+// because every committed fingerprint is built from its folds. internal/chunks
+// qualifies because the protocols' logs, the latency samples and the checker's
+// order are built on its List.
 var ExportDoc = &Analyzer{
 	Name: "exportdoc",
 	Doc: "require doc comments on exported identifiers in the harness API " +
-		"packages (sweep, bench, chaos, trace, observe, disk, placement, abcast, digest)",
+		"packages (sweep, bench, chaos, trace, observe, disk, placement, abcast, digest, chunks)",
 	Run: runExportDoc,
 	InScope: func(pkgPath string) bool {
 		switch pkgPath {
@@ -33,7 +35,7 @@ var ExportDoc = &Analyzer{
 			"acuerdo/internal/chaos", "acuerdo/internal/trace",
 			"acuerdo/internal/observe", "acuerdo/internal/disk",
 			"acuerdo/internal/placement", "acuerdo/internal/abcast",
-			"acuerdo/internal/digest":
+			"acuerdo/internal/digest", "acuerdo/internal/chunks":
 			return true
 		}
 		return false

@@ -155,6 +155,7 @@ func TestAnalyzerScopes(t *testing.T) {
 		{"exportdoc", "acuerdo/internal/placement", true},
 		{"exportdoc", "acuerdo/internal/abcast", true},
 		{"exportdoc", "acuerdo/internal/digest", true},
+		{"exportdoc", "acuerdo/internal/chunks", true},
 		{"exportdoc", "acuerdo/internal/zab", false},
 		// The placement map is pure computation on the simulation side of
 		// the wall, so the determinism analyzers cover it too.

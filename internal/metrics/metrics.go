@@ -5,49 +5,55 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
+
+	"acuerdo/internal/chunks"
 )
 
 // Histogram collects duration samples and reports order statistics.
 // The zero value is ready to use.
 type Histogram struct {
-	samples []time.Duration // insertion order, never reordered
-	sorted  []time.Duration // lazily built sorted copy for order statistics
+	samples chunks.List[time.Duration] // insertion order, never reordered
+	sorted  []time.Duration            // lazily built sorted copy for order statistics
 	sum     time.Duration
 }
 
 // Add records one sample.
 func (h *Histogram) Add(d time.Duration) {
-	h.samples = append(h.samples, d)
+	h.samples.Append(d)
 	h.sorted = nil
 	h.sum += d
 }
 
-// Merge records every sample of o, in o's insertion order.
+// Merge records every sample of o, in o's insertion order, chunk by chunk.
 func (h *Histogram) Merge(o *Histogram) {
-	h.samples = append(h.samples, o.samples...)
+	for c := range o.samples.Chunks(0, o.samples.Len()) {
+		for _, d := range c {
+			h.samples.Append(d)
+		}
+	}
 	h.sorted = nil
 	h.sum += o.sum
 }
 
 // N returns the number of samples.
-func (h *Histogram) N() int { return len(h.samples) }
+func (h *Histogram) N() int { return h.samples.Len() }
 
 // Mean returns the average sample, or 0 with no samples.
 func (h *Histogram) Mean() time.Duration {
-	if len(h.samples) == 0 {
+	if h.N() == 0 {
 		return 0
 	}
-	return h.sum / time.Duration(len(h.samples))
+	return h.sum / time.Duration(h.N())
 }
 
 // sort builds the sorted copy; the backing samples stay in insertion order.
 func (h *Histogram) sort() {
 	if h.sorted == nil {
-		h.sorted = make([]time.Duration, len(h.samples))
-		copy(h.sorted, h.samples)
-		sort.Slice(h.sorted, func(i, j int) bool { return h.sorted[i] < h.sorted[j] })
+		h.sorted = h.samples.AppendTo(make([]time.Duration, 0, h.N()))
+		slices.Sort(h.sorted)
 	}
 }
 
@@ -59,7 +65,7 @@ func (h *Histogram) sort() {
 // including p=100, which always returns the maximum — no interpolation
 // happens.
 func (h *Histogram) Percentile(p float64) time.Duration {
-	if len(h.samples) == 0 {
+	if h.N() == 0 {
 		return 0
 	}
 	h.sort()
@@ -85,7 +91,7 @@ func (h *Histogram) Quantiles(ps ...float64) []time.Duration {
 
 // Min returns the smallest sample.
 func (h *Histogram) Min() time.Duration {
-	if len(h.samples) == 0 {
+	if h.N() == 0 {
 		return 0
 	}
 	h.sort()
@@ -94,7 +100,7 @@ func (h *Histogram) Min() time.Duration {
 
 // Max returns the largest sample.
 func (h *Histogram) Max() time.Duration {
-	if len(h.samples) == 0 {
+	if h.N() == 0 {
 		return 0
 	}
 	h.sort()
@@ -106,14 +112,12 @@ func (h *Histogram) Max() time.Duration {
 // byte-for-byte between same-seed runs — identical event execution must
 // produce identical latency sequences, not just identical aggregates.
 func (h *Histogram) Samples() []time.Duration {
-	out := make([]time.Duration, len(h.samples))
-	copy(out, h.samples)
-	return out
+	return h.samples.AppendTo(make([]time.Duration, 0, h.N()))
 }
 
 // Reset discards all samples.
 func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
+	h.samples.Truncate(0)
 	h.sum = 0
 	h.sorted = nil
 }

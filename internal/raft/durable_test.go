@@ -66,17 +66,17 @@ func TestDurableRestartRecoversFromDisk(t *testing.T) {
 	if old < 0 {
 		t.Fatal("no leader before the kill")
 	}
-	preCrashLog := len(c.Servers[old].log)
+	preCrashLog := c.Servers[old].log.Len()
 	c.Crash(old)
 	chk.NodeRestart(old)
 	c.Restart(old)
 
 	s := c.Servers[old]
-	if len(s.log) == 0 {
+	if s.log.Len() == 0 {
 		t.Fatal("nothing recovered from the WAL")
 	}
-	if len(s.log) > preCrashLog {
-		t.Fatalf("recovered %d entries, had only %d before the crash", len(s.log), preCrashLog)
+	if s.log.Len() > preCrashLog {
+		t.Fatalf("recovered %d entries, had only %d before the crash", s.log.Len(), preCrashLog)
 	}
 	if s.term == 0 {
 		t.Fatal("term metadata not recovered")
@@ -97,7 +97,7 @@ func TestDurableRestartRecoversFromDisk(t *testing.T) {
 	if n := obs.ViolationCount(); n != 0 {
 		t.Fatalf("%d invariant violations:\n%s", n, obs.Report())
 	}
-	if c.FabricRecoveryBytes() == 0 && c.Servers[old].preCrashLen > len(s.log) {
+	if c.FabricRecoveryBytes() == 0 && c.Servers[old].preCrashLen > s.log.Len() {
 		t.Fatal("lost tail re-replicated but fabric recovery bytes not counted")
 	}
 }

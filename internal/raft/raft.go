@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/chunks"
 	"acuerdo/internal/disk"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
@@ -80,7 +81,7 @@ type Server struct {
 	term     uint64
 	votedFor int
 	votes    int
-	log      []entry
+	log      chunks.List[entry]
 	commit   int // entries [0,commit) committed
 	applied  int
 
@@ -222,10 +223,10 @@ func (s *Server) resetTimer() {
 }
 
 func (s *Server) lastLogTerm() uint64 {
-	if len(s.log) == 0 {
+	if s.log.Len() == 0 {
 		return 0
 	}
-	return s.log[len(s.log)-1].term
+	return s.log.At(s.log.Len() - 1).term
 }
 
 // --- election ---
@@ -245,7 +246,7 @@ func (s *Server) startElection() {
 	m[0] = mVoteReq
 	binary.LittleEndian.PutUint64(m[1:], s.term)
 	binary.LittleEndian.PutUint32(m[9:], uint32(s.id))
-	binary.LittleEndian.PutUint32(m[13:], uint32(len(s.log)))
+	binary.LittleEndian.PutUint32(m[13:], uint32(s.log.Len()))
 	binary.LittleEndian.PutUint64(m[17:], s.lastLogTerm())
 	// The candidate's own term and self-vote must be durable before it
 	// solicits votes (it is counting itself in the quorum).
@@ -278,7 +279,7 @@ func (s *Server) handle(m []byte) {
 		grant := false
 		if term == s.term && (s.votedFor == -1 || s.votedFor == from) {
 			upToDate := lastTerm > s.lastLogTerm() ||
-				(lastTerm == s.lastLogTerm() && lastIdx >= len(s.log))
+				(lastTerm == s.lastLogTerm() && lastIdx >= s.log.Len())
 			if upToDate {
 				grant = true
 				s.votedFor = from
@@ -320,7 +321,7 @@ func (s *Server) handle(m []byte) {
 func (s *Server) becomeLeader() {
 	s.role = leader
 	for j := range s.nextIndex {
-		s.nextIndex[j] = len(s.log)
+		s.nextIndex[j] = s.log.Len()
 		s.inflight[j] = false
 	}
 	if tr := s.c.Sim.Tracer(); tr != nil {
@@ -328,16 +329,16 @@ func (s *Server) becomeLeader() {
 	}
 	s.c.obs.LeaderElected(s.id, int64(s.c.Sim.Now()), s.term)
 	s.sessions.Reseed()
-	for _, e := range s.log[s.applied:] {
-		s.sessions.Pend(abcast.MsgID(e.payload))
+	for i := s.applied; i < s.log.Len(); i++ {
+		s.sessions.Pend(abcast.MsgID(s.log.At(i).payload))
 	}
 	// Commit barrier (Raft §5.4.2): a leader only counts replicas for
 	// entries of its own term, so append a no-op to drive commitment of
 	// any entries inherited from dead leaders. No-ops carry no payload
 	// and are invisible to the application.
-	s.log = append(s.log, entry{term: s.term})
-	s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), s.term, 0)
-	s.persist(len(s.log), func() { s.advanceCommit() })
+	s.log.Append(entry{term: s.term})
+	s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(s.log.Len()-1), s.term, 0)
+	s.persist(s.log.Len(), func() { s.advanceCommit() })
 	s.heartbeat()
 }
 
@@ -359,7 +360,7 @@ func (s *Server) heartbeat() {
 // [commit u32][count u32]{[term u64][len u32][payload]}...
 func (s *Server) sendAppend(j int) {
 	prev := s.nextIndex[j]
-	count := len(s.log) - prev
+	count := s.log.Len() - prev
 	if count > s.c.cfg.MaxBatch {
 		count = s.c.cfg.MaxBatch
 	}
@@ -372,17 +373,18 @@ func (s *Server) sendAppend(j int) {
 	}
 	var prevTerm uint64
 	if prev > 0 {
-		prevTerm = s.log[prev-1].term
+		prevTerm = s.log.At(prev - 1).term
 	}
-	m := encodeAppend(s.term, s.id, prev, prevTerm, s.commit, s.log[prev:prev+count])
+	m := encodeAppend(s.term, s.id, prev, prevTerm, s.commit, &s.log, prev+count)
 	s.inflight[j] = true
 	s.c.Send(s.id, j, m)
 }
 
-func encodeAppend(term uint64, ldr, prev int, prevTerm uint64, commit int, entries []entry) []byte {
+// encodeAppend frames log entries [prev, end) after the header.
+func encodeAppend(term uint64, ldr, prev int, prevTerm uint64, commit int, log *chunks.List[entry], end int) []byte {
 	n := 33
-	for _, e := range entries {
-		n += 12 + len(e.payload)
+	for i := prev; i < end; i++ {
+		n += 12 + len(log.At(i).payload)
 	}
 	m := make([]byte, n)
 	m[0] = mAppendReq
@@ -391,9 +393,10 @@ func encodeAppend(term uint64, ldr, prev int, prevTerm uint64, commit int, entri
 	binary.LittleEndian.PutUint32(m[13:], uint32(prev))
 	binary.LittleEndian.PutUint64(m[17:], prevTerm)
 	binary.LittleEndian.PutUint32(m[25:], uint32(commit))
-	binary.LittleEndian.PutUint32(m[29:], uint32(len(entries)))
+	binary.LittleEndian.PutUint32(m[29:], uint32(end-prev))
 	off := 33
-	for _, e := range entries {
+	for i := prev; i < end; i++ {
+		e := log.At(i)
 		binary.LittleEndian.PutUint64(m[off:], e.term)
 		binary.LittleEndian.PutUint32(m[off+8:], uint32(len(e.payload)))
 		copy(m[off+12:], e.payload)
@@ -429,7 +432,7 @@ func (s *Server) onAppend(m []byte) {
 	s.role = follower
 	s.lastHeard = s.c.Sim.Now()
 	// Consistency check.
-	if prev > len(s.log) || (prev > 0 && s.log[prev-1].term != prevTerm) {
+	if prev > s.log.Len() || (prev > 0 && s.log.At(prev-1).term != prevTerm) {
 		reply(false, 0)
 		return
 	}
@@ -449,9 +452,9 @@ func (s *Server) onAppend(m []byte) {
 	for i, e := range entries {
 		idx := prev + i
 		appended := false
-		if idx < len(s.log) {
-			if s.log[idx].term != e.term {
-				s.log = s.log[:idx]
+		if idx < s.log.Len() {
+			if s.log.At(idx).term != e.term {
+				s.log.Truncate(idx)
 				s.c.obs.LogTruncate(s.id, int64(s.c.Sim.Now()), uint64(idx))
 				if s.persisted > idx {
 					s.persisted = idx
@@ -460,11 +463,11 @@ func (s *Server) onAppend(m []byte) {
 					s.store.Truncate(uint64(idx), nil)
 					s.walLen = idx
 				}
-				s.log = append(s.log, e)
+				s.log.Append(e)
 				appended = true
 			}
 		} else {
-			s.log = append(s.log, e)
+			s.log.Append(e)
 			appended = true
 		}
 		if appended {
@@ -482,8 +485,8 @@ func (s *Server) onAppend(m []byte) {
 	advance := func() {
 		if commit > s.commit {
 			c := commit
-			if c > len(s.log) {
-				c = len(s.log)
+			if c > s.log.Len() {
+				c = s.log.Len()
 			}
 			s.commit = c
 			s.c.obs.CommitAdvance(s.id, int64(s.c.Sim.Now()), uint64(c))
@@ -523,10 +526,11 @@ func (s *Server) flush(done func()) {
 	// Durable mode: append the not-yet-walled suffix and group-commit it on
 	// the device. Completion callbacks are dropped by a device crash exactly
 	// like Proc.Run callbacks, so crash semantics match the volatile model.
-	for i := s.walLen; i < len(s.log); i++ {
-		s.store.AppendEntry(uint64(i), s.log[i].term, s.log[i].payload, nil)
+	for i := s.walLen; i < s.log.Len(); i++ {
+		e := s.log.At(i)
+		s.store.AppendEntry(uint64(i), e.term, e.payload, nil)
 	}
-	s.walLen = len(s.log)
+	s.walLen = s.log.Len()
 	s.store.Flush(done)
 }
 
@@ -588,8 +592,8 @@ func (s *Server) onAppendResp(m []byte) {
 // advanceCommit commits the highest index replicated on a quorum (counting
 // the leader's own persisted prefix), current-term entries only.
 func (s *Server) advanceCommit() {
-	for idx := len(s.log); idx > s.commit; idx-- {
-		if s.log[idx-1].term != s.term {
+	for idx := s.log.Len(); idx > s.commit; idx-- {
+		if s.log.At(idx-1).term != s.term {
 			break
 		}
 		n := 0
@@ -613,7 +617,7 @@ func (s *Server) advanceCommit() {
 
 func (s *Server) apply() {
 	for s.applied < s.commit {
-		e := s.log[s.applied]
+		e := s.log.At(s.applied)
 		s.applied++
 		s.c.obs.Deliver(s.id, int64(s.c.Sim.Now()), uint64(s.applied-1), trace.ID(e.payload))
 		if len(e.payload) < 8 {
@@ -662,13 +666,13 @@ func (s *Server) propose(payload []byte) {
 			return
 		}
 		s.sessions.Pend(id)
-		s.log = append(s.log, entry{term: s.term, payload: p})
-		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), s.term, trace.ID(p))
+		s.log.Append(entry{term: s.term, payload: p})
+		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(s.log.Len()-1), s.term, trace.ID(p))
 		if tr := s.c.Sim.Tracer(); tr != nil {
-			tr.Instant(trace.KPropose, s.id, int64(s.c.Sim.Now()), trace.ID(p), int64(len(s.log)))
+			tr.Instant(trace.KPropose, s.id, int64(s.c.Sim.Now()), trace.ID(p), int64(s.log.Len()))
 			tr.Add(trace.CtrProposes, 1)
 		}
-		s.persist(len(s.log), func() {
+		s.persist(s.log.Len(), func() {
 			s.advanceCommit()
 			for j := range s.inflight {
 				if j != s.id && !s.inflight[j] && s.nextIndex[j] < s.persisted {
@@ -691,7 +695,7 @@ func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
 func (c *Cluster) Crash(i int) {
 	s := c.Servers[i]
 	s.node.Crash()
-	s.preCrashLen = len(s.log)
+	s.preCrashLen = s.log.Len()
 	s.dev.Crash(c.Sim.Rand())
 }
 
@@ -717,7 +721,7 @@ func (c *Cluster) Restart(i int) {
 	if s.persisted < s.applied {
 		s.persisted = s.applied
 	}
-	s.log = s.log[:s.persisted]
+	s.log.Truncate(s.persisted)
 	c.obs.LogTruncate(i, int64(c.Sim.Now()), uint64(s.persisted))
 	if s.commit > s.persisted {
 		s.commit = s.persisted
@@ -733,7 +737,7 @@ func (c *Cluster) Restart(i int) {
 // committed prefix, and rejoin as a follower.
 func (c *Cluster) restartDurable(s *Server) {
 	now := int64(c.Sim.Now())
-	s.log = nil
+	s.log.Truncate(0)
 	s.commit, s.applied, s.persisted, s.walLen = 0, 0, 0, 0
 	s.term, s.votedFor, s.votes = 0, -1, 0
 	s.sessions = abcast.Sessions{} // refilled by the re-apply below
@@ -742,20 +746,20 @@ func (c *Cluster) restartDurable(s *Server) {
 	s.store = rec.Store
 	s.store.OnFrontier = s.reportDurable
 	for idx, e := range rec.Positional() {
-		s.log = append(s.log, entry{term: e.Term, payload: e.Data})
+		s.log.Append(entry{term: e.Term, payload: e.Data})
 		c.obs.LogRecover(s.id, now, uint64(idx), e.Term, trace.ID(e.Data))
 	}
-	s.persisted = len(s.log)
-	s.walLen = len(s.log)
+	s.persisted = s.log.Len()
+	s.walLen = s.log.Len()
 	s.term = rec.Meta[metaTerm]
 	s.votedFor = int(int64(rec.Meta[metaVote])) - 1
 	commit := int(rec.Meta[metaCommit])
-	if commit > len(s.log) {
+	if commit > s.log.Len() {
 		// The commit metadata record survived a tail the entries did not;
 		// trust only what the log can cover.
-		commit = len(s.log)
+		commit = s.log.Len()
 	}
-	c.obs.RecoverDone(s.id, now, uint64(len(s.log)), uint64(commit))
+	c.obs.RecoverDone(s.id, now, uint64(s.log.Len()), uint64(commit))
 	s.commit = commit
 	// Re-apply the recovered committed prefix (deliveries re-fire; the
 	// abcast checker's replay window absorbs them).

@@ -18,10 +18,12 @@ import (
 
 // Codec serializes row values into a fixed-size byte representation. Rows
 // must be fixed-size so that every update lands at the same remote address.
+// Decode overwrites *dst and may reuse what it references (a row's slice), so
+// decoding into the same storage every poll allocates nothing.
 type Codec[T any] interface {
 	Size() int
 	Encode(dst []byte, v T)
-	Decode(src []byte) T
+	Decode(dst *T, src []byte)
 }
 
 // Table is one node's replica of a shared state table.
@@ -40,6 +42,8 @@ type Table[T any] struct {
 	// write source — the property that makes last-write-wins RDMA pushes
 	// safe. Left nil (the default), Set pays nothing.
 	Observe func(self int, row []byte)
+
+	got T // Get's decode target
 }
 
 // Build creates one table replicated across nodes, returning the per-node
@@ -84,18 +88,26 @@ func (t *Table[T]) Set(v T) {
 	}
 }
 
-// Get decodes row i from the local replica.
+// Get decodes row i from the local replica. It decodes into storage the
+// table keeps, so a row type holding a slice shares it with the previous Get's
+// result; Snapshot is the way to keep several rows.
 func (t *Table[T]) Get(i int) T {
-	return t.codec.Decode(t.rowBytes(i))
+	t.codec.Decode(&t.got, t.rowBytes(i))
+	return t.got
 }
 
-// Snapshot decodes every row of the local replica.
-func (t *Table[T]) Snapshot() []T {
-	out := make([]T, t.n)
-	for i := range out {
-		out[i] = t.Get(i)
+// Snapshot decodes every row of the local replica into dst, which it resizes
+// to N rows, and returns it. Passing back the slice of the last Snapshot
+// reuses its rows: the caller keeps one slice and a poll allocates nothing.
+func (t *Table[T]) Snapshot(dst []T) []T {
+	if cap(dst) < t.n {
+		dst = make([]T, t.n)
 	}
-	return out
+	dst = dst[:t.n]
+	for i := range dst {
+		t.codec.Decode(&dst[i], t.rowBytes(i))
+	}
+	return dst
 }
 
 // PushMine replicates this node's row to every peer (push_mine in the

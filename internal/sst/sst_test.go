@@ -13,9 +13,30 @@ import (
 // u64Codec is a trivial fixed-size codec for tests.
 type u64Codec struct{}
 
-func (u64Codec) Size() int                   { return 8 }
-func (u64Codec) Encode(dst []byte, v uint64) { binary.LittleEndian.PutUint64(dst, v) }
-func (u64Codec) Decode(src []byte) uint64    { return binary.LittleEndian.Uint64(src) }
+func (u64Codec) Size() int                      { return 8 }
+func (u64Codec) Encode(dst []byte, v uint64)    { binary.LittleEndian.PutUint64(dst, v) }
+func (u64Codec) Decode(dst *uint64, src []byte) { *dst = binary.LittleEndian.Uint64(src) }
+
+// vec is a row holding a slice, as a Derecho row does; vecCodec decodes into
+// the slice the destination row already has.
+type vec struct{ v []uint64 }
+
+type vecCodec struct{ n int }
+
+func (c vecCodec) Size() int { return 8 * c.n }
+func (c vecCodec) Encode(dst []byte, r vec) {
+	for i, x := range r.v {
+		binary.LittleEndian.PutUint64(dst[8*i:], x)
+	}
+}
+func (c vecCodec) Decode(dst *vec, src []byte) {
+	if len(dst.v) != c.n {
+		dst.v = make([]uint64, c.n)
+	}
+	for i := range dst.v {
+		dst.v[i] = binary.LittleEndian.Uint64(src[8*i:])
+	}
+}
 
 func build(n int) (*simnet.Sim, []*Table[uint64], *rdma.Fabric) {
 	sim := simnet.New(1)
@@ -85,11 +106,32 @@ func TestSnapshot(t *testing.T) {
 		tab.PushMine()
 	}
 	sim.RunFor(time.Millisecond)
-	snap := tabs[0].Snapshot()
+	snap := tabs[0].Snapshot(nil)
 	for i, v := range snap {
 		if v != uint64(i+10) {
 			t.Fatalf("snapshot[%d] = %d, want %d", i, v, i+10)
 		}
+	}
+}
+
+// TestSnapshotAllocFree: a Snapshot into the slice the last one returned
+// allocates nothing, for rows that hold a slice too, and still reads the
+// rows' current values.
+func TestSnapshotAllocFree(t *testing.T) {
+	sim := simnet.New(1)
+	f := rdma.NewFabric(sim, rdma.DefaultParams())
+	nodes := []*rdma.Node{f.AddNode("a"), f.AddNode("b"), f.AddNode("c")}
+	tabs := Build[vec](nodes, vecCodec{n: 3})
+	rows := tabs[0].Snapshot(nil)
+	if n := testing.AllocsPerRun(100, func() { rows = tabs[0].Snapshot(rows) }); n != 0 {
+		t.Fatalf("Snapshot into a kept slice allocated %.1f objects", n)
+	}
+	tabs[1].Set(vec{v: []uint64{4, 5, 6}})
+	tabs[1].PushMine()
+	sim.RunFor(time.Millisecond)
+	rows = tabs[0].Snapshot(rows)
+	if got := rows[1].v; got[0] != 4 || got[1] != 5 || got[2] != 6 {
+		t.Fatalf("row 1 = %v after the push, want [4 5 6]", got)
 	}
 }
 

@@ -67,17 +67,17 @@ func TestDurableRestartRecoversFromDisk(t *testing.T) {
 	if old < 0 {
 		t.Fatal("no leader before the kill")
 	}
-	preCrashLog := len(c.Servers[old].log)
+	preCrashLog := c.Servers[old].log.Len()
 	c.Crash(old)
 	chk.NodeRestart(old)
 	c.Restart(old)
 
 	s := c.Servers[old]
-	if len(s.log) == 0 {
+	if s.log.Len() == 0 {
 		t.Fatal("nothing recovered from the transaction log")
 	}
-	if len(s.log) > preCrashLog {
-		t.Fatalf("recovered %d entries, had only %d before the crash", len(s.log), preCrashLog)
+	if s.log.Len() > preCrashLog {
+		t.Fatalf("recovered %d entries, had only %d before the crash", s.log.Len(), preCrashLog)
 	}
 	if c.DiskRecoveredBytes() == 0 {
 		t.Fatal("disk recovery bytes not counted")
@@ -216,7 +216,7 @@ func TestDurablePayloadsSurviveTruncation(t *testing.T) {
 	tails := 0
 	for i, s := range c.Servers {
 		if i != old {
-			tails += len(s.log) - s.committed
+			tails += s.log.Len() - s.committed
 		}
 	}
 	if tails == 0 {

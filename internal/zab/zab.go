@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/chunks"
 	"acuerdo/internal/disk"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
@@ -97,7 +98,7 @@ type Server struct {
 	counter   uint32 // per-epoch proposal counter (leader)
 	leader    int
 	lastZxid  uint64
-	log       []entry
+	log       chunks.List[entry]
 	committed int // entries [0,committed) delivered
 	acks      map[uint64]int
 	nlAcked   map[int]bool
@@ -338,8 +339,8 @@ func (s *Server) propose(id uint64, p []byte) {
 	s.counter++
 	zxid := uint64(s.epoch)<<32 | uint64(s.counter)
 	s.lastZxid = zxid
-	s.log = append(s.log, entry{zxid: zxid, payload: p})
-	s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(p))
+	s.log.Append(entry{zxid: zxid, payload: p})
+	s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(s.log.Len()-1), zxid, trace.ID(p))
 	s.acks[zxid] = 0
 	s.c.Broadcast(s.id, s.c.enc(mPropose, s.epoch, zxid, p))
 	if tr := s.c.Sim.Tracer(); tr != nil {
@@ -406,10 +407,11 @@ func (s *Server) flush(done func()) {
 	// Durable mode: write the not-yet-logged suffix (proposals and adopted
 	// DIFF entries alike land in s.log before they reach txnLog) and
 	// group-commit it on the device.
-	for i := s.walLen; i < len(s.log); i++ {
-		s.store.AppendEntry(uint64(i), s.log[i].zxid, s.log[i].payload, nil)
+	for i := s.walLen; i < s.log.Len(); i++ {
+		e := s.log.At(i)
+		s.store.AppendEntry(uint64(i), e.zxid, e.payload, nil)
 	}
-	s.walLen = len(s.log)
+	s.walLen = s.log.Len()
 	s.store.Flush(done)
 }
 
@@ -449,7 +451,7 @@ func (s *Server) handle(m []byte) {
 		}
 		s.node.Proc.Charge(s.c.cfg.FollowerOpCost)
 		e := entry{zxid: zxid, payload: s.own(payload)}
-		s.log = append(s.log, e)
+		s.log.Append(e)
 		// Track the log tail like every other append path. Without this,
 		// two things break: election votes report a stale position, and a
 		// straggler DIFF from an overlapping sync round (each probe vote
@@ -457,8 +459,8 @@ func (s *Server) handle(m []byte) {
 		// delivered — the DIFF's zxid > lastZxid dedup check is only sound
 		// while lastZxid tracks the tail.
 		s.lastZxid = zxid
-		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(e.payload))
-		if len(s.log)-1 < s.preCrashLen {
+		s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(s.log.Len()-1), zxid, trace.ID(e.payload))
+		if s.log.Len()-1 < s.preCrashLen {
 			s.c.Refetched(len(e.payload))
 		}
 		if tr := s.c.Sim.Tracer(); tr != nil {
@@ -498,7 +500,7 @@ func (s *Server) handle(m []byte) {
 			// A late joiner finished syncing after activation: tell it the
 			// committed boundary so it delivers without waiting for traffic.
 			if s.committed > 0 {
-				s.c.Send(s.id, from, s.c.enc(mCommit, s.epoch, s.log[s.committed-1].zxid, nil))
+				s.c.Send(s.id, from, s.c.enc(mCommit, s.epoch, s.log.At(s.committed-1).zxid, nil))
 			}
 			return
 		}
@@ -529,8 +531,11 @@ func (s *Server) onAck(zxid uint64) {
 
 func (s *Server) deliverUpTo(zxid uint64) {
 	before := s.committed
-	for s.committed < len(s.log) && s.log[s.committed].zxid <= zxid {
-		e := s.log[s.committed]
+	for s.committed < s.log.Len() {
+		e := s.log.At(s.committed)
+		if e.zxid > zxid {
+			break
+		}
 		s.committed++
 		s.c.obs.CommitAdvance(s.id, int64(s.c.Sim.Now()), uint64(s.committed))
 		s.c.obs.Deliver(s.id, int64(s.c.Sim.Now()), uint64(s.committed-1), trace.ID(e.payload))
@@ -651,8 +656,8 @@ func (s *Server) becomeLeader() {
 	s.acks = make(map[uint64]int)
 	s.counter = 0
 	s.sessions.Reseed()
-	for _, e := range s.log[s.committed:] {
-		s.sessions.Pend(abcast.MsgID(e.payload))
+	for i := s.committed; i < s.log.Len(); i++ {
+		s.sessions.Pend(abcast.MsgID(s.log.At(i).payload))
 	}
 	// Recovery phase: announce leadership, then sync each follower with a
 	// per-follower DIFF once it reports its last zxid — the extra
@@ -693,14 +698,14 @@ func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
 	s.synced = false
 	s.leader = ldr
 	// Drop the uncommitted tail; the leader's DIFF replaces it.
-	s.log = s.log[:s.committed]
+	s.log.Truncate(s.committed)
 	s.c.obs.LogTruncate(s.id, int64(s.c.Sim.Now()), uint64(s.committed))
 	if s.store != nil && s.walLen > s.committed {
 		s.store.Truncate(uint64(s.committed), nil)
 		s.walLen = s.committed
 	}
-	if len(s.log) > 0 {
-		s.lastZxid = s.log[len(s.log)-1].zxid
+	if s.log.Len() > 0 {
+		s.lastZxid = s.log.At(s.log.Len() - 1).zxid
 	} else {
 		s.lastZxid = 0
 	}
@@ -718,7 +723,8 @@ func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
 // follower dropped); everything later arrives in FIFO order behind it.
 func (s *Server) sendDiff(j int, after uint64) {
 	diff := make([]byte, 0, 64)
-	for _, e := range s.log {
+	for i := 0; i < s.log.Len(); i++ {
+		e := s.log.At(i)
 		if e.zxid <= after {
 			continue
 		}
@@ -740,9 +746,9 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 		ln := int(binary.LittleEndian.Uint32(payload[off+8:]))
 		pl := append([]byte(nil), payload[off+12:off+12+ln]...)
 		if zxid > s.lastZxid {
-			s.log = append(s.log, entry{zxid, pl})
-			s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(len(s.log)-1), zxid, trace.ID(pl))
-			if len(s.log)-1 < s.preCrashLen {
+			s.log.Append(entry{zxid, pl})
+			s.c.obs.LogAppend(s.id, int64(s.c.Sim.Now()), uint64(s.log.Len()-1), zxid, trace.ID(pl))
+			if s.log.Len()-1 < s.preCrashLen {
 				s.c.Refetched(len(pl))
 			}
 			s.lastZxid = zxid
@@ -762,7 +768,7 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 // suffix inherited from a dead leader would sit uncommitted forever.
 func (s *Server) activate() {
 	s.active = true
-	if len(s.log) > s.committed {
+	if s.log.Len() > s.committed {
 		s.c.Broadcast(s.id, s.c.enc(mCommit, s.epoch, s.lastZxid, nil))
 		s.deliverUpTo(s.lastZxid)
 	}
@@ -813,7 +819,7 @@ func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
 // modulo an armed torn write).
 func (c *Cluster) Crash(i int) {
 	s := c.Servers[i]
-	s.preCrashLen = len(s.log)
+	s.preCrashLen = s.log.Len()
 	s.node.Crash()
 	s.dev.Crash(c.Sim.Rand())
 }
@@ -855,7 +861,7 @@ func (s *Server) restartDurable() {
 	s.epoch = 0
 	s.counter = 0
 	s.lastZxid = 0
-	s.log = nil
+	s.log.Truncate(0)
 	s.committed = 0
 	s.acks = make(map[uint64]int)
 	s.nlAcked = make(map[int]bool)
@@ -867,24 +873,24 @@ func (s *Server) restartDurable() {
 	// Recovered payloads are RecoverLog's capped views of its one read of
 	// the device: the log keeps them as they are, outside the arena.
 	for i, e := range rec.Positional() {
-		s.log = append(s.log, entry{zxid: e.Term, payload: e.Data})
+		s.log.Append(entry{zxid: e.Term, payload: e.Data})
 		s.c.obs.LogRecover(s.id, now, uint64(i), e.Term, trace.ID(e.Data))
 		s.lastZxid = e.Term
 	}
-	s.walLen = len(s.log)
+	s.walLen = s.log.Len()
 	s.epoch = uint32(rec.Meta[metaEpoch])
 	committed := int(rec.Meta[metaCommitted])
-	if committed > len(s.log) {
+	if committed > s.log.Len() {
 		// The commit meta outran the surviving log prefix (torn tail): only
 		// what is actually on disk can be replayed; the rest is refetched.
-		committed = len(s.log)
+		committed = s.log.Len()
 	}
-	s.c.obs.RecoverDone(s.id, now, uint64(len(s.log)), uint64(committed))
+	s.c.obs.RecoverDone(s.id, now, uint64(s.log.Len()), uint64(committed))
 	// Replay the committed prefix to the application. Deliberately not
 	// deliverUpTo: that path reports CommitAdvance, which after RecoverDone
 	// (commit frontier already at `committed`) would look like a regression.
 	for s.committed < committed {
-		e := s.log[s.committed]
+		e := s.log.At(s.committed)
 		s.committed++
 		s.c.obs.Deliver(s.id, now, uint64(s.committed-1), trace.ID(e.payload))
 		s.sessions.Deliver(abcast.MsgID(e.payload))

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/simnet"
@@ -165,9 +166,9 @@ func TestSessionsBoundedState(t *testing.T) {
 // buffer, the group commit's callers are a FIFO of waiters released by one
 // bound method, a request waiting for the leader's CPU is a free-listed
 // record, and the closed loop recycles its window. What is left is amortised
-// growth — a 32 KiB arena chunk and a doubling of the log now and then at
-// each server, the event queue growing a bucket — bounded here at a tenth of
-// an object per commit.
+// growth — a 32 KiB arena chunk and a log chunk now and then at each server,
+// the event queue growing a bucket — bounded here at a tenth of an object per
+// commit.
 func TestZabCommitPathAllocFree(t *testing.T) {
 	sim, c, _ := newCluster(t, 3, 1)
 	c.OnDeliver = nil
@@ -197,4 +198,43 @@ func TestZabCommitPathAllocFree(t *testing.T) {
 	} else {
 		t.Logf("%d objects over %d commits (%.4f per commit)", after-before, commits, per)
 	}
+}
+
+// TestZabLogGrowsInPlace pins that the log is written once: over a steady
+// window-64 run, the bytes allocated per commit are at most twice what the
+// three servers' logs retain per commit, an entry and its payload's arena
+// bytes each. A log grown by append copies itself at every regrowth, which
+// costs about five times what it keeps.
+func TestZabLogGrowsInPlace(t *testing.T) {
+	const (
+		size     = 16
+		from, to = 16000, 56000
+	)
+	sim, c, _ := newCluster(t, 3, 1)
+	c.OnDeliver = nil
+	sim.RunFor(100 * time.Millisecond)
+	var ms runtime.MemStats
+	var before, after uint64
+	abcast.RunClosedLoop(sim, c, abcast.LoadConfig{
+		Window: 64, MsgSize: size, Warmup: 2 * time.Second, Measure: time.Microsecond,
+		OnSubmit: func(id uint64) {
+			switch id {
+			case from:
+				runtime.ReadMemStats(&ms)
+				before = ms.TotalAlloc
+			case to:
+				runtime.ReadMemStats(&ms)
+				after = ms.TotalAlloc
+			}
+		},
+	})
+	if after == 0 {
+		t.Fatalf("the warm-up did not reach request %d", to)
+	}
+	kept := 3 * (float64(unsafe.Sizeof(entry{})) + size)
+	per := float64(after-before) / (to - from)
+	if per > 2*kept {
+		t.Fatalf("allocated %.1f B per commit, the logs keep %.0f: want <= %.0f", per, kept, 2*kept)
+	}
+	t.Logf("allocated %.1f B per commit, the logs keep %.0f", per, kept)
 }
