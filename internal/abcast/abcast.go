@@ -15,7 +15,6 @@ import (
 	"acuerdo/internal/digest"
 	"acuerdo/internal/disk"
 	"acuerdo/internal/metrics"
-	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/trace"
 )
@@ -48,7 +47,7 @@ type System interface {
 // placement harnesses drive all seven systems through this interface alone.
 // Replica indices run 0..Size()-1 and never name the client host.
 //
-// Wiring order: SetObserver, (DurableGroup.SetDisks), Start. SetDeliver may
+// Wiring order: Subscribe, (DurableGroup.SetDisks), Start. SetDeliver may
 // be called at any time.
 type Group interface {
 	System
@@ -67,9 +66,11 @@ type Group interface {
 	// NodeID returns replica i's node id on its interconnect (the address
 	// space link faults are expressed in).
 	NodeID(i int) int
-	// SetObserver attaches the runtime invariant observer (nil detaches).
-	// Call before Start.
-	SetObserver(o *observe.Observer)
+	// Subscribe attaches s to the group's protocol facts (trace.Fact): every
+	// fact a replica states reaches s, and then the simulator's tracer. nil
+	// detaches; the runtime invariant observer is the subscriber the
+	// harnesses attach. Call before Start.
+	Subscribe(s trace.Subscriber)
 	// SetDeliver installs fn as the group's delivery hook, replacing any
 	// previous one: it runs for every delivery at every replica. payload
 	// belongs to the system and is only fn's for the call — Acuerdo recycles

@@ -5,11 +5,11 @@ import (
 
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/disk"
-	"acuerdo/internal/observe"
 	"acuerdo/internal/rdma"
 	"acuerdo/internal/ringbuf"
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/sst"
+	"acuerdo/internal/trace"
 )
 
 // ClusterConfig parameterizes a full Acuerdo deployment on one fabric.
@@ -154,28 +154,27 @@ func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg ClusterConfig) *Cluste
 	return c
 }
 
-// SetObserver attaches the runtime invariant observer (nil detaches):
-// replicas report election wins and committed entries, and the commit SST
-// registers its heartbeat cell for per-cell monotonicity. Only the
-// heartbeat (u64 at offset 12) registers — the commit header's Cnt field
-// legally resets at each epoch change, and the accept and vote SSTs carry
-// whole rows that legally regress across epochs. In volatile mode replica
+// commitCells declares the commit SST's one monotone cell: the heartbeat
+// (u64 at offset 12). The commit header's Cnt field legally resets at each
+// epoch change, and the accept and vote SSTs carry whole rows that legally
+// regress across epochs.
+var commitCells = trace.Cells{Table: "acuerdo.commit", U64: []int{12}}
+
+// Subscribe attaches s to the protocol facts the replicas emit (nil
+// detaches): proposals, acceptances, deliveries, elections, and the commit
+// SST's writes, checked for per-cell monotonicity. In volatile mode replica
 // memory survives restarts (a rejoiner resumes from its committed header),
-// so no restart hook fires; durable mode reports RecoverDone and
-// DurableFrontier around crash recovery. Call before Start.
-func (c *Cluster) SetObserver(o *observe.Observer) {
+// so no Restart is stated; durable mode states the restart, the recovery
+// and the durable frontier. Call before Start.
+func (c *Cluster) Subscribe(s trace.Subscriber) {
 	for _, r := range c.Replicas {
-		r.obs = o
+		r.sub = s
 		r.commitSST.Observe = nil
-	}
-	if o == nil {
-		return
-	}
-	tab := o.RegisterSST("acuerdo.commit", c.cfg.N, CommitCodec{}.Size(), []int{12}, nil)
-	for _, r := range c.Replicas {
-		r := r
-		r.commitSST.Observe = func(self int, row []byte) {
-			o.SSTRow(tab, self, int64(c.Sim.Now()), row)
+		if s != nil {
+			r.commitSST.Observe = func(_ int, row []byte) {
+				trace.Emit(nil, s, &trace.Fact{Kind: trace.SSTWrite, Replica: int(r.ID), Node: r.Node.ID,
+					At: int64(c.Sim.Now()), Cells: &commitCells, Row: row})
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ func newDurableCluster(t *testing.T, n int, seed int64) (*simnet.Sim, *Cluster, 
 	fabric := rdma.NewFabric(sim, rdma.DefaultParams())
 	c := NewCluster(sim, fabric, DefaultClusterConfig(n))
 	obs := observe.New(observe.Config{System: "acuerdo", Nodes: n, Seed: seed})
-	c.SetObserver(obs)
+	c.Subscribe(obs)
 	devs := make([]*disk.Device, n)
 	for i := range devs {
 		devs[i] = disk.NewDevice(sim, i, disk.DefaultParams())

@@ -19,7 +19,7 @@ func newObservedCluster(t *testing.T, n int, seed int64) (*simnet.Sim, *Cluster,
 	fabric := rdma.NewFabric(sim, rdma.DefaultParams())
 	c := NewCluster(sim, fabric, DefaultClusterConfig(n))
 	obs := observe.New(observe.Config{System: "acuerdo", Nodes: n, Seed: seed})
-	c.SetObserver(obs)
+	c.Subscribe(obs)
 	chk := abcast.NewChecker(n)
 	c.OnDeliver = func(replica int, hdr MsgHdr, payload []byte) {
 		if err := chk.OnDeliver(replica, abcast.MsgID(payload)); err != nil {

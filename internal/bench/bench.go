@@ -312,7 +312,11 @@ func NewInstanceOn(sim *simnet.Sim, kind Kind, n int, opt Options) *Instance {
 		nt.ProvideProcs(opt.ReplicaProcs)
 		g, links = sys.onNet(sim, nt, n, opt), nt.Links
 	}
-	g.SetObserver(opt.Observer)
+	if opt.Observer != nil {
+		// Only a real observer subscribes: a nil *Observer in the interface
+		// would not read as nil, and every fact would pay a call.
+		g.Subscribe(opt.Observer)
+	}
 	if dg, ok := g.(abcast.DurableGroup); ok && opt.Durability != Volatile {
 		inst.Disks = make([]*disk.Device, n)
 		for i := range inst.Disks {
@@ -331,7 +335,7 @@ func NewInstanceOn(sim *simnet.Sim, kind Kind, n int, opt Options) *Instance {
 		// not a violation.
 		inst.member.AfterCrash = func(i int) {
 			inst.Disks[i].Wipe()
-			inst.Observer.DiskFault(i, int64(sim.Now()))
+			inst.Observer.Observe(trace.Fact{Kind: trace.DiskFault, Replica: i, Node: g.NodeID(i), At: int64(sim.Now())})
 		}
 	}
 	return inst

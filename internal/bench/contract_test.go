@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/simnet"
 )
 
 // TestGroupContract holds every system to abcast.Group through the bench
@@ -109,6 +110,35 @@ func TestGroupContract(t *testing.T) {
 				if err := chk.Err(); err != nil {
 					t.Fatalf("durable Restart(%d): the replayed prefix was not excused: %v", ldr, err)
 				}
+			}
+		})
+	}
+}
+
+// TestSubscribeNilDetaches holds every system to abcast.Group's "nil
+// detaches": an observer attached through the bench wiring checks a run, and
+// once the group subscribes nil it checks nothing more — SST write hooks
+// included, which is where Derecho's group used to keep it.
+func TestSubscribeNilDetaches(t *testing.T) {
+	load := abcast.LoadConfig{Window: 4, MsgSize: 16, Warmup: time.Millisecond, Measure: 4 * time.Millisecond}
+	for _, kind := range AllKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			sim := simnet.New(5)
+			obs := NewObserver(sim, kind, 3)
+			inst := NewInstanceOn(sim, kind, 3, Options{Observer: obs})
+			defer inst.Close()
+			inst.warmUp()
+			abcast.RunClosedLoop(sim, inst.Sys, load)
+			if obs.Checks() == 0 {
+				t.Fatal("the attached observer checked nothing")
+			}
+			inst.Group.Subscribe(nil)
+			before := obs.Checks()
+			if res := abcast.RunClosedLoop(sim, inst.Sys, load); res.Committed == 0 {
+				t.Fatal("committed nothing after the detach")
+			}
+			if after := obs.Checks(); after != before {
+				t.Fatalf("Subscribe(nil) left the observer attached: %d checks after the detach", after-before)
 			}
 		})
 	}

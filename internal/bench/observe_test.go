@@ -147,8 +147,8 @@ func TestObserverViolationReachesTracer(t *testing.T) {
 	obs := NewObserver(sim, Etcd, 3)
 	tr := trace.New(64)
 	NewInstanceOn(sim, Etcd, 3, Options{Tracer: tr, Observer: obs})
-	obs.LeaderElected(0, 10, 99)
-	obs.LeaderElected(1, 20, 99) // a second winner of term 99
+	obs.Observe(trace.Fact{Kind: trace.Win, Replica: 0, At: 10, Term: 99, ID: 0})
+	obs.Observe(trace.Fact{Kind: trace.Win, Replica: 1, At: 20, Term: 99, ID: 1}) // a second winner of term 99
 	if got := tr.Counter(trace.CtrViolations); got != 1 {
 		t.Fatalf("CtrViolations = %d after one leader-uniqueness violation, want 1", got)
 	}

@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"acuerdo/internal/abcast"
-	"acuerdo/internal/observe"
 	"acuerdo/internal/rdma"
 	"acuerdo/internal/ringbuf"
 	"acuerdo/internal/simnet"
+	"acuerdo/internal/trace"
 )
 
 // Cluster wraps a Group with an external client machine and implements
@@ -152,9 +152,9 @@ func (c *Cluster) SetDeliver(fn func(replica int, payload []byte)) {
 	c.OnDeliver = func(replica, _ int, _ uint64, payload []byte) { fn(replica, payload) }
 }
 
-// SetObserver attaches the runtime invariant observer to the group (see
-// Group.SetObserver). Call before Start.
-func (c *Cluster) SetObserver(o *observe.Observer) { c.Group.SetObserver(o) }
+// Subscribe attaches s to the group's protocol facts (see Group.Subscribe).
+// Call before Start.
+func (c *Cluster) Subscribe(s trace.Subscriber) { c.Group.Subscribe(s) }
 
 // Crash fail-stops member i; the survivors wedge, agree on the ragged
 // trim, and continue in a shrunken view.

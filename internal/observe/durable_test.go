@@ -4,26 +4,27 @@ import (
 	"testing"
 
 	"acuerdo/internal/observe"
+	"acuerdo/internal/trace"
 )
 
 // replicate appends entry (index, term, id) at a quorum of nodes so commit
 // advances cleanly in the durability scenarios below.
 func replicate(o *observe.Observer, index, term uint64, id int64) {
-	o.LogAppend(0, 10, index, term, id)
-	o.LogAppend(1, 11, index, term, id)
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 0, At: 10, Term: term, Index: index, ID: id})
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 1, At: 11, Term: term, Index: index, ID: id})
 }
 
 // TestDurableFrontierMonotone: the frontier may re-report and grow, never
 // shrink, while the device is healthy.
 func TestDurableFrontierMonotone(t *testing.T) {
 	o := newObs(3)
-	o.DurableFrontier(0, 10, 3)
-	o.DurableFrontier(0, 20, 3) // re-report: ok
-	o.DurableFrontier(0, 30, 5) // grow: ok
+	o.Observe(trace.Fact{Kind: trace.Durable, Replica: 0, At: 10, Index: 3})
+	o.Observe(trace.Fact{Kind: trace.Durable, Replica: 0, At: 20, Index: 3}) // re-report: ok
+	o.Observe(trace.Fact{Kind: trace.Durable, Replica: 0, At: 30, Index: 5}) // grow: ok
 	if o.ViolationCount() != 0 {
 		t.Fatalf("monotone frontier flagged:\n%s", o.Report())
 	}
-	o.DurableFrontier(0, 40, 4)
+	o.Observe(trace.Fact{Kind: trace.Durable, Replica: 0, At: 40, Index: 4})
 	wantViolations(t, o, observe.InvDurablePrefix, 1)
 }
 
@@ -35,15 +36,15 @@ func TestDurablePrefixCatchesLostCommittedEntry(t *testing.T) {
 	o := newObs(3)
 	for i := uint64(0); i < 5; i++ {
 		replicate(o, i, 1, int64(100+i))
-		o.CommitAdvance(0, 20, i+1)
+		o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 20, Index: i + 1})
 	}
-	o.DurableFrontier(0, 30, 5) // disk acknowledged all 5 committed entries
+	o.Observe(trace.Fact{Kind: trace.Durable, Replica: 0, At: 30, Index: 5}) // disk acknowledged all 5 committed entries
 
-	o.NodeRestart(0, 40)
+	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 40})
 	for i := uint64(0); i < 3; i++ { // the mutation: two durable entries vanish
-		o.LogRecover(0, 50, i, 1, int64(100+i))
+		o.Observe(trace.Fact{Kind: trace.Recover, Replica: 0, At: 50, Term: 1, Index: i, ID: int64(100 + i)})
 	}
-	o.RecoverDone(0, 60, 3, 3)
+	o.Observe(trace.Fact{Kind: trace.Recovered, Replica: 0, At: 60, Term: 3, Index: 3})
 	wantViolations(t, o, observe.InvDurablePrefix, 1)
 }
 
@@ -54,19 +55,19 @@ func TestDurableRecoveryClean(t *testing.T) {
 	for i := uint64(0); i < 4; i++ {
 		replicate(o, i, 1, int64(100+i))
 	}
-	o.CommitAdvance(0, 20, 3)
-	o.DurableFrontier(0, 30, 3)
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 20, Index: 3})
+	o.Observe(trace.Fact{Kind: trace.Durable, Replica: 0, At: 30, Index: 3})
 
-	o.NodeRestart(0, 40)
+	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 40})
 	for i := uint64(0); i < 3; i++ { // entry 3 was volatile; legally gone
-		o.LogRecover(0, 50, i, 1, int64(100+i))
+		o.Observe(trace.Fact{Kind: trace.Recover, Replica: 0, At: 50, Term: 1, Index: i, ID: int64(100 + i)})
 	}
-	o.RecoverDone(0, 60, 3, 3)
+	o.Observe(trace.Fact{Kind: trace.Recovered, Replica: 0, At: 60, Term: 3, Index: 3})
 	if o.ViolationCount() != 0 {
 		t.Fatalf("clean recovery flagged:\n%s", o.Report())
 	}
 	// Post-recovery amnesty is gone: a commit rewind is a violation again.
-	o.CommitAdvance(0, 70, 2)
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 70, Index: 2})
 	wantViolations(t, o, observe.InvCommitMonotone, 1)
 }
 
@@ -77,11 +78,11 @@ func TestDiskFaultResetsDurableFloor(t *testing.T) {
 	for i := uint64(0); i < 3; i++ {
 		replicate(o, i, 1, int64(100+i))
 	}
-	o.CommitAdvance(0, 20, 3)
-	o.DurableFrontier(0, 30, 3)
-	o.DiskFault(0, 35) // the wipe
-	o.NodeRestart(0, 40)
-	o.RecoverDone(0, 60, 0, 0) // nothing recovered — and that's legal now
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 20, Index: 3})
+	o.Observe(trace.Fact{Kind: trace.Durable, Replica: 0, At: 30, Index: 3})
+	o.Observe(trace.Fact{Kind: trace.DiskFault, Replica: 0, At: 35}) // the wipe
+	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 40})
+	o.Observe(trace.Fact{Kind: trace.Recovered, Replica: 0, At: 60, Term: 0, Index: 0}) // nothing recovered — and that's legal now
 	if o.ViolationCount() != 0 {
 		t.Fatalf("post-fault empty recovery flagged:\n%s", o.Report())
 	}
@@ -91,9 +92,9 @@ func TestDiskFaultResetsDurableFloor(t *testing.T) {
 // pre-crash shadow log is a recovered-prefix violation.
 func TestRecoveredPrefixDivergence(t *testing.T) {
 	o := newObs(3)
-	o.LogAppend(0, 10, 0, 1, 100)
-	o.NodeRestart(0, 20)
-	o.LogRecover(0, 30, 0, 1, 999) // disk returned a different payload
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 0, At: 10, Term: 1, Index: 0, ID: 100})
+	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 20})
+	o.Observe(trace.Fact{Kind: trace.Recover, Replica: 0, At: 30, Term: 1, Index: 0, ID: 999}) // disk returned a different payload
 	if o.ViolationCount() == 0 {
 		t.Fatal("divergent recovered entry not flagged")
 	}
@@ -112,8 +113,8 @@ func TestRecoveredPrefixDivergence(t *testing.T) {
 // recovered log does not cover is a recovered-prefix violation.
 func TestRecoverDoneFrontierBeyondLog(t *testing.T) {
 	o := newObs(3)
-	o.NodeRestart(0, 10)
-	o.RecoverDone(0, 20, 2, 5)
+	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 10})
+	o.Observe(trace.Fact{Kind: trace.Recovered, Replica: 0, At: 20, Term: 5, Index: 2})
 	wantViolations(t, o, observe.InvRecoveredPrefix, 1)
 }
 
@@ -121,10 +122,10 @@ func TestRecoverDoneFrontierBeyondLog(t *testing.T) {
 // durability hooks.
 func TestNilObserverDurableHooks(t *testing.T) {
 	var o *observe.Observer
-	o.DurableFrontier(0, 0, 1)
-	o.DiskFault(0, 0)
-	o.LogRecover(0, 0, 0, 1, 7)
-	o.RecoverDone(0, 0, 1, 1)
+	o.Observe(trace.Fact{Kind: trace.Durable, Replica: 0, At: 0, Index: 1})
+	o.Observe(trace.Fact{Kind: trace.DiskFault, Replica: 0, At: 0})
+	o.Observe(trace.Fact{Kind: trace.Recover, Replica: 0, At: 0, Term: 1, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Recovered, Replica: 0, At: 0, Term: 1, Index: 1})
 	if o.Digest() != 0 || o.Checks() != 0 {
 		t.Error("nil durability hooks mutated state")
 	}

@@ -6,9 +6,9 @@
 // The abcast checker validates atomic broadcast end to end (integrity, no
 // duplication, total order) but says nothing about *why* a protocol is
 // correct; when it fires, the root cause is an arbitrary distance upstream.
-// Observers instead subscribe to protocol state transitions through small
-// instrumentation hooks inside the seven systems plus the SST layer,
-// maintain shadow state per node, and flag the first transition that
+// An observer instead subscribes to the protocol facts the seven systems
+// emit (trace.Fact: one event per fact, the stream the tracer reads too),
+// maintains shadow state per node, and flags the first transition that
 // contradicts the protocol's own invariant — virtual-synchrony view
 // agreement for derecho, log matching for raft/zab, ballot monotonicity for
 // paxos, leader uniqueness per term for the acuerdo ring, committed-prefix
@@ -16,16 +16,16 @@
 //
 // Design constraints (mirroring internal/trace, see DESIGN.md §6.7):
 //
-//   - Zero cost when disabled: every hook has a nil-receiver fast path, so
-//     protocol code holds a possibly-nil *Observer and calls
-//     unconditionally. Cluster constructors additionally skip installing
-//     closure hooks (the SST write hook) when no observer is attached.
-//   - No dependency on simnet (protocol packages pass int64 simulated
-//     nanoseconds) and no dependency on any protocol package: hooks speak
-//     in plain integers, so observe sits below all seven systems.
+//   - Zero cost when disabled: a group with no subscriber hands its facts
+//     to nobody (trace.Emit), and installs no SST write hook. No protocol
+//     package imports this one: a group subscribes an Observer as a
+//     trace.Subscriber, and Observe is safe on a nil receiver.
+//   - No dependency on simnet (facts carry int64 simulated nanoseconds)
+//     and none on any protocol package: facts speak in plain integers, so
+//     observe sits below all seven systems.
 //   - Deterministic: shadow state is updated in simulator event order, maps
 //     are only ever indexed (never ranged with side effects), and every
-//     hook folds its operands into a streaming FNV digest, so two runs of
+//     check folds its operands into a streaming FNV digest, so two runs of
 //     the same seed perform bit-identical check sequences; the seed-replay
 //     oracle compares the digest next to the trace fingerprint.
 //
@@ -38,7 +38,6 @@ package observe
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"acuerdo/internal/digest"
@@ -50,7 +49,8 @@ import (
 // never touches a string.
 type Invariant uint8
 
-// The invariant catalog. Each constant names one property a hook checks;
+// The invariant catalog. Each constant names one property a fact is checked
+// against;
 // DESIGN.md §6.7 gives the full statement and the known-unsound cases.
 const (
 	// InvSSTMonotone: registered cells of an SST row never decrease
@@ -208,7 +208,7 @@ const (
 
 // regName says which register a checkReg call guards. A witness's text is
 // built from it and the register's key only when a check fails (text), so
-// the hooks format nothing on the clean path.
+// the checks format nothing on the clean path.
 type regName uint8
 
 const (
@@ -256,7 +256,7 @@ func (r regName) text(a, b uint64) string {
 	}
 }
 
-// hook opcodes folded into the digest, one per public hook, so the digest
+// check opcodes folded into the digest, one per check, so the digest
 // distinguishes which checks ran, not just which operands flowed by.
 const (
 	opSSTSet uint64 = iota + 1
@@ -319,9 +319,9 @@ type nodeState struct {
 	dHash      digest.Sum
 	vsEligible bool
 
-	// acuerdo committed header (epoch round, epoch leader, count).
-	aRound, aLdr, aCnt uint32
-	aSeen              bool
+	// acuerdo committed header (epoch as round<<32|ldr, count).
+	aEpoch, aCnt uint64
+	aSeen        bool
 
 	// disk-acknowledged durable commit frontier (entries known fsynced
 	// and committed; the floor crash recovery is held to).
@@ -329,19 +329,17 @@ type nodeState struct {
 	durableSeen bool
 }
 
-// sstShadow is the observer's copy of one SST's last-seen rows plus the
-// registered monotone-cell layout.
+// sstShadow is the observer's copy of one SST's last-seen rows, under the
+// table's monotone-cell declaration.
 type sstShadow struct {
-	name    string
-	rowSize int
-	monoU64 []int
-	monoU32 []int
-	rows    [][]byte
-	seen    []bool
+	cells *trace.Cells
+	rows  [][]byte
+	seen  []bool
 }
 
-// Observer checks one cluster's protocol invariants as it runs. All hook
-// methods are safe on a nil receiver (no-ops), which is the disabled state.
+// Observer checks one cluster's protocol invariants as it runs. Observe and
+// every accessor are safe on a nil receiver (no-ops), which is the disabled
+// state.
 // An Observer is not safe for concurrent use; the simulator is
 // single-threaded by construction.
 type Observer struct {
@@ -374,8 +372,8 @@ func New(cfg Config) *Observer {
 	return o
 }
 
-// fold mixes one hook invocation into the streaming digest and counts the
-// check against inv.
+// fold mixes one check into the streaming digest and counts it against
+// inv.
 func (o *Observer) fold(inv Invariant, op uint64, node int, at, a, b int64) {
 	o.checks++
 	o.counts[inv]++
@@ -431,20 +429,71 @@ func (o *Observer) checkReg(space uint8, a, b uint64, val int64, inv Invariant, 
 // quorum returns the cluster's majority size.
 func (o *Observer) quorum() int { return o.cfg.Nodes/2 + 1 }
 
-// --- lifecycle ------------------------------------------------------------
+// --- the entry point -------------------------------------------------------
 
-// NodeRestart resets the parts of node's shadow state that a protocol may
-// legally rewind across a crash/restart: the commit point (raft's volatile
-// commit index), delivery-sequence base, and the acuerdo committed header.
-// Protocols call it from their restart path before mirroring any state
-// changes, so the restart itself never reads as a violation. The node is
-// permanently excluded from the derecho virtual-synchrony prefix comparison
-// (a rejoining node's delivered prefix legitimately diverges — a documented
-// unsound case).
-func (o *Observer) NodeRestart(node int, at int64) {
+// Observe checks one protocol fact against the invariants its kind carries
+// (DESIGN §6.7 maps each kind to its invariants); kinds no invariant reads
+// pass unchecked. It is the observer's one entry point: a group's fact stream
+// calls it (trace.Subscriber), and the harness reports a wiped disk through it
+// (trace.DiskFault). Safe on a nil receiver, which is the disabled state.
+func (o *Observer) Observe(f trace.Fact) {
 	if o == nil {
 		return
 	}
+	n, at := f.Replica, f.At
+	switch f.Kind {
+	case trace.Append, trace.Replicate, trace.Adopt:
+		o.logAppend(n, at, f.Index, f.Term, f.ID)
+	case trace.Assign:
+		o.assign(n, at, f.Index, f.ID)
+	case trace.Vote:
+		o.vote(n, at, f.Index, f.Term, f.ID)
+	case trace.Promise:
+		o.promise(n, at, f.Term)
+	case trace.Learn:
+		o.learn(n, at, f.Index, f.ID)
+	case trace.Deliver, trace.Commit:
+		o.deliver(n, at, f.Index, f.ID)
+	case trace.DeliverSlot, trace.CommitSlot:
+		o.deliverSlot(n, at, f.Index, f.ID)
+	case trace.DeliverHeader, trace.CommitHeader:
+		o.deliverHeader(n, at, f.Term, f.Index, f.ID)
+	case trace.DeliverView, trace.CommitView:
+		o.deliverView(n, at, int64(f.Term), f.ID)
+	case trace.Advance:
+		o.commitAdvance(n, at, f.Index)
+	case trace.Truncate:
+		o.logTruncate(n, at, f.Index)
+	case trace.Win:
+		o.win(n, at, f.Term, f.ID)
+	case trace.Install:
+		o.install(n, at, f.Term, f.Index)
+	case trace.Restart:
+		o.restart(n, at)
+	case trace.Durable:
+		o.durable(n, at, f.Index)
+	case trace.DiskFault:
+		o.diskFault(n, at)
+	case trace.Recover:
+		o.recover(n, at, f.Index, f.Term, f.ID)
+	case trace.Recovered:
+		o.recovered(n, at, f.Index, f.Term)
+	case trace.SSTWrite:
+		o.sstWrite(n, at, f.Cells, f.Row)
+	}
+}
+
+// --- lifecycle ------------------------------------------------------------
+
+// restart resets the parts of node's shadow state that a protocol may
+// legally rewind across a crash/restart: the commit point (raft's volatile
+// commit index), delivery-sequence base, and the acuerdo committed header.
+// Protocols report a Restart from their restart path before mirroring any
+// state changes, so the restart itself never reads as a violation. The node is
+// permanently excluded from the derecho virtual-synchrony prefix comparison
+// (a rejoining node's delivered prefix legitimately diverges — a documented
+// unsound case).
+func (o *Observer) restart(node int, at int64) {
 	o.fold(InvCommitMonotone, opRestart, node, at, 0, 0)
 	ns := &o.nodes[node]
 	ns.commitValid = false
@@ -456,30 +505,8 @@ func (o *Observer) NodeRestart(node int, at int64) {
 
 // --- SST ------------------------------------------------------------------
 
-// RegisterSST registers one SST's monotone-cell layout: monoU64 and monoU32
-// are byte offsets of little-endian cells within a row that must never
-// decrease. Returns a handle for SSTRow; -1 on a nil observer.
-func (o *Observer) RegisterSST(name string, rows, rowSize int, monoU64, monoU32 []int) int {
-	if o == nil {
-		return -1
-	}
-	sh := &sstShadow{
-		name:    name,
-		rowSize: rowSize,
-		monoU64: append([]int(nil), monoU64...),
-		monoU32: append([]int(nil), monoU32...),
-		rows:    make([][]byte, rows),
-		seen:    make([]bool, rows),
-	}
-	for i := range sh.rows {
-		sh.rows[i] = make([]byte, rowSize)
-	}
-	o.tables = append(o.tables, sh)
-	return len(o.tables) - 1
-}
-
 // leU64 and leU32 decode little-endian cells without importing
-// encoding/binary on the hot path (the offsets are register-checked).
+// encoding/binary on the hot path (the offsets are declared by the table).
 func leU64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
@@ -489,29 +516,38 @@ func leU32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// SSTRow checks one write of node's own row against the shadow copy:
-// every registered monotone cell must be >= its previous value. Callers
-// wire it through the sst.Table write hook.
-func (o *Observer) SSTRow(table, node int, at int64, row []byte) {
-	if o == nil {
-		return
+// sstWrite checks one write of node's own row of the table cells declares
+// against the shadow copy: every declared monotone cell must be >= its
+// previous value. A table's shadow is made the first time one of its rows
+// is written, and its handle (folded into the digest) is that order.
+func (o *Observer) sstWrite(node int, at int64, cells *trace.Cells, row []byte) {
+	table := 0
+	for table < len(o.tables) && o.tables[table].cells != cells {
+		table++
+	}
+	if table == len(o.tables) {
+		sh := &sstShadow{cells: cells, rows: make([][]byte, len(o.nodes)), seen: make([]bool, len(o.nodes))}
+		for i := range sh.rows {
+			sh.rows[i] = make([]byte, len(row))
+		}
+		o.tables = append(o.tables, sh)
 	}
 	sh := o.tables[table]
 	o.fold(InvSSTMonotone, opSSTSet, node, at, int64(table), int64(len(row)))
 	if sh.seen[node] {
 		old := sh.rows[node]
-		for _, off := range sh.monoU64 {
+		for _, off := range cells.U64 {
 			a, b := leU64(old[off:off+8]), leU64(row[off:off+8])
 			if b < a {
 				o.violate(InvSSTMonotone, node, at, int64(b), int64(a),
-					"sst %s: u64 cell at offset %d regressed %d -> %d", sh.name, off, a, b)
+					"sst %s: u64 cell at offset %d regressed %d -> %d", cells.Table, off, a, b)
 			}
 		}
-		for _, off := range sh.monoU32 {
+		for _, off := range cells.U32 {
 			a, b := leU32(old[off:off+4]), leU32(row[off:off+4])
 			if b < a {
 				o.violate(InvSSTMonotone, node, at, int64(b), int64(a),
-					"sst %s: u32 cell at offset %d regressed %d -> %d", sh.name, off, a, b)
+					"sst %s: u32 cell at offset %d regressed %d -> %d", cells.Table, off, a, b)
 			}
 		}
 	}
@@ -521,14 +557,11 @@ func (o *Observer) SSTRow(table, node int, at int64, row []byte) {
 
 // --- derecho --------------------------------------------------------------
 
-// DerechoDeliver records one stable delivery at node and checks cross-node
+// deliverView records one stable delivery at node and checks cross-node
 // delivery agreement at the node's sequence position. Restarted nodes are
 // excluded from the position registry (their sequence restarts from zero).
-func (o *Observer) DerechoDeliver(node int, at int64, sender int, id int64) {
-	if o == nil {
-		return
-	}
-	o.fold(InvDeliveryAgreement, opDerechoDeliver, node, at, int64(sender), id)
+func (o *Observer) deliverView(node int, at int64, sender, id int64) {
+	o.fold(InvDeliveryAgreement, opDerechoDeliver, node, at, sender, id)
 	ns := &o.nodes[node]
 	if ns.vsEligible {
 		o.checkReg(spaceDeliver, ns.dCount, 0, id, InvDeliveryAgreement, node, at, regDerechoDelivery)
@@ -538,21 +571,22 @@ func (o *Observer) DerechoDeliver(node int, at int64, sender int, id int64) {
 	if h == 0 {
 		h = digest.Offset
 	}
-	ns.dHash = h.Word(uint64(int64(sender))).Word(uint64(id))
+	ns.dHash = h.Word(uint64(sender)).Word(uint64(id))
 }
 
-// DerechoViewInstall checks the virtual-synchrony invariants as node
-// installs view v with the given membership (copied and sorted here): all
-// installers of v agree on membership (view agreement), the new membership
-// intersects the node's previous membership in a majority of it (majority
-// view change), and all never-restarted installers of v have delivered an
-// identical prefix at installation time (no delivery across view gaps).
-func (o *Observer) DerechoViewInstall(node int, at int64, view uint64, members []int) {
-	if o == nil {
-		return
+// install checks the virtual-synchrony invariants as node installs view v
+// with the membership whose bits mask sets: all installers of v agree on
+// membership (view agreement), the new membership intersects the node's
+// previous membership in a majority of it (majority view change), and all
+// never-restarted installers of v have delivered an identical prefix at
+// installation time (no delivery across view gaps).
+func (o *Observer) install(node int, at int64, view, mask uint64) {
+	var members []int
+	for m := 0; mask != 0; m, mask = m+1, mask>>1 {
+		if mask&1 != 0 {
+			members = append(members, m)
+		}
 	}
-	members = append([]int(nil), members...)
-	sort.Ints(members)
 	mh := digest.Offset
 	for _, m := range members {
 		mh = mh.Word(uint64(int64(m)))
@@ -587,14 +621,11 @@ func (o *Observer) DerechoViewInstall(node int, at int64, view uint64, members [
 
 // --- raft / zab logs ------------------------------------------------------
 
-// LogAppend records node writing entry (index, term, id) and checks log
+// logAppend records node writing entry (index, term, id) and checks log
 // matching (same (index, term) implies same payload, globally) and
 // committed-prefix immutability (no overwrite below the node's commit
 // point with a different entry). index is zero-based.
-func (o *Observer) LogAppend(node int, at int64, index, term uint64, id int64) {
-	if o == nil {
-		return
-	}
+func (o *Observer) logAppend(node int, at int64, index, term uint64, id int64) {
 	o.fold(InvLogMatching, opLogAppend, node, at, int64(index), id)
 	o.checkReg(spaceLog, index, term, id, InvLogMatching, node, at, regLogEntry)
 	ns := &o.nodes[node]
@@ -610,12 +641,9 @@ func (o *Observer) LogAppend(node int, at int64, index, term uint64, id int64) {
 	ns.log[index] = logEntry{term: term, id: id, valid: true}
 }
 
-// LogTruncate records node truncating its log to newLen entries and checks
+// logTruncate records node truncating its log to newLen entries and checks
 // that the truncation stays above the node's committed prefix.
-func (o *Observer) LogTruncate(node int, at int64, newLen uint64) {
-	if o == nil {
-		return
-	}
+func (o *Observer) logTruncate(node int, at int64, newLen uint64) {
 	o.fold(InvPrefixImmutable, opLogTruncate, node, at, int64(newLen), 0)
 	ns := &o.nodes[node]
 	if ns.commitValid && newLen < ns.commitLen {
@@ -627,14 +655,11 @@ func (o *Observer) LogTruncate(node int, at int64, newLen uint64) {
 	}
 }
 
-// CommitAdvance records node advancing its committed prefix to newLen
-// entries and checks that the commit point is monotone (restarts excepted;
-// see NodeRestart) and that the newly committed entry is replicated on a
-// majority of shadow logs with a matching (term, id).
-func (o *Observer) CommitAdvance(node int, at int64, newLen uint64) {
-	if o == nil {
-		return
-	}
+// commitAdvance records node advancing its committed prefix to newLen
+// entries and checks that the commit point is monotone (restarts excepted)
+// and that the newly committed entry is replicated on a majority of shadow
+// logs with a matching (term, id).
+func (o *Observer) commitAdvance(node int, at int64, newLen uint64) {
 	o.fold(InvCommitQuorum, opCommitAdvance, node, at, int64(newLen), 0)
 	ns := &o.nodes[node]
 	if ns.commitValid && newLen < ns.commitLen {
@@ -669,13 +694,10 @@ func (o *Observer) CommitAdvance(node int, at int64, newLen uint64) {
 
 // --- generic delivery -----------------------------------------------------
 
-// Deliver records node delivering message id at sequence position seq and
+// deliver records node delivering message id at sequence position seq and
 // checks contiguity (no gaps in the node's own sequence; the base re-arms
 // after a restart) and cross-node agreement (same position, same message).
-func (o *Observer) Deliver(node int, at int64, seq uint64, id int64) {
-	if o == nil {
-		return
-	}
+func (o *Observer) deliver(node int, at int64, seq uint64, id int64) {
 	o.fold(InvDeliveryContiguous, opDeliver, node, at, int64(seq), id)
 	ns := &o.nodes[node]
 	if ns.deliverSeen && seq != ns.deliverNext {
@@ -690,14 +712,11 @@ func (o *Observer) Deliver(node int, at int64, seq uint64, id int64) {
 
 // --- durability -----------------------------------------------------------
 
-// DurableFrontier records node's disk acknowledging that the first n
-// committed entries are durable (the commit-metadata fsync completed) and
-// checks that the frontier never regresses while the device is healthy.
-// This frontier is the floor crash recovery is held to in RecoverDone.
-func (o *Observer) DurableFrontier(node int, at int64, n uint64) {
-	if o == nil {
-		return
-	}
+// durable records node's disk acknowledging that the first n committed
+// entries are durable (the commit-metadata fsync completed) and checks that
+// the frontier never regresses while the device is healthy. This frontier
+// is the floor crash recovery is held to in recovered.
+func (o *Observer) durable(node int, at int64, n uint64) {
 	o.fold(InvDurablePrefix, opDurableFrontier, node, at, int64(n), 0)
 	ns := &o.nodes[node]
 	if ns.durableSeen && n < ns.durableLen {
@@ -710,27 +729,21 @@ func (o *Observer) DurableFrontier(node int, at int64, n uint64) {
 	ns.durableSeen = true
 }
 
-// DiskFault records a fault that legitimately destroys durable state at
+// diskFault records a fault that legitimately destroys durable state at
 // node — checksum-caught corruption, a wiped (amnesiac) device — and
 // resets the durable floor so the next recovery is not held to it.
-func (o *Observer) DiskFault(node int, at int64) {
-	if o == nil {
-		return
-	}
+func (o *Observer) diskFault(node int, at int64) {
 	o.fold(InvDurablePrefix, opDiskFault, node, at, 0, 0)
 	ns := &o.nodes[node]
 	ns.durableLen = 0
 	ns.durableSeen = false
 }
 
-// LogRecover records node reading entry (index, term, id) back from its
-// disk during crash recovery and checks that it matches the pre-crash
-// shadow log — recovered state must be a prefix of what the node held —
-// plus global log matching. Call after NodeRestart, before RecoverDone.
-func (o *Observer) LogRecover(node int, at int64, index, term uint64, id int64) {
-	if o == nil {
-		return
-	}
+// recover records node reading entry (index, term, id) back from its disk
+// during crash recovery and checks that it matches the pre-crash shadow log
+// — recovered state must be a prefix of what the node held — plus global
+// log matching. It comes after the Restart, before the Recovered.
+func (o *Observer) recover(node int, at int64, index, term uint64, id int64) {
 	o.fold(InvRecoveredPrefix, opLogRecover, node, at, int64(index), id)
 	ns := &o.nodes[node]
 	if uint64(len(ns.log)) > index {
@@ -748,19 +761,16 @@ func (o *Observer) LogRecover(node int, at int64, index, term uint64, id int64) 
 	ns.log[index] = logEntry{term: term, id: id, valid: true}
 }
 
-// RecoverDone closes node's crash recovery: the recovered log holds logLen
+// recovered closes node's crash recovery: the recovered log holds logLen
 // entries and the node claims a committed frontier of frontier entries.
 // Checks the durable floor — every entry the disk acknowledged as durable
 // before the crash must have survived (InvDurablePrefix: no committed-
 // then-acknowledged entry vanishes) — and that the recovered log covers
 // the claimed frontier. The shadow log truncates to the recovered length
-// (the volatile tail is legitimately gone) and the NodeRestart commit
+// (the volatile tail is legitimately gone) and the restart's commit
 // amnesty tightens back up: commit regression below the recovered
 // frontier counts as a violation again.
-func (o *Observer) RecoverDone(node int, at int64, logLen, frontier uint64) {
-	if o == nil {
-		return
-	}
+func (o *Observer) recovered(node int, at int64, logLen, frontier uint64) {
 	o.fold(InvDurablePrefix, opRecoverDone, node, at, int64(logLen), int64(frontier))
 	ns := &o.nodes[node]
 	if ns.durableSeen && frontier < ns.durableLen {
@@ -784,12 +794,9 @@ func (o *Observer) RecoverDone(node int, at int64, logLen, frontier uint64) {
 
 // --- paxos ----------------------------------------------------------------
 
-// PaxosPromise records acceptor node promising ballot and checks that the
+// promise records acceptor node promising ballot and checks that the
 // promise never regresses.
-func (o *Observer) PaxosPromise(node int, at int64, ballot uint64) {
-	if o == nil {
-		return
-	}
+func (o *Observer) promise(node int, at int64, ballot uint64) {
 	o.fold(InvBallotMonotone, opPromise, node, at, int64(ballot), 0)
 	ns := &o.nodes[node]
 	if ns.promisedSeen && ballot < ns.promised {
@@ -802,14 +809,11 @@ func (o *Observer) PaxosPromise(node int, at int64, ballot uint64) {
 	ns.promisedSeen = true
 }
 
-// PaxosAccept records acceptor node accepting id for (inst, ballot) and
-// checks ballot monotonicity (accepting implies promising) plus
+// vote records acceptor node accepting id for (inst, ballot) and checks
+// ballot monotonicity (accepting implies promising) plus
 // single-value-per-ballot: every acceptance under one (instance, ballot)
 // carries the same value.
-func (o *Observer) PaxosAccept(node int, at int64, inst, ballot uint64, id int64) {
-	if o == nil {
-		return
-	}
+func (o *Observer) vote(node int, at int64, inst, ballot uint64, id int64) {
 	o.fold(InvBallotSingleValue, opAccept, node, at, int64(inst), id)
 	ns := &o.nodes[node]
 	o.counts[InvBallotMonotone]++
@@ -824,25 +828,27 @@ func (o *Observer) PaxosAccept(node int, at int64, inst, ballot uint64, id int64
 	o.checkReg(spaceBallot, inst, ballot, id, InvBallotSingleValue, node, at, regPaxosValue)
 }
 
-// PaxosChosen records node learning that inst chose id and checks that an
+// learn records node learning that inst chose id and checks that an
 // instance is only ever chosen with one value.
-func (o *Observer) PaxosChosen(node int, at int64, inst uint64, id int64) {
-	if o == nil {
-		return
-	}
+func (o *Observer) learn(node int, at int64, inst uint64, id int64) {
 	o.fold(InvChosenAgreement, opChosen, node, at, int64(inst), id)
 	o.checkReg(spaceChosen, inst, 0, id, InvChosenAgreement, node, at, regPaxosChosen)
 }
 
 // --- elections ------------------------------------------------------------
 
-// LeaderElected records node winning term and checks that a term is won
-// once in the whole run, restarts included (raft term, paxos ballot, acuerdo
-// epoch packed as round<<32|leader): not by another node, and not again by
-// the node that already led it — a replica that lost its state and is
-// re-elected into an epoch it used before numbers new entries over old ones.
-func (o *Observer) LeaderElected(node int, at int64, term uint64) {
-	if o == nil {
+// win records node winning term, which names leader, and checks that the
+// winner is the node the term names (an acuerdo epoch, round<<32|ldr, names
+// its leader; a raft term or paxos ballot names the winner itself) and that
+// a term is won once in the whole run, restarts included: not by another
+// node, and not again by the node that already led it — a replica that lost
+// its state and is re-elected into an epoch it used before numbers new
+// entries over old ones.
+func (o *Observer) win(node int, at int64, term uint64, leader int64) {
+	if leader != int64(node) {
+		o.fold(InvLeaderUniqueness, opLeader, node, at, int64(term>>32), leader)
+		o.violate(InvLeaderUniqueness, node, at, int64(term>>32), leader,
+			"node %d won epoch (round %d, ldr %d) naming a different leader", node, term>>32, leader)
 		return
 	}
 	o.fold(InvLeaderUniqueness, opLeader, node, at, int64(term), 0)
@@ -853,96 +859,49 @@ func (o *Observer) LeaderElected(node int, at int64, term uint64) {
 	}
 }
 
-// AcuerdoLeaderWin records node winning the acuerdo epoch (round, ldr) and
-// checks both leader-uniqueness-per-term and that the winner is the node
-// the epoch names.
-func (o *Observer) AcuerdoLeaderWin(node int, at int64, round, ldr uint32) {
-	if o == nil {
-		return
-	}
-	if node != int(ldr) {
-		o.fold(InvLeaderUniqueness, opLeader, node, at, int64(round), int64(ldr))
-		o.violate(InvLeaderUniqueness, node, at, int64(round), int64(ldr),
-			"node %d won epoch (round %d, ldr %d) naming a different leader", node, round, ldr)
-		return
-	}
-	o.LeaderElected(node, at, uint64(round)<<32|uint64(ldr))
-}
-
 // --- acuerdo commits ------------------------------------------------------
 
-// cmpHdr orders acuerdo message headers: epoch (round, then leader id),
-// then count — the same order as acuerdo.MsgHdr.Cmp.
-func cmpHdr(r1, l1, c1, r2, l2, c2 uint32) int {
-	switch {
-	case r1 != r2:
-		if r1 < r2 {
-			return -1
-		}
-		return 1
-	case l1 != l2:
-		if l1 < l2 {
-			return -1
-		}
-		return 1
-	case c1 != c2:
-		if c1 < c2 {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// AcuerdoCommit records node committing the entry with header (round, ldr,
+// deliverHeader records node committing the entry with header (epoch,
 // cnt) carrying id, and checks that the node's committed header is monotone
-// in header order (restarts excepted) and that every node binds the same
-// payload to the same header.
-func (o *Observer) AcuerdoCommit(node int, at int64, round, ldr, cnt uint32, id int64) {
-	if o == nil {
-		return
-	}
-	o.fold(InvCommitMonotone, opAcuerdoCommit, node, at, int64(uint64(round)<<32|uint64(ldr)), int64(cnt))
+// in header order — epoch (round<<32|ldr, so round then leader), then count,
+// the order of acuerdo.MsgHdr.Cmp — restarts excepted, and that every node
+// binds the same payload to the same header.
+func (o *Observer) deliverHeader(node int, at int64, epoch, cnt uint64, id int64) {
+	o.fold(InvCommitMonotone, opAcuerdoCommit, node, at, int64(epoch), int64(cnt))
 	ns := &o.nodes[node]
-	if ns.aSeen && cmpHdr(round, ldr, cnt, ns.aRound, ns.aLdr, ns.aCnt) < 0 {
-		o.violate(InvCommitMonotone, node, at, int64(uint64(round)<<32|uint64(ldr)), int64(cnt),
+	if ns.aSeen && (epoch < ns.aEpoch || epoch == ns.aEpoch && cnt < ns.aCnt) {
+		o.violate(InvCommitMonotone, node, at, int64(epoch), int64(cnt),
 			"committed header regressed (round %d, ldr %d, cnt %d) -> (round %d, ldr %d, cnt %d)",
-			ns.aRound, ns.aLdr, ns.aCnt, round, ldr, cnt)
+			ns.aEpoch>>32, uint32(ns.aEpoch), ns.aCnt, epoch>>32, uint32(epoch), cnt)
 	}
-	ns.aRound, ns.aLdr, ns.aCnt = round, ldr, cnt
+	ns.aEpoch, ns.aCnt = epoch, cnt
 	ns.aSeen = true
 	o.counts[InvDeliveryAgreement]++
-	o.checkReg(spaceHdr, uint64(round)<<32|uint64(ldr), uint64(cnt), id, InvDeliveryAgreement, node, at, regAcuerdoHeader)
+	o.checkReg(spaceHdr, epoch, cnt, id, InvDeliveryAgreement, node, at, regAcuerdoHeader)
 }
 
 // --- apus -----------------------------------------------------------------
 
-// ApusAssign records the leader binding replication slot idx to id and
-// checks that a slot, once assigned, is never reassigned to a different
-// message (committed-prefix immutability at the source).
-func (o *Observer) ApusAssign(node int, at int64, idx uint64, id int64) {
-	if o == nil {
-		return
-	}
+// assign records the leader binding replication slot idx to id and checks
+// that a slot, once assigned, is never reassigned to a different message
+// (committed-prefix immutability at the source).
+func (o *Observer) assign(node int, at int64, idx uint64, id int64) {
 	o.fold(InvPrefixImmutable, opAssign, node, at, int64(idx), id)
 	o.checkReg(spaceAssign, idx, 0, id, InvPrefixImmutable, node, at, regApusAssign)
 }
 
-// ApusDeliver records node delivering slot idx carrying id: generic
+// deliverSlot records node delivering slot idx carrying id: generic
 // delivery contiguity/agreement plus a check that the delivered payload
 // matches the leader's slot assignment.
-func (o *Observer) ApusDeliver(node int, at int64, idx uint64, id int64) {
-	if o == nil {
-		return
-	}
-	o.Deliver(node, at, idx, id)
+func (o *Observer) deliverSlot(node int, at int64, idx uint64, id int64) {
+	o.deliver(node, at, idx, id)
 	o.counts[InvPrefixImmutable]++
 	o.checkReg(spaceAssign, idx, 0, id, InvPrefixImmutable, node, at, regApusDeliver)
 }
 
 // --- results --------------------------------------------------------------
 
-// Digest returns the streaming FNV digest over every hook invocation and
+// Digest returns the streaming FNV digest over every check and
 // violation so far. Two same-seed runs must produce the same digest; the
 // replay harness asserts exactly that. Zero on a nil observer.
 func (o *Observer) Digest() digest.Sum {
@@ -952,7 +911,7 @@ func (o *Observer) Digest() digest.Sum {
 	return o.digest
 }
 
-// Checks returns the total number of hook invocations observed (0 on nil).
+// Checks returns the total number of checks run (0 on nil).
 func (o *Observer) Checks() uint64 {
 	if o == nil {
 		return 0

@@ -6,10 +6,20 @@ import (
 	"testing"
 
 	"acuerdo/internal/observe"
+	"acuerdo/internal/trace"
 )
 
 func newObs(nodes int) *observe.Observer {
 	return observe.New(observe.Config{System: "test", Nodes: nodes, Seed: 42})
+}
+
+// members is the view membership an Install fact carries: the set of ids.
+func members(ids ...int) uint64 {
+	var set uint64
+	for _, id := range ids {
+		set |= 1 << id
+	}
+	return set
 }
 
 // wantViolations fails unless o recorded exactly n violations, all of inv.
@@ -25,30 +35,27 @@ func wantViolations(t *testing.T, o *observe.Observer, inv observe.Invariant, n 
 	}
 }
 
-// TestNilObserver pins the disabled state's contract: every hook and every
-// accessor is a no-op on a nil receiver. Protocol code calls hooks
-// unconditionally, so a panic here would break every observers-off run.
+// TestNilObserver pins the disabled state's contract: every fact and every
+// accessor is a no-op on a nil receiver, so a nil *Observer a group was
+// handed by mistake never panics an observers-off run.
 func TestNilObserver(t *testing.T) {
 	var o *observe.Observer
-	if got := o.RegisterSST("t", 3, 8, nil, nil); got != -1 {
-		t.Errorf("nil RegisterSST = %d, want -1", got)
-	}
-	o.NodeRestart(0, 0)
-	o.SSTRow(0, 0, 0, nil)
-	o.DerechoDeliver(0, 0, 1, 7)
-	o.DerechoViewInstall(0, 0, 1, []int{0, 1, 2})
-	o.LogAppend(0, 0, 0, 1, 7)
-	o.LogTruncate(0, 0, 0)
-	o.CommitAdvance(0, 0, 1)
-	o.Deliver(0, 0, 0, 7)
-	o.PaxosPromise(0, 0, 1)
-	o.PaxosAccept(0, 0, 0, 1, 7)
-	o.PaxosChosen(0, 0, 0, 7)
-	o.LeaderElected(0, 0, 1)
-	o.AcuerdoLeaderWin(0, 0, 1, 0)
-	o.AcuerdoCommit(0, 0, 1, 0, 1, 7)
-	o.ApusAssign(0, 0, 1, 7)
-	o.ApusDeliver(0, 0, 1, 7)
+	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 0})
+	o.Observe(trace.Fact{Kind: trace.SSTWrite, Replica: 0, At: 0, Cells: &trace.Cells{Table: "t"}, Row: make([]byte, 8)})
+	o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: 0, At: 0, Term: 1, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 0, At: 0, Term: 1, Index: members(0, 1, 2)})
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 0, At: 0, Term: 1, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Truncate, Replica: 0, At: 0, Index: 0})
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 0, Index: 1})
+	o.Observe(trace.Fact{Kind: trace.Deliver, Replica: 0, At: 0, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Promise, Replica: 0, At: 0, Term: 1})
+	o.Observe(trace.Fact{Kind: trace.Vote, Replica: 0, At: 0, Term: 1, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Learn, Replica: 0, At: 0, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Win, Replica: 0, At: 0, Term: 1, ID: 0})
+	o.Observe(trace.Fact{Kind: trace.Win, Replica: 0, At: 0, Term: 1<<32 | 0, ID: 0})
+	o.Observe(trace.Fact{Kind: trace.DeliverHeader, Replica: 0, At: 0, Term: 1<<32 | 0, Index: 1, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Assign, Replica: 0, At: 0, Index: 1, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.DeliverSlot, Replica: 0, At: 0, Index: 1, ID: 7})
 	if o.Digest() != 0 || o.Checks() != 0 || o.ViolationCount() != 0 {
 		t.Errorf("nil accessors = (%d, %d, %d), want zeros", o.Digest(), o.Checks(), o.ViolationCount())
 	}
@@ -59,60 +66,60 @@ func TestNilObserver(t *testing.T) {
 
 func TestSSTMonotoneViolation(t *testing.T) {
 	o := newObs(3)
-	tab := o.RegisterSST("t", 3, 12, []int{0}, []int{8})
+	tab := &trace.Cells{Table: "t", U64: []int{0}, U32: []int{8}}
 	row := make([]byte, 12)
 	binary.LittleEndian.PutUint64(row[0:], 10)
 	binary.LittleEndian.PutUint32(row[8:], 5)
-	o.SSTRow(tab, 1, 100, row)
+	o.Observe(trace.Fact{Kind: trace.SSTWrite, Replica: 1, At: 100, Cells: tab, Row: row})
 	// Equal is legal; increase is legal.
 	binary.LittleEndian.PutUint32(row[8:], 6)
-	o.SSTRow(tab, 1, 200, row)
+	o.Observe(trace.Fact{Kind: trace.SSTWrite, Replica: 1, At: 200, Cells: tab, Row: row})
 	if o.ViolationCount() != 0 {
 		t.Fatalf("monotone writes flagged:\n%s", o.Report())
 	}
 	// Regress the u64 cell.
 	binary.LittleEndian.PutUint64(row[0:], 9)
-	o.SSTRow(tab, 1, 300, row)
+	o.Observe(trace.Fact{Kind: trace.SSTWrite, Replica: 1, At: 300, Cells: tab, Row: row})
 	wantViolations(t, o, observe.InvSSTMonotone, 1)
 }
 
 func TestViewAgreementViolation(t *testing.T) {
 	o := newObs(3)
-	o.DerechoViewInstall(0, 100, 2, []int{0, 1, 2})
-	o.DerechoViewInstall(1, 110, 2, []int{2, 1, 0}) // same set, different order: ok
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 0, At: 100, Term: 2, Index: members(0, 1, 2)})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 1, At: 110, Term: 2, Index: members(2, 1, 0)}) // same set, different order: ok
 	if o.ViolationCount() != 0 {
 		t.Fatalf("order-insensitive memberships flagged:\n%s", o.Report())
 	}
-	o.DerechoViewInstall(2, 120, 2, []int{0, 1})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 2, At: 120, Term: 2, Index: members(0, 1)})
 	wantViolations(t, o, observe.InvViewAgreement, 1)
 }
 
 func TestViewMajorityViolation(t *testing.T) {
 	o := newObs(5)
-	o.DerechoViewInstall(0, 100, 1, []int{0, 1, 2, 3, 4})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 0, At: 100, Term: 1, Index: members(0, 1, 2, 3, 4)})
 	// {0} intersects {0..4} in 1 node — not a majority of 5.
-	o.DerechoViewInstall(0, 200, 2, []int{0})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 0, At: 200, Term: 2, Index: members(0)})
 	wantViolations(t, o, observe.InvViewMajority, 1)
 }
 
 func TestVirtualSynchronyViolation(t *testing.T) {
 	o := newObs(3)
-	o.DerechoDeliver(0, 10, 0, 7)
-	o.DerechoDeliver(1, 11, 0, 7)
-	o.DerechoViewInstall(0, 100, 2, []int{0, 1})
-	o.DerechoDeliver(1, 90, 1, 8) // node 1 delivered one more before installing
-	o.DerechoViewInstall(1, 110, 2, []int{0, 1})
+	o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: 0, At: 10, Term: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: 1, At: 11, Term: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 0, At: 100, Term: 2, Index: members(0, 1)})
+	o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: 1, At: 90, Term: 1, ID: 8}) // node 1 delivered one more before installing
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 1, At: 110, Term: 2, Index: members(0, 1)})
 	// Both the prefix-length and the prefix-hash registries witness the gap.
 	wantViolations(t, o, observe.InvVirtualSynchrony, 2)
 }
 
 func TestRestartExcludesFromVirtualSynchrony(t *testing.T) {
 	o := newObs(3)
-	o.DerechoDeliver(0, 10, 0, 7)
-	o.DerechoViewInstall(0, 100, 2, []int{0, 1})
-	o.NodeRestart(1, 50)
+	o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: 0, At: 10, Term: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 0, At: 100, Term: 2, Index: members(0, 1)})
+	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 1, At: 50})
 	// Node 1's prefix diverges, but it restarted: legally excluded.
-	o.DerechoViewInstall(1, 110, 2, []int{0, 1})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 1, At: 110, Term: 2, Index: members(0, 1)})
 	if o.ViolationCount() != 0 {
 		t.Fatalf("restarted node's divergent prefix flagged:\n%s", o.Report())
 	}
@@ -120,28 +127,28 @@ func TestRestartExcludesFromVirtualSynchrony(t *testing.T) {
 
 func TestLogMatchingViolation(t *testing.T) {
 	o := newObs(3)
-	o.LogAppend(0, 10, 0, 1, 7)
-	o.LogAppend(1, 11, 0, 1, 7) // same (index, term, id): ok
-	o.LogAppend(2, 12, 0, 2, 9) // different term: a different key, ok
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 0, At: 10, Term: 1, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 1, At: 11, Term: 1, Index: 0, ID: 7}) // same (index, term, id): ok
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 2, At: 12, Term: 2, Index: 0, ID: 9}) // different term: a different key, ok
 	if o.ViolationCount() != 0 {
 		t.Fatalf("matching logs flagged:\n%s", o.Report())
 	}
-	o.LogAppend(1, 20, 0, 2, 8) // (0, term 2) already bound to id 9
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 1, At: 20, Term: 2, Index: 0, ID: 8}) // (0, term 2) already bound to id 9
 	wantViolations(t, o, observe.InvLogMatching, 1)
 }
 
 func TestCommitQuorumViolation(t *testing.T) {
 	o := newObs(3)
-	o.LogAppend(0, 10, 0, 1, 7)
-	o.CommitAdvance(0, 20, 1) // only node 0 has the entry: no quorum
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 0, At: 10, Term: 1, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 20, Index: 1}) // only node 0 has the entry: no quorum
 	wantViolations(t, o, observe.InvCommitQuorum, 1)
 }
 
 func TestCommitQuorumSatisfied(t *testing.T) {
 	o := newObs(3)
-	o.LogAppend(0, 10, 0, 1, 7)
-	o.LogAppend(1, 11, 0, 1, 7)
-	o.CommitAdvance(0, 20, 1)
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 0, At: 10, Term: 1, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Append, Replica: 1, At: 11, Term: 1, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 20, Index: 1})
 	if o.ViolationCount() != 0 {
 		t.Fatalf("majority-replicated commit flagged:\n%s", o.Report())
 	}
@@ -150,69 +157,69 @@ func TestCommitQuorumSatisfied(t *testing.T) {
 func TestCommitMonotoneViolationAndRestartException(t *testing.T) {
 	o := newObs(3)
 	for n := 0; n < 2; n++ {
-		o.LogAppend(n, 10, 0, 1, 7)
-		o.LogAppend(n, 11, 1, 1, 8)
+		o.Observe(trace.Fact{Kind: trace.Append, Replica: n, At: 10, Term: 1, Index: 0, ID: 7})
+		o.Observe(trace.Fact{Kind: trace.Append, Replica: n, At: 11, Term: 1, Index: 1, ID: 8})
 	}
-	o.CommitAdvance(0, 20, 2)
-	o.NodeRestart(0, 30)
-	o.CommitAdvance(0, 40, 1) // rewind across a restart: legal
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 20, Index: 2})
+	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 30})
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 40, Index: 1}) // rewind across a restart: legal
 	if o.ViolationCount() != 0 {
 		t.Fatalf("post-restart commit rewind flagged:\n%s", o.Report())
 	}
-	o.CommitAdvance(0, 50, 2)
-	o.CommitAdvance(0, 60, 1) // rewind without a restart: violation
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 50, Index: 2})
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 60, Index: 1}) // rewind without a restart: violation
 	wantViolations(t, o, observe.InvCommitMonotone, 1)
 }
 
 func TestPrefixImmutableTruncateViolation(t *testing.T) {
 	o := newObs(3)
 	for n := 0; n < 2; n++ {
-		o.LogAppend(n, 10, 0, 1, 7)
+		o.Observe(trace.Fact{Kind: trace.Append, Replica: n, At: 10, Term: 1, Index: 0, ID: 7})
 	}
-	o.CommitAdvance(0, 20, 1)
-	o.LogTruncate(0, 30, 0) // truncates the committed entry away
+	o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 20, Index: 1})
+	o.Observe(trace.Fact{Kind: trace.Truncate, Replica: 0, At: 30, Index: 0}) // truncates the committed entry away
 	wantViolations(t, o, observe.InvPrefixImmutable, 1)
 }
 
 func TestDeliveryContiguityViolation(t *testing.T) {
 	o := newObs(3)
-	o.Deliver(0, 10, 0, 7)
-	o.Deliver(0, 20, 2, 9) // gap: position 1 skipped
+	o.Observe(trace.Fact{Kind: trace.Deliver, Replica: 0, At: 10, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Deliver, Replica: 0, At: 20, Index: 2, ID: 9}) // gap: position 1 skipped
 	wantViolations(t, o, observe.InvDeliveryContiguous, 1)
 }
 
 func TestDeliveryAgreementViolation(t *testing.T) {
 	o := newObs(3)
-	o.Deliver(0, 10, 0, 7)
-	o.Deliver(1, 20, 0, 9) // same position, different message
+	o.Observe(trace.Fact{Kind: trace.Deliver, Replica: 0, At: 10, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Deliver, Replica: 1, At: 20, Index: 0, ID: 9}) // same position, different message
 	wantViolations(t, o, observe.InvDeliveryAgreement, 1)
 }
 
 func TestBallotMonotoneViolation(t *testing.T) {
 	o := newObs(3)
-	o.PaxosPromise(0, 10, 5)
-	o.PaxosPromise(0, 20, 3)
+	o.Observe(trace.Fact{Kind: trace.Promise, Replica: 0, At: 10, Term: 5})
+	o.Observe(trace.Fact{Kind: trace.Promise, Replica: 0, At: 20, Term: 3})
 	wantViolations(t, o, observe.InvBallotMonotone, 1)
 }
 
 func TestBallotSingleValueViolation(t *testing.T) {
 	o := newObs(3)
-	o.PaxosAccept(0, 10, 0, 1, 7)
-	o.PaxosAccept(1, 20, 0, 1, 9) // same (instance, ballot), different value
+	o.Observe(trace.Fact{Kind: trace.Vote, Replica: 0, At: 10, Term: 1, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Vote, Replica: 1, At: 20, Term: 1, Index: 0, ID: 9}) // same (instance, ballot), different value
 	wantViolations(t, o, observe.InvBallotSingleValue, 1)
 }
 
 func TestChosenAgreementViolation(t *testing.T) {
 	o := newObs(3)
-	o.PaxosChosen(0, 10, 0, 7)
-	o.PaxosChosen(1, 20, 0, 9)
+	o.Observe(trace.Fact{Kind: trace.Learn, Replica: 0, At: 10, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Learn, Replica: 1, At: 20, Index: 0, ID: 9})
 	wantViolations(t, o, observe.InvChosenAgreement, 1)
 }
 
 func TestLeaderUniquenessViolation(t *testing.T) {
 	o := newObs(3)
-	o.LeaderElected(0, 10, 5)
-	o.LeaderElected(1, 30, 5) // a second winner for term 5
+	o.Observe(trace.Fact{Kind: trace.Win, Replica: 0, At: 10, Term: 5, ID: 0})
+	o.Observe(trace.Fact{Kind: trace.Win, Replica: 1, At: 30, Term: 5, ID: 1}) // a second winner for term 5
 	wantViolations(t, o, observe.InvLeaderUniqueness, 1)
 }
 
@@ -222,12 +229,12 @@ func TestLeaderUniquenessViolation(t *testing.T) {
 // election; its digest fold is the one every win makes.
 func TestLeaderUniquenessReelection(t *testing.T) {
 	o := newObs(3)
-	o.AcuerdoLeaderWin(2, 200720, 1, 2)
-	o.AcuerdoLeaderWin(0, 300000, 2, 0)
+	o.Observe(trace.Fact{Kind: trace.Win, Replica: 2, At: 200720, Term: 1<<32 | 2, ID: 2})
+	o.Observe(trace.Fact{Kind: trace.Win, Replica: 0, At: 300000, Term: 2<<32 | 0, ID: 0})
 	if o.ViolationCount() != 0 {
 		t.Fatalf("distinct epochs flagged:\n%s", o.Report())
 	}
-	o.AcuerdoLeaderWin(2, 60000000, 1, 2)
+	o.Observe(trace.Fact{Kind: trace.Win, Replica: 2, At: 60000000, Term: 1<<32 | 2, ID: 2})
 	wantViolations(t, o, observe.InvLeaderUniqueness, 1)
 	if got, want := o.Violations()[0].Detail, "node 2 won term 4294967298 again: it already led it at t=200720ns"; got != want {
 		t.Fatalf("witness %q, want %q", got, want)
@@ -236,25 +243,25 @@ func TestLeaderUniquenessReelection(t *testing.T) {
 
 func TestAcuerdoLeaderWinMismatch(t *testing.T) {
 	o := newObs(3)
-	o.AcuerdoLeaderWin(1, 10, 3, 2) // node 1 claims an epoch naming node 2
+	o.Observe(trace.Fact{Kind: trace.Win, Replica: 1, At: 10, Term: 3<<32 | 2, ID: 2}) // node 1 claims an epoch naming node 2
 	wantViolations(t, o, observe.InvLeaderUniqueness, 1)
 }
 
 func TestAcuerdoCommitMonotoneViolation(t *testing.T) {
 	o := newObs(3)
-	o.AcuerdoCommit(0, 10, 2, 0, 5, 7)
-	o.AcuerdoCommit(0, 20, 3, 1, 0, 8) // new epoch, count reset: legal
+	o.Observe(trace.Fact{Kind: trace.DeliverHeader, Replica: 0, At: 10, Term: 2<<32 | 0, Index: 5, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.DeliverHeader, Replica: 0, At: 20, Term: 3<<32 | 1, Index: 0, ID: 8}) // new epoch, count reset: legal
 	if o.ViolationCount() != 0 {
 		t.Fatalf("new-epoch commit flagged:\n%s", o.Report())
 	}
-	o.AcuerdoCommit(0, 30, 2, 0, 6, 9) // header below the committed one
+	o.Observe(trace.Fact{Kind: trace.DeliverHeader, Replica: 0, At: 30, Term: 2<<32 | 0, Index: 6, ID: 9}) // header below the committed one
 	wantViolations(t, o, observe.InvCommitMonotone, 1)
 }
 
 func TestApusAssignImmutableViolation(t *testing.T) {
 	o := newObs(3)
-	o.ApusAssign(0, 10, 1, 7)
-	o.ApusAssign(0, 20, 1, 9) // slot 1 reassigned
+	o.Observe(trace.Fact{Kind: trace.Assign, Replica: 0, At: 10, Index: 1, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Assign, Replica: 0, At: 20, Index: 1, ID: 9}) // slot 1 reassigned
 	wantViolations(t, o, observe.InvPrefixImmutable, 1)
 }
 
@@ -263,14 +270,14 @@ func TestApusAssignImmutableViolation(t *testing.T) {
 func TestDigestDeterminism(t *testing.T) {
 	run := func(id int64) *observe.Observer {
 		o := newObs(3)
-		tab := o.RegisterSST("t", 3, 8, []int{0}, nil)
+		tab := &trace.Cells{Table: "t", U64: []int{0}}
 		row := make([]byte, 8)
 		binary.LittleEndian.PutUint64(row, 9)
-		o.SSTRow(tab, 0, 50, row)
-		o.LogAppend(0, 100, 0, 1, id)
-		o.LogAppend(1, 110, 0, 1, id)
-		o.CommitAdvance(0, 120, 1)
-		o.Deliver(0, 130, 0, id)
+		o.Observe(trace.Fact{Kind: trace.SSTWrite, Replica: 0, At: 50, Cells: tab, Row: row})
+		o.Observe(trace.Fact{Kind: trace.Append, Replica: 0, At: 100, Term: 1, Index: 0, ID: id})
+		o.Observe(trace.Fact{Kind: trace.Append, Replica: 1, At: 110, Term: 1, Index: 0, ID: id})
+		o.Observe(trace.Fact{Kind: trace.Advance, Replica: 0, At: 120, Index: 1})
+		o.Observe(trace.Fact{Kind: trace.Deliver, Replica: 0, At: 130, Index: 0, ID: id})
 		return o
 	}
 	a, b := run(7), run(7)
@@ -287,8 +294,8 @@ func TestDigestDeterminism(t *testing.T) {
 // prints: system, invariant name, node, time, seed, and witness operands.
 func TestViolationReportContents(t *testing.T) {
 	o := newObs(3)
-	o.PaxosChosen(0, 10, 4, 7)
-	o.PaxosChosen(1, 99, 4, 9)
+	o.Observe(trace.Fact{Kind: trace.Learn, Replica: 0, At: 10, Index: 4, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Learn, Replica: 1, At: 99, Index: 4, ID: 9})
 	vs := o.Violations()
 	if len(vs) != 1 {
 		t.Fatalf("got %d violations, want 1", len(vs))
@@ -309,9 +316,9 @@ func TestViolationReportContents(t *testing.T) {
 // totalling every violation.
 func TestViolationCap(t *testing.T) {
 	o := newObs(3)
-	o.PaxosChosen(0, 10, 0, 7)
+	o.Observe(trace.Fact{Kind: trace.Learn, Replica: 0, At: 10, Index: 0, ID: 7})
 	for i := 0; i < 100; i++ {
-		o.PaxosChosen(1, int64(20+i), 0, 9)
+		o.Observe(trace.Fact{Kind: trace.Learn, Replica: 1, At: int64(20 + i), Index: 0, ID: 9})
 	}
 	if got := o.ViolationCount(); got != 100 {
 		t.Errorf("ViolationCount() = %d, want 100", got)
@@ -327,8 +334,8 @@ func TestViolationCap(t *testing.T) {
 // TestCountersAndMetrics checks the per-invariant tallies.
 func TestCountersAndMetrics(t *testing.T) {
 	o := newObs(3)
-	o.PaxosChosen(0, 10, 0, 7)
-	o.PaxosChosen(1, 20, 0, 9)
+	o.Observe(trace.Fact{Kind: trace.Learn, Replica: 0, At: 10, Index: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Learn, Replica: 1, At: 20, Index: 0, ID: 9})
 	var found bool
 	for _, c := range o.Counters() {
 		if c.Invariant == observe.InvChosenAgreement {
@@ -353,16 +360,36 @@ func TestRegisterWitnessText(t *testing.T) {
 		want string
 		hook func(o *observe.Observer, node int, at, id int64)
 	}{
-		{"delivery position 0" + tail, func(o *observe.Observer, n int, at, id int64) { o.Deliver(n, at, 0, id) }},
-		{"log entry (index 3, term 2)" + tail, func(o *observe.Observer, n int, at, id int64) { o.LogAppend(n, at, 3, 2, id) }},
-		{"log entry (index 4, term 2)" + tail, func(o *observe.Observer, n int, at, id int64) { o.LogRecover(n, at, 4, 2, id) }},
-		{"paxos (instance 5, ballot 6) value" + tail, func(o *observe.Observer, n int, at, id int64) { o.PaxosAccept(n, at, 5, 6, id) }},
-		{"paxos instance 5 chosen value" + tail, func(o *observe.Observer, n int, at, id int64) { o.PaxosChosen(n, at, 5, id) }},
-		{"leader for term 8: node 1 recorded 1 but node 0 recorded 0 at t=10ns", func(o *observe.Observer, n int, at, _ int64) { o.LeaderElected(n, at, 8) }},
-		{"acuerdo header (round 2, ldr 1, cnt 3) payload" + tail, func(o *observe.Observer, n int, at, id int64) { o.AcuerdoCommit(n, at, 2, 1, 3, id) }},
-		{"apus slot 4 assignment" + tail, func(o *observe.Observer, n int, at, id int64) { o.ApusAssign(n, at, 4, id) }},
-		{"apus slot 0 delivered payload" + tail, func(o *observe.Observer, n int, at, id int64) { o.ApusDeliver(n, at, 0, id) }},
-		{"derecho delivery position 0" + tail, func(o *observe.Observer, n int, at, id int64) { o.DerechoDeliver(n, at, 0, id) }},
+		{"delivery position 0" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.Deliver, Replica: n, At: at, Index: 0, ID: id})
+		}},
+		{"log entry (index 3, term 2)" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.Append, Replica: n, At: at, Term: 2, Index: 3, ID: id})
+		}},
+		{"log entry (index 4, term 2)" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.Recover, Replica: n, At: at, Term: 2, Index: 4, ID: id})
+		}},
+		{"paxos (instance 5, ballot 6) value" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.Vote, Replica: n, At: at, Term: 6, Index: 5, ID: id})
+		}},
+		{"paxos instance 5 chosen value" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.Learn, Replica: n, At: at, Index: 5, ID: id})
+		}},
+		{"leader for term 8: node 1 recorded 1 but node 0 recorded 0 at t=10ns", func(o *observe.Observer, n int, at, _ int64) {
+			o.Observe(trace.Fact{Kind: trace.Win, Replica: n, At: at, Term: 8, ID: int64(n)})
+		}},
+		{"acuerdo header (round 2, ldr 1, cnt 3) payload" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.DeliverHeader, Replica: n, At: at, Term: 2<<32 | 1, Index: 3, ID: id})
+		}},
+		{"apus slot 4 assignment" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.Assign, Replica: n, At: at, Index: 4, ID: id})
+		}},
+		{"apus slot 0 delivered payload" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.DeliverSlot, Replica: n, At: at, Index: 0, ID: id})
+		}},
+		{"derecho delivery position 0" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: n, At: at, Term: 0, ID: id})
+		}},
 	} {
 		o := newObs(3)
 		tc.hook(o, 0, 10, 7)
@@ -376,11 +403,11 @@ func TestRegisterWitnessText(t *testing.T) {
 	// Derecho's view registers: node 1 installs view 2 with another
 	// membership after delivering one message more than node 0 had.
 	o := newObs(3)
-	o.DerechoDeliver(0, 5, 0, 7)
-	o.DerechoViewInstall(0, 10, 2, []int{0, 1, 2})
-	o.DerechoDeliver(1, 6, 0, 7)
-	o.DerechoDeliver(1, 7, 0, 8)
-	o.DerechoViewInstall(1, 20, 2, []int{0, 1})
+	o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: 0, At: 5, Term: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 0, At: 10, Term: 2, Index: members(0, 1, 2)})
+	o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: 1, At: 6, Term: 0, ID: 7})
+	o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: 1, At: 7, Term: 0, ID: 8})
+	o.Observe(trace.Fact{Kind: trace.Install, Replica: 1, At: 20, Term: 2, Index: members(0, 1)})
 	vs := o.Violations()
 	want := []string{ // the membership and prefix hashes are opaque operands
 		"derecho view 2 membership: node 1 recorded ",

@@ -18,7 +18,7 @@ func newObservedCluster(t *testing.T, n int, seed int64) (*simnet.Sim, *Cluster,
 	net := tcpnet.New(sim, tcpnet.DefaultParams())
 	c := NewCluster(sim, net, DefaultConfig(n))
 	obs := observe.New(observe.Config{System: "libpaxos", Nodes: n, Seed: seed})
-	c.SetObserver(obs)
+	c.Subscribe(obs)
 	chk := abcast.NewChecker(n)
 	c.OnDeliver = func(r int, inst uint64, payload []byte) {
 		if err := chk.OnDeliver(r, abcast.MsgID(payload)); err != nil {

@@ -20,7 +20,7 @@ func newDurableCluster(t *testing.T, n int, seed int64) (*simnet.Sim, *Cluster, 
 	net := tcpnet.New(sim, tcpnet.DefaultParams())
 	c := NewCluster(sim, net, DefaultConfig(n))
 	obs := observe.New(observe.Config{System: "etcd", Nodes: n, Seed: seed})
-	c.SetObserver(obs)
+	c.Subscribe(obs)
 	devs := make([]*disk.Device, n)
 	for i := range devs {
 		devs[i] = disk.NewDevice(sim, i, disk.DefaultParams())

@@ -37,10 +37,11 @@ type Table[T any] struct {
 	qps    []*rdma.QP // qps[j] targets node j (nil for Self)
 
 	// Observe, when non-nil, is invoked after every Set with this node's
-	// freshly encoded row. The runtime invariant observers
-	// (internal/observe) hook it to check per-cell monotonicity at the
-	// write source — the property that makes last-write-wins RDMA pushes
-	// safe. Left nil (the default), Set pays nothing.
+	// freshly encoded row. A group with a fact subscriber hooks it to state
+	// each write as a trace.SSTWrite fact, which the runtime invariant
+	// observer checks for per-cell monotonicity at the write source — the
+	// property that makes last-write-wins RDMA pushes safe. Left nil (the
+	// default), Set pays nothing.
 	Observe func(self int, row []byte)
 
 	got T // Get's decode target

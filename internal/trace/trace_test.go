@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Instant(KSubmit, -1, 10, 1, 0)
 	tr.Add(CtrSimEvents, 3)
 	tr.SetThreadName(0, "n0")
+	tr.Mark(&Fact{Kind: Deliver, ID: 1})
 	if tr.Counter(CtrSimEvents) != 0 || tr.Emitted() != 0 || tr.Dropped() != 0 ||
 		tr.Fingerprint() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer leaked state")
@@ -28,6 +30,39 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatalf("nil WriteChrome: %v", err)
+	}
+}
+
+// TestMarkMapsKinds pins the tracer's half of the fact stream: each kind's
+// marker and counter, a Commit kind marking proto.commit before
+// proto.deliver, a message fact with id 0 left unmarked, and a kind no marker
+// stands for leaving nothing.
+func TestMarkMapsKinds(t *testing.T) {
+	tr := New(16)
+	for _, f := range []Fact{
+		{Kind: Append, Node: 4, At: 10, Index: 3, ID: 7},
+		{Kind: Append, Node: 4, At: 11, Index: 4}, // a no-op entry: id 0
+		{Kind: Replicate, Node: 5, At: 12, Index: 3, ID: 7},
+		{Kind: CommitHeader, Node: 4, At: 13, Term: 1 << 32, Index: 3, ID: 7},
+		{Kind: Win, Node: 4, At: 14, Term: 9, ID: 4},
+		{Kind: Durable, Node: 4, At: 15, Index: 3},
+	} {
+		tr.Mark(&f)
+	}
+	want := []Event{
+		{TS: 10, Kind: KPropose, Node: 4, A: 7, B: 3},
+		{TS: 12, Kind: KAccept, Node: 5, A: 7, B: 3},
+		{TS: 13, Kind: KCommit, Node: 4, A: 7, B: 3},
+		{TS: 13, Kind: KDeliver, Node: 4, A: 7, B: 3},
+		{TS: 14, Kind: KElectWin, Node: 4, A: 9},
+	}
+	if got := tr.Events(); !slices.Equal(got, want) {
+		t.Fatalf("marks %+v, want %+v", got, want)
+	}
+	for c, n := range map[Counter]int64{CtrProposes: 1, CtrAccepts: 1, CtrCommits: 1, CtrDelivers: 1, CtrElections: 0} {
+		if tr.Counter(c) != n {
+			t.Errorf("%s = %d, want %d", CounterName(c), tr.Counter(c), n)
+		}
 	}
 }
 
