@@ -1,13 +1,13 @@
 // Command acuerdo-lint is the multichecker driver for the determinism and
-// RDMA-contract lint suite in internal/lint. It type-checks the requested
+// ring-view lint suite in internal/lint. It type-checks the requested
 // packages and runs every analyzer over the packages it applies to (scope is
-// per analyzer — see lint.Analyzer.InScope: internal/sweep is exempt from the
-// determinism passes, internal/rdma from mrlifetime, and exportdoc
-// covers only the harness API packages).
+// per analyzer — see lint.Analyzer.InScope: internal/sweep is exempt from
+// nowallclock and simproc, and exportdoc covers only the harness API
+// packages).
 //
 // Usage:
 //
-//	go run ./cmd/acuerdo-lint [-analyzers=mrlifetime,ringview,...] [-json] [packages]
+//	go run ./cmd/acuerdo-lint [-list] [-json] [packages]
 //
 // With no package arguments it checks ./.... Findings print as
 // file:line:col: message (analyzer); with -json the full result (diagnostics
@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"acuerdo/internal/lint"
 )
@@ -36,7 +35,6 @@ func main() {
 }
 
 func run() int {
-	names := flag.String("analyzers", "", "comma-separated analyzer subset to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	asJSON := flag.Bool("json", false, "emit diagnostics as JSON on stdout")
 	flag.Usage = func() {
@@ -51,21 +49,6 @@ func run() int {
 			fmt.Printf("%-12s %s\n", az.Name, az.Doc)
 		}
 		return 0
-	}
-	if *names != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, az := range analyzers {
-			byName[az.Name] = az
-		}
-		analyzers = nil
-		for _, n := range strings.Split(*names, ",") {
-			az, ok := byName[strings.TrimSpace(n)]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "acuerdo-lint: unknown analyzer %q\n", n)
-				return 2
-			}
-			analyzers = append(analyzers, az)
-		}
 	}
 
 	patterns := flag.Args()

@@ -421,6 +421,9 @@ func (nd *node) drain() {
 			nd.recv[s]++
 			pm := pmsg{idx: nd.recv[s], kind: kind}
 			if kind == kData {
+				// Copy: the sender frees this slot once every member has
+				// received the message (release), which can be before this
+				// node delivers it.
 				pm.payload = append([]byte(nil), payload...)
 				nd.emit(trace.Accept, uint64(s), pm.idx, trace.ID(payload))
 			}

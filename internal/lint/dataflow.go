@@ -1,39 +1,30 @@
 package lint
 
-// This file implements the function-local def-use/dataflow engine that powers
-// the RDMA contract analyzers (mrlifetime, ringview). The design, in the order
-// a run proceeds (DESIGN.md §6.6 has the full treatment):
+// This file implements the function-local dataflow engine that ringview runs
+// on. The design, in the order a run proceeds (DESIGN.md §6.6 has the full
+// treatment):
 //
 //  1. Access paths. Values are named by normalized access paths over the
 //     go/types-resolved AST: a local variable is "v#<pos>" (object identity,
 //     not spelling), a field chain appends ".Field", and an index or slice
-//     collapses to "[*]" — so c.logMRs[i] and c.logMRs[j] share the path
-//     "c#123.logMRs[*]". Collapsing indices trades precision for soundness in
-//     the direction the analyzers need: two elements of one MR slice are one
-//     abstract region.
+//     collapses to "[*]" — so c.queue[i] and c.queue[j] share the path
+//     "c#123.queue[*]".
 //
-//  2. Alias/derivation environment. A flow-insensitive prepass records
-//     (a) value aliases introduced by assignment ("mr := c.ring" makes
-//     mr#p canonicalize to c#q.ring), and (b) derivation edges introduced by
-//     rdma API summary calls ("n := f.AddNode(x)" derives n#p from f#q).
-//     Canonicalization rewrites the longest known prefix repeatedly, so facts
-//     attach to one canonical path per abstract value.
-//
-//  3. CFG. A statement-level control-flow graph over the function body:
+//  2. CFG. A statement-level control-flow graph over the function body:
 //     straight-line statements group into blocks, if/for/range/switch/
 //     type-switch/select/branch/return statements introduce edges, and
 //     branch conditions are evaluated in the predecessor block. Function
 //     literals are control-flow boundaries: the engine analyzes each literal
 //     as its own function and never inlines its body at the creation site.
 //
-//  4. Facts and fixpoint. A fact set maps canonical paths to analyzer-defined
+//  3. Facts and fixpoint. A fact set maps access paths to analyzer-defined
 //     state bits. Transfer functions are gen/kill per statement, the join is
 //     per-path bitwise OR ("on any path" = may-analysis), and a worklist
 //     iterates to fixpoint — gen/kill transfer over a finite bit lattice is
 //     monotone, so termination is structural. A final report pass replays
 //     each reachable block from its fixed input and hands every statement its
-//     pre-state, which is what "a use on some path passing through a
-//     release" means operationally.
+//     pre-state, which is what "a store on some path from the poll" means
+//     operationally.
 
 import (
 	"fmt"
@@ -105,10 +96,6 @@ func pathOf(info *types.Info, expr ast.Expr) string {
 	return ""
 }
 
-// ---------------------------------------------------------------------------
-// rdma API call summaries
-// ---------------------------------------------------------------------------
-
 // calleeKey returns "pkgpath.Type.Method" for a resolved method call and
 // "pkgpath.Func" for a package-level call, or "" for anything unresolvable
 // (builtins, function values, interface calls without type info).
@@ -137,148 +124,6 @@ func calleeKey(info *types.Info, call *ast.CallExpr) string {
 		return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
 	}
 	return fn.Pkg().Path() + "." + fn.Name()
-}
-
-// recvExpr returns the receiver expression of a method call (the X of its
-// selector), or nil.
-func recvExpr(call *ast.CallExpr) ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return sel.X
-	}
-	return nil
-}
-
-// namedTypeIs reports whether t (behind pointers) is the named type
-// pkgPath.name.
-func namedTypeIs(t types.Type, pkgPath, name string) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-// ---------------------------------------------------------------------------
-// Alias / derivation environment
-// ---------------------------------------------------------------------------
-
-// pathEnv is the flow-insensitive alias and derivation environment of one
-// function. Known-unsound corner (documented in DESIGN.md §6.6): a variable
-// reassigned to a second source keeps its first alias — per-function code in
-// this codebase names distinct regions with distinct variables, and the
-// corpus test keeps it that way.
-type pathEnv struct {
-	info *types.Info
-	// alias maps a path to the path it was assigned from ("mr#p" ->
-	// "c#q.ring"). Resolved transitively, longest-prefix-first.
-	alias map[string]string
-	// derived maps a path to the receiver path of the summary call that
-	// produced it ("n#p" -> "f#q" for n := f.AddNode(...)).
-	derived map[string]string
-}
-
-// derivingCalls maps rdma API summary methods to true when their result is
-// derived from (owned by) their receiver: releasing the root releases every
-// value obtained through these.
-var derivingCalls = map[string]bool{
-	rdmaPkg + ".Fabric.AddNode":      true,
-	rdmaPkg + ".Fabric.Node":         true,
-	rdmaPkg + ".Node.RegisterMemory": true,
-	rdmaPkg + ".Node.Connect":        true,
-}
-
-const rdmaPkg = "acuerdo/internal/rdma"
-
-// buildPathEnv collects aliases and derivations from every assignment and
-// value spec in body, skipping nested function literals (they are separate
-// functions to the engine).
-func buildPathEnv(info *types.Info, body *ast.BlockStmt) *pathEnv {
-	env := &pathEnv{info: info, alias: map[string]string{}, derived: map[string]string{}}
-	walkSkippingFuncLits(body, func(n ast.Node) {
-		switch st := n.(type) {
-		case *ast.AssignStmt:
-			if len(st.Lhs) != len(st.Rhs) {
-				return
-			}
-			for i := range st.Lhs {
-				env.record(st.Lhs[i], st.Rhs[i])
-			}
-		case *ast.ValueSpec:
-			if len(st.Names) != len(st.Values) {
-				return
-			}
-			for i := range st.Names {
-				env.record(st.Names[i], st.Values[i])
-			}
-		}
-	})
-	return env
-}
-
-// record notes one lhs = rhs binding.
-func (env *pathEnv) record(lhs, rhs ast.Expr) {
-	lp := pathOf(env.info, lhs)
-	if lp == "" {
-		return
-	}
-	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-		if derivingCalls[calleeKey(env.info, call)] {
-			if rp := pathOf(env.info, recvExpr(call)); rp != "" {
-				if _, dup := env.derived[lp]; !dup {
-					env.derived[lp] = rp
-				}
-			}
-		}
-		return
-	}
-	rp := pathOf(env.info, rhs)
-	if rp == "" || rp == lp {
-		return
-	}
-	if _, dup := env.alias[lp]; !dup {
-		env.alias[lp] = rp
-	}
-}
-
-// canon resolves path through the alias map: the longest aliased prefix is
-// substituted, repeatedly, with a hop bound standing in for cycle detection.
-func (env *pathEnv) canon(path string) string {
-	for hop := 0; hop < 16; hop++ {
-		pre, rest, ok := env.longestPrefix(env.alias, path)
-		if !ok {
-			return path
-		}
-		path = env.alias[pre] + rest
-	}
-	return path
-}
-
-// longestPrefix finds the longest key of m that is path itself or a proper
-// path-prefix of it (followed by "." or "["), returning the key and the
-// remainder.
-func (env *pathEnv) longestPrefix(m map[string]string, path string) (key, rest string, ok bool) {
-	for p := path; p != ""; p = parentPath(p) {
-		if _, hit := m[p]; hit {
-			return p, path[len(p):], true
-		}
-	}
-	return "", "", false
-}
-
-// parentPath strips the last path segment ("a#1.b[*]" -> "a#1.b" -> "a#1").
-func parentPath(p string) string {
-	i := strings.LastIndexAny(p, ".[")
-	if i <= 0 {
-		return ""
-	}
-	return p[:i]
 }
 
 // walkSkippingFuncLits visits every node under root except the bodies of
@@ -397,8 +242,7 @@ func buildCFG(body *ast.BlockStmt) *cfg {
 	b := &cfgBuilder{g: &cfg{}}
 	entry := b.newBlock()
 	b.g.entry = entry
-	exit := b.stmtList(body.List, entry)
-	_ = exit
+	b.stmtList(body.List, entry)
 	for i, blk := range b.g.blocks {
 		blk.index = i
 	}
@@ -708,43 +552,4 @@ func runFlow(body *ast.BlockStmt, hooks flowHooks) {
 // to fn in syntactic order, giving hooks a single walk-granularity contract.
 func applyNode(n ast.Node, f facts, fn func(ast.Node, facts)) {
 	walkSkippingFuncLits(n, func(sub ast.Node) { fn(sub, f) })
-}
-
-// accessExpr returns n as a reportable value access — a selector chain or a
-// plain identifier *use* (an aliased buffer read like `b := mr.Buf; b[0]`
-// surfaces as an Ident whose canonical path ends in .Buf). Defining
-// occurrences return nil: the definition's right-hand side carries the read.
-func accessExpr(info *types.Info, n ast.Node) ast.Expr {
-	switch e := n.(type) {
-	case *ast.SelectorExpr:
-		return e
-	case *ast.Ident:
-		if info.Defs[e] != nil {
-			return nil
-		}
-		return e
-	}
-	return nil
-}
-
-// killDefines applies the strong update of an assignment: facts on redefined
-// left-hand sides are cleared, unless the assignment records an alias (then
-// the canonical region's state must survive).
-func killDefines(env *pathEnv, f facts, st *ast.AssignStmt) {
-	if len(st.Lhs) != len(st.Rhs) {
-		return
-	}
-	for i := range st.Lhs {
-		lp := pathOf(env.info, st.Lhs[i])
-		if lp == "" {
-			continue
-		}
-		// An alias assignment (rhs has a path of its own) keeps the canonical
-		// region's state; a fresh value — including the self-assignment the
-		// CFG synthesizes at range heads — is a strong update.
-		if rp := pathOf(env.info, st.Rhs[i]); rp != "" && rp != lp {
-			continue
-		}
-		f.killPrefix(env.canon(lp))
-	}
 }

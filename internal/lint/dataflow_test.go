@@ -86,49 +86,6 @@ func f(c *outer, i, j int) {
 	}
 }
 
-func TestPathEnvCanon(t *testing.T) {
-	src := `package p
-
-type inner struct{ g int }
-type outer struct{ ack inner }
-
-func f(c *outer) {
-	x := c
-	y := x.ack
-	_ = y.g
-	_ = c.ack.g
-}
-`
-	file, info, _ := parseFunc(t, src)
-	var body *ast.BlockStmt
-	forEachFunc([]*ast.File{file}, func(name string, b *ast.BlockStmt) { body = b })
-	env := buildPathEnv(info, body)
-
-	got := env.canon(pathOf(info, exprByString(t, file, "y.g")))
-	want := pathOf(info, exprByString(t, file, "c.ack.g"))
-	if got != want {
-		t.Errorf("canon through two alias hops = %q, want %q", got, want)
-	}
-}
-
-func TestPathEnvOrigins(t *testing.T) {
-	// Hand-built environment: mr derives from n, n derives from f, and b
-	// aliases mr.Buf. A release of f must reach b by climbing every
-	// derived-from edge; a release of an unrelated root must not.
-	env := &pathEnv{
-		alias:   map[string]string{"b#1": "mr#2.Buf"},
-		derived: map[string]string{"mr#2": "n#3", "n#3": "f#4"},
-	}
-	for _, root := range []string{"mr#2.Buf", "mr#2", "n#3", "f#4"} {
-		if !releasedOrigin(env, facts{root: mrReleased}, "b#1") {
-			t.Errorf("release of %s does not reach b#1", root)
-		}
-	}
-	if releasedOrigin(env, facts{"g#5": mrReleased, "mr#2.Len": mrReleased}, "b#1") {
-		t.Error("b#1 reported released through a path it does not derive from")
-	}
-}
-
 func TestFacts(t *testing.T) {
 	f := facts{"a": 1, "a.b": 2, "a.b[*]": 4, "ab": 8}
 	f.killPrefix("a.b")

@@ -1,11 +1,11 @@
-// Package lint implements the determinism and RDMA-contract lint suite that
+// Package lint implements the determinism and ring-view lint suite that
 // guards the simulation's core invariants: two runs with the same seed
 // execute the same events and report identical latencies (see
-// internal/simnet), and protocol code honors the memory-ownership contract
-// of internal/rdma and internal/ringbuf. Syntactic analyzers enforce the
-// determinism discipline, dataflow analyzers (see dataflow.go and DESIGN.md
-// §6.6) check the ownership properties, and one pass guards the
-// documentation of the harness API:
+// internal/simnet), and whoever keeps a record polled from a ring copies it
+// first (internal/ringbuf). Syntactic analyzers enforce the determinism
+// discipline, one dataflow analyzer (see dataflow.go and DESIGN.md §6.6)
+// checks the ring views, and one pass guards the documentation of the
+// harness API:
 //
 //   - nowallclock: protocol and fabric code must use the simnet clock and the
 //     Sim's seeded RNG, never the wall clock (time.Now, time.Sleep, ...) or
@@ -14,23 +14,22 @@
 //     a map with protocol side effects in the loop body (sending, mutating
 //     replica state, selecting a winner) silently breaks seed-replay unless
 //     the keys are sorted first.
-//   - simproc: concurrency in simulation-driven packages must go through
-//     simnet.Proc; raw goroutines and real-time timer channels race against
-//     the virtual clock.
-//   - hostblock: simulation-driven packages must not declare or operate on
-//     host channels, nor reach for sync / sync/atomic primitives.
-//   - mrlifetime (dataflow): no use of fabric-owned memory after
-//     Fabric.Release returns it to the process-wide MR pool.
+//   - simproc: simulation-driven packages model concurrency with simnet.Proc;
+//     raw goroutines, host channels and sync / sync/atomic primitives race or
+//     block against the single-threaded event loop.
 //   - ringview (dataflow): a record polled from a ring is a view into ring
 //     memory; storing it where it outlives the poll needs a copy.
 //   - exportdoc: exported identifiers in the harness API packages (sweep,
-//     bench, chaos, trace) must carry doc comments.
+//     bench, chaos, trace, ...) must carry doc comments.
+//
+// Each of the four bug-class analyzers kills a mutant in production code that
+// no test, race run or CI lane kills; DESIGN.md §6.6 has the verdict table,
+// and each such mutant is a want case in the analyzer's fixture.
 //
 // internal/sweep is the deliberate exception to the determinism rules: it
 // runs independent simulations on real goroutines and measures host
-// wall-clock, so nowallclock, simproc, and hostblock exempt it (per-analyzer
-// InScope) while exportdoc covers it. internal/rdma implements the verbs
-// themselves, so mrlifetime exempts it.
+// wall-clock, so nowallclock and simproc exempt it (per-analyzer InScope)
+// while exportdoc covers it.
 //
 // Suppression: a finding is waived by "//lint:ignore <analyzer>
 // <justification>" on, or directly above, the offending line. The
@@ -107,7 +106,7 @@ type Diagnostic struct {
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoWallClock, MapOrder, SimProc, ExportDoc, MRLifetime, RingView, HostBlock}
+	return []*Analyzer{NoWallClock, MapOrder, SimProc, ExportDoc, RingView}
 }
 
 // directiveAnalyzer is the pseudo-analyzer name attached to diagnostics about

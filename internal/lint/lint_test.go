@@ -116,8 +116,8 @@ func TestDirectiveValidation(t *testing.T) {
 }
 
 // TestAnalyzerScopes pins the per-analyzer scope rules so a regression in an
-// InScope override (the sweep exemption from PR 5, the rdma exemption for the
-// contract analyzers) is caught by go test, not by a surprise CI diagnostic.
+// InScope override (the sweep exemption, exportdoc's package list) is caught
+// by go test, not by a surprise CI diagnostic.
 func TestAnalyzerScopes(t *testing.T) {
 	byName := map[string]*lint.Analyzer{}
 	for _, az := range lint.All() {
@@ -135,14 +135,9 @@ func TestAnalyzerScopes(t *testing.T) {
 		// sweep is the sanctioned host-concurrency/wall-clock layer.
 		{"nowallclock", "acuerdo/internal/sweep", false},
 		{"simproc", "acuerdo/internal/sweep", false},
-		{"hostblock", "acuerdo/internal/sweep", false},
 		{"nowallclock", "acuerdo/internal/apus", true},
 		{"simproc", "acuerdo/internal/apus", true},
-		{"hostblock", "acuerdo/internal/rdma", true},
-		{"hostblock", "acuerdo/internal/apus", true},
-		// mrlifetime exempts the rdma implementation itself.
-		{"mrlifetime", "acuerdo/internal/rdma", false},
-		{"mrlifetime", "acuerdo/internal/bench", true},
+		{"simproc", "acuerdo/internal/rdma", true},
 		// ringview follows the suite default: every ring consumer, and
 		// ringbuf's own ClientLink.
 		{"ringview", "acuerdo/internal/apus", true},
@@ -161,19 +156,19 @@ func TestAnalyzerScopes(t *testing.T) {
 		// the wall, so the determinism analyzers cover it too.
 		{"maporder", "acuerdo/internal/placement", true},
 		{"nowallclock", "acuerdo/internal/placement", true},
-		{"hostblock", "acuerdo/internal/placement", true},
+		{"simproc", "acuerdo/internal/placement", true},
 		{"maporder", "acuerdo/internal/digest", true},
 		{"nowallclock", "acuerdo/internal/digest", true},
 		// The simulated disk runs on the simnet clock, so the determinism
 		// analyzers cover it like any protocol package.
 		{"maporder", "acuerdo/internal/disk", true},
 		{"nowallclock", "acuerdo/internal/disk", true},
-		{"hostblock", "acuerdo/internal/disk", true},
+		{"simproc", "acuerdo/internal/disk", true},
 		// The observer package and its hook call-sites sit inside the
 		// determinism suite's default scope.
 		{"maporder", "acuerdo/internal/observe", true},
 		{"nowallclock", "acuerdo/internal/observe", true},
-		{"hostblock", "acuerdo/internal/observe", true},
+		{"simproc", "acuerdo/internal/observe", true},
 	}
 	for _, c := range cases {
 		az := byName[c.analyzer]
@@ -186,12 +181,12 @@ func TestAnalyzerScopes(t *testing.T) {
 	}
 }
 
-// TestAnalyzerMetadata keeps the suite's registry stable: seven analyzers,
+// TestAnalyzerMetadata keeps the suite's registry stable: five analyzers,
 // documented, uniquely named.
 func TestAnalyzerMetadata(t *testing.T) {
 	all := lint.All()
-	if len(all) != 7 {
-		t.Fatalf("All() returned %d analyzers, want 7", len(all))
+	if len(all) != 5 {
+		t.Fatalf("All() returned %d analyzers, want 5", len(all))
 	}
 	seen := map[string]bool{}
 	for _, az := range all {

@@ -9,26 +9,27 @@ import (
 
 // MapOrder flags `range` over a map whose loop body has protocol side
 // effects. Go randomizes map iteration order on every run, so any
-// order-sensitive work inside such a loop breaks the seed-replay invariant —
-// exactly the zab leader-election bug this suite was built around, where the
-// tally that decides an election winner walked the votes map directly.
+// order-sensitive work inside such a loop breaks the seed-replay invariant:
+// messages leave in a different order, or a different key wins.
 //
 // A map range is reported when its body:
 //
 //  1. calls a function or method whose name marks a protocol side effect
 //     (send*, broadcast*, deliver*, propose*, commit*, apply*, ...);
 //  2. writes to state declared outside the loop — a scalar variable, a
-//     struct field, or a pointer target. The analyzer cannot prove such an
-//     accumulation commutative, so even counters must iterate sorted keys;
+//     struct field, or a pointer target — other than by ++ or --: a count
+//     is the same in any order, but the analyzer cannot prove any other
+//     accumulation commutative, and the last write of a winner is the
+//     last key in randomized order;
 //  3. collects keys or values with `x = append(x, ...)` but never passes x
 //     to a sort call later in the same function (the sanctioned idiom is
 //     collect, sort, then act);
 //  4. exits early — a direct `break`, or a `return` whose result mentions a
 //     loop variable — which selects a winner by randomized iteration order.
 //
-// Writes keyed by data rather than by iteration order (m2[k] = v, arr[k] = v,
-// delete(m2, k)) are order-independent and stay legal, as does the
-// collect-then-sort idiom.
+// Counts (n++), writes keyed by data rather than by iteration order
+// (m2[k] = v, arr[k] = v, delete(m2, k)) and the collect-then-sort idiom are
+// order-independent and stay legal.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "flag range over a map whose body sends, mutates outer state, or " +
@@ -84,71 +85,21 @@ func checkMapRanges(pass *Pass, funcBody *ast.BlockStmt) {
 
 func checkMapBody(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt) {
 	loopVars := rangeVars(pass, rs)
-	// Track nesting so only breaks belonging to this loop are reported.
-	depth := 0
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		switch st := n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			if n != ast.Node(rs) {
-				depth++
-				// Manually recurse so depth can be restored afterwards.
-				switch inner := st.(type) {
-				case *ast.ForStmt:
-					walkParts(pass, funcBody, rs, loopVars, &depth, inner.Init, inner.Cond, inner.Post, inner.Body)
-				case *ast.RangeStmt:
-					walkParts(pass, funcBody, rs, loopVars, &depth, inner.X, inner.Body)
-				case *ast.SwitchStmt:
-					walkParts(pass, funcBody, rs, loopVars, &depth, inner.Init, inner.Tag, inner.Body)
-				case *ast.TypeSwitchStmt:
-					walkParts(pass, funcBody, rs, loopVars, &depth, inner.Init, inner.Assign, inner.Body)
-				case *ast.SelectStmt:
-					walkParts(pass, funcBody, rs, loopVars, &depth, inner.Body)
-				}
-				depth--
-				return false
-			}
-		case *ast.BranchStmt:
-			if st.Tok == token.BREAK && st.Label == nil && depth == 0 {
-				pass.Reportf(st.Pos(), "break inside range over map selects a result by randomized iteration order; iterate sorted keys")
-			}
-		case *ast.ReturnStmt:
-			for _, res := range st.Results {
-				if mentionsAny(pass, res, loopVars) {
-					pass.Reportf(st.Pos(), "returning a map-iteration variable selects a winner by randomized order; iterate sorted keys")
-					break
-				}
-			}
-		case *ast.CallExpr:
-			if name, ok := calleeName(pass, st); ok && sideEffectCall.MatchString(name) {
-				pass.Reportf(st.Pos(), "protocol side effect %s(...) inside range over map runs in randomized order; iterate sorted keys", name)
-			}
-		case *ast.IncDecStmt:
-			checkWrite(pass, rs, st.X, funcBody)
-		case *ast.AssignStmt:
-			if st.Tok == token.DEFINE {
-				return true
-			}
-			if target, ok := appendToSelf(st); ok {
-				checkCollectAppend(pass, funcBody, rs, target)
-				return true
-			}
-			for _, lhs := range st.Lhs {
-				checkWrite(pass, rs, lhs, funcBody)
-			}
-		}
-		return true
-	})
-}
-
-// walkParts re-inspects nested statement parts while the depth counter is
-// raised, so break statements in inner loops are not attributed to rs.
-func walkParts(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt, loopVars map[types.Object]bool, depth *int, parts ...ast.Node) {
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		ast.Inspect(p, func(n ast.Node) bool {
+	// walk visits root; nested is set inside a loop, switch or select within
+	// the body, where an unlabeled break leaves that statement, not rs.
+	var walk func(root ast.Node, nested bool)
+	walk = func(root ast.Node, nested bool) {
+		ast.Inspect(root, func(n ast.Node) bool {
 			switch st := n.(type) {
+			case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+				if !nested {
+					walk(st, true)
+					return false
+				}
+			case *ast.BranchStmt:
+				if st.Tok == token.BREAK && st.Label == nil && !nested {
+					pass.Reportf(st.Pos(), "break inside range over map selects a result by randomized iteration order; iterate sorted keys")
+				}
 			case *ast.ReturnStmt:
 				for _, res := range st.Results {
 					if mentionsAny(pass, res, loopVars) {
@@ -160,8 +111,6 @@ func walkParts(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt, loopVars 
 				if name, ok := calleeName(pass, st); ok && sideEffectCall.MatchString(name) {
 					pass.Reportf(st.Pos(), "protocol side effect %s(...) inside range over map runs in randomized order; iterate sorted keys", name)
 				}
-			case *ast.IncDecStmt:
-				checkWrite(pass, rs, st.X, funcBody)
 			case *ast.AssignStmt:
 				if st.Tok == token.DEFINE {
 					return true
@@ -171,12 +120,13 @@ func walkParts(pass *Pass, funcBody *ast.BlockStmt, rs *ast.RangeStmt, loopVars 
 					return true
 				}
 				for _, lhs := range st.Lhs {
-					checkWrite(pass, rs, lhs, funcBody)
+					checkWrite(pass, rs, lhs)
 				}
 			}
 			return true
 		})
 	}
+	walk(rs.Body, false)
 }
 
 // rangeVars returns the objects bound by the range statement's key and value.
@@ -256,7 +206,7 @@ func appendToSelf(st *ast.AssignStmt) (*ast.Ident, bool) {
 // variable declared before the range statement, a struct field, or a pointer
 // dereference. Index writes (m2[k] = v, arr[k] = v) are keyed by data, not by
 // iteration order, and are exempt.
-func checkWrite(pass *Pass, rs *ast.RangeStmt, lhs ast.Expr, funcBody *ast.BlockStmt) {
+func checkWrite(pass *Pass, rs *ast.RangeStmt, lhs ast.Expr) {
 	switch e := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if e.Name == "_" {

@@ -10,3 +10,8 @@ import (
 func TestSimProc(t *testing.T) {
 	linttest.Run(t, linttest.Testdata(t, "."), lint.SimProc, "simproc")
 }
+
+// TestHostBlock runs simproc over the host-channel and sync fixture.
+func TestHostBlock(t *testing.T) {
+	linttest.Run(t, linttest.Testdata(t, "."), lint.SimProc, "hostblock")
+}

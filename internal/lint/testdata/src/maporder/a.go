@@ -13,6 +13,7 @@ type vote struct {
 type server struct {
 	votes  map[int]vote
 	leader int
+	queue  [][]byte
 }
 
 func (s *server) send(to int, payload []byte) {}
@@ -26,15 +27,37 @@ func (s *server) badSends(pending map[int][]byte) {
 	}
 }
 
-// A counter accumulated across map order cannot be proven commutative.
-func (s *server) badTally(cur vote) int {
+// A count is the same in any order, so ++ and -- need no sorted keys.
+func (s *server) goodTally(cur vote) int {
 	n := 0
 	for _, o := range s.votes {
 		if o == cur {
-			n++ // want `write to n \(declared outside the loop\) accumulates across randomized map order`
+			n++
 		}
 	}
 	return n
+}
+
+// The last write wins, and which key comes last is randomized.
+func (s *server) badLastWriter() int {
+	winner := -1
+	for k, v := range s.votes {
+		if v.epoch > 0 {
+			winner = k // want `write to winner \(declared outside the loop\) accumulates across randomized map order`
+		}
+	}
+	return winner
+}
+
+// stepDown is paxos.Server.stepDown with a mutant from DESIGN §6.6's corpus
+// that no runtime oracle kills, because no lane deposes a proposer: the
+// in-flight values are queued for the next reign in randomized order, which
+// is the order that reign proposes them in.
+func (s *server) stepDown(inFlight map[uint64][]byte) {
+	s.queue = nil
+	for _, pl := range inFlight {
+		s.queue = append(s.queue, pl) // want `write to field queue inside range over map`
+	}
 }
 
 // Winner selection by first match depends on which key comes out first.
@@ -66,19 +89,15 @@ func unsortedKeys(m map[int]vote) []int {
 }
 
 // The sanctioned idiom: collect keys, sort, then act in deterministic order.
-func (s *server) goodSortedTally(cur vote) int {
+func (s *server) goodSortedSends() {
 	ids := make([]int, 0, len(s.votes))
 	for id := range s.votes {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	n := 0
 	for _, id := range ids {
-		if s.votes[id] == cur {
-			n++
-		}
+		s.send(id, nil)
 	}
-	return n
 }
 
 // Data-keyed writes are order-independent: the map and slice cells written do

@@ -32,6 +32,22 @@ func badRand() int {
 	return n
 }
 
+type server struct {
+	leading  bool
+	lastPing time.Duration
+	timeout  time.Duration
+	now      func() time.Duration
+}
+
+// stepDown is paxos.Server.stepDown with a mutant from DESIGN §6.6's corpus
+// that no runtime oracle kills, because no lane deposes a proposer: the
+// deposed proposer backs off a globally random extra before it may stand
+// again, so two same-seed runs fail over at different times.
+func (s *server) stepDown() {
+	s.leading = false
+	s.lastPing = s.now() + time.Duration(rand.Int63n(int64(s.timeout))) // want `rand.Int63n is globally seeded randomness`
+}
+
 // Duration arithmetic and unit constants are deterministic and legal.
 func goodDurations(d time.Duration) time.Duration {
 	return d + 3*time.Microsecond

@@ -67,6 +67,20 @@ func (c *cluster) pollKept() {
 	c.queue = append(c.queue, recs...) // want `a ring view is stored into c.queue`
 }
 
+// derechoDrain is derecho's drain with a mutant from DESIGN §6.6's corpus
+// that no test or lane kills: the pending message keeps the view. A sender
+// frees a slot once every member has received the message, which can be
+// before this node delivers it, so the payload can be overwritten while it
+// waits in pend.
+func (c *cluster) derechoDrain() {
+	for _, rec := range c.in.Poll(0) {
+		payload := rec[1:]
+		pm := entry{idx: 1}
+		pm.payload = payload // want `a ring view is stored into pm.payload`
+		c.pend = append(c.pend, pm)
+	}
+}
+
 // decode stands for a parser that returns views into its argument.
 func decode(rec []byte) (id uint64, payload []byte) {
 	return binary.LittleEndian.Uint64(rec), rec[8:]

@@ -1,28 +1,30 @@
-// Package simproc is the fixture for the simproc analyzer: raw goroutines
-// and real-time timer plumbing are flagged; plain function values and
-// deterministic callback scheduling are not.
+// Package simproc is the fixture for the simproc analyzer's goroutine rule:
+// a go statement is flagged; plain function values and deterministic
+// callback scheduling are not. The host-channel and sync rules have their
+// own fixture, hostblock.
 package simproc
 
 import "time"
-
-type replica struct {
-	heartbeat *time.Ticker // want `heartbeat declares a real-time time.Ticker`
-}
 
 // A goroutine races the single-threaded event loop.
 func badGo(step func()) {
 	go step() // want `go statement introduces host scheduling`
 }
 
-// Timer and ticker values fire on the wall clock, not the virtual one.
-func badTimers(c <-chan time.Time) {
-	var t *time.Timer // want `t declares a real-time time.Timer`
-	_ = t
-	<-c // want `receive from a real-time channel blocks on the wall clock`
+// server stands for a paxos proposer, scheduling on the simulated clock.
+type server struct {
+	leading bool
+	after   func(d time.Duration, fn func())
 }
 
-func badTickerLoop(tick time.Ticker) { // want `tick declares a real-time time.Ticker`
-	<-tick.C // want `receive from a real-time channel blocks on the wall clock`
+func (s *server) armFailover() { s.after(time.Millisecond, s.armFailover) }
+
+// stepDownGo is paxos.Server.stepDown with a mutant from DESIGN §6.6's corpus
+// that no runtime oracle kills, because no lane deposes a proposer: the
+// failover timer is re-armed on a host goroutine, racing the event loop.
+func (s *server) stepDownGo() {
+	s.leading = false
+	go s.armFailover() // want `go statement introduces host scheduling`
 }
 
 // Deterministic alternatives: storing callbacks and invoking them inline is
@@ -32,6 +34,3 @@ func goodCallbacks(fns []func()) {
 		fn()
 	}
 }
-
-// Channels of other element types are not timer channels.
-func goodChan(c chan int) int { return <-c }

@@ -324,16 +324,9 @@ func (s *Server) onAccepted(ballot, inst uint64, from int, payload []byte) {
 		s.learned[inst] = lm
 	}
 	lm[from] = ballot
-	// Tally in sorted acceptor order so the count is computed identically
-	// across same-seed runs (map iteration order is randomized per run).
-	froms := make([]int, 0, len(lm))
-	for f := range lm {
-		froms = append(froms, f)
-	}
-	sort.Ints(froms)
 	n := 0
-	for _, f := range froms {
-		if lm[f] == ballot {
+	for _, b := range lm {
+		if b == ballot {
 			n++
 		}
 	}

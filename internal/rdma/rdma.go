@@ -216,7 +216,7 @@ func (mr *MR) Zero() {
 // by exact size (region sizes come from a handful of fixed configs) and
 // mutex-guarded because parallel sweeps construct fabrics concurrently.
 var (
-	//lint:ignore hostblock the MR pool is shared across fabrics owned by concurrent sweep workers, so this one lock is genuinely cross-goroutine; pooling is order-independent and never touches simulated state
+	//lint:ignore simproc the MR pool is shared across fabrics owned by concurrent sweep workers, so this one lock is genuinely cross-goroutine; pooling is order-independent and never touches simulated state
 	mrPoolMu sync.Mutex
 	mrPool   = map[int][][]byte{}
 )

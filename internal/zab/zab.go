@@ -14,7 +14,6 @@ package zab
 import (
 	"encoding/binary"
 	"slices"
-	"sort"
 	"time"
 
 	"acuerdo/internal/abcast"
@@ -604,19 +603,10 @@ func (s *Server) onVote(epoch uint32, zxid uint64, candidate, sender int) {
 		s.votes[s.id] = v
 		s.sendVote()
 	}
-	// Count senders agreeing on my current vote's candidate, walking the
-	// vote map in sorted sender order so the tally — and therefore the
-	// moment this replica observes quorum and wins — is identical across
-	// same-seed runs (Go randomizes map iteration order per run).
+	// Count senders agreeing on my current vote's candidate.
 	cur := s.votes[s.id]
 	n := 0
-	senders := make([]int, 0, len(s.votes))
-	for sender := range s.votes {
-		senders = append(senders, sender)
-	}
-	sort.Ints(senders)
-	for _, sender := range senders {
-		o := s.votes[sender]
+	for _, o := range s.votes {
 		if o.epoch == cur.epoch && o.id == cur.id && o.zxid == cur.zxid {
 			n++
 		}
