@@ -342,13 +342,11 @@ type LoadConfig struct {
 	// MinCommitted, when positive, extends the measurement window
 	// adaptively: if fewer than MinCommitted acknowledgments land within
 	// Measure, measurement continues in Measure-sized increments until the
-	// quota is met or MaxMeasure of simulated time has elapsed. Deeply
+	// quota is met or 10× Measure of simulated time has elapsed. Deeply
 	// loaded points (e.g. etcd at window 256, whose loaded latency exceeds
 	// the default 20 ms window) would otherwise report quantiles from a
 	// handful of samples. Zero disables extension.
 	MinCommitted int
-	// MaxMeasure caps the adaptive extension; zero means 10× Measure.
-	MaxMeasure time.Duration
 }
 
 // LoadResult is one measured load point.
@@ -494,11 +492,7 @@ func RunClosedLoop(sim *simnet.Sim, sys System, cfg LoadConfig) LoadResult {
 		// Under-filled window: extend measurement one Measure increment at a
 		// time until enough samples land (or the cap is hit), so heavily
 		// loaded points report quantiles over a usable sample count.
-		maxMeasure := cfg.MaxMeasure
-		if maxMeasure <= 0 {
-			maxMeasure = 10 * cfg.Measure
-		}
-		for res.Committed < cfg.MinCommitted && sim.Now().Sub(start) < maxMeasure {
+		for res.Committed < cfg.MinCommitted && sim.Now().Sub(start) < 10*cfg.Measure {
 			sim.RunFor(cfg.Measure)
 		}
 	}

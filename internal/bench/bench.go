@@ -362,10 +362,9 @@ type Fig8Config struct {
 	// Chrome-trace export of the last point.
 	TraceEvents int
 	// MinCommitted, when > 0, extends a point's measurement window until at
-	// least that many deliveries land (see abcast.LoadConfig.MinCommitted).
+	// least that many deliveries land, up to 10× Measure (see
+	// abcast.LoadConfig.MinCommitted).
 	MinCommitted int
-	// MaxMeasure caps the adaptive extension; zero means 10× Measure.
-	MaxMeasure time.Duration
 	// Observe runs every point under a runtime invariant observer
 	// (internal/observe). A sweep point is a fault-free world, so any
 	// violation is a protocol bug: RunPoint panics with the observer's
@@ -419,7 +418,6 @@ func RunPoint(kind Kind, cfg Fig8Config, i int) abcast.LoadResult {
 		Warmup:       cfg.Warmup,
 		Measure:      cfg.Measure,
 		MinCommitted: cfg.MinCommitted,
-		MaxMeasure:   cfg.MaxMeasure,
 		OnSubmit:     checker.OnBroadcast,
 	})
 	if err := checker.Err(); err != nil {

@@ -12,7 +12,8 @@
 // contradicts the protocol's own invariant — virtual-synchrony view
 // agreement for derecho, log matching for raft/zab, ballot monotonicity for
 // paxos, leader uniqueness per term for the acuerdo ring, committed-prefix
-// immutability for apus, and per-cell monotonicity for every SST.
+// immutability for apus, and per-cell monotonicity for every SST. No check
+// repeats what the checker decides at the same delivery (DESIGN.md §6.7).
 //
 // Design constraints (mirroring internal/trace, see DESIGN.md §6.7):
 //
@@ -50,8 +51,8 @@ import (
 type Invariant uint8
 
 // The invariant catalog. Each constant names one property a fact is checked
-// against;
-// DESIGN.md §6.7 gives the full statement and the known-unsound cases.
+// against; DESIGN.md §6.7 gives the full statement, the known-unsound cases
+// and the mutant that shows each one firing before the checker.
 const (
 	// InvSSTMonotone: registered cells of an SST row never decrease
 	// (per-cell monotonicity — the property that makes last-write-wins
@@ -82,8 +83,9 @@ const (
 	// committed prefix, and a leader never reassigns an already-assigned
 	// replication slot (apus committed-prefix immutability).
 	InvPrefixImmutable
-	// InvDeliveryAgreement: two nodes delivering at the same sequence
-	// position deliver the same message.
+	// InvDeliveryAgreement: two nodes delivering at the same Deliver or
+	// DeliverSlot position deliver the same message, across restarts too,
+	// where the checker's replay window accepts a retrace from anywhere.
 	InvDeliveryAgreement
 	// InvDeliveryContiguous: a node's delivery sequence has no gaps.
 	InvDeliveryContiguous
@@ -203,7 +205,6 @@ const (
 	spaceVSCount
 	spaceVSHash
 	spaceAssign
-	spaceHdr
 )
 
 // regName says which register a checkReg call guards. A witness's text is
@@ -213,7 +214,6 @@ type regName uint8
 
 const (
 	regDelivery regName = iota
-	regDerechoDelivery
 	regDerechoView
 	regDerechoPrefixLen
 	regDerechoPrefixHash
@@ -221,7 +221,6 @@ const (
 	regPaxosValue
 	regPaxosChosen
 	regLeader
-	regAcuerdoHeader
 	regApusAssign
 	regApusDeliver
 )
@@ -231,8 +230,6 @@ func (r regName) text(a, b uint64) string {
 	switch r {
 	case regDelivery:
 		return fmt.Sprintf("delivery position %d", a)
-	case regDerechoDelivery:
-		return fmt.Sprintf("derecho delivery position %d", a)
 	case regDerechoView:
 		return fmt.Sprintf("derecho view %d membership", a)
 	case regDerechoPrefixLen:
@@ -247,8 +244,6 @@ func (r regName) text(a, b uint64) string {
 		return fmt.Sprintf("paxos instance %d chosen value", a)
 	case regLeader:
 		return fmt.Sprintf("leader for term %d", a)
-	case regAcuerdoHeader:
-		return fmt.Sprintf("acuerdo header (round %d, ldr %d, cnt %d) payload", a>>32, uint32(a), b)
 	case regApusAssign:
 		return fmt.Sprintf("apus slot %d assignment", a)
 	default: // regApusDeliver
@@ -457,7 +452,7 @@ func (o *Observer) Observe(f trace.Fact) {
 	case trace.DeliverSlot, trace.CommitSlot:
 		o.deliverSlot(n, at, f.Index, f.ID)
 	case trace.DeliverHeader, trace.CommitHeader:
-		o.deliverHeader(n, at, f.Term, f.Index, f.ID)
+		o.deliverHeader(n, at, f.Term, f.Index)
 	case trace.DeliverView, trace.CommitView:
 		o.deliverView(n, at, int64(f.Term), f.ID)
 	case trace.Advance:
@@ -557,15 +552,12 @@ func (o *Observer) sstWrite(node int, at int64, cells *trace.Cells, row []byte) 
 
 // --- derecho --------------------------------------------------------------
 
-// deliverView records one stable delivery at node and checks cross-node
-// delivery agreement at the node's sequence position. Restarted nodes are
-// excluded from the position registry (their sequence restarts from zero).
+// deliverView records one stable delivery at node into its delivered-prefix
+// summary (length and hash), which install compares across the members of a
+// view (virtual synchrony).
 func (o *Observer) deliverView(node int, at int64, sender, id int64) {
-	o.fold(InvDeliveryAgreement, opDerechoDeliver, node, at, sender, id)
+	o.fold(InvVirtualSynchrony, opDerechoDeliver, node, at, sender, id)
 	ns := &o.nodes[node]
-	if ns.vsEligible {
-		o.checkReg(spaceDeliver, ns.dCount, 0, id, InvDeliveryAgreement, node, at, regDerechoDelivery)
-	}
 	ns.dCount++
 	h := ns.dHash
 	if h == 0 {
@@ -696,7 +688,8 @@ func (o *Observer) commitAdvance(node int, at int64, newLen uint64) {
 
 // deliver records node delivering message id at sequence position seq and
 // checks contiguity (no gaps in the node's own sequence; the base re-arms
-// after a restart) and cross-node agreement (same position, same message).
+// after a restart) and cross-node agreement (same position, same message,
+// re-deliveries after a restart included).
 func (o *Observer) deliver(node int, at int64, seq uint64, id int64) {
 	o.fold(InvDeliveryContiguous, opDeliver, node, at, int64(seq), id)
 	ns := &o.nodes[node]
@@ -862,11 +855,10 @@ func (o *Observer) win(node int, at int64, term uint64, leader int64) {
 // --- acuerdo commits ------------------------------------------------------
 
 // deliverHeader records node committing the entry with header (epoch,
-// cnt) carrying id, and checks that the node's committed header is monotone
-// in header order — epoch (round<<32|ldr, so round then leader), then count,
-// the order of acuerdo.MsgHdr.Cmp — restarts excepted, and that every node
-// binds the same payload to the same header.
-func (o *Observer) deliverHeader(node int, at int64, epoch, cnt uint64, id int64) {
+// cnt) and checks that the node's committed header is monotone in header
+// order — epoch (round<<32|ldr, so round then leader), then count, the order
+// of acuerdo.MsgHdr.Cmp — restarts excepted.
+func (o *Observer) deliverHeader(node int, at int64, epoch, cnt uint64) {
 	o.fold(InvCommitMonotone, opAcuerdoCommit, node, at, int64(epoch), int64(cnt))
 	ns := &o.nodes[node]
 	if ns.aSeen && (epoch < ns.aEpoch || epoch == ns.aEpoch && cnt < ns.aCnt) {
@@ -876,8 +868,6 @@ func (o *Observer) deliverHeader(node int, at int64, epoch, cnt uint64, id int64
 	}
 	ns.aEpoch, ns.aCnt = epoch, cnt
 	ns.aSeen = true
-	o.counts[InvDeliveryAgreement]++
-	o.checkReg(spaceHdr, epoch, cnt, id, InvDeliveryAgreement, node, at, regAcuerdoHeader)
 }
 
 // --- apus -----------------------------------------------------------------

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"acuerdo/internal/abcast"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/trace"
 )
@@ -265,6 +266,133 @@ func TestApusAssignImmutableViolation(t *testing.T) {
 	wantViolations(t, o, observe.InvPrefixImmutable, 1)
 }
 
+// TestCorpusWitnesses replays, as a fact sequence, the first witness each
+// invariant gave on the protocol mutant (or the parent's known defect) where
+// it fired alone or before every other oracle: the evidence DESIGN §6.7's
+// verdict keeps it on. Operands are trimmed to the shape of the witness.
+func TestCorpusWitnesses(t *testing.T) {
+	for _, c := range []struct {
+		row    string
+		facts  []trace.Fact
+		inv    observe.Invariant
+		detail string
+	}{
+		{"SM2: derecho rewinds receipt counters at a view install", []trace.Fact{
+			{Kind: trace.SSTWrite, Replica: 2, At: 10, Cells: derechoCells, Row: derechoRow(4610)},
+			{Kind: trace.SSTWrite, Replica: 2, At: 20, Cells: derechoCells, Row: derechoRow(4609)},
+		}, observe.InvSSTMonotone, "sst derecho.sst: u64 cell at offset 8 regressed 4610 -> 4609"},
+		{"K5: derecho installs a minority view", []trace.Fact{
+			{Kind: trace.Install, Replica: 2, At: 10, Term: 1, Index: members(1, 2)},
+			{Kind: trace.Install, Replica: 2, At: 20, Term: 2, Index: members(2)},
+		}, observe.InvViewMajority, "derecho view 2: new membership [2] intersects previous [1 2] in only 1 nodes (need > 1)"},
+		{"K5: both sides of a partition install view 1", []trace.Fact{
+			{Kind: trace.Install, Replica: 1, At: 10, Term: 1, Index: members(0, 1)},
+			{Kind: trace.Install, Replica: 2, At: 20, Term: 1, Index: members(2)},
+		}, observe.InvViewAgreement, "derecho view 1 membership: node 2 recorded "},
+		{"VS2: a receiver trims one message short of the view leader", []trace.Fact{
+			{Kind: trace.DeliverView, Replica: 1, At: 1, Term: 0, ID: 7},
+			{Kind: trace.DeliverView, Replica: 1, At: 2, Term: 1, ID: 8},
+			{Kind: trace.DeliverView, Replica: 2, At: 3, Term: 0, ID: 7},
+			{Kind: trace.Install, Replica: 1, At: 10, Term: 1, Index: members(1, 2)},
+			{Kind: trace.Install, Replica: 2, At: 20, Term: 1, Index: members(1, 2)},
+		}, observe.InvVirtualSynchrony, "derecho view 1 delivered-prefix length: node 2 recorded 1 but node 1 recorded 2 at t=10ns"},
+		{"LM2: raft's no-op barrier carries the previous term", []trace.Fact{
+			{Kind: trace.Replicate, Replica: 1, At: 10, Term: 1, Index: 377, ID: 377},
+			{Kind: trace.Append, Replica: 0, At: 20, Term: 1, Index: 377, ID: 0},
+		}, observe.InvLogMatching, "log entry (index 377, term 1): node 0 recorded 0 but node 1 recorded 377 at t=10ns"},
+		{"CQ1: raft commits on quorum-1", []trace.Fact{
+			{Kind: trace.Append, Replica: 1, At: 10, Term: 1, Index: 0, ID: 7},
+			{Kind: trace.Advance, Replica: 1, At: 20, Index: 1},
+		}, observe.InvCommitQuorum, "entry (index 0, term 1) committed with only 1/3 replicas (need 2)"},
+		{"CM1: a raft follower adopts a new leader's lower commit index", []trace.Fact{
+			{Kind: trace.Append, Replica: 1, At: 10, Term: 1, Index: 0, ID: 7},
+			{Kind: trace.Replicate, Replica: 0, At: 11, Term: 1, Index: 0, ID: 7},
+			{Kind: trace.Advance, Replica: 0, At: 20, Index: 1},
+			{Kind: trace.Advance, Replica: 0, At: 30, Index: 0},
+		}, observe.InvCommitMonotone, "commit length regressed 1 -> 0 without a restart"},
+		{"1(ii): a wiped etcd node truncates its committed log", []trace.Fact{
+			{Kind: trace.Append, Replica: 1, At: 10, Term: 1, Index: 0, ID: 7},
+			{Kind: trace.Replicate, Replica: 0, At: 11, Term: 1, Index: 0, ID: 7},
+			{Kind: trace.Advance, Replica: 0, At: 20, Index: 1},
+			{Kind: trace.Truncate, Replica: 0, At: 30, Index: 0},
+		}, observe.InvPrefixImmutable, "log truncated to 0 entries below commit length 1"},
+		{"PI1: apus reuses a slot within a batch", []trace.Fact{
+			{Kind: trace.Assign, Replica: 0, At: 10, Index: 1, ID: 7},
+			{Kind: trace.Assign, Replica: 0, At: 11, Index: 1, ID: 8},
+		}, observe.InvPrefixImmutable, "apus slot 1 assignment: node 0 recorded 8 but node 0 recorded 7 at t=10ns"},
+		{"DC1: a paxos learner skips an instance", []trace.Fact{
+			{Kind: trace.Deliver, Replica: 1, At: 10, Index: 96, ID: 97},
+			{Kind: trace.Deliver, Replica: 1, At: 20, Index: 98, ID: 99},
+		}, observe.InvDeliveryContiguous, "delivery sequence gap: delivered position 98, expected 97"},
+		{"1(i): a wiped acuerdo replica wins the epoch it led", []trace.Fact{
+			{Kind: trace.Win, Replica: 2, At: 10, Term: 1<<32 | 2, ID: 2},
+			{Kind: trace.Win, Replica: 2, At: 20, Term: 1<<32 | 2, ID: 2},
+		}, observe.InvLeaderUniqueness, "node 2 won term 4294967298 again: it already led it at t=10ns"},
+		{"K3: a torn tail left on disk hides the next restart's prefix", []trace.Fact{
+			{Kind: trace.Durable, Replica: 2, At: 10, Index: 3834},
+			{Kind: trace.Restart, Replica: 2, At: 20},
+			{Kind: trace.Recovered, Replica: 2, At: 20, Term: 1943, Index: 1943},
+		}, observe.InvDurablePrefix, "recovery lost committed durable entries: recovered frontier 1943 below durable floor 3834"},
+		{"LM2: the WAL holds the no-op under another term than the one stated", []trace.Fact{
+			{Kind: trace.Append, Replica: 1, At: 10, Term: 1, Index: 0, ID: 0},
+			{Kind: trace.Restart, Replica: 1, At: 20},
+			{Kind: trace.Recover, Replica: 1, At: 20, Term: 0, Index: 0, ID: 0},
+		}, observe.InvRecoveredPrefix, "recovered entry (index 0, term 0, id 0) diverges from pre-crash (term 1, id 0)"},
+	} {
+		o := newObs(3)
+		for _, f := range c.facts {
+			o.Observe(f)
+		}
+		vs := o.Violations()
+		if len(vs) == 0 || !strings.HasPrefix(vs[0].Detail, c.detail) {
+			t.Errorf("%s: want a %s witness %q first, got:\n%s", c.row, c.inv, c.detail, o.Report())
+		}
+		for _, v := range vs {
+			if v.Invariant != c.inv {
+				t.Errorf("%s: %s fired too: %s", c.row, v.Invariant, v)
+			}
+		}
+	}
+}
+
+// TestDeliveryAgreementBeforeTheChecker is delivery-agreement's corpus
+// witness, row 1(ii) at seed 4, from both sides: a restarted replica that
+// re-delivers a later message at a position it had filled is a retrace the
+// checker's replay window accepts, and a delivery-agreement witness at the
+// same delivery.
+func TestDeliveryAgreementBeforeTheChecker(t *testing.T) {
+	c := abcast.NewChecker(3)
+	o := newObs(3)
+	deliver := func(node int, at int64, pos uint64, id uint64) error {
+		o.Observe(trace.Fact{Kind: trace.Deliver, Replica: node, At: at, Index: pos, ID: int64(id)})
+		return c.OnDeliver(node, id)
+	}
+	for id := uint64(1); id <= 3; id++ {
+		c.OnBroadcast(id)
+		for node := 0; node < 2; node++ {
+			if err := deliver(node, int64(id), id-1, id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.NodeRestart(0)
+	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 10})
+	if err := deliver(0, 20, 1, 3); err != nil { // retraces from position 2: accepted
+		t.Fatalf("checker refused the retrace: %v", err)
+	}
+	wantViolations(t, o, observe.InvDeliveryAgreement, 1)
+}
+
+// derechoCells and derechoRow are a three-member Derecho SST's declaration
+// and a row whose sender-1 receipt counter (offset 8) is n.
+var derechoCells = &trace.Cells{Table: "derecho.sst", U64: []int{0, 8, 16, 24}, U32: []int{36}}
+
+func derechoRow(n uint64) []byte {
+	row := make([]byte, 40)
+	binary.LittleEndian.PutUint64(row[8:], n)
+	return row
+}
+
 // TestDigestDeterminism pins the digest contract: identical hook sequences
 // produce identical digests, and any difference in operands shows up.
 func TestDigestDeterminism(t *testing.T) {
@@ -378,17 +506,11 @@ func TestRegisterWitnessText(t *testing.T) {
 		{"leader for term 8: node 1 recorded 1 but node 0 recorded 0 at t=10ns", func(o *observe.Observer, n int, at, _ int64) {
 			o.Observe(trace.Fact{Kind: trace.Win, Replica: n, At: at, Term: 8, ID: int64(n)})
 		}},
-		{"acuerdo header (round 2, ldr 1, cnt 3) payload" + tail, func(o *observe.Observer, n int, at, id int64) {
-			o.Observe(trace.Fact{Kind: trace.DeliverHeader, Replica: n, At: at, Term: 2<<32 | 1, Index: 3, ID: id})
-		}},
 		{"apus slot 4 assignment" + tail, func(o *observe.Observer, n int, at, id int64) {
 			o.Observe(trace.Fact{Kind: trace.Assign, Replica: n, At: at, Index: 4, ID: id})
 		}},
 		{"apus slot 0 delivered payload" + tail, func(o *observe.Observer, n int, at, id int64) {
 			o.Observe(trace.Fact{Kind: trace.DeliverSlot, Replica: n, At: at, Index: 0, ID: id})
-		}},
-		{"derecho delivery position 0" + tail, func(o *observe.Observer, n int, at, id int64) {
-			o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: n, At: at, Term: 0, ID: id})
 		}},
 	} {
 		o := newObs(3)

@@ -129,8 +129,9 @@ type Cluster struct {
 
 // Subscribe attaches s to the protocol facts the servers emit (nil
 // detaches): log appends and truncations, commit advances, applies,
-// elections, and in durable mode restarts, recovery and durable frontiers.
-// Call before Start.
+// elections and restarts (Restart states one on both paths: the commit index
+// is volatile), and in durable mode recovery and durable frontiers. Call
+// before Start.
 func (c *Cluster) Subscribe(s trace.Subscriber) { c.sub = s }
 
 // emit states one protocol fact at this server.
