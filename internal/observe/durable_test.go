@@ -31,7 +31,8 @@ func TestDurableFrontierMonotone(t *testing.T) {
 // TestDurablePrefixCatchesLostCommittedEntry is the seeded
 // lost-committed-entry mutation: a node acknowledges entries as durable,
 // crashes, and recovers claiming a frontier below the durable floor. The
-// durable-prefix invariant must catch it.
+// durable-prefix invariant must catch it. Corpus rows K3, DP2 and DP3
+// (DESIGN §6.7): durable-prefix fires first.
 func TestDurablePrefixCatchesLostCommittedEntry(t *testing.T) {
 	o := newObs(3)
 	for i := uint64(0); i < 5; i++ {

@@ -12,8 +12,10 @@
 // contradicts the protocol's own invariant — virtual-synchrony view
 // agreement for derecho, log matching for raft/zab, ballot monotonicity for
 // paxos, leader uniqueness per term for the acuerdo ring, committed-prefix
-// immutability for apus, and per-cell monotonicity for every SST. No check
-// repeats what the checker decides at the same delivery (DESIGN.md §6.7).
+// immutability for apus, and per-cell monotonicity for every SST. No
+// register only re-checks the checker: the delivery registers are kept for
+// re-deliveries after a restart, which the checker's replay window accepts
+// from any position (DESIGN.md §6.7).
 //
 // Design constraints (mirroring internal/trace, see DESIGN.md §6.7):
 //
@@ -84,8 +86,9 @@ const (
 	// replication slot (apus committed-prefix immutability).
 	InvPrefixImmutable
 	// InvDeliveryAgreement: two nodes delivering at the same Deliver or
-	// DeliverSlot position deliver the same message, across restarts too,
-	// where the checker's replay window accepts a retrace from anywhere.
+	// DeliverSlot position, or under the same Acuerdo header, deliver the
+	// same message, across restarts too, where the checker's replay window
+	// accepts a retrace from anywhere.
 	InvDeliveryAgreement
 	// InvDeliveryContiguous: a node's delivery sequence has no gaps.
 	InvDeliveryContiguous
@@ -205,6 +208,7 @@ const (
 	spaceVSCount
 	spaceVSHash
 	spaceAssign
+	spaceHdr
 )
 
 // regName says which register a checkReg call guards. A witness's text is
@@ -221,6 +225,7 @@ const (
 	regPaxosValue
 	regPaxosChosen
 	regLeader
+	regAcuerdoHeader
 	regApusAssign
 	regApusDeliver
 )
@@ -244,6 +249,8 @@ func (r regName) text(a, b uint64) string {
 		return fmt.Sprintf("paxos instance %d chosen value", a)
 	case regLeader:
 		return fmt.Sprintf("leader for term %d", a)
+	case regAcuerdoHeader:
+		return fmt.Sprintf("acuerdo header (round %d, ldr %d, cnt %d) payload", a>>32, uint32(a), b)
 	case regApusAssign:
 		return fmt.Sprintf("apus slot %d assignment", a)
 	default: // regApusDeliver
@@ -452,7 +459,7 @@ func (o *Observer) Observe(f trace.Fact) {
 	case trace.DeliverSlot, trace.CommitSlot:
 		o.deliverSlot(n, at, f.Index, f.ID)
 	case trace.DeliverHeader, trace.CommitHeader:
-		o.deliverHeader(n, at, f.Term, f.Index)
+		o.deliverHeader(n, at, f.Term, f.Index, f.ID)
 	case trace.DeliverView, trace.CommitView:
 		o.deliverView(n, at, int64(f.Term), f.ID)
 	case trace.Advance:
@@ -855,10 +862,12 @@ func (o *Observer) win(node int, at int64, term uint64, leader int64) {
 // --- acuerdo commits ------------------------------------------------------
 
 // deliverHeader records node committing the entry with header (epoch,
-// cnt) and checks that the node's committed header is monotone in header
-// order — epoch (round<<32|ldr, so round then leader), then count, the order
-// of acuerdo.MsgHdr.Cmp — restarts excepted.
-func (o *Observer) deliverHeader(node int, at int64, epoch, cnt uint64) {
+// cnt) carrying id, and checks that the node's committed header is monotone
+// in header order — epoch (round<<32|ldr, so round then leader), then count,
+// the order of acuerdo.MsgHdr.Cmp — restarts excepted, and that every node
+// binds the same payload to the same header, a durable restart's replay
+// included.
+func (o *Observer) deliverHeader(node int, at int64, epoch, cnt uint64, id int64) {
 	o.fold(InvCommitMonotone, opAcuerdoCommit, node, at, int64(epoch), int64(cnt))
 	ns := &o.nodes[node]
 	if ns.aSeen && (epoch < ns.aEpoch || epoch == ns.aEpoch && cnt < ns.aCnt) {
@@ -868,6 +877,8 @@ func (o *Observer) deliverHeader(node int, at int64, epoch, cnt uint64) {
 	}
 	ns.aEpoch, ns.aCnt = epoch, cnt
 	ns.aSeen = true
+	o.counts[InvDeliveryAgreement]++
+	o.checkReg(spaceHdr, epoch, cnt, id, InvDeliveryAgreement, node, at, regAcuerdoHeader)
 }
 
 // --- apus -----------------------------------------------------------------

@@ -84,6 +84,7 @@ func TestSSTMonotoneViolation(t *testing.T) {
 	wantViolations(t, o, observe.InvSSTMonotone, 1)
 }
 
+// Corpus rows K5, VA3 and VM3 (DESIGN §6.7): view-agreement fires first.
 func TestViewAgreementViolation(t *testing.T) {
 	o := newObs(3)
 	o.Observe(trace.Fact{Kind: trace.Install, Replica: 0, At: 100, Term: 2, Index: members(0, 1, 2)})
@@ -95,6 +96,7 @@ func TestViewAgreementViolation(t *testing.T) {
 	wantViolations(t, o, observe.InvViewAgreement, 1)
 }
 
+// Corpus rows K5 and VM3 (first) and VM2 (alone) (DESIGN §6.7).
 func TestViewMajorityViolation(t *testing.T) {
 	o := newObs(5)
 	o.Observe(trace.Fact{Kind: trace.Install, Replica: 0, At: 100, Term: 1, Index: members(0, 1, 2, 3, 4)})
@@ -103,6 +105,7 @@ func TestViewMajorityViolation(t *testing.T) {
 	wantViolations(t, o, observe.InvViewMajority, 1)
 }
 
+// Corpus rows VS2 and VS3 (DESIGN §6.7): virtual-synchrony fires first.
 func TestVirtualSynchronyViolation(t *testing.T) {
 	o := newObs(3)
 	o.Observe(trace.Fact{Kind: trace.DeliverView, Replica: 0, At: 10, Term: 0, ID: 7})
@@ -138,6 +141,7 @@ func TestLogMatchingViolation(t *testing.T) {
 	wantViolations(t, o, observe.InvLogMatching, 1)
 }
 
+// Corpus rows CQ1, CQ2 and LM1 (DESIGN §6.7): commit-quorum fires first.
 func TestCommitQuorumViolation(t *testing.T) {
 	o := newObs(3)
 	o.Observe(trace.Fact{Kind: trace.Append, Replica: 0, At: 10, Term: 1, Index: 0, ID: 7})
@@ -155,6 +159,7 @@ func TestCommitQuorumSatisfied(t *testing.T) {
 	}
 }
 
+// Corpus row CM1 (DESIGN §6.7): commit-monotone fires first.
 func TestCommitMonotoneViolationAndRestartException(t *testing.T) {
 	o := newObs(3)
 	for n := 0; n < 2; n++ {
@@ -172,6 +177,7 @@ func TestCommitMonotoneViolationAndRestartException(t *testing.T) {
 	wantViolations(t, o, observe.InvCommitMonotone, 1)
 }
 
+// Corpus row D2, item 1(ii) (DESIGN §6.7): prefix-immutable fires first.
 func TestPrefixImmutableTruncateViolation(t *testing.T) {
 	o := newObs(3)
 	for n := 0; n < 2; n++ {
@@ -182,6 +188,7 @@ func TestPrefixImmutableTruncateViolation(t *testing.T) {
 	wantViolations(t, o, observe.InvPrefixImmutable, 1)
 }
 
+// Corpus row DC1 (DESIGN §6.7): delivery-contiguous fires first.
 func TestDeliveryContiguityViolation(t *testing.T) {
 	o := newObs(3)
 	o.Observe(trace.Fact{Kind: trace.Deliver, Replica: 0, At: 10, Index: 0, ID: 7})
@@ -227,7 +234,8 @@ func TestLeaderUniquenessViolation(t *testing.T) {
 // TestLeaderUniquenessReelection: a term is won once per run. The same node
 // winning it a second time — re-elected, after losing its state, into an
 // epoch it already led — is the amnesia failure of DESIGN §7, caught at the
-// election; its digest fold is the one every win makes.
+// election; its digest fold is the one every win makes. Corpus row D1,
+// item 1(i) (DESIGN §6.7): leader-uniqueness fires first.
 func TestLeaderUniquenessReelection(t *testing.T) {
 	o := newObs(3)
 	o.Observe(trace.Fact{Kind: trace.Win, Replica: 2, At: 200720, Term: 1<<32 | 2, ID: 2})
@@ -259,6 +267,7 @@ func TestAcuerdoCommitMonotoneViolation(t *testing.T) {
 	wantViolations(t, o, observe.InvCommitMonotone, 1)
 }
 
+// Corpus row PI1 (DESIGN §6.7): prefix-immutable fires first.
 func TestApusAssignImmutableViolation(t *testing.T) {
 	o := newObs(3)
 	o.Observe(trace.Fact{Kind: trace.Assign, Replica: 0, At: 10, Index: 1, ID: 7})
@@ -266,10 +275,11 @@ func TestApusAssignImmutableViolation(t *testing.T) {
 	wantViolations(t, o, observe.InvPrefixImmutable, 1)
 }
 
-// TestCorpusWitnesses replays, as a fact sequence, the first witness each
-// invariant gave on the protocol mutant (or the parent's known defect) where
-// it fired alone or before every other oracle: the evidence DESIGN §6.7's
-// verdict keeps it on. Operands are trimmed to the shape of the witness.
+// TestCorpusWitnesses replays, as a fact sequence, the first witness an
+// invariant gave on a protocol mutant where it fired alone or before every
+// other oracle (DESIGN §6.7's verdict), for the witnesses whose shape no
+// other test here has; the rest cite their corpus row on the test that has
+// it. Operands are trimmed to the shape of the witness.
 func TestCorpusWitnesses(t *testing.T) {
 	for _, c := range []struct {
 		row    string
@@ -281,58 +291,10 @@ func TestCorpusWitnesses(t *testing.T) {
 			{Kind: trace.SSTWrite, Replica: 2, At: 10, Cells: derechoCells, Row: derechoRow(4610)},
 			{Kind: trace.SSTWrite, Replica: 2, At: 20, Cells: derechoCells, Row: derechoRow(4609)},
 		}, observe.InvSSTMonotone, "sst derecho.sst: u64 cell at offset 8 regressed 4610 -> 4609"},
-		{"K5: derecho installs a minority view", []trace.Fact{
-			{Kind: trace.Install, Replica: 2, At: 10, Term: 1, Index: members(1, 2)},
-			{Kind: trace.Install, Replica: 2, At: 20, Term: 2, Index: members(2)},
-		}, observe.InvViewMajority, "derecho view 2: new membership [2] intersects previous [1 2] in only 1 nodes (need > 1)"},
-		{"K5: both sides of a partition install view 1", []trace.Fact{
-			{Kind: trace.Install, Replica: 1, At: 10, Term: 1, Index: members(0, 1)},
-			{Kind: trace.Install, Replica: 2, At: 20, Term: 1, Index: members(2)},
-		}, observe.InvViewAgreement, "derecho view 1 membership: node 2 recorded "},
-		{"VS2: a receiver trims one message short of the view leader", []trace.Fact{
-			{Kind: trace.DeliverView, Replica: 1, At: 1, Term: 0, ID: 7},
-			{Kind: trace.DeliverView, Replica: 1, At: 2, Term: 1, ID: 8},
-			{Kind: trace.DeliverView, Replica: 2, At: 3, Term: 0, ID: 7},
-			{Kind: trace.Install, Replica: 1, At: 10, Term: 1, Index: members(1, 2)},
-			{Kind: trace.Install, Replica: 2, At: 20, Term: 1, Index: members(1, 2)},
-		}, observe.InvVirtualSynchrony, "derecho view 1 delivered-prefix length: node 2 recorded 1 but node 1 recorded 2 at t=10ns"},
 		{"LM2: raft's no-op barrier carries the previous term", []trace.Fact{
 			{Kind: trace.Replicate, Replica: 1, At: 10, Term: 1, Index: 377, ID: 377},
 			{Kind: trace.Append, Replica: 0, At: 20, Term: 1, Index: 377, ID: 0},
 		}, observe.InvLogMatching, "log entry (index 377, term 1): node 0 recorded 0 but node 1 recorded 377 at t=10ns"},
-		{"CQ1: raft commits on quorum-1", []trace.Fact{
-			{Kind: trace.Append, Replica: 1, At: 10, Term: 1, Index: 0, ID: 7},
-			{Kind: trace.Advance, Replica: 1, At: 20, Index: 1},
-		}, observe.InvCommitQuorum, "entry (index 0, term 1) committed with only 1/3 replicas (need 2)"},
-		{"CM1: a raft follower adopts a new leader's lower commit index", []trace.Fact{
-			{Kind: trace.Append, Replica: 1, At: 10, Term: 1, Index: 0, ID: 7},
-			{Kind: trace.Replicate, Replica: 0, At: 11, Term: 1, Index: 0, ID: 7},
-			{Kind: trace.Advance, Replica: 0, At: 20, Index: 1},
-			{Kind: trace.Advance, Replica: 0, At: 30, Index: 0},
-		}, observe.InvCommitMonotone, "commit length regressed 1 -> 0 without a restart"},
-		{"1(ii): a wiped etcd node truncates its committed log", []trace.Fact{
-			{Kind: trace.Append, Replica: 1, At: 10, Term: 1, Index: 0, ID: 7},
-			{Kind: trace.Replicate, Replica: 0, At: 11, Term: 1, Index: 0, ID: 7},
-			{Kind: trace.Advance, Replica: 0, At: 20, Index: 1},
-			{Kind: trace.Truncate, Replica: 0, At: 30, Index: 0},
-		}, observe.InvPrefixImmutable, "log truncated to 0 entries below commit length 1"},
-		{"PI1: apus reuses a slot within a batch", []trace.Fact{
-			{Kind: trace.Assign, Replica: 0, At: 10, Index: 1, ID: 7},
-			{Kind: trace.Assign, Replica: 0, At: 11, Index: 1, ID: 8},
-		}, observe.InvPrefixImmutable, "apus slot 1 assignment: node 0 recorded 8 but node 0 recorded 7 at t=10ns"},
-		{"DC1: a paxos learner skips an instance", []trace.Fact{
-			{Kind: trace.Deliver, Replica: 1, At: 10, Index: 96, ID: 97},
-			{Kind: trace.Deliver, Replica: 1, At: 20, Index: 98, ID: 99},
-		}, observe.InvDeliveryContiguous, "delivery sequence gap: delivered position 98, expected 97"},
-		{"1(i): a wiped acuerdo replica wins the epoch it led", []trace.Fact{
-			{Kind: trace.Win, Replica: 2, At: 10, Term: 1<<32 | 2, ID: 2},
-			{Kind: trace.Win, Replica: 2, At: 20, Term: 1<<32 | 2, ID: 2},
-		}, observe.InvLeaderUniqueness, "node 2 won term 4294967298 again: it already led it at t=10ns"},
-		{"K3: a torn tail left on disk hides the next restart's prefix", []trace.Fact{
-			{Kind: trace.Durable, Replica: 2, At: 10, Index: 3834},
-			{Kind: trace.Restart, Replica: 2, At: 20},
-			{Kind: trace.Recovered, Replica: 2, At: 20, Term: 1943, Index: 1943},
-		}, observe.InvDurablePrefix, "recovery lost committed durable entries: recovered frontier 1943 below durable floor 3834"},
 		{"LM2: the WAL holds the no-op under another term than the one stated", []trace.Fact{
 			{Kind: trace.Append, Replica: 1, At: 10, Term: 1, Index: 0, ID: 0},
 			{Kind: trace.Restart, Replica: 1, At: 20},
@@ -356,31 +318,46 @@ func TestCorpusWitnesses(t *testing.T) {
 }
 
 // TestDeliveryAgreementBeforeTheChecker is delivery-agreement's corpus
-// witness, row 1(ii) at seed 4, from both sides: a restarted replica that
-// re-delivers a later message at a position it had filled is a retrace the
-// checker's replay window accepts, and a delivery-agreement witness at the
-// same delivery.
+// witness, from both sides, for each of its two registers: a restarted
+// replica's re-delivery that binds a message to a Deliver position (row D2,
+// item 1(ii), at seed 4) or to an Acuerdo header (row RD2) other replicas
+// bound to another is a retrace the checker's replay window accepts, and a
+// delivery-agreement witness at the same delivery.
 func TestDeliveryAgreementBeforeTheChecker(t *testing.T) {
-	c := abcast.NewChecker(3)
-	o := newObs(3)
-	deliver := func(node int, at int64, pos uint64, id uint64) error {
-		o.Observe(trace.Fact{Kind: trace.Deliver, Replica: node, At: at, Index: pos, ID: int64(id)})
-		return c.OnDeliver(node, id)
-	}
-	for id := uint64(1); id <= 3; id++ {
-		c.OnBroadcast(id)
-		for node := 0; node < 2; node++ {
-			if err := deliver(node, int64(id), id-1, id); err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		row  string
+		kind trace.FactKind
+		term uint64
+		// replay is what restarted node 0 re-delivers under position (or
+		// header count) pos: a message the checker places at another one.
+		pos, replay uint64
+	}{
+		{"D2: a wiped etcd node re-delivers a later message", trace.Deliver, 0, 1, 3},
+		{"RD2: acuerdo's replay binds a header to the previous record", trace.DeliverHeader, 1 << 32, 1, 1},
+	} {
+		chk := abcast.NewChecker(3)
+		o := newObs(3)
+		deliver := func(node int, at int64, pos uint64, id uint64) error {
+			o.Observe(trace.Fact{Kind: c.kind, Replica: node, At: at, Term: c.term, Index: pos, ID: int64(id)})
+			return chk.OnDeliver(node, id)
+		}
+		for id := uint64(1); id <= 3; id++ {
+			chk.OnBroadcast(id)
+			for node := 0; node < 2; node++ {
+				if err := deliver(node, int64(id), id-1, id); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		chk.NodeRestart(0)
+		o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 10})
+		if err := deliver(0, 20, c.pos, c.replay); err != nil {
+			t.Fatalf("%s: checker refused the retrace: %v", c.row, err)
+		}
+		if o.ViolationCount() != 1 || o.Violations()[0].Invariant != observe.InvDeliveryAgreement {
+			t.Errorf("%s: want one delivery-agreement witness, got:\n%s", c.row, o.Report())
+		}
 	}
-	c.NodeRestart(0)
-	o.Observe(trace.Fact{Kind: trace.Restart, Replica: 0, At: 10})
-	if err := deliver(0, 20, 1, 3); err != nil { // retraces from position 2: accepted
-		t.Fatalf("checker refused the retrace: %v", err)
-	}
-	wantViolations(t, o, observe.InvDeliveryAgreement, 1)
 }
 
 // derechoCells and derechoRow are a three-member Derecho SST's declaration
@@ -505,6 +482,9 @@ func TestRegisterWitnessText(t *testing.T) {
 		}},
 		{"leader for term 8: node 1 recorded 1 but node 0 recorded 0 at t=10ns", func(o *observe.Observer, n int, at, _ int64) {
 			o.Observe(trace.Fact{Kind: trace.Win, Replica: n, At: at, Term: 8, ID: int64(n)})
+		}},
+		{"acuerdo header (round 2, ldr 1, cnt 3) payload" + tail, func(o *observe.Observer, n int, at, id int64) {
+			o.Observe(trace.Fact{Kind: trace.DeliverHeader, Replica: n, At: at, Term: 2<<32 | 1, Index: 3, ID: id})
 		}},
 		{"apus slot 4 assignment" + tail, func(o *observe.Observer, n int, at, id int64) {
 			o.Observe(trace.Fact{Kind: trace.Assign, Replica: n, At: at, Index: 4, ID: id})
