@@ -13,9 +13,7 @@
 // agreement for derecho, log matching for raft/zab, ballot monotonicity for
 // paxos, leader uniqueness per term for the acuerdo ring, committed-prefix
 // immutability for apus, and per-cell monotonicity for every SST. No
-// register only re-checks the checker: the delivery registers are kept for
-// re-deliveries after a restart, which the checker's replay window accepts
-// from any position (DESIGN.md §6.7).
+// register only re-checks the checker (DESIGN.md §6.7).
 //
 // Design constraints (mirroring internal/trace, see DESIGN.md §6.7):
 //
@@ -54,7 +52,7 @@ type Invariant uint8
 
 // The invariant catalog. Each constant names one property a fact is checked
 // against; DESIGN.md §6.7 gives the full statement, the known-unsound cases
-// and the mutant that shows each one firing before the checker.
+// and the protocol-mutant verdict that keeps each one.
 const (
 	// InvSSTMonotone: registered cells of an SST row never decrease
 	// (per-cell monotonicity — the property that makes last-write-wins
@@ -695,8 +693,7 @@ func (o *Observer) commitAdvance(node int, at int64, newLen uint64) {
 
 // deliver records node delivering message id at sequence position seq and
 // checks contiguity (no gaps in the node's own sequence; the base re-arms
-// after a restart) and cross-node agreement (same position, same message,
-// re-deliveries after a restart included).
+// after a restart) and cross-node agreement (same position, same message).
 func (o *Observer) deliver(node int, at int64, seq uint64, id int64) {
 	o.fold(InvDeliveryContiguous, opDeliver, node, at, int64(seq), id)
 	ns := &o.nodes[node]
