@@ -20,12 +20,15 @@
 //	chaos-bench -observe -json out.json  # machine-readable artifact
 //	chaos-bench -durability durable      # per-replica simulated disks
 //	chaos-bench -durability amnesia      # disks wiped at every crash
+//	chaos-bench -memprofile mem.pprof    # heap profile at exit (go tool pprof)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -44,6 +47,7 @@ func main() {
 	observe := flag.Bool("observe", false, "run every system under the runtime invariant observers; any violation fails the run")
 	jsonPath := flag.String("json", "", "write a chaos artifact (bench-compare understands it) to this path")
 	durability := flag.String("durability", "", "storage model: empty = volatile, 'durable' = per-replica simulated disks, 'amnesia' = disks wiped at every crash (systems with no durable mode stay volatile)")
+	memprofile := flag.String("memprofile", "", "write a heap profile (the run's allocations by site, sampled at the runtime's default rate; go tool pprof reads it) to this file at exit")
 	flag.Parse()
 
 	switch bench.Durability(*durability) {
@@ -133,6 +137,20 @@ func main() {
 			exit = 1
 		} else {
 			fmt.Printf("wrote %d cells to %s\n", len(artifact.Points), *jsonPath)
+		}
+	}
+	if *memprofile != "" {
+		runtime.GC() // the profile reports as of the last completed collection
+		f, err := os.Create(*memprofile)
+		if err == nil {
+			err = pprof.Lookup("allocs").WriteTo(f, 0)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "chaos-bench: writing %s: %v\n", *memprofile, err)
+			exit = 1
 		}
 	}
 	os.Exit(exit)

@@ -3,6 +3,7 @@ package acuerdo
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"acuerdo/internal/abcast"
 	"acuerdo/internal/disk"
@@ -161,6 +162,56 @@ func TestDurableTornRestart(t *testing.T) {
 	}
 	if n := obs.ViolationCount(); n != 0 {
 		t.Fatalf("%d invariant violations after torn restart:\n%s", n, obs.Report())
+	}
+}
+
+// TestDurableRestartAllocFree: a durable restart empties the log in place
+// and replays the WAL into the arrays the log had already grown to. The
+// deque keeps its array and capacity, the arena opens no chunk it did not
+// hold before the crash, and no slot outside the live range keeps a payload.
+func TestDurableRestartAllocFree(t *testing.T) {
+	sim, c, chk, _, _ := newDurableCluster(t, 3, 9)
+	sim.RunFor(20 * time.Millisecond)
+	stop := false
+	loadLoop(sim, c, chk, 16, 100, &stop)
+	sim.RunFor(5 * time.Millisecond)
+	stop = true
+	sim.RunFor(5 * time.Millisecond)
+
+	victim := (c.LeaderIdx() + 1) % len(c.Replicas)
+	r := c.Replicas[victim]
+	if r.LogLen() < 1000 {
+		t.Fatalf("replica %d holds %d entries before the crash, want a long log", victim, r.LogLen())
+	}
+	deque, slots := unsafe.SliceData(r.log.entries), cap(r.log.entries)
+	chunks := make([]*byte, len(r.log.chunks))
+	for i, ch := range r.log.chunks {
+		chunks[i] = unsafe.SliceData(ch.buf)
+	}
+	r.Crash()
+	chk.NodeRestart(victim)
+	r.Restart()
+
+	l := &r.log
+	if l.Len() == 0 {
+		t.Fatal("the restart recovered nothing")
+	}
+	if unsafe.SliceData(l.entries) != deque || cap(l.entries) != slots {
+		t.Fatalf("the replay regrew the deque: %d slots, %d before the crash", cap(l.entries), slots)
+	}
+	if len(l.chunks) != len(chunks) {
+		t.Fatalf("the replay opened %d arena chunks, %d before the crash", len(l.chunks), len(chunks))
+	}
+	for i, ch := range l.chunks {
+		if unsafe.SliceData(ch.buf) != chunks[i] {
+			t.Fatalf("arena chunk %d was reallocated by the replay", i+1)
+		}
+	}
+	all := l.entries[:cap(l.entries)]
+	for i := range all {
+		if live := i >= l.head && i < len(l.entries); !live && (all[i].Payload != nil || all[i].chunk != 0) {
+			t.Fatalf("slot %d, outside the live range [%d, %d), holds a payload", i, l.head, len(l.entries))
+		}
 	}
 }
 

@@ -113,6 +113,14 @@ func (l *Log) vacate(es []Entry) {
 	clear(es)
 }
 
+// reset empties the log in place: every entry is vacated, so every chunk is
+// empty and free for reuse, and the deque keeps its array. A durable restart
+// replays its WAL into the arrays the log had already grown to.
+func (l *Log) reset() {
+	l.vacate(l.live())
+	l.entries, l.head = l.entries[:0], 0
+}
+
 // Len returns the number of entries.
 func (l *Log) Len() int { return len(l.entries) - l.head }
 

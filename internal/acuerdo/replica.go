@@ -290,7 +290,7 @@ func (r *Replica) restartDurable() {
 	// heartbeat counter deliberately survives: it is a liveness signal, not
 	// protocol state, and keeping it monotone keeps the commit SST's
 	// per-cell invariant meaningful across restarts.
-	r.log = Log{}
+	r.log.reset()
 	r.sessions = abcast.Sessions{} // refilled by the replay below
 	r.accepted, r.committed, r.next = MsgHdr{}, MsgHdr{}, MsgHdr{}
 	r.eCur, r.eNew = Epoch{}, Epoch{}

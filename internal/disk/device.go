@@ -2,7 +2,10 @@
 // NVMe-like Device on the simnet clock (configurable fsync/read latency,
 // volatile page cache vs. fsynced durable prefix, crash semantics that drop
 // un-fsynced bytes) and a checksummed group-commit write-ahead log
-// (LogStore) whose record path allocates nothing. The protocol packages
+// (LogStore) whose record path allocates nothing but the file's own growth.
+// A device file is a list of 64 KiB segments that are never regrown or
+// copied, so a WAL that grows to n bytes allocates about n/64 KiB segments
+// and writes each byte once. The protocol packages
 // layer their durable log/ballot/vote state on it and share its restart
 // spine (Recovery.Reopen, the head of every durable restart, and
 // GroupCommit, the one-flush-in-flight batching pump); internal/chaos
@@ -54,11 +57,36 @@ func DefaultParams() Params {
 	}
 }
 
-// file is one named byte stream on a device. Bytes below synced survive a
-// crash; the tail [synced, len(data)) is the volatile page cache.
+// file is one named byte stream on a device, held as segments that are
+// never regrown or copied: each Append lands inside one segment, in the last
+// one if it fits there and in a new one otherwise (segSize bytes, or exactly
+// the write's length for a larger write), so a segment may end short of its
+// capacity. The stream is the concatenation of the segments; size is its
+// length. Bytes below synced survive a crash; the tail [synced, size) is the
+// volatile page cache.
 type file struct {
-	data   []byte
+	segs   [][]byte
+	size   int
 	synced int
+}
+
+// segSize is a file segment's capacity: a growing WAL allocates one segment
+// per 64 KiB written and never copies what it holds.
+const segSize = 64 << 10
+
+// cut shortens the stream to its first n bytes and makes all of them
+// durable. The segment holding byte n-1 keeps its array; later segments go.
+func (f *file) cut(n int) {
+	f.size, f.synced = n, n
+	for i, s := range f.segs {
+		if n <= len(s) {
+			f.segs[i] = s[:n]
+			clear(f.segs[i+1:])
+			f.segs = f.segs[:i+1]
+			return
+		}
+		n -= len(s)
+	}
 }
 
 // Stats counts a device's lifetime activity; the recovery benchmark reports
@@ -176,15 +204,27 @@ func (d *Device) get(name string) *file {
 // Append buffers the concatenation of parts at the end of name (creating it
 // if needed) as one write and returns the landed bytes, which the caller may
 // finish in place (a checksum over them) before anything else touches the
-// file. The buffered bytes are volatile until a Sync covering them
+// file. The write lands inside one segment, so the landed bytes are
+// contiguous. The buffered bytes are volatile until a Sync covering them
 // completes.
 func (d *Device) Append(name string, parts ...[]byte) []byte {
 	f := d.get(name)
-	start := len(f.data)
+	n := 0
 	for _, p := range parts {
-		f.data = append(f.data, p...)
+		n += len(p)
 	}
-	n := len(f.data) - start
+	k := len(f.segs) - 1
+	if k < 0 || cap(f.segs[k])-len(f.segs[k]) < n {
+		f.segs = append(f.segs, make([]byte, 0, max(segSize, n)))
+		k++
+	}
+	seg := f.segs[k]
+	start := len(seg)
+	for _, p := range parts {
+		seg = append(seg, p...)
+	}
+	f.segs[k] = seg
+	f.size += n
 	d.stats.Writes++
 	d.stats.WriteBytes += int64(n)
 	if tr := d.sim.Tracer(); tr != nil {
@@ -192,7 +232,7 @@ func (d *Device) Append(name string, parts ...[]byte) []byte {
 		tr.Add(trace.CtrDiskWrites, 1)
 		tr.Add(trace.CtrDiskWriteBytes, int64(n))
 	}
-	return f.data[start:]
+	return seg[start:]
 }
 
 // Sync schedules an fsync of name: when it completes, every byte buffered
@@ -220,7 +260,7 @@ func (d *Device) Sync(name string, done func()) {
 func (d *Device) startSync() {
 	req := d.syncQueue[d.syncHead]
 	f := d.get(req.name)
-	upTo := len(f.data)
+	upTo := f.size
 	dirty := upTo - f.synced
 	if dirty < 0 {
 		dirty = 0
@@ -288,17 +328,12 @@ func (d *Device) dropSyncs() {
 // journaling filesystem.
 func (d *Device) Truncate(name string) {
 	f := d.get(name)
-	f.data = nil
-	f.synced = 0
+	f.segs, f.size, f.synced = nil, 0, 0
 }
 
 // trim cuts name down to its first n bytes, all of them durable (Reopen
 // discarding a torn tail).
-func (d *Device) trim(name string, n int) {
-	f := d.get(name)
-	f.data = f.data[:n]
-	f.synced = n
-}
+func (d *Device) trim(name string, n int) { d.get(name).cut(n) }
 
 // Durable returns a copy of name's durable prefix — the bytes that survive
 // a crash right now. Recovery paths read this and charge ReadCost.
@@ -308,7 +343,10 @@ func (d *Device) Durable(name string) []byte {
 		return nil
 	}
 	out := make([]byte, f.synced)
-	copy(out, f.data[:f.synced])
+	n := 0
+	for _, s := range f.segs {
+		n += copy(out[n:], s)
+	}
 	return out
 }
 
@@ -318,7 +356,7 @@ func (d *Device) Size(name string) (total, durable int) {
 	if !ok {
 		return 0, 0
 	}
-	return len(f.data), f.synced
+	return f.size, f.synced
 }
 
 // ReadCost returns the simulated time a recovery read of n bytes takes;
@@ -347,13 +385,12 @@ func (d *Device) Crash(rng *rand.Rand) {
 	for _, name := range d.names() {
 		f := d.files[name]
 		keep := f.synced
-		if tail := len(f.data) - f.synced; torn && tail > 0 && rng != nil {
+		if tail := f.size - f.synced; torn && tail > 0 && rng != nil {
 			keep += rng.Intn(tail) // 0 <= extra < tail: at least one byte lost
 		}
-		f.data = f.data[:keep]
 		// Everything that survived the power loss is on the platter now —
 		// a torn partial record is durable garbage until replay discards it.
-		f.synced = keep
+		f.cut(keep)
 	}
 }
 
@@ -402,7 +439,15 @@ func (d *Device) CorruptDurable(rng *rand.Rand) bool {
 	// Flip in the second half of the durable region so a prefix survives to
 	// recover from; the replay must stop exactly at the corrupted record.
 	off := max/2 + rng.Intn(max-max/2)
-	victim.data[off] ^= 1 << uint(rng.Intn(8))
+	bit := byte(1) << uint(rng.Intn(8))
+	at := off
+	for _, s := range victim.segs {
+		if at < len(s) {
+			s[at] ^= bit
+			break
+		}
+		at -= len(s)
+	}
 	d.fault(faultCorrupt, int64(off))
 	return true
 }
@@ -424,13 +469,18 @@ func (d *Device) Digest() digest.Sum {
 	for _, name := range d.names() {
 		f := d.files[name]
 		h = h.Str(name).Word(uint64(f.synced))
-		// Fold durable bytes 8 at a time (cheap and order-sensitive).
+		// Fold durable bytes 8 at a time (cheap and order-sensitive),
+		// segment by segment, the accumulator carried across boundaries.
 		var acc uint64
-		for i := 0; i < f.synced; i++ {
-			acc = acc<<8 | uint64(f.data[i])
-			if i&7 == 7 {
-				h = h.Word(acc)
-				acc = 0
+		i := 0
+		for _, s := range f.segs {
+			for _, b := range s[:min(len(s), f.synced-i)] {
+				acc = acc<<8 | uint64(b)
+				if i&7 == 7 {
+					h = h.Word(acc)
+					acc = 0
+				}
+				i++
 			}
 		}
 		h = h.Word(acc)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
+	"acuerdo/internal/digest"
 	"acuerdo/internal/simnet"
 )
 
@@ -304,6 +307,199 @@ func TestDigestTracksDurableStateOnly(t *testing.T) {
 	sim.RunFor(time.Millisecond)
 	if uint64(dev.Digest()) == mk(1, false) {
 		t.Fatal("different durable state produced equal digests")
+	}
+}
+
+// refFile is a device file as it was before segments: one contiguous byte
+// slice grown by append, its first synced bytes durable. refDevice holds such
+// files and applies each device operation to them the way the flat file did;
+// TestDeviceSegmentsMatchFlatFile holds the segmented Device to it.
+type refFile struct {
+	data   []byte
+	synced int
+}
+
+type refDevice map[string]*refFile
+
+func (r refDevice) get(name string) *refFile {
+	if r[name] == nil {
+		r[name] = &refFile{}
+	}
+	return r[name]
+}
+
+func (r refDevice) names() []string {
+	var out []string
+	for name := range r {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (r refDevice) crash(torn bool, rng *rand.Rand) {
+	for _, name := range r.names() {
+		f := r[name]
+		keep := f.synced
+		if tail := len(f.data) - f.synced; torn && tail > 0 {
+			keep += rng.Intn(tail)
+		}
+		f.data, f.synced = f.data[:keep], keep
+	}
+}
+
+func (r refDevice) corrupt(rng *rand.Rand) bool {
+	var victim *refFile
+	var max int
+	for _, name := range r.names() {
+		if f := r[name]; f.synced > max {
+			victim, max = f, f.synced
+		}
+	}
+	if victim == nil {
+		return false
+	}
+	off := max/2 + rng.Intn(max-max/2)
+	victim.data[off] ^= 1 << uint(rng.Intn(8))
+	return true
+}
+
+func (r refDevice) digest() digest.Sum {
+	h := digest.Offset
+	for _, name := range r.names() {
+		f := r[name]
+		h = h.Str(name).Word(uint64(f.synced))
+		var acc uint64
+		for i := 0; i < f.synced; i++ {
+			acc = acc<<8 | uint64(f.data[i])
+			if i&7 == 7 {
+				h = h.Word(acc)
+				acc = 0
+			}
+		}
+		h = h.Word(acc)
+	}
+	return h
+}
+
+// TestDeviceSegmentsMatchFlatFile drives a segmented Device and the flat
+// reference with the same seeded programs over two files: appends of random
+// size (small ones, ones larger than a segment, ones that fill the last
+// segment exactly, a segment's worth, empty ones), completed flushes, a
+// flush cut off by a power loss, clean and torn crashes, Reopen's trim,
+// Truncate, CorruptDurable and Wipe. After every step both hold the same
+// sizes, the same durable bytes and the same digest.
+func TestDeviceSegmentsMatchFlatFile(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 4
+	}
+	names := []string{"a", "b"}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		sim := newSim(seed)
+		dev := NewDevice(sim, 0, DefaultParams())
+		ref := refDevice{}
+		rng := rand.New(rand.NewSource(seed))
+		var boundaries, spanning, crossings, maxSegs int
+		for step := 0; step < 250; step++ {
+			name := names[rng.Intn(len(names))]
+			op := rng.Intn(100)
+			switch {
+			case op < 60:
+				var n int
+				switch k := rng.Intn(20); {
+				case k < 12:
+					n = rng.Intn(300)
+				case k < 14:
+					n = segSize + 1 + rng.Intn(2*segSize)
+					spanning++
+				case k < 17:
+					// Fill the last segment exactly, when it has room.
+					if f := dev.files[name]; f != nil && len(f.segs) > 0 {
+						last := f.segs[len(f.segs)-1]
+						n = cap(last) - len(last)
+					}
+					if n > 0 {
+						boundaries++
+					}
+				case k < 19:
+					n = segSize
+				}
+				if f := dev.files[name]; f != nil && len(f.segs) > 0 {
+					if last := f.segs[len(f.segs)-1]; n > 0 && n > cap(last)-len(last) && len(last) < cap(last) {
+						crossings++ // would have straddled a boundary
+					}
+				}
+				p := make([]byte, n)
+				rng.Read(p)
+				cut := rng.Intn(n + 1)
+				got := dev.Append(name, p[:cut], nil, p[cut:])
+				if !bytes.Equal(got, p) {
+					t.Fatalf("seed %d step %d: Append of %d bytes landed %d different bytes", seed, step, n, len(got))
+				}
+				f := ref.get(name)
+				f.data = append(f.data, p...)
+			case op < 72:
+				dev.Sync(name, nil)
+				sim.RunFor(time.Millisecond)
+				f := ref.get(name)
+				f.synced = len(f.data)
+			case op < 75:
+				// A flush in flight when the power goes completes nothing.
+				dev.Sync(name, nil)
+				ref.get(name)
+				dev.Crash(sim.Rand())
+				ref.crash(false, nil)
+			case op < 83:
+				torn := rng.Intn(2) == 0
+				if torn {
+					dev.ArmTornWrite()
+				}
+				crashSeed := rng.Int63()
+				dev.Crash(rand.New(rand.NewSource(crashSeed)))
+				ref.crash(torn, rand.New(rand.NewSource(crashSeed)))
+			case op < 90:
+				f := ref.get(name)
+				n := rng.Intn(f.synced + 1)
+				dev.trim(name, n)
+				f.data, f.synced = f.data[:n], n
+			case op < 93:
+				dev.Truncate(name)
+				f := ref.get(name)
+				f.data, f.synced = nil, 0
+			case op < 98:
+				corruptSeed := rng.Int63()
+				got := dev.CorruptDurable(rand.New(rand.NewSource(corruptSeed)))
+				if want := ref.corrupt(rand.New(rand.NewSource(corruptSeed))); got != want {
+					t.Fatalf("seed %d step %d: CorruptDurable flipped %v, reference %v", seed, step, got, want)
+				}
+			default:
+				dev.Wipe()
+				clear(ref)
+			}
+			for _, name := range names {
+				total, durable := dev.Size(name)
+				f := ref[name]
+				if f == nil {
+					f = &refFile{}
+				}
+				if total != len(f.data) || durable != f.synced {
+					t.Fatalf("seed %d step %d: %s is %d bytes, %d durable; reference %d, %d", seed, step, name, total, durable, len(f.data), f.synced)
+				}
+				if got, want := dev.Durable(name), f.data[:f.synced]; !bytes.Equal(got, want) {
+					t.Fatalf("seed %d step %d: %s's durable bytes differ from the reference's", seed, step, name)
+				}
+			}
+			if got, want := dev.Digest(), ref.digest(); got != want {
+				t.Fatalf("seed %d step %d: digest %x, reference %x", seed, step, got, want)
+			}
+			for _, f := range dev.files {
+				maxSegs = max(maxSegs, len(f.segs))
+			}
+		}
+		if seed == 1 && (boundaries == 0 || spanning == 0 || crossings == 0 || maxSegs < 4) {
+			t.Fatalf("seed 1 filled %d segments exactly, wrote %d oversize and %d segment-crossing appends, and held at most %d segments: the program exercises too little", boundaries, spanning, crossings, maxSegs)
+		}
 	}
 }
 

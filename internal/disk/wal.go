@@ -89,11 +89,15 @@ type Recovered struct {
 // truncate records drop suffixes that is the surviving log prefix. A later
 // record for an index replaces the earlier one.
 func (r *Recovered) Positional() []RecEntry {
-	var out []RecEntry
+	n := uint64(0)
 	for _, e := range r.Entries {
-		for uint64(len(out)) <= e.Seq {
-			out = append(out, RecEntry{})
-		}
+		n = max(n, e.Seq+1)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]RecEntry, n)
+	for _, e := range r.Entries {
 		out[e.Seq] = e
 	}
 	return out
@@ -109,7 +113,9 @@ func (r *Recovered) Positional() []RecEntry {
 // exactly like etcd/ZooKeeper group commit. done runs once a flush has made
 // the record durable, or never, if the device loses power first. A nil done
 // means fire-and-forget: the record still rides the next group commit. The
-// record path allocates nothing once the file and the queues have grown.
+// record path allocates nothing once the queues have grown, except the
+// file's own growth: one 64 KiB segment per 64 KiB written, never copied
+// (Device.Append lands each record inside one segment).
 type LogStore struct {
 	dev  *Device
 	name string
@@ -311,6 +317,23 @@ func (r *Recovery) Reopen(dev *Device, proc *simnet.Proc, names ...string) []Reo
 func RecoverLog(dev *Device, name string) Recovered {
 	rec := Recovered{Meta: make(map[uint8]uint64)}
 	buf := dev.Durable(name)
+	// A header-only pre-pass counts the entry records, so Entries is
+	// allocated once: exactly sized unless a truncate record or a bad
+	// checksum drops some of them.
+	entries := 0
+	for off := 0; off+recHeader <= len(buf); {
+		n := int(binary.LittleEndian.Uint32(buf[off+4:]))
+		if off+recHeader+n > len(buf) {
+			break
+		}
+		if buf[off+8] == kindEntry && n >= 16 {
+			entries++
+		}
+		off += recHeader + n
+	}
+	if entries > 0 {
+		rec.Entries = make([]RecEntry, 0, entries)
+	}
 	off := 0
 	for off+recHeader <= len(buf) {
 		crc := binary.LittleEndian.Uint32(buf[off:])

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -325,16 +326,17 @@ func TestRecoverLogCarvesCappedViews(t *testing.T) {
 	}
 }
 
-// TestLogStoreAllocFree pins the record path at zero allocations once the
-// file has room: entries with callbacks, a meta cell, a frontier flush and
-// the group commit that lands them, on a recycled queue and fsync record.
+// TestLogStoreAllocFree pins the record path at zero allocations: entries
+// with callbacks, a meta cell, a frontier flush and the group commit that
+// lands them, on a recycled queue and fsync record. The file grows as it
+// goes, one segment per 64 KiB and never by a copy, so its growth averages
+// to nothing per cycle too.
 func TestLogStoreAllocFree(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
 	ls := NewLogStore(dev, "wal")
 	reported := uint64(0)
 	ls.OnFrontier = func(n uint64) { reported = n }
-	dev.get("wal").data = make([]byte, 0, 1<<20)
 	data := make([]byte, 100)
 	acked := 0
 	done := func() { acked++ }
@@ -354,5 +356,50 @@ func TestLogStoreAllocFree(t *testing.T) {
 	}
 	if reported != seq || acked != int(seq) {
 		t.Fatalf("frontier %d and %d callbacks after %d entries", reported, acked, seq)
+	}
+	// Bytes, not objects, tell a file that copies itself as it grows from
+	// one that does not: a slice grown by append allocates about twice what
+	// it ends up holding, a segmented file at most one segment more.
+	var before, after runtime.MemStats
+	from, _ := dev.Size("wal")
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 500; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	to, _ := dev.Size("wal")
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(to-from+segSize+4096); got > bound {
+		t.Fatalf("writing %d bytes allocated %d, want at most %d", to-from, got, bound)
+	}
+}
+
+// TestRecoverLogAllocFree pins recovery's allocations at a constant: the one
+// copy of the durable bytes, the meta map, Entries sized once by a header
+// pre-pass, and Positional's output sized once from the largest Seq. A log
+// ten times longer allocates no more objects.
+func TestRecoverLogAllocFree(t *testing.T) {
+	objects := func(n int) float64 {
+		sim := newSim(1)
+		dev := NewDevice(sim, 0, DefaultParams())
+		ls := NewLogStore(dev, "wal")
+		data := make([]byte, 8)
+		for i := 0; i < n; i++ {
+			ls.AppendEntry(uint64(i), 1, data, nil)
+			if i%1000 == 999 {
+				ls.SetMeta(1, uint64(i), nil)
+			}
+		}
+		ls.Truncate(uint64(n-n/4), nil)
+		sim.RunFor(time.Second)
+		return testing.AllocsPerRun(3, func() {
+			rec := RecoverLog(dev, "wal")
+			if len(rec.Entries) != n-n/4 || len(rec.Positional()) != n-n/4 {
+				t.Fatalf("recovered %d entries of %d", len(rec.Entries), n-n/4)
+			}
+		})
+	}
+	small, large := objects(1000), objects(100000)
+	if small != large || large > 6 {
+		t.Fatalf("recovering 1 000 entries allocates %.0f objects and 100 000 allocate %.0f, want the same few", small, large)
 	}
 }
