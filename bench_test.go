@@ -1,6 +1,6 @@
 // Package acuerdobench holds the top-level benchmark suite: one benchmark
 // per table and figure in the paper's evaluation (§4), the ablations called
-// out in DESIGN.md §7, and micro-benchmarks of the substrates.
+// out in DESIGN.md §8, and micro-benchmarks of the substrates.
 //
 // Each benchmark iteration runs a complete simulated experiment; reported
 // custom metrics (MB/s, msg/s, latency in microseconds, election ms,
@@ -101,7 +101,7 @@ func BenchmarkFigure9(b *testing.B) {
 	}
 }
 
-// --- ablations (DESIGN.md §7) ---
+// --- ablations (DESIGN.md §8) ---
 
 func benchAcuerdoVariant(b *testing.B, mutate func(*acuerdo.Config)) {
 	b.Helper()

@@ -29,6 +29,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -83,21 +84,20 @@ func main() {
 		all = all[:2] // the two acceptance scenarios
 	}
 	if *scenarios != "" {
+		known := make([]string, len(all))
+		for i, sc := range all {
+			known[i] = sc.Name
+		}
 		want := map[string]bool{}
 		for _, s := range strings.Split(*scenarios, ",") {
-			want[strings.TrimSpace(s)] = true
-		}
-		var sel []chaos.Scenario
-		for _, sc := range all {
-			if want[sc.Name] {
-				sel = append(sel, sc)
+			s = strings.TrimSpace(s)
+			if !slices.Contains(known, s) {
+				fmt.Fprintf(os.Stderr, "unknown scenario %q (want one of %v)\n", s, known)
+				os.Exit(2)
 			}
+			want[s] = true
 		}
-		if len(sel) == 0 {
-			fmt.Fprintf(os.Stderr, "no matching scenario in %q\n", *scenarios)
-			os.Exit(2)
-		}
-		all = sel
+		all = slices.DeleteFunc(all, func(sc chaos.Scenario) bool { return !want[sc.Name] })
 	}
 
 	exit := 0

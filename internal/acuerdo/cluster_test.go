@@ -294,7 +294,7 @@ func TestRestartLiveReplicaKeepsOnePollLoop(t *testing.T) {
 	r.Restart()
 	role := r.Role()
 	got := polls(window)
-	perLoop := int64(window / (r.Cfg.PollInterval + r.Cfg.PollCost))
+	perLoop := int64(window / (r.Cfg.PollInterval + pollCost))
 	if got > base+perLoop/2 {
 		t.Fatalf("%d polls in the window after Restart, %d before: a second poll loop (%d polls per window each) is running",
 			got, base, perLoop)

@@ -34,32 +34,40 @@ func (r Role) String() string {
 	return "?"
 }
 
-// Config tunes a replica. The zero value is not valid; start from
-// DefaultConfig.
-type Config struct {
-	// PollInterval and PollCost model the event loop: the receiver-side
-	// batch size is whatever accumulates between polls.
-	PollInterval time.Duration
-	PollCost     time.Duration
-	// PerMsgCost is the CPU cost of accepting one message.
-	PerMsgCost time.Duration
-	// DeliverCost is the CPU cost of delivering one message upward.
-	DeliverCost time.Duration
-	// CommitPushInterval is the off-critical-path cadence of Commit_SST
+// Calibrated replica costs and timers.
+const (
+	// pollCost is the CPU cost of one event-loop poll.
+	pollCost = 120 * time.Nanosecond
+	// perMsgCost is the CPU cost of accepting one message.
+	perMsgCost = 150 * time.Nanosecond
+	// deliverCost is the CPU cost of delivering one message upward.
+	deliverCost = 100 * time.Nanosecond
+	// commitPushInterval is the off-critical-path cadence of Commit_SST
 	// pushes; the push doubles as the leader heartbeat.
-	CommitPushInterval time.Duration
-	// LeaderTimeout is the failure detector: a follower suspects the
+	commitPushInterval = 4 * time.Microsecond
+	// leaderTimeout is the failure detector: a follower suspects the
 	// leader when its Commit_SST row is stale this long.
-	LeaderTimeout time.Duration
-	// CandidateTimeout bounds how long a voter waits on a candidate that
-	// is not winning before proposing itself.
-	CandidateTimeout time.Duration
-	// ElectionPeriod rate-limits election iterations ("On: Timeout or
+	leaderTimeout = 4 * time.Millisecond
+	// electionPeriod rate-limits election iterations ("On: Timeout or
 	// Periodically", Figure 7): a node re-evaluates its vote at most this
 	// often (the first iteration after suspicion runs immediately).
-	// Zero means every poll.
-	ElectionPeriod time.Duration
-	// RingBytes sizes each broadcast ring.
+	electionPeriod = 100 * time.Microsecond
+)
+
+// Config holds the replica settings some caller varies: the Table 1
+// election benchmark and the DESIGN §8 ablations in bench_test.go. The
+// zero value is not valid; start from DefaultConfig.
+type Config struct {
+	// PollInterval is the event loop's period: the receiver-side batch
+	// size is whatever accumulates between polls. The ack-batching
+	// ablation coarsens it to 4 µs.
+	PollInterval time.Duration
+	// CandidateTimeout bounds how long a voter waits on a candidate that
+	// is not winning before proposing itself. bench.ElectionBench sets
+	// 2 ms (Table 1).
+	CandidateTimeout time.Duration
+	// RingBytes sizes each broadcast ring. The slot-reuse ablation
+	// shrinks it to 16 KiB.
 	RingBytes int
 
 	// Ablation knobs (all false in the real protocol):
@@ -78,15 +86,9 @@ type Config struct {
 // experiments.
 func DefaultConfig() Config {
 	return Config{
-		PollInterval:       400 * time.Nanosecond,
-		PollCost:           120 * time.Nanosecond,
-		PerMsgCost:         150 * time.Nanosecond,
-		DeliverCost:        100 * time.Nanosecond,
-		CommitPushInterval: 4 * time.Microsecond,
-		LeaderTimeout:      4 * time.Millisecond,
-		CandidateTimeout:   1 * time.Millisecond,
-		ElectionPeriod:     100 * time.Microsecond,
-		RingBytes:          4 << 20,
+		PollInterval:     400 * time.Nanosecond,
+		CandidateTimeout: 1 * time.Millisecond,
+		RingBytes:        4 << 20,
 	}
 }
 
@@ -219,7 +221,7 @@ func (r *Replica) Start() {
 	r.voteChangedAt = r.Sim.Now()
 	r.ldrRowAt = r.Sim.Now()
 	r.SuspectedAt = r.Sim.Now()
-	r.Node.Proc.PollLoop(r.Cfg.PollInterval, r.Cfg.PollCost, r.poll)
+	r.Node.Proc.PollLoop(r.Cfg.PollInterval, pollCost, r.poll)
 }
 
 // acuerdoWALName is the per-replica committed-entry log device file.
@@ -377,7 +379,7 @@ func (r *Replica) drainRings() {
 			if err != nil {
 				continue // corrupt record; drop
 			}
-			r.Node.Proc.Charge(r.Cfg.PerMsgCost)
+			r.Node.Proc.Charge(perMsgCost)
 			if !isDiff {
 				// Normal message acceptance (line 47).
 				if hdr.E == r.eNew && hdr.E == r.eCur {
@@ -463,7 +465,7 @@ func (r *Replica) Broadcast(payload []byte) bool {
 	// behind the ring header straight into each follower's wire frame.
 	var mh [msgHdrSize]byte
 	putMsgHdr(mh[:], hdr, kindNormal)
-	r.Node.Proc.Charge(r.Cfg.PerMsgCost)
+	r.Node.Proc.Charge(perMsgCost)
 	var idx uint64
 	for j := 0; j < r.N; j++ {
 		if j == int(r.ID) {
@@ -542,7 +544,7 @@ func (r *Replica) commitTask() {
 }
 
 func (r *Replica) deliverEntry(e Entry) {
-	r.Node.Proc.Charge(r.Cfg.DeliverCost)
+	r.Node.Proc.Charge(deliverCost)
 	// The leader's commit decision is what unblocks the client ack.
 	r.emit(trace.DeliverHeader.Acked(r.role == Leader), e.Hdr.E.Term(), uint64(e.Hdr.Cnt), trace.ID(e.Payload))
 	r.committed = e.Hdr
@@ -568,7 +570,7 @@ func (r *Replica) deliverEntry(e Entry) {
 // frontier and, in durable mode, group-commits the WAL tail.
 func (r *Replica) pushCommitRow() {
 	now := r.Sim.Now()
-	if now.Sub(r.lastCommitPush) < r.Cfg.CommitPushInterval {
+	if now.Sub(r.lastCommitPush) < commitPushInterval {
 		return
 	}
 	r.lastCommitPush = now
@@ -600,7 +602,7 @@ func (r *Replica) failureDetector() {
 		r.ldrRowAt = now
 		return
 	}
-	if now.Sub(r.ldrRowAt) > r.Cfg.LeaderTimeout {
+	if now.Sub(r.ldrRowAt) > leaderTimeout {
 		r.Suspect()
 	}
 }
@@ -629,7 +631,7 @@ func (r *Replica) electionStep() {
 	if r.Sim.Now() < r.nextElection {
 		return
 	}
-	r.nextElection = r.Sim.Now().Add(r.Cfg.ElectionPeriod)
+	r.nextElection = r.Sim.Now().Add(electionPeriod)
 	r.votes = r.voteSST.Snapshot(r.votes)
 	mx := Vote{}
 	for _, v := range r.votes {

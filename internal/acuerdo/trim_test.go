@@ -222,10 +222,10 @@ func TestLeaderBusyTimeCountsCharges(t *testing.T) {
 	}
 
 	// polls-1: the iteration in flight at t0 was charged before it.
-	floor := time.Duration(polls-1)*ldr.Cfg.PollCost +
+	floor := time.Duration(polls-1)*pollCost +
 		time.Duration(ldr.Node.Writes-writes0)*c.Fabric.Params.PostCost +
-		time.Duration(ldr.Stats.Broadcasts-stats0.Broadcasts)*ldr.Cfg.PerMsgCost +
-		time.Duration(ldr.Stats.Delivered-stats0.Delivered)*ldr.Cfg.DeliverCost
+		time.Duration(ldr.Stats.Broadcasts-stats0.Broadcasts)*perMsgCost +
+		time.Duration(ldr.Stats.Delivered-stats0.Delivered)*deliverCost
 	t.Logf("leader busy %v of %v (%.2f); polls, posts, broadcasts and deliveries alone account for %v",
 		busy, elapsed, float64(busy)/float64(elapsed), floor)
 	if busy < floor {

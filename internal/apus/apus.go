@@ -24,36 +24,21 @@ import (
 	"acuerdo/internal/trace"
 )
 
-// Config tunes the APUS baseline.
-type Config struct {
-	N int
-	// InstanceCost is leader CPU per message (one Paxos instance each).
-	InstanceCost time.Duration
-	// AcceptorCost is acceptor CPU per log entry processed.
-	AcceptorCost time.Duration
-	// AckInterval is the acceptor acknowledgment thread's period.
-	AckInterval time.Duration
-	// PollInterval/PollCost model the event loops.
-	PollInterval time.Duration
-	PollCost     time.Duration
-	// LogSlots and SlotBytes size each acceptor's log region.
-	LogSlots  int
-	SlotBytes int
-}
-
-// DefaultConfig returns calibrated APUS constants.
-func DefaultConfig(n int) Config {
-	return Config{
-		N:            n,
-		InstanceCost: 6 * time.Microsecond,
-		AcceptorCost: 500 * time.Nanosecond,
-		AckInterval:  8 * time.Microsecond,
-		PollInterval: 1 * time.Microsecond,
-		PollCost:     150 * time.Nanosecond,
-		LogSlots:     8192,
-		SlotBytes:    1100,
-	}
-}
+// Calibrated APUS costs.
+const (
+	// instanceCost is leader CPU per message (one Paxos instance each).
+	instanceCost = 6 * time.Microsecond
+	// acceptorCost is acceptor CPU per log entry processed.
+	acceptorCost = 500 * time.Nanosecond
+	// ackInterval is the acceptor acknowledgment thread's period.
+	ackInterval = 8 * time.Microsecond
+	// pollInterval/pollCost model the event loops.
+	pollInterval = 1 * time.Microsecond
+	pollCost     = 150 * time.Nanosecond
+	// logSlots and slotBytes size each acceptor's log region.
+	logSlots  = 8192
+	slotBytes = 1100
+)
 
 const slotHdr = 12 // index u64 + len u32
 
@@ -62,7 +47,6 @@ const slotHdr = 12 // index u64 + len u32
 type Cluster struct {
 	Sim    *simnet.Sim
 	Fabric *rdma.Fabric
-	cfg    Config
 
 	nodes  []*rdma.Node
 	client *rdma.Node
@@ -93,31 +77,31 @@ type Cluster struct {
 	OnDeliver func(replica int, index uint64, payload []byte)
 }
 
-// NewCluster builds the deployment.
-func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Cluster {
-	c := &Cluster{Sim: sim, Fabric: fabric, cfg: cfg, nextIdx: 1}
+// NewCluster builds a deployment of n servers.
+func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, n int) *Cluster {
+	c := &Cluster{Sim: sim, Fabric: fabric, nextIdx: 1}
 	// No retry: the fixed leader never loses a request, and a dead leader
 	// is a permanent halt (see Crash).
 	c.requests = abcast.NewClient(sim, c.try, 0, 0)
-	c.nodes = make([]*rdma.Node, cfg.N)
+	c.nodes = make([]*rdma.Node, n)
 	for i := range c.nodes {
 		c.nodes[i] = fabric.AddNode("apus")
 	}
 	c.client = fabric.AddNode("apus-client")
 
 	leader := c.nodes[0]
-	c.logMRs = make([]*rdma.MR, cfg.N)
-	c.commitMRs = make([]*rdma.MR, cfg.N)
-	c.logQPs = make([]*rdma.QP, cfg.N)
-	c.commitQPs = make([]*rdma.QP, cfg.N)
-	c.ackQPs = make([]*rdma.QP, cfg.N)
-	c.seen = make([]uint64, cfg.N)
-	c.acked = make([]uint64, cfg.N)
-	c.delivered = make([]uint64, cfg.N)
-	c.store = make([][][]byte, cfg.N)
-	c.ackMR = leader.RegisterMemory(8 * cfg.N)
-	for i := 1; i < cfg.N; i++ {
-		c.logMRs[i] = c.nodes[i].RegisterMemory(cfg.LogSlots * cfg.SlotBytes)
+	c.logMRs = make([]*rdma.MR, n)
+	c.commitMRs = make([]*rdma.MR, n)
+	c.logQPs = make([]*rdma.QP, n)
+	c.commitQPs = make([]*rdma.QP, n)
+	c.ackQPs = make([]*rdma.QP, n)
+	c.seen = make([]uint64, n)
+	c.acked = make([]uint64, n)
+	c.delivered = make([]uint64, n)
+	c.store = make([][][]byte, n)
+	c.ackMR = leader.RegisterMemory(8 * n)
+	for i := 1; i < n; i++ {
+		c.logMRs[i] = c.nodes[i].RegisterMemory(logSlots * slotBytes)
 		c.commitMRs[i] = c.nodes[i].RegisterMemory(8)
 		c.logQPs[i] = leader.Connect(c.nodes[i])
 		c.commitQPs[i] = leader.Connect(c.nodes[i])
@@ -144,10 +128,10 @@ func (c *Cluster) emit(i int, k trace.FactKind, index uint64, id int64) {
 
 // Start boots the leader, acceptor, and client loops.
 func (c *Cluster) Start() {
-	c.nodes[0].Proc.PollLoop(c.cfg.PollInterval, c.cfg.PollCost, c.leaderPoll)
-	for i := 1; i < c.cfg.N; i++ {
+	c.nodes[0].Proc.PollLoop(pollInterval, pollCost, c.leaderPoll)
+	for i := 1; i < len(c.nodes); i++ {
 		i := i
-		c.nodes[i].Proc.PollLoop(c.cfg.AckInterval, c.cfg.PollCost, func() { c.acceptorPoll(i) })
+		c.nodes[i].Proc.PollLoop(ackInterval, pollCost, func() { c.acceptorPoll(i) })
 	}
 	c.link.Start(c.requests.Ack)
 }
@@ -163,12 +147,12 @@ func (c *Cluster) leaderPoll() {
 	// beyond the pending batch end.
 	if c.batchEnd > 0 {
 		n := 1 // leader
-		for i := 1; i < c.cfg.N; i++ {
+		for i := 1; i < len(c.nodes); i++ {
 			if binary.LittleEndian.Uint64(c.ackMR.Buf[8*i:]) >= c.batchEnd {
 				n++
 			}
 		}
-		if n >= c.cfg.N/2+1 {
+		if n >= len(c.nodes)/2+1 {
 			end := c.batchEnd
 			c.batchEnd = 0
 			c.commitUpTo(end)
@@ -190,7 +174,7 @@ func (c *Cluster) sendBatch() {
 	for _, payload := range batch {
 		idx := c.nextIdx
 		c.nextIdx++
-		leader.Proc.Charge(c.cfg.InstanceCost)
+		leader.Proc.Charge(instanceCost)
 		if c.store[0] == nil {
 			c.store[0] = [][]byte{nil}
 		}
@@ -199,8 +183,8 @@ func (c *Cluster) sendBatch() {
 		binary.LittleEndian.PutUint64(slot, idx)
 		binary.LittleEndian.PutUint32(slot[8:], uint32(len(payload)))
 		copy(slot[slotHdr:], payload)
-		off := int(idx%uint64(c.cfg.LogSlots)) * c.cfg.SlotBytes
-		for i := 1; i < c.cfg.N; i++ {
+		off := int(idx%uint64(logSlots)) * slotBytes
+		for i := 1; i < len(c.nodes); i++ {
 			if _, err := c.logQPs[i].Write(c.logMRs[i], off, slot); err != nil && err != rdma.ErrSendQueueFull {
 				panic("apus: log write failed: " + err.Error())
 			}
@@ -225,7 +209,7 @@ func (c *Cluster) commitUpTo(end uint64) {
 	c.committed = end
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], end)
-	for i := 1; i < c.cfg.N; i++ {
+	for i := 1; i < len(c.nodes); i++ {
 		if _, err := c.commitQPs[i].Write(c.commitMRs[i], 0, buf[:]); err != nil && err != rdma.ErrSendQueueFull {
 			panic("apus: commit write failed: " + err.Error())
 		}
@@ -242,7 +226,7 @@ func (c *Cluster) acceptorPoll(i int) {
 	// Scan forward from the last seen entry.
 	for {
 		next := c.seen[i] + 1
-		off := int(next%uint64(c.cfg.LogSlots)) * c.cfg.SlotBytes
+		off := int(next%uint64(logSlots)) * slotBytes
 		buf := c.logMRs[i].Buf
 		idx := binary.LittleEndian.Uint64(buf[off:])
 		if idx != next {
@@ -253,7 +237,7 @@ func (c *Cluster) acceptorPoll(i int) {
 		copy(payload, buf[off+slotHdr:off+slotHdr+ln])
 		c.store[i] = append(c.store[i], payload)
 		c.seen[i] = next
-		c.nodes[i].Proc.Charge(c.cfg.AcceptorCost)
+		c.nodes[i].Proc.Charge(acceptorCost)
 		c.emit(i, trace.Accept, next, trace.ID(payload))
 	}
 	if c.seen[i] > c.acked[i] {
@@ -278,7 +262,7 @@ func (c *Cluster) acceptorPoll(i int) {
 // --- fault injection (chaos engine surface) ---
 
 // Size implements abcast.Group.
-func (c *Cluster) Size() int { return c.cfg.N }
+func (c *Cluster) Size() int { return len(c.nodes) }
 
 // Proc implements abcast.Group.
 func (c *Cluster) Proc(i int) *simnet.Proc { return c.nodes[i].Proc }
@@ -308,7 +292,7 @@ func (c *Cluster) Restart(i int) {
 		return
 	}
 	c.nodes[i].Recover()
-	c.nodes[i].Proc.PollLoop(c.cfg.AckInterval, c.cfg.PollCost, func() { c.acceptorPoll(i) })
+	c.nodes[i].Proc.PollLoop(ackInterval, pollCost, func() { c.acceptorPoll(i) })
 }
 
 // LeaderIdx returns 0 while the fixed leader is alive, else -1.
@@ -329,8 +313,8 @@ func (c *Cluster) Ready() bool { return !c.nodes[0].Crashed() }
 // refused here, where it enters: sendBatch writes it at a fixed slot stride,
 // so a longer one would run into its neighbour's slot.
 func (c *Cluster) Submit(payload []byte, done func()) {
-	if slotHdr+len(payload) > c.cfg.SlotBytes {
-		panic(fmt.Sprintf("apus: %d-byte request exceeds the %d-byte log slot (%d-byte header)", len(payload), c.cfg.SlotBytes, slotHdr))
+	if slotHdr+len(payload) > slotBytes {
+		panic(fmt.Sprintf("apus: %d-byte request exceeds the %d-byte log slot (%d-byte header)", len(payload), slotBytes, slotHdr))
 	}
 	c.requests.Submit(payload, done)
 }

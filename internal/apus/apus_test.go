@@ -15,7 +15,7 @@ func newCluster(t *testing.T, n int, seed int64) (*simnet.Sim, *Cluster, *abcast
 	t.Helper()
 	sim := simnet.New(seed)
 	fabric := rdma.NewFabric(sim, rdma.DefaultParams())
-	c := NewCluster(sim, fabric, DefaultConfig(n))
+	c := NewCluster(sim, fabric, n)
 	chk := abcast.NewChecker(n)
 	c.OnDeliver = func(r int, idx uint64, payload []byte) {
 		if err := chk.OnDeliver(r, abcast.MsgID(payload)); err != nil {
@@ -130,7 +130,7 @@ func TestSlowAcceptorStallsBatch(t *testing.T) {
 // fits commits intact.
 func TestOversizeRequestRefused(t *testing.T) {
 	sim, c, chk := newCluster(t, 3, 1)
-	fits := make([]byte, c.cfg.SlotBytes-slotHdr)
+	fits := make([]byte, slotBytes-slotHdr)
 	abcast.PutMsgID(fits, 1)
 	fits[len(fits)-1] = 0xee
 	chk.OnBroadcast(1)

@@ -260,22 +260,22 @@ var systems = map[Kind]struct {
 		return acuerdo.NewCluster(sim, f, cfg)
 	}},
 	DerechoAll: {onFabric: func(sim *simnet.Sim, f *rdma.Fabric, n int, _ Options) abcast.Group {
-		return derecho.NewCluster(sim, f, derecho.DefaultConfig(n, derecho.AllMode))
+		return derecho.NewCluster(sim, f, n, derecho.AllMode)
 	}},
 	DerechoLeader: {onFabric: func(sim *simnet.Sim, f *rdma.Fabric, n int, _ Options) abcast.Group {
-		return derecho.NewCluster(sim, f, derecho.DefaultConfig(n, derecho.LeaderMode))
+		return derecho.NewCluster(sim, f, n, derecho.LeaderMode)
 	}},
 	Apus: {onFabric: func(sim *simnet.Sim, f *rdma.Fabric, n int, _ Options) abcast.Group {
-		return apus.NewCluster(sim, f, apus.DefaultConfig(n))
+		return apus.NewCluster(sim, f, n)
 	}},
 	Etcd: {onNet: func(sim *simnet.Sim, nt *tcpnet.Net, n int, _ Options) abcast.Group {
-		return raft.NewCluster(sim, nt, raft.DefaultConfig(n))
+		return raft.NewCluster(sim, nt, n)
 	}},
 	Libpaxos: {onNet: func(sim *simnet.Sim, nt *tcpnet.Net, n int, _ Options) abcast.Group {
-		return paxos.NewCluster(sim, nt, paxos.DefaultConfig(n))
+		return paxos.NewCluster(sim, nt, n)
 	}},
 	Zookeeper: {onNet: func(sim *simnet.Sim, nt *tcpnet.Net, n int, _ Options) abcast.Group {
-		return zab.NewCluster(sim, nt, zab.DefaultConfig(n))
+		return zab.NewCluster(sim, nt, n)
 	}},
 }
 

@@ -19,23 +19,29 @@ import (
 	"acuerdo/internal/trace"
 )
 
+// The chaos load and probe, the same in every run.
+const (
+	// chaosWindow outstanding chaosMsgSize-byte requests are the
+	// closed-loop load.
+	chaosWindow  = 8
+	chaosMsgSize = 16
+	// chaosSettle is fault-free load before the schedule starts (a
+	// baseline the probe can compare against).
+	chaosSettle = 10 * time.Millisecond
+	// gapThreshold is the smallest ack gap the probe reports as an
+	// unavailability window.
+	gapThreshold = 2 * time.Millisecond
+)
+
 // ChaosConfig parameterizes one chaos run.
 type ChaosConfig struct {
-	Nodes   int
-	Seed    int64
-	Window  int
-	MsgSize int
-	// Settle is fault-free load before the schedule starts (a baseline the
-	// probe can compare against).
-	Settle time.Duration
+	Nodes int
+	Seed  int64
 	// Horizon is the fault schedule's length; the scenario generator fits
 	// its actions inside it.
 	Horizon time.Duration
 	// Drain is fault-free time after the horizon for recoveries to finish.
 	Drain time.Duration
-	// GapThreshold is the smallest ack gap the probe reports as an
-	// unavailability window.
-	GapThreshold time.Duration
 	// WatchdogBudget is the no-progress budget; a run with no client ack
 	// for this much simulated time is stopped and reported as wedged.
 	WatchdogBudget time.Duration
@@ -55,12 +61,8 @@ func DefaultChaos(nodes int, seed int64) ChaosConfig {
 	return ChaosConfig{
 		Nodes:          nodes,
 		Seed:           seed,
-		Window:         8,
-		MsgSize:        16,
-		Settle:         10 * time.Millisecond,
 		Horizon:        120 * time.Millisecond,
 		Drain:          40 * time.Millisecond,
-		GapThreshold:   2 * time.Millisecond,
 		WatchdogBudget: 80 * time.Millisecond,
 	}
 }
@@ -159,14 +161,11 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	// Safety: every delivery at every replica feeds the checker.
 	checker := inst.Check(nil)
 
-	// Closed-loop client: cfg.Window outstanding requests; every ack is
+	// Closed-loop client: chaosWindow outstanding requests; every ack is
 	// timestamped for the availability probe.
 	var acks []simnet.Time
-	if cfg.MsgSize < 8 {
-		cfg.MsgSize = 8
-	}
-	reqs := abcast.Requests{Size: cfg.MsgSize, OnAck: func(*abcast.Request) { acks = append(acks, sim.Now()) }}
-	abcast.Loop(sim, inst.Sys, cfg.Window, func(id uint64, next func()) {
+	reqs := abcast.Requests{Size: chaosMsgSize, OnAck: func(*abcast.Request) { acks = append(acks, sim.Now()) }}
+	abcast.Loop(sim, inst.Sys, chaosWindow, func(id uint64, next func()) {
 		r := reqs.Take(id, sim.Now(), next)
 		abcast.PutMsgID(r.Payload, id)
 		checker.OnBroadcast(id)
@@ -178,21 +177,21 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	if err := plan.Validate(cfg.Nodes); err != nil {
 		panic("chaos: " + err.Error())
 	}
-	faultStart := sim.Now().Add(cfg.Settle)
+	faultStart := sim.Now().Add(chaosSettle)
 	engine := chaos.NewEngine(sim, inst.ChaosTarget())
 	engine.Schedule(faultStart, plan)
 
 	// Watchdog on the ack stream: a wedged run (quorum gone, fixed leader
 	// dead) exits within one budget instead of spinning on heartbeats.
 	wd := simnet.NewWatchdog(sim, cfg.WatchdogBudget, func() int64 { return int64(len(acks)) }, nil)
-	sim.RunFor(cfg.Settle + cfg.Horizon + cfg.Drain)
+	sim.RunFor(chaosSettle + cfg.Horizon + cfg.Drain)
 	wd.Stop()
 
 	res.End = sim.Now()
 	res.Acks = len(acks)
 	res.Fired = engine.Fired()
 	res.Recoveries = chaos.Recoveries(res.Fired, acks)
-	res.Windows, res.Unavail = chaos.Unavailability(acks, faultStart, res.End, cfg.GapThreshold)
+	res.Windows, res.Unavail = chaos.Unavailability(acks, faultStart, res.End, gapThreshold)
 	// Refine each fault's MTTR with the outage window it opened: the raw
 	// "first ack at or after the fault" lands among acks of requests that
 	// were already committed when the fault fired (the in-flight drain),
@@ -203,7 +202,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 	for i := range res.Recoveries {
 		f := res.Recoveries[i].Fault
 		for _, w := range res.Windows {
-			if w.To < f.At || w.From > f.At.Add(2*cfg.GapThreshold) {
+			if w.To < f.At || w.From > f.At.Add(2*gapThreshold) {
 				continue
 			}
 			res.Recoveries[i].RecoveredAt = w.To

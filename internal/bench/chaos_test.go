@@ -148,7 +148,7 @@ func TestChaosWatchdogOnQuorumLoss(t *testing.T) {
 			if r.Watchdog == nil {
 				t.Fatal("watchdog never fired on a permanently partitioned run")
 			}
-			horizon := cfg.Settle + cfg.Horizon + cfg.Drain
+			horizon := chaosSettle + cfg.Horizon + cfg.Drain
 			if time.Duration(r.End) >= horizon {
 				t.Fatalf("run went the full horizon %v instead of stopping at the watchdog", horizon)
 			}

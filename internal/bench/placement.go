@@ -1,10 +1,10 @@
 // Sharded multi-group harness: one simulation hosting a whole placement
 // map's worth of broadcast rings (internal/placement) on a shared
 // interconnect and a shared fleet of CPUs, driven by per-group YCSB load.
-// This is the scale-out experiment of ROADMAP item 1: per-ring throughput
-// is fully characterized by Figure 8/9, so aggregate capacity must come
-// from many groups — and it only scales until the co-located replicas
-// saturate the fleet's cores.
+// This is the scale-out experiment: per-ring throughput is fully
+// characterized by Figure 8/9, so aggregate capacity must come from many
+// groups — and it only scales until the co-located replicas saturate the
+// fleet's cores.
 package bench
 
 import (

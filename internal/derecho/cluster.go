@@ -32,13 +32,13 @@ type Cluster struct {
 	OnDeliver func(replica, sender int, idx uint64, payload []byte)
 }
 
-// NewCluster builds a Derecho group plus client on the fabric.
-func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Cluster {
+// NewCluster builds a Derecho group of n members plus client on the fabric.
+func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, n int, mode Mode) *Cluster {
 	c := &Cluster{Sim: sim, Fabric: fabric, target: make(map[uint64]int)}
 	c.requests = abcast.NewClient(sim, c.try, 10*time.Millisecond, time.Millisecond)
-	c.Group = NewGroup(sim, fabric, cfg)
+	c.Group = NewGroup(sim, fabric, n, mode)
 	c.client = fabric.AddNode("derecho-client")
-	members := make([]*rdma.Node, cfg.N)
+	members := make([]*rdma.Node, n)
 	for i := range members {
 		members[i] = c.Group.Node(i)
 	}
@@ -57,9 +57,9 @@ func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Cluster {
 // Start boots the group, per-member request pumps, and the client loop.
 func (c *Cluster) Start() {
 	c.Group.Start()
-	for i := 0; i < c.Group.Cfg.N; i++ {
+	for i := range c.Group.nodes {
 		i := i
-		c.Group.Node(i).Proc.PollLoop(c.Group.Cfg.PollInterval, 100*time.Nanosecond, func() {
+		c.Group.Node(i).Proc.PollLoop(pollInterval, 100*time.Nanosecond, func() {
 			c.link.Requests(i, func(req []byte) {
 				switch c.Group.nodes[i].sessions.Admit(abcast.MsgID(req)) {
 				case abcast.Propose:
@@ -79,14 +79,14 @@ func (c *Cluster) Start() {
 }
 
 // Name implements abcast.System.
-func (c *Cluster) Name() string { return c.Group.Cfg.Mode.String() }
+func (c *Cluster) Name() string { return c.Group.mode.String() }
 
 // Ready implements abcast.System.
 func (c *Cluster) Ready() bool { return c.LeaderIdx() >= 0 }
 
 // liveProbe returns a live member whose view state we can consult.
 func (c *Cluster) liveProbe() int {
-	for i := 0; i < c.Group.Cfg.N; i++ {
+	for i := range c.Group.nodes {
 		if !c.Group.Node(i).Crashed() {
 			return i
 		}
@@ -110,7 +110,7 @@ func (c *Cluster) try(id uint64, payload []byte) bool {
 		return false // in a live member's hands, or crashed but not yet excluded
 	}
 	var target int
-	if c.Group.Cfg.Mode == LeaderMode {
+	if c.Group.mode == LeaderMode {
 		target = c.Group.Sender(probe)
 		if target < 0 || c.Group.Node(target).Crashed() {
 			return false
@@ -139,7 +139,7 @@ func (c *Cluster) LeaderIdx() int {
 }
 
 // Size implements abcast.Group.
-func (c *Cluster) Size() int { return c.Group.Cfg.N }
+func (c *Cluster) Size() int { return len(c.Group.nodes) }
 
 // Proc implements abcast.Group.
 func (c *Cluster) Proc(i int) *simnet.Proc { return c.Group.Node(i).Proc }

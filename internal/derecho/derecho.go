@@ -53,38 +53,22 @@ func (m Mode) String() string {
 	return "derecho-leader"
 }
 
-// Config tunes the Derecho baseline.
-type Config struct {
-	N    int
-	Mode Mode
-	// PollInterval/PollCost model the predicate-evaluation loop (coarser
+// Calibrated Derecho costs.
+const (
+	// pollInterval/pollCost model the predicate-evaluation loop (coarser
 	// than Acuerdo's tight receive loop).
-	PollInterval time.Duration
-	PollCost     time.Duration
-	// PerMsgCost is CPU per message handled.
-	PerMsgCost time.Duration
-	// SSTPushInterval caps how often receipt counters are pushed when
+	pollInterval = 800 * time.Nanosecond
+	pollCost     = 200 * time.Nanosecond
+	// perMsgCost is CPU per message handled.
+	perMsgCost = 200 * time.Nanosecond
+	// sstPushInterval caps how often receipt counters are pushed when
 	// nothing changes (heartbeat).
-	SSTPushInterval time.Duration
-	// FailTimeout triggers a view change.
-	FailTimeout time.Duration
-	// RingBytes sizes each ring; slots recycle only on global stability.
-	RingBytes int
-}
-
-// DefaultConfig returns calibrated Derecho constants.
-func DefaultConfig(n int, mode Mode) Config {
-	return Config{
-		N:               n,
-		Mode:            mode,
-		PollInterval:    800 * time.Nanosecond,
-		PollCost:        200 * time.Nanosecond,
-		PerMsgCost:      200 * time.Nanosecond,
-		SSTPushInterval: 10 * time.Microsecond,
-		FailTimeout:     4 * time.Millisecond,
-		RingBytes:       4 << 20,
-	}
-}
+	sstPushInterval = 10 * time.Microsecond
+	// failTimeout triggers a view change.
+	failTimeout = 4 * time.Millisecond
+	// ringBytes sizes each ring; slots recycle only on global stability.
+	ringBytes = 4 << 20
+)
 
 // Record kinds on the wire.
 const (
@@ -174,7 +158,7 @@ type pmsg struct {
 type Group struct {
 	Sim    *simnet.Sim
 	Fabric *rdma.Fabric
-	Cfg    Config
+	mode   Mode
 	nodes  []*node
 
 	// OnDeliver observes every delivery: replica, sender, per-sender
@@ -186,30 +170,30 @@ type Group struct {
 	sub trace.Subscriber
 }
 
-// NewGroup builds a group of cfg.N members on the fabric.
-func NewGroup(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Group {
-	g := &Group{Sim: sim, Fabric: fabric, Cfg: cfg}
-	rnodes := make([]*rdma.Node, cfg.N)
+// NewGroup builds a group of n members on the fabric.
+func NewGroup(sim *simnet.Sim, fabric *rdma.Fabric, n int, mode Mode) *Group {
+	g := &Group{Sim: sim, Fabric: fabric, mode: mode}
+	rnodes := make([]*rdma.Node, n)
 	for i := range rnodes {
 		rnodes[i] = fabric.AddNode("derecho")
 	}
-	tabs := sst.Build[row](rnodes, rowCodec{n: cfg.N})
-	ringCfg := ringbuf.Config{Bytes: cfg.RingBytes, TwoWrite: true, Backlog: false}
-	g.nodes = make([]*node, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		members := make([]int, cfg.N)
+	tabs := sst.Build[row](rnodes, rowCodec{n: n})
+	ringCfg := ringbuf.Config{Bytes: ringBytes, TwoWrite: true, Backlog: false}
+	g.nodes = make([]*node, n)
+	for i := 0; i < n; i++ {
+		members := make([]int, n)
 		for j := range members {
 			members[j] = j
 		}
 		g.nodes[i] = &node{
 			g: g, id: i, rn: rnodes[i], tab: tabs[i],
 			members:  members,
-			recv:     make([]uint64, cfg.N),
-			pend:     make([][]pmsg, cfg.N),
-			nd:       make([]uint64, cfg.N),
-			in:       make([]*ringbuf.Receiver, cfg.N),
-			lastHB:   make([]uint64, cfg.N),
-			lastHBAt: make([]simnet.Time, cfg.N),
+			recv:     make([]uint64, n),
+			pend:     make([][]pmsg, n),
+			nd:       make([]uint64, n),
+			in:       make([]*ringbuf.Receiver, n),
+			lastHB:   make([]uint64, n),
+			lastHBAt: make([]simnet.Time, n),
 		}
 		for s := range g.nodes[i].nd {
 			g.nodes[i].nd[s] = 1
@@ -235,12 +219,12 @@ func NewGroup(sim *simnet.Sim, fabric *rdma.Fabric, cfg Config) *Group {
 // the disabled path costs nothing. Call before Start. A view's membership
 // travels as a bit set, so a subscribed group has at most 64 members.
 func (g *Group) Subscribe(s trace.Subscriber) {
-	if s != nil && g.Cfg.N > 64 {
+	if s != nil && len(g.nodes) > 64 {
 		panic("derecho: a subscribed group has at most 64 members")
 	}
 	g.sub = s
-	cells := &trace.Cells{Table: "derecho.sst", U32: []int{8*g.Cfg.N + 12}}
-	for m := 0; m <= g.Cfg.N; m++ {
+	cells := &trace.Cells{Table: "derecho.sst", U32: []int{8*len(g.nodes) + 12}}
+	for m := 0; m <= len(g.nodes); m++ {
 		cells.U64 = append(cells.U64, 8*m) // per-sender receipt counters, then the heartbeat
 	}
 	for _, nd := range g.nodes {
@@ -287,7 +271,7 @@ func (g *Group) Start() {
 			nd.lastHBAt[j] = now
 		}
 		nd := nd
-		nd.rn.Proc.PollLoop(g.Cfg.PollInterval, g.Cfg.PollCost, nd.poll)
+		nd.rn.Proc.PollLoop(pollInterval, pollCost, nd.poll)
 	}
 }
 
@@ -362,7 +346,7 @@ func (nd *node) trySend() {
 	if nd.wedged || nd.rn.Crashed() {
 		return
 	}
-	if nd.g.Cfg.Mode == LeaderMode && (len(nd.members) == 0 || nd.members[0] != nd.id) {
+	if nd.g.mode == LeaderMode && (len(nd.members) == 0 || nd.members[0] != nd.id) {
 		return
 	}
 	for len(nd.sendQ) > 0 {
@@ -371,7 +355,7 @@ func (nd *node) trySend() {
 		}
 		nd.sendQ = nd.sendQ[1:]
 	}
-	if nd.g.Cfg.Mode == AllMode {
+	if nd.g.mode == AllMode {
 		// Null padding: match the most advanced sender so its messages
 		// can reach their round-robin delivery slot.
 		target := uint64(0)
@@ -407,7 +391,7 @@ func (nd *node) drain() {
 		}
 		recs := nd.in[s].Poll(0)
 		for _, rec := range recs {
-			nd.rn.Proc.Charge(nd.g.Cfg.PerMsgCost)
+			nd.rn.Proc.Charge(perMsgCost)
 			kind := rec[0]
 			payload := rec[1:]
 			if kind == kView {
@@ -451,7 +435,7 @@ func (nd *node) stable(s int, idx uint64) bool {
 
 // rotation returns the senders in delivery order for the current view.
 func (nd *node) rotation() []int {
-	if nd.g.Cfg.Mode == LeaderMode {
+	if nd.g.mode == LeaderMode {
 		if len(nd.members) == 0 {
 			return nil
 		}
@@ -481,7 +465,7 @@ func (nd *node) deliver() {
 		nd.nd[s] = idx + 1
 		nd.rotPos++
 		if pm.kind == kData {
-			nd.rn.Proc.Charge(nd.g.Cfg.PerMsgCost)
+			nd.rn.Proc.Charge(perMsgCost)
 			nd.deliverData(s, idx, pm)
 		}
 	}
@@ -507,7 +491,7 @@ func (nd *node) release() {
 
 func (nd *node) pushRow() {
 	now := nd.g.Sim.Now()
-	if now.Sub(nd.lastPush) < nd.g.Cfg.SSTPushInterval {
+	if now.Sub(nd.lastPush) < sstPushInterval {
 		return
 	}
 	nd.lastPush = now
@@ -528,7 +512,7 @@ func (nd *node) failureCheck() {
 		if r.hb != nd.lastHB[m] {
 			nd.lastHB[m] = r.hb
 			nd.lastHBAt[m] = now
-		} else if now.Sub(nd.lastHBAt[m]) > nd.g.Cfg.FailTimeout {
+		} else if now.Sub(nd.lastHBAt[m]) > failTimeout {
 			stale = true
 		}
 	}
@@ -550,7 +534,7 @@ func (nd *node) tryInstallView() {
 	// Survivors: members whose heartbeat is fresh.
 	var live []int
 	for _, m := range nd.members {
-		if m == nd.id || now.Sub(nd.lastHBAt[m]) <= nd.g.Cfg.FailTimeout {
+		if m == nd.id || now.Sub(nd.lastHBAt[m]) <= failTimeout {
 			live = append(live, m)
 		}
 	}
@@ -576,8 +560,8 @@ func (nd *node) tryInstallView() {
 		}
 	}
 	// Ragged trim: per sender, the minimum receipt count across survivors.
-	trim := make([]uint64, nd.g.Cfg.N)
-	for s := 0; s < nd.g.Cfg.N; s++ {
+	trim := make([]uint64, len(nd.g.nodes))
+	for s := range nd.g.nodes {
 		low := nd.recv[s]
 		for _, m := range live {
 			if m == nd.id {
@@ -590,7 +574,7 @@ func (nd *node) tryInstallView() {
 		trim[s] = low
 	}
 	// Announce: [view u32][nMembers u32][members...u32][trim...u64]
-	buf := make([]byte, 8+4*len(live)+8*nd.g.Cfg.N)
+	buf := make([]byte, 8+4*len(live)+8*len(nd.g.nodes))
 	binary.LittleEndian.PutUint32(buf, nd.view+1)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(live)))
 	off := 8
@@ -631,7 +615,7 @@ func (nd *node) onViewMsg(buf []byte) {
 		members[i] = int(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
 	}
-	trim := make([]uint64, nd.g.Cfg.N)
+	trim := make([]uint64, len(nd.g.nodes))
 	for s := range trim {
 		trim[s] = binary.LittleEndian.Uint64(buf[off:])
 		off += 8
@@ -676,7 +660,7 @@ func (nd *node) installView(view uint32, members []int, trim []uint64) {
 	}
 	// Discard beyond-trim messages from senders outside the new view; a
 	// virtual-synchrony reconfiguration drops them (clients retry).
-	for s := 0; s < nd.g.Cfg.N; s++ {
+	for s := range nd.g.nodes {
 		alive := false
 		for _, m := range members {
 			if m == s {

@@ -13,7 +13,7 @@ func newCluster(t *testing.T, n int, mode Mode, seed int64) (*simnet.Sim, *Clust
 	t.Helper()
 	sim := simnet.New(seed)
 	fabric := rdma.NewFabric(sim, rdma.DefaultParams())
-	c := NewCluster(sim, fabric, DefaultConfig(n, mode))
+	c := NewCluster(sim, fabric, n, mode)
 	chk := abcast.NewChecker(n)
 	c.OnDeliver = func(replica, sender int, idx uint64, payload []byte) {
 		if err := chk.OnDeliver(replica, abcast.MsgID(payload)); err != nil {

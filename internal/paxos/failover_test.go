@@ -16,7 +16,7 @@ func newObservedCluster(t *testing.T, n int, seed int64) (*simnet.Sim, *Cluster,
 	t.Helper()
 	sim := simnet.New(seed)
 	net := tcpnet.New(sim, tcpnet.DefaultParams())
-	c := NewCluster(sim, net, DefaultConfig(n))
+	c := NewCluster(sim, net, n)
 	obs := observe.New(observe.Config{System: "libpaxos", Nodes: n, Seed: seed})
 	c.Subscribe(obs)
 	chk := abcast.NewChecker(n)

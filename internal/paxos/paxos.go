@@ -18,30 +18,17 @@ import (
 	"acuerdo/internal/trace"
 )
 
-// Config tunes the libpaxos baseline.
-type Config struct {
-	N int
-	// Window bounds outstanding instances at the proposer.
-	Window int
-	// ProposerOpCost / AcceptorOpCost / LearnerOpCost are per-message CPU.
-	ProposerOpCost time.Duration
-	AcceptorOpCost time.Duration
-	LearnerOpCost  time.Duration
-	// LeaderTimeout triggers proposer failover.
-	LeaderTimeout time.Duration
-}
-
-// DefaultConfig returns calibrated libpaxos constants.
-func DefaultConfig(n int) Config {
-	return Config{
-		N:              n,
-		Window:         128,
-		ProposerOpCost: 4 * time.Microsecond,
-		AcceptorOpCost: 2 * time.Microsecond,
-		LearnerOpCost:  1 * time.Microsecond,
-		LeaderTimeout:  10 * time.Millisecond,
-	}
-}
+// Calibrated libpaxos costs.
+const (
+	// window bounds outstanding instances at the proposer.
+	window = 128
+	// proposerOpCost / acceptorOpCost / learnerOpCost are per-message CPU.
+	proposerOpCost = 4 * time.Microsecond
+	acceptorOpCost = 2 * time.Microsecond
+	learnerOpCost  = 1 * time.Microsecond
+	// leaderTimeout triggers proposer failover.
+	leaderTimeout = 10 * time.Millisecond
+)
 
 const (
 	mAccept   = byte(iota) // proposer -> acceptors (phase 2a)
@@ -107,7 +94,6 @@ type Cluster struct {
 	disk.Recovery
 	Sim      *simnet.Sim
 	Servers  []*Server
-	cfg      Config
 	requests *abcast.Client
 	sub      trace.Subscriber
 
@@ -115,11 +101,12 @@ type Cluster struct {
 	OnDeliver func(replica int, instance uint64, payload []byte)
 }
 
-// NewCluster builds the deployment; server 0 is the initial proposer.
-func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
-	c := &Cluster{Sim: sim, cfg: cfg}
+// NewCluster builds a deployment of n servers; server 0 is the initial
+// proposer.
+func NewCluster(sim *simnet.Sim, net *tcpnet.Net, n int) *Cluster {
+	c := &Cluster{Sim: sim}
 	c.requests = abcast.NewClient(sim, c.try, 30*time.Millisecond, time.Millisecond)
-	c.Servers = make([]*Server, cfg.N)
+	c.Servers = make([]*Server, n)
 	for i := range c.Servers {
 		c.Servers[i] = &Server{
 			c: c, id: i,
@@ -130,7 +117,7 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 			promises: make(map[int][]byte),
 		}
 	}
-	c.Ensemble = tcpnet.NewEnsemble(net, "paxos", cfg.N,
+	c.Ensemble = tcpnet.NewEnsemble(net, "paxos", n,
 		func(i int) func([]byte) { return c.Servers[i].handle },
 		func(i int) func([]byte) { return c.Servers[i].submit },
 		c.requests.Ack)
@@ -234,13 +221,13 @@ func (s *Server) submit(payload []byte) {
 
 // pump starts instances while the window has room.
 func (s *Server) pump() {
-	for len(s.queue) > 0 && len(s.inFlight) < s.c.cfg.Window {
+	for len(s.queue) > 0 && len(s.inFlight) < window {
 		payload := s.queue[0]
 		s.queue = s.queue[1:]
 		inst := s.nextInst
 		s.nextInst++
 		s.inFlight[inst] = payload
-		s.node.Proc.Charge(s.c.cfg.ProposerOpCost)
+		s.node.Proc.Charge(proposerOpCost)
 		m := enc(mAccept, s.ballot, inst, s.id, payload)
 		s.c.Broadcast(s.id, m)
 		s.emit(trace.Propose, s.ballot, inst, trace.ID(payload))
@@ -294,7 +281,7 @@ func (s *Server) onAccept(ballot, inst uint64, payload []byte) {
 		return
 	}
 	s.promised = ballot
-	s.node.Proc.Charge(s.c.cfg.AcceptorOpCost)
+	s.node.Proc.Charge(acceptorOpCost)
 	pl := append([]byte(nil), payload...)
 	s.accepted[inst] = acceptedVal{ballot: ballot, payload: pl}
 	notify := func() {
@@ -317,7 +304,7 @@ func (s *Server) onAccept(ballot, inst uint64, payload []byte) {
 // onAccepted is phase 2b at the learner: a quorum of acceptors on the same
 // ballot chooses the value; deliver in instance order.
 func (s *Server) onAccepted(ballot, inst uint64, from int, payload []byte) {
-	s.node.Proc.Charge(s.c.cfg.LearnerOpCost)
+	s.node.Proc.Charge(learnerOpCost)
 	lm := s.learned[inst]
 	if lm == nil {
 		lm = make(map[int]uint64)
@@ -397,15 +384,15 @@ func (s *Server) schedulePing() {
 		return
 	}
 	s.c.Broadcast(s.id, enc(mPing, s.ballot, 0, s.id, nil))
-	s.c.Sim.After(s.c.cfg.LeaderTimeout/4, s.schedulePing)
+	s.c.Sim.After(leaderTimeout/4, s.schedulePing)
 }
 
 func (s *Server) armFailover() {
-	s.c.Sim.After(s.c.cfg.LeaderTimeout, func() {
+	s.c.Sim.After(leaderTimeout, func() {
 		if s.node.Crashed() || s.leading {
 			return
 		}
-		if s.c.Sim.Now().Sub(s.lastPing) >= s.c.cfg.LeaderTimeout {
+		if s.c.Sim.Now().Sub(s.lastPing) >= leaderTimeout {
 			// Only the lowest-ranked live non-leader takes over, to
 			// avoid duels.
 			if s.shouldTakeOver() {
@@ -437,7 +424,7 @@ func (s *Server) takeOver() {
 	// proposers that overheard different prefixes of each other's reigns
 	// collide on one ballot, and acceptors would accept both proposers'
 	// (possibly different) values for an instance under it.
-	n := uint64(s.c.cfg.N)
+	n := uint64(s.c.Size())
 	s.ballot = (s.promised/n+1)*n + uint64(s.id) + 1
 	s.emit(trace.Suspect, s.ballot, 0, 0)
 	s.promises = make(map[int][]byte)

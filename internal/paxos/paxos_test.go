@@ -13,7 +13,7 @@ func newCluster(t *testing.T, n int, seed int64) (*simnet.Sim, *Cluster, *abcast
 	t.Helper()
 	sim := simnet.New(seed)
 	net := tcpnet.New(sim, tcpnet.DefaultParams())
-	c := NewCluster(sim, net, DefaultConfig(n))
+	c := NewCluster(sim, net, n)
 	chk := abcast.NewChecker(n)
 	c.OnDeliver = func(r int, inst uint64, payload []byte) {
 		if err := chk.OnDeliver(r, abcast.MsgID(payload)); err != nil {

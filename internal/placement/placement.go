@@ -1,9 +1,8 @@
 // Package placement partitions a keyspace across many placement groups
 // (PGs), each backed by its own independent atomic-broadcast ring, and maps
 // every PG onto a replica subset of a fixed node fleet. It is the scale-out
-// layer of ROADMAP item 1: per-group throughput is fully characterized, so
-// "millions of users" must come from many groups sharing the fabric and the
-// fleet's CPUs.
+// layer: per-group throughput is fully characterized, so "millions of
+// users" must come from many groups sharing the fabric and the fleet's CPUs.
 //
 // The design is CRUSH-lite, modeled on fastblock's monitor PG/pool
 // configuration (pg_count / pg_size / failure_domain and the PG→OSD map):

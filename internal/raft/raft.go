@@ -18,37 +18,22 @@ import (
 	"acuerdo/internal/trace"
 )
 
-// Config tunes the etcd/Raft baseline.
-type Config struct {
-	N int
-	// HeartbeatInterval is the leader's empty-AppendEntries tick.
-	HeartbeatInterval time.Duration
-	// ElectTimeoutMin/Max bound the randomized follower election timeout.
-	ElectTimeoutMin time.Duration
-	ElectTimeoutMax time.Duration
-	// LeaderOpCost is leader CPU per client proposal (gRPC + raft node).
-	LeaderOpCost time.Duration
-	// FollowerOpCost is follower CPU per appended entry.
-	FollowerOpCost time.Duration
-	// FsyncCost is the WAL group-commit cost paid before acknowledging.
-	FsyncCost time.Duration
-	// MaxBatch bounds entries per AppendEntries message.
-	MaxBatch int
-}
-
-// DefaultConfig returns calibrated etcd 3.4-era constants.
-func DefaultConfig(n int) Config {
-	return Config{
-		N:                 n,
-		HeartbeatInterval: 2 * time.Millisecond,
-		ElectTimeoutMin:   10 * time.Millisecond,
-		ElectTimeoutMax:   20 * time.Millisecond,
-		LeaderOpCost:      100 * time.Microsecond,
-		FollowerOpCost:    5 * time.Microsecond,
-		FsyncCost:         200 * time.Microsecond,
-		MaxBatch:          64,
-	}
-}
+// Calibrated etcd 3.4-era costs.
+const (
+	// heartbeatInterval is the leader's empty-AppendEntries tick.
+	heartbeatInterval = 2 * time.Millisecond
+	// electTimeoutMin/Max bound the randomized follower election timeout.
+	electTimeoutMin = 10 * time.Millisecond
+	electTimeoutMax = 20 * time.Millisecond
+	// leaderOpCost is leader CPU per client proposal (gRPC + raft node).
+	leaderOpCost = 100 * time.Microsecond
+	// followerOpCost is follower CPU per appended entry.
+	followerOpCost = 5 * time.Microsecond
+	// fsyncCost is the WAL group-commit cost paid before acknowledging.
+	fsyncCost = 200 * time.Microsecond
+	// maxBatch bounds entries per AppendEntries message.
+	maxBatch = 64
+)
 
 const (
 	mVoteReq = byte(iota)
@@ -118,7 +103,6 @@ type Cluster struct {
 	disk.Recovery
 	Sim      *simnet.Sim
 	Servers  []*Server
-	cfg      Config
 	requests *abcast.Client
 
 	// OnDeliver observes every applied entry at every replica.
@@ -170,20 +154,20 @@ func (c *Cluster) SetDisks(devs []*disk.Device) {
 	}
 }
 
-// NewCluster builds the group.
-func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
-	c := &Cluster{Sim: sim, cfg: cfg}
+// NewCluster builds a group of n servers.
+func NewCluster(sim *simnet.Sim, net *tcpnet.Net, n int) *Cluster {
+	c := &Cluster{Sim: sim}
 	c.requests = abcast.NewClient(sim, c.try, 50*time.Millisecond, 2*time.Millisecond)
-	c.Servers = make([]*Server, cfg.N)
+	c.Servers = make([]*Server, n)
 	for i := range c.Servers {
 		c.Servers[i] = &Server{
 			c: c, id: i,
 			votedFor:  -1,
-			nextIndex: make([]int, cfg.N),
-			inflight:  make([]bool, cfg.N),
+			nextIndex: make([]int, n),
+			inflight:  make([]bool, n),
 		}
 	}
-	c.Ensemble = tcpnet.NewEnsemble(net, "etcd", cfg.N,
+	c.Ensemble = tcpnet.NewEnsemble(net, "etcd", n,
 		func(i int) func([]byte) { return c.Servers[i].handle },
 		func(i int) func([]byte) { return c.Servers[i].propose },
 		c.requests.Ack)
@@ -203,8 +187,7 @@ func (c *Cluster) Start() {
 }
 
 func (s *Server) electTimeout() time.Duration {
-	span := s.c.cfg.ElectTimeoutMax - s.c.cfg.ElectTimeoutMin
-	return s.c.cfg.ElectTimeoutMin + time.Duration(s.c.Sim.Rand().Int63n(int64(span)))
+	return electTimeoutMin + time.Duration(s.c.Sim.Rand().Int63n(int64(electTimeoutMax-electTimeoutMin)))
 }
 
 func (s *Server) armElectionTimer() {
@@ -350,7 +333,7 @@ func (s *Server) heartbeat() {
 			s.sendAppend(j)
 		}
 	}
-	s.c.Sim.After(s.c.cfg.HeartbeatInterval, s.heartbeat)
+	s.c.Sim.After(heartbeatInterval, s.heartbeat)
 }
 
 // --- log replication ---
@@ -360,8 +343,8 @@ func (s *Server) heartbeat() {
 func (s *Server) sendAppend(j int) {
 	prev := s.nextIndex[j]
 	count := s.log.Len() - prev
-	if count > s.c.cfg.MaxBatch {
-		count = s.c.cfg.MaxBatch
+	if count > maxBatch {
+		count = maxBatch
 	}
 	// Only replicate persisted entries (etcd sends after WAL append).
 	if prev+count > s.persisted {
@@ -445,7 +428,7 @@ func (s *Server) onAppend(m []byte) {
 		off += 12 + ln
 	}
 	if count > 0 {
-		s.node.Proc.Charge(time.Duration(count) * s.c.cfg.FollowerOpCost)
+		s.node.Proc.Charge(time.Duration(count) * followerOpCost)
 	}
 	// Truncate conflicts, append new entries.
 	for i, e := range entries {
@@ -515,7 +498,7 @@ func (s *Server) persist(upTo int, done func()) {
 // flush is one WAL group commit.
 func (s *Server) flush(done func()) {
 	if s.store == nil {
-		s.node.Proc.Run(s.c.cfg.FsyncCost, done)
+		s.node.Proc.Run(fsyncCost, done)
 		return
 	}
 	// Durable mode: append the not-yet-walled suffix and group-commit it on
@@ -647,7 +630,7 @@ func (s *Server) propose(payload []byte) {
 	// which the transport recycles when this handler returns. The log entry
 	// needed its own copy anyway; take it now so the closure owns its bytes.
 	p := append([]byte(nil), payload...)
-	s.node.Proc.Run(s.c.cfg.LeaderOpCost, func() {
+	s.node.Proc.Run(leaderOpCost, func() {
 		if s.role != leader || s.sessions.Admit(id) != abcast.Propose {
 			return
 		}

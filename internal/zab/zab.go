@@ -24,33 +24,20 @@ import (
 	"acuerdo/internal/trace"
 )
 
-// Config tunes the ZooKeeper baseline.
-type Config struct {
-	N int
-	// LeaderOpCost is leader CPU per client request (request processor
+// Calibrated ZooKeeper 3.4-era costs.
+const (
+	// leaderOpCost is leader CPU per client request (request processor
 	// pipeline).
-	LeaderOpCost time.Duration
-	// FollowerOpCost is follower CPU per proposal.
-	FollowerOpCost time.Duration
-	// FsyncCost is the transaction-log group-commit cost; concurrent
+	leaderOpCost = 6 * time.Microsecond
+	// followerOpCost is follower CPU per proposal.
+	followerOpCost = 3 * time.Microsecond
+	// fsyncCost is the transaction-log group-commit cost; concurrent
 	// proposals share one sync.
-	FsyncCost time.Duration
-	// HeartbeatInterval and ElectTimeout drive failure detection.
-	HeartbeatInterval time.Duration
-	ElectTimeout      time.Duration
-}
-
-// DefaultConfig returns calibrated ZooKeeper 3.4-era constants.
-func DefaultConfig(n int) Config {
-	return Config{
-		N:                 n,
-		LeaderOpCost:      6 * time.Microsecond,
-		FollowerOpCost:    3 * time.Microsecond,
-		FsyncCost:         80 * time.Microsecond,
-		HeartbeatInterval: 1 * time.Millisecond,
-		ElectTimeout:      8 * time.Millisecond,
-	}
-}
+	fsyncCost = 80 * time.Microsecond
+	// heartbeatInterval and electTimeout drive failure detection.
+	heartbeatInterval = 1 * time.Millisecond
+	electTimeout      = 8 * time.Millisecond
+)
 
 // Wire message kinds. Election follows ZooKeeper's recovery phase: the
 // elected leader announces (mNewLeader), each follower reports its last
@@ -211,7 +198,6 @@ type Cluster struct {
 	disk.Recovery
 	Sim      *simnet.Sim
 	Servers  []*Server
-	cfg      Config
 	requests *abcast.Client
 	sub      trace.Subscriber
 	scratch  []byte // enc's frame buffer
@@ -220,11 +206,11 @@ type Cluster struct {
 	OnDeliver func(replica int, zxid uint64, payload []byte)
 }
 
-// NewCluster builds the ensemble.
-func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
-	c := &Cluster{Sim: sim, cfg: cfg}
+// NewCluster builds an ensemble of n servers.
+func NewCluster(sim *simnet.Sim, net *tcpnet.Net, n int) *Cluster {
+	c := &Cluster{Sim: sim}
 	c.requests = abcast.NewClient(sim, c.try, 20*time.Millisecond, time.Millisecond)
-	c.Servers = make([]*Server, cfg.N)
+	c.Servers = make([]*Server, n)
 	for i := range c.Servers {
 		c.Servers[i] = &Server{
 			c: c, id: i,
@@ -234,7 +220,7 @@ func NewCluster(sim *simnet.Sim, net *tcpnet.Net, cfg Config) *Cluster {
 			nlAcked: make(map[int]bool),
 		}
 	}
-	c.Ensemble = tcpnet.NewEnsemble(net, "zk", cfg.N,
+	c.Ensemble = tcpnet.NewEnsemble(net, "zk", n,
 		func(i int) func([]byte) { return c.Servers[i].handle },
 		func(i int) func([]byte) { return c.Servers[i].clientRequest },
 		c.requests.Ack)
@@ -329,7 +315,7 @@ func (s *Server) clientRequest(payload []byte) {
 		r.run = r.fire
 	}
 	r.id, r.p = id, s.own(payload)
-	s.node.Proc.Run(s.c.cfg.LeaderOpCost, r.run)
+	s.node.Proc.Run(leaderOpCost, r.run)
 }
 
 // propose orders request id, whose payload p the log owns, once the leader's
@@ -400,7 +386,7 @@ func (s *Server) onLogged() {
 // one sync is in flight and are acknowledged together when it completes.
 func (s *Server) flush(done func()) {
 	if s.store == nil {
-		s.node.Proc.Run(s.c.cfg.FsyncCost, done)
+		s.node.Proc.Run(fsyncCost, done)
 		return
 	}
 	// Durable mode: write the not-yet-logged suffix (proposals and adopted
@@ -446,7 +432,7 @@ func (s *Server) handle(m []byte) {
 		if s.role != following || epoch != s.epoch || !s.synced {
 			return
 		}
-		s.node.Proc.Charge(s.c.cfg.FollowerOpCost)
+		s.node.Proc.Charge(followerOpCost)
 		e := entry{zxid: zxid, payload: s.own(payload)}
 		s.log.Append(e)
 		// Track the log tail like every other append path. Without this,
@@ -749,10 +735,10 @@ func (s *Server) schedulePing() {
 		return
 	}
 	s.c.Broadcast(s.id, s.c.enc(mPing, s.epoch, 0, nil))
-	s.c.Sim.After(s.c.cfg.HeartbeatInterval, s.ping)
+	s.c.Sim.After(heartbeatInterval, s.ping)
 }
 
-func (s *Server) armFollowTimer() { s.c.Sim.After(s.c.cfg.ElectTimeout, s.checkPing) }
+func (s *Server) armFollowTimer() { s.c.Sim.After(electTimeout, s.checkPing) }
 
 // checkLeader is the follower timer: a leader silent for ElectTimeout starts
 // an election.
@@ -760,7 +746,7 @@ func (s *Server) checkLeader() {
 	if s.role != following || !s.alive() {
 		return
 	}
-	if s.c.Sim.Now().Sub(s.lastPing) >= s.c.cfg.ElectTimeout {
+	if s.c.Sim.Now().Sub(s.lastPing) >= electTimeout {
 		s.startElection()
 		return
 	}
@@ -768,7 +754,7 @@ func (s *Server) checkLeader() {
 }
 
 func (s *Server) armElectTimer() {
-	s.c.Sim.After(s.c.cfg.ElectTimeout, func() {
+	s.c.Sim.After(electTimeout, func() {
 		if s.role == looking && s.alive() {
 			// Election stalled (e.g., votes lost to a crash); retry.
 			s.startElection()
