@@ -180,14 +180,15 @@ func (c *Cluster) Subscribe(s trace.Subscriber) {
 }
 
 // SetDisks attaches one simulated disk per replica and switches the group
-// to durable mode (see Replica.SetDisk). Call before Start with exactly N
-// devices; nil keeps the legacy volatile model.
+// to durable mode: committed entries stream to a background WAL (never on
+// the commit critical path — Acuerdo's latency story is unchanged) and
+// Restart recovers the committed prefix from the device instead of
+// trusting memory. Call before Start with exactly N devices.
 func (c *Cluster) SetDisks(devs []*disk.Device) {
-	if devs == nil {
-		return
-	}
 	for i, r := range c.Replicas {
-		r.SetDisk(devs[i])
+		r.dev = devs[i]
+		r.store = disk.NewLogStore(devs[i], acuerdoWALName)
+		r.store.OnFrontier = r.reportDurable
 	}
 }
 

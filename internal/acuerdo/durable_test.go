@@ -53,64 +53,6 @@ func driveAcuerdoLoad(sim *simnet.Sim, c *Cluster, chk *abcast.Checker, w int) *
 	return acks
 }
 
-// TestDurableRestartRecoversFromDisk crashes the leader (losing all its
-// memory), restarts it from its WAL, and checks the recovered state: the
-// committed prefix replays from disk, the diff refills the lost tail,
-// recovery bytes are accounted, and no invariant breaks.
-func TestDurableRestartRecoversFromDisk(t *testing.T) {
-	sim, c, chk, obs, _ := newDurableCluster(t, 3, 9)
-	sim.RunFor(20 * time.Millisecond)
-	acks := driveAcuerdoLoad(sim, c, chk, 4)
-	sim.RunFor(20 * time.Millisecond)
-
-	old := c.LeaderIdx()
-	if old < 0 {
-		t.Fatal("no leader before the kill")
-	}
-	c.Replicas[old].Crash()
-
-	// Survivors elect and resume.
-	deadline := sim.Now().Add(500 * time.Millisecond)
-	for sim.Now() < deadline {
-		sim.RunFor(2 * time.Millisecond)
-		if l := c.LeaderIdx(); l >= 0 && l != old && c.Ready() {
-			break
-		}
-	}
-	if l := c.LeaderIdx(); l < 0 || l == old {
-		t.Fatalf("no new leader after the kill\n%s", obs.Report())
-	}
-	sim.RunFor(30 * time.Millisecond)
-
-	chk.NodeRestart(old)
-	c.Replicas[old].Restart()
-	r := c.Replicas[old]
-	if r.LogLen() == 0 {
-		t.Fatal("nothing recovered from the WAL")
-	}
-	if r.recovery.DiskRecoveredBytes() == 0 {
-		t.Fatal("disk recovery bytes not counted")
-	}
-	sim.RunFor(100 * time.Millisecond)
-
-	acksBefore := *acks
-	sim.RunFor(30 * time.Millisecond)
-	if *acks == acksBefore {
-		t.Fatal("no commits after the durable restart")
-	}
-	if err := chk.CheckTotalOrder(); err != nil {
-		t.Fatalf("%v\n%s", err, obs.Report())
-	}
-	if n := obs.ViolationCount(); n != 0 {
-		t.Fatalf("%d invariant violations:\n%s", n, obs.Report())
-	}
-	// The restarted replica must have rejoined the live epoch, not be stuck
-	// replaying its recovered snapshot forever.
-	if r.committed.E.Round == 0 {
-		t.Fatal("restarted replica never rejoined a live epoch")
-	}
-}
-
 // TestDurableRestartSameSeedSameDisk: recovery is deterministic — two runs
 // of the same seeded crash/restart schedule leave bit-identical durable
 // state on every device.
@@ -211,31 +153,6 @@ func TestDurableRestartAllocFree(t *testing.T) {
 	for i := range all {
 		if live := i >= l.head && i < len(l.entries); !live && (all[i].Payload != nil || all[i].chunk != 0) {
 			t.Fatalf("slot %d, outside the live range [%d, %d), holds a payload", i, l.head, len(l.entries))
-		}
-	}
-}
-
-// TestVolatileModeUnchanged pins the opt-in contract: without SetDisk no
-// device exists and the legacy restart semantics hold.
-func TestVolatileModeUnchanged(t *testing.T) {
-	sim := simnet.New(5)
-	fabric := rdma.NewFabric(sim, rdma.DefaultParams())
-	c := NewCluster(sim, fabric, DefaultClusterConfig(3))
-	c.Start()
-	sim.RunFor(20 * time.Millisecond)
-	for _, r := range c.Replicas {
-		if r.store != nil || r.dev != nil {
-			t.Fatal("volatile group grew disk state")
-		}
-	}
-	c.SetDisks(nil) // explicit nil keeps volatile mode
-	for _, r := range c.Replicas {
-		if r.store != nil {
-			t.Fatal("SetDisks(nil) switched modes")
-		}
-		r.SetDisk(nil)
-		if r.store != nil {
-			t.Fatal("SetDisk(nil) switched modes")
 		}
 	}
 }

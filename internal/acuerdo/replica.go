@@ -160,7 +160,7 @@ type Replica struct {
 	relPtr   []int
 	released []uint64
 
-	// Durable mode (SetDisk): committed entries stream to a background WAL
+	// Durable mode (SetDisks): committed entries stream to a background WAL
 	// in delivery order (walPos entries appended, flushes queued up to
 	// walQueued), each encoded into walBuf, which the next one reuses;
 	// recovering marks the window between a durable restart and the first
@@ -226,21 +226,6 @@ func (r *Replica) Start() {
 
 // acuerdoWALName is the per-replica committed-entry log device file.
 const acuerdoWALName = "acuerdo.wal"
-
-// SetDisk attaches a simulated disk and switches the replica to durable
-// mode: committed entries stream to a background WAL (never on the commit
-// critical path — Acuerdo's latency story is unchanged) and Restart
-// recovers the committed prefix from the device instead of trusting
-// memory. Call before Start; nil keeps the legacy volatile model
-// (bit-identical to the pre-disk behavior).
-func (r *Replica) SetDisk(dev *disk.Device) {
-	if dev == nil {
-		return
-	}
-	r.dev = dev
-	r.store = disk.NewLogStore(dev, acuerdoWALName)
-	r.store.OnFrontier = r.reportDurable
-}
 
 // reportDurable, the hook on every store the replica opens, states that the
 // first n WAL entries are durable.
@@ -580,9 +565,9 @@ func (r *Replica) pushCommitRow() {
 	if r.store == nil {
 		// Volatile: forget what the whole group has committed. It is host
 		// bookkeeping, not protocol work — no simulated CPU, no trace event.
-		// A replica with a store keeps its whole log: there the frontier must
-		// be each member's recovered WAL frontier, which a restarted member
-		// does not publish yet (ROADMAP 1(iv)).
+		// A replica with a store keeps its whole log: a down member's frozen
+		// row states what it committed in memory, which is more than its WAL
+		// will give back when it restarts (DESIGN §6.8).
 		r.log.TrimBelow(r.stableFrontier())
 	} else if r.walPos > r.walQueued {
 		r.walQueued = r.walPos

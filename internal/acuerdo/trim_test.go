@@ -171,12 +171,11 @@ func TestFrontierPinnedByDownMember(t *testing.T) {
 }
 
 // TestStoreKeepsWholeLog is the guard on the other side of r.store == nil: a
-// replica with a disk.LogStore trims nothing. Its peers' commit rows say what
-// they committed in memory, not what their WAL would give back after a power
-// cut, and a restarted member does not publish its recovered frontier before a
-// diff is cut for it (ROADMAP item 1(iv)) — trimming on those rows would
-// delete entries a rejoiner still needs. Lift this guard together with that
-// fix, on purpose, not by accident.
+// replica with a disk.LogStore trims nothing. A down member's frozen commit
+// row states what it committed in memory, which is more than its WAL will
+// give back after a power cut, so trimming on the rows would delete entries
+// that member needs when it restarts. Lift this guard together with ROADMAP
+// item 12's fix, on purpose, not by accident.
 func TestStoreKeepsWholeLog(t *testing.T) {
 	sim, c, chk, _, _ := newDurableCluster(t, 3, 9)
 	sim.RunFor(20 * time.Millisecond)

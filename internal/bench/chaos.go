@@ -183,7 +183,7 @@ func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
 
 	// Watchdog on the ack stream: a wedged run (quorum gone, fixed leader
 	// dead) exits within one budget instead of spinning on heartbeats.
-	wd := simnet.NewWatchdog(sim, cfg.WatchdogBudget, func() int64 { return int64(len(acks)) }, nil)
+	wd := simnet.NewWatchdog(sim, cfg.WatchdogBudget, func() int64 { return int64(len(acks)) })
 	sim.RunFor(chaosSettle + cfg.Horizon + cfg.Drain)
 	wd.Stop()
 

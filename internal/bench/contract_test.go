@@ -269,3 +269,123 @@ func TestPayloadIntegrity(t *testing.T) {
 		})
 	}
 }
+
+// TestRestartedReplicaRejoins is the crash-and-restart contract, stated once
+// for every system through the bench wiring: kill the leader under a closed
+// loop, let the survivors elect and keep committing, restart the old leader
+// 20 ms later, run 150 ms more. Every row must keep the checker and the
+// invariant observer silent, keep the kill-time prefix at every live
+// replica, commit after the failover and after the restart, and read bytes
+// back from disk on a durable restart. A row whose replica rejoins must end
+// within one window of its peers' delivered count.
+//
+// The Acuerdo rows pin today's failure: the restarted replica is never
+// re-admitted while the new leader lives and stays at the count it had when
+// it crashed (ROADMAP 1(v), volatile and durable alike; item 12 is the fix
+// that flips both rows). Derecho has no join protocol, so its Restart leaves
+// the member down and only the survivors are held to the prefix. APUS is
+// not a row: its fixed leader's death halts the group
+// (TestChaosApusHaltsGracefully).
+func TestRestartedReplicaRejoins(t *testing.T) {
+	const n, window = 3, 4
+	for _, tc := range []struct {
+		kind    Kind
+		mode    Durability
+		rejoins bool
+	}{
+		{Acuerdo, Volatile, false},
+		{Acuerdo, Durable, false},
+		{DerechoAll, Volatile, false},
+		{DerechoLeader, Volatile, false},
+		{Etcd, Volatile, true},
+		{Etcd, Durable, true},
+		{Libpaxos, Volatile, true},
+		{Libpaxos, Durable, true},
+		{Zookeeper, Volatile, true},
+		{Zookeeper, Durable, true},
+	} {
+		mode := string(tc.mode)
+		if tc.mode == Volatile {
+			mode = "volatile"
+		}
+		t.Run(string(tc.kind)+"/"+mode, func(t *testing.T) {
+			sim := simnet.New(9)
+			obs := NewObserver(sim, tc.kind, n)
+			inst := NewInstanceOn(sim, tc.kind, n, Options{Durability: tc.mode, Observer: obs})
+			defer inst.Close()
+			inst.warmUp()
+			if (inst.Disks != nil) != (tc.mode == Durable) {
+				t.Fatalf("disks attached = %v in %s mode", inst.Disks != nil, mode)
+			}
+			chk := inst.Check(nil)
+			acks := 0
+			abcast.Loop(sim, inst.Sys, window, func(id uint64, next func()) {
+				p := make([]byte, 16)
+				abcast.PutMsgID(p, id)
+				chk.OnBroadcast(id)
+				inst.Sys.Submit(p, func() { acks++; next() })
+			})
+			sim.RunFor(20 * time.Millisecond)
+
+			g, tgt := inst.Group, inst.ChaosTarget()
+			old := g.LeaderIdx()
+			prefix := 0
+			for i := 0; i < n; i++ {
+				prefix = max(prefix, len(chk.Delivered(i)))
+			}
+			tgt.Crash(old)
+			acksAtKill := acks
+			for i := 0; i < 200; i++ {
+				if l := g.LeaderIdx(); l >= 0 && l != old && g.Ready() {
+					break
+				}
+				sim.RunFor(5 * time.Millisecond)
+			}
+			if l := g.LeaderIdx(); l < 0 || l == old {
+				t.Fatalf("no new leader after the kill (leader %d, old %d)\n%s", l, old, obs.Report())
+			}
+			sim.RunFor(20 * time.Millisecond)
+			if acks == acksAtKill {
+				t.Fatalf("no commits after the failover\n%s", obs.Report())
+			}
+
+			tgt.Restart(old)
+			if inst.Disks != nil && inst.DiskRecoveredBytes() == 0 {
+				t.Fatal("the durable restart read nothing back from disk")
+			}
+			acksAtRestart := acks
+			sim.RunFor(150 * time.Millisecond)
+			if acks == acksAtRestart {
+				t.Fatalf("no commits after the restart\n%s", obs.Report())
+			}
+			if err := chk.Err(); err != nil {
+				t.Fatalf("%v\n%s", err, obs.Report())
+			}
+			if v := obs.ViolationCount(); v != 0 || obs.Checks() == 0 {
+				t.Fatalf("%d invariant violations in %d checks:\n%s", v, obs.Checks(), obs.Report())
+			}
+			up := g.Proc(old).Alive()
+			if isDerecho := tc.kind == DerechoAll || tc.kind == DerechoLeader; up == isDerecho {
+				t.Fatalf("after Restart(%d) its process is alive = %v", old, up)
+			}
+			peers := -1
+			for i := 0; i < n; i++ {
+				d := len(chk.Delivered(i))
+				if d < prefix && g.Proc(i).Alive() {
+					t.Fatalf("replica %d delivered %d, below the %d delivered before the kill", i, d, prefix)
+				}
+				if i != old && (peers < 0 || d < peers) {
+					peers = d
+				}
+			}
+			if !up {
+				return
+			}
+			got := len(chk.Delivered(old))
+			if caughtUp := got+window >= peers; caughtUp != tc.rejoins {
+				t.Fatalf("restarted replica %d delivered %d against its peers' %d: caught up = %v, want %v (Acuerdo: ROADMAP 1(v) and item 12)",
+					old, got, peers, caughtUp, tc.rejoins)
+			}
+		})
+	}
+}

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/acuerdo"
 	"acuerdo/internal/chaos"
 )
 
@@ -81,6 +83,52 @@ func TestDurableTornWriteRestart(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestDurableRollingRestartLosesAcceptedTail is the shortest reproduction of
+// ROADMAP 1(iv), with the timing of the -short rolling-restart lane: a
+// durable Acuerdo group under a closed loop; follower A crashes and
+// recovers 8 ms later, then follower B does the same 33 ms after A. Neither
+// is re-admitted while the leader lives (the class of 1(v)), so at B's
+// restart A and B form a quorum of two rejoiners. B wins an epoch with
+// both votes, and both carry B's recovered WAL frontier, which is below
+// what B acknowledged before its crash: the entries the leader committed
+// on those acknowledgements are missing from the new epoch, and B delivers
+// the new epoch's first message in their place. The checker reports it as
+// a fresh delivery mid-replay, the witness the durable chaos lane prints.
+// It asserts today's outcome; item 12's fix flips it.
+func TestDurableRollingRestartLosesAcceptedTail(t *testing.T) {
+	const ms = time.Millisecond
+	inst := NewInstance(Acuerdo, 3, 1, Options{Durability: Durable})
+	defer inst.Close()
+	sim := inst.Sim
+	chk := inst.Check(nil)
+	abcast.Loop(sim, inst.Sys, chaosWindow, func(id uint64, next func()) {
+		p := make([]byte, chaosMsgSize)
+		abcast.PutMsgID(p, id)
+		chk.OnBroadcast(id)
+		inst.Sys.Submit(p, next)
+	})
+	ldr := inst.Group.LeaderIdx()
+	a, b := (ldr+1)%3, (ldr+2)%3
+	wonWithLeaderUp := false
+	inst.AcuerdoCluster.Replicas[b].OnElected = func(acuerdo.Epoch) {
+		wonWithLeaderUp = wonWithLeaderUp || inst.Group.Proc(ldr).Alive()
+	}
+	chaos.NewEngine(sim, inst.ChaosTarget()).Schedule(sim.Now().Add(chaosSettle), chaos.Plan{Name: "1(iv)", Actions: []chaos.Action{
+		{At: 25 * ms, Kind: chaos.ACrash, Node: a},
+		{At: 33 * ms, Kind: chaos.ARecover, Node: a},
+		{At: 58 * ms, Kind: chaos.ACrash, Node: b},
+		{At: 66 * ms, Kind: chaos.ARecover, Node: b},
+	}})
+	sim.RunFor(chaosSettle + 80*ms)
+	if !wonWithLeaderUp {
+		t.Fatalf("follower %d never won an epoch while leader %d was up", b, ldr)
+	}
+	want := fmt.Sprintf("no-duplication violated: node %d delivered fresh message", b)
+	if err := chk.Err(); err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), "mid-replay") {
+		t.Fatalf("checker verdict %v, want %q ... mid-replay", err, want)
 	}
 }
 

@@ -164,8 +164,6 @@ type Group struct {
 	// OnDeliver observes every delivery: replica, sender, per-sender
 	// index, payload.
 	OnDeliver func(replica, sender int, idx uint64, payload []byte)
-	// OnViewChange observes view installations.
-	OnViewChange func(replica int, view uint32, members []int)
 
 	sub trace.Subscriber
 }
@@ -682,8 +680,5 @@ func (nd *node) installView(view uint32, members []int, trim []uint64) {
 	}
 	nd.emit(trace.Install, uint64(view), set, 0)
 	nd.pushRow()
-	if nd.g.OnViewChange != nil {
-		nd.g.OnViewChange(nd.id, view, members)
-	}
 	nd.trySend()
 }

@@ -162,12 +162,8 @@ const (
 // deployment to durable mode: acceptors sync their promise and accepted
 // value before replying, learners log chosen values and their delivery
 // frontier, and Restart recovers from the device instead of trusting
-// memory. Call before Start with exactly N devices; nil keeps the legacy
-// volatile model (bit-identical to the pre-disk behavior).
+// memory. Call before Start with exactly N devices.
 func (c *Cluster) SetDisks(devs []*disk.Device) {
-	if devs == nil {
-		return
-	}
 	for i, s := range c.Servers {
 		s.dev = devs[i]
 		s.astore = disk.NewLogStore(devs[i], paxosAcceptWAL)

@@ -141,12 +141,8 @@ const (
 // to durable mode: the fsync-cost model of persist() is replaced by a real
 // checksummed WAL on the device, term/vote/commit metadata are persisted,
 // and Restart recovers from the device instead of trusting memory. Call
-// before Start with exactly N devices; nil keeps the legacy volatile model
-// (which is bit-identical to the pre-disk behavior).
+// before Start with exactly N devices.
 func (c *Cluster) SetDisks(devs []*disk.Device) {
-	if devs == nil {
-		return
-	}
 	for i, s := range c.Servers {
 		s.dev = devs[i]
 		s.store = disk.NewLogStore(devs[i], raftWALName)

@@ -46,14 +46,13 @@ func (r WatchdogReport) String() string {
 
 // Watchdog periodically samples a progress value and fires when it has not
 // changed for a whole budget of simulated time. Firing emits a
-// trace.KWatchdog event, invokes the onFire callback, and stops the
-// simulator so the enclosing Run/RunUntil returns instead of spinning on
-// heartbeat traffic forever.
+// trace.KWatchdog event, keeps the report (Report), and stops the simulator
+// so the enclosing Run/RunUntil returns instead of spinning on heartbeat
+// traffic forever.
 type Watchdog struct {
 	sim      *Sim
 	budget   time.Duration
 	progress func() int64
-	onFire   func(WatchdogReport)
 
 	last    int64
 	lastAt  Time
@@ -68,14 +67,13 @@ const watchdogChecks = 8
 
 // NewWatchdog starts a watchdog on sim. progress must be a cheap function
 // returning a monotonic value (typically "client acks observed"); any
-// change counts as progress. onFire may be nil. The watchdog arms
-// immediately: if nothing ever progresses, it fires one budget from now.
-func NewWatchdog(sim *Sim, budget time.Duration, progress func() int64, onFire func(WatchdogReport)) *Watchdog {
+// change counts as progress. The watchdog arms immediately: if nothing ever
+// progresses, it fires one budget from now.
+func NewWatchdog(sim *Sim, budget time.Duration, progress func() int64) *Watchdog {
 	w := &Watchdog{
 		sim:      sim,
 		budget:   budget,
 		progress: progress,
-		onFire:   onFire,
 		last:     progress(),
 		lastAt:   sim.Now(),
 	}
@@ -113,9 +111,6 @@ func (w *Watchdog) check() {
 		if tr := w.sim.Tracer(); tr != nil {
 			tr.Instant(trace.KWatchdog, -1, int64(now), int64(w.budget), cur)
 			tr.Add(trace.CtrWatchdogs, 1)
-		}
-		if w.onFire != nil {
-			w.onFire(w.report)
 		}
 		w.sim.Stop()
 		return

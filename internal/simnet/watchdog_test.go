@@ -16,7 +16,7 @@ func TestWatchdogQuietWhileProgressing(t *testing.T) {
 		sim.After(time.Millisecond, tick)
 	}
 	sim.After(time.Millisecond, tick)
-	w := NewWatchdog(sim, 10*time.Millisecond, func() int64 { return acks }, nil)
+	w := NewWatchdog(sim, 10*time.Millisecond, func() int64 { return acks })
 	sim.RunFor(200 * time.Millisecond)
 	if w.Fired() {
 		t.Fatalf("watchdog fired at %v despite steady progress", w.Report().FiredAt)
@@ -39,12 +39,12 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 	sim.After(time.Millisecond, tick)
 
 	budget := 10 * time.Millisecond
-	var got WatchdogReport
-	w := NewWatchdog(sim, budget, func() int64 { return acks }, func(r WatchdogReport) { got = r })
+	w := NewWatchdog(sim, budget, func() int64 { return acks })
 	sim.RunFor(time.Second)
 	if !w.Fired() {
 		t.Fatal("watchdog never fired on a stalled run")
 	}
+	got := w.Report()
 	// The simulator must have stopped early, not run the full second.
 	if sim.Now() >= Time(time.Second) {
 		t.Fatalf("simulator ran to the horizon (%v) instead of stopping at the watchdog", sim.Now())
@@ -62,7 +62,7 @@ func TestWatchdogFiresOnStall(t *testing.T) {
 // the horizon.
 func TestWatchdogStop(t *testing.T) {
 	sim := New(1)
-	w := NewWatchdog(sim, 5*time.Millisecond, func() int64 { return 0 }, nil)
+	w := NewWatchdog(sim, 5*time.Millisecond, func() int64 { return 0 })
 	w.Stop()
 	sim.RunFor(50 * time.Millisecond)
 	if w.Fired() {

@@ -265,12 +265,8 @@ const (
 // to durable mode: the fsync-cost model of persist() becomes a real
 // checksummed transaction log, the epoch and committed frontier are
 // persisted, and Restart recovers from the device instead of trusting
-// memory. Call before Start with exactly N devices; nil keeps the legacy
-// volatile model (bit-identical to the pre-disk behavior).
+// memory. Call before Start with exactly N devices.
 func (c *Cluster) SetDisks(devs []*disk.Device) {
-	if devs == nil {
-		return
-	}
 	for i, s := range c.Servers {
 		s.dev = devs[i]
 		s.store = disk.NewLogStore(devs[i], zabWALName)
