@@ -21,6 +21,7 @@
 //	chaos-bench -durability durable      # per-replica simulated disks
 //	chaos-bench -durability amnesia      # disks wiped at every crash
 //	chaos-bench -memprofile mem.pprof    # heap profile at exit (go tool pprof)
+//	chaos-bench -cpuprofile cpu.pprof    # CPU profile of the scenarios (go tool pprof)
 package main
 
 import (
@@ -49,6 +50,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write a chaos artifact (bench-compare understands it) to this path")
 	durability := flag.String("durability", "", "storage model: empty = volatile, 'durable' = per-replica simulated disks, 'amnesia' = disks wiped at every crash (systems with no durable mode stay volatile)")
 	memprofile := flag.String("memprofile", "", "write a heap profile (the run's allocations by site, sampled at the runtime's default rate; go tool pprof reads it) to this file at exit")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the scenario runs (go tool pprof reads it) to this file")
 	flag.Parse()
 
 	switch bench.Durability(*durability) {
@@ -100,6 +102,18 @@ func main() {
 		all = slices.DeleteFunc(all, func(sc chaos.Scenario) bool { return !want[sc.Name] })
 	}
 
+	var cpuFile *os.File
+	if *cpuprofile != "" {
+		cpuFile, err = os.Create(*cpuprofile)
+		if err == nil {
+			err = pprof.StartCPUProfile(cpuFile)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "chaos-bench: writing %s: %v\n", *cpuprofile, err)
+			os.Exit(1)
+		}
+	}
+
 	exit := 0
 	name := "chaos"
 	if *short {
@@ -129,6 +143,13 @@ func main() {
 		}
 		artifact.AddChaos(cfg, results)
 		fmt.Println()
+	}
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "chaos-bench: writing %s: %v\n", *cpuprofile, err)
+			exit = 1
+		}
 	}
 	if *jsonPath != "" {
 		artifact.WallNS = int64(time.Since(start))

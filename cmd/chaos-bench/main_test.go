@@ -3,20 +3,38 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// run builds the command and runs it with args, returning its stdout, stderr
-// and exit code.
+// bin is the command, built once for every test.
+var bin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "chaos-bench-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	bin = filepath.Join(dir, "chaos-bench")
+	code := 1
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+	} else {
+		code = m.Run()
+	}
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// run runs the command with args, returning its stdout, stderr and exit
+// code.
 func run(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "chaos-bench")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 	var so, se bytes.Buffer
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout, cmd.Stderr = &so, &se
@@ -54,5 +72,26 @@ func TestKnownScenariosRun(t *testing.T) {
 	}
 	if strings.Join(ran, ",") != "disk-stall-storm,torn-write-restart" {
 		t.Fatalf("ran %v, want disk-stall-storm then torn-write-restart:\n%s", ran, stdout)
+	}
+}
+
+// TestCPUProfile: -cpuprofile writes a profile and changes nothing the run
+// prints.
+func TestCPUProfile(t *testing.T) {
+	args := []string{"-short", "-observe", "-durability", "durable", "-systems", "acuerdo", "-scenarios", "torn-write-restart"}
+	plain, stderr, code := run(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s%s", code, plain, stderr)
+	}
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	profiled, stderr, code := run(t, append(args, "-cpuprofile", prof)...)
+	if code != 0 {
+		t.Fatalf("with -cpuprofile: exit %d\n%s%s", code, profiled, stderr)
+	}
+	if profiled != plain {
+		t.Fatalf("-cpuprofile changed stdout:\n%s\nwithout it:\n%s", profiled, plain)
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Fatalf("no profile written: %v", err)
 	}
 }

@@ -108,51 +108,77 @@ func TestDurableTornRestart(t *testing.T) {
 }
 
 // TestDurableRestartAllocFree: a durable restart empties the log in place
-// and replays the WAL into the arrays the log had already grown to. The
-// deque keeps its array and capacity, the arena opens no chunk it did not
-// hold before the crash, and no slot outside the live range keeps a payload.
+// and replays the WAL into what the log and the replica had already grown:
+// the replay takes every block it fills from the ones held before the crash
+// and opens none, the arena refills its chunks without reallocating one, the
+// ring-release records keep their array, and no slot of any block outside
+// the live range keeps a payload. Both a follower and the leader restart:
+// only the leader holds release records before its crash.
 func TestDurableRestartAllocFree(t *testing.T) {
-	sim, c, chk, _, _ := newDurableCluster(t, 3, 9)
-	sim.RunFor(20 * time.Millisecond)
-	stop := false
-	loadLoop(sim, c, chk, 16, 100, &stop)
-	sim.RunFor(5 * time.Millisecond)
-	stop = true
-	sim.RunFor(5 * time.Millisecond)
+	for _, role := range []string{"follower", "leader"} {
+		t.Run(role, func(t *testing.T) {
+			sim, c, chk, _, _ := newDurableCluster(t, 3, 9)
+			sim.RunFor(20 * time.Millisecond)
+			stop := false
+			loadLoop(sim, c, chk, 16, 100, &stop)
+			sim.RunFor(5 * time.Millisecond)
+			stop = true
+			sim.RunFor(5 * time.Millisecond)
 
-	victim := (c.LeaderIdx() + 1) % len(c.Replicas)
-	r := c.Replicas[victim]
-	if r.LogLen() < 1000 {
-		t.Fatalf("replica %d holds %d entries before the crash, want a long log", victim, r.LogLen())
-	}
-	deque, slots := unsafe.SliceData(r.log.entries), cap(r.log.entries)
-	chunks := make([]*byte, len(r.log.chunks))
-	for i, ch := range r.log.chunks {
-		chunks[i] = unsafe.SliceData(ch.buf)
-	}
-	r.Crash()
-	chk.NodeRestart(victim)
-	r.Restart()
+			victim := c.LeaderIdx()
+			if role == "follower" {
+				victim = (victim + 1) % len(c.Replicas)
+			}
+			r := c.Replicas[victim]
+			if r.LogLen() < 1000 {
+				t.Fatalf("replica %d holds %d entries before the crash, want a long log", victim, r.LogLen())
+			}
+			if role == "leader" && cap(r.sent) == 0 {
+				t.Fatalf("the leader, replica %d, holds no room for release records before the crash", victim)
+			}
+			blocks := map[*logBlock]bool{}
+			for _, b := range heldBlocks(&r.log) {
+				blocks[b] = true
+			}
+			chunks := make([]*byte, len(r.log.chunks))
+			for i, ch := range r.log.chunks {
+				chunks[i] = unsafe.SliceData(ch.buf)
+			}
+			sent := unsafe.SliceData(r.sent)
+			r.Crash()
+			chk.NodeRestart(victim)
+			r.Restart()
 
-	l := &r.log
-	if l.Len() == 0 {
-		t.Fatal("the restart recovered nothing")
-	}
-	if unsafe.SliceData(l.entries) != deque || cap(l.entries) != slots {
-		t.Fatalf("the replay regrew the deque: %d slots, %d before the crash", cap(l.entries), slots)
-	}
-	if len(l.chunks) != len(chunks) {
-		t.Fatalf("the replay opened %d arena chunks, %d before the crash", len(l.chunks), len(chunks))
-	}
-	for i, ch := range l.chunks {
-		if unsafe.SliceData(ch.buf) != chunks[i] {
-			t.Fatalf("arena chunk %d was reallocated by the replay", i+1)
-		}
-	}
-	all := l.entries[:cap(l.entries)]
-	for i := range all {
-		if live := i >= l.head && i < len(l.entries); !live && (all[i].Payload != nil || all[i].chunk != 0) {
-			t.Fatalf("slot %d, outside the live range [%d, %d), holds a payload", i, l.head, len(l.entries))
-		}
+			l := &r.log
+			if l.Len() == 0 {
+				t.Fatal("the restart recovered nothing")
+			}
+			held := heldBlocks(l)
+			for _, b := range held {
+				if !blocks[b] {
+					t.Fatal("the replay opened a block the log did not hold before the crash")
+				}
+			}
+			if len(held) != len(blocks) {
+				t.Fatalf("the log holds %d blocks after the replay, %d before the crash", len(held), len(blocks))
+			}
+			if len(l.chunks) != len(chunks) {
+				t.Fatalf("the replay opened %d arena chunks, %d before the crash", len(l.chunks), len(chunks))
+			}
+			for i, ch := range l.chunks {
+				if unsafe.SliceData(ch.buf) != chunks[i] {
+					t.Fatalf("arena chunk %d was reallocated by the replay", i+1)
+				}
+			}
+			if len(r.sent) != 0 || unsafe.SliceData(r.sent) != sent {
+				t.Fatalf("the restart left %d release records, or a new array for them", len(r.sent))
+			}
+			checkBlocks(t, l, "after the replay")
+			for _, b := range l.spare {
+				if !blockVacant(b) {
+					t.Fatal("a spare block holds a slot in use")
+				}
+			}
+		})
 	}
 }

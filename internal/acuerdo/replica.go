@@ -282,7 +282,7 @@ func (r *Replica) restartDurable() {
 	r.accepted, r.committed, r.next = MsgHdr{}, MsgHdr{}, MsgHdr{}
 	r.eCur, r.eNew = Epoch{}, Epoch{}
 	r.count = 0
-	r.sent, r.sentBase = nil, 0
+	r.sent, r.sentBase = r.sent[:0], 0
 	for j := range r.relPtr {
 		r.relPtr[j] = 0
 		r.released[j] = 0
@@ -318,7 +318,8 @@ func (r *Replica) restartDurable() {
 	r.eNew = r.committed.E
 	r.acceptSST.Set(r.accepted)
 	r.emit(trace.Recovered, n, uint64(r.log.Len()), 0)
-	for _, e := range r.log.RangeClosed(MsgHdr{}, r.committed) {
+	for p, end := r.log.RangeClosed(MsgHdr{}, r.committed); p < end; p++ {
+		e := r.log.At(p)
 		r.emit(trace.DeliverHeader, e.Hdr.E.Term(), uint64(e.Hdr.Cnt), trace.ID(e.Payload))
 		r.sessions.Deliver(abcast.MsgID(e.Payload))
 		r.Stats.Delivered++
@@ -514,8 +515,8 @@ func (r *Replica) commitTask() {
 		} else {
 			// Diff commit: deliver every included message not yet
 			// committed here, in order.
-			for _, e := range r.log.RangeOpen(r.committed, r.next) {
-				r.deliverEntry(e)
+			for p, end := r.log.RangeOpen(r.committed, r.next); p < end; p++ {
+				r.deliverEntry(*r.log.At(p))
 			}
 			// The diff itself is now committed; recording its header
 			// (rather than the last included message's) lets the
@@ -682,8 +683,8 @@ func (r *Replica) becomeLeader() {
 			continue
 		}
 		from := r.commitSST.Get(j).Hdr
-		entries := r.log.RangeClosed(from, r.accepted)
-		rec := EncodeDiff(hdr, from, entries)
+		lo, hi := r.log.RangeClosed(from, r.accepted)
+		rec := EncodeDiff(hdr, from, &r.log, lo, hi)
 		i, err := r.out.Send(r.fabIDs[j], rec)
 		if err != nil {
 			panic("acuerdo: diff send failed: " + err.Error())
@@ -694,8 +695,8 @@ func (r *Replica) becomeLeader() {
 	// The diff's commit delivers every entry this node holds above its
 	// committed header: those are the requests pending here.
 	r.sessions.Reseed()
-	for _, e := range r.log.RangeOpen(r.committed, MsgHdr{E: r.eNew}) {
-		r.sessions.Pend(abcast.MsgID(e.Payload))
+	for p, end := r.log.RangeOpen(r.committed, MsgHdr{E: r.eNew}); p < end; p++ {
+		r.sessions.Pend(abcast.MsgID(r.log.At(p).Payload))
 	}
 	// Self-transition: our log already matches the diff contents, so only
 	// the epoch state changes.

@@ -232,21 +232,22 @@ func appendMessage(dst []byte, hdr MsgHdr, payload []byte) []byte {
 }
 
 // EncodeDiff builds the ring-buffer record for a diff message containing
-// the given log entries (in order). from is the inclusive lower bound of
-// the diff's range (the receiver's last known committed header); the
-// receiver removes its own log entries at or above it before splicing the
-// diff in, even when the diff is empty.
-func EncodeDiff(hdr, from MsgHdr, entries []Entry) []byte {
+// the entries of l at positions [i, j) (a RangeClosed), in order. from is the
+// inclusive lower bound of the diff's range (the receiver's last known
+// committed header); the receiver removes its own log entries at or above it
+// before splicing the diff in, even when the diff is empty.
+func EncodeDiff(hdr, from MsgHdr, l *Log, i, j int) []byte {
 	n := 29
-	for _, e := range entries {
-		n += 16 + len(e.Payload)
+	for p := i; p < j; p++ {
+		n += 16 + len(l.At(p).Payload)
 	}
 	buf := make([]byte, n)
 	putMsgHdr(buf, hdr, kindDiff)
 	HdrCodec{}.Encode(buf[13:], from)
-	binary.LittleEndian.PutUint32(buf[25:], uint32(len(entries)))
+	binary.LittleEndian.PutUint32(buf[25:], uint32(j-i))
 	off := 29
-	for _, e := range entries {
+	for p := i; p < j; p++ {
+		e := l.At(p)
 		HdrCodec{}.Encode(buf[off:], e.Hdr)
 		binary.LittleEndian.PutUint32(buf[off+12:], uint32(len(e.Payload)))
 		copy(buf[off+16:], e.Payload)

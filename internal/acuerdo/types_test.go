@@ -145,6 +145,16 @@ func TestMessageRoundTrip(t *testing.T) {
 	}
 }
 
+// diffOf encodes the diff of entries (in header order) the way becomeLeader
+// does, from a log holding them.
+func diffOf(hdr, from MsgHdr, entries []Entry) []byte {
+	var l Log
+	for _, e := range entries {
+		l.Insert(e)
+	}
+	return EncodeDiff(hdr, from, &l, l.head, l.tail)
+}
+
 func TestDiffRoundTrip(t *testing.T) {
 	hdr := MsgHdr{E: Epoch{5, 3}, Cnt: 0}
 	from := MsgHdr{E: Epoch{4, 1}, Cnt: 7}
@@ -153,7 +163,7 @@ func TestDiffRoundTrip(t *testing.T) {
 		{Hdr: MsgHdr{E: Epoch{4, 1}, Cnt: 9}, Payload: []byte("bc")},
 		{Hdr: MsgHdr{E: Epoch{4, 1}, Cnt: 10}, Payload: nil},
 	}
-	rec := EncodeDiff(hdr, from, entries)
+	rec := diffOf(hdr, from, entries)
 	h2, _, e2, f2, isDiff, err := DecodeMessage(rec)
 	if err != nil || !isDiff {
 		t.Fatalf("err=%v isDiff=%v", err, isDiff)
@@ -174,7 +184,7 @@ func TestDiffRoundTripProperty(t *testing.T) {
 		for i, p := range payloads {
 			entries[i] = Entry{Hdr: MsgHdr{E: Epoch{1, 1}, Cnt: uint32(i + 1)}, Payload: p}
 		}
-		rec := EncodeDiff(MsgHdr{E: Epoch{2, 2}}, MsgHdr{}, entries)
+		rec := diffOf(MsgHdr{E: Epoch{2, 2}}, MsgHdr{}, entries)
 		_, _, e2, _, isDiff, err := DecodeMessage(rec)
 		if err != nil || !isDiff || len(e2) != len(entries) {
 			return false
@@ -194,12 +204,12 @@ func TestDiffRoundTripProperty(t *testing.T) {
 func TestDecodeCorruptRecords(t *testing.T) {
 	bad := EncodeMessage(MsgHdr{E: Epoch{1, 1}, Cnt: 1}, []byte("x"))
 	bad[12] = 99
-	diff := EncodeDiff(MsgHdr{E: Epoch{1, 1}}, MsgHdr{}, []Entry{{Hdr: MsgHdr{E: Epoch{1, 1}, Cnt: 1}, Payload: []byte("abc")}})
+	diff := diffOf(MsgHdr{E: Epoch{1, 1}}, MsgHdr{}, []Entry{{Hdr: MsgHdr{E: Epoch{1, 1}, Cnt: 1}, Payload: []byte("abc")}})
 	// A bare diff header whose count field claims entries the record has no
 	// bytes for: drainRings promises "corrupt record; drop", so the count
 	// must be refused before it sizes anything.
 	claims := func(cnt uint32) []byte {
-		rec := EncodeDiff(MsgHdr{E: Epoch{1, 1}}, MsgHdr{}, nil)
+		rec := diffOf(MsgHdr{E: Epoch{1, 1}}, MsgHdr{}, nil)
 		binary.LittleEndian.PutUint32(rec[25:], cnt)
 		return rec
 	}
