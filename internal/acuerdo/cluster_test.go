@@ -554,15 +554,11 @@ func TestDurableRecordPathAllocFree(t *testing.T) {
 // TestRunClosedLoopAllocFree pins abcast.RunClosedLoop's own per-request
 // work over a real group — a recycled request record whose buffer carries
 // the next request, its bound completion, the client's request table and
-// armed retry — at no allocation: between two submits deep in the warm-up
-// the whole run, client and replicas, allocates nothing per request. What it
-// may allocate is the simulator's event queue still growing a bucket now and
-// then, bounded here at a thousandth of an object per request; the queue
-// takes some 200 000 requests to settle, so -short skips the pin.
+// armed retry — at no allocation: between two submits in the warm-up the
+// whole run, client and replicas, allocates nothing per request. The bound
+// is a thousandth of an object per request, for a slice somewhere in the
+// run reaching a new peak.
 func TestRunClosedLoopAllocFree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("a 220 000-request warm-up")
-	}
 	sim := simnet.New(1)
 	cfg := DefaultClusterConfig(3)
 	cfg.RetryTimeout = 200 * time.Microsecond // see steadyStateAllocs
@@ -572,11 +568,11 @@ func TestRunClosedLoopAllocFree(t *testing.T) {
 	if c.LeaderIdx() < 0 {
 		t.Fatal("no leader")
 	}
-	const from, to = 200000, 220000
+	const from, to = 20000, 40000
 	var ms runtime.MemStats
 	var before, after uint64
 	abcast.RunClosedLoop(sim, c, abcast.LoadConfig{
-		Window: 16, MsgSize: 100, Warmup: 600 * time.Millisecond, Measure: time.Microsecond,
+		Window: 16, MsgSize: 100, Warmup: 100 * time.Millisecond, Measure: time.Microsecond,
 		OnSubmit: func(id uint64) {
 			switch id {
 			case from:

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -93,9 +94,9 @@ func BenchmarkEventDispatchTraced(b *testing.B) {
 }
 
 // TestEventDispatchAllocFree pins the nil-tracer fast path at zero
-// allocations per dispatched event: once the free list and the bucket
-// arena are primed, At + Step must not touch the heap. This is the
-// invariant the slot free-list and bucket arena exist for; a regression
+// allocations per dispatched event: once the slot slab and its free list
+// are primed, At + Step must not touch the heap. This is the invariant the
+// slot free-list and the intrusive bucket lists exist for; a regression
 // here taxes every one of the millions of events a sweep processes.
 func TestEventDispatchAllocFree(t *testing.T) {
 	s := New(1)
@@ -109,6 +110,97 @@ func TestEventDispatchAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state event dispatch allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestCalQueueCrowdedBucketsAllocFree pins the event core at zero
+// allocations once its first rotation is over, however crowded a bucket
+// gets: a bucket is a list threaded through the slots, so no bucket owns
+// storage that grows the first time it holds more events than before. Each
+// rotation fills one bucket the previous rotations never used with a burst
+// of 5–64 events at one instant: four of them filed a rotation ahead,
+// through the overflow ladder, the rest directly, and one more filed by the
+// burst's first event into the run dispatch is consuming. Bursts above 32
+// events are ordered by quicksort (TestCalQueueDifferential checks that
+// order against the reference heap). The first burst is the largest and
+// every rotation starts with the same four events pending, so the slab, the
+// free list, the ladder and the sorted run reach their peak in the first
+// rotation and the event that closes it.
+func TestCalQueueCrowdedBucketsAllocFree(t *testing.T) {
+	const rotations, ahead = 80, 4
+	burst := func(r int) int {
+		if r == 0 {
+			return 64
+		}
+		return 5 + r*29%60
+	}
+	// The burst's bucket moves by 2731 per rotation modulo the prime 8191,
+	// so no two of these rotations share one, and none is bucket 0, where
+	// the event that starts each rotation sits.
+	instant := func(r int) Time {
+		b := 1 + r*2731%(numBuckets-1)
+		return Time(r)*wheelSpan + Time(b)<<bucketShift + Time(r%int(bucketWidth))
+	}
+	s := New(1)
+	fired, want := 0, 0
+	member := func() { fired++ }
+	first := func() {
+		member()
+		s.At(s.Now(), member)
+	}
+	fileAhead := func(r int) {
+		for i := 0; i < ahead; i++ {
+			s.At(instant(r), member)
+		}
+	}
+	// fileRotation files the rest of rotation r's burst, the ahead part of
+	// the next one, and the event that starts the next rotation.
+	r := 0
+	var rotate func()
+	fileRotation := func() {
+		s.At(instant(r), first)
+		for i := ahead + 1; i < burst(r); i++ {
+			s.At(instant(r), member)
+		}
+		want += burst(r) + 1
+		fileAhead(r + 1)
+		s.At(Time(r+1)*wheelSpan, rotate)
+	}
+	rotate = func() {
+		r++
+		fileRotation()
+	}
+	fileAhead(0)
+	fileRotation()
+	s.RunUntil(wheelSpan) // the first rotation and the event that closes it
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	s.RunUntil(rotations*wheelSpan - 1)
+	runtime.ReadMemStats(&ms)
+	if objs := ms.Mallocs - before; objs != 0 {
+		t.Fatalf("%d rotations of crowded buckets allocated %d objects after the first, want 0", rotations-1, objs)
+	}
+	if r != rotations-1 || fired != want {
+		t.Fatalf("reached rotation %d of %d, fired %d of %d events", r, rotations-1, fired, want)
+	}
+}
+
+// TestNewSimFootprint bounds what one simnet.New allocates. A sweep builds
+// one Sim per point, and a wheel that owns per-bucket storage (the slice
+// headers and arena this core used to carve, 334.5 KB) would come back
+// through here first.
+func TestNewSimFootprint(t *testing.T) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	s := New(1)
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(s)
+	if got := ms.TotalAlloc - before; got > 64<<10 {
+		t.Fatalf("simnet.New allocated %d bytes, want <= %d", got, 64<<10)
+	} else {
+		t.Logf("simnet.New allocated %d bytes", got)
 	}
 }
 

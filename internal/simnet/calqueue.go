@@ -11,14 +11,16 @@
 // profiles (see DESIGN.md §6.5 for measurements).
 //
 // Events live in a struct-of-slots slab addressed by int32 index, recycled
-// through a free list. Nothing is ever cancelled (DESIGN.md §6.5): a
-// scheduled event fires, so every ref filed in a bucket or the overflow
-// ladder is a pending event and the queue's counts are exact.
+// through a free list; a bucket is a list threaded through the slots. Nothing
+// is ever cancelled (DESIGN.md §6.5): a scheduled event fires, so every ref
+// filed in a bucket or the overflow ladder is a pending event and the
+// queue's counts are exact.
 package simnet
 
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Wheel geometry, tuned on the figure-8 sweep. Bucket width 256ns keeps
@@ -45,37 +47,44 @@ const maxTime = Time(math.MaxInt64)
 // eventSlot is one entry in the event slab. Slots are recycled through the
 // free list the moment they fire.
 type eventSlot struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	fn   func()
+	next int32 // the slot after this one in its bucket's list
 }
 
 // calQueue is the calendar queue. It stores int32 indices into the slot
-// slab, never pointers, so bucket scans touch densely packed memory.
+// slab, never pointers. A bucket is a circular list through eventSlot.next:
+// tails[b] is the index+1 of its last-filed slot (0 = empty, so a new queue
+// needs no init loop), whose next is the first. Filing appends in O(1), and
+// a walk visits the bucket in filing order, almost always seq order:
+// insertion sort's best case. Dispatch moves the current bucket's list into
+// run, sorts it once and consumes it from pos; a slot filed into that bucket
+// later is inserted into run in order.
 //
 // Invariants, with `low` the aligned lower edge of the current bucket:
 //   - every pending slot has at >= the simulator's clock >= low;
 //   - wheel-resident slots have at in [low, low+wheelSpan);
 //   - overflow slots have at >= rotEnd, the end of the window covered by
 //     the last redistribution (rotEnd <= low+wheelSpan always);
-//   - every ref outside the current bucket's consumed prefix is a pending
-//     event: size == len(overflow) + refs filed in buckets beyond pos, and
-//     len(slots) == len(free) + size.
+//   - every ref in a list, in run beyond pos, or in overflow is a pending
+//     event: size == len(overflow) + len(run) - pos + the lists' lengths,
+//     and len(slots) == len(free) + size.
 type calQueue struct {
 	slots []eventSlot
 	free  []int32
 
-	buckets [][]int32
-	cur     int  // index of the bucket containing low
-	low     Time // aligned inclusive lower edge of the current bucket
-	rotEnd  Time // exclusive end of the window the wheel currently covers
-	pos     int  // consumed prefix of the sorted current bucket
-	sorted  bool // current bucket has been sorted by dispatch
+	tails  [numBuckets]int32
+	run    []int32 // the current bucket, sorted, once dispatch entered it
+	cur    int     // index of the bucket containing low
+	low    Time    // aligned inclusive lower edge of the current bucket
+	rotEnd Time    // exclusive end of the window the wheel currently covers
+	pos    int     // consumed prefix of run
+	sorted bool    // dispatch has entered the current bucket
 
 	// occ is the occupancy bitmap, one bit per bucket: set when a slot is
-	// filed into the bucket, cleared when dispatch leaves it empty. advance
-	// uses it to skip runs of empty buckets a word at a time, so dispatch
-	// across an idle gap costs O(gap/64) instead of O(gap).
+	// filed into the bucket's list, cleared when dispatch leaves it. advance
+	// skips empty buckets a word at a time: an idle gap costs O(gap/64).
 	occ [numBuckets / 64]uint64
 
 	overflow []int32
@@ -87,20 +96,7 @@ type calQueue struct {
 // wheelEmpty reports whether every pending event sits in the overflow ladder.
 func (q *calQueue) wheelEmpty() bool { return q.size == len(q.overflow) }
 
-// bucketCap is the initial per-bucket capacity. Every bucket's slice is
-// carved out of one contiguous arena so a fresh queue dispatches its first
-// rotation without a single bucket-array allocation; buckets that outgrow
-// the arena stride fall back to ordinary append growth (the three-index
-// slice below caps each carve so growth copies out instead of clobbering
-// the neighbor).
-const bucketCap = 4
-
 func (q *calQueue) init() {
-	q.buckets = make([][]int32, numBuckets)
-	arena := make([]int32, numBuckets*bucketCap)
-	for i := range q.buckets {
-		q.buckets[i] = arena[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
-	}
 	q.rotEnd = wheelSpan
 	q.ovMin = maxTime
 }
@@ -131,29 +127,35 @@ func (q *calQueue) file(idx int32, at Time) {
 		return
 	}
 	b := int(at>>bucketShift) & bucketMask
-	q.occ[b>>6] |= 1 << uint(b&63)
 	if b == q.cur && q.sorted {
-		// Dispatch is mid-way through this bucket: keep the unconsumed
-		// suffix sorted. The new slot carries the highest seq issued so
-		// far, so upper-bounding on at alone lands it after every equal
-		// timestamp, preserving FIFO among ties.
-		bkt := q.buckets[b]
-		lo, hi := q.pos, len(bkt)
+		// Dispatch is mid-way through this bucket: keep run sorted. The
+		// new slot carries the highest seq issued so far, so bounding on
+		// at alone lands it after every equal timestamp (FIFO among ties).
+		lo, hi := q.pos, len(q.run)
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if q.slots[bkt[mid]].at <= at {
+			if q.slots[q.run[mid]].at <= at {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		bkt = append(bkt, 0)
-		copy(bkt[lo+1:], bkt[lo:])
-		bkt[lo] = idx
-		q.buckets[b] = bkt
+		q.run = slices.Insert(q.run, lo, idx)
 		return
 	}
-	q.buckets[b] = append(q.buckets[b], idx)
+	q.push(b, idx)
+}
+
+// push appends slot idx to bucket b's list and marks b occupied.
+func (q *calQueue) push(b int, idx int32) {
+	q.occ[b>>6] |= 1 << uint(b&63)
+	if t := q.tails[b] - 1; t < 0 {
+		q.slots[idx].next = idx
+	} else {
+		q.slots[idx].next = q.slots[t].next
+		q.slots[t].next = idx
+	}
+	q.tails[b] = idx + 1
 }
 
 // recycle returns a fired slot to the free list.
@@ -174,11 +176,18 @@ func (q *calQueue) popDue(deadline Time) (int32, bool) {
 			q.jump()
 		}
 		if !q.sorted {
-			q.enterBucket()
+			q.sorted, q.pos = true, 0
+			if t := q.tails[q.cur] - 1; t >= 0 {
+				q.tails[q.cur] = 0
+				if q.slots[t].next == t && q.slots[t].at <= deadline {
+					q.size-- // a one-event bucket needs no run
+					return t, true
+				}
+				q.enterBucket(t)
+			}
 		}
-		bkt := q.buckets[q.cur]
-		if q.pos < len(bkt) {
-			idx := bkt[q.pos]
+		if q.pos < len(q.run) {
+			idx := q.run[q.pos]
 			if q.slots[idx].at > deadline {
 				return -1, false
 			}
@@ -186,9 +195,8 @@ func (q *calQueue) popDue(deadline Time) (int32, bool) {
 			q.size--
 			return idx, true
 		}
-		// Bucket consumed. Advance — but never past the bucket that
-		// contains the deadline, so the wheel's position stays <= the
-		// clock the caller is about to commit.
+		// Bucket consumed. Advance, but never past the deadline's bucket:
+		// the wheel stays <= the clock the caller is about to commit.
 		q.flushCurrent()
 		if q.low+bucketWidth > deadline {
 			return -1, false
@@ -207,13 +215,12 @@ func (q *calQueue) popDue(deadline Time) (int32, bool) {
 func (q *calQueue) advance(deadline Time) {
 	q.cur = (q.cur + 1) & bucketMask
 	q.low += bucketWidth
-	q.sorted = false
 	for {
 		if q.low == q.rotEnd {
 			q.redistribute()
 		}
 		if q.low+bucketWidth > deadline || q.wheelEmpty() ||
-			len(q.buckets[q.cur]) != 0 {
+			q.tails[q.cur] != 0 {
 			return
 		}
 		// Empty bucket. Skip to the next set bit, but not past the
@@ -254,19 +261,18 @@ func (q *calQueue) jump() {
 	q.flushCurrent()
 	q.low = q.ovMin >> bucketShift << bucketShift
 	q.cur = int(q.ovMin>>bucketShift) & bucketMask
-	q.sorted = false
 	q.redistribute()
 }
 
-// flushCurrent truncates the current bucket once dispatch has consumed it.
-// Only the current bucket can hold consumed refs — slots that already fired
-// and were recycled (possibly reused by a newer schedule) but whose index
-// still sits in the consumed prefix — and they must not outlive the pass
-// that consumed them.
+// flushCurrent leaves the current bucket once dispatch has consumed it.
+// Only run can hold consumed refs — slots that already fired and were
+// recycled, perhaps reused by a newer schedule — and they must not outlive
+// the pass that consumed them.
 func (q *calQueue) flushCurrent() {
-	q.buckets[q.cur] = q.buckets[q.cur][:0]
+	q.run = q.run[:0]
 	q.occ[q.cur>>6] &^= 1 << uint(q.cur&63)
 	q.pos = 0
+	q.sorted = false
 }
 
 // redistribute pulls every overflow event inside the wheel's new window
@@ -280,9 +286,7 @@ func (q *calQueue) redistribute() {
 	for _, idx := range q.overflow {
 		at := q.slots[idx].at
 		if at < q.rotEnd {
-			b := int(at>>bucketShift) & bucketMask
-			q.occ[b>>6] |= 1 << uint(b&63)
-			q.buckets[b] = append(q.buckets[b], idx)
+			q.push(int(at>>bucketShift)&bucketMask, idx)
 			continue
 		}
 		far = append(far, idx)
@@ -294,27 +298,20 @@ func (q *calQueue) redistribute() {
 	q.ovMin = min
 }
 
-// enterBucket sorts the current bucket by (at, seq) for dispatch. Each event
-// is sorted at most once, so dispatch stays O(1) amortized with an
-// O(k log k) one-time cost per k-event bucket.
-func (q *calQueue) enterBucket() {
-	q.sortBucket(q.buckets[q.cur])
-	q.pos = 0
-	q.sorted = true
-}
-
-// sortBucket orders slot indices by (at, seq): insertion sort for the
-// common small bucket, hand-rolled quicksort above that. No interfaces, no
-// allocations — this is the dispatch hot path.
-func (q *calQueue) sortBucket(b []int32) {
-	if len(b) < 2 {
-		return
+// enterBucket moves the list whose last-filed slot is t into run, in filing
+// order, and sorts run by (at, seq) for dispatch. Each event is sorted at
+// most once, so dispatch stays O(1) amortized with an O(k log k) one-time
+// cost per k-event bucket.
+func (q *calQueue) enterBucket(t int32) {
+	run := q.run
+	for i := q.slots[t].next; ; i = q.slots[i].next {
+		run = append(run, i)
+		if i == t {
+			break
+		}
 	}
-	if len(b) <= 32 {
-		q.insertionSort(b)
-		return
-	}
-	q.quickSort(b)
+	q.run = run
+	q.quickSort(run)
 }
 
 func (q *calQueue) less(a, b int32) bool {
@@ -337,6 +334,9 @@ func (q *calQueue) insertionSort(b []int32) {
 	}
 }
 
+// quickSort orders slot indices by (at, seq): hand-rolled quicksort down to
+// 32 refs, insertion sort below that, for the common small bucket. No
+// interfaces, no allocations — this is the dispatch hot path.
 func (q *calQueue) quickSort(b []int32) {
 	for len(b) > 32 {
 		// Median-of-three pivot, middle position.

@@ -216,9 +216,11 @@ func TestCalQueueSparseGap(t *testing.T) {
 // in the same order, and the clocks and pending counts never diverge.
 // Schedule distances mix bucket ties, in-wheel spreads, rotation crossings,
 // and deep overflow so every queue path (sorted insert, bitmap skip, jump,
-// redistribute) is exercised. After every operation it also checks what
+// redistribute) is exercised; bursts of 33–64 events at one instant make
+// buckets that quicksort orders. After every operation it also checks what
 // holds only because nothing is cancelled: every slot is free or pending,
-// and every filed ref is a pending event.
+// and every filed ref — in a bucket's list, in the unconsumed part of the
+// current bucket's run, or in the overflow ladder — is a pending event.
 func TestCalQueueDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -241,14 +243,21 @@ func TestCalQueueDifferential(t *testing.T) {
 			}
 		}
 
+		schedule := func(d time.Duration) {
+			id := nextID
+			nextID++
+			s.After(d, func() { gotLog = append(gotLog, id) })
+			h.schedule(h.now.Add(d), func() { wantLog = append(wantLog, id) })
+		}
 		for op := 0; op < 4000; op++ {
 			switch r := rng.Intn(100); {
-			case r < 60: // schedule
-				id := nextID
-				nextID++
+			case r < 58: // schedule
+				schedule(dist())
+			case r < 60: // a burst at one instant: a bucket above 32 events
 				d := dist()
-				s.After(d, func() { gotLog = append(gotLog, id) })
-				h.schedule(h.now.Add(d), func() { wantLog = append(wantLog, id) })
+				for n := 33 + rng.Intn(32); n > 0; n-- {
+					schedule(d)
+				}
 			case r < 88: // step
 				a, b := s.Step(), h.step()
 				if a != b {
@@ -256,6 +265,11 @@ func TestCalQueueDifferential(t *testing.T) {
 				}
 			default: // run a bounded window
 				d := time.Duration(rng.Int63n(3 * int64(wheelSpan)))
+				if rng.Intn(2) == 0 {
+					// A short one: its horizon falls inside a bucket
+					// that holds events on both sides of it.
+					d = time.Duration(rng.Intn(int(bucketWidth) * 2))
+				}
 				s.RunFor(d)
 				h.runUntil(h.now.Add(d))
 			}
@@ -269,9 +283,33 @@ func TestCalQueueDifferential(t *testing.T) {
 			if len(q.slots) != len(q.free)+s.Pending() {
 				t.Fatalf("seed %d op %d: %d slots != %d free + %d pending", seed, op, len(q.slots), len(q.free), s.Pending())
 			}
-			filed := len(q.overflow) - q.pos
-			for _, bkt := range q.buckets {
-				filed += len(bkt)
+			if !q.sorted && len(q.run) != 0 {
+				t.Fatalf("seed %d op %d: run holds %d refs before dispatch entered its bucket", seed, op, len(q.run))
+			}
+			filed := len(q.overflow) + len(q.run) - q.pos
+			for b, tail := range q.tails {
+				if tail == 0 {
+					continue
+				}
+				if q.occ[b>>6]&(1<<uint(b&63)) == 0 {
+					t.Fatalf("seed %d op %d: bucket %d holds a list but its occupancy bit is clear", seed, op, b)
+				}
+				// Walk the circular list from its first slot back to
+				// its tail; a walk longer than Pending() is a cycle
+				// that misses the tail.
+				n := 0
+				for i := q.slots[tail-1].next; ; i = q.slots[i].next {
+					if n++; n > s.Pending() {
+						t.Fatalf("seed %d op %d: bucket %d's list runs past %d pending events", seed, op, b, s.Pending())
+					}
+					if got := int(q.slots[i].at>>bucketShift) & bucketMask; got != b {
+						t.Fatalf("seed %d op %d: slot %d filed in bucket %d belongs in %d", seed, op, i, b, got)
+					}
+					if i == tail-1 {
+						break
+					}
+				}
+				filed += n
 			}
 			if filed != s.Pending() {
 				t.Fatalf("seed %d op %d: %d refs filed, %d events pending (stale ref)", seed, op, filed, s.Pending())

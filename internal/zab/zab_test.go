@@ -166,9 +166,8 @@ func TestSessionsBoundedState(t *testing.T) {
 // buffer, the group commit's callers are a FIFO of waiters released by one
 // bound method, a request waiting for the leader's CPU is a free-listed
 // record, and the closed loop recycles its window. What is left is amortised
-// growth — a 32 KiB arena chunk and a log chunk now and then at each server,
-// the event queue growing a bucket — bounded here at a tenth of an object per
-// commit.
+// growth — a 32 KiB arena chunk and a log chunk now and then at each server —
+// bounded here at a tenth of an object per commit.
 func TestZabCommitPathAllocFree(t *testing.T) {
 	sim, c, _ := newCluster(t, 3, 1)
 	c.OnDeliver = nil
