@@ -1,7 +1,9 @@
 package abcast
 
 import (
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -117,8 +119,8 @@ func TestClientRetry(t *testing.T) {
 }
 
 // TestClientSubmitAckAllocs pins the client's own steady-state cost per
-// request at zero objects: the armed retry is a recycled record and the table
-// entry reuses its map slot.
+// request at zero objects: the armed retry is a value in its queue's
+// recycled block and the table entry reuses its map slot.
 func TestClientSubmitAckAllocs(t *testing.T) {
 	sim := simnet.New(1)
 	c := NewClient(sim, func(uint64, []byte) bool { return true }, time.Microsecond, time.Microsecond)
@@ -134,5 +136,223 @@ func TestClientSubmitAckAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
 		t.Fatalf("Submit→Ack allocates %v objects per request, want 0", n)
+	}
+}
+
+// TestClientArmRetriesAllocFree arms 10 000 retries before any fires, the
+// shape of a closed loop whose in-flight re-sends (rate × timeout) are still
+// reaching their peak: records are carved in blocks, so arming allocates at
+// most one object per hundred retries (a record and its bound fire each
+// were two per retry). Then every retry fires and re-arms, with the queue
+// never empty: after the first round (the tail may open one block before the
+// head frees one), read blocks are recycled and five more rounds allocate
+// nothing.
+func TestClientArmRetriesAllocFree(t *testing.T) {
+	const n = 10000
+	sim := simnet.New(1)
+	c := NewClient(sim, func(uint64, []byte) bool { return true }, time.Millisecond, time.Millisecond)
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = request(uint64(i + 1))
+	}
+	// Grow the table and the event slab first: they are not the records.
+	for _, p := range payloads {
+		c.pending[MsgID(p)] = nil
+		sim.After(time.Millisecond, func() {})
+	}
+	sim.RunFor(2 * time.Millisecond)
+	clear(c.pending)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, p := range payloads {
+		c.Submit(p, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if objs := after.Mallocs - before.Mallocs; objs > n/100 {
+		t.Fatalf("arming %d retries allocated %d objects, want <= %d", n, objs, n/100)
+	} else {
+		t.Logf("arming %d retries allocated %d objects", n, objs)
+	}
+	sim.RunFor(time.Millisecond)
+	runtime.ReadMemStats(&before)
+	sim.RunFor(5 * time.Millisecond)
+	runtime.ReadMemStats(&after)
+	if objs := after.Mallocs - before.Mallocs; objs != 0 {
+		t.Fatalf("%d re-sends re-arming allocated %d objects, want 0", 5*n, objs)
+	}
+}
+
+// refClient is the client the retry queues replaced — one free-listed
+// record per armed re-send, each with its own bound fire — kept as the
+// reference TestClientRetryDifferential compares against.
+type refClient struct {
+	sim     *simnet.Sim
+	try     func(id uint64, payload []byte) bool
+	timeout time.Duration
+	idle    time.Duration
+	pending map[uint64]func()
+
+	free []*refRetry
+}
+
+type refRetry struct {
+	c       *refClient
+	id      uint64
+	payload []byte
+	fire    func()
+}
+
+func (r *refRetry) run() {
+	c, id, payload := r.c, r.id, r.payload
+	r.payload = nil
+	c.free = append(c.free, r)
+	if _, ok := c.pending[id]; ok {
+		c.send(id, payload)
+	}
+}
+
+func (c *refClient) Submit(payload []byte, done func()) {
+	id := MsgID(payload)
+	c.pending[id] = done
+	c.send(id, payload)
+}
+
+func (c *refClient) send(id uint64, payload []byte) {
+	d := c.idle
+	if c.try(id, payload) {
+		d = c.timeout
+	}
+	if d <= 0 {
+		return
+	}
+	var r *refRetry
+	if n := len(c.free); n > 0 {
+		r = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		r = &refRetry{c: c}
+		r.fire = r.run
+	}
+	r.id, r.payload = id, payload
+	c.sim.After(d, r.fire)
+}
+
+func (c *refClient) Ack(m []byte) {
+	id := MsgID(m)
+	done, ok := c.pending[id]
+	if !ok {
+		return
+	}
+	delete(c.pending, id)
+	if done != nil {
+		done()
+	}
+}
+
+// TestClientRetryDifferential runs the client and the per-record reference
+// over the same random scripts — many ids, submits in bursts at one instant
+// and spread out, try answering true and false, acks landing before,
+// between and after the armed re-sends, equal, unequal and zero delays —
+// and demands the identical sequence of attempts, by simulated time and id,
+// and the same completions.
+func TestClientRetryDifferential(t *testing.T) {
+	const us = time.Microsecond
+	type client interface {
+		Submit([]byte, func())
+		Ack([]byte)
+	}
+	type step struct {
+		at     time.Duration
+		ack    bool
+		id     uint64
+		repeat int // ids submitted at the same instant
+	}
+	delays := []time.Duration{0, 3 * us, 10 * us, 40 * us, 300 * us}
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		timeout, idle := delays[rng.Intn(len(delays))], delays[rng.Intn(len(delays))]
+		if seed%5 == 0 {
+			idle = timeout
+		}
+		ids := 1 + rng.Intn(300)
+		var script []step
+		next := uint64(1)
+		for at := time.Duration(0); next <= uint64(ids); at += time.Duration(rng.Intn(30)) * us {
+			n := 1
+			if rng.Intn(4) == 0 {
+				n = 1 + rng.Intn(64)
+			}
+			script = append(script, step{at: at, id: next, repeat: n})
+			for k := 0; k < n; k++ {
+				if rng.Intn(3) > 0 {
+					script = append(script, step{at: at + time.Duration(rng.Intn(2000))*us, ack: true, id: next + uint64(k)})
+				}
+			}
+			next += uint64(n)
+		}
+		// try's answer for attempt k of id is a fixed function of both, so
+		// the two clients are asked the same questions in the same order.
+		pTrue := rng.Float64()
+		answers := make(map[[2]uint64]bool)
+		answer := func(id uint64, k int) bool {
+			key := [2]uint64{id, uint64(k)}
+			if v, ok := answers[key]; ok {
+				return v
+			}
+			v := rng.Float64() < pTrue
+			answers[key] = v
+			return v
+		}
+		type attempt struct {
+			at simnet.Time
+			id uint64
+		}
+		run := func(build func(*simnet.Sim, func(uint64, []byte) bool) client) (attempts []attempt, done int) {
+			sim := simnet.New(1)
+			tries := map[uint64]int{}
+			c := build(sim, func(id uint64, payload []byte) bool {
+				if MsgID(payload) != id {
+					t.Fatalf("try(%d) with payload %d", id, MsgID(payload))
+				}
+				attempts = append(attempts, attempt{sim.Now(), id})
+				tries[id]++
+				return answer(id, tries[id])
+			})
+			for _, s := range script {
+				s := s
+				sim.After(s.at, func() {
+					if s.ack {
+						c.Ack(request(s.id))
+						return
+					}
+					for k := 0; k < s.repeat; k++ {
+						c.Submit(request(s.id+uint64(k)), func() { done++ })
+					}
+				})
+			}
+			sim.RunFor(3 * time.Millisecond)
+			return attempts, done
+		}
+		got, gotDone := run(func(sim *simnet.Sim, try func(uint64, []byte) bool) client {
+			return NewClient(sim, try, timeout, idle)
+		})
+		want, wantDone := run(func(sim *simnet.Sim, try func(uint64, []byte) bool) client {
+			return &refClient{sim: sim, try: try, timeout: timeout, idle: idle, pending: map[uint64]func(){}}
+		})
+		if gotDone != wantDone {
+			t.Fatalf("seed %d: %d completions, reference %d", seed, gotDone, wantDone)
+		}
+		if !reflect.DeepEqual(got, want) {
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d (timeout %v, idle %v): attempt %d is %+v, reference %+v (of %d, %d)",
+						seed, timeout, idle, i, got[i], want[i], len(got), len(want))
+				}
+			}
+			t.Fatalf("seed %d: %d attempts, reference %d", seed, len(got), len(want))
+		}
+		if seed == 1 {
+			t.Logf("seed 1: %d attempts over %d ids", len(got), ids)
+		}
 	}
 }

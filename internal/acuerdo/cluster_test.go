@@ -560,9 +560,7 @@ func TestDurableRecordPathAllocFree(t *testing.T) {
 // run reaching a new peak.
 func TestRunClosedLoopAllocFree(t *testing.T) {
 	sim := simnet.New(1)
-	cfg := DefaultClusterConfig(3)
-	cfg.RetryTimeout = 200 * time.Microsecond // see steadyStateAllocs
-	c := NewCluster(sim, rdma.NewFabric(sim, rdma.DefaultParams()), cfg)
+	c := NewCluster(sim, rdma.NewFabric(sim, rdma.DefaultParams()), DefaultClusterConfig(3))
 	c.Start()
 	sim.RunFor(20 * time.Millisecond)
 	if c.LeaderIdx() < 0 {
@@ -602,9 +600,6 @@ func steadyStateAllocs(t *testing.T, durable bool) (objs uint64, msgs int) {
 	t.Helper()
 	sim := simnet.New(1)
 	cfg := DefaultClusterConfig(3)
-	// Armed retries are recycled when they fire: a short timeout (still far
-	// above the commit latency) fills that free list within the warm-up.
-	cfg.RetryTimeout = 200 * time.Microsecond
 	c := NewCluster(sim, rdma.NewFabric(sim, rdma.DefaultParams()), cfg)
 	var devs []*disk.Device
 	if durable {

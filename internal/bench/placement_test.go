@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -229,5 +230,36 @@ func TestNextOpAllocFree(t *testing.T) {
 	w := newPGWorkloads(m, 1000, 100, 5)[1]
 	if n := testing.AllocsPerRun(1000, func() { w.nextOp() }); n != 0 {
 		t.Errorf("%v allocs per nextOp, want 0", n)
+	}
+}
+
+// TestPlacementLoadAllocFree: after the warm-up, a multi-group kvstore load
+// allocates at most 0.03 objects per commit — the armed retries, a key's
+// first write and the tracer's stage sets all come from reused or
+// block-carved storage; what remains is amortised map and chunk growth.
+func TestPlacementLoadAllocFree(t *testing.T) {
+	cfg := DefaultPlacement(Acuerdo, 4)
+	cfg.Warmup = 10 * time.Millisecond
+	cfg.Measure = 20 * time.Millisecond
+	m, err := placement.Build(cfg.Placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewPlacementWorld(cfg.Kind, m, cfg.Seed, false)
+	defer w.Close()
+	w.WarmUp()
+	var before, after runtime.MemStats
+	start := w.Sim.Now()
+	w.Sim.At(start.Add(cfg.Warmup), func() { runtime.ReadMemStats(&before) })
+	w.Sim.At(start.Add(cfg.Warmup+cfg.Measure), func() { runtime.ReadMemStats(&after) })
+	res := RunPlacementLoad(w, cfg)
+	if res.Committed == 0 || after.Mallocs == 0 {
+		t.Fatalf("%d commits measured", res.Committed)
+	}
+	objs := after.Mallocs - before.Mallocs
+	if per := float64(objs) / float64(res.Committed); per > 0.03 {
+		t.Fatalf("%d objects over %d commits = %.4f per commit, want <= 0.03", objs, res.Committed, per)
+	} else {
+		t.Logf("%d objects over %d commits (%.4f per commit)", objs, res.Committed, per)
 	}
 }

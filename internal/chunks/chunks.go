@@ -1,6 +1,7 @@
 // Package chunks holds append-only history in chunks that are written once:
-// a sequence that is appended to, read by index and cut back at its tail, such
-// as a protocol's log, a run's latency samples or the checker's agreed order.
+// a sequence that is appended to, read (or updated in place) by index and cut
+// back at its tail, such as a protocol's log, a run's latency samples, the
+// checker's agreed order or the tracer's per-message stage timestamps.
 //
 // A slice grown by append copies everything it holds each time it outgrows its
 // array, by about 1.25× once it is large, so every element it ends up holding
@@ -82,12 +83,17 @@ func (l *List[T]) Append(v T) {
 }
 
 // At returns element i.
-func (l *List[T]) At(i int) T {
+func (l *List[T]) At(i int) T { return *l.Ptr(i) }
+
+// Ptr returns the address of element i, for a caller that updates it in
+// place. A chunk never moves, so the address holds element i until a
+// Truncate drops it.
+func (l *List[T]) Ptr(i int) *T {
 	if uint(i) >= uint(l.n) {
 		panic(fmt.Sprintf("chunks: index %d out of range [0:%d]", i, l.n))
 	}
 	k, off := l.locate(i)
-	return l.chunks[k][off]
+	return &l.chunks[k][off]
 }
 
 // Truncate cuts the list to its first n elements. It zeroes the elements it

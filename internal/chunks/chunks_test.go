@@ -115,6 +115,10 @@ func differential[T comparable](t *testing.T, mk func(uint64) T) {
 				if l.At(i) != ref[i] {
 					t.Fatalf("seed %d step %d: At(%d) differs from the slice", seed, step, i)
 				}
+				if rng.Intn(8) == 0 {
+					v := mk(rng.Uint64())
+					*l.Ptr(i), ref[i] = v, v
+				}
 			}
 			chunkRule(t, &l)
 			longest = max(longest, len(ref))
@@ -157,21 +161,15 @@ func TestChunkShape(t *testing.T) {
 func TestListNeverMovesAnElement(t *testing.T) {
 	var l List[e32]
 	l.Append(e32{a: 1})
-	first := func() *e32 {
-		for c := range l.Chunks(0, 1) {
-			return &c[0]
-		}
-		return nil
-	}
-	p := first()
+	p := l.Ptr(0)
 	for i := 2; i <= 100_000; i++ {
 		l.Append(e32{a: uint64(i)})
-		if i&(i-1) == 0 && first() != p {
+		if i&(i-1) == 0 && l.Ptr(0) != p {
 			t.Fatalf("element 0 moved after %d appends", i)
 		}
 	}
-	if first() != p || p.a != 1 {
-		t.Fatalf("element 0 moved or changed: %p %p %d", first(), p, p.a)
+	if l.Ptr(0) != p || p.a != 1 {
+		t.Fatalf("element 0 moved or changed: %p %p %d", l.Ptr(0), p, p.a)
 	}
 }
 
@@ -192,6 +190,7 @@ func TestListOutOfRange(t *testing.T) {
 	for name, f := range map[string]func(){
 		"At(1)":         func() { l.At(1) },
 		"At(-1)":        func() { l.At(-1) },
+		"Ptr(1)":        func() { l.Ptr(1) },
 		"Truncate(2)":   func() { l.Truncate(2) },
 		"Chunks(0, 2)":  func() { l.Chunks(0, 2) },
 		"Chunks(1, 0)":  func() { l.Chunks(1, 0) },

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // refDecodeOp and refStore are the apply path ApplyAt replaced — decode the
@@ -124,6 +126,9 @@ func TestApplyAtDifferential(t *testing.T) {
 				if gok != wok || !bytes.Equal(gv, wv) {
 					t.Fatalf("seed %d step %d: Get(%q) = %x/%v, reference %x/%v", seed, step, k, gv, gok, wv, wok)
 				}
+				if cap(gv) != len(gv) {
+					t.Fatalf("seed %d step %d: Get(%q) has room for %d more bytes: an append would reach the store", seed, step, k, cap(gv)-len(gv))
+				}
 			}
 		}
 	}
@@ -171,5 +176,68 @@ func TestApplyAtKeepsNothing(t *testing.T) {
 		if got, ok := rm.Get(0, "k"); !ok || string(got) != value || rm.Stores[0].Len() != 1 {
 			t.Fatalf("after the payload was overwritten: k = %q/%v in %d keys, want %q", got, ok, rm.Stores[0].Len(), value)
 		}
+	}
+}
+
+// TestApplyAtInsertAllocFree: a key's first write carves its bytes and its
+// value from the store's arena, so 10 000 new keys allocate at most one
+// object per hundred inserts (a key string and a value copy each were two).
+func TestApplyAtInsertAllocFree(t *testing.T) {
+	const n = 10000
+	ops := make([][]byte, n)
+	for i := range ops {
+		ops[i] = Op{ID: uint64(i), Kind: OpSet, Key: fmt.Sprintf("user%016d", i), Value: bytes.Repeat([]byte{byte(i)}, 100)}.Encode()
+	}
+	rm := NewReplicated(nil, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, op := range ops {
+		if err := rm.ApplyAt(0, op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if objs := after.Mallocs - before.Mallocs; objs > n/100 {
+		t.Fatalf("inserting %d keys allocated %d objects, want <= %d", n, objs, n/100)
+	} else {
+		t.Logf("inserting %d keys allocated %d objects", n, objs)
+	}
+	if rm.Stores[0].Len() != n {
+		t.Fatalf("%d keys, want %d", rm.Stores[0].Len(), n)
+	}
+}
+
+// TestApplyAtChurnAllocFree: sets, deletes and re-sets over a fixed keyspace,
+// with value lengths that change, reuse each key's bytes and slot once every
+// key has held its longest value: nothing is allocated, and the arena carves
+// nothing more however long the churn runs.
+func TestApplyAtChurnAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ops := make([][]byte, 4096)
+	for i := range ops {
+		op := Op{ID: uint64(i), Kind: []OpKind{OpCreate, OpSet, OpSet, OpDelete}[rng.Intn(4)], Key: fmt.Sprintf("key-%d", rng.Intn(64))}
+		if op.Kind != OpDelete {
+			op.Value = make([]byte, []int{0, 10, 64, 100}[rng.Intn(4)])
+		}
+		ops[i] = op.Encode()
+	}
+	rm := NewReplicated(nil, 1)
+	s := rm.Stores[0]
+	i := 0
+	churn := func() {
+		if err := rm.ApplyAt(0, ops[i%len(ops)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range 4 * len(ops) {
+		churn()
+	}
+	free := s.free
+	if n := testing.AllocsPerRun(20*len(ops), churn); n != 0 {
+		t.Fatalf("%v allocs per op of the churn, want 0", n)
+	}
+	if unsafe.SliceData(s.free) != unsafe.SliceData(free) || len(s.free) != len(free) {
+		t.Fatalf("the churn carved more of the arena: %d bytes left of the chunk, was %d", len(s.free), len(free))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"acuerdo/internal/abcast"
 )
@@ -100,36 +101,107 @@ func DecodeOp(b []byte) (Op, error) {
 	}, nil
 }
 
-// Store is one replica's hash-table copy.
+// Store is one replica's hash-table copy. Keys and values live in an arena of
+// fixed-size byte chunks. A key's first write carves, in one piece, the key
+// bytes the map key is made from and the value's slot: a header (the room
+// carved, the value's length, whether the key is live) followed by the room.
+// The map holds the header's address. A later write that fits the room
+// overwrites it in place and a delete only marks the header, so the slot
+// waits for the key's next set; only a value longer than its room carves the
+// key again, with a new slot. A write stream over a fixed keyspace carves
+// nothing once every key has held its longest value.
 type Store struct {
-	m       map[string][]byte
+	m       map[string]*byte // key -> its slot header
+	free    []byte           // the unused tail of the newest chunk
+	live    int              // keys that are not deleted
 	Applied uint64
 }
 
-// NewStore creates an empty table.
-func NewStore() *Store { return &Store{m: make(map[string][]byte)} }
+// A slot header is the room (uint32), the value's length (uint32) and a live
+// byte, little-endian.
+const hdrLen = 9
 
-// Apply executes one committed update command. The store keeps o.Value.
-func (s *Store) Apply(o Op) {
-	s.Applied++
-	switch o.Kind {
-	case OpCreate, OpSet:
-		s.m[o.Key] = o.Value
-	case OpDelete:
-		delete(s.m, o.Key)
+// arenaChunk is the size of an arena chunk: about a thousand keys of the
+// placement workload's shape (20-byte key, 100-byte value). A value that
+// does not fit one is carved into a chunk of its own.
+const arenaChunk = 128 << 10
+
+// NewStore creates an empty table.
+func NewStore() *Store { return &Store{m: make(map[string]*byte)} }
+
+// carve returns the next n bytes of the arena.
+func (s *Store) carve(n int) []byte {
+	if n > len(s.free) {
+		s.free = make([]byte, max(n, arenaChunk))
 	}
+	b := s.free[:n:n]
+	s.free = s.free[n:]
+	return b
+}
+
+// slot returns the header at p and the room behind it.
+func slot(p *byte) (h, room []byte) {
+	n := binary.LittleEndian.Uint32(unsafe.Slice(p, 4))
+	b := unsafe.Slice(p, hdrLen+int(n))
+	return b[:hdrLen], b[hdrLen:]
+}
+
+// apply executes one update command from views of its key and value; the
+// store keeps neither.
+func (s *Store) apply(kind OpKind, key, value []byte) {
+	s.Applied++
+	var h, room []byte
+	p, held := s.m[string(key)]
+	if held {
+		h, room = slot(p)
+	}
+	live := held && h[8] == 1
+	switch {
+	case kind == OpDelete:
+		if live {
+			h[8] = 0
+			s.live--
+		}
+		return
+	case !live:
+		s.live++
+	}
+	if held && len(value) <= len(room) {
+		binary.LittleEndian.PutUint32(h[4:], uint32(len(value)))
+		h[8] = 1
+		copy(room, value)
+		return
+	}
+	// A first write, or a value longer than the room: key bytes, header and
+	// value in one carve. The map's key becomes this copy of the key bytes.
+	b := s.carve(len(key) + hdrLen + len(value))
+	copy(b, key)
+	h = b[len(key):]
+	binary.LittleEndian.PutUint32(h, uint32(len(value)))
+	binary.LittleEndian.PutUint32(h[4:], uint32(len(value)))
+	h[8] = 1
+	copy(h[hdrLen:], value)
+	s.m[unsafe.String(unsafe.SliceData(b), len(key))] = &h[0]
 }
 
 // Get reads a key directly (the broadcast-bypassing read path). The result
 // is the store's own bytes: valid until the next write to that key, which may
 // overwrite them in place.
 func (s *Store) Get(key string) ([]byte, bool) {
-	v, ok := s.m[key]
-	return v, ok
+	p, ok := s.m[key]
+	if !ok {
+		return nil, false
+	}
+	h, room := slot(p)
+	if h[8] == 0 {
+		return nil, false
+	}
+	n := binary.LittleEndian.Uint32(h[4:])
+	return room[:n:n], true
 }
 
 // Len returns the number of keys.
-func (s *Store) Len() int { return len(s.m) }
+func (s *Store) Len() int { return s.live }
 
 // Replicated is a hash table replicated across n replicas through an
 // atomic broadcast engine. The engine's owner must route every replica's
@@ -152,21 +224,13 @@ func NewReplicated(engine abcast.System, n int) *Replicated {
 
 // ApplyAt feeds one delivered broadcast payload into replica i's store.
 // Deliveries arrive in total order, so all stores stay identical. The op is
-// applied from the payload view and nothing of payload is retained: a set to
-// a key the store holds at the same value length overwrites that value in
-// place, and only a new key or a changed length allocates.
+// applied from the payload view and nothing of payload is retained.
 func (r *Replicated) ApplyAt(i int, payload []byte) error {
 	kind, key, value, err := split(payload)
 	if err != nil {
 		return err
 	}
-	s := r.Stores[i]
-	if old, ok := s.m[string(key)]; ok && kind != OpDelete && len(old) == len(value) {
-		s.Applied++
-		copy(old, value)
-		return nil
-	}
-	s.Apply(Op{Kind: kind, Key: string(key), Value: append([]byte(nil), value...)})
+	r.Stores[i].apply(kind, key, value)
 	return nil
 }
 

@@ -135,18 +135,32 @@ func TestDecodeOpMalformed(t *testing.T) {
 	}
 }
 
+// TestStoreApply: create, set and delete through ApplyAt, then a set of the
+// deleted key, which revives it from its tombstone.
 func TestStoreApply(t *testing.T) {
-	s := NewStore()
-	s.Apply(Op{Kind: OpCreate, Key: "a", Value: []byte("1")})
-	s.Apply(Op{Kind: OpSet, Key: "a", Value: []byte("2")})
+	rm := NewReplicated(nil, 1)
+	apply := func(kind OpKind, key, value string) {
+		t.Helper()
+		if err := rm.ApplyAt(0, Op{Kind: kind, Key: key, Value: []byte(value)}.Encode()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := rm.Stores[0]
+	apply(OpCreate, "a", "1")
+	apply(OpSet, "a", "2")
 	if v, ok := s.Get("a"); !ok || string(v) != "2" {
 		t.Fatalf("a = %q/%v", v, ok)
 	}
-	s.Apply(Op{Kind: OpDelete, Key: "a"})
-	if _, ok := s.Get("a"); ok {
-		t.Fatal("delete did not remove key")
+	apply(OpDelete, "a", "")
+	if _, ok := s.Get("a"); ok || s.Len() != 0 {
+		t.Fatalf("delete did not remove key: %d keys", s.Len())
 	}
-	if s.Applied != 3 {
+	apply(OpDelete, "a", "")
+	apply(OpSet, "a", "three")
+	if v, ok := s.Get("a"); !ok || string(v) != "three" || s.Len() != 1 {
+		t.Fatalf("a = %q/%v in %d keys", v, ok, s.Len())
+	}
+	if s.Applied != 5 {
 		t.Fatalf("applied = %d", s.Applied)
 	}
 }

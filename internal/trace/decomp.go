@@ -88,7 +88,7 @@ func (t *Tracer) Decompose() Decomposition {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		s := t.stages[id]
+		s := t.sets.Ptr(t.stages[id])
 		if s.submit < 0 || s.ack < 0 {
 			continue // never acked, or ack seen without submit
 		}

@@ -19,6 +19,7 @@ package trace
 import (
 	"encoding/binary"
 
+	"acuerdo/internal/chunks"
 	"acuerdo/internal/digest"
 )
 
@@ -262,7 +263,8 @@ type Tracer struct {
 	counters [numCounters]int64
 	fp       digest.Sum
 
-	stages map[int64]*stageSet
+	stages map[int64]int // message id -> its stage set in sets
+	sets   chunks.List[stageSet]
 	names  map[int32]string
 }
 
@@ -286,7 +288,7 @@ func New(maxEvents int) *Tracer {
 	}
 	return &Tracer{
 		ring:   make([]Event, maxEvents),
-		stages: make(map[int64]*stageSet),
+		stages: make(map[int64]int),
 		names:  make(map[int32]string),
 		fp:     digest.Offset,
 	}
@@ -328,13 +330,16 @@ func (t *Tracer) emit(ev Event) {
 
 // stage feeds the per-message latency decomposition. Each stage is
 // first-wins; KAccept only counts when it comes from a node other than
-// the proposer (the local self-accept carries no wire time).
+// the proposer (the local self-accept carries no wire time). A message's
+// stage set is a value in sets, appended at its id's first marker.
 func (t *Tracer) stage(ev Event) {
-	s := t.stages[ev.A]
-	if s == nil {
-		s = &stageSet{submit: -1, propose: -1, accept: -1, commit: -1, ack: -1, proposeNode: -1}
-		t.stages[ev.A] = s
+	i, ok := t.stages[ev.A]
+	if !ok {
+		i = t.sets.Len()
+		t.sets.Append(stageSet{submit: -1, propose: -1, accept: -1, commit: -1, ack: -1, proposeNode: -1})
+		t.stages[ev.A] = i
 	}
+	s := t.sets.Ptr(i)
 	switch ev.Kind {
 	case KSubmit:
 		if s.submit < 0 {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -141,6 +142,35 @@ func TestDecomposeTelescopes(t *testing.T) {
 	}
 	if !strings.Contains(d.String(), "total 150ns") {
 		t.Fatalf("String() = %q", d.String())
+	}
+}
+
+// TestStageAllocFree: a message's stage set is a value in chunked storage
+// and the id map holds its index, so the five stage markers of 10 000
+// distinct ids allocate at most one object per hundred ids (a *stageSet
+// each was one per id), and the decomposition still folds every chain.
+func TestStageAllocFree(t *testing.T) {
+	const n = 10000
+	tr := New(FingerprintRing)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := int64(1); id <= n; id++ {
+		ts := 1000 * id
+		tr.Instant(KSubmit, -1, ts, id, 0)
+		tr.Instant(KPropose, 0, ts+10, id, 0)
+		tr.Instant(KAccept, 1, ts+30, id, 0)
+		tr.Instant(KCommit, 0, ts+60, id, 0)
+		tr.Instant(KAck, -1, ts+100, id, 0)
+	}
+	runtime.ReadMemStats(&after)
+	if objs := after.Mallocs - before.Mallocs; objs > n/100 {
+		t.Fatalf("stage markers of %d ids allocated %d objects, want <= %d", n, objs, n/100)
+	} else {
+		t.Logf("stage markers of %d ids allocated %d objects", n, objs)
+	}
+	d := tr.Decompose()
+	if d.Messages != n || d.Partial != 0 || d.TotalNS != 100*n || d.WireNS != 20*n {
+		t.Fatalf("decomposition %+v, want %d complete chains of 100 ns", d, n)
 	}
 }
 
