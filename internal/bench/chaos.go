@@ -148,7 +148,7 @@ func (r ChaosResult) MaxMTTR() time.Duration {
 // (kind, scenario, cfg) yields the same fingerprint, the same fired log,
 // and the same table row.
 func RunScenario(kind Kind, sc chaos.Scenario, cfg ChaosConfig) ChaosResult {
-	tracer := trace.New(1 << 14)
+	tracer := trace.New(trace.FingerprintRing)
 	sim := simnet.New(cfg.Seed)
 	opt := Options{Tracer: tracer, Durability: cfg.Durability}
 	if cfg.Observe {

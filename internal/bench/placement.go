@@ -96,7 +96,7 @@ type PlacementWorld struct {
 // the whole world is a pure function of (kind, m, seed, withObservers).
 func NewPlacementWorld(kind Kind, m *placement.Map, seed int64, withObservers bool) *PlacementWorld {
 	sim := simnet.New(seed)
-	tr := trace.New(1 << 14)
+	tr := trace.New(trace.FingerprintRing)
 	sim.SetTracer(tr)
 	w := &PlacementWorld{Sim: sim, Tracer: tr, Map: m}
 	w.FleetProcs = make([]*simnet.Proc, m.Config.Fleet)
