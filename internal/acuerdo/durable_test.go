@@ -140,10 +140,7 @@ func TestDurableRestartAllocFree(t *testing.T) {
 			for _, b := range heldBlocks(&r.log) {
 				blocks[b] = true
 			}
-			chunks := make([]*byte, len(r.log.chunks))
-			for i, ch := range r.log.chunks {
-				chunks[i] = unsafe.SliceData(ch.buf)
-			}
+			chunks, _, _ := arenaBooks(&r.log)
 			sent := unsafe.SliceData(r.sent)
 			r.Crash()
 			chk.NodeRestart(victim)
@@ -162,11 +159,12 @@ func TestDurableRestartAllocFree(t *testing.T) {
 			if len(held) != len(blocks) {
 				t.Fatalf("the log holds %d blocks after the replay, %d before the crash", len(held), len(blocks))
 			}
-			if len(l.chunks) != len(chunks) {
-				t.Fatalf("the replay opened %d arena chunks, %d before the crash", len(l.chunks), len(chunks))
+			replayed, _, _ := arenaBooks(l)
+			if len(replayed) != len(chunks) {
+				t.Fatalf("the replay opened %d arena chunks, %d before the crash", len(replayed), len(chunks))
 			}
-			for i, ch := range l.chunks {
-				if unsafe.SliceData(ch.buf) != chunks[i] {
+			for i, ch := range replayed {
+				if ch.buf != chunks[i].buf {
 					t.Fatalf("arena chunk %d was reallocated by the replay", i+1)
 				}
 			}

@@ -1,5 +1,7 @@
 package acuerdo
 
+import "acuerdo/internal/chunks"
+
 // Entry is one message stored in a replica's ordered log. chunk names the
 // arena chunk a stored entry's Payload lives in (0: none, the entry holds no
 // bytes); it sits in the padding between the 12-byte header and the slice, so
@@ -21,14 +23,13 @@ type Entry struct {
 // cycles through the blocks it already has, and a log that is never trimmed
 // (every replica with a WAL) allocates each block once and copies nothing.
 //
-// The log owns its payload bytes: Insert copies the payload into an arena of
-// chunks and the stored entry points there, so the caller's buffer — a ring
-// view, a slice of a diff record, a recovered WAL record, the client's
+// The log owns its payload bytes: Insert copies the payload into a
+// chunks.Arena and the stored entry points there, so the caller's buffer — a
+// ring view, a slice of a diff record, a recovered WAL record, the client's
 // request — is free the moment Insert returns, and what Get, Last and At hand
-// out stays valid until the entry is trimmed, removed or replaced. The arena
-// counts the live entries of every chunk and refills a chunk the moment the
-// last one goes, so a log that is trimmed as it grows cycles through a fixed
-// set of chunks and allocates nothing.
+// out stays valid until the entry is trimmed, removed or replaced. The entry
+// gives its claim on the arena back then, so a log that is trimmed as it
+// grows cycles through a fixed set of chunks and allocates nothing.
 //
 // The Range methods return positions, which At reads. Positions and the
 // pointers Get, Last and At return stay valid across appends (an Insert above
@@ -39,9 +40,7 @@ type Log struct {
 	head, tail int         // the live entries are positions [head, tail)
 	spare      []*logBlock // zeroed blocks outside the live range, taken before a new one
 
-	chunks []arenaChunk // chunk id c is chunks[c-1]
-	open   uint32       // id of the chunk being filled; 0 before the first
-	free   []uint32     // ids of empty chunks other than the open one
+	arena chunks.Arena // the entries' payload bytes
 }
 
 // logBlockShift sets the block size: logBlockLen entries, 1280 B. A trimmed
@@ -61,73 +60,6 @@ const (
 // zero, so no recycled or spare block keeps a payload reachable.
 type logBlock [logBlockLen]Entry
 
-// arenaChunk is one payload buffer (len used, cap-len free) and the number of
-// entries pointing into it.
-type arenaChunk struct {
-	buf  []byte
-	live int
-}
-
-// logChunk is the arena's chunk size. At 64 KiB a chunk is one allocation per
-// ~65 entries of 1000 B and the open chunk's slack is noise even across the
-// few hundred logs of a 64-group placement world.
-const logChunk = 64 << 10
-
-// own copies p into the arena and returns the copy and its chunk's id.
-func (l *Log) own(p []byte) ([]byte, uint32) {
-	if len(p) == 0 {
-		return nil, 0
-	}
-	if l.open == 0 || len(p) > cap(l.chunks[l.open-1].buf)-len(l.chunks[l.open-1].buf) {
-		l.openChunk(len(p))
-	}
-	c := &l.chunks[l.open-1]
-	start := len(c.buf)
-	c.buf = append(c.buf, p...)
-	c.live++
-	return c.buf[start:len(c.buf):len(c.buf)], l.open
-}
-
-// openChunk makes a chunk with room for n bytes the open one: an empty chunk
-// if there is one, a new one otherwise. A payload larger than a chunk gets a
-// buffer of its own, exactly full.
-func (l *Log) openChunk(n int) {
-	if l.open != 0 && l.chunks[l.open-1].live == 0 {
-		l.free = append(l.free, l.open)
-	}
-	if k := len(l.free); k > 0 {
-		l.open = l.free[k-1]
-		l.free = l.free[:k-1]
-	} else {
-		l.chunks = append(l.chunks, arenaChunk{})
-		l.open = uint32(len(l.chunks))
-	}
-	if c := &l.chunks[l.open-1]; cap(c.buf) < n {
-		c.buf = make([]byte, 0, max(logChunk, n))
-	}
-}
-
-// release drops one entry's claim on chunk id. The chunk's last entry leaving
-// empties it for reuse: at once if it is the open chunk, through the free
-// list otherwise. An oversize buffer is given back instead of kept.
-func (l *Log) release(id uint32) {
-	if id == 0 {
-		return
-	}
-	c := &l.chunks[id-1]
-	if c.live--; c.live > 0 {
-		return
-	}
-	if cap(c.buf) > logChunk {
-		c.buf = nil
-	} else {
-		c.buf = c.buf[:0]
-	}
-	if id != l.open {
-		l.free = append(l.free, id)
-	}
-}
-
 // At returns the entry at position p, one of a Range's (or, inside the
 // log, any slot of a held block).
 func (l *Log) At(p int) *Entry {
@@ -139,7 +71,7 @@ func (l *Log) At(p int) *Entry {
 func (l *Log) vacate(i, j int) {
 	for p := i; p < j; p++ {
 		e := l.At(p)
-		l.release(e.chunk)
+		l.arena.Release(e.chunk)
 		*e = Entry{}
 	}
 }
@@ -195,14 +127,14 @@ func (l *Log) push(e Entry) {
 // Insert stores a copy of e, replacing any entry with the same header (whose
 // bytes are released). An entry above Last is appended without a search.
 func (l *Log) Insert(e Entry) {
-	e.Payload, e.chunk = l.own(e.Payload)
+	e.Payload, e.chunk = l.arena.Own(e.Payload)
 	if l.tail == l.head || l.At(l.tail-1).Hdr.Less(e.Hdr) {
 		l.push(e)
 		return
 	}
 	i := l.search(e.Hdr) // < tail: Last is not below e
 	if s := l.At(i); s.Hdr == e.Hdr {
-		l.release(s.chunk)
+		l.arena.Release(s.chunk)
 		*s = e
 		return
 	}

@@ -4,12 +4,18 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"acuerdo/internal/chunks"
 )
+
+// logChunk is the arena's chunk size, for payloads sized against it.
+const logChunk = chunks.ArenaChunkSize
 
 func hdr(r, l, c uint32) MsgHdr { return MsgHdr{E: Epoch{r, PID(l)}, Cnt: c} }
 
@@ -345,6 +351,30 @@ func (l *refLog) Last() *Entry {
 // vacant reports whether e is a zero slot.
 func vacant(e *Entry) bool { return e.Hdr == MsgHdr{} && e.chunk == 0 && e.Payload == nil }
 
+// arenaBook is one arena chunk as the log's audits read it: the claims it
+// counts, the bytes it has in use and its buffer.
+type arenaBook struct {
+	live, used int
+	buf        unsafe.Pointer
+}
+
+// arenaBooks reads l's arena: its chunks by id-1, the open chunk's id and the
+// length of its free list. The arena is internal/chunks' type, whose books no
+// production caller reads; reflection reads its unexported fields here rather
+// than give it accessors only tests would call.
+func arenaBooks(l *Log) (books []arenaBook, open uint32, free int) {
+	a := reflect.ValueOf(&l.arena).Elem()
+	cs := a.FieldByName("chunks")
+	for i := range cs.Len() {
+		c, buf := cs.Index(i), cs.Index(i).FieldByName("buf")
+		books = append(books, arenaBook{int(c.FieldByName("live").Int()), buf.Len(), buf.UnsafePointer()})
+	}
+	return books, uint32(a.FieldByName("open").Uint()), a.FieldByName("free").Len()
+}
+
+// arenaLen returns the number of chunks l's arena holds.
+func arenaLen(l *Log) int { books, _, _ := arenaBooks(l); return len(books) }
+
 // blockVacant reports whether every slot of b is zero.
 func blockVacant(b *logBlock) bool {
 	for i := range b {
@@ -542,34 +572,36 @@ func TestLogModel(t *testing.T) {
 		}
 		// The arena's books balance: every live entry is counted in its chunk,
 		// every chunk nobody points into is empty and on the free list or open.
-		live := make([]int, len(l.chunks)+1)
+		books, open, nfree := arenaBooks(&l)
+		live := make([]int, len(books)+1)
 		for _, e := range rangeClosed(&l, MsgHdr{}, top) {
 			live[e.chunk]++
 		}
 		free := 0
-		for i, c := range l.chunks {
+		for i, c := range books {
 			if c.live != live[i+1] {
 				t.Fatalf("seed %d: chunk %d counts %d live entries, %d point into it", seed, i+1, c.live, live[i+1])
 			}
 			if c.live == 0 {
-				if len(c.buf) != 0 {
-					t.Fatalf("seed %d: empty chunk %d still has %d bytes in use", seed, i+1, len(c.buf))
+				if c.used != 0 {
+					t.Fatalf("seed %d: empty chunk %d still has %d bytes in use", seed, i+1, c.used)
 				}
-				if uint32(i+1) != l.open {
+				if uint32(i+1) != open {
 					free++
 				}
 			}
 		}
-		if free != len(l.free) {
-			t.Fatalf("seed %d: %d empty chunks, %d on the free list", seed, free, len(l.free))
+		if free != nfree {
+			t.Fatalf("seed %d: %d empty chunks, %d on the free list", seed, free, nfree)
 		}
 		// Dropping everything returns every chunk, leaves at most the head's
 		// block live, and no slot of any block held points at a payload.
 		held := len(l.blocks) + len(l.spare)
 		l.TrimBelow(top)
-		if l.Len() != 0 || len(l.free)+1 < len(l.chunks) || len(l.blocks) > 1 || len(l.blocks)+len(l.spare) != held {
+		books, _, nfree = arenaBooks(&l)
+		if l.Len() != 0 || nfree+1 < len(books) || len(l.blocks) > 1 || len(l.blocks)+len(l.spare) != held {
 			t.Fatalf("seed %d: after trimming everything, %d entries, %d of %d chunks free, %d live and %d spare blocks of %d",
-				seed, l.Len(), len(l.free), len(l.chunks), len(l.blocks), len(l.spare), held)
+				seed, l.Len(), nfree, len(books), len(l.blocks), len(l.spare), held)
 		}
 		for _, b := range heldBlocks(&l) {
 			if !blockVacant(b) {
@@ -641,7 +673,8 @@ func TestLogSteadyStateAllocFree(t *testing.T) {
 			for i := 0; i < 8*window; i++ {
 				step()
 			}
-			chunks, blocks := len(l.chunks), len(l.blocks)+len(l.spare)
+			books, _, _ := arenaBooks(&l)
+			chunks, blocks := len(books), len(l.blocks)+len(l.spare)
 			if got := testing.AllocsPerRun(100, func() {
 				for i := 0; i < 4*window; i++ {
 					step()
@@ -649,9 +682,9 @@ func TestLogSteadyStateAllocFree(t *testing.T) {
 			}); got != 0 {
 				t.Fatalf("%v allocations per %d inserts at a fixed window, want 0", got, 4*window)
 			}
-			if len(l.chunks) != chunks || len(l.blocks)+len(l.spare) != blocks || l.Len() > window+every {
+			if books, _, _ = arenaBooks(&l); len(books) != chunks || len(l.blocks)+len(l.spare) != blocks || l.Len() > window+every {
 				t.Fatalf("%d chunks grew to %d, %d blocks to %d, %d entries held at window %d",
-					chunks, len(l.chunks), blocks, len(l.blocks)+len(l.spare), l.Len(), window)
+					chunks, len(books), blocks, len(l.blocks)+len(l.spare), l.Len(), window)
 			}
 		})
 	}

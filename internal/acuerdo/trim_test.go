@@ -53,13 +53,13 @@ func TestLogBoundedState(t *testing.T) {
 		stop := false
 		loadLoop(sim, c, chk, window, size, &stop)
 		sim.RunFor(d)
-		chunks = len(c.Replicas[0].log.chunks)
+		chunks = arenaLen(&c.Replicas[0].log)
 		for i, r := range c.Replicas {
-			t.Logf("after %v: replica %d holds %d entries in %d chunks and %d blocks, delivered %d, its request table covers %d ids", d, i, r.LogLen(), len(r.log.chunks), len(r.log.blocks)+len(r.log.spare), r.Stats.Delivered, r.sessions.Span())
+			t.Logf("after %v: replica %d holds %d entries in %d chunks and %d blocks, delivered %d, its request table covers %d ids", d, i, r.LogLen(), arenaLen(&r.log), len(r.log.blocks)+len(r.log.spare), r.Stats.Delivered, r.sessions.Span())
 			if n := r.LogLen(); n > maxLen {
 				t.Errorf("after %v: replica %d holds %d entries of %d delivered, want <= %d", d, i, n, r.Stats.Delivered, maxLen)
 			}
-			if n := len(r.log.chunks); n != chunks {
+			if n := arenaLen(&r.log); n != chunks {
 				t.Errorf("after %v: replica %d's arena has %d chunks, replica 0's has %d", d, i, n, chunks)
 			}
 			if n := len(r.log.blocks) + len(r.log.spare); n*logBlockLen > 8*maxLen {

@@ -1,7 +1,9 @@
-// Package chunks holds append-only history in chunks that are written once:
-// a sequence that is appended to, read (or updated in place) by index and cut
-// back at its tail, such as a protocol's log, a run's latency samples, the
-// checker's agreed order or the tracer's per-message stage timestamps.
+// Package chunks holds history in chunks that are written once: a sequence
+// that is appended to, read (or updated in place) by index, cut back at its
+// tail and, where nothing reads it any more, forgotten below a head, such as a
+// protocol's log, a run's latency samples, the checker's agreed order or the
+// tracer's per-message stage timestamps; and the bytes such a history's
+// elements point to, in an Arena of shared chunks.
 //
 // A slice grown by append copies everything it holds each time it outgrows its
 // array, by about 1.25× once it is large, so every element it ends up holding
@@ -11,7 +13,9 @@
 // long one is a run of fixed 256 KiB chunks. n elements occupy at most n plus
 // one chunk. A list allocates once per chunk: for 32-byte elements that is
 // fewer times than append regrows a slice up to about 300 000 elements, and
-// once per 8 192 elements after that.
+// once per 8 192 elements after that. A list trimmed as it grows keeps the
+// chunks its live elements span and one spare, so its memory follows its
+// window, not its history.
 package chunks
 
 import (
@@ -29,12 +33,16 @@ const (
 	maxChunkBytes = 256 << 10
 )
 
-// List is an append-only sequence of T. The zero value is an empty list.
-// Copying a List shares its chunks, as copying a slice shares its array.
+// List is a sequence of T whose elements keep their index for life: Append
+// adds one at the end, Truncate cuts the tail and TrimBelow forgets a prefix,
+// and the live elements are those at [Head, Len). The zero value is an empty
+// list. Copying a List shares its chunks, as copying a slice shares its array.
 type List[T any] struct {
-	chunks [][]T // every chunk at its full length; all but the last are full
-	tail   []T   // the last chunk, at the length the list fills of it
-	n      int
+	chunks  [][]T // chunks[k] is chunk first+k at its full length; all but the last are full
+	tail    []T   // the last chunk, at the length the list fills of it
+	first   int   // the number, in the sizing rule, of chunks[0]
+	head, n int   // the live elements are [head, n)
+	spare   []T   // a zeroed full-size chunk TrimBelow dropped, or nil
 }
 
 // shape returns the list's chunk geometry: the element count of a full-size
@@ -57,24 +65,35 @@ func chunkLen[T any](k int) int {
 	return firstChunk << k
 }
 
-// locate returns the chunk holding position i and i's offset in it.
+// locate returns the chunk holding position i, as an index into l.chunks, and
+// i's offset in it.
 func (l *List[T]) locate(i int) (k, off int) {
 	full, geo, geoLen := shape[T]()
 	if i < geoLen {
 		k = bits.Len(uint(i/firstChunk+1)) - 1
-		return k, i - firstChunk*(1<<k-1)
+		return k - l.first, i - firstChunk*(1<<k-1)
 	}
 	i -= geoLen
-	return geo + i/full, i % full
+	return geo + i/full - l.first, i % full
 }
 
-// Len returns the number of elements.
+// Len returns one past the last index: the number of elements appended and
+// not truncated, trimmed ones included.
 func (l *List[T]) Len() int { return l.n }
 
-// Append adds v at the end. It allocates only when the last chunk is full.
+// Head returns the lowest live index: every element below it is trimmed.
+func (l *List[T]) Head() int { return l.head }
+
+// Append adds v at the end. It allocates only when the last chunk is full and
+// no spare chunk is left.
 func (l *List[T]) Append(v T) {
 	if len(l.tail) == cap(l.tail) {
-		c := make([]T, chunkLen[T](len(l.chunks)))
+		// A spare is full-size, and so is every chunk after one the list
+		// has dropped.
+		c := l.spare
+		if l.spare = nil; c == nil {
+			c = make([]T, chunkLen[T](l.first+len(l.chunks)))
+		}
 		l.chunks = append(l.chunks, c)
 		l.tail = c[:0]
 	}
@@ -87,21 +106,21 @@ func (l *List[T]) At(i int) T { return *l.Ptr(i) }
 
 // Ptr returns the address of element i, for a caller that updates it in
 // place. A chunk never moves, so the address holds element i until a
-// Truncate drops it.
+// Truncate or a TrimBelow drops it.
 func (l *List[T]) Ptr(i int) *T {
-	if uint(i) >= uint(l.n) {
-		panic(fmt.Sprintf("chunks: index %d out of range [0:%d]", i, l.n))
+	if i < l.head || i >= l.n {
+		panic(fmt.Sprintf("chunks: index %d out of range [%d:%d]", i, l.head, l.n))
 	}
 	k, off := l.locate(i)
 	return &l.chunks[k][off]
 }
 
-// Truncate cuts the list to its first n elements. It zeroes the elements it
-// drops, so nothing they point to stays reachable, and gives back every chunk
-// past the one the next Append fills.
+// Truncate cuts the list to its first n elements, n no lower than the head.
+// It zeroes the elements it drops, so nothing they point to stays reachable,
+// and gives back every chunk past the one the next Append fills.
 func (l *List[T]) Truncate(n int) {
-	if n < 0 || n > l.n {
-		panic(fmt.Sprintf("chunks: truncate to %d of %d", n, l.n))
+	if n < l.head || n > l.n {
+		panic(fmt.Sprintf("chunks: truncate to %d of [%d:%d]", n, l.head, l.n))
 	}
 	if n == l.n {
 		return
@@ -118,12 +137,49 @@ func (l *List[T]) Truncate(n int) {
 	l.n = n
 }
 
+// TrimBelow forgets the elements below n: it zeroes them, so nothing they
+// point to stays reachable, and moves the head to n. No index changes. Every
+// chunk wholly below the head but the last is dropped, the chunks behind it
+// moving down; the first full-size one dropped becomes the spare if there is
+// none, so a list trimmed as it grows reuses one chunk per chunk it fills and
+// allocates nothing, and a list trimmed after a long pause gives the rest
+// back.
+func (l *List[T]) TrimBelow(n int) {
+	if n > l.n {
+		panic(fmt.Sprintf("chunks: trim below %d of [%d:%d]", n, l.head, l.n))
+	}
+	if n <= l.head {
+		return
+	}
+	for i := l.head; i < n; {
+		k, off := l.locate(i)
+		end := min(len(l.chunks[k]), off+n-i)
+		clear(l.chunks[k][off:end])
+		i += end - off
+	}
+	l.head = n
+	k, _ := l.locate(n)
+	if d := min(k, len(l.chunks)-1); d > 0 {
+		full, _, _ := shape[T]()
+		for _, c := range l.chunks[:d] {
+			if l.spare == nil && len(c) == full {
+				l.spare = c
+			}
+		}
+		m := copy(l.chunks, l.chunks[d:])
+		clear(l.chunks[m:])
+		l.chunks = l.chunks[:m]
+		l.first += d
+	}
+}
+
 // Chunks yields elements [from, to) as consecutive slices, one per chunk they
-// span. The slices alias the list and are capped at their length; they hold
-// their values until a Truncate drops them.
+// span; from is no lower than the head. The slices alias the list and are
+// capped at their length; they hold their values until a Truncate or a
+// TrimBelow drops them.
 func (l *List[T]) Chunks(from, to int) iter.Seq[[]T] {
-	if from < 0 || to > l.n || from > to {
-		panic(fmt.Sprintf("chunks: range [%d:%d] of %d", from, to, l.n))
+	if from < l.head || to > l.n || from > to {
+		panic(fmt.Sprintf("chunks: range [%d:%d] of [%d:%d]", from, to, l.head, l.n))
 	}
 	return func(yield func([]T) bool) {
 		for i := from; i < to; {
@@ -137,9 +193,10 @@ func (l *List[T]) Chunks(from, to int) iter.Seq[[]T] {
 	}
 }
 
-// AppendTo appends every element to dst, in order, and returns the result.
+// AppendTo appends every live element to dst, in order, and returns the
+// result.
 func (l *List[T]) AppendTo(dst []T) []T {
-	for c := range l.Chunks(0, l.n) {
+	for c := range l.Chunks(l.head, l.n) {
 		dst = append(dst, c...)
 	}
 	return dst

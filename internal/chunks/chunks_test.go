@@ -16,24 +16,51 @@ type (
 	e40 [5]uint64
 )
 
+// chunkStart returns the index of chunk k's first element.
+func chunkStart[T any](k int) int {
+	start := 0
+	for j := range k {
+		start += chunkLen[T](j)
+	}
+	return start
+}
+
 // chunkRule holds every chunk of l to the sizing rule and l's structure to its
 // invariants: all chunks but the last full, no chunk kept past the one the
-// next Append fills, every slot past the end zero.
+// next Append fills nor wholly below the head but the last, every slot below
+// the head or past the end zero, and the spare, if any, full-size and zero.
 func chunkRule[T comparable](t *testing.T, l *List[T]) {
 	t.Helper()
 	full, _, _ := shape[T]()
-	start := 0
+	start := chunkStart[T](l.first)
 	var zero T
 	for k, c := range l.chunks {
-		if want := min(firstChunk<<min(k, 40), full); len(c) != want {
-			t.Fatalf("chunk %d holds %d elements, want %d", k, len(c), want)
+		if want := min(firstChunk<<min(l.first+k, 40), full); len(c) != want {
+			t.Fatalf("chunk %d holds %d elements, want %d", l.first+k, len(c), want)
 		}
-		for off := max(l.n-start, 0); off < len(c); off++ {
-			if c[off] != zero {
-				t.Fatalf("slot %d (chunk %d) past the end %d is not zero", start+off, k, l.n)
+		if k < len(l.chunks)-1 && start+len(c) <= l.head {
+			t.Fatalf("chunk %d ends at %d, at or below the head %d, and is kept", l.first+k, start+len(c), l.head)
+		}
+		// Slots [0, below) of c lie below the head, [past, len(c)) past the end.
+		below, past := min(max(l.head-start, 0), len(c)), min(max(l.n-start, 0), len(c))
+		for _, dead := range [][]T{c[:below], c[past:]} {
+			for off, v := range dead {
+				if v != zero {
+					t.Fatalf("a slot (chunk %d, %d into a dead run) outside the live range [%d:%d] is not zero", l.first+k, off, l.head, l.n)
+				}
 			}
 		}
 		start += len(c)
+	}
+	if l.spare != nil {
+		if len(l.spare) != full {
+			t.Fatalf("the spare holds %d elements, want a full-size chunk's %d", len(l.spare), full)
+		}
+		for off, v := range l.spare {
+			if v != zero {
+				t.Fatalf("the spare's slot %d is not zero", off)
+			}
+		}
 	}
 	for k, c := range l.chunks[len(l.chunks):cap(l.chunks)] {
 		if c != nil {
@@ -51,11 +78,14 @@ func chunkRule[T comparable](t *testing.T, l *List[T]) {
 	}
 }
 
-// differential runs random Append/Truncate/At/Chunks/AppendTo programs on a
-// List and on a plain slice and requires them to agree at every step. Each
-// program grows the list past the geometric chunks into several full-size
-// ones, cutting it back mostly by a short tail and sometimes to just around a
-// chunk boundary, as a log drops an uncommitted suffix.
+// differential runs random Append/Truncate/TrimBelow/At/Chunks/AppendTo
+// programs on a List and on a plain slice whose elements below the head are
+// zeroed, and requires them to agree at every step. Each program grows the
+// list past the geometric chunks into several full-size ones, cutting it back
+// mostly by a short tail and sometimes to just around a chunk boundary, as a
+// log drops an uncommitted suffix, and trimming it by a part of its live range,
+// sometimes to around a chunk boundary and sometimes all of it, as a log
+// forgets what every replica has committed.
 func differential[T comparable](t *testing.T, mk func(uint64) T) {
 	full, _, geoLen := shape[T]()
 	limit := geoLen + 3*full
@@ -64,10 +94,11 @@ func differential[T comparable](t *testing.T, mk func(uint64) T) {
 		rng := rand.New(rand.NewSource(seed))
 		var l List[T]
 		var ref []T
+		head := 0
 		var next uint64
-		longest := 0
+		longest, trims := 0, 0
 		for step := 0; step < steps; step++ {
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(11); {
 			case op < 6: // a burst of appends
 				for n := rng.Intn(limit/16 + 1); n > 0 && len(ref) < limit; n-- {
 					next++
@@ -81,13 +112,30 @@ func differential[T comparable](t *testing.T, mk func(uint64) T) {
 				}
 				if op == 7 && len(l.chunks) > 1 { // to around the last chunk's start
 					n = len(ref) - len(l.tail) + rng.Intn(3) - 1
-					n = min(max(n, 0), len(ref))
 				}
+				n = min(max(n, head), len(ref))
 				l.Truncate(n)
 				clear(ref[n:])
 				ref = ref[:n]
+			case op == 10: // a trim
+				n := head + rng.Intn((len(ref)-head)/2+1)
+				switch rng.Intn(10) {
+				case 0:
+					n = len(ref)
+				case 1, 2: // to around the second live chunk's start
+					if len(l.chunks) > 1 {
+						n = chunkStart[T](l.first+1) + rng.Intn(3) - 1
+					}
+				}
+				n = min(max(n, 0), len(ref))
+				l.TrimBelow(n)
+				if n > head {
+					clear(ref[head:n])
+					head = n
+					trims++
+				}
 			case op == 8: // a random range, chunk by chunk
-				from := rng.Intn(len(ref) + 1)
+				from := head + rng.Intn(len(ref)-head+1)
 				to := from + rng.Intn(len(ref)-from+1)
 				var got []T
 				for c := range l.Chunks(from, to) {
@@ -100,18 +148,18 @@ func differential[T comparable](t *testing.T, mk func(uint64) T) {
 					t.Fatalf("seed %d step %d: Chunks(%d, %d) differs from the slice", seed, step, from, to)
 				}
 			default:
-				if got := l.AppendTo(nil); !slices.Equal(got, ref) {
-					t.Fatalf("seed %d step %d: AppendTo differs from the slice (len %d vs %d)", seed, step, len(got), len(ref))
+				if got := l.AppendTo(nil); !slices.Equal(got, ref[head:]) {
+					t.Fatalf("seed %d step %d: AppendTo differs from the slice (len %d vs %d)", seed, step, len(got), len(ref)-head)
 				}
 			}
-			if l.Len() != len(ref) {
-				t.Fatalf("seed %d step %d: Len %d, slice %d", seed, step, l.Len(), len(ref))
+			if l.Len() != len(ref) || l.Head() != head {
+				t.Fatalf("seed %d step %d: live range [%d:%d], slice [%d:%d]", seed, step, l.Head(), l.Len(), head, len(ref))
 			}
 			for range 64 {
-				if len(ref) == 0 {
+				if len(ref) == head {
 					break
 				}
-				i := rng.Intn(len(ref))
+				i := head + rng.Intn(len(ref)-head)
 				if l.At(i) != ref[i] {
 					t.Fatalf("seed %d step %d: At(%d) differs from the slice", seed, step, i)
 				}
@@ -123,8 +171,8 @@ func differential[T comparable](t *testing.T, mk func(uint64) T) {
 			chunkRule(t, &l)
 			longest = max(longest, len(ref))
 		}
-		if longest <= geoLen+full {
-			t.Fatalf("seed %d: the list reached %d elements, never a second full-size chunk past %d", seed, longest, geoLen)
+		if longest <= geoLen+full || trims == 0 {
+			t.Fatalf("seed %d: the list reached %d elements, never a second full-size chunk past %d, or was trimmed %d times", seed, longest, geoLen, trims)
 		}
 	}
 }
@@ -184,18 +232,58 @@ func TestListAppendAllocFree(t *testing.T) {
 	}
 }
 
+// TestListTrimmedAllocFree: a list appended to and trimmed at a fixed window,
+// as a volatile log is, reuses the chunk each trim empties once it is past
+// the geometric chunks, and allocates nothing however many full-size chunks
+// it runs through; it holds the chunks its window spans and the spare.
+func TestListTrimmedAllocFree(t *testing.T) {
+	const window, every = 1000, 7
+	full, _, geoLen := shape[e40]()
+	var l List[e40]
+	step := func() {
+		l.Append(e40{uint64(l.Len())})
+		if l.Len()%every == 0 {
+			l.TrimBelow(max(l.Len()-window, 0))
+		}
+	}
+	for l.Len() < geoLen+2*full {
+		step()
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		for range full {
+			step()
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocations per %d appends at a fixed window, want 0", n, full)
+	}
+	if len(l.chunks) > 2 || l.Len() < geoLen+7*full {
+		t.Fatalf("%d elements appended, %d live in %d chunks: want several full chunks run through and <= 2 held",
+			l.Len(), l.Len()-l.Head(), len(l.chunks))
+	}
+	chunkRule(t, &l)
+}
+
 func TestListOutOfRange(t *testing.T) {
 	var l List[uint64]
-	l.Append(1)
+	for v := range uint64(4) {
+		l.Append(v)
+	}
+	l.TrimBelow(2) // live: [2:4]
+	l.TrimBelow(1) // below the head: nothing to do
 	for name, f := range map[string]func(){
+		"At(4)":         func() { l.At(4) },
 		"At(1)":         func() { l.At(1) },
 		"At(-1)":        func() { l.At(-1) },
+		"Ptr(4)":        func() { l.Ptr(4) },
 		"Ptr(1)":        func() { l.Ptr(1) },
-		"Truncate(2)":   func() { l.Truncate(2) },
-		"Chunks(0, 2)":  func() { l.Chunks(0, 2) },
-		"Chunks(1, 0)":  func() { l.Chunks(1, 0) },
+		"Truncate(5)":   func() { l.Truncate(5) },
+		"Truncate(1)":   func() { l.Truncate(1) },
 		"Truncate(-1)":  func() { l.Truncate(-1) },
+		"Chunks(2, 5)":  func() { l.Chunks(2, 5) },
+		"Chunks(1, 3)":  func() { l.Chunks(1, 3) },
+		"Chunks(3, 2)":  func() { l.Chunks(3, 2) },
 		"Chunks(-1, 1)": func() { l.Chunks(-1, 1) },
+		"TrimBelow(5)":  func() { l.TrimBelow(5) },
 	} {
 		func() {
 			defer func() {
@@ -205,5 +293,8 @@ func TestListOutOfRange(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+	if l.Head() != 2 || l.Len() != 4 || l.At(2) != 2 || l.At(3) != 3 {
+		t.Fatalf("live range [%d:%d] after the refused calls, want [2:4] holding 2, 3", l.Head(), l.Len())
 	}
 }

@@ -184,3 +184,45 @@ func TestDurablePayloadsSurviveTruncation(t *testing.T) {
 	}
 	t.Logf("%d deliveries, %d uncommitted follower entries at the crash", len(kept), tails)
 }
+
+// TestZabStoreKeepsWholeLog is the guard on the other side of s.store == nil:
+// a server with a transaction log trims nothing, in durable mode and in
+// amnesia mode alike. A durable server restarts from what its device kept,
+// which may be less than it committed in memory, and an amnesia server from
+// nothing: either refills the rest from a peer's DIFF, cut from below any
+// frontier the servers' memory states. Each mode crashes a follower under
+// load, wiping its device in amnesia mode, and restarts it: every server then
+// holds its whole log, and the restarted one has caught up from the DIFF.
+func TestZabStoreKeepsWholeLog(t *testing.T) {
+	for _, amnesia := range []bool{false, true} {
+		sim, c, chk, _, devs := newDurableCluster(t, 3, 9)
+		sim.RunFor(200 * time.Millisecond)
+		acks := driveLoad(sim, c, chk, 16)
+		sim.RunFor(30 * time.Millisecond)
+		victim := (c.LeaderIdx() + 1) % 3
+		c.Crash(victim)
+		if amnesia {
+			devs[victim].Wipe()
+		}
+		sim.RunFor(10 * time.Millisecond)
+		chk.NodeRestart(victim)
+		c.Restart(victim)
+		sim.RunFor(100 * time.Millisecond)
+		if *acks < 1000 {
+			t.Fatalf("amnesia=%v: only %d acks", amnesia, *acks)
+		}
+		top := c.Servers[c.LeaderIdx()].committed
+		for i, s := range c.Servers {
+			if s.log.Head() != 0 || s.log.Len() < s.committed {
+				t.Fatalf("amnesia=%v: server %d holds [%d:%d] of %d committed: a server with a store keeps them all",
+					amnesia, i, s.log.Head(), s.log.Len(), s.committed)
+			}
+			if s.committed < top-64 {
+				t.Fatalf("amnesia=%v: server %d committed %d, the leader %d", amnesia, i, s.committed, top)
+			}
+		}
+		if err := chk.CheckTotalOrder(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -57,8 +57,11 @@ const (
 	mPing
 )
 
+// entry is one logged proposal, 40 B. chunk names the arena chunk payload
+// lives in (0: none, the payload is empty or a recovered WAL view).
 type entry struct {
 	zxid    uint64
+	chunk   uint32
 	payload []byte
 }
 
@@ -83,8 +86,8 @@ type Server struct {
 	counter   uint32 // per-epoch proposal counter (leader)
 	leader    int
 	lastZxid  uint64
-	log       chunks.List[entry]
-	committed int // entries [0,committed) delivered
+	log       chunks.List[entry] // trimmed below the frontier in volatile mode (see trim)
+	committed int                // entries [0,committed) delivered
 	acks      map[uint64]int
 	nlAcked   map[int]bool
 
@@ -101,9 +104,10 @@ type Server struct {
 	loggedHead int
 	released   func()
 
-	// arena holds the log's payload bytes (see own); reqFree recycles the
-	// records of client requests waiting for the leader's CPU.
-	arena   []byte
+	// arena holds the log's payload bytes, a claim per entry and per request
+	// not yet proposed; reqFree recycles the records of client requests
+	// waiting for the leader's CPU.
+	arena   chunks.Arena
 	reqFree []*request
 
 	// Durable mode (SetDisks): transaction log on a simulated device, the
@@ -143,16 +147,16 @@ const (
 type request struct {
 	s   *Server
 	id  uint64
-	p   []byte
+	e   entry  // the payload's copy and its claim on the arena, zxid unset
 	run func() // bound to fire
 }
 
 // fire recycles r, then proposes its request.
 func (r *request) fire() {
-	s, id, p := r.s, r.id, r.p
-	r.p = nil
+	s, id, e := r.s, r.id, r.e
+	r.e = entry{}
 	s.reqFree = append(s.reqFree, r)
-	s.propose(id, p)
+	s.propose(id, e)
 }
 
 type voteT struct {
@@ -310,43 +314,81 @@ func (s *Server) clientRequest(payload []byte) {
 		r = &request{s: s}
 		r.run = r.fire
 	}
-	r.id, r.p = id, s.own(payload)
+	r.id = id
+	r.e.payload, r.e.chunk = s.arena.Own(payload)
 	s.node.Proc.Run(leaderOpCost, r.run)
 }
 
-// propose orders request id, whose payload p the log owns, once the leader's
-// CPU has processed it.
-func (s *Server) propose(id uint64, p []byte) {
+// propose orders request id once the leader's CPU has processed it. e holds
+// the request's payload and its claim on the arena, which the log entry takes
+// over, or which is given back if the request is dropped here.
+func (s *Server) propose(id uint64, e entry) {
 	if s.role != leading || !s.active || s.sessions.Admit(id) != abcast.Propose {
+		s.arena.Release(e.chunk)
 		return
 	}
 	s.sessions.Pend(id)
 	s.counter++
-	zxid := uint64(s.epoch)<<32 | uint64(s.counter)
-	s.lastZxid = zxid
-	s.log.Append(entry{zxid: zxid, payload: p})
-	s.acks[zxid] = 0
-	s.c.Broadcast(s.id, s.c.enc(mPropose, s.epoch, zxid, p))
-	s.emit(trace.Append, zxid, uint64(s.log.Len()-1), trace.ID(p))
+	e.zxid = uint64(s.epoch)<<32 | uint64(s.counter)
+	s.lastZxid = e.zxid
+	s.log.Append(e)
+	s.acks[e.zxid] = 0
+	s.c.Broadcast(s.id, s.c.enc(mPropose, s.epoch, e.zxid, e.payload))
+	s.emit(trace.Append, e.zxid, uint64(s.log.Len()-1), trace.ID(e.payload))
 	// The leader counts its own ack after its own group commit.
-	s.afterLog(ownAck, zxid)
+	s.afterLog(ownAck, e.zxid)
 }
 
-// logChunk is the size of the arena chunks log payloads are carved from.
-const logChunk = 32 << 10
+// logReceived logs a received entry, carving its copy of payload (a view of
+// the transport's frame) from the arena.
+func (s *Server) logReceived(zxid uint64, payload []byte) entry {
+	e := entry{zxid: zxid}
+	e.payload, e.chunk = s.arena.Own(payload)
+	s.log.Append(e)
+	return e
+}
 
-// own copies p into the server's payload arena and returns the copy, capped at
-// its length so that no append through one entry reaches the next. The arena
-// only grows — zab never trims its log — so a chunk is garbage once no log
-// entry points into it.
-func (s *Server) own(p []byte) []byte {
-	if len(p) > cap(s.arena)-len(s.arena) {
-		s.arena = make([]byte, 0, max(logChunk, len(p)))
+// truncate drops the log's entries from n on, and their claims on the arena.
+func (s *Server) truncate(n int) {
+	for i := n; i < s.log.Len(); i++ {
+		s.arena.Release(s.log.At(i).chunk)
 	}
-	n := len(s.arena)
-	s.arena = append(s.arena, p...)
-	return s.arena[n : n+len(p) : n+len(p)]
+	s.log.Truncate(n)
 }
+
+// trim forgets, in volatile mode, the log below f-1 once that is trimEvery
+// entries above the head, where f is the smallest committed count over the
+// whole ensemble, live or down servers alike. Every read of the log stays at
+// or above f-1: a DIFF starts above the follower's own committed prefix, and
+// the late joiner's COMMIT and a new follower's tail zxid read entry
+// committed-1. A down volatile server keeps its memory, so it pins f where it
+// stopped until it rejoins. The frontier is host bookkeeping, read from the
+// servers directly rather than from any message, so trimming changes no
+// simulated time, event or byte. A server with a store keeps its whole log: a
+// durable or amnesia restart replays from the device, and the DIFF that
+// refills what the device lost is cut from a peer's log below any frontier
+// memory states.
+func (s *Server) trim() {
+	if s.store != nil {
+		return
+	}
+	f := s.committed
+	for _, o := range s.c.Servers {
+		f = min(f, o.committed)
+	}
+	if f-1 < s.log.Head()+trimEvery {
+		return
+	}
+	for i := s.log.Head(); i < f-1; i++ {
+		s.arena.Release(s.log.At(i).chunk)
+	}
+	s.log.TrimBelow(f - 1)
+}
+
+// trimEvery is how far the frontier moves between two trims: a trim's fixed
+// cost is then paid once per trimEvery commits rather than at every commit
+// of every server, for up to trimEvery entries more in each log.
+const trimEvery = 64
 
 // afterLog queues a waiter of kind for the next transaction-log group commit.
 func (s *Server) afterLog(kind waitKind, zxid uint64) {
@@ -429,8 +471,7 @@ func (s *Server) handle(m []byte) {
 			return
 		}
 		s.node.Proc.Charge(followerOpCost)
-		e := entry{zxid: zxid, payload: s.own(payload)}
-		s.log.Append(e)
+		e := s.logReceived(zxid, payload)
 		// Track the log tail like every other append path. Without this,
 		// two things break: election votes report a stale position, and a
 		// straggler DIFF from an overlapping sync round (each probe vote
@@ -458,7 +499,7 @@ func (s *Server) handle(m []byte) {
 			int(binary.LittleEndian.Uint32(payload)),
 			int(binary.LittleEndian.Uint32(payload[4:])))
 	case mNewLeader:
-		s.onNewLeader(epoch, zxid, payload)
+		s.onNewLeader(epoch, payload)
 	case mFollowerInfo:
 		if s.role != leading || epoch != s.epoch {
 			return
@@ -524,6 +565,7 @@ func (s *Server) deliverUpTo(zxid uint64) {
 	}
 	if s.committed > before {
 		s.persistCommitted()
+		s.trim()
 	}
 }
 
@@ -614,9 +656,9 @@ func (s *Server) becomeLeader() {
 	// Recovery phase: announce leadership, then sync each follower with a
 	// per-follower DIFF once it reports its last zxid — the extra
 	// verification exchange the paper contrasts with Acuerdo's election.
-	idb := make([]byte, 4)
-	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.c.Broadcast(s.id, s.c.enc(mNewLeader, s.epoch, s.lastZxid, idb))
+	var idb [4]byte
+	binary.LittleEndian.PutUint32(idb[:], uint32(s.id))
+	s.c.Broadcast(s.id, s.c.enc(mNewLeader, s.epoch, s.lastZxid, idb[:]))
 	s.schedulePing()
 }
 
@@ -626,12 +668,12 @@ func (s *Server) syncFollower(j int) {
 	if j == s.id {
 		return
 	}
-	idb := make([]byte, 4)
-	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.c.Send(s.id, j, s.c.enc(mNewLeader, s.epoch, s.lastZxid, idb))
+	var idb [4]byte
+	binary.LittleEndian.PutUint32(idb[:], uint32(s.id))
+	s.c.Send(s.id, j, s.c.enc(mNewLeader, s.epoch, s.lastZxid, idb[:]))
 }
 
-func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
+func (s *Server) onNewLeader(epoch uint32, payload []byte) {
 	// A looking node accepts any announce, even with a smaller epoch: a
 	// rejoiner that inflated its epoch through retried solo elections must
 	// still be able to adopt the established leader (whose epoch reflects
@@ -650,7 +692,7 @@ func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
 	s.synced = false
 	s.leader = ldr
 	// Drop the uncommitted tail; the leader's DIFF replaces it.
-	s.log.Truncate(s.committed)
+	s.truncate(s.committed)
 	s.emit(trace.Truncate, 0, uint64(s.committed), 0)
 	if s.store != nil && s.walLen > s.committed {
 		s.store.Truncate(uint64(s.committed), nil)
@@ -661,30 +703,30 @@ func (s *Server) onNewLeader(epoch uint32, leaderZxid uint64, payload []byte) {
 	} else {
 		s.lastZxid = 0
 	}
-	_ = leaderZxid
 	s.lastPing = s.c.Sim.Now()
-	idb := make([]byte, 4)
-	binary.LittleEndian.PutUint32(idb, uint32(s.id))
-	s.c.Send(s.id, ldr, s.c.enc(mFollowerInfo, s.epoch, s.lastZxid, idb))
+	var idb [4]byte
+	binary.LittleEndian.PutUint32(idb[:], uint32(s.id))
+	s.c.Send(s.id, ldr, s.c.enc(mFollowerInfo, s.epoch, s.lastZxid, idb[:]))
 	s.armFollowTimer()
 }
 
 // sendDiff ships every log entry after the follower's reported zxid. The
 // DIFF is computed when the FollowerInfo arrives, so it also contains any
 // proposals broadcast while the follower was still unsynced (which the
-// follower dropped); everything later arrives in FIFO order behind it.
+// follower dropped); everything later arrives in FIFO order behind it. Each
+// record is the entry's zxid, its payload's length and the payload. The
+// follower reported a zxid at or above its own committed prefix, so nothing
+// below the head, which trails every server's, belongs in its DIFF.
 func (s *Server) sendDiff(j int, after uint64) {
-	diff := make([]byte, 0, 64)
-	for i := 0; i < s.log.Len(); i++ {
+	var diff []byte
+	for i := s.log.Head(); i < s.log.Len(); i++ {
 		e := s.log.At(i)
 		if e.zxid <= after {
 			continue
 		}
-		rec := make([]byte, 12+len(e.payload))
-		binary.LittleEndian.PutUint64(rec, e.zxid)
-		binary.LittleEndian.PutUint32(rec[8:], uint32(len(e.payload)))
-		copy(rec[12:], e.payload)
-		diff = append(diff, rec...)
+		diff = binary.LittleEndian.AppendUint64(diff, e.zxid)
+		diff = binary.LittleEndian.AppendUint32(diff, uint32(len(e.payload)))
+		diff = append(diff, e.payload...)
 	}
 	s.c.Send(s.id, j, s.c.enc(mSyncDiff, s.epoch, s.lastZxid, diff))
 }
@@ -696,12 +738,11 @@ func (s *Server) onSyncDiff(epoch uint32, payload []byte) {
 	for off := 0; off+12 <= len(payload); {
 		zxid := binary.LittleEndian.Uint64(payload[off:])
 		ln := int(binary.LittleEndian.Uint32(payload[off+8:]))
-		pl := append([]byte(nil), payload[off+12:off+12+ln]...)
 		if zxid > s.lastZxid {
-			s.log.Append(entry{zxid, pl})
-			s.emit(trace.Adopt, zxid, uint64(s.log.Len()-1), trace.ID(pl))
+			e := s.logReceived(zxid, payload[off+12:off+12+ln])
+			s.emit(trace.Adopt, zxid, uint64(s.log.Len()-1), trace.ID(e.payload))
 			if s.log.Len()-1 < s.preCrashLen {
-				s.c.Refetched(len(pl))
+				s.c.Refetched(len(e.payload))
 			}
 			s.lastZxid = zxid
 		}
@@ -812,7 +853,11 @@ func (s *Server) restartDurable() {
 	s.epoch = 0
 	s.counter = 0
 	s.lastZxid = 0
+	// The pre-crash arena goes with the rest of the incarnation's memory,
+	// whole: views handed to the application before the crash keep their
+	// bytes, and the rejoin carves from a fresh arena.
 	s.log.Truncate(0)
+	s.arena = chunks.Arena{}
 	s.committed = 0
 	s.acks = make(map[uint64]int)
 	s.nlAcked = make(map[int]bool)
