@@ -162,21 +162,18 @@ func TestClientArmRetriesAllocFree(t *testing.T) {
 	}
 	sim.RunFor(2 * time.Millisecond)
 	clear(c.pending)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, p := range payloads {
-		c.Submit(p, nil)
-	}
-	runtime.ReadMemStats(&after)
+	before, after := memSpan(func() {
+		for _, p := range payloads {
+			c.Submit(p, nil)
+		}
+	})
 	if objs := after.Mallocs - before.Mallocs; objs > n/100 {
 		t.Fatalf("arming %d retries allocated %d objects, want <= %d", n, objs, n/100)
 	} else {
 		t.Logf("arming %d retries allocated %d objects", n, objs)
 	}
 	sim.RunFor(time.Millisecond)
-	runtime.ReadMemStats(&before)
-	sim.RunFor(5 * time.Millisecond)
-	runtime.ReadMemStats(&after)
+	before, after = memSpan(func() { sim.RunFor(5 * time.Millisecond) })
 	if objs := after.Mallocs - before.Mallocs; objs != 0 {
 		t.Fatalf("%d re-sends re-arming allocated %d objects, want 0", 5*n, objs)
 	}
@@ -355,4 +352,16 @@ func TestClientRetryDifferential(t *testing.T) {
 			t.Logf("seed 1: %d attempts over %d ids", len(got), ids)
 		}
 	}
+}
+
+// memSpan reads the heap counters around f as testing.AllocsPerRun does, on
+// one P, and after a collection, so no background sweep or other goroutine
+// lands a stray allocation inside the span.
+func memSpan(f func()) (before, after runtime.MemStats) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return before, after
 }

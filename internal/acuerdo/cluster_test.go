@@ -569,11 +569,15 @@ func TestRunClosedLoopAllocFree(t *testing.T) {
 	const from, to = 20000, 40000
 	var ms runtime.MemStats
 	var before, after uint64
+	// The span opens and closes inside the load's callbacks, so it is
+	// measured as memSpan measures: on one P, after a collection.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	abcast.RunClosedLoop(sim, c, abcast.LoadConfig{
 		Window: 16, MsgSize: 100, Warmup: 100 * time.Millisecond, Measure: time.Microsecond,
 		OnSubmit: func(id uint64) {
 			switch id {
 			case from:
+				runtime.GC()
 				runtime.ReadMemStats(&ms)
 				before = ms.Mallocs
 			case to:
@@ -640,11 +644,8 @@ func steadyStateAllocs(t *testing.T, durable bool) (objs uint64, msgs int) {
 		}
 	}
 	runTo(warm)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	start := acked
-	runTo(warm + measured)
-	runtime.ReadMemStats(&after)
+	before, after := memSpan(func() { runTo(warm + measured) })
 	msgs, want := acked-start, acked
 	sim.RunFor(time.Millisecond) // followers deliver behind the commit row
 	for i, r := range c.Replicas {
@@ -658,4 +659,16 @@ func steadyStateAllocs(t *testing.T, durable bool) (objs uint64, msgs int) {
 		}
 	}
 	return after.Mallocs - before.Mallocs, msgs
+}
+
+// memSpan reads the heap counters around f as testing.AllocsPerRun does, on
+// one P, and after a collection, so no background sweep or other goroutine
+// lands a stray allocation inside the span.
+func memSpan(f func()) (before, after runtime.MemStats) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return before, after
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -632,13 +631,12 @@ func TestEntrySize(t *testing.T) {
 // allocation.
 func TestLogGrowthCopiesNothing(t *testing.T) {
 	const n = 100_000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	var l Log
-	for c := uint32(1); c <= n; c++ {
-		l.Insert(Entry{Hdr: hdr(1, 1, c)})
-	}
-	runtime.ReadMemStats(&after)
+	before, after := memSpan(func() {
+		for c := uint32(1); c <= n; c++ {
+			l.Insert(Entry{Hdr: hdr(1, 1, c)})
+		}
+	})
 	slots := uint64(n * unsafe.Sizeof(Entry{}))
 	if got := after.TotalAlloc - before.TotalAlloc; got > slots*5/4 {
 		t.Fatalf("%d entries allocated %d bytes, want <= %d: their slots and a quarter", n, got, slots*5/4)

@@ -301,6 +301,8 @@ func (r *Replica) restartDurable() {
 	r.store.OnFrontier = r.reportDurable
 	// WAL records are committed entries in delivery order; replay them to
 	// the application and rebuild the log so the next diff splices cleanly.
+	// The records stay views of the device: Insert copies each payload into
+	// the log's arena.
 	n := uint64(0)
 	for _, re := range rec.Entries {
 		hdr, payload, _, _, isDiff, err := DecodeMessage(re.Data)

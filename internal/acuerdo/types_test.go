@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -226,10 +225,9 @@ func TestDecodeCorruptRecords(t *testing.T) {
 		{"count of 2^20 in an empty diff", claims(1 << 20)},
 		{"count of 2^32-1 in an empty diff", claims(1<<32 - 1)},
 	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, _, entries, _, _, err := DecodeMessage(c.rec)
-		runtime.ReadMemStats(&after)
+		var entries []Entry
+		var err error
+		before, after := memSpan(func() { _, _, entries, _, _, err = DecodeMessage(c.rec) })
 		if err == nil || entries != nil {
 			t.Errorf("%s: accepted (%d entries, err %v)", c.name, len(entries), err)
 		}

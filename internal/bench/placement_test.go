@@ -250,7 +250,10 @@ func TestPlacementLoadAllocFree(t *testing.T) {
 	w.WarmUp()
 	var before, after runtime.MemStats
 	start := w.Sim.Now()
-	w.Sim.At(start.Add(cfg.Warmup), func() { runtime.ReadMemStats(&before) })
+	// The span opens and closes on the simulated clock: measure it as
+	// testing.AllocsPerRun does, on one P, and after a collection.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w.Sim.At(start.Add(cfg.Warmup), func() { runtime.GC(); runtime.ReadMemStats(&before) })
 	w.Sim.At(start.Add(cfg.Warmup+cfg.Measure), func() { runtime.ReadMemStats(&after) })
 	res := RunPlacementLoad(w, cfg)
 	if res.Committed == 0 || after.Mallocs == 0 {

@@ -335,21 +335,6 @@ func (d *Device) Truncate(name string) {
 // discarding a torn tail).
 func (d *Device) trim(name string, n int) { d.get(name).cut(n) }
 
-// Durable returns a copy of name's durable prefix — the bytes that survive
-// a crash right now. Recovery paths read this and charge ReadCost.
-func (d *Device) Durable(name string) []byte {
-	f, ok := d.files[name]
-	if !ok {
-		return nil
-	}
-	out := make([]byte, f.synced)
-	n := 0
-	for _, s := range f.segs {
-		n += copy(out[n:], s)
-	}
-	return out
-}
-
 // Size returns name's total buffered length and its durable prefix length.
 func (d *Device) Size(name string) (total, durable int) {
 	f, ok := d.files[name]

@@ -31,11 +31,11 @@ const flushKey = 255
 
 // RecEntry is one recovered log entry: a (Seq, Term) identifier pair whose
 // meaning belongs to the caller (raft: index/term; zab: position/zxid;
-// paxos: instance/ballot; kvstore: applied-counter/0) and the payload. Data
-// is the caller's to keep: it is a capped view of the one copy recovery read
-// off the device, which nothing else references, so restart paths store it
-// without copying again, and an append to one entry's Data reallocates
-// rather than clobbering the next entry's.
+// paxos: instance/ballot; acuerdo: position/0) and the payload. Data as
+// RecoverLog returns it is a read-only, capped view of the device's own
+// bytes: valid until the device's next write, and an append to it
+// reallocates rather than clobbering the next entry's. A caller that keeps
+// the bytes past that calls Recovered.Own first.
 type RecEntry struct {
 	Seq, Term uint64
 	Data      []byte
@@ -82,6 +82,23 @@ type Recovered struct {
 	Dropped int
 	// Tail reports how the scan ended.
 	Tail TailState
+}
+
+// Own gives every entry's Data a private copy, all of them carved from one
+// buffer: the one copy recovery pays for a caller that keeps recovered
+// bytes, after which no write or fault on the device reaches them. Each
+// entry keeps a capped view of its own span.
+func (r *Recovered) Own() {
+	n := 0
+	for _, e := range r.Entries {
+		n += len(e.Data)
+	}
+	buf := make([]byte, 0, n)
+	for i := range r.Entries {
+		start := len(buf)
+		buf = append(buf, r.Entries[i].Data...)
+		r.Entries[i].Data = buf[start:len(buf):len(buf)]
+	}
 }
 
 // Positional lays Entries out by Seq for the logs that append with Seq = log
@@ -299,7 +316,8 @@ func (r *Recovery) Refetched(n int) { r.fabricBytes += int64(n) }
 // dev (the package-level Reopen, in the order given), adds the bytes read to
 // the ledger, and pauses proc for one recovery read over all of them. Each
 // protocol continues from the returned replays with its own record decoder,
-// metadata keys and re-apply loop.
+// metadata keys and re-apply loop; one that keeps the recovered payloads
+// calls Own on its replay first.
 func (r *Recovery) Reopen(dev *Device, proc *simnet.Proc, names ...string) []Reopened {
 	logs := make([]Reopened, len(names))
 	bytes := 0
@@ -313,41 +331,28 @@ func (r *Recovery) Reopen(dev *Device, proc *simnet.Proc, names ...string) []Reo
 }
 
 // RecoverLog replays name's durable prefix on dev and returns the
-// reconstructed state. It performs no simulated-time charging itself.
+// reconstructed state. It reads the prefix in place, segment by segment, and
+// copies nothing: entries' Data are views of the device (see RecEntry). It
+// performs no simulated-time charging itself.
 func RecoverLog(dev *Device, name string) Recovered {
 	rec := Recovered{Meta: make(map[uint8]uint64)}
-	buf := dev.Durable(name)
+	f := dev.files[name]
+	if f == nil {
+		return rec
+	}
 	// A header-only pre-pass counts the entry records, so Entries is
 	// allocated once: exactly sized unless a truncate record or a bad
 	// checksum drops some of them.
 	entries := 0
-	for off := 0; off+recHeader <= len(buf); {
-		n := int(binary.LittleEndian.Uint32(buf[off+4:]))
-		if off+recHeader+n > len(buf) {
-			break
-		}
-		if buf[off+8] == kindEntry && n >= 16 {
+	f.records(false, func(kind byte, payload []byte) {
+		if kind == kindEntry && len(payload) >= 16 {
 			entries++
 		}
-		off += recHeader + n
-	}
+	})
 	if entries > 0 {
 		rec.Entries = make([]RecEntry, 0, entries)
 	}
-	off := 0
-	for off+recHeader <= len(buf) {
-		crc := binary.LittleEndian.Uint32(buf[off:])
-		n := int(binary.LittleEndian.Uint32(buf[off+4:]))
-		if off+recHeader+n > len(buf) {
-			rec.Tail = TailTorn
-			break
-		}
-		body := buf[off+8 : off+recHeader+n] // kind byte + payload
-		if crc32.ChecksumIEEE(body) != crc {
-			rec.Tail = TailCorrupt
-			break
-		}
-		kind, payload := body[0], body[1:]
+	rec.Bytes, rec.Tail = f.records(true, func(kind byte, payload []byte) {
 		switch kind {
 		case kindEntry:
 			if len(payload) >= 16 {
@@ -373,12 +378,44 @@ func RecoverLog(dev *Device, name string) Recovered {
 				rec.Meta[payload[0]] = binary.LittleEndian.Uint64(payload[1:])
 			}
 		}
-		off += recHeader + n
-	}
-	if rec.Tail == TailClean && off < len(buf) {
-		rec.Tail = TailTorn // trailing sub-header garbage
-	}
-	rec.Bytes = off
-	rec.Dropped = len(buf) - off
+	})
+	rec.Dropped = f.synced - rec.Bytes
 	return rec
+}
+
+// records walks f's durable prefix record by record, in place, handing each
+// record's kind and payload to visit, and returns the length of the prefix
+// it consumed and how the walk ended. With verify it stops at the first
+// record whose checksum fails. A record never straddles a segment edge
+// (Device.Append lands each write inside one segment), so a header or body
+// that would cross one inside the durable prefix is corrupt; one that runs
+// past the durable prefix is torn.
+func (f *file) records(verify bool, visit func(kind byte, payload []byte)) (int, TailState) {
+	base := 0
+	for _, s := range f.segs {
+		if base >= f.synced {
+			break
+		}
+		s = s[:min(len(s), f.synced-base)]
+		for off := 0; off < len(s); {
+			end := off + recHeader
+			if end <= len(s) {
+				end += int(binary.LittleEndian.Uint32(s[off+4:]))
+			}
+			if end > len(s) {
+				if base+end > f.synced {
+					return base + off, TailTorn
+				}
+				return base + off, TailCorrupt
+			}
+			body := s[off+8 : end] // kind byte + payload
+			if verify && crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(s[off:]) {
+				return base + off, TailCorrupt
+			}
+			visit(body[0], body[1:])
+			off = end
+		}
+		base += len(s)
+	}
+	return base, TailClean
 }

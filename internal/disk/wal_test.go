@@ -294,35 +294,61 @@ func TestSyncQueueStaysBounded(t *testing.T) {
 	}
 }
 
-// TestRecoverLogCarvesCappedViews: recovered entries are views of one copy
-// of the durable bytes, each capped at its own length, so an append to one
-// reallocates instead of overwriting the record after it, and a write into
-// one leaves the device alone.
+// TestRecoverLogCarvesCappedViews: recovered entries are read-only views of
+// the device's own bytes, copied from nowhere, each capped at its own length
+// so an append to one reallocates instead of overwriting the record after
+// it. Own gives them one private copy, which a later write or a bit flip on
+// the device leaves untouched.
 func TestRecoverLogCarvesCappedViews(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
 	ls := NewLogStore(dev, "wal")
-	ls.AppendEntry(0, 1, []byte("first"), nil)
-	ls.AppendEntry(1, 1, nil, nil)
-	ls.AppendEntry(2, 1, []byte("third"), nil)
-	sim.RunFor(time.Millisecond)
-	rec := RecoverLog(dev, "wal")
-	if len(rec.Entries) != 3 {
-		t.Fatalf("recovered %d entries, want 3", len(rec.Entries))
+	want := []string{"first", "", "third"}
+	for i, w := range want {
+		ls.AppendEntry(uint64(i), 1, []byte(w), nil)
 	}
-	for i, e := range rec.Entries {
-		if cap(e.Data) != len(e.Data) {
-			t.Fatalf("entry %d: len %d cap %d, want a capped view", i, len(e.Data), cap(e.Data))
+	sim.RunFor(time.Millisecond)
+	views, owned := RecoverLog(dev, "wal"), RecoverLog(dev, "wal")
+	owned.Own()
+	seg := dev.files["wal"].segs[0]
+	for _, rec := range []Recovered{views, owned} {
+		if len(rec.Entries) != len(want) {
+			t.Fatalf("recovered %d entries, want %d", len(rec.Entries), len(want))
+		}
+		for i, e := range rec.Entries {
+			if string(e.Data) != want[i] || cap(e.Data) != len(e.Data) {
+				t.Fatalf("entry %d: %q len %d cap %d, want a capped %q", i, e.Data, len(e.Data), cap(e.Data), want[i])
+			}
+		}
+		_ = append(rec.Entries[0].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
+		_ = append(rec.Entries[1].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
+		if string(rec.Entries[2].Data) != "third" {
+			t.Fatalf("an append to an earlier entry clobbered the last: %q", rec.Entries[2].Data)
 		}
 	}
-	_ = append(rec.Entries[0].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
-	_ = append(rec.Entries[1].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
-	if string(rec.Entries[2].Data) != "third" {
-		t.Fatalf("an append to an earlier entry clobbered the last: %q", rec.Entries[2].Data)
+	inSeg := func(b []byte) bool {
+		return len(b) > 0 && &b[0] == &seg[len(seg)-len(want[2])]
 	}
-	rec.Entries[0].Data[0] = 'F'
-	if again := RecoverLog(dev, "wal"); string(again.Entries[0].Data) != "first" {
-		t.Fatalf("a write into a recovered entry reached the device: %q", again.Entries[0].Data)
+	if !inSeg(views.Entries[2].Data) {
+		t.Fatal("RecoverLog's last entry is not a view of the device's segment")
+	}
+	if inSeg(owned.Entries[2].Data) {
+		t.Fatal("Own left the last entry on the device")
+	}
+	// A later write and bit flips in the durable bytes — until one lands in
+	// the last record, which the views read — reach the views, not the copy.
+	ls.AppendEntry(3, 1, []byte("fourth"), nil)
+	sim.RunFor(time.Millisecond)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; string(views.Entries[2].Data) == "third"; i++ {
+		if i == 1000 || !dev.CorruptDurable(rng) {
+			t.Fatal("no bit flip reached the last recovered entry")
+		}
+	}
+	for i, e := range owned.Entries {
+		if string(e.Data) != want[i] {
+			t.Fatalf("owned entry %d reads %q after the device changed, want %q", i, e.Data, want[i])
+		}
 	}
 }
 
@@ -360,23 +386,22 @@ func TestLogStoreAllocFree(t *testing.T) {
 	// Bytes, not objects, tell a file that copies itself as it grows from
 	// one that does not: a slice grown by append allocates about twice what
 	// it ends up holding, a segmented file at most one segment more.
-	var before, after runtime.MemStats
 	from, _ := dev.Size("wal")
-	runtime.ReadMemStats(&before)
-	for i := 0; i < 500; i++ {
-		cycle()
-	}
-	runtime.ReadMemStats(&after)
+	before, after := memSpan(func() {
+		for i := 0; i < 500; i++ {
+			cycle()
+		}
+	})
 	to, _ := dev.Size("wal")
 	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(to-from+segSize+4096); got > bound {
 		t.Fatalf("writing %d bytes allocated %d, want at most %d", to-from, got, bound)
 	}
 }
 
-// TestRecoverLogAllocFree pins recovery's allocations at a constant: the one
-// copy of the durable bytes, the meta map, Entries sized once by a header
-// pre-pass, and Positional's output sized once from the largest Seq. A log
-// ten times longer allocates no more objects.
+// TestRecoverLogAllocFree pins recovery's allocations at a constant: the
+// meta map, Entries sized once by a header pre-pass, and Positional's output
+// sized once from the largest Seq. A log ten times longer allocates no more
+// objects.
 func TestRecoverLogAllocFree(t *testing.T) {
 	objects := func(n int) float64 {
 		sim := newSim(1)
@@ -402,4 +427,189 @@ func TestRecoverLogAllocFree(t *testing.T) {
 	if small != large || large > 6 {
 		t.Fatalf("recovering 1 000 entries allocates %.0f objects and 100 000 allocate %.0f, want the same few", small, large)
 	}
+}
+
+// refRecoverLog is RecoverLog as it was before it read the device in place:
+// one copy of the whole durable prefix, scanned as a flat buffer. It is the
+// reference TestRecoverLogDifferential holds RecoverLog to.
+func refRecoverLog(dev *Device, name string) Recovered {
+	rec := Recovered{Meta: make(map[uint8]uint64)}
+	buf := dev.Durable(name)
+	off := 0
+	for off+recHeader <= len(buf) {
+		crc := binary.LittleEndian.Uint32(buf[off:])
+		n := int(binary.LittleEndian.Uint32(buf[off+4:]))
+		if off+recHeader+n > len(buf) {
+			rec.Tail = TailTorn
+			break
+		}
+		body := buf[off+8 : off+recHeader+n]
+		if crc32.ChecksumIEEE(body) != crc {
+			rec.Tail = TailCorrupt
+			break
+		}
+		kind, payload := body[0], body[1:]
+		switch kind {
+		case kindEntry:
+			if len(payload) >= 16 {
+				rec.Entries = append(rec.Entries, RecEntry{
+					Seq:  binary.LittleEndian.Uint64(payload[0:]),
+					Term: binary.LittleEndian.Uint64(payload[8:]),
+					Data: payload[16:len(payload):len(payload)],
+				})
+			}
+		case kindTrunc:
+			if len(payload) >= 8 {
+				keepBelow := binary.LittleEndian.Uint64(payload)
+				kept := rec.Entries[:0]
+				for _, e := range rec.Entries {
+					if e.Seq < keepBelow {
+						kept = append(kept, e)
+					}
+				}
+				rec.Entries = kept
+			}
+		case kindMeta:
+			if len(payload) >= 9 && payload[0] != flushKey {
+				rec.Meta[payload[0]] = binary.LittleEndian.Uint64(payload[1:])
+			}
+		}
+		off += recHeader + n
+	}
+	if rec.Tail == TailClean && off < len(buf) {
+		rec.Tail = TailTorn
+	}
+	rec.Bytes = off
+	rec.Dropped = len(buf) - off
+	return rec
+}
+
+// seededWAL writes a seeded history to one log — entries from empty to
+// larger than a segment, meta cells, truncations — makes all of it durable,
+// and returns the device. The same seed builds the same file.
+func seededWAL(seed int64) *Device {
+	sim := newSim(seed)
+	rng := rand.New(rand.NewSource(seed))
+	dev := NewDevice(sim, 0, DefaultParams())
+	ls := NewLogStore(dev, "wal")
+	data := make([]byte, segSize+segSize/2)
+	rng.Read(data)
+	seq := uint64(0)
+	for i := 0; i < 300; i++ {
+		switch op := rng.Intn(100); {
+		case op < 5:
+			ls.Truncate(seq-uint64(rng.Intn(int(seq)+1)), nil)
+		case op < 15:
+			ls.SetMeta(uint8(rng.Intn(3)), rng.Uint64(), nil)
+		case op < 17:
+			ls.AppendEntry(seq, 1, data[:segSize+rng.Intn(segSize/2)], nil)
+			seq++
+		default:
+			n := rng.Intn(3000)
+			if rng.Intn(4) == 0 {
+				n = rng.Intn(20)
+			}
+			ls.AppendEntry(seq, uint64(rng.Intn(3)), data[i:i+n], nil)
+			seq++
+		}
+	}
+	sim.RunFor(time.Second)
+	return dev
+}
+
+// TestRecoverLogDifferential holds the in-place replay to the copying one on
+// seeded device histories: clean, with the durable frontier ending mid-
+// segment, cut at and near every segment edge (torn tails that end in a
+// header, in a body, or exactly on an edge), and with a bit flipped in a
+// segment that is not the last. Entries, Meta, Tail, Bytes and Dropped must
+// be identical.
+func TestRecoverLogDifferential(t *testing.T) {
+	check := func(what string, dev *Device) {
+		t.Helper()
+		got, want := RecoverLog(dev, "wal"), refRecoverLog(dev, "wal")
+		if got.Tail != want.Tail || got.Bytes != want.Bytes || got.Dropped != want.Dropped || len(got.Entries) != len(want.Entries) {
+			t.Fatalf("%s: tail %v bytes %d dropped %d entries %d, reference %v %d %d %d", what,
+				got.Tail, got.Bytes, got.Dropped, len(got.Entries), want.Tail, want.Bytes, want.Dropped, len(want.Entries))
+		}
+		for i, e := range got.Entries {
+			w := want.Entries[i]
+			if e.Seq != w.Seq || e.Term != w.Term || !bytes.Equal(e.Data, w.Data) || cap(e.Data) != len(e.Data) {
+				t.Fatalf("%s: entry %d is (%d, %d, %d bytes, cap %d), reference (%d, %d, %d bytes)", what, i,
+					e.Seq, e.Term, len(e.Data), cap(e.Data), w.Seq, w.Term, len(w.Data))
+			}
+		}
+		if len(got.Meta) != len(want.Meta) {
+			t.Fatalf("%s: meta %v, reference %v", what, got.Meta, want.Meta)
+		}
+		for k, v := range want.Meta {
+			if got.Meta[k] != v {
+				t.Fatalf("%s: meta %v, reference %v", what, got.Meta, want.Meta)
+			}
+		}
+	}
+	tails := map[TailState]int{}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dev := seededWAL(seed)
+		f := dev.files["wal"]
+		if len(f.segs) < 3 {
+			t.Fatalf("seed %d: the history fills %d segments, want at least 3", seed, len(f.segs))
+		}
+		check("clean", dev)
+		// The durable frontier mid-segment, the rest a volatile tail.
+		for i := 0; i < 20; i++ {
+			dev := seededWAL(seed)
+			dev.files["wal"].synced = rng.Intn(f.size + 1)
+			check("synced mid-segment", dev)
+			tails[RecoverLog(dev, "wal").Tail]++
+		}
+		// A crash that keeps bytes up to at and near each segment edge.
+		edge := 0
+		for _, sg := range f.segs[:len(f.segs)-1] {
+			edge += len(sg)
+			for _, d := range []int{-recHeader - 1, -recHeader, -1, 0, 1, recHeader - 1, recHeader, recHeader + 17} {
+				dev := seededWAL(seed)
+				dev.files["wal"].cut(edge + d)
+				check("cut near a segment edge", dev)
+				tails[RecoverLog(dev, "wal").Tail]++
+			}
+		}
+		// One bit flipped anywhere in a segment that is not the last, and one
+		// in the length of such a segment's last record, which then claims
+		// bytes across the edge.
+		for i := 0; i < 20; i++ {
+			dev := seededWAL(seed)
+			segs := dev.files["wal"].segs
+			sg := segs[rng.Intn(len(segs)-1)]
+			sg[rng.Intn(len(sg))] ^= 1 << rng.Intn(8)
+			check("a corrupt record in a non-last segment", dev)
+			tails[RecoverLog(dev, "wal").Tail]++
+		}
+		for k := range f.segs[:len(f.segs)-1] {
+			dev := seededWAL(seed)
+			sg := dev.files["wal"].segs[k]
+			last := 0
+			for off := 0; off < len(sg); off += recHeader + int(binary.LittleEndian.Uint32(sg[off+4:])) {
+				last = off
+			}
+			sg[last+4+rng.Intn(2)] ^= 1 << rng.Intn(8)
+			check("a record length crossing a segment edge", dev)
+			tails[RecoverLog(dev, "wal").Tail]++
+		}
+	}
+	if tails[TailClean] == 0 || tails[TailTorn] == 0 || tails[TailCorrupt] == 0 {
+		t.Fatalf("the histories end %v: want every tail state", tails)
+	}
+}
+
+// memSpan reads the heap counters around f as testing.AllocsPerRun does, on
+// one P, and after a collection, so no background sweep or other goroutine
+// lands a stray allocation inside the span.
+func memSpan(f func()) (before, after runtime.MemStats) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return before, after
 }

@@ -189,14 +189,13 @@ func TestApplyAtInsertAllocFree(t *testing.T) {
 		ops[i] = Op{ID: uint64(i), Kind: OpSet, Key: fmt.Sprintf("user%016d", i), Value: bytes.Repeat([]byte{byte(i)}, 100)}.Encode()
 	}
 	rm := NewReplicated(nil, 1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, op := range ops {
-		if err := rm.ApplyAt(0, op); err != nil {
-			t.Fatal(err)
+	before, after := memSpan(func() {
+		for _, op := range ops {
+			if err := rm.ApplyAt(0, op); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	runtime.ReadMemStats(&after)
+	})
 	if objs := after.Mallocs - before.Mallocs; objs > n/100 {
 		t.Fatalf("inserting %d keys allocated %d objects, want <= %d", n, objs, n/100)
 	} else {
@@ -240,4 +239,16 @@ func TestApplyAtChurnAllocFree(t *testing.T) {
 	if unsafe.SliceData(s.free) != unsafe.SliceData(free) || len(s.free) != len(free) {
 		t.Fatalf("the churn carved more of the arena: %d bytes left of the chunk, was %d", len(s.free), len(free))
 	}
+}
+
+// memSpan reads the heap counters around f as testing.AllocsPerRun does, on
+// one P, and after a collection, so no background sweep or other goroutine
+// lands a stray allocation inside the span.
+func memSpan(f func()) (before, after runtime.MemStats) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return before, after
 }

@@ -194,8 +194,8 @@ func (v Violation) String() string {
 // folded into the digest, and traced.
 const maxViolations = 64
 
-// registry spaces: one global first-writer-wins table serves every
-// agreement-flavored invariant, keyed by (space, a, b).
+// registry spaces: one global first-writer-wins register file serves every
+// agreement-flavored invariant, addressed by (space, dense, sparse).
 const (
 	spaceLog uint8 = iota + 1
 	spaceDeliver
@@ -228,31 +228,31 @@ const (
 	regApusDeliver
 )
 
-// text names the register keyed (a, b) in a witness.
-func (r regName) text(a, b uint64) string {
+// text names the register at (dense, sparse) in a witness.
+func (r regName) text(dense, sparse uint64) string {
 	switch r {
 	case regDelivery:
-		return fmt.Sprintf("delivery position %d", a)
+		return fmt.Sprintf("delivery position %d", dense)
 	case regDerechoView:
-		return fmt.Sprintf("derecho view %d membership", a)
+		return fmt.Sprintf("derecho view %d membership", dense)
 	case regDerechoPrefixLen:
-		return fmt.Sprintf("derecho view %d delivered-prefix length", a)
+		return fmt.Sprintf("derecho view %d delivered-prefix length", dense)
 	case regDerechoPrefixHash:
-		return fmt.Sprintf("derecho view %d delivered-prefix hash", a)
+		return fmt.Sprintf("derecho view %d delivered-prefix hash", dense)
 	case regLogEntry:
-		return fmt.Sprintf("log entry (index %d, term %d)", a, b)
+		return fmt.Sprintf("log entry (index %d, term %d)", dense, sparse)
 	case regPaxosValue:
-		return fmt.Sprintf("paxos (instance %d, ballot %d) value", a, b)
+		return fmt.Sprintf("paxos (instance %d, ballot %d) value", dense, sparse)
 	case regPaxosChosen:
-		return fmt.Sprintf("paxos instance %d chosen value", a)
+		return fmt.Sprintf("paxos instance %d chosen value", dense)
 	case regLeader:
-		return fmt.Sprintf("leader for term %d", a)
+		return fmt.Sprintf("leader for term %d", dense)
 	case regAcuerdoHeader:
-		return fmt.Sprintf("acuerdo header (round %d, ldr %d, cnt %d) payload", a>>32, uint32(a), b)
+		return fmt.Sprintf("acuerdo header (round %d, ldr %d, cnt %d) payload", sparse>>32, uint32(sparse), dense)
 	case regApusAssign:
-		return fmt.Sprintf("apus slot %d assignment", a)
+		return fmt.Sprintf("apus slot %d assignment", dense)
 	default: // regApusDeliver
-		return fmt.Sprintf("apus slot %d delivered payload", a)
+		return fmt.Sprintf("apus slot %d delivered payload", dense)
 	}
 }
 
@@ -280,16 +280,40 @@ const (
 	opRecoverDone
 )
 
-type regKey struct {
-	space uint8
-	a, b  uint64
-}
-
+// regEntry is one register: the first value recorded under its key, and
+// which node recorded it when. set tells a written register from an empty
+// slot of its block; it sits in node's padding, so an entry is 24 bytes.
 type regEntry struct {
 	val  int64
 	node int32
+	set  bool
 	at   int64
 }
+
+// A register is addressed by its space, a sparse coordinate and a dense one.
+// The dense coordinate is the position, index, instance, view or term the
+// register guards; the sparse one is the term or ballot a log or paxos
+// register is paired with, and the epoch (round<<32|ldr) of an Acuerdo
+// header, whose dense coordinate is its count. Registers live in blocks of
+// regBlockLen consecutive dense coordinates, so a run of commits fills a
+// block slot by slot instead of hashing each register into a table.
+const (
+	regBlockBits = 6
+	regBlockLen  = 1 << regBlockBits
+)
+
+type regBlock [regBlockLen]regEntry
+
+// blockKey names the block holding (space, sparse, dense): hi is dense >>
+// regBlockBits.
+type blockKey struct {
+	space  uint8
+	sparse uint64
+	hi     uint64
+}
+
+// slabBlocks is how many blocks one slab allocation carries.
+const slabBlocks = 16
 
 // logEntry is one slot of a node's shadow log.
 type logEntry struct {
@@ -353,7 +377,10 @@ type Observer struct {
 	violations []Violation
 	truncated  int64
 
-	reg    map[regKey]regEntry
+	// blocks holds every register ever written (nothing is forgotten);
+	// slab is the rest of the last slab, handed out a block at a time.
+	blocks map[blockKey]*regBlock
+	slab   []regBlock
 	nodes  []nodeState
 	tables []*sstShadow
 }
@@ -363,7 +390,7 @@ func New(cfg Config) *Observer {
 	o := &Observer{
 		cfg:    cfg,
 		digest: digest.Offset,
-		reg:    make(map[regKey]regEntry),
+		blocks: make(map[blockKey]*regBlock),
 		nodes:  make([]nodeState, cfg.Nodes),
 	}
 	for i := range o.nodes {
@@ -407,23 +434,28 @@ func (o *Observer) violate(inv Invariant, node int, at, a, b int64, format strin
 	})
 }
 
-// checkReg enforces first-writer-wins agreement on key: the first value
-// recorded under key is the truth, and any later disagreement is a
-// violation of inv. Returns the winning entry.
-func (o *Observer) checkReg(space uint8, a, b uint64, val int64, inv Invariant, node int, at int64, what regName) regEntry {
-	key := regKey{space: space, a: a, b: b}
-	e, ok := o.reg[key]
-	if !ok {
-		e = regEntry{val: val, node: int32(node), at: at}
-		o.reg[key] = e
-		return e
+// checkReg enforces first-writer-wins agreement on the register at (space,
+// dense, sparse): the first value recorded there is the truth, and any later
+// disagreement is a violation of inv. Returns the winning entry.
+func (o *Observer) checkReg(space uint8, dense, sparse uint64, val int64, inv Invariant, node int, at int64, what regName) regEntry {
+	k := blockKey{space: space, sparse: sparse, hi: dense >> regBlockBits}
+	b := o.blocks[k]
+	if b == nil {
+		if len(o.slab) == 0 {
+			o.slab = make([]regBlock, slabBlocks)
+		}
+		b, o.slab = &o.slab[0], o.slab[1:]
+		o.blocks[k] = b
 	}
-	if e.val != val {
+	e := &b[dense&(regBlockLen-1)]
+	if !e.set {
+		*e = regEntry{val: val, node: int32(node), set: true, at: at}
+	} else if e.val != val {
 		o.violate(inv, node, at, val, e.val,
 			"%s: node %d recorded %d but node %d recorded %d at t=%dns",
-			what.text(a, b), node, val, e.node, e.val, e.at)
+			what.text(dense, sparse), node, val, e.node, e.val, e.at)
 	}
-	return e
+	return *e
 }
 
 // quorum returns the cluster's majority size.
@@ -875,7 +907,7 @@ func (o *Observer) deliverHeader(node int, at int64, epoch, cnt uint64, id int64
 	ns.aEpoch, ns.aCnt = epoch, cnt
 	ns.aSeen = true
 	o.counts[InvDeliveryAgreement]++
-	o.checkReg(spaceHdr, epoch, cnt, id, InvDeliveryAgreement, node, at, regAcuerdoHeader)
+	o.checkReg(spaceHdr, cnt, epoch, id, InvDeliveryAgreement, node, at, regAcuerdoHeader)
 }
 
 // --- apus -----------------------------------------------------------------

@@ -630,6 +630,8 @@ func (s *Server) restartDurable() {
 	s.sessions = abcast.Sessions{}
 	logs := s.c.Recovery.Reopen(s.dev, s.node.Proc, paxosAcceptWAL, paxosLearnWAL)
 	arec, lrec := logs[0], logs[1]
+	arec.Own() // the accepted and chosen maps keep the recovered payloads
+	lrec.Own()
 	s.astore, s.lstore = arec.Store, lrec.Store
 	s.lstore.OnFrontier = s.reportDurable
 	s.promised = arec.Meta[metaPromised]

@@ -703,6 +703,7 @@ func (c *Cluster) restartDurable(s *Server) {
 	s.sessions = abcast.Sessions{} // refilled by the re-apply below
 	s.role = follower
 	rec := c.Recovery.Reopen(s.dev, s.node.Proc, raftWALName)[0]
+	rec.Own() // the log keeps the recovered payloads
 	s.store = rec.Store
 	s.store.OnFrontier = s.reportDurable
 	for idx, e := range rec.Positional() {

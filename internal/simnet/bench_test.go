@@ -173,12 +173,8 @@ func TestCalQueueCrowdedBucketsAllocFree(t *testing.T) {
 	fileAhead(0)
 	fileRotation()
 	s.RunUntil(wheelSpan) // the first rotation and the event that closes it
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.Mallocs
-	s.RunUntil(rotations*wheelSpan - 1)
-	runtime.ReadMemStats(&ms)
-	if objs := ms.Mallocs - before; objs != 0 {
+	before, after := memSpan(func() { s.RunUntil(rotations*wheelSpan - 1) })
+	if objs := after.Mallocs - before.Mallocs; objs != 0 {
 		t.Fatalf("%d rotations of crowded buckets allocated %d objects after the first, want 0", rotations-1, objs)
 	}
 	if r != rotations-1 || fired != want {
@@ -191,13 +187,10 @@ func TestCalQueueCrowdedBucketsAllocFree(t *testing.T) {
 // headers and arena this core used to carve, 334.5 KB) would come back
 // through here first.
 func TestNewSimFootprint(t *testing.T) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	before := ms.TotalAlloc
-	s := New(1)
-	runtime.ReadMemStats(&ms)
+	var s *Sim
+	before, after := memSpan(func() { s = New(1) })
 	runtime.KeepAlive(s)
-	if got := ms.TotalAlloc - before; got > 64<<10 {
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 		t.Fatalf("simnet.New allocated %d bytes, want <= %d", got, 64<<10)
 	} else {
 		t.Logf("simnet.New allocated %d bytes", got)
@@ -302,4 +295,16 @@ func TestFramePoolAllocFree(t *testing.T) {
 	if b := p.Get(128); cap(b) != 128 {
 		t.Fatalf("foreign frame reused: cap %d", cap(b))
 	}
+}
+
+// memSpan reads the heap counters around f as testing.AllocsPerRun does, on
+// one P, and after a collection, so no background sweep or other goroutine
+// lands a stray allocation inside the span.
+func memSpan(f func()) (before, after runtime.MemStats) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return before, after
 }

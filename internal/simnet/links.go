@@ -18,22 +18,42 @@ import (
 type Links struct {
 	sim    *Sim
 	onHeal func(a, b int)
-	cut    map[[2]int]bool          // directed partition set, key [from, to]
-	loss   map[[2]int]float64       // directed loss probability windows
-	spike  map[[2]int]time.Duration // directed extra-latency windows
+	// faults holds the directions with any fault installed, keyed [from,
+	// to]; a direction whose faults all clear leaves it, so a fault-free
+	// fabric's table is empty and its transports skip the lookup.
+	faults map[[2]int]linkFault
 
 	procs []*Proc // queued by ProvideProcs for the next NextProc calls
+}
+
+// linkFault is one direction's installed faults.
+type linkFault struct {
+	cut   bool          // partitioned
+	loss  float64       // loss probability window, 0 when none
+	spike time.Duration // extra-latency window, 0 when none
 }
 
 // NewLinks creates an empty table. onHeal runs whenever a cut a→b direction
 // is restored: the transport flushes the traffic it parked on it there.
 func NewLinks(sim *Sim, onHeal func(a, b int)) *Links {
-	return &Links{
-		sim:    sim,
-		onHeal: onHeal,
-		cut:    make(map[[2]int]bool),
-		loss:   make(map[[2]int]float64),
-		spike:  make(map[[2]int]time.Duration),
+	return &Links{sim: sim, onHeal: onHeal, faults: make(map[[2]int]linkFault)}
+}
+
+// fault returns the a→b direction's faults, zero when none is installed.
+func (l *Links) fault(a, b int) linkFault {
+	if len(l.faults) == 0 {
+		return linkFault{}
+	}
+	return l.faults[[2]int{a, b}]
+}
+
+// set installs f on the a→b direction, or removes the direction when f
+// holds no fault.
+func (l *Links) set(a, b int, f linkFault) {
+	if f == (linkFault{}) {
+		delete(l.faults, [2]int{a, b})
+	} else {
+		l.faults[[2]int{a, b}] = f
 	}
 }
 
@@ -72,11 +92,12 @@ func (l *Links) Heal(a, b int) {
 // the asymmetric failure that breaks failure detectors which assume "I can
 // reach you" implies "you can reach me".
 func (l *Links) PartitionOneWay(a, b int) {
-	k := [2]int{a, b}
-	if l.cut[k] {
+	f := l.fault(a, b)
+	if f.cut {
 		return
 	}
-	l.cut[k] = true
+	f.cut = true
+	l.set(a, b, f)
 	if tr := l.sim.Tracer(); tr != nil {
 		tr.Instant(trace.KLinkCut, a, int64(l.sim.Now()), int64(a), int64(b))
 		tr.Add(trace.CtrLinkCuts, 1)
@@ -85,11 +106,12 @@ func (l *Links) PartitionOneWay(a, b int) {
 
 // HealOneWay restores the a→b direction and runs the heal hook.
 func (l *Links) HealOneWay(a, b int) {
-	k := [2]int{a, b}
-	if !l.cut[k] {
+	f := l.fault(a, b)
+	if !f.cut {
 		return
 	}
-	delete(l.cut, k)
+	f.cut = false
+	l.set(a, b, f)
 	if tr := l.sim.Tracer(); tr != nil {
 		tr.Instant(trace.KLinkHeal, a, int64(l.sim.Now()), int64(a), int64(b))
 		tr.Add(trace.CtrLinkHeals, 1)
@@ -99,22 +121,19 @@ func (l *Links) HealOneWay(a, b int) {
 
 // Partitioned reports whether either direction of the a-b link is cut.
 func (l *Links) Partitioned(a, b int) bool {
-	return l.cut[[2]int{a, b}] || l.cut[[2]int{b, a}]
+	return l.CutOneWay(a, b) || l.CutOneWay(b, a)
 }
 
 // CutOneWay reports whether the a→b direction is cut.
-func (l *Links) CutOneWay(a, b int) bool { return l.cut[[2]int{a, b}] }
+func (l *Links) CutOneWay(a, b int) bool { return l.fault(a, b).cut }
 
 // SetLossOneWay installs (or, with p <= 0, clears) a loss window on the a→b
 // direction: each transmission attempt is lost with probability p and costs
 // the transport's retransmit delay (see FaultDelay).
 func (l *Links) SetLossOneWay(a, b int, p float64) {
-	k := [2]int{a, b}
-	if p <= 0 {
-		delete(l.loss, k)
-		return
-	}
-	l.loss[k] = p
+	f := l.fault(a, b)
+	f.loss = max(p, 0)
+	l.set(a, b, f)
 }
 
 // SetLoss installs or clears a loss window on both directions of a-b.
@@ -126,13 +145,10 @@ func (l *Links) SetLoss(a, b int, p float64) {
 // SetLatencySpikeOneWay adds d of extra one-way latency to every message on
 // the a→b direction (d <= 0 clears the spike).
 func (l *Links) SetLatencySpikeOneWay(a, b int, d time.Duration) {
-	k := [2]int{a, b}
-	if d <= 0 {
-		delete(l.spike, k)
-		d = 0
-	} else {
-		l.spike[k] = d
-	}
+	d = max(d, 0)
+	f := l.fault(a, b)
+	f.spike = d
+	l.set(a, b, f)
 	if tr := l.sim.Tracer(); tr != nil {
 		tr.Instant(trace.KLatSpike, a, int64(l.sim.Now()), int64(d), int64(b))
 	}
@@ -154,14 +170,14 @@ const maxRetransmits = 16
 // direction, so chaos-free runs keep the random stream they always had.
 func (l *Links) FaultDelay(from, to int, retransmit time.Duration) time.Duration {
 	var d time.Duration
-	k := [2]int{from, to}
-	if ex := l.spike[k]; ex > 0 {
+	f := l.fault(from, to)
+	if ex := f.spike; ex > 0 {
 		d += ex
 		if tr := l.sim.Tracer(); tr != nil {
 			tr.Add(trace.CtrSpikeDelay, int64(ex))
 		}
 	}
-	if p := l.loss[k]; p > 0 {
+	if p := f.loss; p > 0 {
 		for i := 0; i < maxRetransmits && l.sim.Rand().Float64() < p; i++ {
 			d += retransmit
 			if tr := l.sim.Tracer(); tr != nil {

@@ -152,17 +152,16 @@ func TestDecomposeTelescopes(t *testing.T) {
 func TestStageAllocFree(t *testing.T) {
 	const n = 10000
 	tr := New(FingerprintRing)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for id := int64(1); id <= n; id++ {
-		ts := 1000 * id
-		tr.Instant(KSubmit, -1, ts, id, 0)
-		tr.Instant(KPropose, 0, ts+10, id, 0)
-		tr.Instant(KAccept, 1, ts+30, id, 0)
-		tr.Instant(KCommit, 0, ts+60, id, 0)
-		tr.Instant(KAck, -1, ts+100, id, 0)
-	}
-	runtime.ReadMemStats(&after)
+	before, after := memSpan(func() {
+		for id := int64(1); id <= n; id++ {
+			ts := 1000 * id
+			tr.Instant(KSubmit, -1, ts, id, 0)
+			tr.Instant(KPropose, 0, ts+10, id, 0)
+			tr.Instant(KAccept, 1, ts+30, id, 0)
+			tr.Instant(KCommit, 0, ts+60, id, 0)
+			tr.Instant(KAck, -1, ts+100, id, 0)
+		}
+	})
 	if objs := after.Mallocs - before.Mallocs; objs > n/100 {
 		t.Fatalf("stage markers of %d ids allocated %d objects, want <= %d", n, objs, n/100)
 	} else {
@@ -261,4 +260,16 @@ func TestUsFormatting(t *testing.T) {
 			t.Fatalf("us(%d) = %q, want %q", ns, got, want)
 		}
 	}
+}
+
+// memSpan reads the heap counters around f as testing.AllocsPerRun does, on
+// one P, and after a collection, so no background sweep or other goroutine
+// lands a stray allocation inside the span.
+func memSpan(f func()) (before, after runtime.MemStats) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return before, after
 }

@@ -866,8 +866,9 @@ func (s *Server) restartDurable() {
 	rec := s.c.Recovery.Reopen(s.dev, s.node.Proc, zabWALName)[0]
 	s.store = rec.Store
 	s.store.OnFrontier = s.reportDurable
-	// Recovered payloads are RecoverLog's capped views of its one read of
-	// the device: the log keeps them as they are, outside the arena.
+	// The log keeps the recovered payloads outside the arena, as capped
+	// views of the one private copy Own makes of them.
+	rec.Own()
 	for i, e := range rec.Positional() {
 		s.log.Append(entry{zxid: e.Term, payload: e.Data})
 		s.emit(trace.Recover, e.Term, uint64(i), trace.ID(e.Data))
