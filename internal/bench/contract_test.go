@@ -271,51 +271,66 @@ func TestPayloadIntegrity(t *testing.T) {
 }
 
 // TestRestartedReplicaRejoins is the crash-and-restart contract, stated once
-// for every system through the bench wiring: kill the leader under a closed
-// loop, let the survivors elect and keep committing, restart the old leader
-// 20 ms later, run 150 ms more. Every row must keep the checker and the
-// invariant observer silent, keep the kill-time prefix at every live
-// replica, commit after the failover and after the restart, and read bytes
-// back from disk on a durable restart. A row whose replica rejoins must end
-// within one window of its peers' delivered count.
+// for every system through the bench wiring: kill the leader (or, in a
+// follower row, a follower) under a closed loop, let the survivors elect if
+// they must and keep committing, restart the victim 20 ms later, run 150 ms
+// more. Every row must keep the checker and the invariant observer silent,
+// keep the kill-time prefix at every live replica (a killed follower, its own
+// count at the kill), commit after the kill and after the restart, and read bytes back from disk on a durable restart. A
+// row whose replica rejoins must end within one window of its peers'
+// delivered count.
 //
-// The Acuerdo rows pin today's failure: the restarted replica is never
-// re-admitted while the new leader lives and stays at the count it had when
-// it crashed (ROADMAP 1(v), volatile and durable alike; item 12 is the fix
-// that flips both rows). Derecho has no join protocol, so its Restart leaves
-// the member down and only the survivors are held to the prefix. APUS is
-// not a row: its fixed leader's death halts the group
-// (TestChaosApusHaltsGracefully).
+// The Acuerdo rows pin today's failure: the restarted replica, leader or
+// follower, is never re-admitted while the leader of the day lives and stays
+// at the count it had when it crashed (ROADMAP 1(v), volatile and durable
+// alike; item 12 is the fix that flips them). A libpaxos follower restarted
+// under load rejoins only because its learner asks its peers again while its
+// frontier sits below a chosen instance (ROADMAP 1(vi)). Derecho has no join
+// protocol, so its Restart leaves the member down and only the survivors are
+// held to the prefix. APUS is not a row: its fixed leader's death halts the
+// group (TestChaosApusHaltsGracefully).
 func TestRestartedReplicaRejoins(t *testing.T) {
 	const n, window = 3, 4
 	for _, tc := range []struct {
-		kind    Kind
-		mode    Durability
-		rejoins bool
+		kind     Kind
+		mode     Durability
+		follower bool
+		rejoins  bool
 	}{
-		{Acuerdo, Volatile, false},
-		{Acuerdo, Durable, false},
-		{DerechoAll, Volatile, false},
-		{DerechoLeader, Volatile, false},
-		{Etcd, Volatile, true},
-		{Etcd, Durable, true},
-		{Libpaxos, Volatile, true},
-		{Libpaxos, Durable, true},
-		{Zookeeper, Volatile, true},
-		{Zookeeper, Durable, true},
+		{Acuerdo, Volatile, false, false},
+		{Acuerdo, Durable, false, false},
+		{DerechoAll, Volatile, false, false},
+		{DerechoLeader, Volatile, false, false},
+		{Etcd, Volatile, false, true},
+		{Etcd, Durable, false, true},
+		{Libpaxos, Volatile, false, true},
+		{Libpaxos, Durable, false, true},
+		{Zookeeper, Volatile, false, true},
+		{Zookeeper, Durable, false, true},
+		{Acuerdo, Volatile, true, false},
+		{Acuerdo, Durable, true, false},
+		{Etcd, Volatile, true, true},
+		{Etcd, Durable, true, true},
+		{Libpaxos, Volatile, true, true},
+		{Libpaxos, Durable, true, true},
+		{Zookeeper, Volatile, true, true},
+		{Zookeeper, Durable, true, true},
 	} {
-		mode := string(tc.mode)
+		name := string(tc.kind) + "/" + string(tc.mode)
 		if tc.mode == Volatile {
-			mode = "volatile"
+			name = string(tc.kind) + "/volatile"
 		}
-		t.Run(string(tc.kind)+"/"+mode, func(t *testing.T) {
+		if tc.follower {
+			name += "/follower"
+		}
+		t.Run(name, func(t *testing.T) {
 			sim := simnet.New(9)
 			obs := NewObserver(sim, tc.kind, n)
 			inst := NewInstanceOn(sim, tc.kind, n, Options{Durability: tc.mode, Observer: obs})
 			defer inst.Close()
 			inst.warmUp()
 			if (inst.Disks != nil) != (tc.mode == Durable) {
-				t.Fatalf("disks attached = %v in %s mode", inst.Disks != nil, mode)
+				t.Fatalf("disks attached = %v in %s", inst.Disks != nil, name)
 			}
 			chk := inst.Check(nil)
 			acks := 0
@@ -328,28 +343,38 @@ func TestRestartedReplicaRejoins(t *testing.T) {
 			sim.RunFor(20 * time.Millisecond)
 
 			g, tgt := inst.Group, inst.ChaosTarget()
-			old := g.LeaderIdx()
+			ldr := g.LeaderIdx()
+			victim := ldr
+			if tc.follower {
+				victim = (ldr + 1) % n
+			}
 			prefix := 0
 			for i := 0; i < n; i++ {
 				prefix = max(prefix, len(chk.Delivered(i)))
 			}
-			tgt.Crash(old)
+			// A follower may trail the leader at the kill: it is held to
+			// what it had delivered itself.
+			own := prefix
+			if tc.follower {
+				own = len(chk.Delivered(victim))
+			}
+			tgt.Crash(victim)
 			acksAtKill := acks
 			for i := 0; i < 200; i++ {
-				if l := g.LeaderIdx(); l >= 0 && l != old && g.Ready() {
+				if l := g.LeaderIdx(); l >= 0 && l != victim && g.Ready() {
 					break
 				}
 				sim.RunFor(5 * time.Millisecond)
 			}
-			if l := g.LeaderIdx(); l < 0 || l == old {
-				t.Fatalf("no new leader after the kill (leader %d, old %d)\n%s", l, old, obs.Report())
+			if l := g.LeaderIdx(); l < 0 || l == victim || tc.follower && l != ldr {
+				t.Fatalf("leader %d after killing replica %d (leader %d before)\n%s", l, victim, ldr, obs.Report())
 			}
 			sim.RunFor(20 * time.Millisecond)
 			if acks == acksAtKill {
-				t.Fatalf("no commits after the failover\n%s", obs.Report())
+				t.Fatalf("no commits after the kill\n%s", obs.Report())
 			}
 
-			tgt.Restart(old)
+			tgt.Restart(victim)
 			if inst.Disks != nil && inst.DiskRecoveredBytes() == 0 {
 				t.Fatal("the durable restart read nothing back from disk")
 			}
@@ -364,27 +389,30 @@ func TestRestartedReplicaRejoins(t *testing.T) {
 			if v := obs.ViolationCount(); v != 0 || obs.Checks() == 0 {
 				t.Fatalf("%d invariant violations in %d checks:\n%s", v, obs.Checks(), obs.Report())
 			}
-			up := g.Proc(old).Alive()
+			up := g.Proc(victim).Alive()
 			if isDerecho := tc.kind == DerechoAll || tc.kind == DerechoLeader; up == isDerecho {
-				t.Fatalf("after Restart(%d) its process is alive = %v", old, up)
+				t.Fatalf("after Restart(%d) its process is alive = %v", victim, up)
 			}
 			peers := -1
 			for i := 0; i < n; i++ {
-				d := len(chk.Delivered(i))
-				if d < prefix && g.Proc(i).Alive() {
-					t.Fatalf("replica %d delivered %d, below the %d delivered before the kill", i, d, prefix)
+				d, want := len(chk.Delivered(i)), prefix
+				if i == victim {
+					want = own
 				}
-				if i != old && (peers < 0 || d < peers) {
+				if d < want && g.Proc(i).Alive() {
+					t.Fatalf("replica %d delivered %d, below the %d delivered before the kill", i, d, want)
+				}
+				if i != victim && (peers < 0 || d < peers) {
 					peers = d
 				}
 			}
 			if !up {
 				return
 			}
-			got := len(chk.Delivered(old))
+			got := len(chk.Delivered(victim))
 			if caughtUp := got+window >= peers; caughtUp != tc.rejoins {
-				t.Fatalf("restarted replica %d delivered %d against its peers' %d: caught up = %v, want %v (Acuerdo: ROADMAP 1(v) and item 12)",
-					old, got, peers, caughtUp, tc.rejoins)
+				t.Fatalf("restarted replica %d delivered %d against its peers' %d: caught up = %v, want %v (Acuerdo: ROADMAP 1(v) and item 12; a libpaxos follower: 1(vi))",
+					victim, got, peers, caughtUp, tc.rejoins)
 			}
 		})
 	}

@@ -150,3 +150,41 @@ func TestChosenValuesSurviveFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestartedLearnerAsksAtOnce: a follower down for longer than a failover
+// tick, restarted under load, is level with its peers within a few
+// milliseconds, in both storage modes, because Restart asks its peers for the
+// gap at once. The follower's tick would ask too, but only a tick later: this
+// test alone kills the restart corpus's RL2 and RL3 (DESIGN §6.8), each a
+// Restart that leaves the asking to the tick.
+func TestRestartedLearnerAsksAtOnce(t *testing.T) {
+	const window = 4
+	for _, durable := range []bool{false, true} {
+		var (
+			sim *simnet.Sim
+			c   *Cluster
+			chk *abcast.Checker
+		)
+		if durable {
+			sim, c, chk, _, _ = newDurableCluster(t, 3, 5)
+		} else {
+			sim, c, chk = newCluster(t, 3, 5)
+		}
+		sim.RunFor(50 * time.Millisecond)
+		driveLoad(sim, c, chk, window)
+		sim.RunFor(20 * time.Millisecond)
+		victim := (c.LeaderIdx() + 1) % 3
+		c.Crash(victim)
+		chk.NodeRestart(victim)
+		sim.RunFor(2 * leaderTimeout)
+		ldr := c.LeaderIdx()
+		down, peers := len(chk.Delivered(victim)), len(chk.Delivered(ldr))
+		c.Restart(victim)
+		sim.RunFor(3 * time.Millisecond)
+		got := len(chk.Delivered(victim))
+		t.Logf("durable %v: restarted learner %d delivered %d at its restart and %d 3 ms later; its leader %d had %d at the restart and has %d", durable, victim, down, got, ldr, peers, len(chk.Delivered(ldr)))
+		if got < peers {
+			t.Errorf("durable %v: restarted learner %d delivered %d within 3 ms of its restart, below the %d its leader had at the restart", durable, victim, got, peers)
+		}
+	}
+}
