@@ -109,10 +109,11 @@ func TestDurableTornRestart(t *testing.T) {
 
 // TestDurableRestartAllocFree: a durable restart empties the log in place
 // and replays the WAL into what the log and the replica had already grown:
-// the replay takes every block it fills from the ones held before the crash
-// and opens none, the arena refills its chunks without reallocating one, the
-// ring-release records keep their array, and no slot of any block outside
-// the live range keeps a payload. Both a follower and the leader restart:
+// the replay takes every list chunk it fills from the ones held before the
+// crash and opens none, the arena refills its chunks without reallocating
+// one, the ring-release records keep their array, and no slot of any list
+// chunk outside the live range, in use or kept past the tail, keeps a
+// payload. Both a follower and the leader restart:
 // only the leader holds release records before its crash.
 func TestDurableRestartAllocFree(t *testing.T) {
 	for _, role := range []string{"follower", "leader"} {
@@ -136,9 +137,10 @@ func TestDurableRestartAllocFree(t *testing.T) {
 			if role == "leader" && cap(r.sent) == 0 {
 				t.Fatalf("the leader, replica %d, holds no room for release records before the crash", victim)
 			}
-			blocks := map[*logBlock]bool{}
-			for _, b := range heldBlocks(&r.log) {
-				blocks[b] = true
+			before, _, _ := logChunks(&r.log)
+			listChunks := map[*Entry]bool{}
+			for _, c := range before {
+				listChunks[&c[0]] = true
 			}
 			chunks, _, _ := arenaBooks(&r.log)
 			sent := unsafe.SliceData(r.sent)
@@ -150,14 +152,14 @@ func TestDurableRestartAllocFree(t *testing.T) {
 			if l.Len() == 0 {
 				t.Fatal("the restart recovered nothing")
 			}
-			held := heldBlocks(l)
-			for _, b := range held {
-				if !blocks[b] {
-					t.Fatal("the replay opened a block the log did not hold before the crash")
+			held, _, _ := logChunks(l)
+			for _, c := range held {
+				if !listChunks[&c[0]] {
+					t.Fatal("the replay opened a list chunk the log did not hold before the crash")
 				}
 			}
-			if len(held) != len(blocks) {
-				t.Fatalf("the log holds %d blocks after the replay, %d before the crash", len(held), len(blocks))
+			if len(held) != len(before) {
+				t.Fatalf("the log holds %d list chunks after the replay, %d before the crash", len(held), len(before))
 			}
 			replayed, _, _ := arenaBooks(l)
 			if len(replayed) != len(chunks) {
@@ -171,12 +173,7 @@ func TestDurableRestartAllocFree(t *testing.T) {
 			if len(r.sent) != 0 || unsafe.SliceData(r.sent) != sent {
 				t.Fatalf("the restart left %d release records, or a new array for them", len(r.sent))
 			}
-			checkBlocks(t, l, "after the replay")
-			for _, b := range l.spare {
-				if !blockVacant(b) {
-					t.Fatal("a spare block holds a slot in use")
-				}
-			}
+			checkChunks(t, l, "after the replay")
 		})
 	}
 }

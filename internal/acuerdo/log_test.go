@@ -374,36 +374,58 @@ func arenaBooks(l *Log) (books []arenaBook, open uint32, free int) {
 // arenaLen returns the number of chunks l's arena holds.
 func arenaLen(l *Log) int { books, _, _ := arenaBooks(l); return len(books) }
 
-// blockVacant reports whether every slot of b is zero.
-func blockVacant(b *logBlock) bool {
-	for i := range b {
-		if !vacant(&b[i]) {
-			return false
-		}
+// logChunks reads l's list as the audits need it: every chunk it holds (those
+// its entries sit in, then those kept past them for the appends to come), the
+// number in use, and the position of the first chunk's first slot. The list
+// is internal/chunks' type, whose layout no production caller reads;
+// reflection reads its unexported fields here, as arenaBooks reads the arena.
+func logChunks(l *Log) (held [][]Entry, used, base int) {
+	v := reflect.ValueOf(&l.list).Elem()
+	cs := v.FieldByName("chunks")
+	for k := range cs.Len() {
+		c := cs.Index(k)
+		held = append(held, unsafe.Slice((*Entry)(c.UnsafePointer()), c.Len()))
 	}
-	return true
+	return held, int(v.FieldByName("used").Int()), int(v.FieldByName("first").Int()) * logChunkLen
 }
 
-// heldBlocks returns every block l holds, live and spare.
-func heldBlocks(l *Log) []*logBlock { return append(append([]*logBlock(nil), l.blocks...), l.spare...) }
+// zeroChunk is a chunk as the list clears one.
+var zeroChunk [logChunkLen]Entry
 
-// checkBlocks audits the block deque: base is a block's first position and
-// the head lies in blocks[0]; the blocks cover the live range and no more;
-// and every slot of the live blocks outside the live range is zero.
-func checkBlocks(t *testing.T, l *Log, where string) {
+// chunkVacant reports whether every slot of c, at most a chunk, is zero: its
+// bytes, compared at once, as the audits run after every step.
+func chunkVacant(c []Entry) bool {
+	n := len(c) * int(unsafe.Sizeof(Entry{}))
+	return n == 0 || bytes.Equal(unsafe.Slice((*byte)(unsafe.Pointer(&c[0])), n), unsafe.Slice((*byte)(unsafe.Pointer(&zeroChunk)), n))
+}
+
+// checkChunks audits the log's chunks: each holds logChunkLen entries, base
+// is a chunk's first position and the head lies in or just past the first
+// chunk; the chunks in use cover the live range; and every slot outside the
+// live range, in the chunks in use and in those kept past them, is zero.
+func checkChunks(t *testing.T, l *Log, where string) {
 	t.Helper()
-	if l.base%logBlockLen != 0 || l.head < l.base || l.head-l.base >= logBlockLen || l.tail < l.head {
-		t.Fatalf("%s: base %d, live range [%d, %d)", where, l.base, l.head, l.tail)
+	held, used, base := logChunks(l)
+	head, tail := l.list.Head(), l.list.Len()
+	if len(held) > 0 && (head < base || head-base > logChunkLen || tail > base+used*logChunkLen || used > len(held)) {
+		t.Fatalf("%s: base %d, %d of %d chunks in use, live range [%d, %d)", where, base, used, len(held), head, tail)
 	}
-	if want := (l.tail - l.base + logBlockLen - 1) / logBlockLen; len(l.blocks) != want {
-		t.Fatalf("%s: %d blocks for positions [%d, %d), want %d", where, len(l.blocks), l.base, l.tail, want)
-	}
-	for k, b := range l.blocks {
-		for i := range b {
-			if p := l.base + k*logBlockLen + i; (p < l.head || p >= l.tail) && !vacant(&b[i]) {
-				t.Fatalf("%s: dead position %d still holds %v", where, p, b[i].Hdr)
+	for k, c := range held {
+		if len(c) != logChunkLen {
+			t.Fatalf("%s: chunk %d holds %d entries, want %d", where, k, len(c), logChunkLen)
+		}
+		// Slots [0, below) of c lie below the head, [past, len(c)) past the tail.
+		start := base + k*logChunkLen
+		below, past := min(max(head-start, 0), len(c)), min(max(tail-start, 0), len(c))
+		if chunkVacant(c[:below]) && chunkVacant(c[past:]) {
+			continue
+		}
+		for i := range c {
+			if (i < below || i >= past) && !vacant(&c[i]) {
+				t.Fatalf("%s: dead position %d still holds %v", where, start+i, c[i].Hdr)
 			}
 		}
+		t.Fatalf("%s: a dead slot of chunk %d holds a stale length or capacity", where, k)
 	}
 }
 
@@ -411,13 +433,13 @@ func checkBlocks(t *testing.T, l *Log, where string) {
 // and out-of-order inserts, same-header replacements, payloads from empty to
 // larger than a chunk, RemoveFrom and TrimBelow at random cuts — and after
 // every step compares Len, Get, both Ranges, Last and the bytes of every live
-// payload, and audits the blocks. The program also aims at block edges: a
-// trim and a RemoveFrom whose cut is exactly a block's first position, a log
-// emptied and refilled, a middle insert whose shift crosses into the next
-// block, and a reset followed by a replay longer than what the log held. A
-// chunk recycled under a live entry, a miscounted chunk, a block recycled
-// under a live entry or a stale slot left in a block shows up as a payload
-// that changed or a dead slot that is not zero.
+// payload, and audits the list's chunks. The program also aims at chunk
+// edges: a trim and a RemoveFrom whose cut is exactly a chunk's first
+// position, a log emptied and refilled, a middle insert whose shift crosses
+// into the next chunk, and a reset followed by a replay longer than what the
+// log held. An arena chunk recycled under a live entry, a miscounted arena
+// chunk, a list chunk reused under a live entry or a stale slot left in one
+// shows up as a payload that changed or a dead slot that is not zero.
 func TestLogModel(t *testing.T) {
 	same := func(step int, what string, got, want []Entry) {
 		t.Helper()
@@ -445,7 +467,7 @@ func TestLogModel(t *testing.T) {
 	if testing.Short() {
 		seeds = 50
 	}
-	// How often the program hit each block edge, over all seeds.
+	// How often the program hit each chunk edge, over all seeds.
 	var edges struct{ trim, remove, refill, cross, replay int }
 	// Payloads are cut from random bytes at a random offset: cheaper than
 	// drawing each afresh, and two entries' bytes still differ.
@@ -475,21 +497,21 @@ func TestLogModel(t *testing.T) {
 		}
 		insert := func(c uint32) {
 			e := Entry{Hdr: hdr(1, 1, c), Payload: payload()}
-			if p := l.search(e.Hdr); l.Get(e.Hdr) == nil && p < l.tail && p/logBlockLen != l.tail/logBlockLen {
+			if p, tail := l.search(e.Hdr), l.list.Len(); l.Get(e.Hdr) == nil && p < tail && p/logChunkLen != tail/logChunkLen {
 				edges.cross++
 			}
 			l.Insert(e)
 			ref.Insert(e)
 			clear(e.Payload) // the caller's buffer is reused at once
 		}
-		// edge returns a block's first position strictly inside the live
+		// edge returns a chunk's first position strictly inside the live
 		// range, if the range holds one.
 		edge := func() (int, bool) {
-			p := (l.head/logBlockLen + 1) * logBlockLen
-			if p >= l.tail {
+			p, tail := (l.list.Head()/logChunkLen+1)*logChunkLen, l.list.Len()
+			if p >= tail {
 				return 0, false
 			}
-			return p + logBlockLen*rng.Intn((l.tail-1-p)/logBlockLen+1), true
+			return p + logChunkLen*rng.Intn((tail-1-p)/logChunkLen+1), true
 		}
 		for step := 0; step < 3000; step++ {
 			lo := uint32(0)
@@ -511,20 +533,24 @@ func TestLogModel(t *testing.T) {
 				h := hdr(1, 1, lo+uint32(rng.Intn(int(next-lo)+1)))
 				l.RemoveFrom(h)
 				ref.RemoveFrom(h)
-			case k < 790: // cut exactly at a block's first position
+			case k < 790 && l.Len() > 0: // cut exactly at a chunk's first position, or anywhere when the log spans none
 				p, ok := edge()
 				if !ok {
-					break
+					p = l.list.Head() + rng.Intn(l.Len())
 				}
 				h := l.At(p).Hdr
 				if rng.Intn(2) == 0 {
 					l.TrimBelow(h)
 					ref.TrimBelow(h)
-					edges.trim++
+					if ok {
+						edges.trim++
+					}
 				} else {
 					l.RemoveFrom(h)
 					ref.RemoveFrom(h)
-					edges.remove++
+					if ok {
+						edges.remove++
+					}
 				}
 			case k < 795: // empty, for the inserts that follow to refill
 				if rng.Intn(2) == 0 {
@@ -536,7 +562,7 @@ func TestLogModel(t *testing.T) {
 				}
 				edges.refill++
 			case k < 798: // a durable restart: reset, then replay more than was held
-				n := uint32(l.Len() + 1 + rng.Intn(2*logBlockLen))
+				n := uint32(l.Len() + 1 + rng.Intn(logChunkLen/4))
 				l.reset()
 				ref.reset()
 				for next = 1; next <= n; next++ {
@@ -567,7 +593,7 @@ func TestLogModel(t *testing.T) {
 			}
 			same(step, "RangeClosed", rangeClosed(&l, a, b), ref.RangeClosed(a, b))
 			sameEntry(step, "Get", l.Get(a), ref.Get(a))
-			checkBlocks(t, &l, fmt.Sprintf("seed %d step %d", seed, step))
+			checkChunks(t, &l, fmt.Sprintf("seed %d step %d", seed, step))
 		}
 		// The arena's books balance: every live entry is counted in its chunk,
 		// every chunk nobody points into is empty and on the free list or open.
@@ -593,30 +619,32 @@ func TestLogModel(t *testing.T) {
 		if free != nfree {
 			t.Fatalf("seed %d: %d empty chunks, %d on the free list", seed, free, nfree)
 		}
-		// Dropping everything returns every chunk, leaves at most the head's
-		// block live, and no slot of any block held points at a payload.
-		held := len(l.blocks) + len(l.spare)
+		// Dropping everything returns every arena chunk, leaves at most the
+		// head's list chunk in use and none gained, and no slot of any list
+		// chunk held points at a payload.
+		before, _, _ := logChunks(&l)
 		l.TrimBelow(top)
 		books, _, nfree = arenaBooks(&l)
-		if l.Len() != 0 || nfree+1 < len(books) || len(l.blocks) > 1 || len(l.blocks)+len(l.spare) != held {
-			t.Fatalf("seed %d: after trimming everything, %d entries, %d of %d chunks free, %d live and %d spare blocks of %d",
-				seed, l.Len(), nfree, len(books), len(l.blocks), len(l.spare), held)
+		held, used, _ := logChunks(&l)
+		if l.Len() != 0 || nfree+1 < len(books) || used > 1 || len(held) > len(before) {
+			t.Fatalf("seed %d: after trimming everything, %d entries, %d of %d arena chunks free, %d of %d list chunks in use, %d before",
+				seed, l.Len(), nfree, len(books), used, len(held), len(before))
 		}
-		for _, b := range heldBlocks(&l) {
-			if !blockVacant(b) {
-				t.Fatalf("seed %d: an empty log holds a block with a slot in use", seed)
+		for _, c := range held {
+			if !chunkVacant(c) {
+				t.Fatalf("seed %d: an empty log holds a chunk with a slot in use", seed)
 			}
 		}
 	}
-	t.Logf("block edges hit over %d seeds: %+v", seeds, edges)
+	t.Logf("chunk edges hit over %d seeds: %+v", seeds, edges)
 	if edges.trim == 0 || edges.remove == 0 || edges.refill == 0 || edges.cross == 0 || edges.replay == 0 {
-		t.Fatalf("the program missed a block edge: %+v", edges)
+		t.Fatalf("the program missed a chunk edge: %+v", edges)
 	}
 }
 
 // TestEntrySize pins the layout the arena's bookkeeping rides on: the chunk id
 // fills the padding after the 12-byte header, so an Entry is as large as it
-// was without it and a block holds logBlockLen entries in 1280 B.
+// was without it and a chunk holds logChunkLen entries in 10 KiB.
 func TestEntrySize(t *testing.T) {
 	if n := unsafe.Sizeof(Entry{}); n != 40 {
 		t.Fatalf("Entry is %d bytes, want 40", n)
@@ -625,10 +653,9 @@ func TestEntrySize(t *testing.T) {
 
 // TestLogGrowthCopiesNothing: a log that is never trimmed — every replica
 // with a WAL — allocates each entry's slot once. 100 000 entries cost their
-// 4 MB of slots plus the block pointers (4.4 MB in all), where the one-slice
-// deque refLog models, regrown by append, allocated 22 MB and copied the
-// whole history at every regrowth; and blocks come logCarveMax to an
-// allocation.
+// 4 MB of slots plus the chunk headers, where the one-slice deque refLog
+// models, regrown by append, allocated 22 MB and copied the whole history at
+// every regrowth; and a chunk is one allocation per logChunkLen entries.
 func TestLogGrowthCopiesNothing(t *testing.T) {
 	const n = 100_000
 	var l Log
@@ -641,7 +668,7 @@ func TestLogGrowthCopiesNothing(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > slots*5/4 {
 		t.Fatalf("%d entries allocated %d bytes, want <= %d: their slots and a quarter", n, got, slots*5/4)
 	}
-	if got, want := after.Mallocs-before.Mallocs, uint64(n/(logCarveMax*logBlockLen)+64); got > want {
+	if got, want := after.Mallocs-before.Mallocs, uint64(n/logChunkLen+64); got > want {
 		t.Fatalf("%d entries took %d allocations, want <= %d", n, got, want)
 	}
 	t.Logf("%d entries: %d bytes in %d allocations", n, after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs)
@@ -649,12 +676,12 @@ func TestLogGrowthCopiesNothing(t *testing.T) {
 
 // TestLogSteadyStateAllocFree: a log that is trimmed as it grows — a fixed
 // window of 1000-byte entries, trimmed every few inserts as pushCommitRow
-// does — cycles through the chunks and the blocks it already has and
-// allocates nothing, however long it runs: at a window just inside one block,
-// filling one, spilling into a second, and spanning several arena chunks and
-// more blocks than one carve takes (256).
+// does — cycles through the arena chunks and the list chunks it already has
+// and allocates nothing, however long it runs: at small windows, at a window
+// just inside one list chunk, filling one, spilling into a second, and
+// spanning several arena chunks and several list chunks.
 func TestLogSteadyStateAllocFree(t *testing.T) {
-	for _, window := range []int{logBlockLen - 1, logBlockLen, logBlockLen + 1, 256} {
+	for _, window := range []int{31, 32, 33, logChunkLen - 1, logChunkLen, logChunkLen + 1, 4 * logChunkLen} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
 			const every = 8
 			var l Log
@@ -668,11 +695,12 @@ func TestLogSteadyStateAllocFree(t *testing.T) {
 					l.TrimBelow(MsgHdr{E: e, Cnt: cnt - uint32(window)})
 				}
 			}
-			for i := 0; i < 8*window; i++ {
+			for i := 0; i < 8*window+2*logChunkLen; i++ { // past two list chunks: the steady state
 				step()
 			}
 			books, _, _ := arenaBooks(&l)
-			chunks, blocks := len(books), len(l.blocks)+len(l.spare)
+			held, _, _ := logChunks(&l)
+			chunks, listChunks := len(books), len(held)
 			if got := testing.AllocsPerRun(100, func() {
 				for i := 0; i < 4*window; i++ {
 					step()
@@ -680,9 +708,10 @@ func TestLogSteadyStateAllocFree(t *testing.T) {
 			}); got != 0 {
 				t.Fatalf("%v allocations per %d inserts at a fixed window, want 0", got, 4*window)
 			}
-			if books, _, _ = arenaBooks(&l); len(books) != chunks || len(l.blocks)+len(l.spare) != blocks || l.Len() > window+every {
-				t.Fatalf("%d chunks grew to %d, %d blocks to %d, %d entries held at window %d",
-					chunks, len(books), blocks, len(l.blocks)+len(l.spare), l.Len(), window)
+			books, _, _ = arenaBooks(&l)
+			if held, _, _ = logChunks(&l); len(books) != chunks || len(held) != listChunks || l.Len() > window+every {
+				t.Fatalf("%d arena chunks grew to %d, %d list chunks to %d, %d entries held at window %d",
+					chunks, len(books), listChunks, len(held), l.Len(), window)
 			}
 		})
 	}

@@ -55,15 +55,17 @@ func TestLogBoundedState(t *testing.T) {
 		sim.RunFor(d)
 		chunks = arenaLen(&c.Replicas[0].log)
 		for i, r := range c.Replicas {
-			t.Logf("after %v: replica %d holds %d entries in %d chunks and %d blocks, delivered %d, its request table covers %d ids", d, i, r.LogLen(), arenaLen(&r.log), len(r.log.blocks)+len(r.log.spare), r.Stats.Delivered, r.sessions.Span())
+			held, _, _ := logChunks(&r.log)
+			t.Logf("after %v: replica %d holds %d entries in %d arena chunks and %d list chunks, delivered %d, its request table covers %d ids", d, i, r.LogLen(), arenaLen(&r.log), len(held), r.Stats.Delivered, r.sessions.Span())
 			if n := r.LogLen(); n > maxLen {
 				t.Errorf("after %v: replica %d holds %d entries of %d delivered, want <= %d", d, i, n, r.Stats.Delivered, maxLen)
 			}
 			if n := arenaLen(&r.log); n != chunks {
 				t.Errorf("after %v: replica %d's arena has %d chunks, replica 0's has %d", d, i, n, chunks)
 			}
-			if n := len(r.log.blocks) + len(r.log.spare); n*logBlockLen > 8*maxLen {
-				t.Errorf("after %v: replica %d's log holds %d blocks, room for %d entries, want <= %d", d, i, n, n*logBlockLen, 8*maxLen)
+			// The chunk the head is in, the one the tail is in, and the spare.
+			if n := len(held); n > 3 {
+				t.Errorf("after %v: replica %d's log holds %d list chunks, room for %d entries, want <= 3", d, i, n, n*logChunkLen)
 			}
 			span = max(span, r.sessions.Span())
 		}

@@ -151,7 +151,7 @@ func diffOf(hdr, from MsgHdr, entries []Entry) []byte {
 	for _, e := range entries {
 		l.Insert(e)
 	}
-	return EncodeDiff(hdr, from, &l, l.head, l.tail)
+	return EncodeDiff(hdr, from, &l, l.list.Head(), l.list.Len())
 }
 
 func TestDiffRoundTrip(t *testing.T) {

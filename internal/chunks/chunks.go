@@ -10,12 +10,14 @@
 // was written about five times and the garbage left behind is as large as the
 // slice itself. A List never copies or regrows a chunk: chunk k holds
 // min(64<<k, 256 KiB / sizeof(T)) elements, so a short list starts small and a
-// long one is a run of fixed 256 KiB chunks. n elements occupy at most n plus
-// one chunk. A list allocates once per chunk: for 32-byte elements that is
-// fewer times than append regrows a slice up to about 300 000 elements, and
-// once per 8 192 elements after that. A list trimmed as it grows keeps the
-// chunks its live elements span and one spare, so its memory follows its
-// window, not its history.
+// long one is a run of fixed 256 KiB chunks, unless its caller fixes every
+// chunk at a size that fits its window (SetChunkLen). n elements occupy at
+// most n plus one chunk. A list allocates once per chunk: for 32-byte elements
+// that is fewer times than append regrows a slice up to about 300 000
+// elements, and once per 8 192 elements after that. A list trimmed as it grows
+// keeps the chunks its live elements span and one spare, so its memory follows
+// its window, not its history; a list cut back keeps the chunks it cut, for
+// the appends that refill them.
 package chunks
 
 import (
@@ -38,16 +40,17 @@ const (
 // and the live elements are those at [Head, Len). The zero value is an empty
 // list. Copying a List shares its chunks, as copying a slice shares its array.
 type List[T any] struct {
-	chunks  [][]T // chunks[k] is chunk first+k at its full length; all but the last are full
-	tail    []T   // the last chunk, at the length the list fills of it
+	chunks  [][]T // chunks[k] is chunk first+k at its full length; all below used-1 are full
+	used    int   // chunks[:used] hold the elements; those past are zero, for the next appends
+	tail    []T   // chunks[used-1], at the length the list fills of it
 	first   int   // the number, in the sizing rule, of chunks[0]
 	head, n int   // the live elements are [head, n)
-	spare   []T   // a zeroed full-size chunk TrimBelow dropped, or nil
+	shift   uint  // every chunk holds 1<<shift elements; 0: the sizing rule
 }
 
-// shape returns the list's chunk geometry: the element count of a full-size
-// chunk, the number of geometric chunks before the first full-size one, and
-// the element count of those geometric chunks together.
+// shape returns the sizing rule's chunk geometry: the element count of a
+// full-size chunk, the number of geometric chunks before the first full-size
+// one, and the element count of those geometric chunks together.
 func shape[T any]() (full, geo, geoLen int) {
 	var zero T
 	full = max(maxChunkBytes/max(int(unsafe.Sizeof(zero)), 1), 1)
@@ -56,18 +59,32 @@ func shape[T any]() (full, geo, geoLen int) {
 	return full, geo, firstChunk * (1<<geo - 1)
 }
 
-// chunkLen returns the element count of chunk k.
-func chunkLen[T any](k int) int {
-	full, geo, _ := shape[T]()
-	if k >= geo {
-		return full
+// SetChunkLen fixes every chunk of the list at n elements, n a power of two
+// above 1, in place of the sizing rule: a caller whose live elements span a
+// known window sizes its chunks to it. Call it before the first Append;
+// setting the same n again does nothing.
+func (l *List[T]) SetChunkLen(n int) {
+	if n < 2 || n&(n-1) != 0 || n != 1<<l.shift && l.chunks != nil {
+		panic(fmt.Sprintf("chunks: chunk length %d for a list holding %d chunks", n, len(l.chunks)))
 	}
-	return firstChunk << k
+	l.shift = uint(bits.TrailingZeros(uint(n)))
+}
+
+// chunkLen returns the element count of chunk k.
+func (l *List[T]) chunkLen(k int) int {
+	if l.shift != 0 {
+		return 1 << l.shift
+	}
+	full, _, _ := shape[T]()
+	return min(firstChunk<<min(k, 40), full) // k capped: a shift past the word is 0
 }
 
 // locate returns the chunk holding position i, as an index into l.chunks, and
 // i's offset in it.
 func (l *List[T]) locate(i int) (k, off int) {
+	if l.shift != 0 {
+		return i>>l.shift - l.first, i & (1<<l.shift - 1)
+	}
 	full, geo, geoLen := shape[T]()
 	if i < geoLen {
 		k = bits.Len(uint(i/firstChunk+1)) - 1
@@ -85,17 +102,14 @@ func (l *List[T]) Len() int { return l.n }
 func (l *List[T]) Head() int { return l.head }
 
 // Append adds v at the end. It allocates only when the last chunk is full and
-// no spare chunk is left.
+// the list keeps no chunk past it.
 func (l *List[T]) Append(v T) {
 	if len(l.tail) == cap(l.tail) {
-		// A spare is full-size, and so is every chunk after one the list
-		// has dropped.
-		c := l.spare
-		if l.spare = nil; c == nil {
-			c = make([]T, chunkLen[T](l.first+len(l.chunks)))
+		if l.used == len(l.chunks) {
+			l.chunks = append(l.chunks, make([]T, l.chunkLen(l.first+l.used)))
 		}
-		l.chunks = append(l.chunks, c)
-		l.tail = c[:0]
+		l.tail = l.chunks[l.used][:0]
+		l.used++
 	}
 	l.tail = append(l.tail, v)
 	l.n++
@@ -117,7 +131,7 @@ func (l *List[T]) Ptr(i int) *T {
 
 // Truncate cuts the list to its first n elements, n no lower than the head.
 // It zeroes the elements it drops, so nothing they point to stays reachable,
-// and gives back every chunk past the one the next Append fills.
+// and keeps every chunk, for the appends that follow.
 func (l *List[T]) Truncate(n int) {
 	if n < l.head || n > l.n {
 		panic(fmt.Sprintf("chunks: truncate to %d of [%d:%d]", n, l.head, l.n))
@@ -126,24 +140,24 @@ func (l *List[T]) Truncate(n int) {
 		return
 	}
 	k, off := l.locate(n)
-	if k == len(l.chunks)-1 {
-		clear(l.tail[off:])
-	} else {
-		clear(l.chunks[k][off:])
-		clear(l.chunks[k+1:])
-		l.chunks = l.chunks[:k+1]
+	if k < l.used-1 {
+		clear(l.tail)
+		for _, c := range l.chunks[k+1 : l.used-1] {
+			clear(c)
+		}
+		l.tail = l.chunks[k]
 	}
-	l.tail = l.chunks[k][:off]
-	l.n = n
+	clear(l.tail[off:])
+	l.tail, l.used, l.n = l.tail[:off], k+1, n
 }
 
 // TrimBelow forgets the elements below n: it zeroes them, so nothing they
 // point to stays reachable, and moves the head to n. No index changes. Every
-// chunk wholly below the head but the last is dropped, the chunks behind it
-// moving down; the first full-size one dropped becomes the spare if there is
-// none, so a list trimmed as it grows reuses one chunk per chunk it fills and
-// allocates nothing, and a list trimmed after a long pause gives the rest
-// back.
+// chunk wholly below the head but the one the next Append fills is dropped,
+// the chunks behind it moving down. A list that keeps no chunk past that one
+// keeps the last chunk dropped instead, if it is full-size, so a list trimmed
+// as it grows reuses one chunk per chunk it fills and allocates nothing, and a
+// list trimmed after a long pause gives the rest back.
 func (l *List[T]) TrimBelow(n int) {
 	if n > l.n {
 		panic(fmt.Sprintf("chunks: trim below %d of [%d:%d]", n, l.head, l.n))
@@ -159,17 +173,17 @@ func (l *List[T]) TrimBelow(n int) {
 	}
 	l.head = n
 	k, _ := l.locate(n)
-	if d := min(k, len(l.chunks)-1); d > 0 {
-		full, _, _ := shape[T]()
-		for _, c := range l.chunks[:d] {
-			if l.spare == nil && len(c) == full {
-				l.spare = c
-			}
-		}
+	if d := min(k, l.used-1); d > 0 {
+		// Every chunk after a full-size one is full-size, so a dropped
+		// full-size chunk fits the end of the list.
+		spare := l.chunks[d-1]
+		keep := l.used == len(l.chunks) && len(spare) == l.chunkLen(l.first+len(l.chunks))
 		m := copy(l.chunks, l.chunks[d:])
 		clear(l.chunks[m:])
-		l.chunks = l.chunks[:m]
-		l.first += d
+		if l.chunks = l.chunks[:m]; keep {
+			l.chunks = append(l.chunks, spare)
+		}
+		l.first, l.used = l.first+d, l.used-d
 	}
 }
 

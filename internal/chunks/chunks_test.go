@@ -1,6 +1,7 @@
 package chunks
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -17,32 +18,44 @@ type (
 )
 
 // chunkStart returns the index of chunk k's first element.
-func chunkStart[T any](k int) int {
+func chunkStart[T any](l *List[T], k int) int {
 	start := 0
 	for j := range k {
-		start += chunkLen[T](j)
+		start += l.chunkLen(j)
 	}
 	return start
 }
 
-// chunkRule holds every chunk of l to the sizing rule and l's structure to its
-// invariants: all chunks but the last full, no chunk kept past the one the
-// next Append fills nor wholly below the head but the last, every slot below
-// the head or past the end zero, and the spare, if any, full-size and zero.
+// chunkRule holds every chunk of l to its sizing (the rule, or the length
+// SetChunkLen fixed) and l's structure to its invariants: all chunks the
+// elements sit in but the last full, none of them wholly below the head but
+// the last, every slot below the head or past the end zero (the chunks kept
+// past the last in use, and the spare among them, included), the tail the
+// last chunk in use at the length the list fills of it, and no chunk the list
+// dropped still referenced.
 func chunkRule[T comparable](t *testing.T, l *List[T]) {
 	t.Helper()
-	full, _, _ := shape[T]()
-	start := chunkStart[T](l.first)
+	start := chunkStart(l, l.first)
 	var zero T
+	if l.used > len(l.chunks) || l.used == 0 && len(l.chunks) > 0 {
+		t.Fatalf("%d of %d chunks in use", l.used, len(l.chunks))
+	}
 	for k, c := range l.chunks {
-		if want := min(firstChunk<<min(l.first+k, 40), full); len(c) != want {
+		want := min(firstChunk<<min(l.first+k, 40), l.chunkLen(1<<40))
+		if l.shift != 0 {
+			want = 1 << l.shift
+		}
+		if len(c) != want {
 			t.Fatalf("chunk %d holds %d elements, want %d", l.first+k, len(c), want)
 		}
-		if k < len(l.chunks)-1 && start+len(c) <= l.head {
+		if k < l.used-1 && start+len(c) <= l.head {
 			t.Fatalf("chunk %d ends at %d, at or below the head %d, and is kept", l.first+k, start+len(c), l.head)
 		}
 		// Slots [0, below) of c lie below the head, [past, len(c)) past the end.
 		below, past := min(max(l.head-start, 0), len(c)), min(max(l.n-start, 0), len(c))
+		if k >= l.used {
+			below, past = 0, 0
+		}
 		for _, dead := range [][]T{c[:below], c[past:]} {
 			for off, v := range dead {
 				if v != zero {
@@ -50,30 +63,19 @@ func chunkRule[T comparable](t *testing.T, l *List[T]) {
 				}
 			}
 		}
-		start += len(c)
-	}
-	if l.spare != nil {
-		if len(l.spare) != full {
-			t.Fatalf("the spare holds %d elements, want a full-size chunk's %d", len(l.spare), full)
-		}
-		for off, v := range l.spare {
-			if v != zero {
-				t.Fatalf("the spare's slot %d is not zero", off)
+		if k == l.used-1 {
+			if l.n < start {
+				t.Fatalf("list of %d fills chunk %d, which starts at %d", l.n, l.first+k, start)
+			}
+			if len(l.tail) != l.n-start || cap(l.tail) != len(c) || len(c) > 0 && &l.tail[:1][0] != &c[0] {
+				t.Fatalf("tail holds %d of %d, the list fills %d of its last chunk's %d", len(l.tail), cap(l.tail), l.n-start, len(c))
 			}
 		}
+		start += len(c)
 	}
 	for k, c := range l.chunks[len(l.chunks):cap(l.chunks)] {
 		if c != nil {
 			t.Fatalf("dropped chunk %d is still referenced", len(l.chunks)+k)
-		}
-	}
-	if len(l.chunks) > 0 {
-		last := start - len(l.chunks[len(l.chunks)-1])
-		if l.n < last {
-			t.Fatalf("list of %d keeps chunk %d, which starts at %d", l.n, len(l.chunks)-1, last)
-		}
-		if l.n-last != len(l.tail) {
-			t.Fatalf("tail holds %d, the list fills %d of its last chunk", len(l.tail), l.n-last)
 		}
 	}
 }
@@ -81,18 +83,26 @@ func chunkRule[T comparable](t *testing.T, l *List[T]) {
 // differential runs random Append/Truncate/TrimBelow/At/Chunks/AppendTo
 // programs on a List and on a plain slice whose elements below the head are
 // zeroed, and requires them to agree at every step. Each program grows the
-// list past the geometric chunks into several full-size ones, cutting it back
-// mostly by a short tail and sometimes to just around a chunk boundary, as a
-// log drops an uncommitted suffix, and trimming it by a part of its live range,
-// sometimes to around a chunk boundary and sometimes all of it, as a log
-// forgets what every replica has committed.
-func differential[T comparable](t *testing.T, mk func(uint64) T) {
+// list past the geometric chunks into several full-size ones (with chunk > 0,
+// through several chunks of that fixed length), cutting it back mostly by a
+// short tail and sometimes to just around a chunk boundary, as a log drops an
+// uncommitted suffix, and trimming it by a part of its live range, sometimes
+// to around a chunk boundary and sometimes all of it, as a log forgets what
+// every replica has committed. A cut keeps every chunk, and the appends after
+// it refill those before they take a new one.
+func differential[T comparable](t *testing.T, chunk int, mk func(uint64) T) {
 	full, _, geoLen := shape[T]()
+	if chunk > 0 {
+		full, geoLen = chunk, 0
+	}
 	limit := geoLen + 3*full
 	const steps = 300
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var l List[T]
+		if chunk > 0 {
+			l.SetChunkLen(chunk)
+		}
 		var ref []T
 		head := 0
 		var next uint64
@@ -100,31 +110,39 @@ func differential[T comparable](t *testing.T, mk func(uint64) T) {
 		for step := 0; step < steps; step++ {
 			switch op := rng.Intn(11); {
 			case op < 6: // a burst of appends
+				held := len(l.chunks)
 				for n := rng.Intn(limit/16 + 1); n > 0 && len(ref) < limit; n-- {
 					next++
 					l.Append(mk(next))
 					ref = append(ref, mk(next))
+				}
+				if len(l.chunks) != max(held, l.used) {
+					t.Fatalf("seed %d step %d: appends took %d chunks to fill %d, holding %d", seed, step, len(l.chunks), l.used, held)
 				}
 			case op < 8: // a cut
 				n := len(ref) - rng.Intn(min(len(ref), full/2)+1)
 				if rng.Intn(20) == 0 {
 					n = rng.Intn(len(ref) + 1)
 				}
-				if op == 7 && len(l.chunks) > 1 { // to around the last chunk's start
+				if op == 7 && l.used > 1 { // to around the last chunk's start
 					n = len(ref) - len(l.tail) + rng.Intn(3) - 1
 				}
 				n = min(max(n, head), len(ref))
+				held := len(l.chunks)
 				l.Truncate(n)
 				clear(ref[n:])
 				ref = ref[:n]
+				if len(l.chunks) != held {
+					t.Fatalf("seed %d step %d: a cut to %d left %d of %d chunks", seed, step, n, len(l.chunks), held)
+				}
 			case op == 10: // a trim
 				n := head + rng.Intn((len(ref)-head)/2+1)
 				switch rng.Intn(10) {
 				case 0:
 					n = len(ref)
 				case 1, 2: // to around the second live chunk's start
-					if len(l.chunks) > 1 {
-						n = chunkStart[T](l.first+1) + rng.Intn(3) - 1
+					if l.used > 1 {
+						n = chunkStart(&l, l.first+1) + rng.Intn(3) - 1
 					}
 				}
 				n = min(max(n, 0), len(ref))
@@ -178,15 +196,18 @@ func differential[T comparable](t *testing.T, mk func(uint64) T) {
 }
 
 func TestListDifferential(t *testing.T) {
-	t.Run("1B", func(t *testing.T) { differential(t, func(v uint64) byte { return byte(v) }) })
-	t.Run("8B", func(t *testing.T) { differential(t, func(v uint64) uint64 { return v }) })
+	t.Run("1B", func(t *testing.T) { differential(t, 0, func(v uint64) byte { return byte(v) }) })
+	t.Run("8B", func(t *testing.T) { differential(t, 0, func(v uint64) uint64 { return v }) })
 	t.Run("32B", func(t *testing.T) {
 		// A comparable stand-in for a log entry: the slice field stays nil,
 		// the size is what counts.
 		type entry struct{ a, b, c, d uint64 }
-		differential(t, func(v uint64) entry { return entry{v, v << 1, v << 2, v << 3} })
+		differential(t, 0, func(v uint64) entry { return entry{v, v << 1, v << 2, v << 3} })
 	})
-	t.Run("40B", func(t *testing.T) { differential(t, func(v uint64) e40 { return e40{v, v, v, v, v} }) })
+	t.Run("40B", func(t *testing.T) { differential(t, 0, func(v uint64) e40 { return e40{v, v, v, v, v} }) })
+	// Fixed chunks: Acuerdo's log shape, and a short chunk.
+	t.Run("40B/chunk=256", func(t *testing.T) { differential(t, 256, func(v uint64) e40 { return e40{v, v, v, v, v} }) })
+	t.Run("8B/chunk=16", func(t *testing.T) { differential(t, 16, func(v uint64) uint64 { return v }) })
 }
 
 // TestChunkShape pins the sizing rule where it turns from geometric to fixed.
@@ -197,11 +218,11 @@ func TestChunkShape(t *testing.T) {
 		}
 	}
 	full, _, geoLen := shape[uint64]()
-	check("8B", full, geoLen, chunkLen[uint64](7), [3]int{32768, 32704, 8192})
+	check("8B", full, geoLen, (&List[uint64]{}).chunkLen(7), [3]int{32768, 32704, 8192})
 	full, _, geoLen = shape[e32]()
-	check("32B", full, geoLen, chunkLen[e32](7), [3]int{8192, 8128, 8192})
+	check("32B", full, geoLen, (&List[e32]{}).chunkLen(7), [3]int{8192, 8128, 8192})
 	full, _, geoLen = shape[e40]()
-	check("40B", full, geoLen, chunkLen[e40](7), [3]int{6553, 8128, 6553})
+	check("40B", full, geoLen, (&List[e40]{}).chunkLen(7), [3]int{6553, 8128, 6553})
 }
 
 // TestListNeverMovesAnElement is the "written once" pin: the address of
@@ -235,32 +256,71 @@ func TestListAppendAllocFree(t *testing.T) {
 // TestListTrimmedAllocFree: a list appended to and trimmed at a fixed window,
 // as a volatile log is, reuses the chunk each trim empties once it is past
 // the geometric chunks, and allocates nothing however many full-size chunks
-// it runs through; it holds the chunks its window spans and the spare.
+// it runs through; it holds the chunks its window spans and the spare. So
+// does a list whose chunks are fixed shorter than its window, as Acuerdo's
+// log is.
 func TestListTrimmedAllocFree(t *testing.T) {
 	const window, every = 1000, 7
-	full, _, geoLen := shape[e40]()
-	var l List[e40]
-	step := func() {
-		l.Append(e40{uint64(l.Len())})
-		if l.Len()%every == 0 {
-			l.TrimBelow(max(l.Len()-window, 0))
-		}
+	for _, chunk := range []int{0, 256} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			full, _, geoLen := shape[e40]()
+			var l List[e40]
+			if chunk > 0 {
+				l.SetChunkLen(chunk)
+				full, geoLen = chunk, 0
+			}
+			step := func() {
+				l.Append(e40{uint64(l.Len())})
+				if l.Len()%every == 0 {
+					l.TrimBelow(max(l.Len()-window, 0))
+				}
+			}
+			for l.Len() < geoLen+2*full+window {
+				step()
+			}
+			if n := testing.AllocsPerRun(5, func() {
+				for range full {
+					step()
+				}
+			}); n != 0 {
+				t.Fatalf("%v allocations per %d appends at a fixed window, want 0", n, full)
+			}
+			// The chunks the window spans, and the spare.
+			spans := (window+every+full-2)/full + 1
+			if len(l.chunks) > spans+1 || l.Len() < geoLen+7*full {
+				t.Fatalf("%d elements appended, %d live in %d chunks: want several full chunks run through and <= %d held",
+					l.Len(), l.Len()-l.Head(), len(l.chunks), spans+1)
+			}
+			chunkRule(t, &l)
+		})
 	}
-	for l.Len() < geoLen+2*full {
-		step()
+}
+
+// TestSetChunkLen: a fixed chunk length is a power of two above 1, set before
+// the first Append; setting it again to the same length is a no-op.
+func TestSetChunkLen(t *testing.T) {
+	var l List[uint64]
+	l.SetChunkLen(4)
+	l.Append(1)
+	l.SetChunkLen(4)
+	for name, f := range map[string]func(){
+		"SetChunkLen(8) on a list holding a chunk": func() { l.SetChunkLen(8) },
+		"SetChunkLen(3)": func() { (&List[uint64]{}).SetChunkLen(3) },
+		"SetChunkLen(1)": func() { (&List[uint64]{}).SetChunkLen(1) },
+		"SetChunkLen(0)": func() { (&List[uint64]{}).SetChunkLen(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
 	}
-	if n := testing.AllocsPerRun(5, func() {
-		for range full {
-			step()
-		}
-	}); n != 0 {
-		t.Fatalf("%v allocations per %d appends at a fixed window, want 0", n, full)
+	if l.Len() != 1 || l.At(0) != 1 || len(l.chunks[0]) != 4 {
+		t.Fatalf("list of %d in a chunk of %d after the refused calls", l.Len(), len(l.chunks[0]))
 	}
-	if len(l.chunks) > 2 || l.Len() < geoLen+7*full {
-		t.Fatalf("%d elements appended, %d live in %d chunks: want several full chunks run through and <= 2 held",
-			l.Len(), l.Len()-l.Head(), len(l.chunks))
-	}
-	chunkRule(t, &l)
 }
 
 func TestListOutOfRange(t *testing.T) {
