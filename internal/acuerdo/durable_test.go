@@ -113,9 +113,12 @@ func TestDurableTornRestart(t *testing.T) {
 // crash and opens none, the arena refills its chunks without reallocating
 // one, the ring-release records keep their array, and no slot of any list
 // chunk outside the live range, in use or kept past the tail, keeps a
-// payload. Both a follower and the leader restart:
-// only the leader holds release records before its crash.
+// payload. The restart allocates a few hundred bytes, the same for any
+// length of WAL: the replay walks the records off the device and lists none.
+// Both a follower and the leader restart: only the leader holds release
+// records before its crash.
 func TestDurableRestartAllocFree(t *testing.T) {
+	const restartBytes = 2 << 10
 	for _, role := range []string{"follower", "leader"} {
 		t.Run(role, func(t *testing.T) {
 			sim, c, chk, _, _ := newDurableCluster(t, 3, 9)
@@ -146,7 +149,10 @@ func TestDurableRestartAllocFree(t *testing.T) {
 			sent := unsafe.SliceData(r.sent)
 			r.Crash()
 			chk.NodeRestart(victim)
-			r.Restart()
+			from, to := memSpan(r.Restart)
+			if got := to.TotalAlloc - from.TotalAlloc; got > restartBytes {
+				t.Fatalf("the restart of a %d-entry log allocated %d bytes, want at most %d whatever the log's length", r.LogLen(), got, restartBytes)
+			}
 
 			l := &r.log
 			if l.Len() == 0 {

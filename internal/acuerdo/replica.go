@@ -304,7 +304,7 @@ func (r *Replica) restartDurable() {
 	// The records stay views of the device: Insert copies each payload into
 	// the log's arena.
 	n := uint64(0)
-	for _, re := range rec.Entries {
+	for re := range rec.All() {
 		hdr, payload, _, _, isDiff, err := DecodeMessage(re.Data)
 		if err != nil || isDiff {
 			continue

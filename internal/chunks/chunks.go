@@ -129,6 +129,22 @@ func (l *List[T]) Ptr(i int) *T {
 	return &l.chunks[k][off]
 }
 
+// Set puts v at index i, at or above the head: in place of element i below
+// Len, at the end at Len, and after zero elements up to i past it. It is the
+// positional replay of a log whose records name their index, in which a
+// later record for an index supersedes the earlier one.
+func (l *List[T]) Set(i int, v T) {
+	var zero T
+	for l.n < i {
+		l.Append(zero)
+	}
+	if i == l.n {
+		l.Append(v)
+		return
+	}
+	*l.Ptr(i) = v
+}
+
 // Truncate cuts the list to its first n elements, n no lower than the head.
 // It zeroes the elements it drops, so nothing they point to stays reachable,
 // and keeps every chunk, for the appends that follow.
@@ -172,8 +188,10 @@ func (l *List[T]) TrimBelow(n int) {
 		i += end - off
 	}
 	l.head = n
+	// k is the chunk the next Append fills: past the last in use when the
+	// head sits at the end of a full one, and then that one goes too.
 	k, _ := l.locate(n)
-	if d := min(k, l.used-1); d > 0 {
+	if d := min(k, l.used); d > 0 {
 		// Every chunk after a full-size one is full-size, so a dropped
 		// full-size chunk fits the end of the list.
 		spare := l.chunks[d-1]
@@ -184,6 +202,12 @@ func (l *List[T]) TrimBelow(n int) {
 			l.chunks = append(l.chunks, spare)
 		}
 		l.first, l.used = l.first+d, l.used-d
+		if l.used == 0 {
+			l.tail = nil
+			if len(l.chunks) > 0 {
+				l.tail, l.used = l.chunks[0][:0], 1
+			}
+		}
 	}
 }
 

@@ -80,7 +80,7 @@ func chunkRule[T comparable](t *testing.T, l *List[T]) {
 	}
 }
 
-// differential runs random Append/Truncate/TrimBelow/At/Chunks/AppendTo
+// differential runs random Append/Set/Truncate/TrimBelow/At/Chunks/AppendTo
 // programs on a List and on a plain slice whose elements below the head are
 // zeroed, and requires them to agree at every step. Each program grows the
 // list past the geometric chunks into several full-size ones (with chunk > 0,
@@ -165,6 +165,14 @@ func differential[T comparable](t *testing.T, chunk int, mk func(uint64) T) {
 				if !slices.Equal(got, ref[from:to]) {
 					t.Fatalf("seed %d step %d: Chunks(%d, %d) differs from the slice", seed, step, from, to)
 				}
+			case op == 9 && rng.Intn(2) == 0: // a positional write: in place, at the end, or past it
+				i := head + rng.Intn(len(ref)-head+4)
+				next++
+				l.Set(i, mk(next))
+				for len(ref) <= i {
+					ref = append(ref, mk(0))
+				}
+				ref[i] = mk(next)
 			default:
 				if got := l.AppendTo(nil); !slices.Equal(got, ref[head:]) {
 					t.Fatalf("seed %d step %d: AppendTo differs from the slice (len %d vs %d)", seed, step, len(got), len(ref)-head)
@@ -250,6 +258,27 @@ func TestListAppendAllocFree(t *testing.T) {
 	b := []byte("payload")
 	if n := testing.AllocsPerRun(50, func() { l.Append(e32{a: 1, b: b}) }); n != 0 {
 		t.Fatalf("Append inside a chunk allocated %.1f objects", n)
+	}
+}
+
+// TestTrimToFullTail: a trim of every element of a list whose last chunk is
+// full drops that chunk too, since the next Append fills another, with fixed
+// chunks and at the end of the geometric ones alike.
+func TestTrimToFullTail(t *testing.T) {
+	for _, chunk := range []int{0, 16} {
+		var l List[uint64]
+		n := firstChunk + 2*firstChunk // the first two geometric chunks
+		if chunk > 0 {
+			l.SetChunkLen(chunk)
+			n = 2 * chunk
+		}
+		for i := range n {
+			l.Append(uint64(i))
+		}
+		l.TrimBelow(n)
+		chunkRule(t, &l)
+		l.Append(1)
+		chunkRule(t, &l)
 	}
 }
 
@@ -344,6 +373,7 @@ func TestListOutOfRange(t *testing.T) {
 		"Chunks(3, 2)":  func() { l.Chunks(3, 2) },
 		"Chunks(-1, 1)": func() { l.Chunks(-1, 1) },
 		"TrimBelow(5)":  func() { l.TrimBelow(5) },
+		"Set(1, 0)":     func() { l.Set(1, 0) },
 	} {
 		func() {
 			defer func() {

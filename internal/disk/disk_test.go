@@ -148,26 +148,38 @@ func TestLogStoreRecoverRoundTrip(t *testing.T) {
 	if rec.Tail != TailClean || rec.Dropped != 0 {
 		t.Fatalf("tail=%v dropped=%d, want clean/0", rec.Tail, rec.Dropped)
 	}
-	if len(rec.Entries) != 4 {
-		t.Fatalf("recovered %d entries, want 4", len(rec.Entries))
+	entries := collect(&rec)
+	if len(entries) != 4 {
+		t.Fatalf("recovered %d entries, want 4", len(entries))
 	}
 	for i, want := range []uint64{100, 101, 102, 203} {
-		if rec.Entries[i].Term != want {
-			t.Errorf("entry %d term %d, want %d", i, rec.Entries[i].Term, want)
+		if entries[i].Term != want {
+			t.Errorf("entry %d term %d, want %d", i, entries[i].Term, want)
 		}
+	}
+	if entries[3].Seq != 3 || entries[3].Data[0] != 33 {
+		t.Fatalf("the rewritten entry recovered as %+v", entries[3])
 	}
 	if rec.Meta[1] != 43 || rec.Meta[2] != 7 {
 		t.Fatalf("meta = %v", rec.Meta)
 	}
-	// Positional indexes by Seq: here the surviving log, index for index.
-	pos := rec.Positional()
-	if len(pos) != 4 || pos[3].Term != 203 || pos[3].Data[0] != 33 {
-		t.Fatalf("positional log %+v", pos)
-	}
-	// A gap stays zero and a later record for an index replaces the earlier.
-	pos = (&Recovered{Entries: []RecEntry{{Seq: 0, Term: 1}, {Seq: 2, Term: 2}, {Seq: 0, Term: 3}}}).Positional()
-	if len(pos) != 3 || pos[0].Term != 3 || pos[1].Term != 0 || pos[2].Term != 2 {
-		t.Fatalf("positional log with a gap and a rewrite: %+v", pos)
+}
+
+// TestRecoverRewrittenSlotKeepsLastRecord: a slot written twice with no
+// truncate between recovers its last record, and a slot left out stays zero,
+// when the stream is laid out by position as raft and zab lay it out.
+func TestRecoverRewrittenSlotKeepsLastRecord(t *testing.T) {
+	sim := newSim(1)
+	dev := NewDevice(sim, 0, DefaultParams())
+	ls := NewLogStore(dev, "wal")
+	ls.AppendEntry(0, 1, []byte("first"), nil)
+	ls.AppendEntry(2, 2, []byte("gap before"), nil)
+	ls.AppendEntry(0, 3, []byte("last"), nil)
+	sim.RunFor(time.Millisecond)
+	rec := RecoverLog(dev, "wal")
+	pos := positional(&rec)
+	if pos.Len() != 3 || pos.At(0).Term != 3 || string(pos.At(0).Data) != "last" || pos.At(1).Term != 0 || pos.At(2).Term != 2 {
+		t.Fatalf("positional log with a gap and a rewrite: %+v %+v %+v", pos.At(0), pos.At(1), pos.At(2))
 	}
 }
 
@@ -188,13 +200,14 @@ func TestRecoverStopsAtTornTail(t *testing.T) {
 	rec := RecoverLog(dev, "wal")
 	// The fsynced records are the durability floor; the torn partial record
 	// must never surface as an entry.
-	if len(rec.Entries) != 3 {
-		t.Fatalf("recovered %d entries, want exactly the 3 fsynced ones", len(rec.Entries))
+	entries := collect(&rec)
+	if len(entries) != 3 {
+		t.Fatalf("recovered %d entries, want exactly the 3 fsynced ones", len(entries))
 	}
 	if rec.Dropped > 0 && rec.Tail != TailTorn {
 		t.Fatalf("%d trailing bytes but tail=%v, want torn", rec.Dropped, rec.Tail)
 	}
-	for i, e := range rec.Entries {
+	for i, e := range entries {
 		if e.Seq != uint64(i) || e.Term != 1 || len(e.Data) != 64 {
 			t.Fatalf("entry %d corrupted: %+v", i, e)
 		}
@@ -213,11 +226,11 @@ func TestRecoverStopsAtTornTail(t *testing.T) {
 	proc := simnet.NewProc(sim, 0, "replica")
 	logs := ledger.Reopen(dev, proc, "wal", "other")
 	wal, other := logs[0], logs[1]
-	if _, durable := dev.Size("wal"); len(wal.Entries) != 3 || durable != wal.Bytes {
-		t.Fatalf("Reopen recovered %d entries and left %d durable bytes, want 3 and %d", len(wal.Entries), durable, wal.Bytes)
+	if _, durable := dev.Size("wal"); len(collect(&wal.Recovered)) != 3 || durable != wal.Bytes {
+		t.Fatalf("Reopen recovered %d entries and left %d durable bytes, want 3 and %d", len(collect(&wal.Recovered)), durable, wal.Bytes)
 	}
-	if len(other.Entries) != 1 || string(other.Entries[0].Data) != "kept" || other.Store.Name() != "other" {
-		t.Fatalf("second log recovered %+v", other.Recovered)
+	if kept := collect(&other.Recovered); len(kept) != 1 || string(kept[0].Data) != "kept" || other.Store.Name() != "other" {
+		t.Fatalf("second log recovered %+v", kept)
 	}
 	read := wal.Bytes + other.Bytes
 	if got := ledger.DiskRecoveredBytes(); got != int64(read) {
@@ -229,8 +242,8 @@ func TestRecoverStopsAtTornTail(t *testing.T) {
 	wal.Store.AppendEntry(3, 2, bytes.Repeat([]byte{3}, 64), nil)
 	sim.RunFor(time.Millisecond)
 	dev.Crash(sim.Rand())
-	if wal = ledger.Reopen(dev, proc, "wal")[0]; len(wal.Entries) != 4 || wal.Tail != TailClean {
-		t.Fatalf("second recovery found %d entries (tail %v), want 4 clean", len(wal.Entries), wal.Tail)
+	if wal = ledger.Reopen(dev, proc, "wal")[0]; len(collect(&wal.Recovered)) != 4 || wal.Tail != TailClean {
+		t.Fatalf("second recovery found %d entries (tail %v), want 4 clean", len(collect(&wal.Recovered)), wal.Tail)
 	}
 	if got := ledger.DiskRecoveredBytes(); got != int64(read+wal.Bytes) {
 		t.Fatalf("ledger counts %d disk bytes after two restarts, want %d", got, read+wal.Bytes)
@@ -252,11 +265,12 @@ func TestRecoverStopsAtBitFlip(t *testing.T) {
 	if rec.Tail != TailCorrupt {
 		t.Fatalf("tail=%v, want corrupt", rec.Tail)
 	}
-	if len(rec.Entries) >= 8 || rec.Dropped == 0 {
-		t.Fatalf("corruption undetected: %d entries, %d dropped", len(rec.Entries), rec.Dropped)
+	entries := collect(&rec)
+	if len(entries) >= 8 || rec.Dropped == 0 {
+		t.Fatalf("corruption undetected: %d entries, %d dropped", len(entries), rec.Dropped)
 	}
 	// The surviving prefix must be intact.
-	for i, e := range rec.Entries {
+	for i, e := range entries {
 		if e.Seq != uint64(i) || !bytes.Equal(e.Data, bytes.Repeat([]byte{byte(i)}, 32)) {
 			t.Fatalf("recovered prefix entry %d damaged", i)
 		}
@@ -509,8 +523,8 @@ func TestWipeDestroysEverything(t *testing.T) {
 	NewLogStore(dev, "wal").AppendEntry(0, 1, []byte("x"), nil)
 	sim.RunFor(time.Millisecond)
 	dev.Wipe()
-	if rec := RecoverLog(dev, "wal"); len(rec.Entries) != 0 || rec.Bytes != 0 {
-		t.Fatalf("wipe left %d entries / %d bytes", len(rec.Entries), rec.Bytes)
+	if rec := RecoverLog(dev, "wal"); len(collect(&rec)) != 0 || rec.Bytes != 0 {
+		t.Fatalf("wipe left %d entries / %d bytes", len(collect(&rec)), rec.Bytes)
 	}
 }
 
@@ -529,7 +543,7 @@ func TestDeterministicTornCrash(t *testing.T) {
 		dev.ArmTornWrite()
 		dev.Crash(sim.Rand())
 		rec := RecoverLog(dev, "wal")
-		return len(rec.Entries), uint64(dev.Digest())
+		return len(collect(&rec)), uint64(dev.Digest())
 	}
 	n1, d1 := run()
 	n2, d2 := run()
@@ -558,6 +572,11 @@ func ExampleRecoverLog() {
 	sim.RunFor(time.Millisecond)
 	dev.Crash(sim.Rand())
 	rec := RecoverLog(dev, "wal")
-	fmt.Println(len(rec.Entries), rec.Meta[1], rec.Tail)
-	// Output: 1 99 clean
+	for e := range rec.All() {
+		fmt.Printf("%d %d %s\n", e.Seq, e.Term, e.Data)
+	}
+	fmt.Println(rec.Meta[1], rec.Tail)
+	// Output:
+	// 0 7 payload
+	// 99 clean
 }

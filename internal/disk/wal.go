@@ -3,6 +3,7 @@ package disk
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"iter"
 
 	"acuerdo/internal/simnet"
 )
@@ -32,10 +33,10 @@ const flushKey = 255
 // RecEntry is one recovered log entry: a (Seq, Term) identifier pair whose
 // meaning belongs to the caller (raft: index/term; zab: position/zxid;
 // paxos: instance/ballot; acuerdo: position/0) and the payload. Data as
-// RecoverLog returns it is a read-only, capped view of the device's own
+// Recovered.All yields it is a read-only, capped view of the device's own
 // bytes: valid until the device's next write, and an append to it
 // reallocates rather than clobbering the next entry's. A caller that keeps
-// the bytes past that calls Recovered.Own first.
+// the bytes past that copies them into storage of its own.
 type RecEntry struct {
 	Seq, Term uint64
 	Data      []byte
@@ -68,11 +69,9 @@ func (t TailState) String() string {
 	return "unknown"
 }
 
-// Recovered is the durable state a WAL replay reconstructed.
+// Recovered is the durable state a WAL replay reconstructed. Its entries are
+// not held: All walks them off the device.
 type Recovered struct {
-	// Entries is the positional log after applying truncate records: a
-	// truncate(keepBelow) drops every entry with Seq >= keepBelow.
-	Entries []RecEntry
 	// Meta holds the last durable value per meta key.
 	Meta map[uint8]uint64
 	// Bytes is the length of the valid record prefix consumed.
@@ -82,42 +81,45 @@ type Recovered struct {
 	Dropped int
 	// Tail reports how the scan ended.
 	Tail TailState
+	// DataBytes sums the payloads of the valid prefix's entry records, those
+	// a later truncate drops included: room for one copy of all All yields.
+	DataBytes int
+
+	f *file
+	// below holds, per truncate record of the valid prefix in record order,
+	// the least keepBelow of it and of every truncate after it.
+	below []uint64
 }
 
-// Own gives every entry's Data a private copy, all of them carved from one
-// buffer: the one copy recovery pays for a caller that keeps recovered
-// bytes, after which no write or fault on the device reaches them. Each
-// entry keeps a capped view of its own span.
-func (r *Recovered) Own() {
-	n := 0
-	for _, e := range r.Entries {
-		n += len(e.Data)
+// All yields the positional log the valid prefix describes, in record order:
+// every entry record but those a later truncate(keepBelow) drops, which are
+// the ones with Seq >= keepBelow. A later record for a Seq supersedes an
+// earlier one. All walks the valid prefix again, in place, so each entry's
+// Data is a view of the device (see RecEntry) and the walk must run before
+// the device's next write.
+func (r *Recovered) All() iter.Seq[RecEntry] {
+	return func(yield func(RecEntry) bool) {
+		if r.f == nil {
+			return
+		}
+		more, t := true, 0
+		r.f.records(r.Bytes, false, func(kind byte, payload []byte) {
+			switch {
+			case !more:
+			case kind == kindTrunc && len(payload) >= 8:
+				t++
+			case kind == kindEntry && len(payload) >= 16:
+				e := RecEntry{
+					Seq:  binary.LittleEndian.Uint64(payload[0:]),
+					Term: binary.LittleEndian.Uint64(payload[8:]),
+					Data: payload[16:len(payload):len(payload)],
+				}
+				if t == len(r.below) || e.Seq < r.below[t] {
+					more = yield(e)
+				}
+			}
+		})
 	}
-	buf := make([]byte, 0, n)
-	for i := range r.Entries {
-		start := len(buf)
-		buf = append(buf, r.Entries[i].Data...)
-		r.Entries[i].Data = buf[start:len(buf):len(buf)]
-	}
-}
-
-// Positional lays Entries out by Seq for the logs that append with Seq = log
-// index (raft, zab): out[i] is the surviving record of index i, and since
-// truncate records drop suffixes that is the surviving log prefix. A later
-// record for an index replaces the earlier one.
-func (r *Recovered) Positional() []RecEntry {
-	n := uint64(0)
-	for _, e := range r.Entries {
-		n = max(n, e.Seq+1)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]RecEntry, n)
-	for _, e := range r.Entries {
-		out[e.Seq] = e
-	}
-	return out
 }
 
 // LogStore is the group-committed write-ahead log the protocol packages
@@ -316,8 +318,8 @@ func (r *Recovery) Refetched(n int) { r.fabricBytes += int64(n) }
 // dev (the package-level Reopen, in the order given), adds the bytes read to
 // the ledger, and pauses proc for one recovery read over all of them. Each
 // protocol continues from the returned replays with its own record decoder,
-// metadata keys and re-apply loop; one that keeps the recovered payloads
-// calls Own on its replay first.
+// metadata keys and re-apply loop over All; one that keeps the recovered
+// payloads copies them into storage it owns.
 func (r *Recovery) Reopen(dev *Device, proc *simnet.Proc, names ...string) []Reopened {
 	logs := make([]Reopened, len(names))
 	bytes := 0
@@ -331,79 +333,53 @@ func (r *Recovery) Reopen(dev *Device, proc *simnet.Proc, names ...string) []Reo
 }
 
 // RecoverLog replays name's durable prefix on dev and returns the
-// reconstructed state. It reads the prefix in place, segment by segment, and
-// copies nothing: entries' Data are views of the device (see RecEntry). It
-// performs no simulated-time charging itself.
+// reconstructed state. One verified walk over the segments, in place,
+// finds the valid prefix and collects the meta cells and the truncate
+// records; it copies nothing and lists no entry (Recovered.All walks them).
+// It performs no simulated-time charging itself.
 func RecoverLog(dev *Device, name string) Recovered {
-	rec := Recovered{Meta: make(map[uint8]uint64)}
-	f := dev.files[name]
-	if f == nil {
+	rec := Recovered{Meta: make(map[uint8]uint64), f: dev.files[name]}
+	if rec.f == nil {
 		return rec
 	}
-	// A header-only pre-pass counts the entry records, so Entries is
-	// allocated once: exactly sized unless a truncate record or a bad
-	// checksum drops some of them.
-	entries := 0
-	f.records(false, func(kind byte, payload []byte) {
-		if kind == kindEntry && len(payload) >= 16 {
-			entries++
+	rec.Bytes, rec.Tail = rec.f.records(rec.f.synced, true, func(kind byte, payload []byte) {
+		switch {
+		case kind == kindEntry && len(payload) >= 16:
+			rec.DataBytes += len(payload) - 16
+		case kind == kindTrunc && len(payload) >= 8:
+			rec.below = append(rec.below, binary.LittleEndian.Uint64(payload))
+		case kind == kindMeta && len(payload) >= 9 && payload[0] != flushKey:
+			rec.Meta[payload[0]] = binary.LittleEndian.Uint64(payload[1:])
 		}
 	})
-	if entries > 0 {
-		rec.Entries = make([]RecEntry, 0, entries)
+	for i := len(rec.below) - 2; i >= 0; i-- {
+		rec.below[i] = min(rec.below[i], rec.below[i+1])
 	}
-	rec.Bytes, rec.Tail = f.records(true, func(kind byte, payload []byte) {
-		switch kind {
-		case kindEntry:
-			if len(payload) >= 16 {
-				rec.Entries = append(rec.Entries, RecEntry{
-					Seq:  binary.LittleEndian.Uint64(payload[0:]),
-					Term: binary.LittleEndian.Uint64(payload[8:]),
-					Data: payload[16:len(payload):len(payload)],
-				})
-			}
-		case kindTrunc:
-			if len(payload) >= 8 {
-				keepBelow := binary.LittleEndian.Uint64(payload)
-				kept := rec.Entries[:0]
-				for _, e := range rec.Entries {
-					if e.Seq < keepBelow {
-						kept = append(kept, e)
-					}
-				}
-				rec.Entries = kept
-			}
-		case kindMeta:
-			if len(payload) >= 9 && payload[0] != flushKey {
-				rec.Meta[payload[0]] = binary.LittleEndian.Uint64(payload[1:])
-			}
-		}
-	})
-	rec.Dropped = f.synced - rec.Bytes
+	rec.Dropped = rec.f.synced - rec.Bytes
 	return rec
 }
 
-// records walks f's durable prefix record by record, in place, handing each
-// record's kind and payload to visit, and returns the length of the prefix
-// it consumed and how the walk ended. With verify it stops at the first
-// record whose checksum fails. A record never straddles a segment edge
-// (Device.Append lands each write inside one segment), so a header or body
-// that would cross one inside the durable prefix is corrupt; one that runs
-// past the durable prefix is torn.
-func (f *file) records(verify bool, visit func(kind byte, payload []byte)) (int, TailState) {
+// records walks f's first n bytes (at most its durable prefix) record by
+// record, in place, handing each record's kind and payload to visit, and
+// returns the length of the prefix it consumed and how the walk ended. With
+// verify it stops at the first record whose checksum fails. A record never
+// straddles a segment edge (Device.Append lands each write inside one
+// segment), so a header or body that would cross one inside the durable
+// prefix is corrupt; one that runs past the durable prefix is torn.
+func (f *file) records(n int, verify bool, visit func(kind byte, payload []byte)) (int, TailState) {
 	base := 0
 	for _, s := range f.segs {
-		if base >= f.synced {
+		if base >= n {
 			break
 		}
-		s = s[:min(len(s), f.synced-base)]
+		s = s[:min(len(s), n-base)]
 		for off := 0; off < len(s); {
 			end := off + recHeader
 			if end <= len(s) {
 				end += int(binary.LittleEndian.Uint32(s[off+4:]))
 			}
 			if end > len(s) {
-				if base+end > f.synced {
+				if base+end > n {
 					return base + off, TailTorn
 				}
 				return base + off, TailCorrupt

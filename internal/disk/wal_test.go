@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"acuerdo/internal/chunks"
 	"acuerdo/internal/digest"
 	"acuerdo/internal/simnet"
 	"acuerdo/internal/trace"
@@ -262,8 +263,9 @@ func TestStaleFsyncCompletesNothing(t *testing.T) {
 	if st := dev.Stats(); st.Fsyncs != 1 {
 		t.Fatalf("%d fsyncs completed, want only the post-restart one", st.Fsyncs)
 	}
-	if rec := RecoverLog(dev, "wal"); len(rec.Entries) != 1 || string(rec.Entries[0].Data) != "kept" {
-		t.Fatalf("recovered %+v, want only the post-restart entry", rec.Entries)
+	rec := RecoverLog(dev, "wal")
+	if got := collect(&rec); len(got) != 1 || string(got[0].Data) != "kept" {
+		t.Fatalf("recovered %+v, want only the post-restart entry", got)
 	}
 }
 
@@ -297,8 +299,8 @@ func TestSyncQueueStaysBounded(t *testing.T) {
 // TestRecoverLogCarvesCappedViews: recovered entries are read-only views of
 // the device's own bytes, copied from nowhere, each capped at its own length
 // so an append to one reallocates instead of overwriting the record after
-// it. Own gives them one private copy, which a later write or a bit flip on
-// the device leaves untouched.
+// it. A later write leaves them alone; a bit flip in the bytes they view
+// reaches them, which is why a caller that keeps them copies them first.
 func TestRecoverLogCarvesCappedViews(t *testing.T) {
 	sim := newSim(1)
 	dev := NewDevice(sim, 0, DefaultParams())
@@ -308,46 +310,34 @@ func TestRecoverLogCarvesCappedViews(t *testing.T) {
 		ls.AppendEntry(uint64(i), 1, []byte(w), nil)
 	}
 	sim.RunFor(time.Millisecond)
-	views, owned := RecoverLog(dev, "wal"), RecoverLog(dev, "wal")
-	owned.Own()
+	rec := RecoverLog(dev, "wal")
+	views := collect(&rec)
 	seg := dev.files["wal"].segs[0]
-	for _, rec := range []Recovered{views, owned} {
-		if len(rec.Entries) != len(want) {
-			t.Fatalf("recovered %d entries, want %d", len(rec.Entries), len(want))
-		}
-		for i, e := range rec.Entries {
-			if string(e.Data) != want[i] || cap(e.Data) != len(e.Data) {
-				t.Fatalf("entry %d: %q len %d cap %d, want a capped %q", i, e.Data, len(e.Data), cap(e.Data), want[i])
-			}
-		}
-		_ = append(rec.Entries[0].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
-		_ = append(rec.Entries[1].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
-		if string(rec.Entries[2].Data) != "third" {
-			t.Fatalf("an append to an earlier entry clobbered the last: %q", rec.Entries[2].Data)
+	if len(views) != len(want) {
+		t.Fatalf("recovered %d entries, want %d", len(views), len(want))
+	}
+	for i, e := range views {
+		if string(e.Data) != want[i] || cap(e.Data) != len(e.Data) {
+			t.Fatalf("entry %d: %q len %d cap %d, want a capped %q", i, e.Data, len(e.Data), cap(e.Data), want[i])
 		}
 	}
-	inSeg := func(b []byte) bool {
-		return len(b) > 0 && &b[0] == &seg[len(seg)-len(want[2])]
+	_ = append(views[0].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
+	_ = append(views[1].Data, "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"...)
+	if string(views[2].Data) != "third" {
+		t.Fatalf("an append to an earlier entry clobbered the last: %q", views[2].Data)
 	}
-	if !inSeg(views.Entries[2].Data) {
-		t.Fatal("RecoverLog's last entry is not a view of the device's segment")
+	if d := views[2].Data; &d[0] != &seg[len(seg)-len(want[2])] {
+		t.Fatal("the last recovered entry is not a view of the device's segment")
 	}
-	if inSeg(owned.Entries[2].Data) {
-		t.Fatal("Own left the last entry on the device")
-	}
-	// A later write and bit flips in the durable bytes — until one lands in
-	// the last record, which the views read — reach the views, not the copy.
 	ls.AppendEntry(3, 1, []byte("fourth"), nil)
 	sim.RunFor(time.Millisecond)
+	if string(views[2].Data) != "third" {
+		t.Fatalf("a later write reached the last recovered entry: %q", views[2].Data)
+	}
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; string(views.Entries[2].Data) == "third"; i++ {
+	for i := 0; string(views[2].Data) == "third"; i++ {
 		if i == 1000 || !dev.CorruptDurable(rng) {
 			t.Fatal("no bit flip reached the last recovered entry")
-		}
-	}
-	for i, e := range owned.Entries {
-		if string(e.Data) != want[i] {
-			t.Fatalf("owned entry %d reads %q after the device changed, want %q", i, e.Data, want[i])
 		}
 	}
 }
@@ -399,11 +389,11 @@ func TestLogStoreAllocFree(t *testing.T) {
 }
 
 // TestRecoverLogAllocFree pins recovery's allocations at a constant: the
-// meta map, Entries sized once by a header pre-pass, and Positional's output
-// sized once from the largest Seq. A log ten times longer allocates no more
-// objects.
+// meta map and the truncate list, and nothing per record. Recovering a log a
+// hundred times longer, and walking all of it, allocates the same objects and
+// the same bytes.
 func TestRecoverLogAllocFree(t *testing.T) {
-	objects := func(n int) float64 {
+	measure := func(n int) (objects float64, bytes uint64) {
 		sim := newSim(1)
 		dev := NewDevice(sim, 0, DefaultParams())
 		ls := NewLogStore(dev, "wal")
@@ -416,24 +406,46 @@ func TestRecoverLogAllocFree(t *testing.T) {
 		}
 		ls.Truncate(uint64(n-n/4), nil)
 		sim.RunFor(time.Second)
-		return testing.AllocsPerRun(3, func() {
+		replay := func() {
 			rec := RecoverLog(dev, "wal")
-			if len(rec.Entries) != n-n/4 || len(rec.Positional()) != n-n/4 {
-				t.Fatalf("recovered %d entries of %d", len(rec.Entries), n-n/4)
+			got := 0
+			for range rec.All() {
+				got++
 			}
-		})
+			if got != n-n/4 {
+				t.Fatalf("recovered %d entries of %d", got, n-n/4)
+			}
+		}
+		objects = testing.AllocsPerRun(3, replay)
+		before, after := memSpan(replay)
+		return objects, after.TotalAlloc - before.TotalAlloc
 	}
-	small, large := objects(1000), objects(100000)
-	if small != large || large > 6 {
-		t.Fatalf("recovering 1 000 entries allocates %.0f objects and 100 000 allocate %.0f, want the same few", small, large)
+	smallObj, smallBytes := measure(1000)
+	largeObj, largeBytes := measure(100000)
+	if smallObj != largeObj || largeObj > 4 {
+		t.Fatalf("recovering 1 000 entries allocates %.0f objects and 100 000 allocate %.0f, want the same few", smallObj, largeObj)
+	}
+	if largeBytes > smallBytes+64 || smallBytes > largeBytes+64 || largeBytes > 1024 {
+		t.Fatalf("recovering 1 000 entries allocates %d bytes and 100 000 allocate %d, want the same few hundred", smallBytes, largeBytes)
 	}
 }
 
-// refRecoverLog is RecoverLog as it was before it read the device in place:
-// one copy of the whole durable prefix, scanned as a flat buffer. It is the
-// reference TestRecoverLogDifferential holds RecoverLog to.
-func refRecoverLog(dev *Device, name string) Recovered {
-	rec := Recovered{Meta: make(map[uint8]uint64)}
+// refRecovered is what refRecoverLog reconstructs: Recovered's fields and
+// the entry list RecoverLog once built, each truncate record applied to the
+// entries before it as the walk met it.
+type refRecovered struct {
+	Entries        []RecEntry
+	Meta           map[uint8]uint64
+	Bytes, Dropped int
+	Tail           TailState
+}
+
+// refRecoverLog is RecoverLog as it was before it read the device in place
+// and stopped listing entries: one copy of the whole durable prefix, scanned
+// as a flat buffer into a list. It is the reference
+// TestRecoverLogDifferential holds RecoverLog and All to.
+func refRecoverLog(dev *Device, name string) refRecovered {
+	rec := refRecovered{Meta: make(map[uint8]uint64)}
 	buf := dev.Durable(name)
 	off := 0
 	for off+recHeader <= len(buf) {
@@ -484,6 +496,40 @@ func refRecoverLog(dev *Device, name string) Recovered {
 	return rec
 }
 
+// refPositional is the positional rule raft and zab recovered by before
+// they consumed the stream: out[i] is the last surviving record for index i,
+// a gap stays zero, and the log is as long as the largest Seq.
+func refPositional(entries []RecEntry) []RecEntry {
+	n := uint64(0)
+	for _, e := range entries {
+		n = max(n, e.Seq+1)
+	}
+	out := make([]RecEntry, n)
+	for _, e := range entries {
+		out[e.Seq] = e
+	}
+	return out
+}
+
+// collect lists what All yields.
+func collect(rec *Recovered) []RecEntry {
+	var out []RecEntry
+	for e := range rec.All() {
+		out = append(out, e)
+	}
+	return out
+}
+
+// positional lays the stream out by Seq through chunks.List.Set, as raft
+// and zab replay it into their logs.
+func positional(rec *Recovered) *chunks.List[RecEntry] {
+	var l chunks.List[RecEntry]
+	for e := range rec.All() {
+		l.Set(int(e.Seq), e)
+	}
+	return &l
+}
+
 // seededWAL writes a seeded history to one log — entries from empty to
 // larger than a segment, meta cells, truncations — makes all of it durable,
 // and returns the device. The same seed builds the same file.
@@ -521,21 +567,37 @@ func seededWAL(seed int64) *Device {
 // seeded device histories: clean, with the durable frontier ending mid-
 // segment, cut at and near every segment edge (torn tails that end in a
 // header, in a body, or exactly on an edge), and with a bit flipped in a
-// segment that is not the last. Entries, Meta, Tail, Bytes and Dropped must
-// be identical.
+// segment that is not the last. Meta, Tail, Bytes and Dropped must be
+// identical, All must yield exactly the reference's entry list, and that
+// stream laid out by position (chunks.List.Set, as raft and zab replay it)
+// must equal the reference's list under the old positional rule. Histories
+// dense in truncate records — rewrites of the slots a truncate dropped,
+// keepBelow rising and falling, and truncates past a torn tail or a bit
+// flip, which must not count — are held to the same.
 func TestRecoverLogDifferential(t *testing.T) {
 	check := func(what string, dev *Device) {
 		t.Helper()
 		got, want := RecoverLog(dev, "wal"), refRecoverLog(dev, "wal")
-		if got.Tail != want.Tail || got.Bytes != want.Bytes || got.Dropped != want.Dropped || len(got.Entries) != len(want.Entries) {
+		entries := collect(&got)
+		if got.Tail != want.Tail || got.Bytes != want.Bytes || got.Dropped != want.Dropped || len(entries) != len(want.Entries) {
 			t.Fatalf("%s: tail %v bytes %d dropped %d entries %d, reference %v %d %d %d", what,
-				got.Tail, got.Bytes, got.Dropped, len(got.Entries), want.Tail, want.Bytes, want.Dropped, len(want.Entries))
+				got.Tail, got.Bytes, got.Dropped, len(entries), want.Tail, want.Bytes, want.Dropped, len(want.Entries))
 		}
-		for i, e := range got.Entries {
+		for i, e := range entries {
 			w := want.Entries[i]
 			if e.Seq != w.Seq || e.Term != w.Term || !bytes.Equal(e.Data, w.Data) || cap(e.Data) != len(e.Data) {
 				t.Fatalf("%s: entry %d is (%d, %d, %d bytes, cap %d), reference (%d, %d, %d bytes)", what, i,
 					e.Seq, e.Term, len(e.Data), cap(e.Data), w.Seq, w.Term, len(w.Data))
+			}
+		}
+		pos, wantPos := positional(&got), refPositional(want.Entries)
+		if pos.Len() != len(wantPos) {
+			t.Fatalf("%s: the positional log holds %d entries, reference %d", what, pos.Len(), len(wantPos))
+		}
+		for i, w := range wantPos {
+			if e := pos.At(i); e.Seq != w.Seq || e.Term != w.Term || !bytes.Equal(e.Data, w.Data) {
+				t.Fatalf("%s: positional entry %d is (%d, %d, %d bytes), reference (%d, %d, %d bytes)", what, i,
+					e.Seq, e.Term, len(e.Data), w.Seq, w.Term, len(w.Data))
 			}
 		}
 		if len(got.Meta) != len(want.Meta) {
@@ -599,6 +661,118 @@ func TestRecoverLogDifferential(t *testing.T) {
 	}
 	if tails[TailClean] == 0 || tails[TailTorn] == 0 || tails[TailCorrupt] == 0 {
 		t.Fatalf("the histories end %v: want every tail state", tails)
+	}
+	var rewrites, rises, falls, hidden int
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dev := truncWAL(seed)
+		check("truncations, clean", dev)
+		spans := recordSpans(dev.Durable("wal"))
+		prev := -1 // the keepBelow of the last truncate
+		for k, sp := range spans {
+			if sp.kind == kindEntry && prev >= 0 && binary.LittleEndian.Uint64(sp.payload) == uint64(prev) {
+				rewrites++
+			}
+			if sp.kind != kindTrunc {
+				continue
+			}
+			keep := int(binary.LittleEndian.Uint64(sp.payload))
+			if prev >= 0 && keep > prev {
+				rises++
+			} else if prev >= 0 && keep < prev {
+				falls++
+			}
+			prev = keep
+			if k == 0 {
+				continue
+			}
+			// A record before this truncate is torn, or has a bit flipped:
+			// the verified walk stops there, and the truncate must not count.
+			hidden++
+			at := spans[rng.Intn(k)]
+			dev := truncWAL(seed)
+			dev.files["wal"].synced = at.off + 1 + rng.Intn(at.n-1)
+			check("a torn tail before a truncate", dev)
+			dev = truncWAL(seed)
+			flipAt(dev.files["wal"], at.off+rng.Intn(at.n), 1<<rng.Intn(8))
+			check("a bit flip before a truncate", dev)
+		}
+		for i := 0; i < 20; i++ {
+			dev := truncWAL(seed)
+			dev.files["wal"].synced = rng.Intn(dev.files["wal"].size + 1)
+			check("truncations, synced anywhere", dev)
+		}
+	}
+	if rewrites == 0 || rises == 0 || falls == 0 || hidden == 0 {
+		t.Fatalf("the truncation histories rewrite %d slots, raise keepBelow %d times and lower it %d, and hide %d truncates: want each",
+			rewrites, rises, falls, hidden)
+	}
+}
+
+// truncWAL writes a seeded history dense in truncate records: keepBelow
+// anywhere from 0 to past the log's end, so it rises and falls from one
+// truncate to the next, and half the time the dropped slots rewritten, as
+// raft and zab rewrite them. It makes all of it durable and returns the
+// device. The same seed builds the same file.
+func truncWAL(seed int64) *Device {
+	sim := newSim(seed)
+	rng := rand.New(rand.NewSource(seed))
+	dev := NewDevice(sim, 0, DefaultParams())
+	ls := NewLogStore(dev, "wal")
+	data := make([]byte, 4000)
+	rng.Read(data)
+	seq := uint64(0)
+	for i := 0; i < 400; i++ {
+		switch op := rng.Intn(100); {
+		case op < 15:
+			keep := uint64(rng.Intn(int(seq) + 8))
+			ls.Truncate(keep, nil)
+			if keep < seq && rng.Intn(2) == 0 {
+				seq = keep
+			}
+		case op < 20:
+			ls.SetMeta(uint8(rng.Intn(3)), rng.Uint64(), nil)
+		default:
+			n := rng.Intn(2000)
+			ls.AppendEntry(seq, uint64(i), data[n:n+rng.Intn(2000)], nil)
+			seq++
+		}
+	}
+	sim.RunFor(time.Second)
+	return dev
+}
+
+// span is one record of a flat durable prefix: its offset and length, kind
+// and payload.
+type span struct {
+	off, n  int
+	kind    byte
+	payload []byte
+}
+
+// recordSpans splits a flat durable prefix into its records, up to the
+// first one that runs past its end.
+func recordSpans(buf []byte) []span {
+	var out []span
+	for off := 0; off+recHeader <= len(buf); {
+		n := recHeader + int(binary.LittleEndian.Uint32(buf[off+4:]))
+		if off+n > len(buf) {
+			break
+		}
+		out = append(out, span{off, n, buf[off+8], buf[off+recHeader : off+n]})
+		off += n
+	}
+	return out
+}
+
+// flipAt flips bit at logical offset off of f.
+func flipAt(f *file, off int, bit byte) {
+	for _, s := range f.segs {
+		if off < len(s) {
+			s[off] ^= bit
+			return
+		}
+		off -= len(s)
 	}
 }
 

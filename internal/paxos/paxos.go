@@ -682,19 +682,24 @@ func (s *Server) restartDurable() {
 	s.highestIns = 0
 	s.sessions = abcast.Sessions{}
 	logs := s.c.Recovery.Reopen(s.dev, s.node.Proc, paxosAcceptWAL, paxosLearnWAL)
-	arec, lrec := logs[0], logs[1]
-	arec.Own() // the accepted and chosen lists keep the recovered payloads
-	lrec.Own()
+	arec, lrec := &logs[0], &logs[1]
 	s.astore, s.lstore = arec.Store, lrec.Store
 	s.lstore.OnFrontier = s.reportDurable
 	s.promised = arec.Meta[metaPromised]
+	// The accepted and chosen lists keep the recovered payloads: one private
+	// copy of them all, each a capped view of its own span.
+	buf := make([]byte, 0, arec.DataBytes+lrec.DataBytes)
+	keep := func(p []byte) []byte {
+		buf = append(buf, p...)
+		return buf[len(buf)-len(p) : len(buf) : len(buf)]
+	}
 	// Replay in log order: a re-accept at a higher ballot is a later record
 	// and supersedes the earlier one for its instance.
-	for _, e := range arec.Entries {
-		*s.accepted.at(e.Seq) = acceptedVal{ballot: e.Term, payload: e.Data}
+	for e := range arec.All() {
+		*s.accepted.at(e.Seq) = acceptedVal{ballot: e.Term, payload: keep(e.Data)}
 	}
-	for _, e := range lrec.Entries {
-		*s.chosen.at(e.Seq) = e.Data
+	for e := range lrec.All() {
+		*s.chosen.at(e.Seq) = keep(e.Data)
 	}
 	s.delivered = lrec.Meta[metaDelivered]
 	s.learned.reset(s.delivered)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"acuerdo/internal/abcast"
+	"acuerdo/internal/chunks"
 	"acuerdo/internal/disk"
 	"acuerdo/internal/observe"
 	"acuerdo/internal/simnet"
@@ -155,5 +156,64 @@ func TestDurableTornRestart(t *testing.T) {
 	}
 	if n := obs.ViolationCount(); n != 0 {
 		t.Fatalf("%d invariant violations after torn restart:\n%s", n, obs.Report())
+	}
+}
+
+// TestDurableRewrittenSlotRecovers: a follower that truncates a suffix of
+// its WAL and rewrites the first slot of it recovers the rewritten entry,
+// and nothing of the suffix behind it, from that WAL. The follower is alone,
+// its peers down, and fed two AppendEntries directly: three entries, then a
+// conflicting one at a higher term over the second of them.
+func TestDurableRewrittenSlotRecovers(t *testing.T) {
+	sim := simnet.New(9)
+	c := NewCluster(sim, tcpnet.New(sim, tcpnet.DefaultParams()), 3)
+	devs := make([]*disk.Device, 3)
+	for i := range devs {
+		devs[i] = disk.NewDevice(sim, i, disk.DefaultParams())
+	}
+	c.SetDisks(devs)
+	c.Start()
+	sim.RunFor(200 * time.Millisecond)
+	ldr := c.LeaderIdx()
+	if ldr < 0 {
+		t.Fatal("no leader")
+	}
+	f := (ldr + 1) % 3
+	c.Crash(ldr)
+	c.Crash((ldr + 2) % 3)
+	s := c.Servers[f]
+	sim.RunFor(5 * time.Millisecond)
+	base := s.log.Len()
+	send := func(term uint64, prev int, payloads ...string) {
+		var l chunks.List[entry]
+		for range prev {
+			l.Append(entry{})
+		}
+		for _, p := range payloads {
+			l.Append(entry{term: term, payload: []byte(p)})
+		}
+		prevTerm := uint64(0)
+		if prev > 0 {
+			prevTerm = s.log.At(prev - 1).term
+		}
+		s.onAppend(encodeAppend(term, ldr, prev, prevTerm, 0, &l, l.Len()))
+		sim.RunFor(5 * time.Millisecond)
+	}
+	term := s.term + 1
+	send(term, base, "old-0", "old-1", "old-2")
+	send(term+1, base+1, "new-1")
+	if s.walLen != base+2 {
+		t.Fatalf("the WAL covers %d entries after the rewrite, want %d", s.walLen, base+2)
+	}
+	c.Crash(f)
+	c.Restart(f)
+	if s.log.Len() != base+2 {
+		t.Fatalf("recovered %d entries, want the %d before the truncated slot and the rewritten one", s.log.Len(), base+2)
+	}
+	if e := s.log.At(base + 1); e.term != term+1 || string(e.payload) != "new-1" {
+		t.Fatalf("the rewritten slot recovered as term %d %q, want term %d %q", e.term, e.payload, term+1, "new-1")
+	}
+	if e := s.log.At(base); e.term != term || string(e.payload) != "old-0" {
+		t.Fatalf("the slot below the truncate recovered as term %d %q, want term %d %q", e.term, e.payload, term, "old-0")
 	}
 }

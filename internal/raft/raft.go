@@ -703,12 +703,18 @@ func (c *Cluster) restartDurable(s *Server) {
 	s.sessions = abcast.Sessions{} // refilled by the re-apply below
 	s.role = follower
 	rec := c.Recovery.Reopen(s.dev, s.node.Proc, raftWALName)[0]
-	rec.Own() // the log keeps the recovered payloads
 	s.store = rec.Store
 	s.store.OnFrontier = s.reportDurable
-	for idx, e := range rec.Positional() {
-		s.log.Append(entry{term: e.Term, payload: e.Data})
-		s.emit(trace.Recover, e.Term, uint64(idx), trace.ID(e.Data))
+	// The log keeps the recovered payloads: one private copy of them all,
+	// each entry a capped view of its own span.
+	buf := make([]byte, 0, rec.DataBytes)
+	for e := range rec.All() {
+		buf = append(buf, e.Data...)
+		s.log.Set(int(e.Seq), entry{term: e.Term, payload: buf[len(buf)-len(e.Data) : len(buf) : len(buf)]})
+	}
+	for idx := range s.log.Len() {
+		e := s.log.At(idx)
+		s.emit(trace.Recover, e.term, uint64(idx), trace.ID(e.payload))
 	}
 	s.persisted = s.log.Len()
 	s.walLen = s.log.Len()

@@ -58,7 +58,7 @@ const (
 )
 
 // entry is one logged proposal, 40 B. chunk names the arena chunk payload
-// lives in (0: none, the payload is empty or a recovered WAL view).
+// lives in (0: none, the payload is empty).
 type entry struct {
 	zxid    uint64
 	chunk   uint32
@@ -866,13 +866,20 @@ func (s *Server) restartDurable() {
 	rec := s.c.Recovery.Reopen(s.dev, s.node.Proc, zabWALName)[0]
 	s.store = rec.Store
 	s.store.OnFrontier = s.reportDurable
-	// The log keeps the recovered payloads outside the arena, as capped
-	// views of the one private copy Own makes of them.
-	rec.Own()
-	for i, e := range rec.Positional() {
-		s.log.Append(entry{zxid: e.Term, payload: e.Data})
-		s.emit(trace.Recover, e.Term, uint64(i), trace.ID(e.Data))
-		s.lastZxid = e.Term
+	// The log copies the recovered payloads into the fresh arena; a record
+	// that supersedes an entry gives the entry's claim back.
+	for re := range rec.All() {
+		e := entry{zxid: re.Term}
+		e.payload, e.chunk = s.arena.Own(re.Data)
+		if int(re.Seq) < s.log.Len() {
+			s.arena.Release(s.log.At(int(re.Seq)).chunk)
+		}
+		s.log.Set(int(re.Seq), e)
+	}
+	for i := range s.log.Len() {
+		e := s.log.At(i)
+		s.emit(trace.Recover, e.zxid, uint64(i), trace.ID(e.payload))
+		s.lastZxid = e.zxid
 	}
 	s.walLen = s.log.Len()
 	s.epoch = uint32(rec.Meta[metaEpoch])
