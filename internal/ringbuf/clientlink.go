@@ -17,12 +17,13 @@ type ClientLink struct {
 	reqIn  []*Receiver // request ring tail at replica i
 	ackOut []*Sender   // replica i -> client
 	ackIn  []*Receiver // ack ring tails at the client
+	gen    []uint32    // request ring i's generation (Reconnect)
 }
 
 // NewClientLink builds the rings (DefaultConfig: 1 MiB, single-write,
 // backlogged) between client and replicas.
 func NewClientLink(client *rdma.Node, replicas []*rdma.Node) *ClientLink {
-	l := &ClientLink{client: client, reqOut: NewSender(client, DefaultConfig())}
+	l := &ClientLink{client: client, reqOut: NewSender(client, DefaultConfig()), gen: make([]uint32, len(replicas))}
 	for _, r := range replicas {
 		l.reqIn = append(l.reqIn, l.reqOut.AddPeer(r))
 		ack := NewSender(r, DefaultConfig())
@@ -80,14 +81,13 @@ func (l *ClientLink) Ack(i int, payload []byte) {
 
 // Reconnect re-establishes the client's connection to replica i after that
 // replica rebooted: the request ring, the credit word and both endpoints'
-// cursors start over from zero. A request posted as the replica lost power
-// was dropped at its dead NIC although the client's Sender had advanced its
-// wire sequence, and the Receiver would wait at that gap forever; whatever
-// was queued or unacknowledged is re-sent by the client's retry.
+// cursors start over, in the ring's next generation. A request posted as
+// the replica lost power was dropped at its dead NIC although the client's
+// Sender had advanced its wire sequence, and the Receiver would wait at that
+// gap forever; whatever was queued or unacknowledged is re-sent by the
+// client's retry.
 func (l *ClientLink) Reconnect(i int) {
-	in, ps := l.reqIn[i], l.reqOut.peer[l.reqOut.ids[i]]
-	in.mr.Zero()
-	in.creditMR.Zero()
-	*in = Receiver{mr: in.mr, creditQP: in.creditQP, creditMR: in.creditMR}
-	*ps = peerState{id: ps.id, qp: ps.qp, ring: ps.ring, creditMR: ps.creditMR}
+	l.gen[i]++
+	l.reqIn[i].Reset(l.gen[i])
+	l.reqOut.ResetPeer(l.reqOut.ids[i], l.gen[i])
 }

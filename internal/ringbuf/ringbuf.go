@@ -57,6 +57,11 @@ const (
 	// payload — as max_send_sge does on real verbs; the ring header takes
 	// one more entry of the work request.
 	maxParts = 2
+
+	// genShift places a ring's generation in the top half of every wire
+	// sequence number and credit word (see Sender.ResetPeer): a ring counts
+	// its records in the bottom half, from zero at each reset.
+	genShift = 32
 )
 
 var (
@@ -95,6 +100,19 @@ type Receiver struct {
 	creditQP *rdma.QP // back-channel to the sender's credit word
 	creditMR *rdma.MR
 	returned uint64
+	gen      uint32 // the generation Reset last started
+}
+
+// Reset starts the ring over as generation gen, the receiving half of
+// Sender.ResetPeer: the ring memory is zeroed and the Receiver then behaves
+// as one AddPeer has just returned, except that it reads only records of
+// generation gen. Reset it before, or at the same instant as, the sender's
+// ResetPeer to the same generation; a record or credit of an older
+// generation still in flight lands and is never read as new.
+func (r *Receiver) Reset(gen uint32) {
+	r.mr.Zero()
+	*r = Receiver{mr: r.mr, batch: r.batch[:0], creditQP: r.creditQP, creditMR: r.creditMR,
+		gen: gen, wireSeq: uint64(gen) << genShift}
 }
 
 // ReturnCredits writes the consumed count back to the sender with an
@@ -107,7 +125,7 @@ func (r *Receiver) ReturnCredits() {
 	}
 	r.returned = r.consumed
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], r.consumed)
+	binary.LittleEndian.PutUint64(b[:], uint64(r.gen)<<genShift|r.consumed)
 	// A wedged credit channel is tolerable: credits are cumulative, so a
 	// later write carries the same information.
 	_, _ = r.creditQP.Write(r.creditMR, 0, b[:])
@@ -177,6 +195,7 @@ type peerState struct {
 	inflight      fifo[inflightRec]
 	inflightBytes int
 	backlog       fifo[[]byte]
+	gen           uint32 // the generation ResetPeer last started
 }
 
 // Sender is the sending endpoint of a ring: one per node, broadcasting to
@@ -212,11 +231,27 @@ func (s *Sender) AddPeer(recv *rdma.Node) *Receiver {
 	return &Receiver{mr: mr, creditQP: creditQP, creditMR: creditMR}
 }
 
-// pollCredits applies any credit returned by the receiver.
+// ResetPeer starts peer to's ring over as generation gen: whatever was in
+// flight or queued toward the peer is neither released nor sent any more, the
+// credit word is cleared, and the next Send is record 1 at offset zero, as
+// on a ring AddPeer has just built. The peer's Receiver is Reset to the same
+// generation first, or at the same instant. gen must exceed every generation
+// the ring has used (a new ring is generation 0), so that a record or credit
+// of an older one still in flight lands and is never read as new: it carries
+// a smaller generation in the top half of its sequence or credit word.
+func (s *Sender) ResetPeer(to int, gen uint32) {
+	ps := s.peer[to]
+	ps.creditMR.Zero()
+	*ps = peerState{id: ps.id, qp: ps.qp, ring: ps.ring, creditMR: ps.creditMR,
+		gen: gen, wireSeq: uint64(gen) << genShift}
+}
+
+// pollCredits applies any credit returned by the receiver in the ring's
+// current generation.
 func (s *Sender) pollCredits(ps *peerState) {
 	credit := binary.LittleEndian.Uint64(ps.creditMR.Buf)
-	if credit > 0 {
-		s.release(ps, credit)
+	if credit>>genShift == uint64(ps.gen) && credit&(1<<genShift-1) > 0 {
+		s.release(ps, credit&(1<<genShift-1))
 	}
 }
 
