@@ -133,7 +133,8 @@ type Replica struct {
 	voteSST   *sst.Table[Vote]
 	commitSST *sst.Table[CommitRow]
 
-	hb             uint64
+	hb             uint64 // commit-row pushes, below incShift
+	inc            uint32 // restarts so far: the heartbeat word's top bits
 	lastCommitPush simnet.Time
 	ldrRow         CommitRow
 	ldrRowAt       simnet.Time
@@ -227,6 +228,9 @@ func (r *Replica) Start() {
 // acuerdoWALName is the per-replica committed-entry log device file.
 const acuerdoWALName = "acuerdo.wal"
 
+// metaIncarnation is the WAL meta key of the replica's incarnation.
+const metaIncarnation = 1
+
 // reportDurable, the hook on every store the replica opens, states that the
 // first n WAL entries are durable.
 func (r *Replica) reportDurable(n uint64) { r.emit(trace.Durable, 0, n, 0) }
@@ -260,6 +264,7 @@ func (r *Replica) Restart() {
 	}
 	r.Node.Recover()
 	r.role = Electing
+	r.inc++
 	if r.store != nil {
 		r.restartDurable()
 	}
@@ -274,9 +279,11 @@ func (r *Replica) restartDurable() {
 	// the observer's delivery and committed-header bases.
 	r.emit(trace.Restart, 0, 0, 0)
 	// Wipe the protocol state the durable contract says is lost. The
-	// heartbeat counter deliberately survives: it is a liveness signal, not
+	// heartbeat word deliberately survives: it is a liveness signal, not
 	// protocol state, and keeping it monotone keeps the commit SST's
-	// per-cell invariant meaningful across restarts.
+	// per-cell invariant meaningful across restarts. Its incarnation is
+	// persisted in WAL meta too (below), the copy a replica whose memory
+	// did not survive would read back.
 	r.log.reset()
 	r.sessions = abcast.Sessions{} // refilled by the replay below
 	r.accepted, r.committed, r.next = MsgHdr{}, MsgHdr{}, MsgHdr{}
@@ -299,6 +306,10 @@ func (r *Replica) restartDurable() {
 	rec := r.recovery.Reopen(r.dev, r.Node.Proc, acuerdoWALName)[0]
 	r.store = rec.Store
 	r.store.OnFrontier = r.reportDurable
+	if m := uint32(rec.Meta[metaIncarnation]); m >= r.inc {
+		r.inc = m + 1
+	}
+	r.store.SetMeta(metaIncarnation, uint64(r.inc), nil)
 	// WAL records are committed entries in delivery order; replay them to
 	// the application and rebuild the log so the next diff splices cleanly.
 	// The records stay views of the device: Insert copies each payload into
@@ -563,7 +574,7 @@ func (r *Replica) pushCommitRow() {
 	}
 	r.lastCommitPush = now
 	r.hb++
-	r.commitSST.Set(CommitRow{Hdr: r.committed, HB: r.hb})
+	r.commitSST.Set(CommitRow{Hdr: r.committed, HB: uint64(r.inc)<<incShift | r.hb})
 	r.commitSST.PushMine()
 	if r.store == nil {
 		// Volatile: forget what the whole group has committed. It is host

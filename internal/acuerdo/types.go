@@ -116,13 +116,23 @@ func (v Vote) IsZero() bool { return v == Vote{} }
 func (v Vote) String() string { return fmt.Sprintf("<%s,%s>", v.ENew, v.Acpt) }
 
 // CommitRow is one row of the commit SST: the node's last committed header
-// plus a heartbeat counter. The heartbeat makes the periodic push observable
+// plus a heartbeat word. The heartbeat makes the periodic push observable
 // even when no new commits happen, which is what the failure detector
-// monitors.
+// monitors. Its top bits are the node's incarnation (Incarnation), bumped
+// at every restart, and its low incShift bits count pushes; the count
+// survives a restart, so the word only grows.
 type CommitRow struct {
 	Hdr MsgHdr
 	HB  uint64
 }
+
+// incShift is the heartbeat word's split: pushes below it, the incarnation
+// above. 2^48 pushes at the 4 µs cadence outlast any run by decades.
+const incShift = 48
+
+// Incarnation returns the incarnation the row's heartbeat word carries: how
+// many times its node has restarted.
+func (r CommitRow) Incarnation() uint32 { return uint32(r.HB >> incShift) }
 
 // --- fixed-size SST codecs ---
 
