@@ -105,8 +105,8 @@ func NewCluster(sim *simnet.Sim, fabric *rdma.Fabric, cfg ClusterConfig) *Cluste
 			acceptSST: acceptTabs[i],
 			voteSST:   voteTabs[i],
 			commitSST: commitTabs[i],
-			relPtr:    make([]int, cfg.N),
-			released:  make([]uint64, cfg.N),
+			rel:       make([]relState, cfg.N),
+			peers:     make([]peerView, cfg.N),
 			recovery:  &c.Recovery,
 		}
 	}

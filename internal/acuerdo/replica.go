@@ -101,12 +101,25 @@ type Stats struct {
 	SSTPushes  uint64 // acceptance pushes (for the ack-batching ablation)
 }
 
-// sentRec is one broadcast or diff the leader put on its rings: the header a
-// peer's acceptance (or commit) row must reach before ring index idx toward
-// that peer can be released.
-type sentRec struct {
-	hdr MsgHdr
-	idx uint64
+// relState is a leader's release bookkeeping for its ring toward one live
+// peer. The peer receives every record of sent from position ptr's segment
+// on, so the ring index of record p toward it is p + off; a re-admission
+// diff, sent to the peer alone, waits at ring index diffIdx (0 once
+// released) until the peer's row reaches its header diff.
+type relState struct {
+	ptr     int // first record of sent the peer has yet to pass
+	off     uint64
+	diff    MsgHdr
+	diffIdx uint64
+}
+
+// peerView is what a replica knows of one peer's liveness: the heartbeat
+// word last seen in the peer's commit row, when it was seen, and whether it
+// has moved within leaderTimeout of now (watchPeers).
+type peerView struct {
+	hb   uint64
+	at   simnet.Time
+	live bool
 }
 
 // Replica is one Acuerdo process. All methods must run inside the
@@ -153,13 +166,21 @@ type Replica struct {
 	WonAt        simnet.Time
 	ElectionTook time.Duration
 
-	// Release bookkeeping. Records are numbered from the first ever sent;
-	// sent[0] is record sentBase, and relPtr[j] is the first record peer j
-	// has yet to pass. pruneSent keeps sent within twice the in-flight window.
-	sent     []sentRec
+	// Release bookkeeping. Records broadcast to every live peer are
+	// numbered from the first ever sent; sent[0] is record sentBase's
+	// header, and rel[j] maps them onto live peer j's ring. pruneSent keeps
+	// sent within twice the in-flight window.
+	sent     []MsgHdr
 	sentBase int
-	relPtr   []int
-	released []uint64
+	rel      []relState
+
+	// peers[j] is this replica's view of peer j's liveness; a leader writes
+	// ring records and diffs only to live peers. A replica that restarted
+	// (rejoining until its first election step) stands for election no
+	// earlier than noStandUntil.
+	peers        []peerView
+	rejoining    bool
+	noStandUntil simnet.Time
 
 	// Durable mode (SetDisks): committed entries stream to a background WAL
 	// in delivery order (walPos entries appended, flushes queued up to
@@ -222,6 +243,9 @@ func (r *Replica) Start() {
 	r.voteChangedAt = r.Sim.Now()
 	r.ldrRowAt = r.Sim.Now()
 	r.SuspectedAt = r.Sim.Now()
+	for k := range r.peers {
+		r.peers[k].at, r.peers[k].live = r.Sim.Now(), true
+	}
 	r.Node.Proc.PollLoop(r.Cfg.PollInterval, pollCost, r.poll)
 }
 
@@ -249,15 +273,22 @@ func (r *Replica) Crash() {
 	r.dev.Crash(r.Sim.Rand())
 }
 
-// Restart recovers a crashed node into election mode; it will rejoin the
-// group when it receives a diff from a newer epoch. A node that is not
-// crashed is left alone: its poll loop is still running (only a crash ends
-// one, so Start here would arm a second), and a paused node rejoins by
-// itself when it wakes. DESIGN §6.8 tabulates what survives in each storage
-// mode: everything in the volatile one (the paper's replicas are
-// memory-resident; a restart models a process pause, not a machine loss),
-// only the WAL's committed prefix in the durable one — everything newer is
-// refetched through the next epoch's diff.
+// Restart recovers a crashed node into election mode as its next
+// incarnation; it rejoins the group when it receives a diff from its epoch
+// or a newer one, which a live leader sends once it sees the incarnation
+// rise (watchPeers). A node that is not crashed is left alone: its poll loop
+// is still running (only a crash ends one, so Start here would arm a
+// second), and a paused node rejoins by itself when it wakes. DESIGN §6.8
+// tabulates what survives in each storage mode: everything in the volatile
+// one (the paper's replicas are memory-resident; a restart models a process
+// pause, not a machine loss), only the WAL's committed prefix in the durable
+// one — everything newer is refetched through the re-admission diff.
+//
+// In both modes the node starts its incoming rings over in the new
+// incarnation's generation (records dropped at its dead NIC left a gap the
+// old rings would wait at forever), forfeits its own vote, and does not
+// stand for election for one CandidateTimeout, so that the leader's diff
+// finds it at an epoch it accepts.
 func (r *Replica) Restart() {
 	if !r.Node.Crashed() {
 		return
@@ -268,6 +299,20 @@ func (r *Replica) Restart() {
 	if r.store != nil {
 		r.restartDurable()
 	}
+	for _, in := range r.in {
+		if in != nil {
+			in.Reset(r.inc)
+		}
+	}
+	// Forfeit our own vote: a pre-crash winning vote still sits in the
+	// local vote SST alongside the quorum that elected us, and counting
+	// that stale quorum would let the replica "win" an election it no
+	// longer runs — again, in a term it already led. With a zero own-row
+	// the win check stays cold until the replica casts or joins a fresh
+	// vote.
+	r.voteSST.Set(Vote{})
+	r.lastMaxVote = Vote{}
+	r.rejoining = true
 	r.Start()
 }
 
@@ -290,19 +335,6 @@ func (r *Replica) restartDurable() {
 	r.eCur, r.eNew = Epoch{}, Epoch{}
 	r.count = 0
 	r.sent, r.sentBase = r.sent[:0], 0
-	for j := range r.relPtr {
-		r.relPtr[j] = 0
-		r.released[j] = 0
-	}
-	// Forfeit our own vote: a pre-crash winning vote still sits in the
-	// local vote SST alongside the quorum that elected us, and counting
-	// that stale quorum would let the replica "win" an election it no
-	// longer remembers running — with an epoch that no longer matches the
-	// vote's. With a zero own-row the win check stays cold until the
-	// replica casts or joins a fresh vote.
-	r.voteSST.Set(Vote{})
-	r.lastMaxVote = Vote{}
-	r.voteChangedAt = r.Sim.Now()
 	rec := r.recovery.Reopen(r.dev, r.Node.Proc, acuerdoWALName)[0]
 	r.store = rec.Store
 	r.store.OnFrontier = r.reportDurable
@@ -418,10 +450,12 @@ func (r *Replica) pushAccept() {
 // (remove uncommitted entries from the diff's range onward, splice the
 // diff's contents in), accept the diff, and move to the follower role
 // (Figure 5 lines 54-66).
+//
+// An epoch's first diff has count zero. A re-admission diff (readmit) comes
+// mid-epoch, under the header of the leader's last message: it is accepted
+// the same way, and the commits it brings resume after this replica's own
+// committed header, so nothing is delivered twice.
 func (r *Replica) acceptDiff(hdr, diffFrom MsgHdr, entries []Entry) {
-	if hdr.Cnt != 0 {
-		panic("acuerdo: diff with nonzero count")
-	}
 	r.eNew = hdr.E
 	r.eCur = hdr.E
 	if hdr.E.Ldr != r.ID {
@@ -441,6 +475,9 @@ func (r *Replica) acceptDiff(hdr, diffFrom MsgHdr, entries []Entry) {
 	}
 	r.accepted = hdr
 	r.next = MsgHdr{E: r.eCur, Cnt: 0}
+	if r.committed.E == r.eCur {
+		r.next.Cnt = r.committed.Cnt + 1
+	}
 	// Fresh leader: restart the failure detector.
 	r.ldrRow = CommitRow{}
 	r.ldrRowAt = r.Sim.Now()
@@ -465,18 +502,15 @@ func (r *Replica) Broadcast(payload []byte) bool {
 	var mh [msgHdrSize]byte
 	putMsgHdr(mh[:], hdr, kindNormal)
 	r.Node.Proc.Charge(perMsgCost)
-	var idx uint64
 	for j := 0; j < r.N; j++ {
-		if j == int(r.ID) {
+		if j == int(r.ID) || !r.peers[j].live {
 			continue
 		}
-		i, err := r.out.Send(r.fabIDs[j], mh[:], payload)
-		if err != nil {
+		if _, err := r.out.Send(r.fabIDs[j], mh[:], payload); err != nil {
 			panic("acuerdo: broadcast ring send failed: " + err.Error())
 		}
-		idx = i
 	}
-	r.sent = append(r.sent, sentRec{hdr: hdr, idx: idx})
+	r.sent = append(r.sent, hdr)
 	// Self-acceptance: the leader stores and accepts its own message
 	// locally (broadcast includes itself).
 	r.log.Insert(Entry{Hdr: hdr, Payload: payload})
@@ -576,6 +610,7 @@ func (r *Replica) pushCommitRow() {
 	r.hb++
 	r.commitSST.Set(CommitRow{Hdr: r.committed, HB: uint64(r.inc)<<incShift | r.hb})
 	r.commitSST.PushMine()
+	r.watchPeers(now)
 	if r.store == nil {
 		// Volatile: forget what the whole group has committed. It is host
 		// bookkeeping, not protocol work — no simulated CPU, no trace event.
@@ -587,6 +622,56 @@ func (r *Replica) pushCommitRow() {
 		r.walQueued = r.walPos
 		r.store.FlushFrontier(r.walPos)
 	}
+}
+
+// watchPeers reads every peer's heartbeat word at the push cadence: a word
+// that moved marks the peer live, one that stood still for leaderTimeout
+// marks it down. Heartbeats still go to every peer, live or down, or two
+// replicas that each marked the other down would never see each other move
+// again. A peer whose incarnation rose has restarted: its incoming rings
+// started over in that generation, so this replica's ring toward it does
+// too. A leader re-admits a peer that restarted or came back from silence.
+func (r *Replica) watchPeers(now simnet.Time) {
+	for k := range r.peers {
+		if k == int(r.ID) {
+			continue
+		}
+		pv, row := &r.peers[k], r.commitSST.Get(k)
+		if row.HB == pv.hb {
+			if pv.live && now.Sub(pv.at) > leaderTimeout {
+				pv.live = false
+			}
+			continue
+		}
+		restarted := row.Incarnation() > uint32(pv.hb>>incShift)
+		back := !pv.live
+		pv.hb, pv.at, pv.live = row.HB, now, true
+		if restarted {
+			r.out.ResetPeer(r.fabIDs[k], row.Incarnation())
+		}
+		if r.role == Leader && (restarted || back) {
+			r.readmit(k, row.Hdr)
+		}
+	}
+}
+
+// readmit brings peer j back into this leader's epoch with a mid-epoch diff:
+// every entry from j's committed header from through this leader's last
+// accepted one, under that last header (E, count). A header (E, 0) would
+// move a rejoiner still in epoch E back below what it had accepted and
+// committed. j's acceptance row is forgotten first: it states what j's
+// previous incarnation accepted, which a durable restart lost, so counting
+// it could commit an entry on a quorum that no longer holds it. The row
+// counts again once j, having accepted the diff, pushes it anew.
+func (r *Replica) readmit(j int, from MsgHdr) {
+	r.acceptSST.Forget(j)
+	lo, hi := r.log.RangeClosed(from, r.accepted)
+	idx, err := r.out.Send(r.fabIDs[j], EncodeDiff(r.accepted, from, &r.log, lo, hi))
+	if err != nil {
+		panic("acuerdo: re-admission diff send failed: " + err.Error())
+	}
+	end := r.sentBase + len(r.sent)
+	r.rel[j] = relState{ptr: end, off: idx + 1 - uint64(end), diff: r.accepted, diffIdx: idx}
 }
 
 // failureDetector suspects the leader when its commit row goes stale.
@@ -631,6 +716,12 @@ func (r *Replica) electionStep() {
 		return
 	}
 	r.nextElection = r.Sim.Now().Add(electionPeriod)
+	if r.rejoining {
+		// The window opens at the first step, not at Restart: a durable
+		// restart's recovery read may outlast it.
+		r.rejoining = false
+		r.noStandUntil = r.Sim.Now().Add(r.Cfg.CandidateTimeout)
+	}
 	r.votes = r.voteSST.Snapshot(r.votes)
 	mx := Vote{}
 	for _, v := range r.votes {
@@ -647,8 +738,9 @@ func (r *Replica) electionStep() {
 	my := r.votes[r.ID]
 	iAmCandidate := !my.IsZero() && my.ENew.Ldr == r.ID && my == mx
 	timedOut := !iAmCandidate && now.Sub(r.voteChangedAt) > r.Cfg.CandidateTimeout
+	stand := mx.IsZero() || timedOut || mx.Acpt.Less(r.accepted)
 
-	if mx.IsZero() || timedOut || mx.Acpt.Less(r.accepted) {
+	if stand && now >= r.noStandUntil {
 		// Vote for self with a strictly larger epoch (line 100).
 		r.eNew = NewBiggerEpoch(r.eNew, mx.ENew, r.ID)
 		nv := Vote{ENew: r.eNew, Acpt: r.accepted}
@@ -690,21 +782,21 @@ func (r *Replica) becomeLeader() {
 	r.role = Leader
 	r.count = 0
 	hdr := MsgHdr{E: r.eNew, Cnt: 0}
-	var idx uint64
+	p := r.sentBase + len(r.sent)
 	for j := 0; j < r.N; j++ {
-		if j == int(r.ID) {
-			continue
+		if j == int(r.ID) || !r.peers[j].live {
+			continue // a down peer is re-admitted when its heartbeat moves
 		}
 		from := r.commitSST.Get(j).Hdr
 		lo, hi := r.log.RangeClosed(from, r.accepted)
 		rec := EncodeDiff(hdr, from, &r.log, lo, hi)
-		i, err := r.out.Send(r.fabIDs[j], rec)
+		idx, err := r.out.Send(r.fabIDs[j], rec)
 		if err != nil {
 			panic("acuerdo: diff send failed: " + err.Error())
 		}
-		idx = i
+		r.rel[j] = relState{ptr: p, off: idx - uint64(p)}
 	}
-	r.sent = append(r.sent, sentRec{hdr: hdr, idx: idx})
+	r.sent = append(r.sent, hdr)
 	// The diff's commit delivers every entry this node holds above its
 	// committed header: those are the requests pending here.
 	r.sessions.Reseed()
@@ -741,27 +833,26 @@ func (r *Replica) stableFrontier() MsgHdr {
 	return low
 }
 
-// releaseRings frees broadcast ring slots. Acuerdo reuses a slot as soon as
-// the receiver has *accepted* the message; the ReleaseOnCommit ablation
-// only frees slots committed at all nodes (Derecho's policy, which couples
-// the sender to the slowest node).
+// releaseRings frees broadcast ring slots toward live peers. Acuerdo reuses
+// a slot as soon as the receiver has *accepted* the message; the
+// ReleaseOnCommit ablation only frees slots committed at all nodes
+// (Derecho's policy, which couples the sender to the slowest node). A down
+// peer's slots wait for its re-admission diff, whose release frees them all.
 func (r *Replica) releaseRings() {
 	if len(r.sent) == 0 {
 		return
 	}
+	low := MsgHdr{}
 	if r.Cfg.ReleaseOnCommit {
-		low := r.stableFrontier()
-		for j := 0; j < r.N; j++ {
-			if j == int(r.ID) {
-				continue
-			}
-			r.advanceRelease(j, low)
+		low = r.stableFrontier()
+	}
+	for j := 0; j < r.N; j++ {
+		if j == int(r.ID) || !r.peers[j].live {
+			continue
 		}
-	} else {
-		for j := 0; j < r.N; j++ {
-			if j == int(r.ID) {
-				continue
-			}
+		if r.Cfg.ReleaseOnCommit {
+			r.advanceRelease(j, low)
+		} else {
 			r.advanceRelease(j, r.acceptSST.Get(j))
 		}
 	}
@@ -769,28 +860,33 @@ func (r *Replica) releaseRings() {
 }
 
 func (r *Replica) advanceRelease(j int, upTo MsgHdr) {
-	p := r.relPtr[j] - r.sentBase
-	moved := false
-	for p < len(r.sent) && r.sent[p].hdr.LessEq(upTo) {
-		r.released[j] = r.sent[p].idx
-		p++
-		moved = true
+	rs := &r.rel[j]
+	idx := uint64(0)
+	if rs.diffIdx != 0 && rs.diff.LessEq(upTo) {
+		idx, rs.diffIdx = rs.diffIdx, 0
 	}
-	if moved {
-		r.relPtr[j] = r.sentBase + p
-		r.out.Release(r.fabIDs[j], r.released[j])
+	p := rs.ptr - r.sentBase
+	for p < len(r.sent) && r.sent[p].LessEq(upTo) {
+		p++
+	}
+	if q := r.sentBase + p; q > rs.ptr {
+		rs.ptr = q
+		idx = uint64(q-1) + rs.off
+	}
+	if idx != 0 {
+		r.out.Release(r.fabIDs[j], idx)
 	}
 }
 
-// pruneSent forgets the records every peer has passed: once they are at
-// least half of sent, the live tail moves down over them. A prune copies no
-// more records than it frees, and sent stays within twice the in-flight
+// pruneSent forgets the records every live peer has passed: once they are
+// at least half of sent, the live tail moves down over them. A prune copies
+// no more records than it frees, and sent stays within twice the in-flight
 // window however many records pass through.
 func (r *Replica) pruneSent() {
 	min := r.sentBase + len(r.sent)
 	for j := 0; j < r.N; j++ {
-		if j != int(r.ID) && r.relPtr[j] < min {
-			min = r.relPtr[j]
+		if j != int(r.ID) && r.peers[j].live && r.rel[j].ptr < min {
+			min = r.rel[j].ptr
 		}
 	}
 	if dead := min - r.sentBase; dead >= len(r.sent)-dead {

@@ -280,10 +280,11 @@ func TestPayloadIntegrity(t *testing.T) {
 // row whose replica rejoins must end within one window of its peers'
 // delivered count.
 //
-// The Acuerdo rows pin today's failure: the restarted replica, leader or
-// follower, is never re-admitted while the leader of the day lives and stays
-// at the count it had when it crashed (ROADMAP 1(v), volatile and durable
-// alike; item 12 is the fix that flips them). A libpaxos follower restarted
+// An Acuerdo replica, leader or follower, volatile or durable, rejoins
+// because the leader of the day sees its incarnation rise and re-admits it:
+// a ring reset toward it and a mid-epoch diff from its commit row. Without
+// that it stays, electing, at the count it had when it crashed (ROADMAP
+// 1(v)). A libpaxos follower restarted
 // under load rejoins only because its learner asks its peers again while its
 // frontier sits below a chosen instance (ROADMAP 1(vi)). Derecho has no join
 // protocol, so its Restart leaves the member down and only the survivors are
@@ -297,8 +298,8 @@ func TestRestartedReplicaRejoins(t *testing.T) {
 		follower bool
 		rejoins  bool
 	}{
-		{Acuerdo, Volatile, false, false},
-		{Acuerdo, Durable, false, false},
+		{Acuerdo, Volatile, false, true},
+		{Acuerdo, Durable, false, true},
 		{DerechoAll, Volatile, false, false},
 		{DerechoLeader, Volatile, false, false},
 		{Etcd, Volatile, false, true},
@@ -307,8 +308,8 @@ func TestRestartedReplicaRejoins(t *testing.T) {
 		{Libpaxos, Durable, false, true},
 		{Zookeeper, Volatile, false, true},
 		{Zookeeper, Durable, false, true},
-		{Acuerdo, Volatile, true, false},
-		{Acuerdo, Durable, true, false},
+		{Acuerdo, Volatile, true, true},
+		{Acuerdo, Durable, true, true},
 		{Etcd, Volatile, true, true},
 		{Etcd, Durable, true, true},
 		{Libpaxos, Volatile, true, true},
@@ -411,7 +412,7 @@ func TestRestartedReplicaRejoins(t *testing.T) {
 			}
 			got := len(chk.Delivered(victim))
 			if caughtUp := got+window >= peers; caughtUp != tc.rejoins {
-				t.Fatalf("restarted replica %d delivered %d against its peers' %d: caught up = %v, want %v (Acuerdo: ROADMAP 1(v) and item 12; a libpaxos follower: 1(vi))",
+				t.Fatalf("restarted replica %d delivered %d against its peers' %d: caught up = %v, want %v (Acuerdo: re-admission, ROADMAP 1(v); a libpaxos follower: 1(vi))",
 					victim, got, peers, caughtUp, tc.rejoins)
 			}
 		})

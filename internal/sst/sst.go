@@ -89,6 +89,11 @@ func (t *Table[T]) Set(v T) {
 	}
 }
 
+// Forget zeroes row i of the local replica until its owner's next push
+// rewrites it: a protocol forgets a row its owner wrote in an earlier life,
+// before a restart, once it must no longer act on it.
+func (t *Table[T]) Forget(i int) { clear(t.rowBytes(i)) }
+
 // Get decodes row i from the local replica. It decodes into storage the
 // table keeps, so a row type holding a slice shares it with the previous Get's
 // result; Snapshot is the way to keep several rows.
