@@ -850,11 +850,11 @@ func (r *Replica) releaseRings() {
 		if j == int(r.ID) || !r.peers[j].live {
 			continue
 		}
-		if r.Cfg.ReleaseOnCommit {
-			r.advanceRelease(j, low)
-		} else {
-			r.advanceRelease(j, r.acceptSST.Get(j))
+		upTo := low
+		if !r.Cfg.ReleaseOnCommit {
+			upTo = r.acceptSST.Get(j)
 		}
+		r.advanceRelease(j, upTo)
 	}
 	r.pruneSent()
 }
