@@ -186,3 +186,31 @@ func TestMutualSuspicionHeals(t *testing.T) {
 		t.Fatalf("%d invariant violations:\n%s", v, obs.Report())
 	}
 }
+
+// TestQuickLeaderRestartIsSuspected: a leader power-cut and restarted inside
+// leaderTimeout comes back electing, its heartbeat moving again, so a
+// failure detector that watched only for a stale row would follow it for
+// good and the group would never commit again. Its followers see its
+// incarnation rise and suspect it at once.
+func TestQuickLeaderRestartIsSuspected(t *testing.T) {
+	sim, c, chk, obs := newObservedCluster(t, 3, 3)
+	sim.RunFor(20 * time.Millisecond)
+	stop := false
+	loadLoop(sim, c, chk, 8, 16, &stop)
+	sim.RunFor(5 * time.Millisecond)
+	ldr := c.LeaderIdx()
+	f := c.Replicas[(ldr+1)%3]
+	c.Crash(ldr)
+	sim.RunFor(2 * time.Millisecond)
+	c.Restart(ldr)
+	delivered := f.Stats.Delivered
+	sim.RunFor(10 * time.Millisecond)
+	if c.LeaderIdx() < 0 || f.Stats.Delivered == delivered {
+		t.Fatalf("leader %d, replica %d delivered %d → %d after leader %d restarted 2 ms after its crash",
+			c.LeaderIdx(), f.ID, delivered, f.Stats.Delivered, ldr)
+	}
+	caughtUp(t, sim, c, &stop)
+	if v := obs.ViolationCount(); v != 0 {
+		t.Fatalf("%d invariant violations:\n%s", v, obs.Report())
+	}
+}

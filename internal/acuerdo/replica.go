@@ -674,7 +674,9 @@ func (r *Replica) readmit(j int, from MsgHdr) {
 	r.rel[j] = relState{ptr: end, off: idx + 1 - uint64(end), diff: r.accepted, diffIdx: idx}
 }
 
-// failureDetector suspects the leader when its commit row goes stale.
+// failureDetector suspects the leader when its commit row goes stale, or
+// when its incarnation rises: a leader that restarted inside leaderTimeout
+// leads nothing any more, though its heartbeat moves again.
 func (r *Replica) failureDetector() {
 	if r.role != Follower || r.eCur.Ldr == r.ID {
 		return
@@ -682,6 +684,10 @@ func (r *Replica) failureDetector() {
 	row := r.commitSST.Get(int(r.eCur.Ldr))
 	now := r.Sim.Now()
 	if row != r.ldrRow {
+		if r.ldrRow != (CommitRow{}) && row.Incarnation() > r.ldrRow.Incarnation() {
+			r.Suspect()
+			return
+		}
 		r.ldrRow = row
 		r.ldrRowAt = now
 		return
